@@ -98,11 +98,11 @@ func EnumerateConnected(g *graph.Graph, p Params) []Result {
 		if c.Len() == p.Nmax {
 			return
 		}
-		// Offline enumeration recurses while iterating the merge result, so
+		// Offline enumeration recurses while iterating the scan result, so
 		// each frame needs its own buffer (the engine solves this with a free
 		// list; here a per-frame allocation is fine).
 		var buf graph.NeighborhoodBuf
-		ys, adds := g.NeighborhoodScores(c, &buf)
+		ys, adds := g.NeighborhoodScores(c, 0, &buf)
 		for i, y := range ys {
 			grow(c.Add(y), score+adds[i])
 		}

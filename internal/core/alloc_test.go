@@ -19,6 +19,7 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/stream"
+	"dyndens/internal/vset"
 )
 
 // steadyStateEngine returns a warm engine with a non-retaining sink and a set
@@ -217,5 +218,44 @@ func TestEmitCloneElision(t *testing.T) {
 	}
 	if core.SinkRetainsSets(core.MultiSink{counter, &core.FilterSink{}}) {
 		t.Fatal("MultiSink of non-retaining members must not retain")
+	}
+}
+
+// TestStarScanSteadyStateZeroAlloc pins the discovery paths that take a
+// deficit: a too-dense triple whose family is probed by every positive
+// update. Nudging an edge inside the triple runs the bounded exploration
+// around it (light neighbours, none reaching the deficit) and the family's
+// heavy-edge scan (one far edge heavy enough, its union already indexed);
+// nudging a far light edge runs the both-outside check, which the prefilter
+// settles. None of it may allocate once the heavy-edge index has been built
+// by the first scan — including the index's own upkeep and sweeps, which the
+// measured updates drive.
+func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
+	eng.SetSink(&core.CountingSink{})
+	for _, u := range []core.Update{
+		{A: 10, B: 11, Delta: 7}, // heavy enough to close the triple's deficit of 6
+		{A: 20, B: 21, Delta: 1}, {A: 22, B: 23, Delta: 1.5}, {A: 0, B: 30, Delta: 0.5}, {A: 1, B: 31, Delta: 0.5},
+		{A: 0, B: 1, Delta: 8}, {A: 0, B: 2, Delta: 8}, {A: 1, B: 2, Delta: 8},
+	} {
+		eng.Process(u)
+	}
+	if eng.ImplicitFamilyCount() == 0 || !eng.Contains(vset.New(0, 1, 2, 10, 11)) {
+		t.Fatalf("setup: %d families, {0,1,2,10,11} indexed: %v", eng.ImplicitFamilyCount(), eng.Contains(vset.New(0, 1, 2, 10, 11)))
+	}
+	before := eng.Stats()
+	cycle := func() {
+		eng.Process(core.Update{A: 0, B: 1, Delta: 1e-9})
+		eng.Process(core.Update{A: 20, B: 21, Delta: 1e-9})
+		eng.Process(core.Update{A: 0, B: 1, Delta: -1e-9})
+		eng.Process(core.Update{A: 20, B: 21, Delta: -1e-9})
+	}
+	assertZeroAllocs(t, "star scan", cycle)
+	after := eng.Stats()
+	if after.Explorations == before.Explorations || after.CheapExplores == before.CheapExplores {
+		t.Fatalf("the cycle ran no exploration (%d) or no family check (%d)", after.Explorations-before.Explorations, after.CheapExplores-before.CheapExplores)
+	}
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		t.Fatalf("the cycle is not steady: %+v → %+v", before, after)
 	}
 }

@@ -270,7 +270,7 @@ func (e *Engine) batchDiscover() {
 		e.a, e.b, e.delta = a, b, delta
 		e.seedPairs = seed
 		e.maxIter = e.th.Iterations(delta)
-		e.computeMaxExplore()
+		e.maxExploreKnown = false
 
 		e.affectedBuf = e.ix.AppendDenseContainingEither(e.affectedBuf[:0], a, b)
 		e.starBuf = e.ix.AppendStarNodes(e.starBuf[:0])
@@ -305,9 +305,7 @@ func (e *Engine) batchDiscover() {
 		}
 		e.putSetBuf(setBuf)
 
-		for _, star := range e.starBuf {
-			e.processStar(star)
-		}
+		e.processStars()
 	}
 }
 

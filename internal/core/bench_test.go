@@ -15,6 +15,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"dyndens/internal/core"
@@ -45,24 +46,24 @@ func benchUpdates(b *testing.B, cfg stream.SynthConfig, n int) []core.Update {
 
 // warmEngine builds an engine over a pre-populated graph so the benchmark
 // loop measures steady-state behaviour rather than cold growth.
-func warmEngine(b *testing.B, warm []core.Update) *core.Engine {
+func warmEngine(b *testing.B, cfg core.Config, warm []core.Update) *core.Engine {
 	b.Helper()
-	eng := core.MustNew(benchConfig())
+	eng := core.MustNew(cfg)
 	eng.SetSink(&core.CountingSink{})
 	eng.ProcessAll(warm)
 	return eng
 }
 
 // benchProcess runs the replay-and-rebuild loop over the bench stream.
-func benchProcess(b *testing.B, warm, updates []core.Update) {
-	eng := warmEngine(b, warm)
+func benchProcess(b *testing.B, cfg core.Config, warm, updates []core.Update) {
+	eng := warmEngine(b, cfg, warm)
 	b.ReportAllocs()
 	b.ResetTimer()
 	i := 0
 	for n := 0; n < b.N; n++ {
 		if i == len(updates) {
 			b.StopTimer()
-			eng = warmEngine(b, warm)
+			eng = warmEngine(b, cfg, warm)
 			i = 0
 			b.StartTimer()
 		}
@@ -76,7 +77,7 @@ func benchProcess(b *testing.B, warm, updates []core.Update) {
 func BenchmarkProcessPositive(b *testing.B) {
 	warm := benchUpdates(b, stream.SynthConfig{Vertices: benchVertices, Seed: 1, Skew: benchSkew}, benchWarm)
 	updates := benchUpdates(b, stream.SynthConfig{Vertices: benchVertices, Seed: 2, Skew: benchSkew}, benchStream)
-	benchProcess(b, warm, updates)
+	benchProcess(b, benchConfig(), warm, updates)
 }
 
 // BenchmarkProcessNegative measures negative updates against the warm graph —
@@ -87,7 +88,7 @@ func BenchmarkProcessNegative(b *testing.B) {
 	updates := benchUpdates(b, stream.SynthConfig{
 		Vertices: benchVertices, Seed: 4, Skew: benchSkew, NegativeFraction: 0.999, MeanDelta: 0.1,
 	}, benchStream)
-	benchProcess(b, warm, updates)
+	benchProcess(b, benchConfig(), warm, updates)
 }
 
 // BenchmarkProcessMixed measures the realistic blend the CLI bench command
@@ -97,7 +98,58 @@ func BenchmarkProcessMixed(b *testing.B) {
 	updates := benchUpdates(b, stream.SynthConfig{
 		Vertices: benchVertices, Seed: 6, Skew: benchSkew, NegativeFraction: 0.2,
 	}, benchStream)
-	benchProcess(b, warm, updates)
+	benchProcess(b, benchConfig(), warm, updates)
+}
+
+// BenchmarkProcessStarHeavy measures the regime in which ImplicitTooDense
+// upkeep dominates: a sliding window of exactly cancelled insertions, half of
+// them inside 18 planted five-vertex groups whose triples go too-dense at
+// T=3, half spread over a uniform background of 5000 vertices that supplies
+// the hundreds of light edges every star-family check has to look past. The
+// window keeps the stream stationary, so the 400k generated updates run
+// against one warm engine (benchProcess rebuilds it if b.N outlasts them).
+func BenchmarkProcessStarHeavy(b *testing.B) {
+	const (
+		window     = 1200  // insertions a contribution stays in the graph
+		groups     = 18    // concurrently active planted groups
+		groupSize  = 5     // vertices per group
+		groupLife  = 10000 // insertions a group lives
+		background = 5000
+		warmIns    = 2*groupLife + 2*window
+		benchIns   = 200000
+	)
+	rng := rand.New(rand.NewSource(1))
+	var members [groups][groupSize]core.Vertex
+	next := core.Vertex(background)
+	var updates []core.Update
+	ring := make([]core.Update, window)
+	for i := 0; i < warmIns+benchIns; i++ {
+		if i%(groupLife/groups) == 0 {
+			g := &members[i/(groupLife/groups)%groups]
+			for k := range g {
+				g[k], next = next, next+1
+			}
+		}
+		var x, y core.Vertex
+		if rng.Intn(2) == 0 {
+			g := &members[rng.Intn(groups)]
+			p := rng.Perm(groupSize)
+			x, y = g[p[0]], g[p[1]]
+		} else {
+			x = core.Vertex(rng.Intn(background))
+			y = (x + 1 + core.Vertex(rng.Intn(background-1))) % background
+		}
+		u := core.Update{A: x, B: y, Delta: float64(1+rng.Intn(17)) / 8} // eighths cancel exactly
+		updates = append(updates, u)
+		if i >= window {
+			old := ring[i%window]
+			old.Delta = -old.Delta
+			updates = append(updates, old)
+		}
+		ring[i%window] = u
+	}
+	warm := 2*warmIns - window
+	benchProcess(b, core.Config{T: 3, Nmax: 5, EnableMaxExplore: true}, updates[:warm], updates[warm:])
 }
 
 // BenchmarkReplayPipeline measures the full source → replay → engine → sink

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dyndens/internal/density"
 	"dyndens/internal/graph"
@@ -200,28 +201,29 @@ type Engine struct {
 	boundary UpdateBoundarySink
 
 	// Per-update scratch state (valid during Process only).
-	a, b        Vertex
-	delta       float64
-	seedPairs   bool
-	maxIter     int
-	maxExplore  int // MaxExplore heuristic cap (Nmax+1 = unlimited)
-	maxExploreA int
-	maxExploreB int
+	a, b      Vertex
+	delta     float64
+	seedPairs bool
+	maxIter   int
+	// MaxExplore heuristic caps (Nmax+1 = unlimited), computed on first use
+	// within the update: read them through maxExploreCaps.
+	maxExploreKnown          bool
+	maxExploreA, maxExploreB int
 
 	// Reusable buffers. Steady-state Process performs no graph/neighbourhood
 	// allocations: index snapshots land in affectedBuf/starBuf, subgraph sets
 	// are reconstructed and extended in buffers drawn from the setFree list,
-	// and neighbourhood merges run in NeighborhoodBufs from nbufFree. The
+	// and neighbourhood scans run in NeighborhoodBufs from nbufFree. The
 	// free lists (rather than single buffers) exist because exploration is
 	// recursive: each explore frame pops its own buffers and pushes them back
-	// when done, so a parent's merge results and candidate set survive the
+	// when done, so a parent's scan results and candidate set survive the
 	// admissions it recurses into. Depth is bounded by Nmax, so each list
 	// settles at a handful of entries.
 	affectedBuf []*index.Node
 	starBuf     []*index.Node
 	setFree     [][]Vertex
 	nbufFree    []*graph.NeighborhoodBuf
-	weightsBuf  []float64     // computeMaxExplore's neighbour-weight scratch
+	weightsBuf  []float64     // maxExploreFor's top-weights scratch
 	pairBuf     [2]Vertex     // seed-pair scratch
 	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
 
@@ -253,7 +255,7 @@ func (e *Engine) getSetBuf() []Vertex {
 // free list.
 func (e *Engine) putSetBuf(b []Vertex) { e.setFree = append(e.setFree, b[:0]) }
 
-// getNbuf pops a neighbourhood-merge scratch buffer off the free list.
+// getNbuf pops a neighbourhood-scan scratch buffer off the free list.
 func (e *Engine) getNbuf() *graph.NeighborhoodBuf {
 	if n := len(e.nbufFree); n > 0 {
 		b := e.nbufFree[n-1]
@@ -486,15 +488,19 @@ func (e *Engine) StarNeedsPositive(a, b Vertex, pendingDelta float64) bool {
 		return false
 	}
 	needs := false
+	ends := e.starEndsOf(a, b, pendingDelta)
 	baseBuf := e.getSetBuf()
 	unionBuf := e.getSetBuf()
 	for _, star := range e.scopeBuf {
-		base := star.SetInto(baseBuf)
-		baseBuf = base
-		if base.Len()+2 > e.th.Nmax || base.Contains(a) || base.Contains(b) {
+		if star.Card()+1 > e.th.Nmax {
 			continue
 		}
-		if e.g.ScoreWith(base, a) != 0 && e.g.ScoreWith(base, b) != 0 {
+		base := star.SetInto(baseBuf)
+		baseBuf = base
+		if base.Contains(a) || base.Contains(b) {
+			continue
+		}
+		if most, due := ends.unionAtMost(star.Score(), base); !due || !e.th.IsDense(most, base.Len()+2) {
 			continue
 		}
 		union := vset.Add2Into(unionBuf, base, a, b)
@@ -547,16 +553,12 @@ func (e *Engine) emit(kind EventKind, c vset.Set, score float64) {
 	})
 }
 
-// minEdgeFloor clamps the minimum outside-edge weight a star-family edge scan
-// requires to the representable range: a non-positive bound means any
-// positive-weight edge qualifies. Shared by starEdgeScan and
-// exploreStarMembers so the two scans cannot drift apart.
-func minEdgeFloor(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return x
-}
+// scoreSlack bounds how far a stored score — maintained by adding deltas — may
+// sit from the score recomputed from the graph, relative to their magnitude x.
+// ValidateIndex checks the invariant; the discovery prefilters (unionAtMost,
+// exploreNeed) widen their bounds by it, so they only discard candidates the
+// exact classification would discard too.
+func scoreSlack(x float64) float64 { return 1e-6 * math.Abs(x) }
 
 // scoreBefore returns the score subgraph c carried before the change in
 // flight: score − δ for a single update (exact for every subgraph on an
@@ -619,7 +621,7 @@ func (e *Engine) processNegative() {
 func (e *Engine) processPositive() {
 	a, b := e.a, e.b
 	e.maxIter = e.th.Iterations(e.delta)
-	e.computeMaxExplore()
+	e.maxExploreKnown = false
 
 	// Snapshot the dense subgraphs containing a or b before any insertions so
 	// that each pre-existing dense subgraph is examined exactly once. The
@@ -670,11 +672,7 @@ func (e *Engine) processPositive() {
 	}
 	e.putSetBuf(setBuf)
 
-	// ImplicitTooDense families (Section 3.2.3): the inverted list of '*' is
-	// examined as part of every positive update.
-	for _, star := range e.starBuf {
-		e.processStar(star)
-	}
+	e.processStars()
 }
 
 // cheapExplore attempts to augment a dense subgraph containing exactly one of
@@ -732,7 +730,7 @@ func (e *Engine) shouldCheapExplore(c vset.Set, present Vertex) bool {
 	// Section 7.1: if maxExplore_a ≥ maxExplore_b, cheap-explore all subgraphs
 	// containing only b, and subgraphs of cardinality ≤ maxExplore_a−1
 	// containing only a (and symmetrically).
-	limitA, limitB := e.maxExploreA, e.maxExploreB
+	limitA, limitB := e.maxExploreCaps()
 	if limitA >= limitB {
 		if present == e.a && c.Len() > limitA-1 {
 			e.stats.MaxExploreSkips++
@@ -772,21 +770,19 @@ func (e *Engine) maintainStar(node *index.Node, score float64, n int) bool {
 // with whole edges of sufficient weight; each admission is dispatched through
 // admit so it is reported, starred, and explored like any other discovery
 // (admit is e.admit during updates and thresholdAdmit during threshold
-// decreases, which differ in iteration bookkeeping).
+// decreases, which differ in iteration bookkeeping). The base's deficit
+// MinDenseScore(n+2) − score is the least weight such an edge can have, and
+// the graph enumerates only the edges that reach it.
 func (e *Engine) starEdgeScan(base vset.Set, score float64, admit func(c vset.Set, score float64)) {
 	n := base.Len()
 	if n+2 > e.th.Nmax {
 		return
 	}
-	minEdge := minEdgeFloor(e.th.MinDenseScore(n+2) - score)
 	buf := e.getSetBuf()
-	e.g.EdgesNotIncident(base, func(u, v Vertex, w float64) {
-		if w < minEdge {
-			return
-		}
+	e.g.EdgesNotIncident(base, e.th.MinDenseScore(n+2)-score, func(u, v Vertex, w float64) {
 		cand := vset.Add2Into(buf, base, u, v)
 		buf = cand
-		if cand.Len() != n+2 || e.ix.HasDense(cand) {
+		if e.ix.HasDense(cand) {
 			return
 		}
 		s := e.g.Score(cand)
@@ -827,25 +823,32 @@ func (e *Engine) admit(c vset.Set, score float64, iter int) {
 //   - a, b ∉ C: if a (or b) is disconnected from C, the member C∪{a} (C∪{b})
 //     is an implicitly represented dense subgraph containing exactly one
 //     endpoint; cheap-exploring it yields C∪{a,b}.
-func (e *Engine) processStar(star *index.Node) {
+//
+// Every case that acts admits a subgraph of |C|+2 vertices, so a family whose
+// base already has Nmax−1 is skipped before its set is even reconstructed.
+func (e *Engine) processStar(star *index.Node, ends *starEnds) {
+	if star.Card()+1 > e.th.Nmax {
+		return
+	}
 	baseBuf := e.getSetBuf()
 	base := star.SetInto(baseBuf)
 	defer e.putSetBuf(base)
-	nBase := base.Len()
 	a, b := e.a, e.b
 	hasA, hasB := base.Contains(a), base.Contains(b)
 	switch {
 	case hasA && hasB:
-		e.exploreStarMembers(star, base, nBase)
+		e.exploreStarMembers(star, base)
 	case hasA || hasB:
 		// Covered by the cheap-exploration of the (explicit) base.
 	default:
-		if nBase+2 > e.th.Nmax {
+		most, due := ends.unionAtMost(star.Score(), base)
+		if !due {
 			return
 		}
-		aDisc := e.g.ScoreWith(base, a) == 0
-		bDisc := e.g.ScoreWith(base, b) == 0
-		if !aDisc && !bDisc {
+		if !e.th.IsDense(most, base.Len()+2) {
+			// The attempt ends here: the union is not dense, and not indexed
+			// either, since an indexed subgraph is dense.
+			e.stats.CheapExplores++
 			return
 		}
 		unionBuf := e.getSetBuf()
@@ -861,38 +864,86 @@ func (e *Engine) processStar(star *index.Node) {
 	}
 }
 
+// processStars examines the inverted list of '*' — every ImplicitTooDense
+// family (Section 3.2.3) — as part of a positive update.
+func (e *Engine) processStars() {
+	if len(e.starBuf) == 0 {
+		return
+	}
+	ends := e.starEndsOf(e.a, e.b, 0)
+	for _, star := range e.starBuf {
+		e.processStar(star, &ends)
+	}
+}
+
+// starEnds is what the both-outside check of every family reads of the graph
+// for one positive pair {a, b}, fetched once for all of them: the endpoints'
+// neighbourhood vectors and w_ab, including any part of it not yet applied.
+type starEnds struct {
+	aVs, bVs []Vertex
+	aWs, bWs []float64
+	wab      float64
+}
+
+func (e *Engine) starEndsOf(a, b Vertex, pending float64) starEnds {
+	s := starEnds{wab: e.g.Weight(a, b) + pending}
+	s.aVs, s.aWs = e.g.Neighborhood(a)
+	s.bVs, s.bWs = e.g.Neighborhood(b)
+	return s
+}
+
+// unionAtMost is the O(|C|) step that settles almost every both-outside
+// family check before the union C∪{a, b} is built, looked up and re-scored.
+// due reports whether a or b is disconnected from the base C, so that C∪{a}
+// or C∪{b} is an implicit member owed a cheap-exploration. most bounds the
+// union's score from above: the family's stored score plus both endpoints'
+// weight into C plus w_ab, raised by twice the slack a stored score may carry.
+// IsDense is monotone in the score, so a union that is not dense at most is
+// not dense; anything else goes to the exact path, which alone admits.
+func (s *starEnds) unionAtMost(stored float64, base vset.Set) (most float64, due bool) {
+	wa, wb := weightInto(s.aVs, s.aWs, base), weightInto(s.bVs, s.bWs, base)
+	est := stored + wa + wb + s.wab
+	return est + 2*scoreSlack(est), wa == 0 || wb == 0
+}
+
+// weightInto returns the total weight the neighbourhood vector (vs, ws) puts
+// on the vertices of c: Graph.ScoreWith for a vector already in hand.
+func weightInto(vs []Vertex, ws []float64, c vset.Set) (sum float64) {
+	for _, v := range c {
+		if i := vset.Search(vs, v); i < len(vs) && vs[i] == v {
+			sum += ws[i]
+		}
+	}
+	return sum
+}
+
 // exploreStarMembers handles the rare case in which implicitly represented
 // members C∪{y} of a too-dense base C (with both updated endpoints inside C)
 // could spawn newly-dense subgraphs C∪{y,z} through an edge {y,z} that is not
 // incident on C. Following Section 3.2.3, the base is augmented with whole
 // edges of sufficient weight instead of enumerating every member.
-func (e *Engine) exploreStarMembers(star *index.Node, base vset.Set, nBase int) {
-	if nBase+2 > e.th.Nmax || e.maxIter < 1 {
+func (e *Engine) exploreStarMembers(star *index.Node, base vset.Set) {
+	if e.maxIter < 1 {
 		return
 	}
 	scoreAfter := star.Score()
 	// If members were already too-dense before the update their dense
 	// supergraphs were already representable; nothing new can appear.
-	if e.th.IsTooDense(e.scoreBefore(base, scoreAfter), nBase+1) {
+	if e.th.IsTooDense(e.scoreBefore(base, scoreAfter), base.Len()+1) {
 		return
 	}
-	minEdge := minEdgeFloor(e.th.MinDenseScore(nBase+2) - scoreAfter)
-	buf := e.getSetBuf()
-	e.g.EdgesNotIncident(base, func(u, v Vertex, w float64) {
-		if w < minEdge {
-			return
-		}
-		cand := vset.Add2Into(buf, base, u, v)
-		buf = cand
-		if cand.Len() != nBase+2 || e.ix.HasDense(cand) {
-			return
-		}
-		score := e.g.Score(cand)
-		if e.th.IsDense(score, cand.Len()) {
-			e.admit(cand, score, 2)
-		}
-	})
-	e.putSetBuf(buf)
+	e.starEdgeScan(base, scoreAfter, func(c vset.Set, score float64) { e.admit(c, score, 2) })
+}
+
+// exploreNeed returns the deficit an exploration around a subgraph of n
+// vertices hands to the neighbourhood scan: a vertex whose edges into the
+// subgraph sum to less cannot make a dense child. It is what the child lacks
+// to DenseFloor(n+1), less a slack far above the rounding of the two sums
+// involved, so every child IsDense would accept is among the candidates; the
+// candidates are still classified one by one.
+func (e *Engine) exploreNeed(score float64, n int) float64 {
+	floor := e.th.DenseFloor(n + 1)
+	return floor - score - scoreSlack(floor+math.Abs(score))
 }
 
 // explore implements Algorithm 2: try to augment a dense subgraph containing
@@ -912,7 +963,8 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 		return
 	}
 	if e.cfg.EnableMaxExplore {
-		if e.maxExplore <= 3 || n >= e.maxExplore {
+		capA, capB := e.maxExploreCaps()
+		if limit := min(capA, capB); limit <= 3 || n >= limit {
 			e.stats.MaxExploreSkips++
 			return
 		}
@@ -938,12 +990,12 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 	if e.cfg.EnableDegreePrioritize && n > 1 {
 		degreeCap = 2.0 / float64(n-1) * score
 	}
-	// The neighbourhood merge and the candidate set work in buffers popped
+	// The neighbourhood scan and the candidate set work in buffers popped
 	// off the engine free lists: admissions recurse back into explore, and
 	// that deeper frame pops its own buffers, so ys/adds and child stay
 	// intact underneath it.
 	nbuf := e.getNbuf()
-	ys, adds := e.g.NeighborhoodScores(c, nbuf)
+	ys, adds := e.g.NeighborhoodScores(c, e.exploreNeed(score, n), nbuf)
 	childBuf := e.getSetBuf()
 	for i, y := range ys {
 		add := adds[i]

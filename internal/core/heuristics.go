@@ -1,33 +1,31 @@
 package core
 
-import "slices"
-
-// computeMaxExplore evaluates the MaxExplore heuristic (Section 7.1) for the
-// current positive update. It derives, from the neighbourhoods of the two
-// updated endpoints alone, an upper bound maxExplore on the cardinality of
-// newly-dense subgraphs that can require explore-based (as opposed to
-// cheap-explore-based) discovery. Exploration around subgraphs at or beyond
-// that cardinality can be skipped without affecting correctness.
+// maxExploreCaps returns maxExplore_a and maxExplore_b, the MaxExplore
+// heuristic's bounds (Section 7.1) for the current positive update. They
+// derive, from the neighbourhoods of the two updated endpoints alone, an upper
+// bound on the cardinality of newly-dense subgraphs that can require
+// explore-based (as opposed to cheap-explore-based) discovery: exploration
+// around subgraphs at or beyond min(maxExplore_a, maxExplore_b) can be skipped
+// without affecting correctness.
 //
-// When the heuristic is disabled the bound is set past Nmax so it never
-// restricts anything.
-func (e *Engine) computeMaxExplore() {
-	unlimited := e.th.Nmax + 1
-	e.maxExplore, e.maxExploreA, e.maxExploreB = unlimited, unlimited, unlimited
-	if !e.cfg.EnableMaxExplore {
-		return
+// The caps are computed on first use within the update — the graph does not
+// change while an update is processed, and most updates touch a pair with
+// nothing indexed around it and never ask. When the heuristic is disabled the
+// caps sit past Nmax so they never restrict anything.
+func (e *Engine) maxExploreCaps() (capA, capB int) {
+	if !e.maxExploreKnown {
+		e.maxExploreKnown = true
+		e.maxExploreA, e.maxExploreB = e.th.Nmax+1, e.th.Nmax+1
+		if e.cfg.EnableMaxExplore {
+			// Z = 2·(g_Nmax·T + δ_it/(Nmax−1)).
+			gNmax := e.th.S(e.th.Nmax) / (float64(e.th.Nmax) * float64(e.th.Nmax-1))
+			z := 2 * (gNmax*e.th.T + e.th.DeltaIt/float64(e.th.Nmax-1))
+			wAfter := e.g.Weight(e.a, e.b)
+			e.maxExploreA = e.maxExploreFor(e.b, e.a, wAfter, z)
+			e.maxExploreB = e.maxExploreFor(e.a, e.b, wAfter, z)
+		}
 	}
-	// Z = 2·(g_Nmax·T + δ_it/(Nmax−1)).
-	gNmax := e.th.S(e.th.Nmax) / (float64(e.th.Nmax) * float64(e.th.Nmax-1))
-	z := 2 * (gNmax*e.th.T + e.th.DeltaIt/float64(e.th.Nmax-1))
-	wAfter := e.g.Weight(e.a, e.b)
-
-	e.maxExploreA = e.maxExploreFor(e.b, e.a, wAfter, z)
-	e.maxExploreB = e.maxExploreFor(e.a, e.b, wAfter, z)
-	e.maxExplore = e.maxExploreA
-	if e.maxExploreB < e.maxExplore {
-		e.maxExplore = e.maxExploreB
-	}
+	return e.maxExploreA, e.maxExploreB
 }
 
 // maxExploreFor computes maxExplore_x where x is the endpoint whose
@@ -40,27 +38,35 @@ func (e *Engine) computeMaxExplore() {
 // maxExplore_x = min{ i ∈ [3, Nmax] : top(i−1) ≤ Z·(i−1) − δ_it ∧ best(i) < Z },
 // or Nmax+1 if no such i exists.
 //
-// The neighbour weights are copied into an engine-owned scratch slice and
-// sorted ascending with slices.Sort (no interface boxing), so the heuristic
-// allocates nothing in steady state.
+// Only best(1..Nmax) are ever read, so one pass over the neighbourhood keeps
+// the Nmax largest weights, in decreasing order, in an engine-owned scratch
+// slice: nearly every weight fails the comparison with the smallest kept one.
 func (e *Engine) maxExploreFor(other, x Vertex, wAfter, z float64) int {
 	nmax := e.th.Nmax
 	vs, ws := e.g.Neighborhood(other)
-	e.weightsBuf = e.weightsBuf[:0]
+	largest := e.weightsBuf[:0]
 	for i, v := range vs {
-		if v != x {
-			e.weightsBuf = append(e.weightsBuf, ws[i])
+		w := ws[i]
+		if v == x || (len(largest) == nmax && w <= largest[nmax-1]) {
+			continue
 		}
+		if len(largest) < nmax {
+			largest = append(largest, w)
+		}
+		j := len(largest) - 1
+		for ; j > 0 && largest[j-1] < w; j-- {
+			largest[j] = largest[j-1]
+		}
+		largest[j] = w
 	}
-	weights := e.weightsBuf
-	slices.Sort(weights)
+	e.weightsBuf = largest
 
 	best := func(i int) float64 {
 		if i == 0 {
 			return wAfter
 		}
-		if i <= len(weights) {
-			return weights[len(weights)-i] // i-th largest
+		if i <= len(largest) {
+			return largest[i-1] // i-th largest
 		}
 		return 0
 	}

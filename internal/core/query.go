@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"dyndens/internal/vset"
@@ -167,16 +168,17 @@ func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int
 func (e *Engine) Contains(c vset.Set) bool { return e.ix.HasDense(c) }
 
 // ValidateIndex checks the internal consistency of the dense-subgraph index
-// and, additionally, that every stored score matches the graph. It returns
-// "" when consistent; it is intended for tests and debugging.
+// and, additionally, that every stored score matches the graph to within
+// scoreSlack — relative to the score, because under rescaled decay scores are
+// in normalised units that grow as λ shrinks. It returns "" when consistent;
+// it is intended for tests and debugging.
 func (e *Engine) ValidateIndex() string {
 	if msg := e.ix.Validate(); msg != "" {
 		return msg
 	}
 	for _, n := range e.ix.DenseNodes() {
 		c := n.Set()
-		want := e.g.Score(c)
-		if diff := n.Score() - want; diff > 1e-6 || diff < -1e-6 {
+		if got, want := n.Score(), e.g.Score(c); math.Abs(got-want) > scoreSlack(math.Max(math.Abs(got), math.Abs(want))) {
 			return "stored score drift for " + c.String()
 		}
 		if !e.th.IsDense(n.Score(), c.Len()) {

@@ -105,11 +105,9 @@ func (e *Engine) decreaseThreshold(newTh *density.Thresholds) {
 		}
 	}
 	// Base case (Algorithm 3, lines 6–7): every edge of the graph may now be a
-	// dense subgraph of cardinality 2.
-	e.g.Edges(func(u, v graph.Vertex, w float64) {
-		if !newTh.IsDense(w, 2) {
-			return
-		}
+	// dense subgraph of cardinality 2 — every edge heavy enough for IsDense,
+	// that is, and only those are enumerated.
+	e.g.EdgesNotIncident(nil, newTh.DenseFloor(2), func(u, v graph.Vertex, w float64) {
 		pair := vset.New(u, v)
 		if e.ix.HasDense(pair) {
 			return
@@ -169,7 +167,7 @@ func (e *Engine) updateExplore(c vset.Set, score float64, wasTooDense bool) {
 	}
 	e.stats.Explorations++
 	nbuf := e.getNbuf()
-	ys, adds := e.g.NeighborhoodScores(c, nbuf)
+	ys, adds := e.g.NeighborhoodScores(c, e.exploreNeed(score, n), nbuf)
 	childBuf := e.getSetBuf()
 	for i, y := range ys {
 		childScore := score + adds[i]

@@ -132,11 +132,16 @@ type Thresholds struct {
 	Nmax    int     // maximum cardinality of subgraphs of interest
 	DeltaIt float64 // δ_it: tunable space/time trade-off parameter
 
-	// tn[n] caches T_n for 2 ≤ n ≤ Nmax; sn[n] caches S(n); minScore[n]
-	// caches S(n)·T_n, the minimum score for a dense subgraph of cardinality n.
-	tn       []float64
-	sn       []float64
-	minScore []float64
+	// tn[n] caches T_n for 2 ≤ n ≤ Nmax+1; sn[n] caches S(n); minScore[n]
+	// caches S(n)·T_n, the minimum score for a dense subgraph of cardinality
+	// n. denseFloor[n] and outputFloor[n] are the bounds the predicates
+	// actually compare against: minScore[n] and S(n)·T lowered by the
+	// comparison tolerance, computed once instead of on every classification.
+	tn          []float64
+	sn          []float64
+	minScore    []float64
+	denseFloor  []float64
+	outputFloor []float64
 }
 
 // MaxDeltaIt returns the upper end of the validity range for δ_it given a
@@ -195,9 +200,10 @@ func MustThresholds(m Measure, t float64, nmax int, deltaIt float64) *Thresholds
 
 func (th *Thresholds) precompute() {
 	m, t, nmax, dit := th.Measure, th.T, th.Nmax, th.DeltaIt
-	th.tn = make([]float64, nmax+2)
-	th.sn = make([]float64, nmax+2)
-	th.minScore = make([]float64, nmax+2)
+	k := nmax + 2
+	tab := make([]float64, 5*k) // the five tables share one allocation
+	th.tn, th.sn, th.minScore = tab[:k:k], tab[k:2*k:2*k], tab[2*k:3*k:3*k]
+	th.denseFloor, th.outputFloor = tab[3*k:4*k:4*k], tab[4*k:]
 	gNmax := G(m, nmax)
 	tail := float64(nmax-2) / float64(nmax-1)
 	for n := 2; n <= nmax+1; n++ {
@@ -210,6 +216,10 @@ func (th *Thresholds) precompute() {
 	// By construction T_Nmax = T exactly; pin it to avoid rounding drift.
 	th.tn[nmax] = t
 	th.minScore[nmax] = th.sn[nmax] * t
+	for n := 2; n <= nmax+1; n++ {
+		th.denseFloor[n] = tolerantBound(th.minScore[n])
+		th.outputFloor[n] = tolerantBound(th.sn[n] * t)
+	}
 }
 
 // Tn returns T_n, the density threshold for a subgraph of cardinality n to be
@@ -237,6 +247,18 @@ func (th *Thresholds) MinDenseScore(n int) float64 {
 		return math.Inf(1)
 	}
 	return th.minScore[n]
+}
+
+// DenseFloor returns the smallest score IsDense accepts at cardinality n:
+// MinDenseScore(n) lowered by the comparison tolerance (+Inf outside
+// 2 ≤ n ≤ Nmax). Callers that prune candidates before classifying them
+// subtract from this bound, not from MinDenseScore, so that the pruning can
+// never be stricter than the classification.
+func (th *Thresholds) DenseFloor(n int) float64 {
+	if n < 2 || n > th.Nmax {
+		return math.Inf(1)
+	}
+	return th.denseFloor[n]
 }
 
 // MinOutputScore returns S(n)·T, the minimum internal score for a subgraph of
@@ -270,7 +292,7 @@ func (th *Thresholds) IsDense(score float64, n int) bool {
 	if n < 2 || n > th.Nmax {
 		return false
 	}
-	return geq(score, th.minScore[n])
+	return score >= th.denseFloor[n]
 }
 
 // IsOutputDense reports whether a subgraph of cardinality n with the given
@@ -279,7 +301,7 @@ func (th *Thresholds) IsOutputDense(score float64, n int) bool {
 	if n < 2 || n > th.Nmax {
 		return false
 	}
-	return geq(score, th.S(n)*th.T)
+	return score >= th.outputFloor[n]
 }
 
 // IsTooDense reports whether a subgraph of cardinality n with the given score
@@ -293,7 +315,7 @@ func (th *Thresholds) IsTooDense(score float64, n int) bool {
 	if n < 2 || n >= th.Nmax {
 		return false
 	}
-	return geq(score, th.minScore[n+1])
+	return score >= th.denseFloor[n+1]
 }
 
 // Iterations returns the number of exploration iterations DynDens must
@@ -323,11 +345,12 @@ func (th *Thresholds) String() string {
 	return fmt.Sprintf("thresholds{%s T=%.4g Nmax=%d δit=%.4g}", th.Measure.Name(), th.T, th.Nmax, th.DeltaIt)
 }
 
-// geq is a tolerant ≥ for score comparisons: score ≥ bound up to a relative
-// epsilon. Bounds are products of user parameters, scores are running sums of
-// weights; without the tolerance, subgraphs whose density sits exactly on a
-// threshold could classify differently depending on summation order.
-func geq(score, bound float64) bool {
+// tolerantBound lowers a score bound by the comparison tolerance: the
+// predicates accept score ≥ bound up to a relative epsilon. Bounds are
+// products of user parameters, scores are running sums of weights; without
+// the tolerance, subgraphs whose density sits exactly on a threshold could
+// classify differently depending on summation order.
+func tolerantBound(bound float64) float64 {
 	const eps = 1e-9
-	return score >= bound-eps*math.Max(1, math.Abs(bound))
+	return bound - eps*math.Max(1, math.Abs(bound))
 }

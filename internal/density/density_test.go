@@ -256,3 +256,66 @@ func TestMinDenseScoreBoundary(t *testing.T) {
 		}
 	}
 }
+
+// geqReference is the comparison the predicates made before their tolerant
+// bounds were precomputed: score ≥ bound up to a relative epsilon, worked out
+// on every call.
+func geqReference(score, bound float64) bool {
+	const eps = 1e-9
+	return score >= bound-eps*math.Max(1, math.Abs(bound))
+}
+
+// TestPrecomputedBoundsMatchTolerantComparison walks every predicate over
+// scores on and around every bound of the schedule — the bound itself, the
+// tolerant bound, their float neighbours and points a tolerance away — and
+// requires the verdict the per-call comparison gave, for schedules from tiny
+// to huge thresholds and for schedules derived through WithThreshold (the
+// path every rescaled-decay epoch takes).
+func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
+	var schedules []*Thresholds
+	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
+		for _, T := range []float64{1e-12, 0.3, 1, 6.5, 1e9, 3.8e124} {
+			for _, nmax := range []int{2, 3, 5, 9} {
+				th := MustThresholds(m, T, nmax, 0.01*math.Min(MaxDeltaIt(m, T, nmax), T))
+				schedules = append(schedules, th)
+				if moved, err := th.WithThreshold(T * 1.37); err != nil {
+					t.Fatal(err)
+				} else {
+					schedules = append(schedules, moved)
+				}
+			}
+		}
+	}
+	for _, th := range schedules {
+		for n := 1; n <= th.Nmax+1; n++ {
+			inRange := n >= 2 && n <= th.Nmax
+			for _, bound := range []float64{th.MinDenseScore(n), th.MinDenseScore(n + 1), th.MinOutputScore(n)} {
+				if math.IsInf(bound, 0) {
+					continue
+				}
+				tol := bound - 1e-9*math.Max(1, math.Abs(bound))
+				for _, s := range []float64{
+					bound, math.Nextafter(bound, math.Inf(1)), math.Nextafter(bound, math.Inf(-1)),
+					tol, math.Nextafter(tol, math.Inf(1)), math.Nextafter(tol, math.Inf(-1)),
+					bound * (1 - 2e-9), bound * (1 + 2e-9), bound - 2e-9, 0, -bound, 2 * bound,
+				} {
+					if got, want := th.IsDense(s, n), inRange && geqReference(s, th.MinDenseScore(n)); got != want {
+						t.Fatalf("%v: IsDense(%v, %d) = %v, per-call comparison says %v", th, s, n, got, want)
+					}
+					if got, want := th.IsOutputDense(s, n), inRange && geqReference(s, th.S(n)*th.T); got != want {
+						t.Fatalf("%v: IsOutputDense(%v, %d) = %v, per-call comparison says %v", th, s, n, got, want)
+					}
+					if got, want := th.IsTooDense(s, n), n >= 2 && n < th.Nmax && geqReference(s, th.MinDenseScore(n+1)); got != want {
+						t.Fatalf("%v: IsTooDense(%v, %d) = %v, per-call comparison says %v", th, s, n, got, want)
+					}
+					if inRange && th.IsDense(s, n) != (s >= th.DenseFloor(n)) {
+						t.Fatalf("%v: DenseFloor(%d) = %v is not the smallest score IsDense accepts (at %v)", th, n, th.DenseFloor(n), s)
+					}
+				}
+			}
+		}
+		if !math.IsInf(th.DenseFloor(1), 1) || !math.IsInf(th.DenseFloor(th.Nmax+1), 1) {
+			t.Fatalf("%v: DenseFloor outside 2..Nmax must be +Inf", th)
+		}
+	}
+}

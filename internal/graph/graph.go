@@ -6,17 +6,44 @@
 // are simply absent from the adjacency lists. The graph index required by
 // DynDens (Section 3.2.1) stores each neighbourhood Γ_u as a *sorted vector*
 // — here a pair of parallel slices ([]Vertex, []float64) kept in increasing
-// vertex order — precisely so that exploration can merge neighbourhood lists
-// cheaply: NeighborhoodScores is a k-way merge over the members' vectors into
-// a caller-owned scratch buffer, and Score/ScoreWith/EdgesNotIncident are
-// merge/scan passes over the same vectors. Point updates binary-search the
-// vector and insert/delete in place (amortised O(degree) worst case, O(log
-// degree) when the edge already exists, which is the steady state of a
-// weight-update stream).
+// vertex order — so that Score/ScoreWith are binary-search probes of a few
+// vectors and point updates insert/delete in place (amortised O(degree) worst
+// case, O(log degree) when the edge already exists, which is the steady state
+// of a weight-update stream).
+//
+// # Bounded discovery scans
+//
+// Every discovery scan the engine runs knows, before it starts, how much
+// score a candidate must contribute to matter (its deficit), and both scans
+// take that bound so their cost follows the candidates that can reach it
+// rather than the size of the graph:
+//
+//   - NeighborhoodScores(c, need, buf) returns the outside vertices y with
+//     Γ_C·ê_y ≥ need. By pigeonhole such a y has an edge of weight ≥ need/|C|
+//     into C, so each member's weight vector is scanned linearly for heavy
+//     entries and only the survivors are summed.
+//   - EdgesNotIncident(c, minW, fn) enumerates the edges of weight ≥ minW with
+//     no endpoint in c from the heavy-edge index: edges bucketed by the binary
+//     exponent of their weight, maintained at the single choke point
+//     setWeight, an edge moving only when its weight crosses a power of two.
+//
+// The heavy-edge index holds only the edges at or above a floor that follows
+// demand. It starts empty (floor +Inf), so a graph that is never asked a
+// bounded edge question pays nothing, and a request below the floor lowers it
+// with one full pass — what every such scan used to cost. Every |E|/4
+// mutations a sweep checks that the index still earns its memory: if no
+// bounded scan ran in that period it is dropped, and if it has come to hold
+// more than a quarter of the edges its floor rises to the lowest bound the
+// period saw. Both happen under rescaled decay, where normalised weights inflate
+// without limit and carry every new edge past any fixed floor: a pipeline
+// whose only bounded scan is the pair pass of a renormalisation gets its
+// memory back within two periods, and one that scans all the time keeps an
+// index of the edges its current thresholds can use.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dyndens/internal/vset"
@@ -113,13 +140,25 @@ type Graph struct {
 	edgeCount int
 	// totalWeight tracks the sum of all positive edge weights (diagnostic).
 	totalWeight float64
+
+	// The heavy-edge index (heavy.go): the buckets, each indexed edge's
+	// position in its bucket, the exponent of the floor (heavyOff while the
+	// index is empty), and the lowest exponent requested and the mutations
+	// counted since the last sweep.
+	heavy      []heavyBucket
+	heavyPos   map[uint64]int32
+	heavyFloor int
+	heavyAsked int
+	heavyTicks int
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		adj:   make(map[Vertex]*adjacency),
-		known: make(map[Vertex]bool),
+		adj:        make(map[Vertex]*adjacency),
+		known:      make(map[Vertex]bool),
+		heavyFloor: heavyOff,
+		heavyAsked: heavyOff,
 	}
 }
 
@@ -190,17 +229,28 @@ func (g *Graph) SetWeight(a, b Vertex, w float64) {
 	g.setWeight(a, b, w)
 }
 
+// setWeight is the one place an edge weight changes, and so the one place
+// the heavy-edge index is kept up, once a bounded scan has switched it on.
 func (g *Graph) setWeight(a, b Vertex, w float64) {
+	old := g.storeWeight(a, b, w)
+	if g.heavyFloor != heavyOff && old != w {
+		g.heavyUpdate(a, b, old, w)
+	}
+}
+
+// storeWeight writes weight w (0 removes the edge) into both endpoints'
+// vectors and returns the weight the edge had (0 if it was absent).
+func (g *Graph) storeWeight(a, b Vertex, w float64) (old float64) {
 	la := g.adj[a]
 	if w == 0 {
 		if la == nil {
-			return
+			return 0
 		}
 		i, ok := la.find(b)
 		if !ok {
-			return
+			return 0
 		}
-		old := la.ws[i]
+		old = la.ws[i]
 		la.remove(i)
 		lb := g.adj[b]
 		j, _ := lb.find(a)
@@ -213,7 +263,7 @@ func (g *Graph) setWeight(a, b Vertex, w float64) {
 		}
 		g.edgeCount--
 		g.totalWeight -= old
-		return
+		return old
 	}
 	// A vertex only ever (re)enters adj through vector creation, so marking
 	// it known here keeps the universe bookkeeping off the hot path.
@@ -230,18 +280,19 @@ func (g *Graph) setWeight(a, b Vertex, w float64) {
 	}
 	i, ok := la.find(b)
 	if ok {
-		old := la.ws[i]
+		old = la.ws[i]
 		la.ws[i] = w
 		j, _ := lb.find(a)
 		lb.ws[j] = w
 		g.totalWeight += w - old
-		return
+		return old
 	}
 	la.insert(i, b, w)
 	j, _ := lb.find(a)
 	lb.insert(j, a, w)
 	g.edgeCount++
 	g.totalWeight += w
+	return 0
 }
 
 // Neighbors calls fn for every neighbour of u with non-zero edge weight, in
@@ -323,97 +374,86 @@ func (g *Graph) ScoreWith(c vset.Set, u Vertex) float64 {
 	return g.adj[u].sumOver(c, u)
 }
 
-// NeighborhoodBuf is the reusable scratch a NeighborhoodScores merge works
-// in. The zero value is ready to use; after a first call its buffers are
-// retained, so steady-state reuse performs no allocations. It is owned by one
-// caller at a time (the engine keeps a free list of them so that recursive
-// explorations each work in their own buffer).
+// NeighborhoodBuf is the reusable scratch a NeighborhoodScores call works in
+// and returns its result in. The zero value is ready to use; after a first
+// call its buffers are retained, so steady-state reuse performs no
+// allocations. It is owned by one caller at a time (the engine keeps a free
+// list of them so that recursive explorations each work in their own buffer).
 type NeighborhoodBuf struct {
-	vs      []Vertex
-	ws      []float64
-	cursors []mergeCursor
+	vs []Vertex
+	ws []float64
 }
 
-// mergeCursor is one member's position in the k-way neighbourhood merge.
-type mergeCursor struct {
-	vs  []Vertex
-	ws  []float64
-	pos int
-}
-
-// NeighborhoodScores merges the neighbourhood vectors of the vertices of C
-// and returns, for every vertex y ∉ C adjacent to at least one vertex of C,
-// the value Γ_C · ê_y = Σ_{v∈C} w_vy — the quantity DynDens needs when
-// exploring C: score(C ∪ {y}) = score(C) + Γ_C·ê_y (Section 3.2.1,
-// footnote 6). The result vectors are sorted by vertex and remain valid until
-// buf's next use; they alias buf, not the graph.
+// NeighborhoodScores returns every vertex y ∉ C with Γ_C · ê_y = Σ_{v∈C} w_vy
+// ≥ need, and that value — the quantity DynDens needs when exploring C:
+// score(C ∪ {y}) = score(C) + Γ_C·ê_y (Section 3.2.1, footnote 6), need being
+// what C still lacks to a dense C ∪ {y}. need ≤ 0 asks for every vertex
+// adjacent to C. The result vectors are sorted by vertex and remain valid
+// until buf's next use; they alias buf, not the graph.
 //
-// The merge is a |C|-way sorted-vector merge (|C| ≤ Nmax, so the per-output
-// cursor scan is a handful of comparisons) and allocates nothing once buf is
-// warm.
-func (g *Graph) NeighborhoodScores(c vset.Set, buf *NeighborhoodBuf) ([]Vertex, []float64) {
-	buf.vs = buf.vs[:0]
-	buf.ws = buf.ws[:0]
-	buf.cursors = buf.cursors[:0]
+// A qualifying y has, by pigeonhole, an edge of weight ≥ need/|C| into C, so
+// the members' weight vectors are scanned linearly for such entries and only
+// those candidates are summed, each over the members in increasing order.
+// Nothing is allocated once buf is warm.
+func (g *Graph) NeighborhoodScores(c vset.Set, need float64, buf *NeighborhoodBuf) ([]Vertex, []float64) {
+	// The factor covers the rounding of the sum and of the division.
+	heavy := need / float64(len(c)) * (1 - 1e-9)
+	cand := buf.vs[:0]
 	for _, v := range c {
-		if l := g.adj[v]; l != nil && len(l.vs) > 0 {
-			buf.cursors = append(buf.cursors, mergeCursor{vs: l.vs, ws: l.ws})
-		}
-	}
-	ci := 0 // merge pointer into c, for skipping members
-	for {
-		// Smallest un-consumed head across the member vectors.
-		var best Vertex
-		found := false
-		for i := range buf.cursors {
-			cur := &buf.cursors[i]
-			if cur.pos < len(cur.vs) && (!found || cur.vs[cur.pos] < best) {
-				best, found = cur.vs[cur.pos], true
+		if l := g.adj[v]; l != nil {
+			for i, w := range l.ws {
+				if w >= heavy && !c.Contains(l.vs[i]) {
+					cand = append(cand, l.vs[i])
+				}
 			}
 		}
-		if !found {
-			return buf.vs, buf.ws
-		}
-		var sum float64
-		for i := range buf.cursors {
-			cur := &buf.cursors[i]
-			if cur.pos < len(cur.vs) && cur.vs[cur.pos] == best {
-				sum += cur.ws[cur.pos]
-				cur.pos++
-			}
-		}
-		for ci < len(c) && c[ci] < best {
-			ci++
-		}
-		if ci < len(c) && c[ci] == best {
-			continue // y ∈ C
-		}
-		buf.vs = append(buf.vs, best)
-		buf.ws = append(buf.ws, sum)
 	}
-}
-
-// EdgesNotIncident calls fn for every edge {u, v} (u < v) such that neither
-// endpoint belongs to C. DynDens needs this only in the rare case where an
-// implicitly represented too-dense supergraph C ∪ {*} must itself be explored
-// (Section 3.2.3). The inner pass is a merge of the sorted neighbourhood
-// vector against the sorted members of C.
-func (g *Graph) EdgesNotIncident(c vset.Set, fn func(u, v Vertex, w float64)) {
-	for u, l := range g.adj {
-		if c.Contains(u) {
+	slices.Sort(cand)
+	vs, ws := cand[:0], buf.ws[:0]
+	for i, y := range cand {
+		if i > 0 && y == cand[i-1] {
 			continue
 		}
-		start, _ := l.find(u + 1) // first neighbour > u
-		ci := 0
-		for i := start; i < len(l.vs); i++ {
-			v := l.vs[i]
-			for ci < len(c) && c[ci] < v {
-				ci++
+		if sum := g.adj[y].sumOver(c, y); sum >= need {
+			vs = append(vs, y) // in place: at most i entries precede cand[i]
+			ws = append(ws, sum)
+		}
+	}
+	buf.vs, buf.ws = cand, ws
+	return vs, ws
+}
+
+// EdgesNotIncident calls fn for every edge {u, v} (u < v) of weight ≥ minW
+// such that neither endpoint belongs to C; minW ≤ 0 asks for every such edge.
+// DynDens needs this where an implicitly represented too-dense supergraph
+// C ∪ {*} must itself be explored (Section 3.2.3): the base is augmented with
+// whole edges heavy enough to close its deficit, which is minW. A positive
+// bound is answered from the heavy-edge index (see the package comment),
+// lowering its floor first if the bound is below it. fn may call
+// EdgesNotIncident again but must not mutate the graph.
+func (g *Graph) EdgesNotIncident(c vset.Set, minW float64, fn func(u, v Vertex, w float64)) {
+	if minW <= 0 {
+		g.Edges(func(u, v Vertex, w float64) {
+			if !c.Contains(u) && !c.Contains(v) {
+				fn(u, v, w)
 			}
-			if ci < len(c) && c[ci] == v {
-				continue
+		})
+		return
+	}
+	exp := heavyExp(minW)
+	g.heavyAsked = min(g.heavyAsked, exp)
+	if exp < g.heavyFloor {
+		g.lowerHeavyFloor(exp)
+	}
+	// A nested call may append buckets to g.heavy, all of them below exp.
+	for bi := 0; bi < len(g.heavy); bi++ {
+		if g.heavy[bi].exp < exp {
+			continue
+		}
+		for i := 0; i < len(g.heavy[bi].edges); i++ {
+			if e := g.heavy[bi].edges[i]; e.w >= minW && !c.Contains(e.u) && !c.Contains(e.v) {
+				fn(e.u, e.v, e.w)
 			}
-			fn(u, v, l.ws[i])
 		}
 	}
 }

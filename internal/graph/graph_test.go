@@ -96,7 +96,7 @@ func TestNeighborhoodScores(t *testing.T) {
 	g.SetWeight(2, 4, 0.5)
 	g.SetWeight(4, 5, 9.0)
 	var buf NeighborhoodBuf
-	vs, ws := g.NeighborhoodScores(vset.New(2, 3), &buf)
+	vs, ws := g.NeighborhoodScores(vset.New(2, 3), 0, &buf)
 	if len(vs) != 2 || vs[0] != 1 || vs[1] != 4 {
 		t.Fatalf("expected neighbours [1 4], got %v", vs)
 	}
@@ -106,10 +106,18 @@ func TestNeighborhoodScores(t *testing.T) {
 	if math.Abs(ws[1]-1.5) > 1e-12 {
 		t.Errorf("score of 4 = %v, want 1.5", ws[1])
 	}
+	// A bound keeps the vertices that reach it, a bound on the value included.
+	if vs, ws := g.NeighborhoodScores(vset.New(2, 3), 1.8, &buf); len(vs) != 1 || vs[0] != 1 || ws[0] != 0.8+1.0 {
+		t.Fatalf("need 1.8: got %v %v, want [1] [1.8]", vs, ws)
+	}
+	if vs, _ := g.NeighborhoodScores(vset.New(2, 3), 1.9, &buf); len(vs) != 0 {
+		t.Fatalf("need 1.9: got %v, want none", vs)
+	}
 	// Reusing a warm buffer must be allocation-free.
 	c := vset.New(2, 3)
 	allocs := testing.AllocsPerRun(100, func() {
-		g.NeighborhoodScores(c, &buf)
+		g.NeighborhoodScores(c, 0, &buf)
+		g.NeighborhoodScores(c, 1.6, &buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("NeighborhoodScores allocated %v times per warm call", allocs)
@@ -139,15 +147,20 @@ func TestEdgesNotIncident(t *testing.T) {
 	g.SetWeight(1, 2, 1)
 	g.SetWeight(3, 4, 1)
 	g.SetWeight(2, 3, 1)
-	count := 0
-	g.EdgesNotIncident(vset.New(1, 2), func(u, v Vertex, w float64) {
-		count++
-		if u != 3 || v != 4 {
-			t.Errorf("unexpected edge %d-%d", u, v)
+	for _, tc := range []struct {
+		minW float64
+		want int
+	}{{0, 1}, {-1, 1}, {0.5, 1}, {1, 1}, {1.5, 0}} {
+		count := 0
+		g.EdgesNotIncident(vset.New(1, 2), tc.minW, func(u, v Vertex, w float64) {
+			count++
+			if u != 3 || v != 4 {
+				t.Errorf("minW %v: unexpected edge %d-%d", tc.minW, u, v)
+			}
+		})
+		if count != tc.want {
+			t.Fatalf("minW %v: got %d edges not incident, want %d", tc.minW, count, tc.want)
 		}
-	})
-	if count != 1 {
-		t.Fatalf("expected 1 edge not incident, got %d", count)
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyndens/internal/vset"
@@ -79,6 +80,84 @@ func (r *refGraph) neighborhoodScores(c vset.Set) map[Vertex]float64 {
 	return out
 }
 
+// The unbounded scans the bounded ones replaced, kept as the reference: the
+// |C|-way merge of the members' vectors and the walk over every vector. A
+// bounded scan must return exactly what these return, filtered.
+
+// refNeighborhoodScores merges the neighbourhood vectors of the vertices of c
+// and returns Γ_C·ê_y for every y ∉ c adjacent to c, sorted by vertex, each
+// sum taken over the members in increasing order.
+func refNeighborhoodScores(g *Graph, c vset.Set) (vs []Vertex, ws []float64) {
+	type cursor struct {
+		vs  []Vertex
+		ws  []float64
+		pos int
+	}
+	var cursors []cursor
+	for _, v := range c {
+		if l := g.adj[v]; l != nil {
+			cursors = append(cursors, cursor{vs: l.vs, ws: l.ws})
+		}
+	}
+	for {
+		var best Vertex
+		found := false
+		for i := range cursors {
+			cur := &cursors[i]
+			if cur.pos < len(cur.vs) && (!found || cur.vs[cur.pos] < best) {
+				best, found = cur.vs[cur.pos], true
+			}
+		}
+		if !found {
+			return vs, ws
+		}
+		var sum float64
+		for i := range cursors {
+			cur := &cursors[i]
+			if cur.pos < len(cur.vs) && cur.vs[cur.pos] == best {
+				sum += cur.ws[cur.pos]
+				cur.pos++
+			}
+		}
+		if !c.Contains(best) {
+			vs = append(vs, best)
+			ws = append(ws, sum)
+		}
+	}
+}
+
+type weightedEdge struct {
+	u, v Vertex
+	w    float64
+}
+
+func sortEdges(es []weightedEdge) {
+	slices.SortFunc(es, func(a, b weightedEdge) int {
+		if a.u != b.u {
+			return int(a.u) - int(b.u)
+		}
+		return int(a.v) - int(b.v)
+	})
+}
+
+// refEdgesNotIncident walks every neighbourhood vector and returns the edges
+// {u, v}, u < v, with neither endpoint in c, sorted.
+func refEdgesNotIncident(g *Graph, c vset.Set) []weightedEdge {
+	var out []weightedEdge
+	for u, l := range g.adj {
+		if c.Contains(u) {
+			continue
+		}
+		for i, v := range l.vs {
+			if v > u && !c.Contains(v) {
+				out = append(out, weightedEdge{u, v, l.ws[i]})
+			}
+		}
+	}
+	sortEdges(out)
+	return out
+}
+
 // randomSet draws a subset of [0, universe) with each vertex included with
 // probability p.
 func randomSet(rng *rand.Rand, universe int, p float64) vset.Set {
@@ -133,7 +212,7 @@ func TestSortedVectorsMatchMapReference(t *testing.T) {
 						t.Fatalf("trial %d step %d: ScoreWith(%v,%d) = %v, want %v", trial, step, c, v, got, want)
 					}
 				}
-				vs, ws := g.NeighborhoodScores(c, &buf)
+				vs, ws := g.NeighborhoodScores(c, 0, &buf)
 				want := ref.neighborhoodScores(c)
 				if len(vs) != len(want) {
 					t.Fatalf("trial %d step %d: NeighborhoodScores(%v) has %d entries (%v), want %d (%v)",
@@ -166,7 +245,7 @@ func TestSortedVectorsMatchMapReference(t *testing.T) {
 			// EdgesNotIncident parity on a random excluded set.
 			c := randomSet(rng, universe, 0.3)
 			gotN, gotW = 0, 0.0
-			g.EdgesNotIncident(c, func(u, v Vertex, w float64) {
+			g.EdgesNotIncident(c, 0, func(u, v Vertex, w float64) {
 				if c.Contains(u) || c.Contains(v) || u >= v {
 					t.Fatalf("trial %d step %d: EdgesNotIncident(%v) yielded %d-%d", trial, step, c, u, v)
 				}

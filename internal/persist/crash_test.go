@@ -78,7 +78,12 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 
 	crashed := func(err error) bool {
 		if errors.Is(err, stream.ErrStopped) {
-			return true // abandon the store: no checkpoint, no flush, no close
+			// Abandon the store: no checkpoint, no flush, no close. A real
+			// kill also stops the background snapshot writer; here it would
+			// live on in the test process and write and prune snapshots under
+			// the restarted run, so the kill is placed after it finishes.
+			st.snapWG.Wait()
+			return true
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -235,6 +235,70 @@ func TestScopedMatchesMirrorInterleavedBatches(t *testing.T) {
 	}
 }
 
+// TestScopedMatchesMirrorStarHeavy runs the equivalence where scoped delivery
+// leans on Engine.StarNeedsPositive: heavy edges among six vertices keep pairs
+// and triples too-dense, so every worker holds ImplicitTooDense families,
+// while half of the stream lands on far vertices no index path mentions —
+// updates a non-seeding worker may skip only if no family can absorb the
+// pair, which the star prefilter now answers for most families. Some far
+// edges grow heavy enough to be absorbed, so both answers occur.
+func TestScopedMatchesMirrorStarHeavy(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var updates []core.Update
+	for len(updates) < 1500 {
+		var u core.Update
+		if rng.Intn(2) == 0 {
+			u = core.Update{A: core.Vertex(rng.Intn(6)), B: core.Vertex(rng.Intn(6)), Delta: 0.5 + 3*rng.Float64()}
+		} else {
+			u = core.Update{A: core.Vertex(20 + rng.Intn(20)), B: core.Vertex(20 + rng.Intn(20)), Delta: 0.2 + 2*rng.Float64()}
+		}
+		if rng.Intn(4) == 0 {
+			u.Delta = -2 * u.Delta
+		}
+		if u.A != u.B {
+			updates = append(updates, u)
+		}
+	}
+	run := func(ov Overlap) (map[uint64][]string, []string, Stats) {
+		se := MustNew(Config{Shards: 3, Engine: testEngineCfg, Overlap: ov, BatchSize: 16})
+		defer se.Close()
+		var col seqCollector
+		se.SetSeqSink(&col)
+		chop := rand.New(rand.NewSource(5)) // same chop for both policies
+		for i := 0; i < len(updates); {
+			if chop.Intn(2) == 0 {
+				se.Process(updates[i])
+				i++
+				continue
+			}
+			n := min(1+chop.Intn(12), len(updates)-i)
+			se.ProcessBatch(updates[i : i+n])
+			i += n
+		}
+		se.Flush()
+		return perSeqKeys(col.snapshot()), se.OutputDenseKeys(), se.Stats()
+	}
+	mirrorSeq, mirrorKeys, mirrorStats := run(OverlapMirror)
+	scopedSeq, scopedKeys, scopedStats := run(OverlapScoped)
+	if mirrorStats.Aggregate.StarInsertions < 10 {
+		t.Fatalf("stream is not star-heavy: %d families created", mirrorStats.Aggregate.StarInsertions)
+	}
+	if f := scopedStats.MeanDeliveryFraction(); f >= 1 {
+		t.Fatalf("scoped delivery skipped nothing (fraction %v)", f)
+	}
+	if !slices.Equal(scopedKeys, mirrorKeys) {
+		t.Fatalf("tracked sets diverge: scoped %v != mirror %v", scopedKeys, mirrorKeys)
+	}
+	if len(scopedSeq) != len(mirrorSeq) {
+		t.Fatalf("scoped stream covers %d event-bearing ticks, mirror %d", len(scopedSeq), len(mirrorSeq))
+	}
+	for seq, want := range mirrorSeq {
+		if !slices.Equal(scopedSeq[seq], want) {
+			t.Fatalf("tick %d: scoped %v != mirror %v", seq, scopedSeq[seq], want)
+		}
+	}
+}
+
 // TestScopedDeliversLess is the point of the policy: on a workload with real
 // skips, scoped delivery must deliver strictly fewer work units than mirror
 // while producing the identical output (checked above); mirror must deliver
