@@ -133,7 +133,7 @@ func TestProcessSteadyStateZeroAllocMixed(t *testing.T) {
 // TestProcessBatchSteadyStateZeroAlloc pins the batched hot path to the same
 // allocation discipline as Process: a steady-state batch — weights move, the
 // output-dense set does not — performs zero allocations with a non-retaining
-// sink. The batch machinery (per-pair net map, sorted key/dirty scratch,
+// sink. The batch machinery (sorted per-pair net deltas, dirty-vertex scratch,
 // whole-index snapshot, event staging) must all come from engine-owned
 // reusable storage.
 func TestProcessBatchSteadyStateZeroAlloc(t *testing.T) {
@@ -156,10 +156,91 @@ func TestProcessBatchSteadyStateZeroAlloc(t *testing.T) {
 		eng.ProcessBatch(pos)
 		eng.ProcessBatch(neg)
 	}
-	// Pre-run so first-touch growth of the batch scratch (net map, key/dirty
+	// Pre-run so first-touch growth of the batch scratch (net-delta and dirty
 	// slices, index snapshot buffer) happens before measuring.
 	cycle()
 	assertZeroAllocs(t, "batch", cycle)
+}
+
+// thresholdTableAllocs is what moving the threshold costs by itself: the new
+// schedule density.Thresholds.WithThreshold builds (the struct and the one
+// table its five bound vectors share).
+func thresholdTableAllocs(eng *core.Engine) float64 {
+	th := eng.Thresholds()
+	return testing.AllocsPerRun(50, func() {
+		if _, err := th.WithThreshold(th.T * 1.5); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// TestThresholdTickSteadyStateZeroAlloc pins the decay epoch of a quiet
+// stream: a rising-threshold tick over a few hundred indexed subgraphs, none
+// of which crosses a bound, classifies every node from its cardinality and
+// score and allocates nothing beyond the new schedule — no index snapshot,
+// no vertex set per node.
+func TestThresholdTickSteadyStateZeroAlloc(t *testing.T) {
+	eng, _ := steadyStateEngine(t)
+	if eng.DenseCount() < 200 {
+		t.Fatalf("only %d indexed subgraphs; the walk is not exercised", eng.DenseCount())
+	}
+	scale := 1.0
+	tick := func() {
+		scale *= 1 - 1e-12 // the threshold moves; nothing is that close to a bound
+		eng.ProcessThresholdBatch(scale, nil)
+	}
+	tick()
+	before := eng.Stats()
+	want := thresholdTableAllocs(eng)
+	if got := testing.AllocsPerRun(50, tick); got != want {
+		t.Errorf("quiet threshold tick performed %v allocs/run, want the schedule's %v", got, want)
+	}
+	after := eng.Stats()
+	if after.ThresholdTicks == before.ThresholdTicks || eng.Config().T <= benchConfig().T {
+		t.Fatal("the ticks did not move the threshold")
+	}
+	if after.Evictions != before.Evictions || after.Events != before.Events || after.IndexedStars != before.IndexedStars {
+		t.Fatalf("the ticks were not quiet: %+v → %+v", before, after)
+	}
+}
+
+// TestThresholdTickAfterLargeBatchStaysSmall: the cost of a tick follows the
+// tick, not the largest batch the engine ever saw. A four-retirement epoch
+// issued right after a renormalisation-sized batch (over ten thousand pairs)
+// allocates exactly what the same epoch costs an engine that never saw the
+// large batch.
+func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
+	mk := func(large bool) func() {
+		eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+		eng.SetSink(&core.CountingSink{})
+		eng.ProcessBatch([]core.Update{{A: 0, B: 1, Delta: 9}, {A: 0, B: 2, Delta: 9}, {A: 1, B: 2, Delta: 9}})
+		if large {
+			big := make([]core.Update, 0, 12000)
+			for i := 0; i < 12000; i++ {
+				big = append(big, core.Update{A: core.Vertex(10 + i), B: core.Vertex(20010 + i%97), Delta: 0.01})
+			}
+			eng.ProcessThresholdBatch(1, big)
+		}
+		if eng.DenseCount() == 0 {
+			t.Fatal("fixture has no indexed subgraph")
+		}
+		scale, sign := 1.0, 1.0
+		return func() {
+			scale *= 0.999
+			sign = -sign
+			eng.ProcessThresholdBatch(scale, []core.Update{
+				{A: 0, B: 1, Delta: sign * 1e-9}, {A: 3, B: 4, Delta: sign * 1e-9},
+				{A: 1, B: 0, Delta: sign * 1e-9}, {A: 5, B: 6, Delta: sign * 1e-9},
+			})
+		}
+	}
+	small, afterLarge := mk(false), mk(true)
+	small()
+	afterLarge()
+	want := testing.AllocsPerRun(50, small)
+	if got := testing.AllocsPerRun(50, afterLarge); got != want {
+		t.Errorf("a 4-update tick after a 12k-pair batch performed %v allocs/run, %v without the large batch", got, want)
+	}
 }
 
 // TestEmitCloneElision pins the sink capability contract: a retaining sink

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -39,6 +40,14 @@ func packPair(a, b Vertex) uint64 {
 func unpackPair(k uint64) (a, b Vertex) {
 	return Vertex(k >> 32), Vertex(uint32(k))
 }
+
+// pairDelta is one pair of a batch with its applied weight change.
+type pairDelta struct {
+	key   uint64 // packPair
+	delta float64
+}
+
+func (p pairDelta) compareKey(k uint64) int { return cmp.Compare(p.key, k) }
 
 // stagedEvent is one per-batch candidate transition awaiting netting.
 type stagedEvent struct {
@@ -83,10 +92,10 @@ func (e *Engine) ProcessBatchRouted(updates []Update, seed func(a, b Vertex) boo
 
 	e.stageBatchDeltas(updates)
 	e.beginEmit()
-	if len(e.batchKeys) == 0 {
+	if len(e.batchNet) == 0 {
 		return e.finishEmit() // no-op tick: boundary only
 	}
-	e.prepareBatchKeys()
+	e.prepareBatchDirty()
 
 	e.batching = true
 	e.batchSeed = seed
@@ -102,17 +111,17 @@ func (e *Engine) ProcessBatchRouted(updates []Update, seed func(a, b Vertex) boo
 	return e.finishEmit()
 }
 
-// stageBatchDeltas applies every delta of a batch to the graph up front,
-// coalescing the net applied change per pair into batchNet/batchKeys (keys
-// unsorted). Applying in stream order keeps the clamp-at-zero path exact: the
-// per-update applied deltas telescope to final − initial. Shared by the
-// plain-batch and threshold-batch ticks.
+// stageBatchDeltas applies every delta of a batch to the graph up front and
+// coalesces the net applied change per pair into batchNet, sorted by pair key
+// — the canonical phase order. Applying in stream order keeps the clamp-at-zero
+// path exact: the per-update applied deltas telescope to final − initial. The
+// applied deltas are staged in stream order, stable-sorted by pair and summed
+// run by run (so each pair's deltas add up in stream order), pairs netting to
+// zero dropped in the same pass: a tick costs O(batch log batch) whatever the
+// largest batch before it was. Shared by the plain-batch and threshold-batch
+// ticks.
 func (e *Engine) stageBatchDeltas(updates []Update) {
-	if e.batchNet == nil {
-		e.batchNet = make(map[uint64]float64)
-		e.stageIdx = make(map[string]int)
-	}
-	clear(e.batchNet)
+	net := e.batchNet[:0]
 	for _, u := range updates {
 		if u.A == u.B || u.Delta == 0 {
 			continue
@@ -127,26 +136,29 @@ func (e *Engine) stageBatchDeltas(updates []Update) {
 		} else {
 			e.stats.PositiveUpdates++
 		}
-		e.batchNet[packPair(u.A, u.B)] += applied
+		net = append(net, pairDelta{packPair(u.A, u.B), applied})
 	}
-	e.batchKeys = e.batchKeys[:0]
-	for k, d := range e.batchNet {
-		if d == 0 {
-			delete(e.batchNet, k)
-			continue
+	slices.SortStableFunc(net, func(x, y pairDelta) int { return x.compareKey(y.key) })
+	w := 0
+	for i := 0; i < len(net); {
+		sum := net[i]
+		for i++; i < len(net) && net[i].key == sum.key; i++ {
+			sum.delta += net[i].delta
 		}
-		e.batchKeys = append(e.batchKeys, k)
+		if sum.delta != 0 {
+			net[w] = sum
+			w++
+		}
 	}
+	e.batchNet = net[:w]
 }
 
-// prepareBatchKeys sorts the coalesced pair keys into canonical phase order
-// and derives the sorted distinct dirty-endpoint set batchRepair and
-// batchDeltaOf rely on.
-func (e *Engine) prepareBatchKeys() {
-	slices.Sort(e.batchKeys)
+// prepareBatchDirty derives the sorted distinct dirty-endpoint set batchRepair
+// and batchDeltaOf rely on.
+func (e *Engine) prepareBatchDirty() {
 	e.batchDirty = e.batchDirty[:0]
-	for _, k := range e.batchKeys {
-		a, b := unpackPair(k)
+	for _, p := range e.batchNet {
+		a, b := unpackPair(p.key)
 		e.batchDirty = append(e.batchDirty, a, b)
 	}
 	slices.Sort(e.batchDirty)
@@ -173,7 +185,10 @@ func (e *Engine) batchDeltaOf(c vset.Set) float64 {
 	var total float64
 	for x := 0; x < len(e.dirtyInC); x++ {
 		for y := x + 1; y < len(e.dirtyInC); y++ {
-			total += e.batchNet[packPair(e.dirtyInC[x], e.dirtyInC[y])]
+			k := packPair(e.dirtyInC[x], e.dirtyInC[y])
+			if i, ok := slices.BinarySearchFunc(e.batchNet, k, pairDelta.compareKey); ok {
+				total += e.batchNet[i].delta
+			}
 		}
 	}
 	return total
@@ -255,12 +270,12 @@ func (e *Engine) batchRepair() {
 // Subgraphs admitted for an earlier pair are part of later pairs' snapshots,
 // which is what makes the per-pair passes compose into one complete pass.
 func (e *Engine) batchDiscover() {
-	for _, k := range e.batchKeys {
-		delta := e.batchNet[k]
+	for _, p := range e.batchNet {
+		delta := p.delta
 		if delta <= 0 {
 			continue // negative pairs are fully handled by batchRepair
 		}
-		a, b := unpackPair(k)
+		a, b := unpackPair(p.key)
 		seed := e.batchSeed == nil || e.batchSeed(a, b)
 		if e.batchScoped && !seed && !e.ix.HasVertex(a) && !e.ix.HasVertex(b) && !e.StarNeedsPositive(a, b, 0) {
 			e.stats.BatchPairSkips++

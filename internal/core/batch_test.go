@@ -113,6 +113,74 @@ func TestProcessBatchClampOrdering(t *testing.T) {
 	}
 }
 
+// TestProcessBatchCoalescingMatchesSequential drives everything the sorted
+// per-pair coalescing has to get right through one batch, interleaved so no
+// pair's updates are adjacent in the stream: duplicates in both orientations
+// (summed in stream order), a pair netting to exactly zero (dropped — it must
+// not reach discovery), a pair clamped at zero and refilled (net = final −
+// initial, not the sum of raw deltas), and a pair clamped to zero for good.
+// The explicit index is canonical here (no ImplicitTooDense), so the batched
+// engine must equal the sequential one key for key and weight for weight.
+func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
+	cfg := core.Config{T: 2, Nmax: 4, DisableImplicitTooDense: true}
+	seq, bat := core.MustNew(cfg), core.MustNew(cfg)
+	// Light edges first, so every vertex is known by the time the heavy
+	// subgraphs form and Explore-All extends them ({5,6} keeps 5 connected
+	// once {4,5} is gone: Explore-All adds connected vertices only).
+	warm := []core.Update{
+		{A: 6, B: 7, Delta: 1}, {A: 8, B: 9, Delta: 0.5}, {A: 3, B: 4, Delta: 0.25}, {A: 5, B: 6, Delta: 0.25}, {A: 4, B: 5, Delta: 5},
+		{A: 1, B: 2, Delta: 5}, {A: 2, B: 3, Delta: 5}, {A: 1, B: 3, Delta: 5},
+	}
+	for _, u := range warm {
+		seq.Process(u)
+		bat.Process(u)
+	}
+	batch := []core.Update{
+		{A: 1, B: 2, Delta: -10},  // clamps 5 → 0 ...
+		{A: 8, B: 9, Delta: 0.75}, // duplicate pair, three parts, two orientations
+		{A: 6, B: 7, Delta: 2.5},  // nets to zero: +2.5 ...
+		{A: 4, B: 5, Delta: -9},   // clamps 5 → 0 and stays there
+		{A: 9, B: 8, Delta: 1.5},
+		{A: 2, B: 1, Delta: 3},    // ... then refills 0 → 3: net −2, not −7
+		{A: 7, B: 6, Delta: -2.5}, // ... −2.5
+		{A: 3, B: 4, Delta: 4},
+		{A: 8, B: 9, Delta: 0.125},
+		{A: 5, B: 5, Delta: 3}, // self-loop and zero delta: ignored
+		{A: 2, B: 3, Delta: 0},
+	}
+	for _, u := range batch {
+		seq.Process(u)
+	}
+	before := bat.Stats()
+	bat.ProcessBatch(batch)
+	for _, p := range [][2]core.Vertex{{1, 2}, {8, 9}, {6, 7}, {4, 5}, {3, 4}, {2, 3}} {
+		if got, want := bat.Graph().Weight(p[0], p[1]), seq.Graph().Weight(p[0], p[1]); got != want {
+			t.Fatalf("weight %v = %g, sequential has %g", p, got, want)
+		}
+	}
+	if w := bat.Graph().Weight(8, 9); w != 0.5+0.75+1.5+0.125 {
+		t.Fatalf("duplicate pair weight = %g", w)
+	}
+	if got, want := bat.OutputDenseKeys(), seq.OutputDenseKeys(); !slices.Equal(got, want) {
+		t.Fatalf("batched keys %v != sequential %v", got, want)
+	}
+	if got, want := bat.DenseCount(), seq.DenseCount(); got != want {
+		t.Fatalf("batch indexes %d dense subgraphs, sequential %d", got, want)
+	}
+	oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: bat.Config().Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	if got := bat.OutputDenseKeys(); !slices.Equal(got, oracle) {
+		t.Fatalf("batched keys %v != oracle %v", got, oracle)
+	}
+	if msg := bat.ValidateIndex(); msg != "" {
+		t.Fatalf("index invalid after the batch: %s", msg)
+	}
+	// Two pairs end with a positive net delta ({8,9} and {3,4}); the zero-net
+	// pair and the three negative ones must not run a discovery pass.
+	if got := bat.Stats().BatchPairs - before.BatchPairs; got != 2 {
+		t.Fatalf("discovery ran for %d pairs, want 2", got)
+	}
+}
+
 // TestProcessBatchNetsFlappingTransitions drives a batch whose sequential
 // processing reports a became/ceased pair for the same subgraph; the batch
 // must report nothing for it.

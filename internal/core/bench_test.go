@@ -152,6 +152,80 @@ func BenchmarkProcessStarHeavy(b *testing.B) {
 	benchProcess(b, core.Config{T: 3, Nmax: 5, EnableMaxExplore: true}, updates[:warm], updates[warm:])
 }
 
+// BenchmarkThresholdTick measures the decay epoch of the rescaled pipeline
+// (ProcessThresholdBatch) the way docs-decay meets it: an index of a few
+// hundred subgraphs — every subset of twelve planted five-vertex groups whose
+// pairs weigh 1.2·T to 1.75·T — over a background of light pairs. Every op
+// fades the graph by 3 %, so the threshold walk classifies each indexed
+// subgraph, and retires four background pairs, as the expiry heap does. Over
+// the eight epochs it takes the scale to reach the floor the two lightest
+// groups fall out of the output and then out of the index, a handful of
+// subgraphs per tick. Fading alone would drain the index, so at the floor
+// the engine is renormalised off the clock: the retired pairs come back and
+// the scale returns to 1, whose falling-threshold walk rediscovers what the
+// epochs evicted.
+func BenchmarkThresholdTick(b *testing.B) {
+	const (
+		T          = 3.0
+		step       = 0.97
+		floor      = 0.78 // 0.97⁸ is the last scale above it
+		retire     = 4
+		groups     = 12
+		groupSize  = 5
+		background = 1000
+	)
+	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng.SetSink(&core.CountingSink{})
+	var light []core.Update
+	for i := 0; i < 2*background; i++ {
+		light = append(light, core.Update{A: core.Vertex(i % background), B: core.Vertex((i*7 + 1 + i/background) % background), Delta: T / 128})
+	}
+	eng.ProcessBatch(light)
+	for g := 0; g < groups; g++ {
+		var plant []core.Update
+		for i := 0; i < groupSize; i++ {
+			for j := i + 1; j < groupSize; j++ {
+				base := core.Vertex(background + g*groupSize)
+				plant = append(plant, core.Update{A: base + core.Vertex(i), B: base + core.Vertex(j), Delta: T * (1.2 + 0.05*float64(g))})
+			}
+		}
+		eng.ProcessBatch(plant)
+	}
+	warmCount := eng.DenseCount()
+	if warmCount < 200 {
+		b.Fatalf("fixture too small: %d dense subgraphs", warmCount)
+	}
+	period := 0
+	for s := step; s >= floor; s *= step {
+		period++
+	}
+	restore := light[:period*retire]
+	retired := make([]core.Update, len(restore))
+	for i, u := range restore {
+		retired[i] = core.Update{A: u.A, B: u.B, Delta: -u.Delta}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	scale, k := 1.0, 0
+	for n := 0; n < b.N; n++ {
+		if k == len(retired) {
+			b.StopTimer()
+			if evicted := warmCount - eng.DenseCount(); evicted < 26 || evicted > warmCount/4 {
+				b.Fatalf("a period evicted %d of %d subgraphs; the walk should move a narrow band", evicted, warmCount)
+			}
+			eng.ProcessThresholdBatch(1, restore)
+			if eng.DenseCount() != warmCount {
+				b.Fatalf("renormalisation restored %d of %d subgraphs", eng.DenseCount(), warmCount)
+			}
+			scale, k = 1, 0
+			b.StartTimer()
+		}
+		scale *= step
+		eng.ProcessThresholdBatch(scale, retired[k:k+retire])
+		k += retire
+	}
+}
+
 // BenchmarkReplayPipeline measures the full source → replay → engine → sink
 // pipeline, including generation, as the end-to-end per-update overhead. The
 // workload is uniform with a threshold the accumulated weights stay far

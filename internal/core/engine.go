@@ -226,14 +226,14 @@ type Engine struct {
 	weightsBuf  []float64     // maxExploreFor's top-weights scratch
 	pairBuf     [2]Vertex     // seed-pair scratch
 	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
+	tooDenseBuf []bool        // decreaseThreshold's was-too-dense flags, parallel to its snapshot
 
 	// Per-batch scratch state (valid during ProcessBatch only; see batch.go).
 	// All containers are engine-owned and reused across batches, so a
 	// steady-state batch — like a steady-state Process — allocates nothing.
 	batching    bool
 	batchScoped bool                   // scoped delivery: skip provably inert pairs
-	batchNet    map[uint64]float64     // canonical pair key → net applied delta
-	batchKeys   []uint64               // sorted keys of batchNet (phase order)
+	batchNet    []pairDelta            // net applied delta per changed pair, sorted by key (phase order)
 	batchDirty  []Vertex               // sorted distinct endpoints of changed pairs
 	dirtyInC    []Vertex               // batchDeltaOf's dirty∩C scratch
 	batchSeed   func(a, b Vertex) bool // nil = seed every pair
@@ -283,6 +283,7 @@ func New(cfg Config) (*Engine, error) {
 		ix:        index.New(),
 		emitScale: 1,
 		baseT:     cfg.T,
+		stageIdx:  make(map[string]int),
 	}, nil
 }
 

@@ -4,8 +4,17 @@ import (
 	"math"
 	"sort"
 
+	"dyndens/internal/index"
 	"dyndens/internal/vset"
 )
+
+// denseSnapshot returns every explicitly indexed dense node, in lexicographic
+// set order, in the engine's snapshot buffer: valid until the next update,
+// threshold change or query.
+func (e *Engine) denseSnapshot() []*index.Node {
+	e.affectedBuf = e.ix.AppendDense(e.affectedBuf[:0])
+	return e.affectedBuf
+}
 
 // OutputDense returns the explicitly indexed subgraphs whose density is at
 // least the output threshold T, sorted by decreasing density (ties broken by
@@ -14,7 +23,7 @@ import (
 // ImplicitTooDense families.
 func (e *Engine) OutputDense() []Subgraph {
 	var out []Subgraph
-	for _, n := range e.ix.DenseNodes() {
+	for _, n := range e.denseSnapshot() {
 		card := n.Card()
 		if e.th.IsOutputDense(n.Score(), card) {
 			out = append(out, Subgraph{
@@ -34,7 +43,7 @@ func (e *Engine) OutputDense() []Subgraph {
 // consumers that maintain the result set incrementally from sink events.
 func (e *Engine) OutputDenseKeys() []string {
 	var keys []string
-	for _, n := range e.ix.DenseNodes() {
+	for _, n := range e.denseSnapshot() {
 		if e.th.IsOutputDense(n.Score(), n.Card()) {
 			keys = append(keys, n.Set().Key())
 		}
@@ -47,7 +56,7 @@ func (e *Engine) OutputDenseKeys() []string {
 // subgraphs without materialising them.
 func (e *Engine) OutputDenseCount() int {
 	count := 0
-	for _, n := range e.ix.DenseNodes() {
+	for _, n := range e.denseSnapshot() {
 		if e.th.IsOutputDense(n.Score(), n.Card()) {
 			count++
 		}
@@ -58,7 +67,7 @@ func (e *Engine) OutputDenseCount() int {
 // Dense returns every explicitly indexed dense subgraph (density ≥ T_{|C|}),
 // sorted by decreasing density.
 func (e *Engine) Dense() []Subgraph {
-	nodes := e.ix.DenseNodes()
+	nodes := e.denseSnapshot()
 	out := make([]Subgraph, 0, len(nodes))
 	for _, n := range nodes {
 		out = append(out, Subgraph{
@@ -114,7 +123,7 @@ func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int
 		add(s)
 	}
 	vertices := e.g.KnownVertices()
-	for _, star := range e.ix.StarNodes() {
+	for _, star := range e.ix.AppendStarNodes(nil) {
 		base := star.Set()
 		score := star.Score()
 		// Candidates disconnected from the base, in ascending order so each
@@ -176,7 +185,7 @@ func (e *Engine) ValidateIndex() string {
 	if msg := e.ix.Validate(); msg != "" {
 		return msg
 	}
-	for _, n := range e.ix.DenseNodes() {
+	for _, n := range e.denseSnapshot() {
 		c := n.Set()
 		if got, want := n.Score(), e.g.Score(c); math.Abs(got-want) > scoreSlack(math.Max(math.Abs(got), math.Abs(want))) {
 			return "stored score drift for " + c.String()

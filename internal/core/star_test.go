@@ -148,7 +148,7 @@ func TestValidateIndexUnderDeepRescale(t *testing.T) {
 		if msg := e.ValidateIndex(); msg != "" {
 			t.Fatalf("λ=%v: %s", lambda, msg)
 		}
-		for _, n := range e.ix.DenseNodes() {
+		for _, n := range e.denseSnapshot() {
 			drift = max(drift, math.Abs(n.Score()-e.g.Score(n.Set())))
 		}
 	}
@@ -156,7 +156,7 @@ func TestValidateIndexUnderDeepRescale(t *testing.T) {
 		t.Fatalf("test is vacuous: %d dense subgraphs, largest absolute drift %v", e.DenseCount(), drift)
 	}
 	// The tolerance is relative, not absent.
-	n := e.ix.DenseNodes()[0]
+	n := e.denseSnapshot()[0]
 	e.ix.SetScore(n, n.Score()*(1+1e-5))
 	if msg := e.ValidateIndex(); msg == "" {
 		t.Fatal("a stored score off by 1e-5 of its magnitude went unreported")

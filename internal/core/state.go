@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"dyndens/internal/graph"
 	"dyndens/internal/vset"
@@ -52,17 +53,23 @@ type EngineState struct {
 // driver ever snapshots at.
 func (e *Engine) ExportState() EngineState {
 	st := EngineState{Scale: e.emitScale}
-	for _, n := range e.ix.DenseNodes() {
+	type keyed struct {
+		key string
+		DenseEntry
+	}
+	var entries []keyed
+	for _, n := range e.denseSnapshot() {
 		de := DenseEntry{Set: n.Set(), Score: n.Score()}
 		if star := e.ix.StarOf(n); star != nil {
 			de.Star = true
 			de.StarScore = star.Score()
 		}
-		st.Dense = append(st.Dense, de)
+		entries = append(entries, keyed{de.Set.Key(), de})
 	}
-	sort.Slice(st.Dense, func(i, j int) bool {
-		return st.Dense[i].Set.Key() < st.Dense[j].Set.Key()
-	})
+	slices.SortFunc(entries, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	for _, en := range entries {
+		st.Dense = append(st.Dense, en.DenseEntry)
+	}
 	return st
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"dyndens/internal/density"
 	"dyndens/internal/graph"
@@ -53,33 +54,30 @@ func (e *Engine) SetThreshold(newT float64) ([]Event, error) {
 	return e.finishEmit(), nil
 }
 
-// increaseThreshold implements Algorithm 3, lines 2–4.
+// increaseThreshold implements Algorithm 3, lines 2–4. Every indexed node is
+// classified from its cardinality and stored score alone, against the old and
+// the new schedule; the vertex set is rebuilt only for a node that reports. A
+// tick of rescaled decay, which runs this once per epoch, therefore costs a
+// few compares per indexed node plus set work per node that crosses a bound.
 func (e *Engine) increaseThreshold(newTh *density.Thresholds) {
 	oldTh := e.th
 	e.th = newTh
-	for _, node := range e.ix.DenseNodes() {
-		if !node.Dense() {
-			continue
+	setBuf := e.getSetBuf()
+	for _, node := range e.denseSnapshot() {
+		n, score := node.Card(), node.Score()
+		stays := newTh.IsDense(score, n)
+		if oldTh.IsOutputDense(score, n) && !(stays && newTh.IsOutputDense(score, n)) {
+			setBuf = node.SetInto(setBuf)
+			e.emit(CeasedOutputDense, setBuf, score)
 		}
-		c := node.Set()
-		n := c.Len()
-		score := node.Score()
-		wasOutput := oldTh.IsOutputDense(score, n)
-		if !newTh.IsDense(score, n) {
-			if wasOutput {
-				e.emit(CeasedOutputDense, c, score)
-			}
+		if !stays {
 			e.ix.EvictDense(node)
 			e.stats.Evictions++
-			continue
-		}
-		if wasOutput && !newTh.IsOutputDense(score, n) {
-			e.emit(CeasedOutputDense, c, score)
-		}
-		if e.ix.HasStar(node) && !newTh.IsTooDense(score, n) {
+		} else if e.ix.HasStar(node) && !newTh.IsTooDense(score, n) {
 			e.ix.RemoveStar(node)
 		}
 	}
+	e.putSetBuf(setBuf)
 }
 
 // decreaseThreshold implements Algorithm 3, lines 5–9.
@@ -89,19 +87,21 @@ func (e *Engine) decreaseThreshold(newTh *density.Thresholds) {
 	// Pre-existing dense subgraphs: they all remain dense under the lower
 	// schedule. Report the ones that just became output-dense, refresh their
 	// ImplicitTooDense status, and remember whether they were too-dense under
-	// the old schedule (Algorithm 4's guard).
-	existing := e.ix.DenseNodes()
-	wasTooDense := make([]bool, len(existing))
+	// the old schedule (Algorithm 4's guard). Nothing below touches
+	// affectedBuf, so the snapshot outlives the admissions.
+	existing := e.denseSnapshot()
+	wasTooDense := slices.Grow(e.tooDenseBuf[:0], len(existing))[:len(existing)]
+	e.tooDenseBuf = wasTooDense
+	setBuf := e.getSetBuf()
 	for i, node := range existing {
-		c := node.Set()
-		n := c.Len()
-		score := node.Score()
+		setBuf = node.SetInto(setBuf)
+		n, score := node.Card(), node.Score()
 		wasTooDense[i] = oldTh.IsTooDense(score, n)
 		if !oldTh.IsOutputDense(score, n) && newTh.IsOutputDense(score, n) {
-			e.emit(BecameOutputDense, c, score)
+			e.emit(BecameOutputDense, setBuf, score)
 		}
 		if e.maintainStar(node, score, n) {
-			e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.thresholdAdmit(c2, s2) })
+			e.starEdgeScan(setBuf, score, func(c2 vset.Set, s2 float64) { e.thresholdAdmit(c2, s2) })
 		}
 	}
 	// Base case (Algorithm 3, lines 6–7): every edge of the graph may now be a
@@ -115,14 +115,17 @@ func (e *Engine) decreaseThreshold(newTh *density.Thresholds) {
 		e.thresholdAdmit(pair, w)
 	})
 	// Explore around every previously indexed dense subgraph (Algorithm 3,
-	// lines 8–9). Newly admitted subgraphs are explored recursively as part of
-	// thresholdAdmit, mirroring UpdateExplore's stop-at-stable-dense rule.
+	// lines 8–9), except those that were too-dense under the old schedule:
+	// their dense supergraphs were already represented. Newly admitted
+	// subgraphs are explored recursively as part of thresholdAdmit, mirroring
+	// UpdateExplore's stop-at-stable-dense rule.
 	for i, node := range existing {
-		if !node.Dense() {
-			continue
+		if node.Dense() && !wasTooDense[i] {
+			setBuf = node.SetInto(setBuf)
+			e.updateExplore(setBuf, node.Score())
 		}
-		e.updateExplore(node.Set(), node.Score(), wasTooDense[i])
 	}
+	e.putSetBuf(setBuf)
 }
 
 // thresholdAdmit inserts a subgraph discovered to be dense during a threshold
@@ -137,18 +140,16 @@ func (e *Engine) thresholdAdmit(c vset.Set, score float64) {
 	if e.maintainStar(node, score, n) {
 		e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.thresholdAdmit(c2, s2) })
 	}
-	e.updateExplore(c, score, false)
+	e.updateExplore(c, score)
 }
 
 // updateExplore is Algorithm 4 (UpdateExplore): augment a dense subgraph with
 // one vertex, recursing on newly-dense results. Unlike the per-update
 // exploration there is no ceil(δ/δ_it) iteration bound — recursion stops when
 // only stable-dense (already indexed) supergraphs remain or Nmax is reached.
-// wasTooDense reports whether the subgraph was too-dense under the schedule
-// in force before the threshold change; such subgraphs need not be explored.
-func (e *Engine) updateExplore(c vset.Set, score float64, wasTooDense bool) {
+func (e *Engine) updateExplore(c vset.Set, score float64) {
 	n := c.Len()
-	if wasTooDense || n >= e.th.Nmax {
+	if n >= e.th.Nmax {
 		return
 	}
 	if e.th.IsTooDense(score, n) && e.cfg.DisableImplicitTooDense {

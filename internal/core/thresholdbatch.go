@@ -64,9 +64,9 @@ func (e *Engine) ProcessThresholdBatchRouted(scale float64, updates []Update, se
 
 	e.stageBatchDeltas(updates)
 	e.beginEmit()
-	hasDeltas := len(e.batchKeys) > 0
+	hasDeltas := len(e.batchNet) > 0
 	if hasDeltas {
-		e.prepareBatchKeys()
+		e.prepareBatchDirty()
 	}
 
 	e.batching = true

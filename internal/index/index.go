@@ -10,6 +10,19 @@
 // hanging off u's inverted list; because a subgraph's path visits u exactly
 // once, each dense subgraph is reported exactly once.
 //
+// A node keeps its children the way the graph index keeps a neighbourhood
+// (graph.adjacency): two parallel vectors, labels in strictly increasing
+// order and the child nodes beside them, searched with vset.Search and
+// edited in place (nodeVec). A leaf owns neither vector and only the root is
+// ever wide; the heads of the inverted lists are one more such vector. No
+// state of the index is a Go map, which gives three properties the engine
+// relies on: a step down the tree is a search of a few vertices; '*' — larger
+// than every real vertex — is by construction the LAST child, so the
+// ImplicitTooDense family of a node is read in O(1); and every traversal
+// visits children in label order, so AppendDense yields the indexed sets in
+// lexicographic order and every walk is a deterministic function of the
+// index's history (an inverted list is visited newest node first).
+//
 // The index also supports the ImplicitTooDense optimisation (Section 3.2.3):
 // a fictitious vertex '*' (lexicographically larger than every real vertex)
 // whose node under a too-dense subgraph C stands for every supergraph C∪{y}
@@ -36,9 +49,9 @@ const Star Vertex = math.MaxInt32
 // bookkeeping) only when Dense() is true. Nodes are owned by the Index and
 // must not be retained across Evict calls.
 type Node struct {
-	label    Vertex
-	parent   *Node
-	children map[Vertex]*Node
+	label  Vertex
+	parent *Node
+	kids   nodeVec // children by label; empty (and unallocated) for a leaf
 
 	dense bool
 	star  bool // this node is a '*' child: it represents parent.Set() ∪ {y} for disconnected y
@@ -75,6 +88,66 @@ func (n *Node) Card() int { return n.depth }
 // Parent returns the parent node (nil for the root).
 func (n *Node) Parent() *Node { return n.parent }
 
+// nodeVec is a set of nodes keyed by label, stored as two parallel vectors in
+// strictly increasing label order — the shape of graph.adjacency, searched
+// with the same vset.Search. A node's children are one; so are the heads of
+// the inverted lists.
+type nodeVec struct {
+	labels []Vertex
+	nodes  []*Node
+}
+
+// find returns the position of label v and whether it is present; an absent
+// label reports its insertion point.
+func (l *nodeVec) find(v Vertex) (int, bool) {
+	i := vset.Search(l.labels, v)
+	return i, i < len(l.labels) && l.labels[i] == v
+}
+
+// get returns the node labelled v, or nil.
+func (l *nodeVec) get(v Vertex) *Node {
+	if i, ok := l.find(v); ok {
+		return l.nodes[i]
+	}
+	return nil
+}
+
+// star returns the node labelled Star, or nil. Star compares above every
+// real vertex, so it can only be the last entry: an O(1) peek.
+func (l *nodeVec) star() *Node {
+	if k := len(l.labels); k > 0 && l.labels[k-1] == Star {
+		return l.nodes[k-1]
+	}
+	return nil
+}
+
+func (l *nodeVec) insert(i int, v Vertex, n *Node) {
+	l.labels = slices.Insert(l.labels, i, v)
+	l.nodes = slices.Insert(l.nodes, i, n)
+}
+
+func (l *nodeVec) remove(i int) {
+	l.labels = slices.Delete(l.labels, i, i+1)
+	l.nodes = slices.Delete(l.nodes, i, i+1)
+}
+
+// validate checks the vector invariants: equal lengths, strictly increasing
+// labels (which puts Star, if present, last), each node under its own label.
+func (l *nodeVec) validate() string {
+	if len(l.labels) != len(l.nodes) {
+		return "label and node vectors differ in length"
+	}
+	for i, n := range l.nodes {
+		if n.label != l.labels[i] {
+			return "node label mismatch"
+		}
+		if i > 0 && l.labels[i-1] >= l.labels[i] {
+			return "labels not strictly increasing"
+		}
+	}
+	return ""
+}
+
 // Set reconstructs the represented vertex set by walking parent pointers.
 // For star nodes the Star vertex is omitted: the result is the base set.
 func (n *Node) Set() vset.Set { return n.SetInto(nil) }
@@ -108,7 +181,7 @@ func (n *Node) SetInto(buf []vset.Vertex) vset.Set {
 // It is not safe for concurrent use.
 type Index struct {
 	root  *Node
-	inv   map[Vertex]*Node // heads of per-vertex inverted lists
+	inv   nodeVec // heads of the per-vertex inverted lists
 	epoch uint64
 
 	denseCount int
@@ -126,10 +199,7 @@ type Index struct {
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{
-		root: &Node{children: make(map[Vertex]*Node)},
-		inv:  make(map[Vertex]*Node),
-	}
+	return &Index{root: &Node{}}
 }
 
 // SetMembershipListener installs fn as the label-presence observer (see the
@@ -143,11 +213,11 @@ func (ix *Index) SetMembershipListener(fn func(v Vertex, present bool)) {
 
 // HasVertex reports whether at least one prefix-tree node is labelled v —
 // equivalently, whether v belongs to at least one indexed (dense or star)
-// subgraph or a prefix path leading to one. It is the O(1) interest oracle
+// subgraph or a prefix path leading to one. It is the interest oracle
 // behind scoped delivery: an update endpoint absent from the index (and from
 // every star family) provably cannot affect any indexed subgraph.
 func (ix *Index) HasVertex(v Vertex) bool {
-	_, ok := ix.inv[v]
+	_, ok := ix.inv.find(v)
 	return ok
 }
 
@@ -155,12 +225,7 @@ func (ix *Index) HasVertex(v Vertex) bool {
 // prefix-tree node (including Star when any ImplicitTooDense family exists).
 // It is intended for interest-map seeding and invariant checks, not hot paths.
 func (ix *Index) Vertices() []Vertex {
-	out := make([]Vertex, 0, len(ix.inv))
-	for v := range ix.inv {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(ix.inv.labels)
 }
 
 // Len returns the number of explicitly indexed dense subgraphs.
@@ -197,7 +262,7 @@ func (ix *Index) Annotation(n *Node) (int, bool) {
 func (ix *Index) Lookup(c vset.Set) *Node {
 	cur := ix.root
 	for _, v := range c {
-		cur = cur.children[v]
+		cur = cur.kids.get(v)
 		if cur == nil {
 			return nil
 		}
@@ -224,7 +289,7 @@ func (ix *Index) HasDense(c vset.Set) bool { return ix.LookupDense(c) != nil }
 func (ix *Index) ensure(c vset.Set) *Node {
 	cur := ix.root
 	for _, v := range c {
-		next := cur.children[v]
+		next := cur.kids.get(v)
 		if next == nil {
 			next = ix.newChild(cur, v)
 		}
@@ -234,23 +299,20 @@ func (ix *Index) ensure(c vset.Set) *Node {
 }
 
 func (ix *Index) newChild(parent *Node, label Vertex) *Node {
-	n := &Node{
-		label:    label,
-		parent:   parent,
-		children: make(map[Vertex]*Node),
-		depth:    parent.depth + 1,
-	}
-	parent.children[label] = n
+	n := &Node{label: label, parent: parent, depth: parent.depth + 1}
+	i, _ := parent.kids.find(label)
+	parent.kids.insert(i, label, n)
 	ix.nodeCount++
 	// Link at the head of label's inverted list.
-	head := ix.inv[label]
-	n.invNext = head
-	if head != nil {
-		head.invPrev = n
-	}
-	ix.inv[label] = n
-	if head == nil && ix.membership != nil {
-		ix.membership(label, true)
+	if j, ok := ix.inv.find(label); ok {
+		head := ix.inv.nodes[j]
+		n.invNext, head.invPrev = head, n
+		ix.inv.nodes[j] = n
+	} else {
+		ix.inv.insert(j, label, n)
+		if ix.membership != nil {
+			ix.membership(label, true)
+		}
 	}
 	return n
 }
@@ -258,14 +320,14 @@ func (ix *Index) newChild(parent *Node, label Vertex) *Node {
 func (ix *Index) unlink(n *Node) {
 	if n.invPrev != nil {
 		n.invPrev.invNext = n.invNext
-	} else if ix.inv[n.label] == n {
+	} else if j, ok := ix.inv.find(n.label); ok && ix.inv.nodes[j] == n {
 		if n.invNext == nil {
-			delete(ix.inv, n.label)
+			ix.inv.remove(j)
 			if ix.membership != nil {
 				ix.membership(n.label, false)
 			}
 		} else {
-			ix.inv[n.label] = n.invNext
+			ix.inv.nodes[j] = n.invNext
 		}
 	}
 	if n.invNext != nil {
@@ -305,8 +367,8 @@ func (ix *Index) EvictDense(n *Node) {
 	if n == nil || !n.dense {
 		return
 	}
-	if starChild := n.children[Star]; starChild != nil {
-		ix.removeStarNode(starChild)
+	if star := n.kids.star(); star != nil {
+		ix.removeStarNode(star)
 	}
 	n.dense = false
 	ix.denseCount--
@@ -314,9 +376,10 @@ func (ix *Index) EvictDense(n *Node) {
 }
 
 func (ix *Index) prune(n *Node) {
-	for n != nil && n != ix.root && !n.dense && !n.star && len(n.children) == 0 {
+	for n != nil && n != ix.root && !n.dense && !n.star && len(n.kids.nodes) == 0 {
 		parent := n.parent
-		delete(parent.children, n.label)
+		i, _ := parent.kids.find(n.label)
+		parent.kids.remove(i)
 		ix.unlink(n)
 		ix.nodeCount--
 		n.parent = nil
@@ -331,7 +394,7 @@ func (ix *Index) InsertStar(base *Node) *Node {
 	if base == nil || !base.dense {
 		return nil
 	}
-	if existing := base.children[Star]; existing != nil {
+	if existing := base.kids.star(); existing != nil {
 		existing.score = base.score
 		return existing
 	}
@@ -347,8 +410,8 @@ func (ix *Index) RemoveStar(base *Node) {
 	if base == nil {
 		return
 	}
-	if starChild := base.children[Star]; starChild != nil {
-		ix.removeStarNode(starChild)
+	if star := base.kids.star(); star != nil {
+		ix.removeStarNode(star)
 	}
 }
 
@@ -360,7 +423,7 @@ func (ix *Index) removeStarNode(n *Node) {
 
 // HasStar reports whether base has an ImplicitTooDense family.
 func (ix *Index) HasStar(base *Node) bool {
-	return base != nil && base.children[Star] != nil
+	return base != nil && base.kids.star() != nil
 }
 
 // StarOf returns the star node of base, or nil.
@@ -368,62 +431,28 @@ func (ix *Index) StarOf(base *Node) *Node {
 	if base == nil {
 		return nil
 	}
-	return base.children[Star]
-}
-
-// ForEachDense calls fn for every explicitly indexed dense subgraph. If fn
-// returns false, iteration stops. The index must not be mutated during the
-// call; use DenseNodes for a mutation-safe snapshot.
-func (ix *Index) ForEachDense(fn func(n *Node) bool) {
-	ix.walk(ix.root, func(n *Node) bool {
-		if n.dense {
-			return fn(n)
-		}
-		return true
-	})
-}
-
-func (ix *Index) walk(n *Node, fn func(*Node) bool) bool {
-	for _, child := range n.children {
-		if child.star {
-			continue
-		}
-		if !fn(child) {
-			return false
-		}
-		if !ix.walk(child, fn) {
-			return false
-		}
-	}
-	return true
+	return base.kids.star()
 }
 
 // AppendDense appends a snapshot of every explicitly indexed dense node to
 // dst (reusing its capacity) and returns the extended slice, each node exactly
-// once. It is the whole-index counterpart of AppendDenseContaining — the
-// snapshot a batched update takes once instead of once per touched vertex —
-// and, like it, performs no allocations beyond dst growth.
+// once, in lexicographic order of the vertex sets. It is the one whole-index
+// traversal — the snapshot a batched update or a threshold walk takes once
+// instead of once per touched vertex — and, like AppendDenseContaining,
+// performs no allocations beyond dst growth; the snapshot stays safe to walk
+// while the index is mutated (check Dense() on each node).
 func (ix *Index) AppendDense(dst []*Node) []*Node {
 	return appendDenseSubtree(dst, ix.root, Star)
-}
-
-// DenseNodes returns a snapshot slice of all explicitly indexed dense nodes.
-func (ix *Index) DenseNodes() []*Node {
-	out := make([]*Node, 0, ix.denseCount)
-	ix.ForEachDense(func(n *Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
 }
 
 // appendDenseSubtree appends every dense node strictly below n to dst,
 // skipping star children and any subtree rooted at a child labelled cut.
 // Passing Star as cut disables the extra cut (star children are skipped
-// regardless). It is a plain method recursion — no closures — so snapshot
+// regardless). Children are visited in label order, so the subtree comes out
+// in lexicographic order. It is a plain recursion — no closures — so snapshot
 // collection into a reused buffer performs no allocations beyond dst growth.
 func appendDenseSubtree(dst []*Node, n *Node, cut Vertex) []*Node {
-	for _, child := range n.children {
+	for _, child := range n.kids.nodes {
 		if child.star || child.label == cut {
 			continue
 		}
@@ -439,23 +468,26 @@ func appendDenseSubtree(dst []*Node, n *Node, cut Vertex) []*Node {
 // subgraph that contains vertex u to dst (reusing its capacity) and returns
 // the extended slice, each node exactly once. It traverses the subtrees
 // rooted at the nodes on u's inverted list; since a set containing u has
-// exactly one ancestor-or-self node labelled u, no set is visited twice.
+// exactly one ancestor-or-self node labelled u, no set is visited twice. The
+// list is visited newest node first and each subtree lexicographically, so
+// the order is a function of the index's history alone.
 func (ix *Index) AppendDenseContaining(dst []*Node, u Vertex) []*Node {
-	for head := ix.inv[u]; head != nil; head = head.invNext {
+	return ix.appendDenseUnder(dst, u, Star)
+}
+
+// appendDenseUnder appends the dense nodes at and below every node on u's
+// inverted list, descent cut at children labelled cut (see appendDenseSubtree).
+func (ix *Index) appendDenseUnder(dst []*Node, u, cut Vertex) []*Node {
+	for head := ix.inv.get(u); head != nil; head = head.invNext {
 		if head.star {
 			continue
 		}
 		if head.dense {
 			dst = append(dst, head)
 		}
-		dst = appendDenseSubtree(dst, head, Star)
+		dst = appendDenseSubtree(dst, head, cut)
 	}
 	return dst
-}
-
-// DenseContaining is AppendDenseContaining into a fresh slice.
-func (ix *Index) DenseContaining(u Vertex) []*Node {
-	return ix.AppendDenseContaining(nil, u)
 }
 
 // AppendDenseContainingEither appends a snapshot of every explicitly indexed
@@ -463,9 +495,10 @@ func (ix *Index) DenseContaining(u Vertex) []*Node {
 // returns the extended slice. This is the iteration Algorithm 1 performs for
 // a positive edge-weight update; the traversal order follows Section 3.2.2:
 // first the subtrees on b's inverted list, then the subtrees on a's list with
-// descent cut at nodes labelled b (assuming a < b), so no subgraph is
-// examined twice. The engine reuses one dst across updates, making the
-// snapshot allocation-free in steady state.
+// descent cut at nodes labelled b (assuming a < b) — those subgraphs contain
+// b and were already collected — so no subgraph is examined twice. The engine
+// reuses one dst across updates, making the snapshot allocation-free in
+// steady state.
 func (ix *Index) AppendDenseContainingEither(dst []*Node, a, b Vertex) []*Node {
 	if a == b {
 		return ix.AppendDenseContaining(dst, a)
@@ -473,48 +506,18 @@ func (ix *Index) AppendDenseContainingEither(dst []*Node, a, b Vertex) []*Node {
 	if a > b {
 		a, b = b, a
 	}
-	for head := ix.inv[b]; head != nil; head = head.invNext {
-		if head.star {
-			continue
-		}
-		if head.dense {
-			dst = append(dst, head)
-		}
-		dst = appendDenseSubtree(dst, head, Star)
-	}
-	// Subtrees under a's inverted list, cut whenever a node labelled b is
-	// reached (those subgraphs contain b and were already collected above).
-	for head := ix.inv[a]; head != nil; head = head.invNext {
-		if head.star {
-			continue
-		}
-		if head.dense {
-			dst = append(dst, head)
-		}
-		dst = appendDenseSubtree(dst, head, b)
-	}
-	return dst
-}
-
-// DenseContainingEither is AppendDenseContainingEither into a fresh slice.
-func (ix *Index) DenseContainingEither(a, b Vertex) []*Node {
-	return ix.AppendDenseContainingEither(nil, a, b)
+	return ix.appendDenseUnder(ix.appendDenseUnder(dst, b, Star), a, b)
 }
 
 // AppendStarNodes appends a snapshot of all ImplicitTooDense star nodes to
 // dst and returns the extended slice.
 func (ix *Index) AppendStarNodes(dst []*Node) []*Node {
-	for head := ix.inv[Star]; head != nil; head = head.invNext {
+	for head := ix.inv.star(); head != nil; head = head.invNext {
 		if head.star {
 			dst = append(dst, head)
 		}
 	}
 	return dst
-}
-
-// StarNodes is AppendStarNodes into a fresh slice.
-func (ix *Index) StarNodes() []*Node {
-	return ix.AppendStarNodes(nil)
 }
 
 // Validate checks internal invariants (counts, linkage, depth bookkeeping).
@@ -524,10 +527,13 @@ func (ix *Index) Validate() string {
 	dense, stars, nodes := 0, 0, 0
 	var walk func(n *Node, depth int) string
 	walk = func(n *Node, depth int) string {
-		for label, child := range n.children {
+		if msg := n.kids.validate(); msg != "" {
+			return "children: " + msg
+		}
+		for _, child := range n.kids.nodes {
 			nodes++
-			if child.label != label {
-				return "child label mismatch"
+			if child.star != (child.label == Star) {
+				return "star flag and Star label disagree"
 			}
 			if child.parent != n {
 				return "parent pointer mismatch"
@@ -540,11 +546,11 @@ func (ix *Index) Validate() string {
 			}
 			if child.star {
 				stars++
-				if len(child.children) != 0 {
+				if len(child.kids.nodes) != 0 {
 					return "star node has children"
 				}
 			}
-			if !child.dense && !child.star && len(child.children) == 0 {
+			if !child.dense && !child.star && len(child.kids.nodes) == 0 {
 				return "dangling childless node " + child.Set().String()
 			}
 			if msg := walk(child, depth+1); msg != "" {
@@ -566,11 +572,17 @@ func (ix *Index) Validate() string {
 		return "node count mismatch"
 	}
 	// Inverted lists must contain exactly the nodes with each label.
+	if msg := ix.inv.validate(); msg != "" {
+		return "inverted list heads: " + msg
+	}
 	listed := 0
-	for label, head := range ix.inv {
+	for _, head := range ix.inv.nodes {
+		if head.invPrev != nil {
+			return "inverted list head has a predecessor"
+		}
 		for n := head; n != nil; n = n.invNext {
 			listed++
-			if n.label != label {
+			if n.label != head.label {
 				return "inverted list label mismatch"
 			}
 			if n.invNext != nil && n.invNext.invPrev != n {

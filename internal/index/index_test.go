@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestDenseContaining(t *testing.T) {
 	} {
 		ix.InsertDense(c, 1)
 	}
-	got := keys(ix.DenseContaining(3))
+	got := keys(ix.AppendDenseContaining(nil, 3))
 	want := []string{"1,3", "1,3,4", "1,3,5", "3,4,5"}
 	if len(got) != len(want) {
 		t.Fatalf("DenseContaining(3) = %v, want %v", got, want)
@@ -120,10 +121,10 @@ func TestDenseContaining(t *testing.T) {
 			t.Fatalf("DenseContaining(3) = %v, want %v", got, want)
 		}
 	}
-	if got := keys(ix.DenseContaining(5)); len(got) != 3 {
+	if got := keys(ix.AppendDenseContaining(nil, 5)); len(got) != 3 {
 		t.Fatalf("DenseContaining(5) = %v", got)
 	}
-	if got := ix.DenseContaining(99); len(got) != 0 {
+	if got := ix.AppendDenseContaining(nil, 99); len(got) != 0 {
 		t.Fatalf("DenseContaining(99) = %v", got)
 	}
 }
@@ -137,7 +138,7 @@ func TestDenseContainingEitherNoDuplicates(t *testing.T) {
 	for _, c := range sets {
 		ix.InsertDense(c, 1)
 	}
-	got := keys(ix.DenseContainingEither(3, 4))
+	got := keys(ix.AppendDenseContainingEither(nil, 3, 4))
 	// Every inserted set containing 3 or 4, exactly once.
 	want := []string{"1,3", "1,3,4", "1,3,5", "1,4", "2,3", "3,4,5", "4,5"}
 	if len(got) != len(want) {
@@ -149,7 +150,7 @@ func TestDenseContainingEitherNoDuplicates(t *testing.T) {
 		}
 	}
 	// Symmetric in argument order.
-	if len(ix.DenseContainingEither(4, 3)) != len(want) {
+	if len(ix.AppendDenseContainingEither(nil, 4, 3)) != len(want) {
 		t.Fatal("DenseContainingEither not symmetric")
 	}
 }
@@ -170,7 +171,7 @@ func TestStarNodes(t *testing.T) {
 	if ix.StarCount() != 1 {
 		t.Fatalf("StarCount = %d", ix.StarCount())
 	}
-	if got := len(ix.StarNodes()); got != 1 {
+	if got := len(ix.AppendStarNodes(nil)); got != 1 {
 		t.Fatalf("StarNodes len = %d", got)
 	}
 	// Idempotent.
@@ -181,7 +182,7 @@ func TestStarNodes(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", ix.Len())
 	}
-	for _, n := range ix.DenseContaining(1) {
+	for _, n := range ix.AppendDenseContaining(nil, 1) {
 		if n.IsStar() {
 			t.Fatal("star node leaked into DenseContaining")
 		}
@@ -195,16 +196,172 @@ func TestStarNodes(t *testing.T) {
 	}
 }
 
+// Evicting a base whose ONLY child is its star must take the star with it
+// and then prune the whole path; a base that also has a real child loses the
+// star but stays as an interior node, the real child now its last.
 func TestEvictRemovesStarChild(t *testing.T) {
 	ix := New()
 	base := ix.InsertDense(vset.New(2, 6), 5)
 	ix.InsertStar(base)
 	ix.EvictDense(base)
-	if ix.StarCount() != 0 || ix.NodeCount() != 0 {
-		t.Fatalf("star/node count after evict = %d/%d", ix.StarCount(), ix.NodeCount())
+	if ix.StarCount() != 0 || ix.NodeCount() != 0 || ix.HasVertex(Star) || len(ix.Vertices()) != 0 {
+		t.Fatalf("after evict: stars=%d nodes=%d labels=%v", ix.StarCount(), ix.NodeCount(), ix.Vertices())
 	}
 	if msg := ix.Validate(); msg != "" {
 		t.Fatal(msg)
+	}
+
+	base = ix.InsertDense(vset.New(2, 6), 5)
+	child := ix.InsertDense(vset.New(2, 6, 9), 6)
+	star := ix.InsertStar(base)
+	if ix.StarOf(base) != star || ix.StarOf(child) != nil {
+		t.Fatal("StarOf must find the star behind a real child and nothing under a leaf")
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	ix.EvictDense(base)
+	if ix.StarCount() != 0 || ix.HasStar(base) || ix.Lookup(vset.New(2, 6)) != base || ix.LookupDense(vset.New(2, 6, 9)) != child {
+		t.Fatal("evicting a starred interior base must drop only the star")
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// The root is the one wide node of the tree: every indexed set hangs off the
+// child labelled with its smallest vertex. Insert and prune well over a
+// thousand root children in unrelated orders.
+func TestWideRootInsertAndPrune(t *testing.T) {
+	const n = 1500
+	rng := rand.New(rand.NewSource(7))
+	ix := New()
+	for _, i := range rng.Perm(n) {
+		ix.InsertDense(vset.New(Vertex(i), Vertex(i+n)), float64(i))
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	all := ix.AppendDense(nil)
+	if len(all) != n || ix.NodeCount() != 2*n {
+		t.Fatalf("%d dense nodes, %d tree nodes, want %d and %d", len(all), ix.NodeCount(), n, 2*n)
+	}
+	for i, node := range all {
+		if !node.Set().Equal(vset.New(Vertex(i), Vertex(i+n))) || node.Score() != float64(i) {
+			t.Fatalf("AppendDense[%d] = %v (score %v): not in lexicographic order", i, node.Set(), node.Score())
+		}
+	}
+	for k, i := range rng.Perm(n) {
+		ix.EvictDense(ix.LookupDense(vset.New(Vertex(i), Vertex(i+n))))
+		if ix.HasVertex(Vertex(i)) || ix.HasVertex(Vertex(i+n)) || ix.NodeCount() != 2*(n-k-1) {
+			t.Fatalf("evicting {%d,%d} left its path behind (%d nodes)", i, i+n, ix.NodeCount())
+		}
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// lexLess orders vertex sets the way the prefix tree spells them.
+func lexLess(a, b vset.Set) bool { return slices.Compare(a, b) < 0 }
+
+// Traversal order is a property of the content, not of the history, wherever
+// it can be: AppendDense is lexicographic outright, and the inverted-list
+// walks — whose list order is the order of node creation — are lexicographic
+// within the subtree of each list node and return the same sets whatever the
+// insertion order was. Two indexes with the SAME history agree element by
+// element on every walk, which a map-based tree could not promise.
+func TestTraversalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sets []vset.Set
+	seen := map[string]bool{}
+	for len(sets) < 300 {
+		var c vset.Set
+		for n := 2 + rng.Intn(4); len(c) < n; {
+			c = c.Add(Vertex(rng.Intn(14)))
+		}
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			sets = append(sets, c)
+		}
+	}
+	build := func(order []int) *Index {
+		ix := New()
+		for _, i := range order {
+			node := ix.InsertDense(sets[i], float64(i))
+			if i%5 == 0 {
+				ix.InsertStar(node)
+			}
+		}
+		if msg := ix.Validate(); msg != "" {
+			t.Fatal(msg)
+		}
+		return ix
+	}
+	order := rng.Perm(len(sets))
+	a, twin, b := build(order), build(order), build(rng.Perm(len(sets)))
+
+	sorted := slices.Clone(sets)
+	slices.SortFunc(sorted, func(x, y vset.Set) int { return slices.Compare(x, y) })
+	for _, ix := range []*Index{a, b} {
+		got := ix.AppendDense(nil)
+		if len(got) != len(sorted) {
+			t.Fatalf("AppendDense returned %d nodes, want %d", len(got), len(sorted))
+		}
+		for i, node := range got {
+			if !node.Set().Equal(sorted[i]) {
+				t.Fatalf("AppendDense[%d] = %v, want %v", i, node.Set(), sorted[i])
+			}
+		}
+	}
+
+	// anchor is the prefix of c up to and including the first of vs it meets
+	// scanning from the back: the inverted-list node whose subtree holds c.
+	anchor := func(c vset.Set, vs ...Vertex) string {
+		for _, v := range vs {
+			if i, ok := slices.BinarySearch(c, v); ok {
+				return c[:i+1].Key()
+			}
+		}
+		t.Fatalf("%v contains none of %v", c, vs)
+		return ""
+	}
+	check := func(name string, walk func(ix *Index) []*Node, vs ...Vertex) {
+		ga, gt, gb := walk(a), walk(twin), walk(b)
+		if len(ga) != len(gt) || len(ga) != len(gb) {
+			t.Fatalf("%s: %d, %d and %d nodes from the same content", name, len(ga), len(gt), len(gb))
+		}
+		for i := range ga {
+			if !ga[i].Set().Equal(gt[i].Set()) {
+				t.Fatalf("%s: same history, different order at %d: %v vs %v", name, i, ga[i].Set(), gt[i].Set())
+			}
+		}
+		if ka, kb := keys(ga), keys(gb); !slices.Equal(ka, kb) {
+			t.Fatalf("%s: content differs with insertion order: %v vs %v", name, ka, kb)
+		}
+		for _, got := range [][]*Node{ga, gb} {
+			done := map[string]bool{}
+			for i, node := range got {
+				c := node.Set()
+				k := anchor(c, vs...)
+				if i > 0 && anchor(got[i-1].Set(), vs...) == k {
+					if !lexLess(got[i-1].Set(), c) {
+						t.Fatalf("%s: %v before %v inside one subtree", name, got[i-1].Set(), c)
+					}
+					continue
+				}
+				if done[k] {
+					t.Fatalf("%s: subtree of {%s} visited in two pieces", name, k)
+				}
+				done[k] = true
+			}
+		}
+	}
+	for u := Vertex(0); u < 14; u++ {
+		check("AppendDenseContaining", func(ix *Index) []*Node { return ix.AppendDenseContaining(nil, u) }, u)
+		v := (u + 1 + Vertex(rng.Intn(13))) % 14
+		lo, hi := min(u, v), max(u, v)
+		check("AppendDenseContainingEither", func(ix *Index) []*Node { return ix.AppendDenseContainingEither(nil, u, v) }, hi, lo)
 	}
 }
 
@@ -225,24 +382,6 @@ func TestAnnotations(t *testing.T) {
 	}
 }
 
-func TestForEachDenseEarlyStop(t *testing.T) {
-	ix := New()
-	for i := Vertex(0); i < 10; i++ {
-		ix.InsertDense(vset.New(i, i+1), 1)
-	}
-	count := 0
-	ix.ForEachDense(func(n *Node) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d nodes", count)
-	}
-	if got := len(ix.DenseNodes()); got != 10 {
-		t.Fatalf("DenseNodes len = %d", got)
-	}
-}
-
 // Property: a random sequence of inserts and evicts keeps the index
 // consistent with a map-based model and passes Validate.
 func TestRandomOperationsAgainstModel(t *testing.T) {
@@ -250,6 +389,7 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ix := New()
 		model := map[string]float64{}
+		stars := map[string]bool{}
 		for op := 0; op < 500; op++ {
 			// Random set of 2–5 vertices out of 12.
 			n := 2 + rng.Intn(4)
@@ -257,22 +397,49 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 			for len(c) < n {
 				c = c.Add(Vertex(rng.Intn(12)))
 			}
-			if rng.Float64() < 0.65 {
+			switch r := rng.Float64(); {
+			case r < 0.55:
 				score := rng.Float64() * 10
 				ix.InsertDense(c, score)
 				model[c.Key()] = score
-			} else if node := ix.LookupDense(c); node != nil {
-				ix.EvictDense(node)
-				delete(model, c.Key())
+			case r < 0.7:
+				// Star families come and go under dense bases; an evicted
+				// base takes its family along.
+				if node := ix.LookupDense(c); node != nil && rng.Intn(2) == 0 {
+					ix.InsertStar(node)
+					stars[c.Key()] = true
+				} else {
+					ix.RemoveStar(node)
+					delete(stars, c.Key())
+				}
+			default:
+				if node := ix.LookupDense(c); node != nil {
+					ix.EvictDense(node)
+					delete(model, c.Key())
+					delete(stars, c.Key())
+				}
+			}
+			// Validate checks, for every node and for the inverted-list
+			// heads: label and node vectors of equal length, labels strictly
+			// increasing, a star flag exactly on the Star label (so a '*'
+			// child can only be last).
+			if msg := ix.Validate(); msg != "" {
+				t.Fatalf("trial %d op %d: %s", trial, op, msg)
 			}
 		}
-		if ix.Len() != len(model) {
-			t.Fatalf("trial %d: Len=%d model=%d", trial, ix.Len(), len(model))
+		if ix.Len() != len(model) || ix.StarCount() != len(stars) {
+			t.Fatalf("trial %d: Len=%d model=%d, StarCount=%d model=%d", trial, ix.Len(), len(model), ix.StarCount(), len(stars))
 		}
-		if msg := ix.Validate(); msg != "" {
-			t.Fatalf("trial %d: %s", trial, msg)
+		for _, star := range ix.AppendStarNodes(nil) {
+			if base := star.Parent(); !stars[base.Set().Key()] || ix.StarOf(base) != star {
+				t.Fatalf("trial %d: unexpected or unreachable star under %v", trial, base.Set())
+			}
 		}
-		for _, node := range ix.DenseNodes() {
+		all := ix.AppendDense(nil)
+		for i, node := range all {
+			if i > 0 && !lexLess(all[i-1].Set(), node.Set()) {
+				t.Fatalf("trial %d: AppendDense not lexicographic: %v before %v", trial, all[i-1].Set(), node.Set())
+			}
 			want, ok := model[node.Set().Key()]
 			if !ok {
 				t.Fatalf("trial %d: unexpected dense %v", trial, node.Set())
@@ -283,7 +450,7 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 		}
 		// Containment queries agree with the model.
 		for u := Vertex(0); u < 12; u++ {
-			got := keys(ix.DenseContaining(u))
+			got := keys(ix.AppendDenseContaining(nil, u))
 			var want []string
 			for k := range model {
 				if vsetFromKeyContains(k, u) {

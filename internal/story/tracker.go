@@ -123,6 +123,11 @@ type Tracker struct {
 	stories map[ID]*storyState
 	byKey   map[string]ID // live subgraph key → owning story
 
+	// nextExpiry is a lower bound on the expiry sequence of every fading
+	// story (0 = not known yet): no story can die before it, so an update
+	// below it with no events changes nothing but the sequence.
+	nextExpiry uint64
+
 	records  []Record
 	onRecord func(Record)
 
@@ -210,6 +215,10 @@ func (t *Tracker) resolve(s uint64) {
 	if s <= t.seq {
 		panic(fmt.Sprintf("story: update sequence went backwards: %d after %d", s, t.seq))
 	}
+	if len(t.buf) == 0 && s < t.nextExpiry {
+		t.seq, t.pendingSeq = s, 0 // the steady state of a stream: O(1), no allocation
+		return
+	}
 	t.expireThrough(s)
 
 	events := t.buf
@@ -252,10 +261,19 @@ func (t *Tracker) resolve(s uint64) {
 // the logical expiry sequence, so the outcome does not depend on when the
 // expiry is noticed (the sharded mode notices lazily).
 func (t *Tracker) expireThrough(s uint64) {
+	if s < t.nextExpiry {
+		return
+	}
 	var dead []*storyState
+	t.nextExpiry = ^uint64(0)
 	for _, st := range t.stories {
-		if st.fadeSeq != 0 && st.expirySeq(t.cfg.Grace) <= s {
+		if st.fadeSeq == 0 {
+			continue
+		}
+		if x := st.expirySeq(t.cfg.Grace); x <= s {
 			dead = append(dead, st)
+		} else {
+			t.nextExpiry = min(t.nextExpiry, x)
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool {
@@ -296,6 +314,7 @@ func (t *Tracker) ceased(s uint64, set vset.Set) {
 		st.fadeSeq = s
 		st.snapSeq = s
 		st.snapshot = st.entities
+		t.nextExpiry = min(t.nextExpiry, st.expirySeq(t.cfg.Grace))
 	} else {
 		st.entities = unionOf(st.live)
 	}

@@ -129,6 +129,65 @@ func TestTrackerDiesAfterGrace(t *testing.T) {
 	}
 }
 
+// TestTrackerEventFreeUpdateZeroAlloc pins the steady state of a stream: an
+// update with no events, during which no fading story can expire, only moves
+// the sequence — no table scan, no sort, no allocation — with live, fading,
+// revived and merged-away stories in the table (a revival or a merge leaves
+// the tracker's expiry bound lower than it need be, which must stay safe).
+// The expiries that fall inside the quiet stretches still happen on their
+// logical sequence, also after a restore, which starts without the bound.
+func TestTrackerEventFreeUpdateZeroAlloc(t *testing.T) {
+	history := func(tr *Tracker) {
+		turn(tr, became(1, 2, 3), became(11, 12, 13), became(21, 22, 23), became(31, 32, 33)) // seq 1
+		turn(tr, ceased(11, 12, 13))                                                          // seq 2: fades, due at 43
+		turn(tr, ceased(21, 22, 23))                                                          // seq 3: fades, due at 44 ...
+		turn(tr, became(21, 22, 23))                                                          // seq 4: ... revived
+		turn(tr, ceased(31, 32, 33))                                                          // seq 5: fades, due at 46 ...
+		turn(tr, became(1, 2, 3, 31, 32, 33))                                                 // seq 6: ... merged into story 1
+		turn(tr, ceased(21, 22, 23))                                                          // seq 7: fades again, due at 48
+	}
+	tr := MustTracker(Config{Grace: 40})
+	history(tr)
+	quiet := func(tr *Tracker, through uint64) {
+		t.Helper()
+		n := int(through - tr.Seq())
+		if allocs := testing.AllocsPerRun(n-1, tr.EndUpdate); allocs != 0 { // warm-up call + n−1 runs
+			t.Fatalf("event-free update before seq %d allocates %v times", through, allocs)
+		}
+		if tr.Seq() != through {
+			t.Fatalf("Seq = %d after the quiet stretch, want %d", tr.Seq(), through)
+		}
+	}
+	quiet(tr, 42)
+	before := len(tr.Records())
+	turn(tr) // seq 43: story 2 dies
+	quiet(tr, 47)
+	turn(tr) // seq 48: story 3 dies
+	quiet(tr, 100)
+	recs := tr.Records()[before:]
+	if len(recs) != 2 || recs[0].Kind != Died || recs[0].Seq != 43 || recs[0].Story != 2 ||
+		recs[1].Kind != Died || recs[1].Seq != 48 || recs[1].Story != 3 {
+		t.Fatalf("expiries inside the quiet stretches = %v", recs)
+	}
+
+	ref := MustTracker(Config{Grace: 40})
+	history(ref)
+	st, err := ref.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewTrackerFromState(Config{Grace: 40}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for restored.Seq() < 100 {
+		turn(restored)
+	}
+	if !reflect.DeepEqual(restored.Records(), tr.Records()) {
+		t.Fatalf("restored tracker records %v != uninterrupted %v", restored.Records(), tr.Records())
+	}
+}
+
 // TestTrackerRevivalAtGraceBoundary pins the window edges: a became at
 // fade+Grace revives, one update later the story is already dead.
 func TestTrackerRevivalAtGraceBoundary(t *testing.T) {
