@@ -305,12 +305,13 @@ func TestEmitCloneElision(t *testing.T) {
 // TestStarScanSteadyStateZeroAlloc pins the discovery paths that take a
 // deficit: a too-dense triple whose family is probed by every positive
 // update. Nudging an edge inside the triple runs the bounded exploration
-// around it (light neighbours, none reaching the deficit) and the family's
-// heavy-edge scan (one far edge heavy enough, its union already indexed);
-// nudging a far light edge runs the both-outside check, which the prefilter
-// settles. None of it may allocate once the heavy-edge index has been built
-// by the first scan — including the index's own upkeep and sweeps, which the
-// measured updates drive.
+// around it (light neighbours, none reaching the deficit — after the first
+// scan the triple's reach certificate says so, and the exploration is settled
+// without one) and the family's heavy-edge scan (one far edge heavy enough,
+// its union already indexed); nudging a far light edge runs the both-outside
+// check, which the prefilter settles. None of it may allocate once the
+// heavy-edge index has been built by the first scan — including the index's
+// own upkeep and sweeps, which the measured updates drive.
 func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
@@ -333,10 +334,60 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 	}
 	assertZeroAllocs(t, "star scan", cycle)
 	after := eng.Stats()
-	if after.Explorations == before.Explorations || after.CheapExplores == before.CheapExplores {
-		t.Fatalf("the cycle ran no exploration (%d) or no family check (%d)", after.Explorations-before.Explorations, after.CheapExplores-before.CheapExplores)
+	explored := (after.Explorations + after.ExploreCertified) - (before.Explorations + before.ExploreCertified)
+	if explored == 0 || after.CheapExplores == before.CheapExplores {
+		t.Fatalf("the cycle ran no exploration (%d) or no family check (%d)", explored, after.CheapExplores-before.CheapExplores)
 	}
 	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
 		t.Fatalf("the cycle is not steady: %+v → %+v", before, after)
+	}
+}
+
+// TestCertifiedExploreSteadyStateZeroAlloc pins the path a planted story
+// spends its life on: a 4-clique held well above T among light background
+// edges, every subset of it indexed, its internal weights nudged up and down.
+// Each nudge explores around every indexed subset containing the pair; after
+// the first cycle each of them holds a reach certificate below its deficit —
+// its heavy neighbours' children are indexed and the background is far too
+// light — so the measured cycles settle every exploration without a scan, and
+// allocate nothing.
+func TestCertifiedExploreSteadyStateZeroAlloc(t *testing.T) {
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+	eng.SetSink(&core.CountingSink{})
+	clique := []core.Vertex{0, 1, 2, 3}
+	for i := 0; i < 40; i++ { // background: into the clique and beside it
+		eng.Process(core.Update{A: clique[i%4], B: core.Vertex(100 + i), Delta: 0.05})
+		eng.Process(core.Update{A: core.Vertex(100 + i), B: core.Vertex(101 + i), Delta: 0.1})
+	}
+	for i, a := range clique {
+		for _, b := range clique[i+1:] {
+			eng.Process(core.Update{A: a, B: b, Delta: 4})
+		}
+	}
+	if !eng.Contains(vset.New(clique...)) || eng.DenseCount() != 11 {
+		t.Fatalf("setup: clique indexed %v, %d dense subgraphs (want its 11 subsets)", eng.Contains(vset.New(clique...)), eng.DenseCount())
+	}
+	cycle := func() {
+		for _, d := range []float64{1e-9, -1e-9} {
+			for i, a := range clique {
+				for _, b := range clique[i+1:] {
+					eng.Process(core.Update{A: a, B: b, Delta: d})
+				}
+			}
+		}
+	}
+	cycle() // the one scan per subset that derives its certificate
+	before := eng.Stats()
+	assertZeroAllocs(t, "certified explore", cycle)
+	after := eng.Stats()
+	if after.ExploreCertified == before.ExploreCertified || after.Explorations != before.Explorations {
+		t.Fatalf("the cycle settled %d explorations by certificate and scanned for %d, want some and none",
+			after.ExploreCertified-before.ExploreCertified, after.Explorations-before.Explorations)
+	}
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		t.Fatalf("the cycle is not steady: %+v → %+v", before, after)
+	}
+	if msg := eng.ValidateCertificates(); msg != "" {
+		t.Fatal(msg)
 	}
 }

@@ -154,15 +154,20 @@ func (e *Engine) stageBatchDeltas(updates []Update) {
 }
 
 // prepareBatchDirty derives the sorted distinct dirty-endpoint set batchRepair
-// and batchDeltaOf rely on.
+// and batchDeltaOf rely on, and its subset batchRaised.
 func (e *Engine) prepareBatchDirty() {
-	e.batchDirty = e.batchDirty[:0]
+	e.batchDirty, e.batchRaised = e.batchDirty[:0], e.batchRaised[:0]
 	for _, p := range e.batchNet {
 		a, b := unpackPair(p.key)
 		e.batchDirty = append(e.batchDirty, a, b)
+		if p.delta > 0 {
+			e.batchRaised = append(e.batchRaised, a, b)
+		}
 	}
 	slices.Sort(e.batchDirty)
 	e.batchDirty = slices.Compact(e.batchDirty)
+	slices.Sort(e.batchRaised)
+	e.batchRaised = slices.Compact(e.batchRaised)
 }
 
 // batchDeltaOf returns the summed net applied delta of the batch's pairs that
@@ -234,6 +239,15 @@ func (e *Engine) batchRepair() {
 		}
 		c := node.SetInto(setBuf)
 		setBuf = c
+		// Every delta is in the graph already: a pair the batch raised may have
+		// pushed a vertex's weight into c past node's reach certificate with no
+		// cheapExplore in between, so drop it before anything explores around c.
+		for _, v := range c {
+			if vset.Set(e.batchRaised).Contains(v) {
+				node.DropReach()
+				break
+			}
+		}
 		delta := e.batchDeltaOf(c)
 		if delta == 0 {
 			continue
@@ -255,8 +269,7 @@ func (e *Engine) batchRepair() {
 			e.ix.RemoveStar(node)
 		}
 		if !e.th.IsDense(newScore, n) {
-			e.ix.EvictDense(node)
-			e.stats.Evictions++
+			e.evict(node)
 		}
 	}
 	e.putSetBuf(setBuf)
@@ -313,9 +326,9 @@ func (e *Engine) batchDiscover() {
 				if e.maintainStar(node, score, c.Len()) {
 					e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
 				}
-				e.explore(c, score, 1)
+				e.explore(node, c, 1)
 			} else {
-				e.cheapExplore(c, node.Score(), hasA)
+				e.cheapExplore(node, c, hasA)
 			}
 		}
 		e.putSetBuf(setBuf)

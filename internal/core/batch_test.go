@@ -111,6 +111,9 @@ func TestProcessBatchClampOrdering(t *testing.T) {
 	if msg := bat.ValidateIndex(); msg != "" {
 		t.Fatalf("index invalid after clamped batch: %s", msg)
 	}
+	if msg := bat.ValidateCertificates(); msg != "" {
+		t.Fatalf("after clamped batch: %s", msg)
+	}
 }
 
 // TestProcessBatchCoalescingMatchesSequential drives everything the sorted
@@ -173,6 +176,9 @@ func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
 	}
 	if msg := bat.ValidateIndex(); msg != "" {
 		t.Fatalf("index invalid after the batch: %s", msg)
+	}
+	if msg := bat.ValidateCertificates(); msg != "" {
+		t.Fatalf("after the batch: %s", msg)
 	}
 	// Two pairs end with a positive net delta ({8,9} and {3,4}); the zero-net
 	// pair and the three negative ones must not run a discovery pass.
@@ -283,6 +289,9 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 						slices.Sort(expanded)
 						if !slices.Equal(expanded, oracle) {
 							t.Fatalf("seed %d after %d updates: %s expanded set %v != oracle %v", seed, pos, name, expanded, oracle)
+						}
+						if msg := eng.ValidateCertificates(); msg != "" {
+							t.Fatalf("seed %d after %d updates: %s: %s", seed, pos, name, msg)
 						}
 					}
 				}

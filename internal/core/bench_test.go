@@ -152,6 +152,74 @@ func BenchmarkProcessStarHeavy(b *testing.B) {
 	benchProcess(b, core.Config{T: 3, Nmax: 5, EnableMaxExplore: true}, updates[:warm], updates[warm:])
 }
 
+// BenchmarkProcessPlantedSteady measures the life of a planted story, the
+// regime of the docs workloads: ten five-vertex cliques held at 1.3·T, every
+// subset of them indexed, over 2000 background vertices that put light edges
+// into them and between each other. Each op moves one pair up and back down —
+// two in three a pair inside a clique, the rest a light edge from the
+// background into one — so the stream is stationary and nothing is admitted
+// or evicted. Around a clique every heavy neighbour's child is indexed and the
+// background is an order of magnitude below any deficit, so the explorations
+// of the positive half are settled by the subgraphs' reach certificates
+// instead of neighbourhood scans; certified/op reports how many.
+func BenchmarkProcessPlantedSteady(b *testing.B) {
+	const (
+		T          = 3.0
+		cliques    = 10
+		cliqueSize = 5
+		background = 2000
+	)
+	member := func(g, i int) core.Vertex { return core.Vertex(background + g*cliqueSize + i) }
+	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng.SetSink(&core.CountingSink{})
+	var setup []core.Update // weights in eighths and sixteenths cancel exactly
+	for x := 0; x < background; x++ {
+		setup = append(setup,
+			core.Update{A: core.Vertex(x), B: core.Vertex((7*x + 1) % background), Delta: 1.0 / 16},
+			core.Update{A: core.Vertex(x), B: member(x%cliques, x/cliques%cliqueSize), Delta: 1.0 / 16})
+	}
+	for g := 0; g < cliques; g++ {
+		for i := 0; i < cliqueSize; i++ {
+			for j := i + 1; j < cliqueSize; j++ {
+				setup = append(setup, core.Update{A: member(g, i), B: member(g, j), Delta: 31.0 / 8})
+			}
+		}
+	}
+	eng.ProcessAll(setup)
+	if want := cliques * 26; eng.DenseCount() != want || eng.ImplicitFamilyCount() != 0 {
+		b.Fatalf("fixture: %d dense subgraphs and %d families, want the %d subsets of the cliques and none", eng.DenseCount(), eng.ImplicitFamilyCount(), want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	op := func() {
+		g, i := rng.Intn(cliques), rng.Intn(cliqueSize)
+		u := core.Update{A: member(g, i), B: member(g, (i+1+rng.Intn(cliqueSize-1))%cliqueSize), Delta: 1.0 / 8}
+		if rng.Intn(3) == 0 {
+			u.B, u.Delta = core.Vertex(rng.Intn(background)), 1.0/16
+		}
+		eng.Process(u)
+		u.Delta = -u.Delta
+		eng.Process(u)
+	}
+	for i := 0; i < 1000; i++ {
+		op() // the scans that derive the certificates
+	}
+	before := eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+	b.StopTimer()
+	after := eng.Stats()
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions {
+		b.Fatalf("the ops are not steady: %+v → %+v", before, after)
+	}
+	if after.Explorations != before.Explorations {
+		b.Fatalf("%d explorations scanned a neighbourhood; the certificates should settle them all", after.Explorations-before.Explorations)
+	}
+	b.ReportMetric(float64(after.ExploreCertified-before.ExploreCertified)/float64(b.N), "certified/op")
+}
+
 // BenchmarkThresholdTick measures the decay epoch of the rescaled pipeline
 // (ProcessThresholdBatch) the way docs-decay meets it: an index of a few
 // hundred subgraphs — every subset of twelve planted five-vertex groups whose

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// plantedRun drives one engine through a random walk over its whole stateful
+// surface in the regime reach certificates are made for: three overlapping
+// planted cliques on 14 vertices whose internal pairs keep gaining weight
+// while the threshold keeps rising under them, light noise everywhere, and
+// the occasional heavy edge out of a clique or negative update that breaks a
+// certificate. Deltas are drawn relative to the threshold in force, so the
+// regime holds however far decay has inflated the normalised units.
+type plantedRun struct {
+	rng   *rand.Rand
+	e     *Engine
+	scale float64 // cumulative decay scale handed to ProcessThresholdBatch
+	// work done by engines this run has since replaced through a restore
+	certified, scanned uint64
+}
+
+var plantedCliques = [3][]Vertex{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8}, {8, 9, 10, 11, 12}}
+
+const plantedVertices = 14
+
+func (r *plantedRun) pick() Update {
+	t := r.e.Config().T
+	clique := plantedCliques[r.rng.Intn(len(plantedCliques))]
+	i, j := r.rng.Intn(len(clique)), r.rng.Intn(len(clique)-1)
+	if j >= i {
+		j++
+	}
+	inside := Update{A: clique[i], B: clique[j]}
+	switch k := r.rng.Intn(10); {
+	case k < 6: // inside a clique
+		inside.Delta = (0.2 + 0.5*r.rng.Float64()) * t
+		return inside
+	case k < 8: // light noise, anywhere
+		a, b := Vertex(r.rng.Intn(plantedVertices)), Vertex(r.rng.Intn(plantedVertices-1))
+		if b >= a {
+			b++
+		}
+		return Update{A: a, B: b, Delta: (0.01 + 0.08*r.rng.Float64()) * t}
+	case k < 9: // heavy, out of the clique
+		for {
+			if b := Vertex(r.rng.Intn(plantedVertices)); !slices.Contains(clique, b) {
+				return Update{A: clique[i], B: b, Delta: (0.4 + 0.8*r.rng.Float64()) * t}
+			}
+		}
+	default: // negative, inside a clique
+		inside.Delta = -(0.2 + 0.8*r.rng.Float64()) * t
+		return inside
+	}
+}
+
+// step applies one random unit and returns its description. Thresholds only
+// ever rise: a decrease is not complete at HEAD (see the skipped
+// TestThresholdDecreaseExistingStarsMissEdgeMembers), which would fail the
+// oracle arm for reasons of its own.
+func (r *plantedRun) step(t *testing.T) string {
+	switch k := r.rng.Intn(40); {
+	case k < 24:
+		u := r.pick()
+		r.e.Process(u)
+		return fmt.Sprintf("Process %v", u)
+	case k < 34:
+		batch := make([]Update, 1+r.rng.Intn(6))
+		for i := range batch {
+			batch[i] = r.pick()
+		}
+		r.e.ProcessBatch(batch)
+		return fmt.Sprintf("ProcessBatch %v", batch)
+	case k < 37:
+		r.scale *= 0.93
+		var retire []Update
+		for i := r.rng.Intn(3); i > 0; i-- {
+			u := r.pick()
+			u.Delta = -r.e.Graph().Weight(u.A, u.B)
+			retire = append(retire, u)
+		}
+		r.e.ProcessThresholdBatch(r.scale, retire)
+		return fmt.Sprintf("ProcessThresholdBatch %v %v", r.scale, retire)
+	case k < 38:
+		if _, err := r.e.SetThreshold(r.e.Config().T * 1.1); err != nil {
+			t.Fatal(err)
+		}
+		return "SetThreshold ×1.1"
+	default:
+		// Snapshot and restore into a fresh engine, built the way recovery
+		// builds it: from the real-unit threshold. It starts without
+		// certificates and must carry on exactly where the old one stopped.
+		cfg := r.e.Config()
+		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore})
+		if err := fresh.ImportState(r.e.Graph().ExportState(), r.e.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		r.certified += r.e.stats.ExploreCertified
+		r.scanned += r.e.stats.Explorations
+		r.e = fresh
+		return "restore"
+	}
+}
+
+// TestPlantedStatefulCertificates checks after every step of such walks that
+// the index is valid and that every reach certificate still bounds what the
+// graph holds, and — with MaxExplore off, where the engine is exact — that
+// skipping scans on the certificates' word loses nothing against
+// brute.EnumerateAll. A second arm runs the shipped default, MaxExplore on,
+// which gates explorations before the certificate is consulted; it is lossy
+// by itself (ROADMAP 1), so there only the certificates are checked.
+func TestPlantedStatefulCertificates(t *testing.T) {
+	const seeds, steps = 12, 300
+	for _, maxExplore := range []bool{false, true} {
+		var certified, scanned uint64
+		for seed := int64(1); seed <= seeds; seed++ {
+			r := &plantedRun{
+				rng:   rand.New(rand.NewSource(seed)),
+				e:     MustNew(Config{T: 1, Nmax: 4, EnableMaxExplore: maxExplore}),
+				scale: 1,
+			}
+			for i := 0; i < steps; i++ {
+				label := fmt.Sprintf("maxexplore %v seed %d step %d: %s", maxExplore, seed, i, r.step(t))
+				if maxExplore {
+					checkValid(t, r.e, label)
+				} else {
+					checkAgainstBrute(t, r.e, label)
+				}
+			}
+			certified += r.certified + r.e.stats.ExploreCertified
+			scanned += r.scanned + r.e.stats.Explorations
+		}
+		t.Logf("maxexplore %v: %d explorations settled by certificate, %d scanned", maxExplore, certified, scanned)
+		if certified == 0 {
+			t.Fatalf("maxexplore %v: no exploration was settled by a certificate; the walk does not exercise them", maxExplore)
+		}
+	}
+}
+
+// certifiedTriple returns an engine holding the triple {0,1,2} at pair weight
+// 1.5 (T=1, Nmax=4: dense, not too-dense) with nothing else in the graph, so
+// the scans that admitted it left every subset of it a certificate of reach 0.
+func certifiedTriple(t *testing.T, maxExplore bool) *Engine {
+	t.Helper()
+	e := MustNew(Config{T: 1, Nmax: 4, EnableMaxExplore: maxExplore})
+	for _, u := range []Update{{A: 0, B: 1, Delta: 1.5}, {A: 0, B: 2, Delta: 1.5}, {A: 1, B: 2, Delta: 1.5}} {
+		e.Process(u)
+	}
+	if n := e.ix.LookupDense([]Vertex{0, 1, 2}); n == nil || n.Reach() != 0 {
+		t.Fatalf("setup: {0,1,2} indexed with reach 0: %v", n)
+	}
+	return e
+}
+
+// TestBatchRaisedPairDropsCertificate pins the batch choke point. Every delta
+// of a batch is in the graph before its first discovery pass, so when the pass
+// of pair {0,1} explores around {0,1,2}, the weight pair {0,9} added next to
+// it is already there and no cheap-exploration has accounted for it yet:
+// batchRepair must have dropped the certificates, and the explorations scan.
+func TestBatchRaisedPairDropsCertificate(t *testing.T) {
+	e := certifiedTriple(t, false)
+	before := e.Stats()
+	e.ProcessBatch([]Update{{A: 0, B: 1, Delta: 1e-9}, {A: 0, B: 9, Delta: 0.3}})
+	after := e.Stats()
+	if after.ExploreCertified != before.ExploreCertified || after.Explorations == before.Explorations {
+		t.Fatalf("the batch settled %d explorations by certificate and scanned for %d, want none and some",
+			after.ExploreCertified-before.ExploreCertified, after.Explorations-before.Explorations)
+	}
+	checkAgainstBrute(t, e, "after the batch")
+}
+
+// TestCheapExploreSkipDropsCertificate pins the exit of cheapExplore that
+// never computes the weight the update raised: with the triple's weights let
+// down to barely dense, both endpoints of a cross update {0,9} as light as
+// 0.004 have MaxExplore caps of 3, the cheap-exploration of {0,1,2} is skipped,
+// and its certificate of reach 0 — which vertex 9 now exceeds — must go with it.
+func TestCheapExploreSkipDropsCertificate(t *testing.T) {
+	e := certifiedTriple(t, true)
+	down := e.th.DenseFloor(3)/3 + 1e-3 - 1.5
+	for _, u := range []Update{{A: 0, B: 1, Delta: down}, {A: 0, B: 2, Delta: down}, {A: 1, B: 2, Delta: down}} {
+		e.Process(u)
+	}
+	node := e.ix.LookupDense([]Vertex{0, 1, 2})
+	if node == nil || node.Reach() != 0 {
+		t.Fatalf("setup: negative updates should leave {0,1,2} indexed and certified: %v", node)
+	}
+	before := e.Stats()
+	e.Process(Update{A: 0, B: 9, Delta: 0.004})
+	if after := e.Stats(); after.MaxExploreSkips == before.MaxExploreSkips {
+		t.Fatalf("the cross update was not skipped by MaxExplore: %+v → %+v", before, after)
+	}
+	checkValid(t, e, "after the skipped cheap-exploration")
+}

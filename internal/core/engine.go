@@ -111,23 +111,24 @@ type Subgraph struct {
 // Stats aggregates work counters across the lifetime of the engine. All
 // counters are monotonically increasing except the index gauges.
 type Stats struct {
-	Updates         uint64 // updates processed (batched updates count individually)
-	AppliedOnly     uint64 // updates applied to the graph without processing (ApplyOnly)
-	Batches         uint64 // ProcessBatch calls (one logical tick each)
-	ThresholdTicks  uint64 // ProcessThresholdBatch calls (rescaled decay epochs)
-	BatchPairs      uint64 // coalesced positive pairs that ran the discovery pass
-	BatchPairSkips  uint64 // coalesced positive pairs skipped by scoped delivery
-	PositiveUpdates uint64
-	NegativeUpdates uint64
-	Explorations    uint64 // explore() invocations that scanned a neighbourhood
-	ExploreAll      uint64 // Explore-All scans (only without ImplicitTooDense)
-	CheapExplores   uint64 // cheap-exploration attempts
-	Insertions      uint64 // dense subgraphs inserted into the index
-	Evictions       uint64 // dense subgraphs evicted from the index
-	StarInsertions  uint64 // ImplicitTooDense families created
-	MaxExploreSkips uint64 // explorations skipped by the MaxExplore heuristic
-	DegreeSkips     uint64 // candidates skipped by DegreePrioritize
-	Events          uint64 // output events emitted
+	Updates          uint64 // updates processed (batched updates count individually)
+	AppliedOnly      uint64 // updates applied to the graph without processing (ApplyOnly)
+	Batches          uint64 // ProcessBatch calls (one logical tick each)
+	ThresholdTicks   uint64 // ProcessThresholdBatch calls (rescaled decay epochs)
+	BatchPairs       uint64 // coalesced positive pairs that ran the discovery pass
+	BatchPairSkips   uint64 // coalesced positive pairs skipped by scoped delivery
+	PositiveUpdates  uint64
+	NegativeUpdates  uint64
+	Explorations     uint64 // explore() invocations that scanned a neighbourhood
+	ExploreCertified uint64 // explore() invocations settled by the node's reach certificate instead
+	ExploreAll       uint64 // Explore-All scans (only without ImplicitTooDense)
+	CheapExplores    uint64 // cheap-exploration attempts
+	Insertions       uint64 // dense subgraphs inserted into the index
+	Evictions        uint64 // dense subgraphs evicted from the index
+	StarInsertions   uint64 // ImplicitTooDense families created
+	MaxExploreSkips  uint64 // explorations skipped by the MaxExplore heuristic
+	DegreeSkips      uint64 // candidates skipped by DegreePrioritize
+	Events           uint64 // output events emitted
 
 	IndexedDense  int // current number of explicitly indexed dense subgraphs
 	IndexedStars  int // current number of ImplicitTooDense families
@@ -150,6 +151,7 @@ func (s *Stats) Add(o Stats) {
 	s.PositiveUpdates += o.PositiveUpdates
 	s.NegativeUpdates += o.NegativeUpdates
 	s.Explorations += o.Explorations
+	s.ExploreCertified += o.ExploreCertified
 	s.ExploreAll += o.ExploreAll
 	s.CheapExplores += o.CheapExplores
 	s.Insertions += o.Insertions
@@ -235,6 +237,7 @@ type Engine struct {
 	batchScoped bool                   // scoped delivery: skip provably inert pairs
 	batchNet    []pairDelta            // net applied delta per changed pair, sorted by key (phase order)
 	batchDirty  []Vertex               // sorted distinct endpoints of changed pairs
+	batchRaised []Vertex               // those of the pairs whose net delta is positive
 	dirtyInC    []Vertex               // batchDeltaOf's dirty∩C scratch
 	batchSeed   func(a, b Vertex) bool // nil = seed every pair
 	stageIdx    map[string]int         // staged-event dedup: set key → staged index
@@ -584,6 +587,17 @@ func (e *Engine) bumpScore(n *index.Node, delta float64) float64 {
 	return newScore
 }
 
+// evict removes a subgraph that stopped being dense from the index, after the
+// reach certificates of its parents: they bound only children that are not
+// indexed, as it now is. (A pair's parents are single vertices: never dense.)
+func (e *Engine) evict(node *index.Node) {
+	if node.Card() > 2 {
+		e.ix.DropParentReach(node)
+	}
+	e.ix.EvictDense(node)
+	e.stats.Evictions++
+}
+
 // processNegative handles δ < 0 (Algorithm 1, line 2): every dense subgraph
 // containing both endpoints has its density decreased; subgraphs that drop
 // below the output threshold are reported, and subgraphs that stop being
@@ -611,8 +625,7 @@ func (e *Engine) processNegative() {
 			e.ix.RemoveStar(node)
 		}
 		if !e.th.IsDense(newScore, n) {
-			e.ix.EvictDense(node)
-			e.stats.Evictions++
+			e.evict(node)
 		}
 	}
 	e.putSetBuf(setBuf)
@@ -665,10 +678,10 @@ func (e *Engine) processPositive() {
 			if e.maintainStar(node, newScore, n) {
 				e.starEdgeScan(c, newScore, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
 			}
-			e.explore(c, newScore, 1)
+			e.explore(node, c, 1)
 		} else {
 			// Contains exactly one endpoint: cheap-explore (lines 6–8).
-			e.cheapExplore(c, node.Score(), hasA)
+			e.cheapExplore(node, c, hasA)
 		}
 	}
 	e.putSetBuf(setBuf)
@@ -676,10 +689,14 @@ func (e *Engine) processPositive() {
 	e.processStars()
 }
 
-// cheapExplore attempts to augment a dense subgraph containing exactly one of
-// the updated endpoints with the other endpoint (and thus with the updated
-// edge). c must not contain both endpoints; hasA tells which one it contains.
-func (e *Engine) cheapExplore(c vset.Set, score float64, hasA bool) {
+// cheapExplore attempts to augment the dense subgraph c of node, which
+// contains exactly one of the updated endpoints (hasA tells which), with the
+// other endpoint and thus with the updated edge. The update raised the weight
+// that endpoint puts into c, which is the one way an update breaks node's
+// reach certificate: every path out of here that leaves c ∪ {missing} out of
+// the index either raises the certificate to that weight or, where the weight
+// was never computed, drops it.
+func (e *Engine) cheapExplore(node *index.Node, c vset.Set, hasA bool) {
 	a, b := e.a, e.b
 	missing := b
 	present := a
@@ -687,28 +704,34 @@ func (e *Engine) cheapExplore(c vset.Set, score float64, hasA bool) {
 		missing, present = a, b
 	}
 	if !e.shouldCheapExplore(c, present) {
+		node.DropReach()
 		return
 	}
 	// c contains exactly one endpoint, so missing ∉ c and |C ∪ {missing}| is
-	// |C|+1; the cardinality gate needs no materialised union.
+	// |C|+1; the cardinality gate needs no materialised union. Nothing ever
+	// explores around a subgraph of Nmax vertices, so it has no certificate.
 	if c.Len()+1 > e.th.Nmax {
 		return
 	}
 	e.stats.CheapExplores++
+	score := node.Score()
 	if e.cfg.EnableDegreePrioritize {
 		// Section 7.2: skip the cheap-exploration when the added endpoint has a
 		// generalised degree (after the update) exceeding 2/(|C|−1)·score⁻(C).
-		if e.g.ScoreWith(c, missing) > 2.0/float64(c.Len()-1)*score {
+		if add := e.g.ScoreWith(c, missing); add > 2.0/float64(c.Len()-1)*score {
 			e.stats.DegreeSkips++
+			node.RaiseReach(add)
 			return
 		}
 	}
 	buf := e.getSetBuf()
 	union := vset.AddInto(buf, c, missing)
 	if !e.ix.HasDense(union) {
-		uScore := score + e.g.ScoreWith(c, missing)
-		if e.th.IsDense(uScore, union.Len()) {
+		add := e.g.ScoreWith(c, missing)
+		if uScore := score + add; e.th.IsDense(uScore, union.Len()) {
 			e.admit(union, uScore, 2)
+		} else {
+			node.RaiseReach(add)
 		}
 	}
 	e.putSetBuf(union)
@@ -808,7 +831,7 @@ func (e *Engine) admit(c vset.Set, score float64, iter int) {
 	if e.maintainStar(node, score, n) {
 		e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, iter+1) })
 	}
-	e.explore(c, score, iter)
+	e.explore(node, c, iter)
 }
 
 // processStar handles one ImplicitTooDense family during a positive update.
@@ -947,11 +970,24 @@ func (e *Engine) exploreNeed(score float64, n int) float64 {
 	return floor - score - scoreSlack(floor+math.Abs(score))
 }
 
-// explore implements Algorithm 2: try to augment a dense subgraph containing
-// both updated endpoints with one more vertex, recursing on newly-dense
-// results for up to ceil(δ/δ_it) iterations.
-func (e *Engine) explore(c vset.Set, score float64, iter int) {
-	n := c.Len()
+// explore implements Algorithm 2: try to augment the dense subgraph c of node,
+// which contains both updated endpoints, with one more vertex, recursing on
+// newly-dense results for up to ceil(δ/δ_it) iterations.
+//
+// The cost is the neighbourhood scan, and node's reach certificate tells when
+// it finds nothing: no vertex y puts more weight than reach into c unless
+// c ∪ {y} is indexed, so with reach below the scan's deficit every vertex the
+// scan would return has its child indexed, none is admitted, and nothing but
+// a counter changes. The certificate is a fact about graph and index — the
+// deficit is computed live — which four things break, each repaired where it
+// happens: a positive update of an edge out of c (cheapExplore, which visits
+// exactly those subgraphs), a child's eviction (evict), a batch, whose deltas
+// all precede discovery (batchRepair), and node entering the index (it starts
+// without one; none is persisted). A scan leaves a fresh one: what the graph
+// reports of the vertices left out, raised to those returned whose child was
+// neither admitted nor indexed.
+func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
+	n, score := c.Len(), node.Score()
 	if n >= e.th.Nmax {
 		return
 	}
@@ -986,6 +1022,11 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 		}
 		return
 	}
+	need := e.exploreNeed(score, n)
+	if node.Reach() < need {
+		e.stats.ExploreCertified++
+		return
+	}
 	e.stats.Explorations++
 	degreeCap := 0.0
 	if e.cfg.EnableDegreePrioritize && n > 1 {
@@ -996,12 +1037,14 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 	// that deeper frame pops its own buffers, so ys/adds and child stay
 	// intact underneath it.
 	nbuf := e.getNbuf()
-	ys, adds := e.g.NeighborhoodScores(c, e.exploreNeed(score, n), nbuf)
+	ys, adds := e.g.NeighborhoodScores(c, need, nbuf)
+	reach := nbuf.Reach
 	childBuf := e.getSetBuf()
 	for i, y := range ys {
 		add := adds[i]
 		childScore := score + add
 		if !e.th.IsDense(childScore, n+1) {
+			reach = max(reach, add)
 			continue
 		}
 		if degreeCap > 0 && add > degreeCap {
@@ -1009,6 +1052,7 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 			// been) reached by exploring around the subgraph obtained by dropping
 			// C's minimum-degree vertex instead.
 			e.stats.DegreeSkips++
+			reach = max(reach, add)
 			continue
 		}
 		child := vset.AddInto(childBuf, c, y)
@@ -1021,6 +1065,9 @@ func (e *Engine) explore(c vset.Set, score float64, iter int) {
 		}
 		e.admit(child, childScore, iter+1)
 	}
+	// Discovery only adds to the index and the graph does not move under it,
+	// so what the scan saw still holds after the admissions it recursed into.
+	node.SetReach(reach)
 	e.putSetBuf(childBuf)
 	e.putNbuf(nbuf)
 }

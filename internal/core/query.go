@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -192,6 +193,28 @@ func (e *Engine) ValidateIndex() string {
 		}
 		if !e.th.IsDense(n.Score(), c.Len()) {
 			return "indexed subgraph is not dense: " + c.String()
+		}
+	}
+	return ""
+}
+
+// ValidateCertificates checks every reach certificate against the graph: no
+// known vertex y outside an indexed C whose C∪{y} is not explicitly indexed
+// may put more weight into C than C's reach (+Inf allows anything), to within
+// scoreSlack. It returns "" when all hold. It is a pass over the vertex
+// universe per indexed subgraph: for tests on small graphs, and deliberately
+// not part of ValidateIndex.
+func (e *Engine) ValidateCertificates() string {
+	vertices := e.g.KnownVertices()
+	for _, n := range e.denseSnapshot() {
+		c := n.Set()
+		for _, y := range vertices {
+			if c.Contains(y) || e.ix.HasDense(c.Add(y)) {
+				continue
+			}
+			if add := e.g.ScoreWith(c, y); add > n.Reach()+scoreSlack(add) {
+				return fmt.Sprintf("reach %v of %v is below the %v that %d puts into it", n.Reach(), c, add, y)
+			}
 		}
 	}
 	return ""

@@ -38,13 +38,22 @@ func starHeavyStream(seed int64, n int) []Update {
 }
 
 // checkAgainstBrute requires the engine's expanded output-dense set to equal
-// the brute-force enumeration over its own graph, and its index to be valid.
+// the brute-force enumeration over its own graph, and its index and reach
+// certificates to be valid.
 func checkAgainstBrute(t *testing.T, e *Engine, label string) {
 	t.Helper()
 	if got, want := expandedKeys(e), oracleKeys(e); !slices.Equal(got, want) {
 		t.Fatalf("%s: expanded output-dense set\n got %v\nwant %v", label, got, want)
 	}
+	checkValid(t, e, label)
+}
+
+func checkValid(t *testing.T, e *Engine, label string) {
+	t.Helper()
 	if msg := e.ValidateIndex(); msg != "" {
+		t.Fatalf("%s: %s", label, msg)
+	}
+	if msg := e.ValidateCertificates(); msg != "" {
 		t.Fatalf("%s: %s", label, msg)
 	}
 }

@@ -71,8 +71,7 @@ func (e *Engine) increaseThreshold(newTh *density.Thresholds) {
 			e.emit(CeasedOutputDense, setBuf, score)
 		}
 		if !stays {
-			e.ix.EvictDense(node)
-			e.stats.Evictions++
+			e.evict(node)
 		} else if e.ix.HasStar(node) && !newTh.IsTooDense(score, n) {
 			e.ix.RemoveStar(node)
 		}

@@ -39,6 +39,18 @@ func checkBounded(t *testing.T, g *Graph, c vset.Set, bound float64, buf *Neighb
 	if !slices.Equal(gotVs, wantVs) || !slices.Equal(gotWs, wantWs) {
 		t.Fatalf("NeighborhoodScores(%v, %v) = %v %v, want %v %v", c, bound, gotVs, gotWs, wantVs, wantWs)
 	}
+	// The by-product bounds every vertex left out, and stays under the bound:
+	// it is worth keeping only because it can tell a later scan it has nothing
+	// to find.
+	leftOut := 0.0
+	for i, sum := range refWs {
+		if !slices.Contains(gotVs, refVs[i]) {
+			leftOut = max(leftOut, sum)
+		}
+	}
+	if buf.Reach < leftOut*(1-1e-12) || (bound > 0 && buf.Reach >= bound) {
+		t.Fatalf("NeighborhoodScores(%v, %v) reports reach %v; the heaviest vertex left out carries %v", c, bound, buf.Reach, leftOut)
+	}
 }
 
 // checkHeavyIndex verifies the heavy-edge index against the graph: exactly

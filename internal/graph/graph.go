@@ -382,6 +382,9 @@ func (g *Graph) ScoreWith(c vset.Set, u Vertex) float64 {
 type NeighborhoodBuf struct {
 	vs []Vertex
 	ws []float64
+	// Reach bounds the weight into C of every outside vertex the last scan did
+	// not return; it is below that scan's need whenever the need is positive.
+	Reach float64
 }
 
 // NeighborhoodScores returns every vertex y ∉ C with Γ_C · ê_y = Σ_{v∈C} w_vy
@@ -394,21 +397,30 @@ type NeighborhoodBuf struct {
 // A qualifying y has, by pigeonhole, an edge of weight ≥ need/|C| into C, so
 // the members' weight vectors are scanned linearly for such entries and only
 // those candidates are summed, each over the members in increasing order.
-// Nothing is allocated once buf is warm.
+// The same split bounds everything left out, which buf.Reach reports: a vertex
+// with no heavy entry sums to at most |C| times the largest light entry seen,
+// and a candidate that fell short of need was summed exactly. Nothing is
+// allocated once buf is warm.
 func (g *Graph) NeighborhoodScores(c vset.Set, need float64, buf *NeighborhoodBuf) ([]Vertex, []float64) {
 	// The factor covers the rounding of the sum and of the division.
 	heavy := need / float64(len(c)) * (1 - 1e-9)
 	cand := buf.vs[:0]
+	light := 0.0
 	for _, v := range c {
 		if l := g.adj[v]; l != nil {
 			for i, w := range l.ws {
-				if w >= heavy && !c.Contains(l.vs[i]) {
-					cand = append(cand, l.vs[i])
+				if w >= heavy {
+					if !c.Contains(l.vs[i]) {
+						cand = append(cand, l.vs[i])
+					}
+				} else if w > light && !c.Contains(l.vs[i]) {
+					light = w
 				}
 			}
 		}
 	}
 	slices.Sort(cand)
+	reach := float64(len(c)) * light
 	vs, ws := cand[:0], buf.ws[:0]
 	for i, y := range cand {
 		if i > 0 && y == cand[i-1] {
@@ -417,9 +429,11 @@ func (g *Graph) NeighborhoodScores(c vset.Set, need float64, buf *NeighborhoodBu
 		if sum := g.adj[y].sumOver(c, y); sum >= need {
 			vs = append(vs, y) // in place: at most i entries precede cand[i]
 			ws = append(ws, sum)
+		} else if sum > reach {
+			reach = sum
 		}
 	}
-	buf.vs, buf.ws = cand, ws
+	buf.vs, buf.ws, buf.Reach = cand, ws, reach
 	return vs, ws
 }
 

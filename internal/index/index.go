@@ -28,6 +28,16 @@
 // whose node under a too-dense subgraph C stands for every supergraph C∪{y}
 // with y disconnected from C, so that Explore-All does not have to insert
 // |V| subgraphs explicitly.
+//
+// A dense node also carries its reach, the engine's exploration certificate:
+// an upper bound on the weight Γ_C·ê_y any vertex y puts into the node's set C
+// while C∪{y} is not explicitly indexed, +Inf while nothing is known. It is a
+// fact about the graph as much as the index, so the engine derives and raises
+// it (core.Engine.explore); the index only forgets it where set membership
+// breaks it: a node entering or leaving the dense set restarts at +Inf, and
+// DropParentReach clears the parents of a set about to be evicted. A node that
+// is not dense holds +Inf, and +Inf rather than a flag keeps Node in its
+// 128-byte size class.
 package index
 
 import (
@@ -56,7 +66,8 @@ type Node struct {
 	dense bool
 	star  bool // this node is a '*' child: it represents parent.Set() ∪ {y} for disconnected y
 	score float64
-	depth int // cardinality of the represented set ('*' counts as one vertex)
+	reach float64 // exploration certificate (see the package comment); +Inf = none
+	depth int     // cardinality of the represented set ('*' counts as one vertex)
 
 	// Embedded inverted-list linkage (per label vertex).
 	invPrev, invNext *Node
@@ -87,6 +98,20 @@ func (n *Node) Card() int { return n.depth }
 
 // Parent returns the parent node (nil for the root).
 func (n *Node) Parent() *Node { return n.parent }
+
+// Reach returns the node's exploration certificate (see the package comment):
+// the most weight a vertex with no indexed child puts into the node's set.
+func (n *Node) Reach() float64 { return n.reach }
+
+// SetReach stores the certificate a neighbourhood scan of the node just derived.
+func (n *Node) SetReach(r float64) { n.reach = r }
+
+// RaiseReach widens the certificate to cover a vertex putting weight add into
+// the node's set; a node without a certificate stays without.
+func (n *Node) RaiseReach(add float64) { n.reach = max(n.reach, add) }
+
+// DropReach forgets the certificate.
+func (n *Node) DropReach() { n.reach = math.Inf(1) }
 
 // nodeVec is a set of nodes keyed by label, stored as two parallel vectors in
 // strictly increasing label order — the shape of graph.adjacency, searched
@@ -183,6 +208,8 @@ type Index struct {
 	root  *Node
 	inv   nodeVec // heads of the per-vertex inverted lists
 	epoch uint64
+
+	belowBuf []Vertex // DropParentReach's path scratch
 
 	denseCount int
 	starCount  int
@@ -299,7 +326,7 @@ func (ix *Index) ensure(c vset.Set) *Node {
 }
 
 func (ix *Index) newChild(parent *Node, label Vertex) *Node {
-	n := &Node{label: label, parent: parent, depth: parent.depth + 1}
+	n := &Node{label: label, parent: parent, depth: parent.depth + 1, reach: math.Inf(1)}
 	i, _ := parent.kids.find(label)
 	parent.kids.insert(i, label, n)
 	ix.nodeCount++
@@ -343,6 +370,7 @@ func (ix *Index) InsertDense(c vset.Set, score float64) *Node {
 	n := ix.ensure(c)
 	if !n.dense {
 		n.dense = true
+		n.reach = math.Inf(1)
 		ix.denseCount++
 	}
 	n.score = score
@@ -371,8 +399,30 @@ func (ix *Index) EvictDense(n *Node) {
 		ix.removeStarNode(star)
 	}
 	n.dense = false
+	n.reach = math.Inf(1)
 	ix.denseCount--
 	ix.prune(n)
+}
+
+// DropParentReach forgets the certificate of every parent D∖{v} of n's set D
+// that has a node; the engine calls it before evicting n, which turns D into
+// a child the parents' reach must cover. The parents share D's path: dropping
+// the last vertex gives the tree parent, dropping the label of another path
+// node gives that node's parent followed by the labels below the node — a
+// descent of as many steps as there are such labels, not one from the root.
+func (ix *Index) DropParentReach(n *Node) {
+	below := ix.belowBuf[:0] // labels of the path nodes under cur, deepest first
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		p := cur.parent
+		for i := len(below) - 1; i >= 0 && p != nil; i-- {
+			p = p.kids.get(below[i])
+		}
+		if p != nil {
+			p.reach = math.Inf(1)
+		}
+		below = append(below, cur.label)
+	}
+	ix.belowBuf = below
 }
 
 func (ix *Index) prune(n *Node) {
@@ -552,6 +602,9 @@ func (ix *Index) Validate() string {
 			}
 			if !child.dense && !child.star && len(child.kids.nodes) == 0 {
 				return "dangling childless node " + child.Set().String()
+			}
+			if !child.dense && !math.IsInf(child.reach, 1) {
+				return "node that is not dense holds a reach certificate: " + child.Set().String()
 			}
 			if msg := walk(child, depth+1); msg != "" {
 				return msg

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -491,4 +492,81 @@ func vsetFromKeyContains(key string, u Vertex) bool {
 		cur = cur*10 + int(key[i]-'0')
 	}
 	return c.Contains(u)
+}
+
+// TestReachLifecycle: a node starts without a certificate, loses the one it
+// was given when it leaves the dense set (also when its node stays behind as
+// a prefix and is inserted again), and RaiseReach never certifies a node that
+// holds none.
+func TestReachLifecycle(t *testing.T) {
+	ix := New()
+	n := ix.InsertDense(vset.New(1, 3), 1)
+	ix.InsertDense(vset.New(1, 3, 5), 2)
+	if !math.IsInf(n.Reach(), 1) {
+		t.Fatalf("new node has reach %v", n.Reach())
+	}
+	n.RaiseReach(2)
+	if !math.IsInf(n.Reach(), 1) {
+		t.Fatalf("RaiseReach certified a node without a certificate: %v", n.Reach())
+	}
+	n.SetReach(0.5)
+	n.RaiseReach(0.25)
+	n.RaiseReach(0.75)
+	if n.Reach() != 0.75 {
+		t.Fatalf("reach = %v after raising 0.5 by 0.25 and 0.75", n.Reach())
+	}
+	ix.InsertDense(vset.New(1, 3), 1.5) // a score refresh keeps it
+	if n.Reach() != 0.75 {
+		t.Fatalf("re-inserting a dense node changed its reach to %v", n.Reach())
+	}
+	ix.EvictDense(n) // stays as the prefix of {1,3,5}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	if again := ix.InsertDense(vset.New(1, 3), 1); again != n || !math.IsInf(n.Reach(), 1) {
+		t.Fatalf("re-admitted node came back with reach %v", again.Reach())
+	}
+	n.SetReach(1)
+	n.DropReach()
+	if !math.IsInf(n.Reach(), 1) {
+		t.Fatalf("DropReach left %v", n.Reach())
+	}
+}
+
+// TestDropParentReach: the parents of D = {2,4,6,8} are found wherever they
+// sit in the tree — under D's own path or on a path of their own — and only
+// they lose their certificate; a parent with no node is skipped.
+func TestDropParentReach(t *testing.T) {
+	ix := New()
+	d := ix.InsertDense(vset.New(2, 4, 6, 8), 9)
+	certified := map[string]*Node{}
+	for _, c := range []vset.Set{
+		vset.New(2, 4, 6), vset.New(2, 4, 8), vset.New(4, 6, 8), // parents; {2,6,8} has no node
+		vset.New(2, 4), vset.New(2, 4, 6, 9), vset.New(4, 6), vset.New(6, 8), // not parents
+	} {
+		n := ix.InsertDense(c, 1)
+		n.SetReach(1)
+		certified[c.Key()] = n
+	}
+	d.SetReach(1)
+	ix.DropParentReach(d)
+	for key, n := range certified {
+		parent := key == "2,4,6" || key == "2,4,8" || key == "4,6,8"
+		if got := math.IsInf(n.Reach(), 1); got != parent {
+			t.Errorf("{%s}: certificate dropped = %v, want %v", key, got, parent)
+		}
+	}
+	if d.Reach() != 1 {
+		t.Errorf("D's own certificate changed to %v", d.Reach())
+	}
+	ix.EvictDense(d)
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	// A pair's parents are singletons, which the walk reaches and leaves alone.
+	pair := ix.InsertDense(vset.New(4, 6), 1)
+	ix.DropParentReach(pair)
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
 }

@@ -81,6 +81,9 @@ func checkAgainstOracle(t *testing.T, eng *core.Engine, step int) {
 	if msg := eng.ValidateIndex(); msg != "" {
 		t.Fatalf("after %d updates: index invalid: %s", step, msg)
 	}
+	if msg := eng.ValidateCertificates(); msg != "" {
+		t.Fatalf("after %d updates: %s", step, msg)
+	}
 }
 
 // runCrossVal replays a seeded stream through the given sink, validating
