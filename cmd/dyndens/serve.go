@@ -28,6 +28,23 @@ var (
 	serveShutdown      chan struct{}
 )
 
+// serveReadHeaderTimeout bounds how long a client may take to send its
+// request line and headers; serveIdleTimeout how long a keep-alive connection
+// may sit between requests.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the story service's http.Server. A client that stalls
+// inside its request head is disconnected after readHeader, and an idle
+// keep-alive connection after serveIdleTimeout, so neither holds a connection
+// and its goroutine forever. There is deliberately no WriteTimeout: /events
+// is a long-lived SSE stream.
+func newHTTPServer(h http.Handler, readHeader time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: serveIdleTimeout}
+}
+
 // cmdServe is the long-lived story service: it ingests a document stream
 // (file, stdin, or the synthetic generator) through the aggregation → engine
 // → story-tracking pipeline while serving the current story table over HTTP
@@ -182,17 +199,13 @@ func cmdServe(args []string) error {
 
 	var bld *serve.Builder
 	if restored != nil && restored.Tracker != nil {
-		densities := make(map[string]float64)
-		var subs []core.Subgraph
+		var dense []core.Subgraph
 		if se != nil {
-			subs = se.OutputDense()
+			dense = se.OutputDense()
 		} else {
-			subs = eng.OutputDense()
+			dense = eng.OutputDense()
 		}
-		for _, sg := range subs {
-			densities[sg.Set.Key()] = sg.Density
-		}
-		bld = serve.NewBuilderFromState(tracker, *restored.Tracker, densities)
+		bld = serve.NewBuilderFromState(tracker, dense)
 	} else {
 		bld = serve.NewBuilder(tracker)
 	}
@@ -231,7 +244,7 @@ func cmdServe(args []string) error {
 
 	srv := serve.NewServer(bld.View(), hub)
 	srv.Extra = func() any { return ingestState.Load() }
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), serveReadHeaderTimeout)
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- httpSrv.Serve(ln) }()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -212,5 +213,44 @@ func TestBenchServeBlock(t *testing.T) {
 	if err := cmdBench([]string{"-serve-readers", "1", "-scale", "0,2"}); err == nil ||
 		!strings.Contains(err.Error(), "-scale is incompatible") {
 		t.Fatalf("want -scale incompatibility error, got %v", err)
+	}
+}
+
+// TestServeDropsStalledRequestHead pins the server's read-header timeout: a
+// client that opens a connection and never finishes its request line is
+// disconnected instead of holding the connection forever.
+func TestServeDropsStalledRequestHead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler(), 50*time.Millisecond)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /stats HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up (possibly after a 408); without the timeout this
+	// read would block until the test's own deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf [512]byte
+	for {
+		if _, err := conn.Read(buf[:]); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("server kept a connection whose request line never completed")
+			}
+			return // closed by the server
+		}
 	}
 }

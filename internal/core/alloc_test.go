@@ -243,6 +243,59 @@ func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
 	}
 }
 
+// TestThresholdTickNettingBuildsNoKey pins the event stage of a batch tick: a
+// renormalisation-shaped tick — every weight scaled down under the old, high
+// threshold, then the threshold dropped to match — stages a Ceased and a
+// Became for every output-dense subgraph, and they net to nothing. Staging,
+// netting and dropping them costs no allocation on top of a tick that moves
+// the threshold the same way and stages nothing: the stage identifies a
+// subgraph by its vertex set, not by a key string per staged event.
+func TestThresholdTickNettingBuildsNoKey(t *testing.T) {
+	// δ_it = 1 puts the dense thresholds of pairs and triangles well below
+	// T, so what ceases to be output-dense here stays indexed.
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5, DeltaIt: 1, EnableMaxExplore: true})
+	var sink core.CountingSink
+	eng.SetSink(&sink)
+	pairs := [][2]core.Vertex{{0, 1}, {0, 2}, {1, 2}}
+	move := func(delta float64) []core.Update {
+		us := make([]core.Update, len(pairs))
+		for i, p := range pairs {
+			us[i] = core.Update{A: p[0], B: p[1], Delta: delta}
+		}
+		return us
+	}
+	// In real units the triangle's edges weigh 3.0625 throughout: output-dense
+	// at T=3. At scale 0.96 they are stored as 3.1875 against a threshold of
+	// 3.125; every weight is a binary fraction, so the cycle is exact.
+	eng.ProcessBatch(move(3.1875))
+	eng.ProcessThresholdBatch(0.96, nil)
+	if sink.Became != 4 || sink.Ceased != 0 {
+		t.Fatalf("fixture: %d became, %d ceased, want the triangle and its three pairs", sink.Became, sink.Ceased)
+	}
+	quiet := func() { // the threshold goes down and up again; nothing crosses it
+		eng.ProcessThresholdBatch(0.97, nil)
+		eng.ProcessThresholdBatch(0.96, nil)
+	}
+	down, up := move(-0.125), move(0.125)
+	netting := func() {
+		eng.ProcessThresholdBatch(1, down)  // all four cease under 3.125 and become again under 3
+		eng.ProcessThresholdBatch(0.96, up) // and stay output-dense on the way back
+	}
+	quiet()
+	netting()
+	want := testing.AllocsPerRun(50, quiet)
+	before := eng.Stats()
+	if got := testing.AllocsPerRun(50, netting); got != want {
+		t.Errorf("netting cycle performed %v allocs/run, a quiet down-and-up cycle %v", got, want)
+	}
+	if after := eng.Stats(); after.Insertions != before.Insertions || after.Evictions != before.Evictions {
+		t.Fatalf("the cycle rebuilt the index: %+v → %+v", before, after)
+	}
+	if sink.Became != 4 || sink.Ceased != 0 || eng.OutputDenseCount() != 4 {
+		t.Fatalf("the cycles were not event-free: %d became, %d ceased, %d output-dense", sink.Became, sink.Ceased, eng.OutputDenseCount())
+	}
+}
+
 // TestEmitCloneElision pins the sink capability contract: a retaining sink
 // (CollectorSink) must receive private set copies, while a non-retaining
 // chain (FilterSink → CountingSink) must not force clones — and the filter

@@ -22,7 +22,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"dyndens/internal/vset"
 )
@@ -51,11 +50,9 @@ func (p pairDelta) compareKey(k uint64) int { return cmp.Compare(p.key, k) }
 
 // stagedEvent is one per-batch candidate transition awaiting netting.
 type stagedEvent struct {
-	key    string
-	before bool // output-dense before the batch (inferred from the first kind)
-	kind   EventKind
-	set    vset.Set // private clone; handed to the sink verbatim at flush
-	score  float64
+	kind  EventKind
+	set   vset.Set // private copy in a free-list buffer; handed to the sink at flush
+	score float64
 }
 
 // ProcessBatch applies a batch of edge-weight updates as one logical tick and
@@ -337,72 +334,75 @@ func (e *Engine) batchDiscover() {
 	}
 }
 
-// stageBatchEvent records one output-dense transition of the batch in flight.
-// The first transition staged for a set fixes its pre-batch status; the last
-// one fixes its kind, score, and final status. (With final-score eviction a
-// set in fact transitions at most once per batch per engine — the netting is
-// the safety net that makes the boundary contract hold by construction.)
+// stageBatchEvent records one output-dense transition of the batch in flight,
+// in discovery order; flushBatchEvents nets them per set.
 //
 // The set is copied out of engine scratch into a buffer from the set free
 // list — it must survive until the flush at the batch boundary, while the
 // scratch it was built in is reused by the rest of the batch. The buffer is
 // recycled at flush unless the sink retains sets, so a churny batch feeding
 // a non-retaining sink settles into the same allocation-free steady state as
-// sequential Process (only the dedup key strings remain per-event).
+// sequential Process.
 func (e *Engine) stageBatchEvent(kind EventKind, c vset.Set, score float64) {
-	k := c.Key()
-	if i, ok := e.stageIdx[k]; ok {
-		e.staged[i].kind = kind
-		e.staged[i].score = score
-		return
-	}
-	e.stageIdx[k] = len(e.staged)
 	e.staged = append(e.staged, stagedEvent{
-		key:    k,
-		before: kind == CeasedOutputDense,
-		kind:   kind,
-		set:    vset.Set(append(e.getSetBuf(), c...)),
-		score:  score,
+		kind:  kind,
+		set:   vset.Set(append(e.getSetBuf(), c...)),
+		score: score,
 	})
 }
 
 // flushBatchEvents nets the staged transitions against the pre-batch state
 // and emits the survivors to the current destination in canonical (kind, key)
-// order. A retaining sink (cloneSets) keeps the staged buffer — it leaves the
-// free-list pool for good; otherwise the set is valid only during Emit, per
-// the SetRetainer contract, and the buffer is recycled.
+// order. Netting is the stageBatchDeltas shape: a stable sort by set brings
+// each set's transitions together in discovery order; the first one fixes the
+// set's pre-batch status, the last one its kind, score and final status, and a
+// set that ends where it started is dropped. (With final-score eviction a set
+// in fact transitions at most once per batch per engine — the netting is the
+// safety net that makes the boundary contract hold by construction.) A
+// retaining sink (cloneSets) keeps the staged buffer — it leaves the free-list
+// pool for good; otherwise the set is valid only during Emit, per the
+// SetRetainer contract, and the buffer is recycled.
 func (e *Engine) flushBatchEvents() {
 	if len(e.staged) == 0 {
 		return
 	}
-	sort.Slice(e.staged, func(i, j int) bool {
-		if e.staged[i].kind != e.staged[j].kind {
-			return e.staged[i].kind < e.staged[j].kind
+	slices.SortStableFunc(e.staged, func(x, y stagedEvent) int { return vset.CompareKeys(x.set, y.set) })
+	w := 0
+	for i := 0; i < len(e.staged); {
+		first := e.staged[i]
+		last := first
+		for i++; i < len(e.staged) && e.staged[i].set.Equal(last.set); i++ {
+			e.putSetBuf(last.set)
+			last = e.staged[i]
 		}
-		return e.staged[i].key < e.staged[j].key
-	})
-	for i := range e.staged {
-		se := &e.staged[i]
-		after := se.kind == BecameOutputDense
-		if after != se.before {
+		if (last.kind == BecameOutputDense) != (first.kind == CeasedOutputDense) {
+			e.staged[w] = last
+			w++
+		} else {
+			e.putSetBuf(last.set)
+		}
+	}
+	net := e.staged[:w]
+	// Scores are flushed in real units: emitScale is the scale in force at
+	// the batch boundary, which for a threshold tick is the epoch's NEW λ —
+	// exactly the decayed value a sink should see.
+	for _, kind := range [...]EventKind{BecameOutputDense, CeasedOutputDense} {
+		for _, se := range net {
+			if se.kind != kind {
+				continue
+			}
 			e.stats.Events++
-			// Scores are flushed in real units: emitScale is the scale in
-			// force at the batch boundary, which for a threshold tick is the
-			// epoch's NEW λ — exactly the decayed value a sink should see.
 			e.cur.Emit(Event{
 				Kind:    se.kind,
 				Set:     se.set,
 				Score:   se.score * e.emitScale,
 				Density: e.th.Density(se.score, se.set.Len()) * e.emitScale,
 			})
-			if e.cloneSets {
-				se.set = nil // handed over; the sink owns it now
-				continue
+			if !e.cloneSets {
+				e.putSetBuf(se.set)
 			}
 		}
-		e.putSetBuf(se.set)
-		se.set = nil
 	}
+	clear(e.staged) // drop the set references a retaining sink now owns
 	e.staged = e.staged[:0]
-	clear(e.stageIdx)
 }

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -99,6 +100,17 @@ type Event struct {
 	Set     vset.Set
 	Score   float64
 	Density float64
+}
+
+// CompareEvents is the canonical order of one tick's events: became before
+// ceased, then by subgraph identity (vset.CompareKeys). A batch flush emits in
+// it, and consumers that regroup events — the shard merger, the story tracker —
+// sort by it, so their output is a function of the tick's event set alone.
+func CompareEvents(a, b Event) int {
+	if a.Kind != b.Kind {
+		return cmp.Compare(a.Kind, b.Kind)
+	}
+	return vset.CompareKeys(a.Set, b.Set)
 }
 
 // Subgraph is a snapshot of one maintained subgraph.
@@ -240,8 +252,7 @@ type Engine struct {
 	batchRaised []Vertex               // those of the pairs whose net delta is positive
 	dirtyInC    []Vertex               // batchDeltaOf's dirty∩C scratch
 	batchSeed   func(a, b Vertex) bool // nil = seed every pair
-	stageIdx    map[string]int         // staged-event dedup: set key → staged index
-	staged      []stagedEvent
+	staged      []stagedEvent          // output-dense transitions of the batch, in discovery order
 }
 
 // getSetBuf pops a vertex-set scratch buffer off the free list.
@@ -286,7 +297,6 @@ func New(cfg Config) (*Engine, error) {
 		ix:        index.New(),
 		emitScale: 1,
 		baseT:     cfg.T,
-		stageIdx:  make(map[string]int),
 	}, nil
 }
 

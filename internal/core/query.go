@@ -228,6 +228,6 @@ func sortSubgraphs(s []Subgraph) {
 		if s[i].Set.Len() != s[j].Set.Len() {
 			return s[i].Set.Len() < s[j].Set.Len()
 		}
-		return s[i].Set.Key() < s[j].Set.Key()
+		return vset.CompareKeys(s[i].Set, s[j].Set) < 0
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"dyndens/internal/graph"
 	"dyndens/internal/vset"
@@ -53,23 +52,15 @@ type EngineState struct {
 // driver ever snapshots at.
 func (e *Engine) ExportState() EngineState {
 	st := EngineState{Scale: e.emitScale}
-	type keyed struct {
-		key string
-		DenseEntry
-	}
-	var entries []keyed
 	for _, n := range e.denseSnapshot() {
 		de := DenseEntry{Set: n.Set(), Score: n.Score()}
 		if star := e.ix.StarOf(n); star != nil {
 			de.Star = true
 			de.StarScore = star.Score()
 		}
-		entries = append(entries, keyed{de.Set.Key(), de})
+		st.Dense = append(st.Dense, de)
 	}
-	slices.SortFunc(entries, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
-	for _, en := range entries {
-		st.Dense = append(st.Dense, en.DenseEntry)
-	}
+	slices.SortFunc(st.Dense, func(x, y DenseEntry) int { return vset.CompareKeys(x.Set, y.Set) })
 	return st
 }
 

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
@@ -9,30 +10,19 @@ import (
 	"dyndens/internal/vset"
 )
 
-// entryState is the builder's mutable record of one story: the lifecycle
-// facts it learns from tracker records plus the live subgraphs (with the
-// densities annotated on engine events) it attributes from the event stream.
-type entryState struct {
-	id       story.ID
-	entities vset.Set
-	keys     map[string]float64 // live subgraph key → density at last threshold crossing
-	bornSeq  uint64
-	lastSeq  uint64
-	density  float64 // max over keys; last-known value while fading
-}
-
-type bufEvent struct {
-	kind    core.EventKind
-	key     string
-	density float64
-}
-
 // Builder is the writer side of the serving layer. It sits in the sink
 // position of the pipeline, wrapping a story.Tracker: every event is
-// forwarded to the tracker (which keeps producing the canonical lifecycle
-// records) and folded — together with the records the tracker emits — into
-// an epoch-versioned story table that is published to a View as an immutable
-// Snapshot at each update boundary that changed anything.
+// forwarded to the tracker, which resolves it into the story table and the
+// canonical lifecycle records, and at each update boundary that delivered an
+// event or a record the builder publishes the table to a View as an immutable
+// Snapshot.
+//
+// The tracker owns every fact about a story — its entity set, sequences and
+// live subgraphs with their densities — and reports which stories an update
+// touched (Tracker.Touched), so the builder keeps no second copy: a boundary
+// rebuilds the entries of the touched stories from the tracker's rows and
+// shares every other entry with the previous snapshot. What the builder does
+// own is derived serving state: the density ranking and the entity postings.
 //
 // Like the tracker it wraps, the Builder supports both delivery modes:
 //
@@ -46,31 +36,19 @@ type bufEvent struct {
 // concurrent read surface. NewBuilder installs the builder as the tracker's
 // record sink — use Builder.SetRecordSink to observe records downstream.
 //
-// Boundary processing applies the update's lifecycle records first, in
-// emission order (identities: born, split, merge, death, entity-set
-// updates), then the update's events in the tracker's canonical order
-// (became before ceased, then by key) to attribute subgraph keys and
-// densities to their post-resolution owners via Tracker.OwnerOf. The
-// resulting table matches Tracker.Stories() row for row — pinned by the
+// The published table matches Tracker.Stories() row for row — pinned by the
 // conformance tests.
 type Builder struct {
 	tracker *story.Tracker
 	view    *View
 
-	pendingSeq uint64 // EmitSeq mode: sequence the buffered events belong to
-	evs        []bufEvent
-	recs       []story.Record
+	pendingSeq uint64 // EmitSeq mode: sequence the delivered events belong to
+	pending    bool   // an event or a record arrived since the last boundary
 	onRecord   func(story.Record)
 
-	entries  map[story.ID]*entryState
-	keyOwner map[string]story.ID
 	rank     RankedIndex
 	byEntity map[vset.Vertex][]story.ID
-	liveKeys []string // sorted
-
-	dirty     map[story.ID]bool // stories whose Entry must be rebuilt (or dropped) this boundary
-	keysDirty bool
-	entDirty  bool
+	entDirty bool // byEntity changed since the last publish
 }
 
 // NewBuilder wraps a tracker in a serving builder with a fresh View. The
@@ -80,10 +58,7 @@ func NewBuilder(tr *story.Tracker) *Builder {
 	b := &Builder{
 		tracker:  tr,
 		view:     NewView(),
-		entries:  make(map[story.ID]*entryState),
-		keyOwner: make(map[string]story.ID),
 		byEntity: make(map[vset.Vertex][]story.ID),
-		dirty:    make(map[story.ID]bool),
 	}
 	tr.SetRecordSink(b.captureRecord)
 	return b
@@ -103,18 +78,18 @@ func (b *Builder) Tracker() *story.Tracker { return b.tracker }
 func (b *Builder) SetRecordSink(fn func(story.Record)) { b.onRecord = fn }
 
 func (b *Builder) captureRecord(r story.Record) {
-	b.recs = append(b.recs, r)
+	b.pending = true
 	b.view.records.Add(1)
 	if b.onRecord != nil {
 		b.onRecord(r)
 	}
 }
 
-// Emit implements core.EventSink: the event is forwarded to the tracker and
-// buffered (key and density only) until the boundary.
+// Emit implements core.EventSink: the event goes to the tracker, and its
+// update's boundary will publish.
 func (b *Builder) Emit(ev core.Event) {
 	b.tracker.Emit(ev)
-	b.evs = append(b.evs, bufEvent{kind: ev.Kind, key: ev.Set.Key(), density: ev.Density})
+	b.pending = true
 }
 
 // EndUpdate implements core.UpdateBoundarySink.
@@ -125,7 +100,7 @@ func (b *Builder) EndUpdate() {
 
 // EmitSeq implements shard.SeqSink: a sequence change means the tracker
 // resolved the previous update when the event was forwarded, so the builder
-// folds that update's buffer before accepting the new event.
+// publishes that update before counting the new event.
 func (b *Builder) EmitSeq(ev shard.SeqEvent) {
 	old := b.pendingSeq
 	b.tracker.EmitSeq(ev)
@@ -133,168 +108,132 @@ func (b *Builder) EmitSeq(ev shard.SeqEvent) {
 		b.boundary(old)
 	}
 	b.pendingSeq = ev.Seq
-	b.evs = append(b.evs, bufEvent{kind: ev.Event.Kind, key: ev.Event.Set.Key(), density: ev.Event.Density})
+	b.pending = true
 }
 
 // Close resolves any buffered update, accounts for trailing event-free
 // updates up to finalSeq (see Tracker.Close), and publishes the final
 // snapshot.
 func (b *Builder) Close(finalSeq uint64) {
-	if b.pendingSeq != 0 {
-		// Resolve the buffered update at its own sequence first — folding
-		// its events at finalSeq would misdate LastSeq.
-		b.tracker.Close(0)
-		b.boundary(b.tracker.Seq())
-		b.pendingSeq = 0
-	}
+	b.Sync() // the buffered update publishes at its own sequence
 	b.tracker.Close(finalSeq)
 	b.boundary(b.tracker.Seq())
 }
 
-// boundary folds the buffered records and events of update s into the story
-// table and publishes a new snapshot if anything changed. Boundaries that
-// changed nothing — the common case on a fading stream — cost two atomic
-// stores.
+// boundary publishes update s if it delivered anything. Boundaries that did
+// not — the common case on a fading stream — cost two atomic stores.
 func (b *Builder) boundary(s uint64) {
 	b.view.noteBoundary(s)
-	if len(b.recs) == 0 && len(b.evs) == 0 {
-		return
-	}
-	for _, r := range b.recs {
-		b.applyRecord(r)
-	}
-	sort.SliceStable(b.evs, func(i, j int) bool {
-		if b.evs[i].kind != b.evs[j].kind {
-			return b.evs[i].kind < b.evs[j].kind
-		}
-		return b.evs[i].key < b.evs[j].key
-	})
-	for _, ev := range b.evs {
-		b.applyEvent(s, ev)
-	}
-	b.publish(s)
-	b.recs = b.recs[:0]
-	b.evs = b.evs[:0]
-	clear(b.dirty)
-	b.keysDirty = false
-	b.entDirty = false
-}
-
-// ensure returns the story's mutable state, creating it if needed, and marks
-// it for rebuild at this boundary.
-func (b *Builder) ensure(id story.ID) *entryState {
-	e := b.entries[id]
-	if e == nil {
-		e = &entryState{id: id, keys: make(map[string]float64)}
-		b.entries[id] = e
-	}
-	b.dirty[id] = true
-	return e
-}
-
-// drop removes a story (death or merge-absorption). Keys the story still
-// owns are released defensively; on a merge they were reassigned first, so
-// nothing is released here.
-func (b *Builder) drop(id story.ID) {
-	e := b.entries[id]
-	if e == nil {
-		return
-	}
-	for k := range e.keys {
-		if b.keyOwner[k] == id {
-			delete(b.keyOwner, k)
-			b.removeLiveKey(k)
-		}
-	}
-	b.setEntities(e, nil)
-	delete(b.entries, id)
-	b.dirty[id] = true
-}
-
-func (b *Builder) applyRecord(r story.Record) {
-	switch r.Kind {
-	case story.Born, story.Split:
-		e := b.ensure(r.Story)
-		e.bornSeq, e.lastSeq = r.Seq, r.Seq
-		b.setEntities(e, r.Entities)
-	case story.Updated:
-		e := b.ensure(r.Story)
-		e.lastSeq = r.Seq
-		b.setEntities(e, r.Entities)
-	case story.Merged:
-		// r.Story was absorbed into r.Other; the record carries the
-		// absorber's post-merge entity set.
-		dst := b.ensure(r.Other)
-		if src := b.entries[r.Story]; src != nil {
-			for k, d := range src.keys {
-				dst.keys[k] = d
-				b.keyOwner[k] = r.Other
-			}
-			clear(src.keys)
-			b.drop(r.Story)
-		}
-		dst.lastSeq = r.Seq
-		b.setEntities(dst, r.Entities)
-	case story.Died:
-		b.drop(r.Story)
+	if b.pending {
+		b.publish(s, b.tracker.Touched())
+		b.pending = false
 	}
 }
 
-func (b *Builder) applyEvent(s uint64, ev bufEvent) {
-	switch ev.kind {
-	case core.BecameOutputDense:
-		// Attribute to the post-resolution owner; no owner means the
-		// tracker filtered the subgraph out (MinCardinality).
-		id, ok := b.tracker.OwnerOf(ev.key)
-		if !ok {
-			return
-		}
-		e := b.ensure(id)
-		if _, had := e.keys[ev.key]; !had {
-			b.insertLiveKey(ev.key)
-		}
-		e.keys[ev.key] = ev.density
-		b.keyOwner[ev.key] = id
-		e.lastSeq = s
-	case core.CeasedOutputDense:
-		id, ok := b.keyOwner[ev.key]
-		if !ok {
-			return
-		}
-		e := b.ensure(id)
-		delete(e.keys, ev.key)
-		delete(b.keyOwner, ev.key)
-		b.removeLiveKey(ev.key)
-		e.lastSeq = s
+// noEntry stands for "the story has no entry" on either side of a boundary.
+var noEntry Entry
+
+// publish installs the snapshot of boundary s: the previous one with the
+// entries of the touched stories rebuilt from the tracker (or dropped, for a
+// story that died or was merged away). Untouched entries, posting slices and
+// the ranking are shared with the previous snapshot wherever nothing changed.
+func (b *Builder) publish(s uint64, touched []story.ID) {
+	prev := b.view.Snapshot()
+	ns := &Snapshot{Epoch: s, Stories: prev.Stories, Ranked: prev.Ranked, ByEntity: prev.ByEntity, LiveSubgraphs: prev.LiveSubgraphs}
+	if len(touched) > 0 {
+		ns.Stories = make([]*Entry, len(prev.Stories), len(prev.Stories)+len(touched))
+		copy(ns.Stories, prev.Stories)
 	}
+	rankChanged := false
+	for _, id := range touched {
+		old, ent := &noEntry, &noEntry
+		at, had := findEntry(ns.Stories, id)
+		if had {
+			old = ns.Stories[at]
+		}
+		row, has := b.tracker.Story(id)
+		if has {
+			ent = b.buildEntry(row, old)
+		}
+		switch {
+		case had && has:
+			ns.Stories[at] = ent
+		case has:
+			ns.Stories = slices.Insert(ns.Stories, at, ent)
+		case had:
+			ns.Stories = slices.Delete(ns.Stories, at, at+1)
+		}
+		ns.LiveSubgraphs += len(ent.Subgraphs) - len(old.Subgraphs)
+		b.setEntities(id, old.Entities, ent.Entities)
+
+		// Only stories with a live subgraph are ranked.
+		before, ranked := b.rank.Density(id)
+		switch live := len(ent.Subgraphs) > 0; {
+		case !live && ranked:
+			b.rank.Remove(id)
+			rankChanged = true
+		case live && (!ranked || before != ent.Density):
+			b.rank.Set(id, ent.Density)
+			rankChanged = true
+		}
+	}
+
+	if rankChanged {
+		ns.Ranked = b.rank.Clone()
+	}
+	if b.entDirty {
+		ns.ByEntity = maps.Clone(b.byEntity)
+		b.entDirty = false
+	}
+	b.view.publish(ns)
 }
 
-// setEntities replaces a story's entity set, diffing old against new to keep
-// the entity→stories postings current. Posting slices are copy-on-write:
-// snapshots share them, so a changed posting is always a fresh slice.
-func (b *Builder) setEntities(e *entryState, set vset.Set) {
-	old := e.entities
+// buildEntry freezes a story's tracker row into an immutable Entry. old is
+// the story's entry in the previous snapshot: a fading story keeps the
+// density it last had.
+func (b *Builder) buildEntry(row story.Snapshot, old *Entry) *Entry {
+	ent := &Entry{
+		ID:       row.ID,
+		Entities: row.Entities,
+		Density:  old.Density,
+		BornSeq:  row.BornSeq,
+		LastSeq:  row.LastSeq,
+		Fading:   row.Fading,
+	}
+	if row.Subgraphs > 0 {
+		ent.Subgraphs = b.tracker.AppendLive(make([]SubgraphRef, 0, row.Subgraphs), row.ID)
+		ent.Density = 0
+		for _, sg := range ent.Subgraphs {
+			ent.Density = max(ent.Density, sg.Density)
+		}
+	}
+	return ent
+}
+
+// setEntities moves a story's postings from its old entity set to its new
+// one. Posting slices are copy-on-write: snapshots share them, so a changed
+// posting is always a fresh slice.
+func (b *Builder) setEntities(id story.ID, old, set vset.Set) {
 	i, j := 0, 0
 	for i < len(old) || j < len(set) {
 		switch {
 		case j >= len(set) || (i < len(old) && old[i] < set[j]):
-			b.unpost(old[i], e.id)
+			b.unpost(old[i], id)
 			i++
 		case i >= len(old) || old[i] > set[j]:
-			b.post(set[j], e.id)
+			b.post(set[j], id)
 			j++
 		default:
 			i++
 			j++
 		}
 	}
-	e.entities = set
 }
 
 func (b *Builder) post(v vset.Vertex, id story.ID) {
 	old := b.byEntity[v]
-	i := sort.Search(len(old), func(k int) bool { return old[k] >= id })
-	if i < len(old) && old[i] == id {
+	i, found := slices.BinarySearch(old, id)
+	if found {
 		return
 	}
 	ns := make([]story.ID, len(old)+1)
@@ -307,8 +246,8 @@ func (b *Builder) post(v vset.Vertex, id story.ID) {
 
 func (b *Builder) unpost(v vset.Vertex, id story.ID) {
 	old := b.byEntity[v]
-	i := sort.Search(len(old), func(k int) bool { return old[k] >= id })
-	if i >= len(old) || old[i] != id {
+	i, found := slices.BinarySearch(old, id)
+	if !found {
 		return
 	}
 	if len(old) == 1 {
@@ -320,112 +259,4 @@ func (b *Builder) unpost(v vset.Vertex, id story.ID) {
 		b.byEntity[v] = ns
 	}
 	b.entDirty = true
-}
-
-func (b *Builder) insertLiveKey(k string) {
-	i := sort.SearchStrings(b.liveKeys, k)
-	if i < len(b.liveKeys) && b.liveKeys[i] == k {
-		return
-	}
-	b.liveKeys = append(b.liveKeys, "")
-	copy(b.liveKeys[i+1:], b.liveKeys[i:])
-	b.liveKeys[i] = k
-	b.keysDirty = true
-}
-
-func (b *Builder) removeLiveKey(k string) {
-	i := sort.SearchStrings(b.liveKeys, k)
-	if i >= len(b.liveKeys) || b.liveKeys[i] != k {
-		return
-	}
-	copy(b.liveKeys[i:], b.liveKeys[i+1:])
-	b.liveKeys = b.liveKeys[:len(b.liveKeys)-1]
-	b.keysDirty = true
-}
-
-// publish builds immutable entries for the dirty stories, folds their
-// densities into the ranked index, and installs a new snapshot. Untouched
-// entries, posting slices, the ranking, and the live-key universe are shared
-// with the previous snapshot wherever nothing changed.
-func (b *Builder) publish(s uint64) {
-	prev := b.view.Snapshot()
-	ns := &Snapshot{Epoch: s}
-
-	ns.Stories = make(map[story.ID]*Entry, len(b.entries))
-	for id, ent := range prev.Stories {
-		if !b.dirty[id] {
-			ns.Stories[id] = ent
-		}
-	}
-	rankChanged := false
-	for id := range b.dirty {
-		e, ok := b.entries[id]
-		if !ok {
-			if before := b.rank.Len(); before > 0 {
-				b.rank.Remove(id)
-				rankChanged = rankChanged || b.rank.Len() != before
-			}
-			continue
-		}
-		ent := b.buildEntry(e)
-		ns.Stories[id] = ent
-		before, hadD := b.rank.Density(id)
-		if ent.Fading {
-			if hadD {
-				b.rank.Remove(id)
-				rankChanged = true
-			}
-		} else if !hadD || before != ent.Density {
-			b.rank.Set(id, ent.Density)
-			rankChanged = true
-		}
-	}
-
-	if rankChanged {
-		ns.Ranked = b.rank.Clone()
-	} else {
-		ns.Ranked = prev.Ranked
-	}
-	if b.entDirty {
-		m := make(map[vset.Vertex][]story.ID, len(b.byEntity))
-		for v, ids := range b.byEntity {
-			m[v] = ids
-		}
-		ns.ByEntity = m
-	} else {
-		ns.ByEntity = prev.ByEntity
-	}
-	if b.keysDirty {
-		ns.LiveKeys = append([]string(nil), b.liveKeys...)
-	} else {
-		ns.LiveKeys = prev.LiveKeys
-	}
-	b.view.publish(ns)
-}
-
-// buildEntry freezes a story's current state into an immutable Entry.
-func (b *Builder) buildEntry(e *entryState) *Entry {
-	refs := make([]SubgraphRef, 0, len(e.keys))
-	for k, d := range e.keys {
-		refs = append(refs, SubgraphRef{Key: k, Density: d})
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
-	if len(refs) > 0 {
-		maxD := refs[0].Density
-		for _, r := range refs[1:] {
-			if r.Density > maxD {
-				maxD = r.Density
-			}
-		}
-		e.density = maxD
-	}
-	return &Entry{
-		ID:        e.id,
-		Entities:  e.entities,
-		Density:   e.density,
-		Subgraphs: refs,
-		BornSeq:   e.bornSeq,
-		LastSeq:   e.lastSeq,
-		Fading:    len(refs) == 0,
-	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
+	"dyndens/internal/vset"
 )
 
 // storyWorkload mirrors the story package's reference pipeline workload:
@@ -64,7 +66,7 @@ func validateSnapshot(s *Snapshot) error {
 			return fmt.Errorf("epoch %d: story %d ranked twice", s.Epoch, r.Story)
 		}
 		rankedPos[r.Story] = i
-		e, ok := s.Stories[r.Story]
+		e, ok := s.Story(r.Story)
 		if !ok {
 			return fmt.Errorf("epoch %d: ranked story %d missing from table", s.Epoch, r.Story)
 		}
@@ -76,10 +78,14 @@ func validateSnapshot(s *Snapshot) error {
 		}
 	}
 
-	var keys []string
-	for id, e := range s.Stories {
-		if e.ID != id {
-			return fmt.Errorf("epoch %d: entry keyed %d carries ID %d", s.Epoch, id, e.ID)
+	live := 0
+	for i, e := range s.Stories {
+		id := e.ID
+		if i > 0 && s.Stories[i-1].ID >= id {
+			return fmt.Errorf("epoch %d: story table unordered at %d: ID %d then %d", s.Epoch, i, s.Stories[i-1].ID, id)
+		}
+		if got, ok := s.Story(id); !ok || got != e {
+			return fmt.Errorf("epoch %d: Story(%d) does not find the table's entry", s.Epoch, id)
 		}
 		if e.Fading != (len(e.Subgraphs) == 0) {
 			return fmt.Errorf("epoch %d: story %d fading=%v with %d subgraphs", s.Epoch, id, e.Fading, len(e.Subgraphs))
@@ -89,14 +95,17 @@ func validateSnapshot(s *Snapshot) error {
 		}
 		maxD := 0.0
 		for i, sg := range e.Subgraphs {
-			if i > 0 && sg.Key <= e.Subgraphs[i-1].Key {
+			if i > 0 && vset.CompareKeys(sg.Set, e.Subgraphs[i-1].Set) <= 0 {
 				return fmt.Errorf("epoch %d: story %d subgraphs unordered", s.Epoch, id)
+			}
+			if !e.Entities.ContainsAll(sg.Set) {
+				return fmt.Errorf("epoch %d: story %d subgraph %v outside its entities %v", s.Epoch, id, sg.Set, e.Entities)
 			}
 			if sg.Density > maxD {
 				maxD = sg.Density
 			}
-			keys = append(keys, sg.Key)
 		}
+		live += len(e.Subgraphs)
 		if !e.Fading && e.Density != maxD {
 			return fmt.Errorf("epoch %d: story %d density %v != max subgraph density %v", s.Epoch, id, e.Density, maxD)
 		}
@@ -108,9 +117,11 @@ func validateSnapshot(s *Snapshot) error {
 			}
 		}
 	}
-	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, s.LiveKeys) && !(len(keys) == 0 && len(s.LiveKeys) == 0) {
-		return fmt.Errorf("epoch %d: union of entry subgraphs %v != LiveKeys %v", s.Epoch, keys, s.LiveKeys)
+	if live != s.LiveSubgraphs {
+		return fmt.Errorf("epoch %d: entries hold %d subgraphs, LiveSubgraphs = %d", s.Epoch, live, s.LiveSubgraphs)
+	}
+	if keys := s.LiveKeys(); len(keys) != live || !sort.StringsAreSorted(keys) {
+		return fmt.Errorf("epoch %d: LiveKeys() = %v for %d subgraphs", s.Epoch, keys, live)
 	}
 	for v, ids := range s.ByEntity {
 		if len(ids) == 0 {
@@ -120,7 +131,7 @@ func validateSnapshot(s *Snapshot) error {
 			if i > 0 && ids[i-1] >= id {
 				return fmt.Errorf("epoch %d: posting for entity %d unordered", s.Epoch, v)
 			}
-			e, ok := s.Stories[id]
+			e, ok := s.Story(id)
 			if !ok {
 				return fmt.Errorf("epoch %d: posting for entity %d names missing story %d", s.Epoch, v, id)
 			}
@@ -141,10 +152,13 @@ func checkMatchesTracker(t *testing.T, b *Builder) {
 	if len(snap.Stories) != len(rows) {
 		t.Fatalf("view has %d stories, tracker %d", len(snap.Stories), len(rows))
 	}
-	for _, row := range rows {
-		e, ok := snap.Stories[row.ID]
+	for i, row := range rows {
+		e, ok := snap.Story(row.ID)
 		if !ok {
 			t.Fatalf("story %d in tracker table but not in view", row.ID)
+		}
+		if snap.Stories[i] != e {
+			t.Fatalf("story %d is row %d of the tracker table but not of the view", row.ID, i)
 		}
 		if !e.Entities.Equal(row.Entities) {
 			t.Errorf("story %d entities: view %v, tracker %v", row.ID, e.Entities, row.Entities)
@@ -158,8 +172,18 @@ func checkMatchesTracker(t *testing.T, b *Builder) {
 		if e.Fading != row.Fading {
 			t.Errorf("story %d fading: view %v, tracker %v", row.ID, e.Fading, row.Fading)
 		}
+		for _, sg := range e.Subgraphs {
+			if owner, ok := b.Tracker().OwnerOf(sg.Set); !ok || owner != row.ID {
+				t.Errorf("story %d serves subgraph %v, which the tracker gives to %d (%v)", row.ID, sg.Set, owner, ok)
+			}
+		}
+		for _, v := range row.Entities {
+			if ids := snap.ByEntity[v]; !slices.Contains(ids, row.ID) {
+				t.Errorf("entity %d of story %d: posting %v does not name it", v, row.ID, ids)
+			}
+		}
 	}
-	if got, want := snap.LiveKeys, b.Tracker().LiveKeys(); !reflect.DeepEqual(got, want) && len(want) > 0 {
+	if got, want := snap.LiveKeys(), b.Tracker().LiveKeys(); !slices.Equal(got, want) {
 		t.Errorf("view live keys %v != tracker %v", got, want)
 	}
 	if err := validateSnapshot(snap); err != nil {
@@ -177,8 +201,11 @@ func TestBuilderMatchesTracker(t *testing.T) {
 	eng := core.MustNew(w.eng)
 	b := NewBuilder(story.MustTracker(w.trk))
 	eng.SetSink(b)
-	for _, u := range updates {
+	for i, u := range updates {
 		eng.Process(u)
+		if i%53 == 0 { // mid-stream too: the view follows the tracker at every boundary
+			checkMatchesTracker(t, b)
+		}
 	}
 	b.Close(uint64(len(updates)))
 
@@ -202,13 +229,7 @@ func TestBuilderMatchesTracker(t *testing.T) {
 // entryFingerprint flattens a snapshot to a deterministic comparable form.
 func entryFingerprint(s *Snapshot) []string {
 	var out []string
-	ids := make([]story.ID, 0, len(s.Stories))
-	for id := range s.Stories {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := s.Stories[id]
+	for _, e := range s.Stories {
 		out = append(out, fmt.Sprintf("%d|%s|%v|%v|%d|%d|%v", e.ID, e.Entities.Key(), e.Subgraphs, e.Density, e.BornSeq, e.LastSeq, e.Fading))
 	}
 	out = append(out, fmt.Sprintf("ranked=%v", s.Ranked))
@@ -277,11 +298,11 @@ func TestBuilderLiveKeysMatchEngine(t *testing.T) {
 			t.Fatalf("after update %d: %v", i+1, err)
 		}
 		want := eng.OutputDenseKeys()
-		if len(want) == 0 && len(snap.LiveKeys) == 0 {
+		if len(want) == 0 && snap.LiveSubgraphs == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(snap.LiveKeys, want) {
-			t.Fatalf("after update %d: view live keys %v != engine %v", i+1, snap.LiveKeys, want)
+		if got := snap.LiveKeys(); !slices.Equal(got, want) {
+			t.Fatalf("after update %d: view live keys %v != engine %v", i+1, got, want)
 		}
 		checked++
 	}
@@ -369,9 +390,8 @@ func TestSnapshotConsistencyUnderConcurrentReads(t *testing.T) {
 					return
 				}
 				if want, ok := history.Load(snap.Epoch); ok {
-					wk := want.([]string)
-					if !reflect.DeepEqual(snap.LiveKeys, wk) && !(len(snap.LiveKeys) == 0 && len(wk) == 0) {
-						errc <- fmt.Errorf("epoch %d: snapshot live keys %v != engine %v", snap.Epoch, snap.LiveKeys, wk)
+					if got := snap.LiveKeys(); !slices.Equal(got, want.([]string)) {
+						errc <- fmt.Errorf("epoch %d: snapshot live keys %v != engine %v", snap.Epoch, got, want)
 						return
 					}
 					sampled++

@@ -117,14 +117,21 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // storyJSON is the wire form of an Entry.
 type storyJSON struct {
-	ID        story.ID      `json:"id"`
-	Density   float64       `json:"density"`
-	Entities  []int32       `json:"entities"`
-	Subgraphs []SubgraphRef `json:"subgraphs,omitempty"`
-	NumSubs   int           `json:"subgraph_count"`
-	BornSeq   uint64        `json:"born_seq"`
-	LastSeq   uint64        `json:"last_seq"`
-	Fading    bool          `json:"fading"`
+	ID        story.ID       `json:"id"`
+	Density   float64        `json:"density"`
+	Entities  []int32        `json:"entities"`
+	Subgraphs []subgraphJSON `json:"subgraphs,omitempty"`
+	NumSubs   int            `json:"subgraph_count"`
+	BornSeq   uint64         `json:"born_seq"`
+	LastSeq   uint64         `json:"last_seq"`
+	Fading    bool           `json:"fading"`
+}
+
+// subgraphJSON is the wire form of a SubgraphRef: here, and only here, the
+// vertex set becomes its canonical key string.
+type subgraphJSON struct {
+	Key     string  `json:"key"`
+	Density float64 `json:"density"`
 }
 
 func entryJSON(e *Entry, detail bool) storyJSON {
@@ -142,7 +149,9 @@ func entryJSON(e *Entry, detail bool) storyJSON {
 		Fading:   e.Fading,
 	}
 	if detail {
-		out.Subgraphs = e.Subgraphs
+		for _, sg := range e.Subgraphs {
+			out.Subgraphs = append(out.Subgraphs, subgraphJSON{Key: sg.Set.Key(), Density: sg.Density})
+		}
 	}
 	return out
 }
@@ -202,7 +211,8 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		Stories []storyJSON `json:"stories"`
 	}{Epoch: snap.Epoch, Ranked: len(snap.Ranked), Stories: make([]storyJSON, 0, len(ranked))}
 	for _, rk := range ranked {
-		out.Stories = append(out.Stories, entryJSON(snap.Stories[rk.Story], false))
+		e, _ := snap.Story(rk.Story) // every ranked story is in the table
+		out.Stories = append(out.Stories, entryJSON(e, false))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -214,7 +224,7 @@ func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.view.Snapshot()
-	e, ok := snap.Stories[story.ID(id)]
+	e, ok := snap.Story(story.ID(id))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no story %d", id)})
 		return
@@ -240,7 +250,8 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		Stories []storyJSON `json:"stories"`
 	}{Epoch: snap.Epoch, Entity: ev, Stories: make([]storyJSON, 0, len(ids))}
 	for _, id := range ids {
-		out.Stories = append(out.Stories, entryJSON(snap.Stories[id], false))
+		e, _ := snap.Story(id) // every posted story is in the table
+		out.Stories = append(out.Stories, entryJSON(e, false))
 	}
 	writeJSON(w, http.StatusOK, out)
 }

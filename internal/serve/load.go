@@ -121,7 +121,7 @@ func (l *Load) run(r *reader) {
 		t0 := time.Now()
 		snap := l.view.Snapshot()
 		for _, rk := range snap.Top(l.cfg.TopK) {
-			e := snap.Stories[rk.Story]
+			e, _ := snap.Story(rk.Story)
 			sink += uint64(len(e.Entities)) + uint64(len(e.Subgraphs))
 		}
 		r.observe(time.Since(t0))

@@ -1,61 +1,44 @@
 package serve
 
 import (
-	"sort"
-
+	"dyndens/internal/core"
 	"dyndens/internal/story"
 )
 
 // This file is the serving half of crash recovery (internal/persist). The
 // Builder's table is a deterministic fold of the tracker's story table plus
 // per-subgraph densities, so it is not persisted separately: a restored
-// builder is reconstructed from the restored tracker state and the engine's
+// builder is reconstructed from the restored tracker and the engine's
 // current output-dense densities, then behaves exactly like one that folded
 // the whole stream.
 
-// Sync resolves any buffered update (the EmitSeq-mode event buffer) and folds
-// it into the story table, bringing the builder — and the tracker it wraps —
-// to a quiescent, exportable boundary. A no-op when nothing is buffered.
+// Sync resolves any buffered update (the EmitSeq-mode event buffer) and
+// publishes it, bringing the builder — and the tracker it wraps — to a
+// quiescent, exportable boundary. A no-op when nothing is buffered.
 func (b *Builder) Sync() {
-	b.tracker.Sync()
-	if b.pendingSeq != 0 || len(b.evs) > 0 || len(b.recs) > 0 {
+	if b.tracker.Sync() {
 		b.boundary(b.tracker.Seq())
 		b.pendingSeq = 0
 	}
 }
 
-// NewBuilderFromState wraps a tracker restored via story.NewTrackerFromState,
-// rebuilding the serving table from the restored story rows. densities maps
-// live subgraph keys to their output densities (from the engine's restored
-// index); keys missing from the map restore with density 0, as do fading
+// NewBuilderFromState wraps a tracker restored via story.NewTrackerFromState
+// and publishes its table at the restored sequence. dense is the restored
+// engine's output-dense set: it gives the live subgraphs their densities
+// back. A subgraph missing from it restores with density 0, as do fading
 // stories — the last-known density is a serving cache, not durable state, and
-// heals at the story's next event. The initial snapshot publishes at the
-// restored sequence.
-func NewBuilderFromState(tr *story.Tracker, st story.TrackerState, densities map[string]float64) *Builder {
+// heals at the story's next event.
+func NewBuilderFromState(tr *story.Tracker, dense []core.Subgraph) *Builder {
 	b := NewBuilder(tr)
-	for _, row := range st.Stories {
-		e := &entryState{
-			id:      row.ID,
-			keys:    make(map[string]float64, len(row.Live)),
-			bornSeq: row.BornSeq,
-			lastSeq: row.LastSeq,
-		}
-		for _, set := range row.Live {
-			k := set.Key()
-			e.keys[k] = densities[k]
-			b.keyOwner[k] = row.ID
-			b.liveKeys = append(b.liveKeys, k)
-		}
-		b.entries[row.ID] = e
-		b.setEntities(e, row.Entities) // diff base is empty: posts everything
-		b.dirty[row.ID] = true
+	for _, sg := range dense {
+		tr.SetDensity(sg.Set, sg.Density)
 	}
-	sort.Strings(b.liveKeys)
-	b.keysDirty = len(b.liveKeys) > 0
-	b.view.noteBoundary(st.Seq)
-	b.publish(st.Seq)
-	clear(b.dirty)
-	b.keysDirty = false
-	b.entDirty = false
+	rows := tr.Stories()
+	ids := make([]story.ID, len(rows))
+	for i, row := range rows {
+		ids[i] = row.ID
+	}
+	b.view.noteBoundary(tr.Seq())
+	b.publish(tr.Seq(), ids)
 	return b
 }

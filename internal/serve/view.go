@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"cmp"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"dyndens/internal/story"
@@ -8,47 +11,45 @@ import (
 )
 
 // SubgraphRef is one live output-dense subgraph of a story as the serving
-// layer sees it: the subgraph's canonical key and the density annotated on
-// the engine event that last crossed its output threshold. Densities are
-// therefore exact as of the last threshold crossing, not continuously
-// re-evaluated — the staleness the paper accepts for incremental
-// maintenance.
-type SubgraphRef struct {
-	Key     string  `json:"key"`
-	Density float64 `json:"density"`
-}
+// layer sees it: the vertex set that identifies it and the density annotated
+// on the engine event that last crossed its output threshold (see
+// story.Subgraph). The canonical "key" string clients read exists only in the
+// JSON the HTTP layer writes.
+type SubgraphRef = story.Subgraph
 
 // Entry is one immutable story row of a published Snapshot. Everything it
 // references (the entity set, the subgraph slice) is frozen at publish time;
 // readers may hold an Entry for as long as they like.
 type Entry struct {
-	ID        story.ID      `json:"id"`
-	Entities  vset.Set      `json:"entities"`
-	Density   float64       `json:"density"` // max density over live subgraphs; last-known for fading stories
-	Subgraphs []SubgraphRef `json:"subgraphs"`
-	BornSeq   uint64        `json:"born_seq"`
-	LastSeq   uint64        `json:"last_seq"`
-	Fading    bool          `json:"fading"`
+	ID        story.ID
+	Entities  vset.Set
+	Density   float64       // max density over live subgraphs; last-known for fading stories
+	Subgraphs []SubgraphRef // in canonical (vset.CompareKeys) order
+	BornSeq   uint64
+	LastSeq   uint64
+	Fading    bool
 }
 
 // Snapshot is one immutable, internally consistent picture of the story
 // table at a single update boundary. Published snapshots are copy-on-write:
 // entries untouched since the previous boundary are shared between
-// consecutive snapshots, so publishing costs O(changed + table-map), never
-// O(stream).
+// consecutive snapshots, and a boundary that touched no story shares the
+// whole table, so publishing costs O(changed) plus one copy of the table's
+// pointer slice, never O(stream).
 //
 // All fields are read-only after publication. Tearing is impossible by
 // construction: a reader that loads a Snapshot sees the ranking, the story
-// table, the entity postings, and the live-key universe of the same epoch.
+// table and the entity postings of the same epoch.
 type Snapshot struct {
 	// Epoch is the update boundary (engine sequence number) this snapshot
-	// corresponds to. Boundaries that change nothing do not publish, so
-	// consecutive snapshots may skip epochs.
+	// corresponds to. Boundaries that deliver neither an event nor a
+	// lifecycle record do not publish, so consecutive snapshots may skip
+	// epochs.
 	Epoch uint64
 
-	// Stories maps story ID → immutable entry, covering live and fading
-	// stories alike.
-	Stories map[story.ID]*Entry
+	// Stories holds one immutable entry per story, live and fading alike, in
+	// ascending ID order; Story looks one up.
+	Stories []*Entry
 
 	// Ranked orders the stories that currently own at least one live
 	// output-dense subgraph by density descending (ties to the lower ID).
@@ -60,10 +61,40 @@ type Snapshot struct {
 	// it.
 	ByEntity map[vset.Vertex][]story.ID
 
-	// LiveKeys is the sorted canonical-key universe of all live output-dense
-	// subgraphs — exactly the engine's OutputDenseKeys() at this boundary
+	// LiveSubgraphs is the number of live output-dense subgraphs over all
+	// entries — the size of the engine's output-dense set at this boundary
 	// (modulo a MinCardinality filter, if one is configured upstream).
-	LiveKeys []string
+	LiveSubgraphs int
+}
+
+// findEntry returns the position of a story ID in an ID-sorted table, or
+// where it would be inserted.
+func findEntry(table []*Entry, id story.ID) (int, bool) {
+	return slices.BinarySearchFunc(table, id, func(e *Entry, id story.ID) int { return cmp.Compare(e.ID, id) })
+}
+
+// Story returns the entry of a story ID by binary search.
+func (s *Snapshot) Story(id story.ID) (*Entry, bool) {
+	i, ok := findEntry(s.Stories, id)
+	if !ok {
+		return nil, false
+	}
+	return s.Stories[i], true
+}
+
+// LiveKeys renders the sorted canonical-key universe of all live subgraphs —
+// exactly the engine's OutputDenseKeys() at this boundary when no
+// MinCardinality filter sits upstream. It builds every string on demand: a
+// conformance instrument for tests, not a serving path.
+func (s *Snapshot) LiveKeys() []string {
+	keys := make([]string, 0, s.LiveSubgraphs)
+	for _, e := range s.Stories {
+		for _, sg := range e.Subgraphs {
+			keys = append(keys, sg.Set.Key())
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Top returns the k highest-density ranked entries (fewer if the ranking is
@@ -108,7 +139,7 @@ type View struct {
 // NewView returns a View holding an empty epoch-0 snapshot.
 func NewView() *View {
 	v := &View{}
-	v.cur.Store(&Snapshot{Stories: map[story.ID]*Entry{}})
+	v.cur.Store(&Snapshot{})
 	return v
 }
 
@@ -120,10 +151,7 @@ func (v *View) Snapshot() *Snapshot { return v.cur.Load() }
 func (v *View) Top(k int) []Rank { return v.cur.Load().Top(k) }
 
 // Story returns the entry for a story ID in the latest snapshot.
-func (v *View) Story(id story.ID) (*Entry, bool) {
-	e, ok := v.cur.Load().Stories[id]
-	return e, ok
-}
+func (v *View) Story(id story.ID) (*Entry, bool) { return v.cur.Load().Story(id) }
 
 // LastSeq returns the most recent update boundary the writer has completed —
 // ahead of Snapshot().Epoch whenever trailing boundaries changed nothing.
@@ -145,7 +173,7 @@ func (v *View) Stats() ViewStats {
 		LastSeq:       v.lastSeq.Load(),
 		Stories:       len(s.Stories),
 		Fading:        fading,
-		LiveSubgraphs: len(s.LiveKeys),
+		LiveSubgraphs: s.LiveSubgraphs,
 		Publishes:     v.publishes.Load(),
 		Boundaries:    v.boundaries.Load(),
 		Records:       v.records.Load(),

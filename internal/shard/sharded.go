@@ -3,12 +3,14 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"dyndens/internal/core"
 	"dyndens/internal/graph"
+	"dyndens/internal/vset"
 )
 
 // Config configures a ShardedEngine.
@@ -577,7 +579,7 @@ func (se *ShardedEngine) OutputDense() []core.Subgraph {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Set.Key() < out[j].Set.Key() })
+	slices.SortFunc(out, func(a, b core.Subgraph) int { return vset.CompareKeys(a.Set, b.Set) })
 	return out
 }
 
@@ -755,12 +757,7 @@ func (se *ShardedEngine) mergeLocked(ready []workerResult) {
 		}
 		se.evBuf = buf
 		seq := firstSeq + uint64(off)
-		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].Kind != buf[b].Kind {
-				return buf[a].Kind < buf[b].Kind
-			}
-			return buf[a].Set.Key() < buf[b].Set.Key()
-		})
+		slices.SortFunc(buf, core.CompareEvents)
 		for _, ev := range buf {
 			k := ev.Set.Key()
 			switch ev.Kind {

@@ -2,7 +2,7 @@ package story
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyndens/internal/vset"
 )
@@ -12,22 +12,6 @@ import (
 // import into a fresh tracker, so a restarted pipeline resumes with story
 // identities intact — the property the paper's real-time story identification
 // is about.
-
-// Sync resolves any buffered update so the tracker reaches a quiescent,
-// exportable state. In sharded (EmitSeq) mode the events of the last
-// event-carrying update are buffered until the next sequence arrives;
-// resolving them early is equivalent because the merger delivers all of an
-// update's events before the deployment quiesces, and expiry uses logical
-// sequences. In single-engine mode the buffer is always empty between
-// updates, so Sync is a no-op there.
-func (t *Tracker) Sync() {
-	switch {
-	case t.pendingSeq != 0:
-		t.resolve(t.pendingSeq)
-	case len(t.buf) > 0:
-		t.resolve(t.seq + 1)
-	}
-}
 
 // StoryState is the persisted form of one story-table row.
 type StoryState struct {
@@ -58,8 +42,7 @@ func (t *Tracker) ExportState() (TrackerState, error) {
 		return TrackerState{}, fmt.Errorf("story: tracker export requires a resolved boundary (call Sync)")
 	}
 	st := TrackerState{Seq: t.seq, NextID: t.nextID, Records: t.Records()}
-	for _, id := range storyIDs(t.stories) {
-		s := t.stories[id]
+	for _, s := range t.stories {
 		row := StoryState{
 			ID:       s.id,
 			Entities: s.entities.Clone(),
@@ -69,13 +52,8 @@ func (t *Tracker) ExportState() (TrackerState, error) {
 			SnapSeq:  s.snapSeq,
 			Snapshot: s.snapshot.Clone(),
 		}
-		keys := make([]string, 0, len(s.live))
-		for k := range s.live {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			row.Live = append(row.Live, s.live[k].Clone())
+		for _, sub := range t.AppendLive(nil, s.id) {
+			row.Live = append(row.Live, sub.Set.Clone())
 		}
 		st.Stories = append(st.Stories, row)
 	}
@@ -102,31 +80,35 @@ func NewTrackerFromState(cfg Config, st TrackerState) (*Tracker, error) {
 		if row.ID == 0 || row.ID >= st.NextID {
 			return nil, fmt.Errorf("story: restored story ID %d outside [1, %d)", row.ID, st.NextID)
 		}
-		if _, dup := t.stories[row.ID]; dup {
-			return nil, fmt.Errorf("story: restored story ID %d duplicated", row.ID)
+		if n := len(t.stories); n > 0 && t.stories[n-1].id >= row.ID {
+			return nil, fmt.Errorf("story: restored story ID %d after %d: not ascending", row.ID, t.stories[n-1].id)
 		}
-		s := &storyState{
+		if (row.FadeSeq == 0) != (len(row.Live) > 0) {
+			return nil, fmt.Errorf("story: restored story %d has fade sequence %d with %d live subgraphs", row.ID, row.FadeSeq, len(row.Live))
+		}
+		for _, set := range row.Live {
+			at, taken := t.findLive(set)
+			if taken {
+				return nil, fmt.Errorf("story: restored subgraph %v owned by both story %d and %d", set, t.live[at].owner, row.ID)
+			}
+			t.live = slices.Insert(t.live, at, liveSub{Subgraph{Set: set}, row.ID})
+		}
+		t.stories = append(t.stories, &storyState{
 			id:       row.ID,
 			entities: row.Entities,
-			live:     make(map[string]vset.Set, len(row.Live)),
+			subs:     len(row.Live),
 			bornSeq:  row.BornSeq,
 			lastSeq:  row.LastSeq,
 			fadeSeq:  row.FadeSeq,
 			snapSeq:  row.SnapSeq,
 			snapshot: row.Snapshot,
+		})
+	}
+	for _, r := range st.Records {
+		if r.Kind < Born || r.Kind > Died {
+			return nil, fmt.Errorf("story: restored record at seq %d has unknown kind %d", r.Seq, r.Kind)
 		}
-		for _, set := range row.Live {
-			k := set.Key()
-			if owner, taken := t.byKey[k]; taken {
-				return nil, fmt.Errorf("story: restored subgraph %v owned by both story %d and %d", set, owner, row.ID)
-			}
-			s.live[k] = set
-			t.byKey[k] = row.ID
-		}
-		if row.FadeSeq == 0 && len(s.live) == 0 {
-			return nil, fmt.Errorf("story: restored story %d is live with no subgraphs", row.ID)
-		}
-		t.stories[row.ID] = s
+		t.kinds[r.Kind]++
 	}
 	t.records = st.Records
 	return t, nil

@@ -1,8 +1,9 @@
 package story
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
@@ -57,21 +58,45 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// storyState is the tracker's mutable record of one story.
+// storyState is the tracker's mutable record of one story. Its live
+// subgraphs are the rows of Tracker.live it owns.
 type storyState struct {
 	id       ID
-	entities vset.Set            // union of live subgraph sets; fade snapshot while fading
-	live     map[string]vset.Set // currently output-dense subgraphs, by canonical key
+	entities vset.Set // union of live subgraph sets; fade snapshot while fading
+	subs     int      // live subgraphs owned
 	bornSeq  uint64
 	lastSeq  uint64
 	fadeSeq  uint64 // seq at which the last live subgraph ceased; 0 = live
 	snapSeq  uint64 // seq of the most recent fade snapshot; 0 = never faded
 	snapshot vset.Set
+
+	// Per-update bookkeeping, meaningful while touched: the entity set the
+	// update in flight found (entity sets are never written in place, so the
+	// slice header is the snapshot), and whether the story left the table.
+	touched  bool
+	gone     bool
+	startEnt vset.Set
 }
 
 // expirySeq is the update sequence at which a fading story dies: the first
 // sequence no longer inside its grace window.
 func (s *storyState) expirySeq(grace uint64) uint64 { return s.fadeSeq + grace + 1 }
+
+// Subgraph is one live output-dense subgraph of a story: its vertex set —
+// which is its identity, ordered by vset.CompareKeys — and the density
+// annotated on the engine event that last took it across the output
+// threshold (exact as of that crossing, not continuously re-evaluated: the
+// staleness the paper accepts for incremental maintenance).
+type Subgraph struct {
+	Set     vset.Set
+	Density float64
+}
+
+// liveSub is one row of the live-subgraph table.
+type liveSub struct {
+	Subgraph
+	owner ID
+}
 
 // Stats summarises a tracker's lifetime and current table.
 type Stats struct {
@@ -110,6 +135,11 @@ type Stats struct {
 // A story whose last live subgraph ceases starts fading; if no subgraph
 // rejoins it within Grace updates it dies at the logical expiry sequence.
 //
+// A subgraph is identified by its vertex set, compared with
+// vset.CompareKeys and never turned into a string on the event path: the
+// canonical order is the order of the sets' Key strings, so records are the
+// same as if it were.
+//
 // The tracker is not safe for concurrent use: in sharded mode it runs on the
 // merge goroutine, so query it only after the deployment is flushed.
 type Tracker struct {
@@ -120,8 +150,8 @@ type Tracker struct {
 	buf        []core.Event
 
 	nextID  ID
-	stories map[ID]*storyState
-	byKey   map[string]ID // live subgraph key → owning story
+	stories []*storyState // ascending ID; IDs are monotone, so a birth appends
+	live    []liveSub     // every live subgraph, sorted by vset.CompareKeys
 
 	// nextExpiry is a lower bound on the expiry sequence of every fading
 	// story (0 = not known yet): no story can die before it, so an update
@@ -129,9 +159,15 @@ type Tracker struct {
 	nextExpiry uint64
 
 	records  []Record
+	kinds    [Died + 1]int // records emitted, by kind
 	onRecord func(Record)
 
-	startEnt map[ID]string // per-resolve: entity key when first touched
+	// touched lists the stories the last resolved update changed, including
+	// the ones it removed. The rest is scratch reused across updates.
+	touched    []*storyState
+	touchedIDs []ID
+	cands      []*storyState
+	vbuf       []vset.Vertex
 }
 
 // NewTracker builds a tracker. It returns an error for invalid
@@ -141,13 +177,7 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{
-		cfg:      cfg,
-		nextID:   1,
-		stories:  make(map[ID]*storyState),
-		byKey:    make(map[string]ID),
-		startEnt: make(map[ID]string),
-	}, nil
+	return &Tracker{cfg: cfg, nextID: 1}, nil
 }
 
 // MustTracker is NewTracker that panics on error.
@@ -168,8 +198,13 @@ func (t *Tracker) Config() Config { return t.cfg }
 func (t *Tracker) SetRecordSink(fn func(Record)) { t.onRecord = fn }
 
 // Emit implements core.EventSink: events are buffered until the engine marks
-// the update boundary via EndUpdate.
-func (t *Tracker) Emit(ev core.Event) { t.buf = append(t.buf, ev) }
+// the update boundary via EndUpdate. Subgraphs below MinCardinality never
+// take part in a story, so they are dropped here.
+func (t *Tracker) Emit(ev core.Event) {
+	if ev.Set.Len() >= t.cfg.MinCardinality {
+		t.buf = append(t.buf, ev)
+	}
+}
 
 // EndUpdate implements core.UpdateBoundarySink: the buffered events are
 // resolved as update t.Seq()+1. The engine invokes it once per Process call,
@@ -185,7 +220,26 @@ func (t *Tracker) EmitSeq(ev shard.SeqEvent) {
 		t.resolve(t.pendingSeq)
 	}
 	t.pendingSeq = ev.Seq
-	t.buf = append(t.buf, ev.Event)
+	t.Emit(ev.Event)
+}
+
+// Sync resolves any buffered update so the tracker reaches a quiescent,
+// exportable state, and reports whether there was one. In sharded (EmitSeq)
+// mode the events of the last event-carrying update are buffered until the
+// next sequence arrives; resolving them early is equivalent because the
+// merger delivers all of an update's events before the deployment quiesces,
+// and expiry uses logical sequences. In single-engine mode the buffer is
+// always empty between updates, so Sync is a no-op there.
+func (t *Tracker) Sync() bool {
+	switch {
+	case t.pendingSeq != 0:
+		t.resolve(t.pendingSeq)
+	case len(t.buf) > 0:
+		t.resolve(t.seq + 1)
+	default:
+		return false
+	}
+	return true
 }
 
 // Close resolves any buffered update and accounts for trailing event-free
@@ -193,13 +247,11 @@ func (t *Tracker) EmitSeq(ev shard.SeqEvent) {
 // stories whose grace windows ended by then die. Queries are valid before
 // Close, but a final table that should reflect the whole stream needs it.
 func (t *Tracker) Close(finalSeq uint64) {
-	switch {
-	case t.pendingSeq != 0:
-		t.resolve(t.pendingSeq)
-	case len(t.buf) > 0:
-		t.resolve(t.seq + 1)
-	}
+	synced := t.Sync()
 	if finalSeq > t.seq {
+		if !synced {
+			t.clearTouched()
+		}
 		t.expireThrough(finalSeq)
 		t.seq = finalSeq
 	}
@@ -215,44 +267,33 @@ func (t *Tracker) resolve(s uint64) {
 	if s <= t.seq {
 		panic(fmt.Sprintf("story: update sequence went backwards: %d after %d", s, t.seq))
 	}
+	t.clearTouched()
 	if len(t.buf) == 0 && s < t.nextExpiry {
 		t.seq, t.pendingSeq = s, 0 // the steady state of a stream: O(1), no allocation
 		return
 	}
 	t.expireThrough(s)
 
-	events := t.buf
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Kind != events[j].Kind {
-			return events[i].Kind < events[j].Kind
-		}
-		return events[i].Set.Key() < events[j].Set.Key()
-	})
-	clear(t.startEnt)
-	for _, ev := range events {
-		if ev.Set.Len() < t.cfg.MinCardinality {
-			continue
-		}
+	slices.SortStableFunc(t.buf, core.CompareEvents)
+	for _, ev := range t.buf {
 		switch ev.Kind {
 		case core.BecameOutputDense:
-			t.became(s, ev.Set)
+			t.became(s, ev.Set, ev.Density)
 		case core.CeasedOutputDense:
 			t.ceased(s, ev.Set)
 		}
 	}
 
-	for _, id := range sortedIDs(t.startEnt) {
-		st, ok := t.stories[id]
-		if !ok {
-			continue // merged away within this update
-		}
-		if st.entities.Key() != t.startEnt[id] {
-			t.record(Record{Seq: s, Kind: Updated, Story: id, Entities: st.entities})
+	slices.SortFunc(t.touched, func(a, b *storyState) int { return cmp.Compare(a.id, b.id) })
+	for _, st := range t.touched {
+		if !st.gone && !st.entities.Equal(st.startEnt) {
+			t.record(Record{Seq: s, Kind: Updated, Story: st.id, Entities: st.entities})
 		}
 	}
 
 	t.seq = s
 	t.pendingSeq = 0
+	clear(t.buf) // the table owns the sets it kept; let the rest go
 	t.buf = t.buf[:0]
 }
 
@@ -264,97 +305,148 @@ func (t *Tracker) expireThrough(s uint64) {
 	if s < t.nextExpiry {
 		return
 	}
-	var dead []*storyState
 	t.nextExpiry = ^uint64(0)
+	dead, kept := t.cands[:0], t.stories[:0]
 	for _, st := range t.stories {
-		if st.fadeSeq == 0 {
-			continue
-		}
-		if x := st.expirySeq(t.cfg.Grace); x <= s {
-			dead = append(dead, st)
-		} else {
+		if st.fadeSeq != 0 {
+			x := st.expirySeq(t.cfg.Grace)
+			if x <= s {
+				dead = append(dead, st)
+				continue
+			}
 			t.nextExpiry = min(t.nextExpiry, x)
 		}
+		kept = append(kept, st)
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		ei, ej := dead[i].expirySeq(t.cfg.Grace), dead[j].expirySeq(t.cfg.Grace)
-		if ei != ej {
-			return ei < ej
+	clear(t.stories[len(kept):])
+	t.stories = kept
+	slices.SortFunc(dead, func(a, b *storyState) int {
+		if ea, eb := a.expirySeq(t.cfg.Grace), b.expirySeq(t.cfg.Grace); ea != eb {
+			return cmp.Compare(ea, eb)
 		}
-		return dead[i].id < dead[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	for _, st := range dead {
-		delete(t.stories, st.id)
+		t.touch(st)
+		st.gone = true
 		t.record(Record{Seq: st.expirySeq(t.cfg.Grace), Kind: Died, Story: st.id, Entities: st.entities})
+	}
+	clear(dead)
+	t.cands = dead[:0]
+}
+
+// clearTouched forgets the previous update's touched stories.
+func (t *Tracker) clearTouched() {
+	for _, st := range t.touched {
+		st.touched, st.startEnt = false, nil
+	}
+	clear(t.touched)
+	t.touched = t.touched[:0]
+}
+
+// touch notes a story's entity set the first time an update touches it, so
+// resolve can emit one coalesced Updated record if the set ends up changed.
+func (t *Tracker) touch(st *storyState) {
+	if !st.touched {
+		st.touched, st.startEnt = true, st.entities
+		t.touched = append(t.touched, st)
 	}
 }
 
-// touch records a story's entity set the first time an update touches it, so
-// resolve can emit one coalesced Updated record if the set ends up changed.
-func (t *Tracker) touch(st *storyState) {
-	if _, ok := t.startEnt[st.id]; !ok {
-		t.startEnt[st.id] = st.entities.Key()
+// findLive returns the row of the live table holding set, or where it would
+// be inserted.
+func (t *Tracker) findLive(set vset.Set) (int, bool) {
+	return slices.BinarySearchFunc(t.live, set, func(row liveSub, set vset.Set) int {
+		return vset.CompareKeys(row.Set, set)
+	})
+}
+
+// findStory returns the position of a story ID in the table, or where it
+// would be inserted.
+func (t *Tracker) findStory(id ID) (int, bool) {
+	return slices.BinarySearchFunc(t.stories, id, func(st *storyState, id ID) int { return cmp.Compare(st.id, id) })
+}
+
+// story returns the table row of a story ID, nil if there is none.
+func (t *Tracker) story(id ID) *storyState {
+	i, ok := t.findStory(id)
+	if !ok {
+		return nil
 	}
+	return t.stories[i]
 }
 
 // ceased removes a no-longer-output-dense subgraph from its story; the story
 // starts fading when its last subgraph goes.
 func (t *Tracker) ceased(s uint64, set vset.Set) {
-	k := set.Key()
-	id, ok := t.byKey[k]
+	at, ok := t.findLive(set)
 	if !ok {
-		return // never attached (e.g. below MinCardinality at became time)
+		return // never attached
 	}
-	st := t.stories[id]
+	st := t.story(t.live[at].owner)
 	t.touch(st)
-	delete(t.byKey, k)
-	delete(st.live, k)
+	t.live = slices.Delete(t.live, at, at+1)
+	st.subs--
 	st.lastSeq = s
-	if len(st.live) == 0 {
+	if st.subs == 0 {
 		st.fadeSeq = s
 		st.snapSeq = s
 		st.snapshot = st.entities
 		t.nextExpiry = min(t.nextExpiry, st.expirySeq(t.cfg.Grace))
-	} else {
-		st.entities = unionOf(st.live)
+		return
 	}
+	// The entity set is the union of the live subgraphs, so it loses exactly
+	// the vertices of set that no remaining subgraph of the story covers —
+	// usually none, and then nothing is allocated.
+	lost := append(t.vbuf[:0], set...)
+	for i, seen := 0, 0; len(lost) > 0 && seen < st.subs; i++ {
+		if row := &t.live[i]; row.owner == st.id {
+			seen++
+			lost = removeAll(lost, row.Set)
+		}
+	}
+	if len(lost) > 0 {
+		st.entities = st.entities.Diff(lost)
+	}
+	t.vbuf = lost[:0]
 }
 
 // became attaches a newly output-dense subgraph to the story table according
 // to the identity rules.
-func (t *Tracker) became(s uint64, set vset.Set) {
-	k := set.Key()
-	if _, dup := t.byKey[k]; dup {
+func (t *Tracker) became(s uint64, set vset.Set, density float64) {
+	at, dup := t.findLive(set)
+	if dup {
 		return // defensive: the engine never reports a live subgraph as became
 	}
 
-	var cands []*storyState
-	for _, id := range storyIDs(t.stories) {
-		st := t.stories[id]
-		if inter, union := overlap(set, st.entities); clears(inter, union, t.cfg.MinJaccard) {
+	// Candidates in ascending ID order; the best match is the highest
+	// Jaccard, ties to the lowest (oldest) ID.
+	cands := t.cands[:0]
+	var best *storyState
+	var bi, bu int
+	for _, st := range t.stories {
+		if i, u := overlap(set, st.entities); clears(i, u, t.cfg.MinJaccard) {
 			cands = append(cands, st)
+			if best == nil || jaccardGreater(i, u, bi, bu) {
+				best, bi, bu = st, i, u
+			}
 		}
 	}
-	if len(cands) == 0 {
-		t.bear(s, k, set)
+	t.cands = cands[:0]
+	if best == nil {
+		t.bear(s, at, set, density) // no candidate: cands is empty
 		return
 	}
 
-	// Best match: highest Jaccard, ties to the lowest (oldest) ID. cands is
-	// already in ascending ID order.
-	best := cands[0]
-	bi, bu := overlap(set, best.entities)
-	for _, st := range cands[1:] {
-		if i, u := overlap(set, st.entities); jaccardGreater(i, u, bi, bu) {
-			best, bi, bu = st, i, u
-		}
-	}
-
 	t.touch(best)
-	best.live[k] = set
-	t.byKey[k] = best.id
+	t.live = slices.Insert(t.live, at, liveSub{Subgraph{set, density}, best.id})
+	if best.subs == 0 {
+		best.entities = set // revived: the fade snapshot is not part of the union
+	} else {
+		best.absorb(set)
+	}
+	best.subs++
 	best.fadeSeq = 0
-	best.entities = unionOf(best.live)
 	best.lastSeq = s
 
 	// The subgraph bridges every other candidate above the threshold:
@@ -364,24 +456,39 @@ func (t *Tracker) became(s uint64, set vset.Set) {
 			continue
 		}
 		t.touch(other)
-		for k2, s2 := range other.live {
-			best.live[k2] = s2
-			t.byKey[k2] = best.id
+		if other.subs > 0 {
+			for i := range t.live {
+				if t.live[i].owner == other.id {
+					t.live[i].owner = best.id
+				}
+			}
+			best.subs += other.subs
+			best.absorb(other.entities)
 		}
-		best.entities = unionOf(best.live)
-		delete(t.stories, other.id)
-		delete(t.startEnt, other.id)
+		other.gone = true
+		i, _ := t.findStory(other.id)
+		t.stories = slices.Delete(t.stories, i, i+1)
 		t.record(Record{Seq: s, Kind: Merged, Story: other.id, Other: best.id, Entities: best.entities})
+	}
+	clear(cands)
+}
+
+// absorb grows a live story's entity set by the vertices of one more live
+// subgraph (or of a live story merged into it). The common case — nothing
+// new — allocates nothing.
+func (st *storyState) absorb(set vset.Set) {
+	if !st.entities.ContainsAll(set) {
+		st.entities = st.entities.Union(set)
 	}
 }
 
 // bear creates a new story for a subgraph that matched no current story,
-// checking fade-time snapshots for a split parent first.
-func (t *Tracker) bear(s uint64, k string, set vset.Set) {
+// checking fade-time snapshots for a split parent first. at is the
+// subgraph's place in the live table.
+func (t *Tracker) bear(s uint64, at int, set vset.Set, density float64) {
 	var parent *storyState
 	var pi, pu int
-	for _, id := range storyIDs(t.stories) {
-		st := t.stories[id]
+	for _, st := range t.stories {
 		if st.snapSeq == 0 || s > st.snapSeq+t.cfg.Grace {
 			continue
 		}
@@ -392,27 +499,21 @@ func (t *Tracker) bear(s uint64, k string, set vset.Set) {
 		}
 	}
 
-	id := t.nextID
+	st := &storyState{id: t.nextID, entities: set, subs: 1, bornSeq: s, lastSeq: s}
 	t.nextID++
-	st := &storyState{
-		id:       id,
-		entities: set,
-		live:     map[string]vset.Set{k: set},
-		bornSeq:  s,
-		lastSeq:  s,
-	}
-	t.stories[id] = st
-	t.byKey[k] = id
-	t.startEnt[id] = set.Key() // later same-update attachments still report
+	t.stories = append(t.stories, st)
+	t.live = slices.Insert(t.live, at, liveSub{Subgraph{set, density}, st.id})
+	t.touch(st) // later same-update attachments still report
 	if parent != nil {
-		t.record(Record{Seq: s, Kind: Split, Story: id, Other: parent.id, Entities: set})
+		t.record(Record{Seq: s, Kind: Split, Story: st.id, Other: parent.id, Entities: set})
 	} else {
-		t.record(Record{Seq: s, Kind: Born, Story: id, Entities: set})
+		t.record(Record{Seq: s, Kind: Born, Story: st.id, Entities: set})
 	}
 }
 
 func (t *Tracker) record(r Record) {
 	t.records = append(t.records, r)
+	t.kinds[r.Kind]++
 	if t.onRecord != nil {
 		t.onRecord(r)
 	}
@@ -434,35 +535,94 @@ func (t *Tracker) Records() []Record {
 	return out
 }
 
+// row is a story's table row, sharing the tracker's entity set.
+func (st *storyState) row() Snapshot {
+	return Snapshot{
+		ID:        st.id,
+		Entities:  st.entities,
+		Subgraphs: st.subs,
+		BornSeq:   st.bornSeq,
+		LastSeq:   st.lastSeq,
+		Fading:    st.fadeSeq != 0,
+	}
+}
+
 // Stories returns the current story table, sorted by ID: live stories first
 // have their union-of-subgraphs entity sets, fading ones their fade
 // snapshots. Like Records, the returned rows (including their Entities sets)
 // are private copies owned by the caller.
 func (t *Tracker) Stories() []Snapshot {
 	out := make([]Snapshot, 0, len(t.stories))
-	for _, id := range storyIDs(t.stories) {
-		st := t.stories[id]
-		out = append(out, Snapshot{
-			ID:        st.id,
-			Entities:  st.entities.Clone(),
-			Subgraphs: len(st.live),
-			BornSeq:   st.bornSeq,
-			LastSeq:   st.lastSeq,
-			Fading:    st.fadeSeq != 0,
-		})
+	for _, st := range t.stories {
+		r := st.row()
+		r.Entities = r.Entities.Clone()
+		out = append(out, r)
 	}
 	return out
 }
 
-// OwnerOf returns the story currently holding the live output-dense subgraph
-// with the given canonical key (vset.Set.Key), or false if no story tracks
-// it (it never became output-dense, fell below MinCardinality, or has
-// ceased). It is the ownership hook the serving layer uses to attribute
-// engine events to stories at update boundaries; like every query it must
-// not be called concurrently with event delivery.
-func (t *Tracker) OwnerOf(key string) (ID, bool) {
-	id, ok := t.byKey[key]
-	return id, ok
+// Touched returns the IDs of the stories the last resolved update (or Close)
+// changed, each once: every story whose row or live subgraphs differ from
+// before it, including those it removed from the table. It is how the serving
+// layer follows the table at a cost proportional to what changed. The slice
+// is the tracker's, valid until the next update is resolved.
+func (t *Tracker) Touched() []ID {
+	t.touchedIDs = t.touchedIDs[:0]
+	for _, st := range t.touched {
+		t.touchedIDs = append(t.touchedIDs, st.id)
+	}
+	return t.touchedIDs
+}
+
+// Story returns the table row of one story, false if the table has none.
+// Unlike Stories it shares the row's Entities set with the tracker: the set
+// is never written again, and the caller must not write it either.
+func (t *Tracker) Story(id ID) (Snapshot, bool) {
+	st := t.story(id)
+	if st == nil {
+		return Snapshot{}, false
+	}
+	return st.row(), true
+}
+
+// AppendLive appends the live subgraphs of a story to dst in canonical
+// (vset.CompareKeys) order, sharing their sets with the tracker.
+func (t *Tracker) AppendLive(dst []Subgraph, id ID) []Subgraph {
+	st := t.story(id)
+	if st == nil {
+		return dst
+	}
+	for i, seen := 0, 0; seen < st.subs; i++ {
+		if row := &t.live[i]; row.owner == id {
+			seen++
+			dst = append(dst, row.Subgraph)
+		}
+	}
+	return dst
+}
+
+// OwnerOf returns the story currently holding the given live output-dense
+// subgraph, or false if no story tracks it (it never became output-dense,
+// fell below MinCardinality, or has ceased). Like every query it must not be
+// called concurrently with event delivery.
+func (t *Tracker) OwnerOf(set vset.Set) (ID, bool) {
+	i, ok := t.findLive(set)
+	if !ok {
+		return 0, false
+	}
+	return t.live[i].owner, true
+}
+
+// SetDensity annotates a live subgraph with its density and reports whether
+// the tracker holds it. Densities arrive on events and are not part of the
+// persisted state, so a restored pipeline reads them back from the restored
+// engine through this.
+func (t *Tracker) SetDensity(set vset.Set, density float64) bool {
+	i, ok := t.findLive(set)
+	if ok {
+		t.live[i].Density = density
+	}
+	return ok
 }
 
 // LiveKeys returns the canonical keys of the output-dense subgraphs the
@@ -470,30 +630,19 @@ func (t *Tracker) OwnerOf(key string) (ID, bool) {
 // MinCardinality 0 this equals Engine.OutputDenseKeys after every update —
 // the result-set contract the tracker builds on.
 func (t *Tracker) LiveKeys() []string {
-	keys := make([]string, 0, len(t.byKey))
-	for k := range t.byKey {
-		keys = append(keys, k)
+	keys := make([]string, len(t.live))
+	for i, row := range t.live {
+		keys[i] = row.Set.Key() // the table is in key order
 	}
-	sort.Strings(keys)
 	return keys
 }
 
 // Stats summarises the records and the current table.
 func (t *Tracker) Stats() Stats {
-	var s Stats
-	for _, r := range t.records {
-		switch r.Kind {
-		case Born:
-			s.Born++
-		case Updated:
-			s.Updated++
-		case Merged:
-			s.Merged++
-		case Split:
-			s.Split++
-		case Died:
-			s.Died++
-		}
+	s := Stats{
+		Born: t.kinds[Born], Updated: t.kinds[Updated], Merged: t.kinds[Merged],
+		Split: t.kinds[Split], Died: t.kinds[Died],
+		Subgraphs: len(t.live),
 	}
 	for _, st := range t.stories {
 		if st.fadeSeq != 0 {
@@ -501,19 +650,23 @@ func (t *Tracker) Stats() Stats {
 		} else {
 			s.Live++
 		}
-		s.Subgraphs += len(st.live)
 	}
 	return s
 }
 
-// unionOf returns the union of the given subgraph sets (deterministic: union
-// is order-independent).
-func unionOf(live map[string]vset.Set) vset.Set {
-	var u vset.Set
-	for _, s := range live {
-		u = u.Union(s)
+// removeAll removes the vertices of drop from the sorted slice s in place.
+func removeAll(s []vset.Vertex, drop vset.Set) []vset.Vertex {
+	w, j := 0, 0
+	for _, v := range s {
+		for j < len(drop) && drop[j] < v {
+			j++
+		}
+		if j == len(drop) || drop[j] != v {
+			s[w] = v
+			w++
+		}
 	}
-	return u
+	return s[:w]
 }
 
 // overlap returns |a ∩ b| and |a ∪ b| by merge scan.
@@ -543,24 +696,4 @@ func clears(inter, union int, theta float64) bool {
 // float division in the tie-breaking path.
 func jaccardGreater(i1, u1, i2, u2 int) bool {
 	return i1*u2 > i2*u1
-}
-
-// storyIDs returns the story IDs in ascending order.
-func storyIDs(m map[ID]*storyState) []ID {
-	ids := make([]ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedIDs returns the map's keys in ascending order.
-func sortedIDs(m map[ID]string) []ID {
-	ids := make([]ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

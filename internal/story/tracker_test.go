@@ -412,11 +412,11 @@ func TestTrackerQueryOwnership(t *testing.T) {
 		}
 	}
 
-	// OwnerOf reflects the live key table.
-	if id, ok := tr.OwnerOf(vset.New(1, 2, 3, 4).Key()); !ok || id != 1 {
+	// OwnerOf reflects the live subgraph table.
+	if id, ok := tr.OwnerOf(vset.New(1, 2, 3, 4)); !ok || id != 1 {
 		t.Fatalf("OwnerOf(live) = %d, %v; want 1, true", id, ok)
 	}
-	if _, ok := tr.OwnerOf(vset.New(1, 2, 3).Key()); ok {
-		t.Fatalf("OwnerOf(ceased key) = true, want false")
+	if _, ok := tr.OwnerOf(vset.New(1, 2, 3)); ok {
+		t.Fatalf("OwnerOf(ceased set) = true, want false")
 	}
 }

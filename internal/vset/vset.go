@@ -9,6 +9,7 @@
 package vset
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -294,6 +295,54 @@ func (s Set) Key() string {
 		b.WriteString(strconv.FormatInt(int64(v), 10))
 	}
 	return b.String()
+}
+
+// CompareKeys is strings.Compare(a.Key(), b.Key()) without building either
+// string: the canonical order of subgraph identities, in which "1,10" sorts
+// before "1,2". Two keys first differ inside the first element the sets
+// differ in, so that element decides — and a decimal that is a prefix of the
+// other sorts first, because what follows it is the end of the key or a ','
+// and both sort below every digit. It allocates nothing.
+func CompareKeys(a, b Set) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return compareDecimal(a[i], b[i])
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareDecimal orders two distinct vertices as their decimal strings order.
+func compareDecimal(x, y Vertex) int {
+	if (x < 0) != (y < 0) { // '-' sorts below every digit
+		if x < 0 {
+			return -1
+		}
+		return 1
+	}
+	// Same sign: the magnitudes' digit strings decide. Pad the shorter with
+	// zeros to the longer's length; equal then means it was a proper prefix.
+	mx, my := magnitude(x), magnitude(y)
+	px, py := mx, my
+	for lx, ly := mx, my; lx >= 10 || ly >= 10; lx, ly = lx/10, ly/10 {
+		if lx < 10 {
+			px *= 10
+		}
+		if ly < 10 {
+			py *= 10
+		}
+	}
+	if px != py {
+		return cmp.Compare(px, py)
+	}
+	return cmp.Compare(mx, my)
+}
+
+func magnitude(v Vertex) uint64 {
+	if v < 0 {
+		return uint64(-int64(v))
+	}
+	return uint64(v)
 }
 
 // String implements fmt.Stringer.

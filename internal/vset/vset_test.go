@@ -1,8 +1,10 @@
 package vset
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +211,48 @@ func TestUnionIsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompareKeysMatchesKeyOrder pins CompareKeys to its definition,
+// strings.Compare over the Key strings, on the shapes where element order and
+// string order part ways — prefix sets, decimals that are prefixes of one
+// another, negative vertices, the int32 extremes — and on random sets; and
+// pins that it allocates nothing.
+func TestCompareKeysMatchesKeyOrder(t *testing.T) {
+	sets := []Set{
+		nil, {0}, {1}, {1, 10}, {1, 2}, {12}, {1, 2, 3}, {10}, {100}, {2}, {19}, {20},
+		{-1}, {-10}, {-2}, {-1, 1}, {-12, -1}, {0, 10}, {0, 1},
+		{math.MaxInt32}, {1, math.MaxInt32}, {214748364}, {math.MinInt32}, {math.MinInt32, math.MaxInt32},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 400; i++ {
+		vs := make([]Vertex, rng.Intn(6))
+		for j := range vs {
+			switch rng.Intn(3) {
+			case 0:
+				vs[j] = Vertex(rng.Intn(25) - 5)
+			case 1:
+				vs[j] = Vertex(rng.Intn(3000) - 300)
+			default:
+				vs[j] = Vertex(rng.Uint32())
+			}
+		}
+		sets = append(sets, New(vs...))
+	}
+	for _, a := range sets {
+		for _, b := range sets {
+			if got, want := CompareKeys(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+				t.Fatalf("CompareKeys(%v, %v) = %d, strings.Compare(%q, %q) = %d", a, b, got, a.Key(), b.Key(), want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range sets[:64] {
+			sinkInt += CompareKeys(sets[i], sets[len(sets)-1-i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CompareKeys allocates %v times per 64 comparisons, want 0", allocs)
 	}
 }
