@@ -207,10 +207,10 @@ func engineSummary(eng *core.Engine) string {
 func statsSummary(s core.Stats) string {
 	return fmt.Sprintf(
 		"engine: updates=%d (+%d/-%d) events=%d dense=%d stars=%d index-nodes=%d (max %d)\n"+
-			"work:   explorations=%d certified=%d cheap-explores=%d insertions=%d evictions=%d maxexplore-skips=%d",
+			"work:   explorations=%d certified=%d cheap-explores=%d cheap-indexed=%d insertions=%d evictions=%d maxexplore-skips=%d",
 		s.Updates, s.PositiveUpdates, s.NegativeUpdates, s.Events,
 		s.IndexedDense, s.IndexedStars, s.IndexNodes, s.MaxIndexNodes,
-		s.Explorations, s.ExploreCertified, s.CheapExplores, s.Insertions, s.Evictions, s.MaxExploreSkips)
+		s.Explorations, s.ExploreCertified, s.CheapExplores, s.CheapIndexed, s.Insertions, s.Evictions, s.MaxExploreSkips)
 }
 
 // shardedSummary formats the aggregate + per-shard work counters of a sharded

@@ -444,3 +444,38 @@ func TestCertifiedExploreSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestInStoryUpdateZeroAlloc pins the two walks an update between members of a
+// live story runs (inStoryEngine): the positive one takes the paired snapshot
+// — nodes and partners, both into engine-owned buffers — and settles every
+// cheap-exploration on the partner's dense flag without building a set; the
+// negative one visits only the subsets holding both endpoints and builds no
+// set either. Neither allocates.
+func TestInStoryUpdateZeroAlloc(t *testing.T) {
+	eng, pairs := inStoryEngine(t)
+	sweep := func(delta float64) func() {
+		return func() {
+			for _, u := range pairs {
+				u.Delta = delta
+				eng.Process(u)
+			}
+		}
+	}
+	sweep(1e-9)() // first-touch buffer growth and the certificate scans
+	sweep(-1e-9)()
+	before := eng.Stats()
+	assertZeroAllocs(t, "in-story positive", sweep(1e-9))
+	mid := eng.Stats()
+	assertZeroAllocs(t, "in-story negative", sweep(-1e-9))
+	after := eng.Stats()
+	if cheap, indexed := mid.CheapExplores-before.CheapExplores, mid.CheapIndexed-before.CheapIndexed; indexed == 0 || indexed != cheap {
+		t.Fatalf("the positive sweeps made %d cheap-explorations of which %d found the union indexed, want all of some", cheap, indexed)
+	}
+	if after.NegativeUpdates == mid.NegativeUpdates || after.CheapExplores != mid.CheapExplores {
+		t.Fatalf("the negative sweeps applied %d negative updates and made %d cheap-explorations, want some and none",
+			after.NegativeUpdates-mid.NegativeUpdates, after.CheapExplores-mid.CheapExplores)
+	}
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		t.Fatalf("the sweeps are not steady: %+v → %+v", before, after)
+	}
+}

@@ -297,7 +297,8 @@ func (e *Engine) batchDiscover() {
 		e.maxIter = e.th.Iterations(delta)
 		e.maxExploreKnown = false
 
-		e.affectedBuf = e.ix.AppendDenseContainingEither(e.affectedBuf[:0], a, b)
+		var split int
+		e.affectedBuf, e.partnerBuf, split = e.ix.AppendDensePaired(e.affectedBuf[:0], e.partnerBuf[:0], a, b)
 		e.starBuf = e.ix.AppendStarNodes(e.starBuf[:0])
 
 		if e.seedPairs {
@@ -311,22 +312,21 @@ func (e *Engine) batchDiscover() {
 		}
 
 		setBuf := e.getSetBuf()
-		for _, node := range e.affectedBuf {
+		for i, node := range e.affectedBuf {
 			if !node.Dense() {
+				continue
+			}
+			if partner := e.partnerBuf[i]; partner != node {
+				e.cheapExplore(node, partner, i >= split) // a < b
 				continue
 			}
 			c := node.SetInto(setBuf)
 			setBuf = c
-			hasA, hasB := c.Contains(a), c.Contains(b)
-			if hasA && hasB {
-				score := node.Score()
-				if e.maintainStar(node, score, c.Len()) {
-					e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
-				}
-				e.explore(node, c, 1)
-			} else {
-				e.cheapExplore(node, c, hasA)
+			score := node.Score()
+			if e.maintainStar(node, score, c.Len()) {
+				e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
 			}
+			e.explore(node, c, 1)
 		}
 		e.putSetBuf(setBuf)
 

@@ -93,7 +93,10 @@ func (r *plantedRun) step(t *testing.T) string {
 		// builds it: from the real-unit threshold. It starts without
 		// certificates and must carry on exactly where the old one stopped.
 		cfg := r.e.Config()
-		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore})
+		fresh := MustNew(Config{
+			T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore,
+			DisableImplicitTooDense: cfg.DisableImplicitTooDense, EnableDegreePrioritize: cfg.EnableDegreePrioritize,
+		})
 		if err := fresh.ImportState(r.e.Graph().ExportState(), r.e.ExportState()); err != nil {
 			t.Fatal(err)
 		}
@@ -106,35 +109,45 @@ func (r *plantedRun) step(t *testing.T) string {
 
 // TestPlantedStatefulCertificates checks after every step of such walks that
 // the index is valid and that every reach certificate still bounds what the
-// graph holds, and — with MaxExplore off, where the engine is exact — that
-// skipping scans on the certificates' word loses nothing against
-// brute.EnumerateAll. A second arm runs the shipped default, MaxExplore on,
-// which gates explorations before the certificate is consulted; it is lossy
-// by itself (ROADMAP 1), so there only the certificates are checked.
+// graph holds, and — where the engine is exact — that skipping scans on the
+// certificates' word loses nothing against brute.EnumerateAll. The exact arms
+// are the plain algorithm and its two ablation switches, ImplicitTooDense off
+// and DegreePrioritize on, whose cheap-explorations are the ones that still
+// read the subgraph's vertex set. The last arm runs the shipped default,
+// MaxExplore on, which gates explorations before the certificate is
+// consulted; it is lossy by itself (ROADMAP 1), so there only the index and
+// the certificates are checked.
 func TestPlantedStatefulCertificates(t *testing.T) {
-	const seeds, steps = 12, 300
-	for _, maxExplore := range []bool{false, true} {
+	const steps = 300
+	for _, arm := range []struct {
+		name  string
+		cfg   Config
+		exact bool
+		seeds int64
+	}{
+		{"plain", Config{}, true, 12},
+		{"ImplicitTooDense off", Config{DisableImplicitTooDense: true}, true, 5},
+		{"DegreePrioritize", Config{EnableDegreePrioritize: true}, true, 5},
+		{"MaxExplore", Config{EnableMaxExplore: true}, false, 12},
+	} {
+		arm.cfg.T, arm.cfg.Nmax = 1, 4
 		var certified, scanned uint64
-		for seed := int64(1); seed <= seeds; seed++ {
-			r := &plantedRun{
-				rng:   rand.New(rand.NewSource(seed)),
-				e:     MustNew(Config{T: 1, Nmax: 4, EnableMaxExplore: maxExplore}),
-				scale: 1,
-			}
+		for seed := int64(1); seed <= arm.seeds; seed++ {
+			r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(arm.cfg), scale: 1}
 			for i := 0; i < steps; i++ {
-				label := fmt.Sprintf("maxexplore %v seed %d step %d: %s", maxExplore, seed, i, r.step(t))
-				if maxExplore {
-					checkValid(t, r.e, label)
-				} else {
+				label := fmt.Sprintf("%s seed %d step %d: %s", arm.name, seed, i, r.step(t))
+				if arm.exact {
 					checkAgainstBrute(t, r.e, label)
+				} else {
+					checkValid(t, r.e, label)
 				}
 			}
 			certified += r.certified + r.e.stats.ExploreCertified
 			scanned += r.scanned + r.e.stats.Explorations
 		}
-		t.Logf("maxexplore %v: %d explorations settled by certificate, %d scanned", maxExplore, certified, scanned)
+		t.Logf("%s: %d explorations settled by certificate, %d scanned", arm.name, certified, scanned)
 		if certified == 0 {
-			t.Fatalf("maxexplore %v: no exploration was settled by a certificate; the walk does not exercise them", maxExplore)
+			t.Fatalf("%s: no exploration was settled by a certificate; the walk does not exercise them", arm.name)
 		}
 	}
 }

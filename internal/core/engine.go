@@ -135,6 +135,7 @@ type Stats struct {
 	ExploreCertified uint64 // explore() invocations settled by the node's reach certificate instead
 	ExploreAll       uint64 // Explore-All scans (only without ImplicitTooDense)
 	CheapExplores    uint64 // cheap-exploration attempts
+	CheapIndexed     uint64 // those that ended because the union was already indexed
 	Insertions       uint64 // dense subgraphs inserted into the index
 	Evictions        uint64 // dense subgraphs evicted from the index
 	StarInsertions   uint64 // ImplicitTooDense families created
@@ -166,6 +167,7 @@ func (s *Stats) Add(o Stats) {
 	s.ExploreCertified += o.ExploreCertified
 	s.ExploreAll += o.ExploreAll
 	s.CheapExplores += o.CheapExplores
+	s.CheapIndexed += o.CheapIndexed
 	s.Insertions += o.Insertions
 	s.Evictions += o.Evictions
 	s.StarInsertions += o.StarInsertions
@@ -225,7 +227,7 @@ type Engine struct {
 	maxExploreA, maxExploreB int
 
 	// Reusable buffers. Steady-state Process performs no graph/neighbourhood
-	// allocations: index snapshots land in affectedBuf/starBuf, subgraph sets
+	// allocations: index snapshots land in affectedBuf/partnerBuf/starBuf, sets
 	// are reconstructed and extended in buffers drawn from the setFree list,
 	// and neighbourhood scans run in NeighborhoodBufs from nbufFree. The
 	// free lists (rather than single buffers) exist because exploration is
@@ -234,6 +236,7 @@ type Engine struct {
 	// admissions it recurses into. Depth is bounded by Nmax, so each list
 	// settles at a handful of entries.
 	affectedBuf []*index.Node
+	partnerBuf  []*index.Node // positive pass: the partners of affectedBuf (index.AppendDensePaired)
 	starBuf     []*index.Node
 	setFree     [][]Vertex
 	nbufFree    []*graph.NeighborhoodBuf
@@ -613,23 +616,18 @@ func (e *Engine) evict(node *index.Node) {
 // below the output threshold are reported, and subgraphs that stop being
 // dense are evicted from the index.
 func (e *Engine) processNegative() {
-	a, b := e.a, e.b
-	e.affectedBuf = e.ix.AppendDenseContaining(e.affectedBuf[:0], a)
-	setBuf := e.getSetBuf()
+	e.affectedBuf = e.ix.AppendDenseContainingBoth(e.affectedBuf[:0], e.a, e.b)
 	for _, node := range e.affectedBuf {
 		if !node.Dense() {
 			continue // already evicted via pruning cascade
 		}
-		c := node.SetInto(setBuf)
-		setBuf = c
-		if !c.Contains(b) {
-			continue
-		}
-		n := c.Len()
+		n := node.Card()
 		wasOutput := e.th.IsOutputDense(node.Score(), n)
 		newScore := e.bumpScore(node, e.delta)
 		if wasOutput && !e.th.IsOutputDense(newScore, n) {
+			c := node.SetInto(e.getSetBuf())
 			e.emit(CeasedOutputDense, c, newScore)
+			e.putSetBuf(c)
 		}
 		if e.ix.HasStar(node) && !e.th.IsTooDense(newScore, n) {
 			e.ix.RemoveStar(node)
@@ -638,7 +636,6 @@ func (e *Engine) processNegative() {
 			e.evict(node)
 		}
 	}
-	e.putSetBuf(setBuf)
 }
 
 // processPositive handles δ > 0 (Algorithm 1, lines 4–11).
@@ -650,7 +647,8 @@ func (e *Engine) processPositive() {
 	// Snapshot the dense subgraphs containing a or b before any insertions so
 	// that each pre-existing dense subgraph is examined exactly once. The
 	// snapshot slices are engine-owned and reused across updates.
-	e.affectedBuf = e.ix.AppendDenseContainingEither(e.affectedBuf[:0], a, b)
+	var split int
+	e.affectedBuf, e.partnerBuf, split = e.ix.AppendDensePaired(e.affectedBuf[:0], e.partnerBuf[:0], a, b)
 	e.starBuf = e.ix.AppendStarNodes(e.starBuf[:0])
 
 	// Base case: the edge {a, b} itself may have become dense. In a routed
@@ -670,81 +668,92 @@ func (e *Engine) processPositive() {
 	}
 
 	setBuf := e.getSetBuf()
-	for _, node := range e.affectedBuf {
+	for i, node := range e.affectedBuf {
 		if !node.Dense() {
 			continue
 		}
+		if partner := e.partnerBuf[i]; partner != node {
+			// Contains exactly one endpoint — the larger one before split, the
+			// smaller after: cheap-explore (lines 6–8).
+			e.cheapExplore(node, partner, (i < split) == (a > b))
+			continue
+		}
+		// Stable-dense: its score grows by δ (Algorithm 1, line 10–11).
 		c := node.SetInto(setBuf)
 		setBuf = c
-		hasA, hasB := c.Contains(a), c.Contains(b)
-		if hasA && hasB {
-			// Stable-dense: its score grows by δ (Algorithm 1, line 10–11).
-			n := c.Len()
-			wasOutput := e.th.IsOutputDense(node.Score(), n)
-			newScore := e.bumpScore(node, e.delta)
-			if !wasOutput && e.th.IsOutputDense(newScore, n) {
-				e.emit(BecameOutputDense, c, newScore)
-			}
-			if e.maintainStar(node, newScore, n) {
-				e.starEdgeScan(c, newScore, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
-			}
-			e.explore(node, c, 1)
-		} else {
-			// Contains exactly one endpoint: cheap-explore (lines 6–8).
-			e.cheapExplore(node, c, hasA)
+		n := c.Len()
+		wasOutput := e.th.IsOutputDense(node.Score(), n)
+		newScore := e.bumpScore(node, e.delta)
+		if !wasOutput && e.th.IsOutputDense(newScore, n) {
+			e.emit(BecameOutputDense, c, newScore)
 		}
+		if e.maintainStar(node, newScore, n) {
+			e.starEdgeScan(c, newScore, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
+		}
+		e.explore(node, c, 1)
 	}
 	e.putSetBuf(setBuf)
 
 	e.processStars()
 }
 
-// cheapExplore attempts to augment the dense subgraph c of node, which
+// cheapExplore attempts to augment the dense subgraph C of node, which
 // contains exactly one of the updated endpoints (hasA tells which), with the
-// other endpoint and thus with the updated edge. The update raised the weight
-// that endpoint puts into c, which is the one way an update breaks node's
-// reach certificate: every path out of here that leaves c ∪ {missing} out of
+// other endpoint and thus with the updated edge. partner is the node the
+// update's snapshot found for the union C ∪ {missing}, or nil: a positive pass
+// only adds to the index, so its dense flag read now tells whether the union
+// is indexed, admissions earlier in the pass included, and only a union that
+// had no node yet is looked up. C itself is built only where the weight the
+// missing endpoint puts into it is needed.
+//
+// The update raised that weight, which is the one way an update breaks node's
+// reach certificate: every path out of here that leaves C ∪ {missing} out of
 // the index either raises the certificate to that weight or, where the weight
 // was never computed, drops it.
-func (e *Engine) cheapExplore(node *index.Node, c vset.Set, hasA bool) {
-	a, b := e.a, e.b
-	missing := b
-	present := a
+func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
+	missing, present := e.b, e.a
 	if !hasA {
-		missing, present = a, b
+		missing, present = e.a, e.b
 	}
-	if !e.shouldCheapExplore(c, present) {
+	if !e.shouldCheapExplore(node, present) {
 		node.DropReach()
 		return
 	}
-	// c contains exactly one endpoint, so missing ∉ c and |C ∪ {missing}| is
+	// C contains exactly one endpoint, so missing ∉ C and |C ∪ {missing}| is
 	// |C|+1; the cardinality gate needs no materialised union. Nothing ever
 	// explores around a subgraph of Nmax vertices, so it has no certificate.
-	if c.Len()+1 > e.th.Nmax {
+	n := node.Card()
+	if n+1 > e.th.Nmax {
 		return
 	}
 	e.stats.CheapExplores++
+	indexed := partner != nil && partner.Dense()
+	if indexed && !e.cfg.EnableDegreePrioritize {
+		e.stats.CheapIndexed++
+		return
+	}
 	score := node.Score()
-	if e.cfg.EnableDegreePrioritize {
+	c := node.SetInto(e.getSetBuf())
+	switch add := e.g.ScoreWith(c, missing); {
+	case e.cfg.EnableDegreePrioritize && add > 2.0/float64(n-1)*score:
 		// Section 7.2: skip the cheap-exploration when the added endpoint has a
 		// generalised degree (after the update) exceeding 2/(|C|−1)·score⁻(C).
-		if add := e.g.ScoreWith(c, missing); add > 2.0/float64(c.Len()-1)*score {
-			e.stats.DegreeSkips++
-			node.RaiseReach(add)
-			return
-		}
-	}
-	buf := e.getSetBuf()
-	union := vset.AddInto(buf, c, missing)
-	if !e.ix.HasDense(union) {
-		add := e.g.ScoreWith(c, missing)
-		if uScore := score + add; e.th.IsDense(uScore, union.Len()) {
+		e.stats.DegreeSkips++
+		node.RaiseReach(add)
+	case indexed:
+		e.stats.CheapIndexed++
+	default:
+		union := vset.AddInto(e.getSetBuf(), c, missing)
+		if partner == nil && e.ix.HasDense(union) {
+			e.stats.CheapIndexed++
+		} else if uScore := score + add; e.th.IsDense(uScore, n+1) {
 			e.admit(union, uScore, 2)
 		} else {
 			node.RaiseReach(add)
 		}
+		e.putSetBuf(union)
 	}
-	e.putSetBuf(union)
+	e.putSetBuf(c)
 }
 
 // shouldCheapExplore implements the cheap-exploration pruning rules: the
@@ -754,8 +763,9 @@ func (e *Engine) cheapExplore(node *index.Node, c vset.Set, hasA bool) {
 // indexed. With ImplicitTooDense enabled the supergraph obtained by adding
 // the updated endpoint may only be implicitly represented, so the
 // cheap-exploration must still run to promote it to an explicit entry.
-func (e *Engine) shouldCheapExplore(c vset.Set, present Vertex) bool {
-	if e.cfg.DisableImplicitTooDense && e.th.IsTooDense(e.g.Score(c), c.Len()) {
+func (e *Engine) shouldCheapExplore(node *index.Node, present Vertex) bool {
+	n := node.Card()
+	if e.cfg.DisableImplicitTooDense && e.th.IsTooDense(node.Score(), n) {
 		return false
 	}
 	if !e.cfg.EnableMaxExplore {
@@ -766,12 +776,12 @@ func (e *Engine) shouldCheapExplore(c vset.Set, present Vertex) bool {
 	// containing only a (and symmetrically).
 	limitA, limitB := e.maxExploreCaps()
 	if limitA >= limitB {
-		if present == e.a && c.Len() > limitA-1 {
+		if present == e.a && n > limitA-1 {
 			e.stats.MaxExploreSkips++
 			return false
 		}
 	} else {
-		if present == e.b && c.Len() > limitB-1 {
+		if present == e.b && n > limitB-1 {
 			e.stats.MaxExploreSkips++
 			return false
 		}

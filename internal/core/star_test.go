@@ -67,69 +67,98 @@ func checkValid(t *testing.T, e *Engine, label string) {
 // heuristic, and in this regime it does skip discoveries (so it did before
 // the scans were bounded: {0,2,7,8} at update 73 of seed 1).
 func TestStarHeavyStreamMatchesBrute(t *testing.T) {
-	cfg := Config{T: 1, Nmax: 4}
 	for seed := int64(1); seed <= 4; seed++ {
-		updates := starHeavyStream(seed, 700)
-		rng := rand.New(rand.NewSource(seed))
-		var batches [][]Update
-		for rest := updates; len(rest) > 0; {
-			k := min(1+rng.Intn(6), len(rest))
-			batches, rest = append(batches, rest[:k]), rest[k:]
-		}
+		starHeavyRun(t, Config{T: 1, Nmax: 4}, seed, checkAgainstBrute)
+	}
+}
 
-		single := MustNew(cfg)
-		for i, u := range updates {
-			single.Process(u)
-			checkAgainstBrute(t, single, fmt.Sprintf("seed %d Process %d %v", seed, i, u))
+// TestStarHeavyStreamAblations runs the same three arms under the two
+// paper-ablation switches whose cheap-explorations take a path of their own.
+// DegreePrioritize, which weighs the missing endpoint before anything else,
+// stays exact. With ImplicitTooDense off a too-dense subgraph is not
+// cheap-explored (footnote 5) and Explore-All inserts its supergraphs instead
+// — over the vertices that carry an edge at that moment, where the oracle
+// counts every vertex ever seen — so that arm is held to a valid index and
+// valid certificates, not to the oracle.
+func TestStarHeavyStreamAblations(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		st := starHeavyRun(t, Config{T: 1, Nmax: 4, EnableDegreePrioritize: true}, seed, checkAgainstBrute)
+		if st.DegreeSkips == 0 {
+			t.Fatalf("seed %d: DegreePrioritize skipped nothing", seed)
 		}
-		st := single.Stats()
-		if st.StarInsertions < 20 || st.CheapExplores < 1000 {
-			t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions, st.CheapExplores)
-		}
-
-		batched := MustNew(cfg)
-		for i, b := range batches {
-			batched.ProcessBatch(b)
-			checkAgainstBrute(t, batched, fmt.Sprintf("seed %d ProcessBatch %d", seed, i))
-		}
-		if got, want := batched.OutputDenseKeys(), single.OutputDenseKeys(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: batched run ends at %v, sequential at %v", seed, got, want)
-		}
-
-		// Rescaled decay: every fourth batch is an epoch that fades the graph
-		// by 0.8, i.e. raises the normalised threshold; λ is folded back to 1
-		// (a threshold decrease, whose pair base case is a bounded scan) once
-		// it drops below 0.05. Weights are handed over in normalised units.
-		scaled := MustNew(cfg)
-		lambda := 1.0
-		norm := func(b []Update, by float64) []Update {
-			out := make([]Update, len(b))
-			for i, u := range b {
-				out[i] = Update{A: u.A, B: u.B, Delta: u.Delta / by}
-			}
-			return out
-		}
-		decreases := 0
-		for i, b := range batches {
-			if i%4 != 3 {
-				scaled.ProcessBatch(norm(b, lambda))
-			} else if lambda *= 0.8; lambda >= 0.05 {
-				scaled.ProcessThresholdBatch(lambda, norm(b, lambda))
-			} else {
-				var fold []Update
-				scaled.Graph().Edges(func(u, v Vertex, w float64) {
-					fold = append(fold, Update{A: u, B: v, Delta: w*lambda - w})
-				})
-				lambda = 1
-				scaled.ProcessThresholdBatch(lambda, append(fold, b...))
-				decreases++
-			}
-			checkAgainstBrute(t, scaled, fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
-		}
-		if decreases == 0 || scaled.Stats().StarInsertions == 0 {
-			t.Fatalf("seed %d: rescaled run made %d threshold decreases and %d families", seed, decreases, scaled.Stats().StarInsertions)
+		st = starHeavyRun(t, Config{T: 1, Nmax: 4, DisableImplicitTooDense: true}, seed, checkValid)
+		if st.ExploreAll == 0 || st.StarInsertions != 0 {
+			t.Fatalf("seed %d, ImplicitTooDense off: %d Explore-All scans, %d families", seed, st.ExploreAll, st.StarInsertions)
 		}
 	}
+}
+
+// starHeavyRun drives the three arms for one seed, calling check after every
+// unit, and returns the sequential arm's work counters.
+func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T, e *Engine, label string)) Stats {
+	t.Helper()
+	implicit := !cfg.DisableImplicitTooDense
+	updates := starHeavyStream(seed, 700)
+	rng := rand.New(rand.NewSource(seed))
+	var batches [][]Update
+	for rest := updates; len(rest) > 0; {
+		k := min(1+rng.Intn(6), len(rest))
+		batches, rest = append(batches, rest[:k]), rest[k:]
+	}
+
+	single := MustNew(cfg)
+	for i, u := range updates {
+		single.Process(u)
+		check(t, single, fmt.Sprintf("seed %d Process %d %v", seed, i, u))
+	}
+	st := single.Stats()
+	if (implicit && st.StarInsertions < 20) || st.CheapExplores < 1000 {
+		t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions, st.CheapExplores)
+	}
+
+	batched := MustNew(cfg)
+	for i, b := range batches {
+		batched.ProcessBatch(b)
+		check(t, batched, fmt.Sprintf("seed %d ProcessBatch %d", seed, i))
+	}
+	if got, want := batched.OutputDenseKeys(), single.OutputDenseKeys(); !slices.Equal(got, want) {
+		t.Fatalf("seed %d: batched run ends at %v, sequential at %v", seed, got, want)
+	}
+
+	// Rescaled decay: every fourth batch is an epoch that fades the graph
+	// by 0.8, i.e. raises the normalised threshold; λ is folded back to 1
+	// (a threshold decrease, whose pair base case is a bounded scan) once
+	// it drops below 0.05. Weights are handed over in normalised units.
+	scaled := MustNew(cfg)
+	lambda := 1.0
+	norm := func(b []Update, by float64) []Update {
+		out := make([]Update, len(b))
+		for i, u := range b {
+			out[i] = Update{A: u.A, B: u.B, Delta: u.Delta / by}
+		}
+		return out
+	}
+	decreases := 0
+	for i, b := range batches {
+		if i%4 != 3 {
+			scaled.ProcessBatch(norm(b, lambda))
+		} else if lambda *= 0.8; lambda >= 0.05 {
+			scaled.ProcessThresholdBatch(lambda, norm(b, lambda))
+		} else {
+			var fold []Update
+			scaled.Graph().Edges(func(u, v Vertex, w float64) {
+				fold = append(fold, Update{A: u, B: v, Delta: w*lambda - w})
+			})
+			lambda = 1
+			scaled.ProcessThresholdBatch(lambda, append(fold, b...))
+			decreases++
+		}
+		check(t, scaled, fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
+	}
+	if decreases == 0 || (implicit && scaled.Stats().StarInsertions == 0) {
+		t.Fatalf("seed %d: rescaled run made %d threshold decreases and %d families", seed, decreases, scaled.Stats().StarInsertions)
+	}
+	return st
 }
 
 // TestValidateIndexUnderDeepRescale is the regression test for the drift

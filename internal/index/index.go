@@ -23,6 +23,26 @@
 // lexicographic order and every walk is a deterministic function of the
 // index's history (an inverted list is visited newest node first).
 //
+// The two iterations of Algorithm 1 are walks of that layout, and sorted paths
+// let them skip what the update cannot touch. A negative update of (a, b)
+// reads the sets holding both off a's list (AppendDenseContainingBoth): under
+// a list node a larger b is held by the subtrees of the children labelled b —
+// no sibling above b is entered — and a smaller b is on the node's own path or
+// nowhere below it. A positive update visits the sets holding either endpoint
+// (AppendDensePaired, in the order of Section 3.2.2) and learns of each its
+// partner: the node of the set extended by the endpoint it lacks, nil if that
+// union has no node, the set's own node if it holds both. The union's path
+// runs beside the set's, so no lookup is needed: while every label is below
+// the larger endpoint the partner is the node's own child labelled with it
+// (the child the Section 3.2.2 cut skips); past the missing endpoint, the
+// partner of a child is the partner's child of the same label, found by
+// merging two sorted child vectors; a node of the larger endpoint's list gets
+// there by one relative descent (pairWalk.withLo). A partner is a pointer, not
+// a verdict: a positive update only adds to the index, so no node is pruned,
+// the pointer stays the union's node, and its dense flag read when the
+// question is asked is the live answer to "is the union indexed?"; only a
+// union without a node at the snapshot must be looked up.
+//
 // The index also supports the ImplicitTooDense optimisation (Section 3.2.3):
 // a fictitious vertex '*' (lexicographically larger than every real vertex)
 // whose node under a too-dense subgraph C stands for every supergraph C∪{y}
@@ -492,24 +512,26 @@ func (ix *Index) StarOf(base *Node) *Node {
 // performs no allocations beyond dst growth; the snapshot stays safe to walk
 // while the index is mutated (check Dense() on each node).
 func (ix *Index) AppendDense(dst []*Node) []*Node {
-	return appendDenseSubtree(dst, ix.root, Star)
+	return appendDenseSubtree(dst, ix.root)
 }
 
 // appendDenseSubtree appends every dense node strictly below n to dst,
-// skipping star children and any subtree rooted at a child labelled cut.
-// Passing Star as cut disables the extra cut (star children are skipped
-// regardless). Children are visited in label order, so the subtree comes out
-// in lexicographic order. It is a plain recursion — no closures — so snapshot
-// collection into a reused buffer performs no allocations beyond dst growth.
-func appendDenseSubtree(dst []*Node, n *Node, cut Vertex) []*Node {
+// skipping star children. Children are visited in label order, so the subtree
+// comes out in lexicographic order. It is a plain recursion — no closures — so
+// snapshot collection into a reused buffer performs no allocations beyond dst
+// growth.
+func appendDenseSubtree(dst []*Node, n *Node) []*Node {
 	for _, child := range n.kids.nodes {
-		if child.star || child.label == cut {
-			continue
+		if !child.star {
+			dst = appendDenseSubtree(appendIfDense(dst, child), child)
 		}
-		if child.dense {
-			dst = append(dst, child)
-		}
-		dst = appendDenseSubtree(dst, child, cut)
+	}
+	return dst
+}
+
+func appendIfDense(dst []*Node, n *Node) []*Node {
+	if n.dense {
+		dst = append(dst, n)
 	}
 	return dst
 }
@@ -522,41 +544,159 @@ func appendDenseSubtree(dst []*Node, n *Node, cut Vertex) []*Node {
 // list is visited newest node first and each subtree lexicographically, so
 // the order is a function of the index's history alone.
 func (ix *Index) AppendDenseContaining(dst []*Node, u Vertex) []*Node {
-	return ix.appendDenseUnder(dst, u, Star)
-}
-
-// appendDenseUnder appends the dense nodes at and below every node on u's
-// inverted list, descent cut at children labelled cut (see appendDenseSubtree).
-func (ix *Index) appendDenseUnder(dst []*Node, u, cut Vertex) []*Node {
 	for head := ix.inv.get(u); head != nil; head = head.invNext {
-		if head.star {
-			continue
+		if !head.star {
+			dst = appendDenseSubtree(appendIfDense(dst, head), head)
 		}
-		if head.dense {
-			dst = append(dst, head)
-		}
-		dst = appendDenseSubtree(dst, head, cut)
 	}
 	return dst
 }
 
-// AppendDenseContainingEither appends a snapshot of every explicitly indexed
-// dense subgraph containing a or b (or both) to dst, each exactly once, and
-// returns the extended slice. This is the iteration Algorithm 1 performs for
-// a positive edge-weight update; the traversal order follows Section 3.2.2:
-// first the subtrees on b's inverted list, then the subtrees on a's list with
-// descent cut at nodes labelled b (assuming a < b) — those subgraphs contain
-// b and were already collected — so no subgraph is examined twice. The engine
-// reuses one dst across updates, making the snapshot allocation-free in
-// steady state.
-func (ix *Index) AppendDenseContainingEither(dst []*Node, a, b Vertex) []*Node {
-	if a == b {
-		return ix.AppendDenseContaining(dst, a)
+// AppendDenseContainingBoth appends a snapshot of every explicitly indexed
+// dense subgraph containing both a and b (a ≠ b) to dst and returns the
+// extended slice: the subsequence of AppendDenseContaining(a) whose sets hold
+// b, in the same order, without visiting the rest (see the package comment).
+// This is the iteration Algorithm 1 performs for a negative edge-weight update.
+func (ix *Index) AppendDenseContainingBoth(dst []*Node, a, b Vertex) []*Node {
+	for head := ix.inv.get(a); head != nil; head = head.invNext {
+		if b > a {
+			dst = appendDenseThrough(dst, head, b)
+		} else if pathHolds(head, b) {
+			dst = appendDenseSubtree(appendIfDense(dst, head), head)
+		}
 	}
-	if a > b {
-		a, b = b, a
+	return dst
+}
+
+// appendDenseThrough appends the dense nodes below n whose path passes a node
+// labelled v; every label from the walk's inverted-list node down to n is
+// below v.
+func appendDenseThrough(dst []*Node, n *Node, v Vertex) []*Node {
+	i, ok := n.kids.find(v)
+	for _, child := range n.kids.nodes[:i] {
+		dst = appendDenseThrough(dst, child, v)
 	}
-	return ix.appendDenseUnder(ix.appendDenseUnder(dst, b, Star), a, b)
+	if ok {
+		child := n.kids.nodes[i]
+		dst = appendDenseSubtree(appendIfDense(dst, child), child)
+	}
+	return dst
+}
+
+// pathHolds reports whether a node above n is labelled v.
+func pathHolds(n *Node, v Vertex) bool {
+	for n = n.parent; n.parent != nil; n = n.parent {
+		if n.label <= v {
+			return n.label == v
+		}
+	}
+	return false
+}
+
+// AppendDensePaired appends a snapshot of every explicitly indexed dense
+// subgraph containing a or b (a ≠ b) to nodes, each exactly once, and its
+// partner (see the package comment) to partners; split tells the sets holding
+// max(a, b), nodes[:split], from those holding min(a, b) only. This is the
+// iteration Algorithm 1 performs for a positive edge-weight update, in the
+// order of Section 3.2.2: the subtrees on the larger endpoint's inverted list,
+// then those on the smaller's with descent cut at children labelled with the
+// larger, which were already collected. The engine reuses both slices across
+// updates, making the snapshot allocation-free in steady state.
+func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ []*Node, split int) {
+	w := pairWalk{nodes: nodes, partners: partners, lo: min(a, b), hi: max(a, b)}
+	w.rootLo = ix.root.kids.get(w.lo)
+	for head := ix.inv.get(w.hi); head != nil; head = head.invNext {
+		if pathHolds(head, w.lo) {
+			// Every set at and below head holds both endpoints: its own partner.
+			w.nodes = appendDenseSubtree(appendIfDense(w.nodes, head), head)
+			w.partners = append(w.partners, w.nodes[len(w.partners):]...)
+		} else {
+			w.above(head, w.withLo(head))
+		}
+	}
+	split = len(w.nodes)
+	for head := ix.inv.get(w.lo); head != nil; head = head.invNext {
+		w.below(head)
+	}
+	return w.nodes, w.partners, split
+}
+
+// pairWalk is the state of one AppendDensePaired traversal.
+type pairWalk struct {
+	nodes, partners []*Node
+	lo, hi          Vertex
+	rootLo          *Node // the root's child labelled lo: the one search of the wide root
+}
+
+// withLo returns the node of n's set extended by lo, or nil, for an n whose
+// path holds hi and not lo: up to the ancestor where the labels drop below lo,
+// a step to lo, and the labels passed again — each a search among a few
+// siblings, not a descent from the wide root.
+func (w *pairWalk) withLo(n *Node) *Node {
+	p := n.parent
+	switch {
+	case p.parent == nil:
+		p = w.rootLo
+	case p.label < w.lo:
+		p = p.kids.get(w.lo)
+	default:
+		p = w.withLo(p)
+	}
+	if p == nil {
+		return nil
+	}
+	return p.kids.get(n.label)
+}
+
+func (w *pairWalk) add(n, partner *Node) {
+	if n.dense {
+		w.nodes = append(w.nodes, n)
+		w.partners = append(w.partners, partner)
+	}
+}
+
+// above walks the subtree of n, whose partner is p (nil if it has no node) and
+// whose labels under n all exceed the missing endpoint.
+func (w *pairWalk) above(n, p *Node) {
+	w.add(n, p)
+	w.merge(&n.kids, 0, p)
+}
+
+// merge walks kids[from:], the partner of each child being p's child of the
+// same label: one pass over the two sorted child vectors.
+func (w *pairWalk) merge(kids *nodeVec, from int, p *Node) {
+	j := 0
+	for i := from; i < len(kids.nodes) && !kids.nodes[i].star; i++ {
+		var pc *Node
+		if p != nil {
+			for j < len(p.kids.labels) && p.kids.labels[j] < kids.labels[i] {
+				j++
+			}
+			if j < len(p.kids.labels) && p.kids.labels[j] == kids.labels[i] {
+				pc = p.kids.nodes[j]
+			}
+		}
+		w.above(kids.nodes[i], pc)
+	}
+}
+
+// below walks the subtree of n, at or under a node labelled lo with every
+// label since below hi: its partner is its child labelled hi, which the walk
+// skips; children above hi continue under the partner's.
+func (w *pairWalk) below(n *Node) {
+	i, ok := n.kids.find(w.hi)
+	var p *Node
+	if ok {
+		p = n.kids.nodes[i]
+	}
+	w.add(n, p)
+	for _, child := range n.kids.nodes[:i] {
+		w.below(child)
+	}
+	if ok {
+		i++
+	}
+	w.merge(&n.kids, i, p)
 }
 
 // AppendStarNodes appends a snapshot of all ImplicitTooDense star nodes to

@@ -139,7 +139,8 @@ func TestDenseContainingEitherNoDuplicates(t *testing.T) {
 	for _, c := range sets {
 		ix.InsertDense(c, 1)
 	}
-	got := keys(ix.AppendDenseContainingEither(nil, 3, 4))
+	nodes, partners, split := ix.AppendDensePaired(nil, nil, 3, 4)
+	got := keys(nodes)
 	// Every inserted set containing 3 or 4, exactly once.
 	want := []string{"1,3", "1,3,4", "1,3,5", "1,4", "2,3", "3,4,5", "4,5"}
 	if len(got) != len(want) {
@@ -150,9 +151,30 @@ func TestDenseContainingEitherNoDuplicates(t *testing.T) {
 			t.Fatalf("DenseContainingEither = %v, want %v", got, want)
 		}
 	}
+	// {1,3,4} and {3,4,5} hold both endpoints and are the unions of {1,3},
+	// {1,4} and {4,5}; those of {1,3,5} and {2,3} have no node. The four sets
+	// holding 4 come first.
+	if len(partners) != len(nodes) || split != 4 {
+		t.Fatalf("%d partners for %d nodes, split %d, want 4", len(partners), len(nodes), split)
+	}
+	for i, n := range nodes {
+		var want *Node
+		switch n.Set().Key() {
+		case "1,3,4", "3,4,5":
+			want = n
+		case "1,3", "1,4":
+			want = ix.Lookup(vset.New(1, 3, 4))
+		case "4,5":
+			want = ix.Lookup(vset.New(3, 4, 5))
+		}
+		if partners[i] != want {
+			t.Fatalf("partner of %v = %v, want %v", n.Set(), partners[i], want)
+		}
+	}
 	// Symmetric in argument order.
-	if len(ix.AppendDenseContainingEither(nil, 4, 3)) != len(want) {
-		t.Fatal("DenseContainingEither not symmetric")
+	swapped, swappedPartners, swappedSplit := ix.AppendDensePaired(nil, nil, 4, 3)
+	if !slices.Equal(swapped, nodes) || !slices.Equal(swappedPartners, partners) || swappedSplit != split {
+		t.Fatal("AppendDensePaired not symmetric")
 	}
 }
 
@@ -362,7 +384,10 @@ func TestTraversalOrder(t *testing.T) {
 		check("AppendDenseContaining", func(ix *Index) []*Node { return ix.AppendDenseContaining(nil, u) }, u)
 		v := (u + 1 + Vertex(rng.Intn(13))) % 14
 		lo, hi := min(u, v), max(u, v)
-		check("AppendDenseContainingEither", func(ix *Index) []*Node { return ix.AppendDenseContainingEither(nil, u, v) }, hi, lo)
+		check("AppendDensePaired", func(ix *Index) []*Node {
+			nodes, _, _ := ix.AppendDensePaired(nil, nil, u, v)
+			return nodes
+		}, hi, lo)
 	}
 }
 
