@@ -14,7 +14,12 @@ import (
 // transparently.
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("dyndens gen", flag.ExitOnError)
-	newSynth := synthFlags(fs)
+	vertices := fs.Int("vertices", 500, "vertex universe size")
+	updates := fs.Int("updates", 10000, "number of updates to generate")
+	seed := fs.Int64("seed", 1, "generator seed")
+	skew := fs.Float64("skew", 0, "Zipf exponent for endpoint popularity (≤ 1 = uniform)")
+	neg := fs.Float64("neg", 0.1, "fraction of negative (decay) updates")
+	mean := fs.Float64("mean", 1, "mean update magnitude")
 	out := fs.String("out", "-", "output path (- for stdout, .gz compresses)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -22,9 +27,16 @@ func cmdGen(args []string) error {
 	if err := rejectPositionalArgs(fs, "dyndens gen"); err != nil {
 		return err
 	}
-	cfg, err := newSynth()
-	if err != nil {
-		return fmt.Errorf("gen: %w", err)
+	if *updates <= 0 {
+		return fmt.Errorf("gen: -updates must be positive, got %d", *updates)
+	}
+	cfg := stream.SynthConfig{
+		Vertices:         *vertices,
+		Updates:          *updates,
+		Seed:             *seed,
+		Skew:             *skew,
+		NegativeFraction: *neg,
+		MeanDelta:        *mean,
 	}
 
 	src, err := stream.NewSynthetic(cfg)

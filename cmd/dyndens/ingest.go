@@ -26,7 +26,7 @@ func aggWorkersFlag(fs *flag.FlagSet) func() (int, error) {
 
 // docFrontEnd abstracts the serial and pipelined document front-ends for the
 // drivers: both produce the identical update/batch stream and the same final
-// aggregation counters, so the summary and JSON paths need not care which ran.
+// aggregation counters, so the summary path need not care which ran.
 type docFrontEnd interface {
 	stream.UpdateSource
 	Stats() stream.AggregatorStats

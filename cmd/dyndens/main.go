@@ -7,7 +7,6 @@
 //
 //	gen      generate a seeded synthetic update stream as an edge-list file
 //	run      replay an update stream from a file or stdin, printing events
-//	bench    replay a synthetic stream end-to-end and print a perf summary
 //	stories  the document pipeline: generate document streams (gen-docs) and
 //	         run documents → co-occurrence updates → engine → story tracker,
 //	         printing the story lifecycle log and the final story table (run)
@@ -29,37 +28,44 @@ import (
 	"dyndens/internal/core"
 	"dyndens/internal/density"
 	"dyndens/internal/shard"
-	"dyndens/internal/stream"
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(dispatch(os.Args[1:]))
+}
+
+// dispatch runs the subcommand named by args[0] and returns the exit code.
+func dispatch(args []string) int {
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	var err error
-	switch os.Args[1] {
+	switch args[0] {
 	case "gen":
-		err = cmdGen(os.Args[2:])
+		err = cmdGen(args[1:])
 	case "run":
-		err = cmdRun(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
+		err = cmdRun(args[1:])
 	case "stories":
-		err = cmdStories(os.Args[2:])
+		err = cmdStories(args[1:])
 	case "serve":
-		err = cmdServe(os.Args[2:])
+		err = cmdServe(args[1:])
 	case "-h", "--help", "help":
 		usage()
 	default:
-		fmt.Fprintf(os.Stderr, "dyndens: unknown subcommand %q\n\n", os.Args[1])
+		fmt.Fprintf(os.Stderr, "dyndens: unknown subcommand %q\n", args[0])
+		if args[0] == "bench" {
+			fmt.Fprintln(os.Stderr, "dyndens: the benchmark is `bash bench/run.sh` (see bench/README.md)")
+		}
+		fmt.Fprintln(os.Stderr)
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dyndens:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func usage() {
@@ -68,15 +74,14 @@ func usage() {
 subcommands:
   gen      generate a seeded synthetic update stream (edge-list format)
   run      replay an update stream from a file or stdin, printing events
-  bench    replay a synthetic stream end-to-end and print a perf summary
   stories  document pipeline: gen-docs / run (documents in, stories out)
   serve    ingest a document stream while serving the live story table,
            ranked top-k queries and a lifecycle event stream over HTTP
 `)
 }
 
-// engineFlags registers the engine configuration flags shared by run, bench
-// and stories and returns a constructor that builds the configuration after
+// engineFlags registers the engine configuration flags shared by run, stories
+// and serve and returns a constructor that builds the configuration after
 // parsing. defT and defNmax are the per-subcommand defaults (the story
 // pipeline wants a threshold matched to document co-occurrence weights, the
 // raw update commands the historical T=3/Nmax=5). The configuration feeds
@@ -110,8 +115,8 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 	}
 }
 
-// overlapFlag registers the sharded delivery-policy flag shared by run, bench
-// and stories and returns a constructor that parses it. It only matters with
+// overlapFlag registers the sharded delivery-policy flag shared by run, stories
+// and serve and returns a constructor that parses it. It only matters with
 // -shards > 0: scoped (the default) delivers each update for full processing
 // only to interested workers, mirror broadcasts to all of them; both produce
 // identical output.
@@ -119,30 +124,6 @@ func overlapFlag(fs *flag.FlagSet) func() (shard.Overlap, error) {
 	overlap := fs.String("overlap", "scoped", "sharded delivery policy: scoped (interest-tracked) or mirror (full broadcast)")
 	return func() (shard.Overlap, error) {
 		return shard.ParseOverlap(*overlap)
-	}
-}
-
-// synthFlags registers the synthetic-generator flags shared by gen and bench
-// and returns a constructor that builds the configuration after parsing.
-func synthFlags(fs *flag.FlagSet) func() (stream.SynthConfig, error) {
-	vertices := fs.Int("vertices", 500, "vertex universe size")
-	updates := fs.Int("updates", 10000, "number of updates to generate")
-	seed := fs.Int64("seed", 1, "generator seed")
-	skew := fs.Float64("skew", 0, "Zipf exponent for endpoint popularity (≤ 1 = uniform)")
-	neg := fs.Float64("neg", 0.1, "fraction of negative (decay) updates")
-	mean := fs.Float64("mean", 1, "mean update magnitude")
-	return func() (stream.SynthConfig, error) {
-		if *updates <= 0 {
-			return stream.SynthConfig{}, fmt.Errorf("-updates must be positive, got %d", *updates)
-		}
-		return stream.SynthConfig{
-			Vertices:         *vertices,
-			Updates:          *updates,
-			Seed:             *seed,
-			Skew:             *skew,
-			NegativeFraction: *neg,
-			MeanDelta:        *mean,
-		}, nil
 	}
 }
 

@@ -23,12 +23,19 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // captureStdout runs fn with os.Stdout redirected and returns what it wrote.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
+	return captureFile(t, &os.Stdout, fn)
+}
+
+// captureFile runs fn with *target (os.Stdout or os.Stderr) redirected into a
+// pipe and returns what fn wrote to it.
+func captureFile(t *testing.T, target **os.File, fn func() error) string {
+	t.Helper()
+	old := *target
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*target = w
 	var buf bytes.Buffer
 	done := make(chan struct{})
 	go func() {
@@ -38,7 +45,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 	fnErr := fn()
 	w.Close()
 	<-done
-	os.Stdout = old
+	*target = old
 	if fnErr != nil {
 		t.Fatal(fnErr)
 	}
@@ -146,7 +153,8 @@ func TestGoldenRunSharded(t *testing.T) {
 }
 
 // TestRunShardedEventParity cross-checks the two run paths directly: the
-// sorted event lines of -shards 2 must equal the single-engine ones.
+// sorted event lines of -shards 2 must equal the single-engine ones under
+// both delivery policies.
 func TestRunShardedEventParity(t *testing.T) {
 	stream := filepath.Join("testdata", "gen_small.stream")
 	eventLines := func(out string) []string {
@@ -162,37 +170,17 @@ func TestRunShardedEventParity(t *testing.T) {
 	single := captureStdout(t, func() error {
 		return cmdRun([]string{"-input", stream, "-T", "2", "-nmax", "4"})
 	})
-	sharded := captureStdout(t, func() error {
-		return cmdRun([]string{"-input", stream, "-T", "2", "-nmax", "4", "-shards", "2"})
-	})
-	a, b := eventLines(single), eventLines(sharded)
+	a := eventLines(single)
 	if len(a) == 0 {
 		t.Fatal("golden stream produced no events; fixture too weak")
 	}
-	if strings.Join(a, "\n") != strings.Join(b, "\n") {
-		t.Errorf("event lines differ between single and sharded run:\n--- single ---\n%s\n--- sharded ---\n%s",
-			strings.Join(a, "\n"), strings.Join(b, "\n"))
-	}
-}
-
-// TestBenchCommandSmoke exercises `dyndens bench` end to end for the
-// single-threaded and sharded paths (the CI smoke matrix runs the same
-// commands at full size).
-func TestBenchCommandSmoke(t *testing.T) {
-	for _, shards := range []string{"0", "1", "4"} {
-		out := captureStdout(t, func() error {
-			return cmdBench([]string{"-vertices", "50", "-updates", "2000", "-seed", "3", "-shards", shards})
+	for _, overlap := range []string{"scoped", "mirror"} {
+		sharded := captureStdout(t, func() error {
+			return cmdRun([]string{"-input", stream, "-T", "2", "-nmax", "4", "-shards", "2", "-overlap", overlap})
 		})
-		if !strings.Contains(out, "bench: 50 vertices, 2000 updates") {
-			t.Errorf("shards=%s: missing bench header in output:\n%s", shards, out)
-		}
-		if shards == "4" {
-			if !strings.Contains(out, "shard 3:") {
-				t.Errorf("shards=4: missing per-shard report in output:\n%s", out)
-			}
-			if !strings.Contains(out, "shard-replay{shards=4") {
-				t.Errorf("shards=4: missing aggregate shard-replay stats in output:\n%s", out)
-			}
+		if b := eventLines(sharded); strings.Join(a, "\n") != strings.Join(b, "\n") {
+			t.Errorf("event lines differ between single and -shards 2 -overlap %s:\n--- single ---\n%s\n--- sharded ---\n%s",
+				overlap, strings.Join(a, "\n"), strings.Join(b, "\n"))
 		}
 	}
 }
@@ -264,33 +252,31 @@ func storyLifecycleLines(out string) []string {
 // TestStoriesShardedLifecycleParity is the CLI form of the acceptance
 // criterion: `stories run` over the same document stream must print the
 // identical lifecycle log and final story table single-threaded, at K=1 and
-// at K=4.
+// at K=4 under both delivery policies, in each fading mode.
 func TestStoriesShardedLifecycleParity(t *testing.T) {
 	input := filepath.Join("testdata", "docs_small.docs")
-	run := func(shards string) []string {
+	run := func(mode string, args ...string) string {
 		out := captureStdout(t, func() error {
-			return cmdStoriesRun([]string{"-input", input, "-shards", shards})
+			return cmdStoriesRun(append([]string{"-input", input, "-decay-mode", mode}, args...))
 		})
-		return storyLifecycleLines(out)
+		return strings.Join(storyLifecycleLines(out), "\n")
 	}
-	ref := run("0")
-	if len(ref) == 0 {
-		t.Fatal("single-threaded stories run produced no lifecycle output")
-	}
-	born := false
-	for _, line := range ref {
-		if strings.Contains(line, "born") {
-			born = true
+	for _, group := range []struct {
+		mode    string
+		sharded [][]string
+	}{
+		{"rescale", [][]string{{"-shards", "1"}, {"-shards", "4"}, {"-shards", "4", "-overlap", "mirror"}}},
+		{"exact", [][]string{{"-shards", "4"}, {"-shards", "4", "-overlap", "mirror"}}},
+	} {
+		ref := run(group.mode, "-shards", "0")
+		if !strings.Contains(ref, "born") {
+			t.Fatalf("-decay-mode %s: single-threaded lifecycle log contains no born record; fixture too weak", group.mode)
 		}
-	}
-	if !born {
-		t.Fatal("lifecycle log contains no born record; fixture too weak")
-	}
-	for _, shards := range []string{"1", "4"} {
-		got := run(shards)
-		if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("lifecycle output differs between single and -shards %s:\n--- single ---\n%s\n--- sharded ---\n%s",
-				shards, strings.Join(ref, "\n"), strings.Join(got, "\n"))
+		for _, args := range group.sharded {
+			if got := run(group.mode, args...); got != ref {
+				t.Errorf("-decay-mode %s: lifecycle output differs between single and %s:\n--- single ---\n%s\n--- sharded ---\n%s",
+					group.mode, strings.Join(args, " "), ref, got)
+			}
 		}
 	}
 }
@@ -363,20 +349,25 @@ func TestStoriesGenDocsGzipRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBenchDocsMode smoke-tests the document→story pipeline bench for both
-// engine paths.
-func TestBenchDocsMode(t *testing.T) {
-	for _, shards := range []string{"0", "4"} {
-		out := captureStdout(t, func() error {
-			return cmdBench([]string{"-docs", "-vertices", "30", "-updates", "600", "-seed", "7",
-				"-skew", "1.1", "-T", "6.5", "-nmax", "4", "-shards", shards})
-		})
-		if !strings.Contains(out, "aggregate{docs=600") {
-			t.Errorf("shards=%s: missing aggregation summary:\n%s", shards, out)
+// TestBenchSubcommandRetired pins what is left of `dyndens bench`: exit code 2
+// like any unknown subcommand, one stderr line naming the replacement, and a
+// usage text that no longer lists it.
+func TestBenchSubcommandRetired(t *testing.T) {
+	var code int
+	out := captureFile(t, &os.Stderr, func() error {
+		code = dispatch([]string{"bench", "-vertices", "50"})
+		return nil
+	})
+	if code != 2 {
+		t.Errorf("dispatch(bench) = %d, want 2", code)
+	}
+	for _, want := range []string{`unknown subcommand "bench"`, "bash bench/run.sh", "bench/README.md", "usage: dyndens"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stderr is missing %q:\n%s", want, out)
 		}
-		if !strings.Contains(out, "story:  born=") {
-			t.Errorf("shards=%s: missing story summary:\n%s", shards, out)
-		}
+	}
+	if regexp.MustCompile(`(?m)^ +bench\b`).MatchString(out) {
+		t.Errorf("usage still lists a bench subcommand:\n%s", out)
 	}
 }
 
@@ -467,37 +458,5 @@ func TestStoriesBatchParity(t *testing.T) {
 	m := regexp.MustCompile(`replay\{updates=(\d+) ticks=(\d+)`).FindStringSubmatch(batched)
 	if m == nil || m[1] == m[2] {
 		t.Errorf("batched run did not coalesce ticks: %v", m)
-	}
-}
-
-// TestBenchBatchCompare smoke-tests the -batch comparison path and its JSON
-// block for the single-threaded and sharded engines.
-func TestBenchBatchCompare(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	out := captureStdout(t, func() error {
-		return cmdBench([]string{"-docs", "-vertices", "30", "-updates", "600", "-seed", "7",
-			"-skew", "1.1", "-T", "6.5", "-nmax", "4", "-batch", "-json", jsonPath})
-	})
-	if !strings.Contains(out, "speedup: decay-segment") {
-		t.Errorf("missing speedup line:\n%s", out)
-	}
-	if !strings.Contains(out, "sequential: replay{") {
-		t.Errorf("missing sequential baseline stats:\n%s", out)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"batched": true`, `"batch_compare"`, `"decay_speedup"`, `"ticks"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, data)
-		}
-	}
-	shardOut := captureStdout(t, func() error {
-		return cmdBench([]string{"-docs", "-vertices", "30", "-updates", "600", "-seed", "7",
-			"-skew", "1.1", "-T", "6.5", "-nmax", "4", "-batch", "-shards", "2"})
-	})
-	if !strings.Contains(shardOut, "shard-replay{shards=2") || !strings.Contains(shardOut, "batched") {
-		t.Errorf("sharded batched bench output malformed:\n%s", shardOut)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -154,65 +152,6 @@ func httpGetJSON(t *testing.T, url string, out any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
-	}
-}
-
-// TestBenchServeBlock pins the -serve-readers integration: the JSON output
-// gains a serve block with live read counters, in both the single-threaded
-// and sharded drivers, for both -docs and raw workloads.
-func TestBenchServeBlock(t *testing.T) {
-	for _, args := range [][]string{
-		{"-docs", "-vertices", "30", "-updates", "150", "-T", "6.5", "-nmax", "4"},
-		{"-vertices", "40", "-updates", "300"},
-		{"-vertices", "40", "-updates", "300", "-shards", "2"},
-	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bench.json")
-			out := captureStdout(t, func() error {
-				return cmdBench(append(args, "-serve-readers", "2", "-serve-k", "3", "-json", path))
-			})
-			if !strings.Contains(out, "serve:  readers=2 k=3") {
-				t.Errorf("missing serve summary line in output:\n%s", out)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got struct {
-				Serve *struct {
-					Readers int     `json:"readers"`
-					TopK    int     `json:"top_k"`
-					Reads   uint64  `json:"reads"`
-					ReadQPS float64 `json:"read_qps"`
-					P50Ns   int64   `json:"p50_ns"`
-					P99Ns   int64   `json:"p99_ns"`
-					Epochs  uint64  `json:"epochs_published"`
-				} `json:"serve"`
-			}
-			if err := json.Unmarshal(raw, &got); err != nil {
-				t.Fatal(err)
-			}
-			if got.Serve == nil {
-				t.Fatal("no serve block in bench JSON")
-			}
-			s := got.Serve
-			if s.Readers != 2 || s.TopK != 3 {
-				t.Errorf("serve config not echoed: %+v", s)
-			}
-			if s.Reads == 0 || s.ReadQPS <= 0 {
-				t.Errorf("serve readers did no work: %+v", s)
-			}
-			if s.P50Ns <= 0 || s.P50Ns > s.P99Ns {
-				t.Errorf("serve percentiles implausible: %+v", s)
-			}
-			if s.Epochs == 0 {
-				t.Errorf("view never published an epoch: %+v", s)
-			}
-		})
-	}
-	if err := cmdBench([]string{"-serve-readers", "1", "-scale", "0,2"}); err == nil ||
-		!strings.Contains(err.Error(), "-scale is incompatible") {
-		t.Fatalf("want -scale incompatibility error, got %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // cmdStories dispatches the document-pipeline subcommands: the end-to-end
 // documents → co-occurrence updates → engine → story tracker path of the
-// paper (Section 2), as opposed to gen/run/bench which start at raw edge
+// paper (Section 2), as opposed to gen/run which start at raw edge
 // deltas.
 func cmdStories(args []string) error {
 	if len(args) < 1 {

@@ -469,10 +469,6 @@ func (e *Engine) SetMembershipListener(fn func(v Vertex, present bool)) {
 	e.ix.SetMembershipListener(fn)
 }
 
-// IndexHasVertex reports whether v currently has at least one prefix-tree
-// node — the interest oracle scoped delivery relies on (see ApplyOnly).
-func (e *Engine) IndexHasVertex(v Vertex) bool { return e.ix.HasVertex(v) }
-
 // IndexVertices returns the sorted labels currently present in the index
 // (including index.Star while any ImplicitTooDense family exists). Intended
 // for interest-map validation, not hot paths.

@@ -92,24 +92,14 @@ func (e *Engine) ImplicitFamilyCount() int { return e.ix.StarCount() }
 // entries. It is intended for ground-truth comparisons and small graphs; the
 // expansion enumerates every mutually-disconnected extension of each family
 // base, which is exponential in the number of disconnected vertices.
+//
+// A family with base C and score s stands for C ∪ Y for every non-empty set Y
+// of vertices that are disconnected from C and from each other: adding such Y
+// leaves the score at s, so C ∪ Y is dense exactly while s clears the larger
+// cardinality's threshold (extensions with internal edges change the score
+// and are indexed explicitly — that is what starEdgeScan and processStar
+// guarantee).
 func (e *Engine) OutputDenseExpanded() []Subgraph {
-	return e.expanded(e.OutputDense(), e.th.IsOutputDense)
-}
-
-// DenseExpanded is Dense including ImplicitTooDense family members; see
-// OutputDenseExpanded for the caveats.
-func (e *Engine) DenseExpanded() []Subgraph {
-	return e.expanded(e.Dense(), e.th.IsDense)
-}
-
-// expanded combines the given explicit subgraphs with every ImplicitTooDense
-// family member passing the include predicate. A family with base C and score
-// s stands for C ∪ Y for every non-empty set Y of vertices that are
-// disconnected from C and from each other: adding such Y leaves the score at
-// s, so C ∪ Y is dense exactly while s clears the larger cardinality's
-// threshold (extensions with internal edges change the score and are indexed
-// explicitly — that is what starEdgeScan and processStar guarantee).
-func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int) bool) []Subgraph {
 	seen := make(map[string]bool)
 	var out []Subgraph
 	add := func(s Subgraph) {
@@ -120,7 +110,7 @@ func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int
 		seen[k] = true
 		out = append(out, s)
 	}
-	for _, s := range explicit {
+	for _, s := range e.OutputDense() {
 		add(s)
 	}
 	vertices := e.g.KnownVertices()
@@ -155,7 +145,7 @@ func (e *Engine) expanded(explicit []Subgraph, include func(score float64, n int
 					continue
 				}
 				ext := cur.Add(y)
-				if include(score, ext.Len()) {
+				if e.th.IsOutputDense(score, ext.Len()) {
 					add(Subgraph{
 						Set:     ext,
 						Score:   score * e.emitScale,

@@ -98,9 +98,6 @@ type Node struct {
 	epoch     uint64
 }
 
-// Label returns the node's vertex label (Star for star nodes).
-func (n *Node) Label() Vertex { return n.label }
-
 // Dense reports whether the node currently represents a dense subgraph.
 func (n *Node) Dense() bool { return n.dense }
 

@@ -785,20 +785,6 @@ func (se *ShardedEngine) mergeLocked(ready []workerResult) {
 	}
 }
 
-// InterestMaps flushes and returns the per-worker interest maps for
-// inspection (subscription sets, churn counters). The maps are live worker
-// state: they are safe to read only until the next Process call.
-func (se *ShardedEngine) InterestMaps() []*InterestMap {
-	se.produceMu.Lock()
-	defer se.produceMu.Unlock()
-	se.quiesceLocked()
-	out := make([]*InterestMap, len(se.workers))
-	for i, w := range se.workers {
-		out[i] = w.interest
-	}
-	return out
-}
-
 // String summarises the deployment.
 func (se *ShardedEngine) String() string {
 	return fmt.Sprintf("sharded{shards=%d batch=%d overlap=%s}", se.cfg.Shards, se.cfg.BatchSize, se.cfg.Overlap)

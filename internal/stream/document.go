@@ -59,9 +59,6 @@ func (s *SliceDocSource) Next() (Document, error) {
 	return d, nil
 }
 
-// Rewind resets the source to the beginning of its slice.
-func (s *SliceDocSource) Rewind() { s.pos = 0 }
-
 // DrainDocs reads every remaining document from src into a slice; errors
 // other than io.EOF are returned with the documents read so far. Entity sets
 // are cloned, so the result stays valid however the source reuses buffers.

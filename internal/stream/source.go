@@ -63,9 +63,6 @@ func (s *SliceSource) Next() (Update, error) {
 	return u, nil
 }
 
-// Rewind resets the source to the beginning of its slice.
-func (s *SliceSource) Rewind() { s.pos = 0 }
-
 // LimitSource caps an underlying source at n updates.
 type LimitSource struct {
 	src  UpdateSource

@@ -41,7 +41,7 @@ func TestMedian(t *testing.T) {
 }
 
 func TestGateCompare(t *testing.T) {
-	base := map[string][]float64{"BenchmarkA": {100}, "BenchmarkB": {100}, "BenchmarkOnlyBase": {5}}
+	base := map[string][]float64{"BenchmarkA": {100}, "BenchmarkB": {100}}
 	var out strings.Builder
 
 	// Within threshold passes.
@@ -51,16 +51,34 @@ func TestGateCompare(t *testing.T) {
 	}
 
 	// Beyond threshold is a gate failure, not a hard error.
-	head = map[string][]float64{"BenchmarkA": {120}}
+	head = map[string][]float64{"BenchmarkA": {120}, "BenchmarkB": {100}}
 	err := gateCompare(base, head, 0.15, &out)
 	if err == nil || !isGateFail(err) {
 		t.Fatalf("regression should gate-fail, got %v", err)
 	}
 
-	// Disjoint benchmark sets are a usage error, not a gate failure.
-	err = gateCompare(base, map[string][]float64{"BenchmarkZ": {1}}, 0.15, &out)
+	// A benchmark the head run lost is a gate failure that names it, not a
+	// smaller gate.
+	head = map[string][]float64{"BenchmarkA": {100}}
+	err = gateCompare(base, head, 0.15, &out)
+	if err == nil || !isGateFail(err) || !strings.Contains(err.Error(), "BenchmarkB") {
+		t.Fatalf("benchmark missing from head should gate-fail by name, got %v", err)
+	}
+
+	// A benchmark only the head run has is reported but not gated.
+	out.Reset()
+	head = map[string][]float64{"BenchmarkA": {100}, "BenchmarkB": {100}, "BenchmarkNew": {1e9}}
+	if err := gateCompare(base, head, 0.15, &out); err != nil {
+		t.Fatalf("head-only benchmark should not gate, got %v", err)
+	}
+	if !strings.Contains(out.String(), "new (not gated)") {
+		t.Fatalf("head-only benchmark not reported:\n%s", out.String())
+	}
+
+	// An empty base is a usage error, not a gate failure.
+	err = gateCompare(nil, head, 0.15, &out)
 	if err == nil || isGateFail(err) {
-		t.Fatalf("disjoint sets should hard-fail, got %v", err)
+		t.Fatalf("empty base should hard-fail, got %v", err)
 	}
 }
 
@@ -79,185 +97,5 @@ func TestGateCompareZeroBase(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "Inf") || strings.Contains(out.String(), "NaN") {
 		t.Fatalf("non-finite delta leaked into report:\n%s", out.String())
-	}
-}
-
-func TestGateSnapshotSelection(t *testing.T) {
-	var out strings.Builder
-	cases := []struct {
-		name     string
-		json     string
-		gates    snapshotGates
-		wantErr  string // empty = pass
-		gateFail bool
-	}{
-		{
-			name:  "batch block passes its floor",
-			json:  `{"batched": true, "batch_compare": {"decay_speedup": 3.0, "overall_speedup": 1.4}}`,
-			gates: snapshotGates{MinDecaySpeedup: 2.0},
-		},
-		{
-			name:     "batch block below floor",
-			json:     `{"batched": true, "batch_compare": {"decay_speedup": 1.5}}`,
-			gates:    snapshotGates{MinDecaySpeedup: 2.0},
-			wantErr:  "below the 2.00x floor",
-			gateFail: true,
-		},
-		{
-			name:     "explicit decay flag with missing block",
-			json:     `{"scaling": {"scoped_k4_vs_mirror_k4": 2.0}}`,
-			gates:    snapshotGates{MinDecaySpeedup: 2.0, DecaySet: true, MinScopedSpeedup: 1.5},
-			wantErr:  "no batch_compare block",
-			gateFail: true,
-		},
-		{
-			name:  "scaling block passes",
-			json:  `{"scaling": {"scoped_k4_vs_mirror_k4": 2.1, "scoped_k4_vs_single": 0.9}}`,
-			gates: snapshotGates{MinScopedSpeedup: 1.5},
-		},
-		{
-			name:  "serve block passes its floor",
-			json:  `{"serve": {"readers": 4, "read_qps": 120000, "p99_ns": 900}}`,
-			gates: snapshotGates{MinReadQPS: 50_000},
-		},
-		{
-			name:     "serve block below floor",
-			json:     `{"serve": {"readers": 4, "read_qps": 12000}}`,
-			gates:    snapshotGates{MinReadQPS: 50_000},
-			wantErr:  "below the 50000 floor",
-			gateFail: true,
-		},
-		{
-			name:     "explicit qps flag with missing serve block",
-			json:     `{"batched": true, "batch_compare": {"decay_speedup": 3.0}}`,
-			gates:    snapshotGates{MinDecaySpeedup: 2.0, MinReadQPS: 50_000, ReadQPSSet: true},
-			wantErr:  "no serve block",
-			gateFail: true,
-		},
-		{
-			name:  "decay-mode block passes its floor",
-			json:  `{"decay_mode_compare": {"decay_segment_speedup": 12.5, "overall_speedup": 2.1}}`,
-			gates: snapshotGates{MinRescale: 5.0},
-		},
-		{
-			name:     "decay-mode block below floor",
-			json:     `{"decay_mode_compare": {"decay_segment_speedup": 3.2}}`,
-			gates:    snapshotGates{MinRescale: 5.0},
-			wantErr:  "rescale-vs-exact decay-segment speedup 3.20x below the 5.00x floor",
-			gateFail: true,
-		},
-		{
-			name:     "explicit rescale flag with missing block",
-			json:     `{"serve": {"readers": 4, "read_qps": 120000}}`,
-			gates:    snapshotGates{MinReadQPS: 50_000, MinRescale: 5.0, RescaleSet: true},
-			wantErr:  "no decay_mode_compare block",
-			gateFail: true,
-		},
-		{
-			name:  "ingest block passes its floor",
-			json:  `{"gomaxprocs": 8, "ingest_pipeline": {"workers": 8, "speedup": 2.4}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:     "ingest block below floor",
-			json:     `{"gomaxprocs": 8, "ingest_pipeline": {"workers": 8, "speedup": 1.1}}`,
-			gates:    snapshotGates{MinIngest: 1.3},
-			wantErr:  "ingest-pipeline speedup 1.10x below the 1.30x floor",
-			gateFail: true,
-		},
-		{
-			name:  "ingest block skipped on a single-core snapshot",
-			json:  `{"gomaxprocs": 1, "ingest_pipeline": {"workers": 4, "speedup": 0.9}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:  "ingest skip on a legacy snapshot without gomaxprocs",
-			json:  `{"ingest_pipeline": {"workers": 4, "speedup": 0.9}}`,
-			gates: snapshotGates{MinIngest: 1.3},
-		},
-		{
-			name:     "explicit ingest flag with missing block",
-			json:     `{"serve": {"readers": 4, "read_qps": 120000}}`,
-			gates:    snapshotGates{MinReadQPS: 50_000, MinIngest: 1.3, IngestSet: true},
-			wantErr:  "no ingest_pipeline block",
-			gateFail: true,
-		},
-		{
-			name:  "wal block passes its floor",
-			json:  `{"wal_overhead": {"ratio": 0.93, "frames": 20000, "snapshots": 4}}`,
-			gates: snapshotGates{MinWALRatio: 0.7},
-		},
-		{
-			name:     "wal block below floor",
-			json:     `{"wal_overhead": {"ratio": 0.41, "frames": 20000}}`,
-			gates:    snapshotGates{MinWALRatio: 0.7},
-			wantErr:  "WAL-on throughput ratio 0.41x below the 0.70x floor",
-			gateFail: true,
-		},
-		{
-			name:     "explicit wal flag with missing block",
-			json:     `{"serve": {"readers": 4, "read_qps": 120000}}`,
-			gates:    snapshotGates{MinReadQPS: 50_000, MinWALRatio: 0.7, WALSet: true},
-			wantErr:  "no wal_overhead block",
-			gateFail: true,
-		},
-		{
-			name:     "no gateable block",
-			json:     `{"updates_per_second": 12345}`,
-			gates:    snapshotGates{},
-			wantErr:  "no gateable block",
-			gateFail: true,
-		},
-		{
-			name:    "malformed JSON is a hard error",
-			json:    `{"batched": tru`,
-			gates:   snapshotGates{},
-			wantErr: "invalid character",
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := gateSnapshot("snap.json", []byte(c.json), c.gates, &out)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("want pass, got %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("want error containing %q, got %v", c.wantErr, err)
-			}
-			if isGateFail(err) != c.gateFail {
-				t.Fatalf("gateFail = %v, want %v (err %v)", isGateFail(err), c.gateFail, err)
-			}
-		})
-	}
-}
-
-// TestGateSnapshotIngestSkipReported pins that the single-core skip is a
-// reported decision, not a silent pass: the gate succeeds (the block counts
-// as gated, so an ingest-only snapshot does not hit the no-gateable-block
-// failure) and the report names the skip and the recorded gomaxprocs.
-func TestGateSnapshotIngestSkipReported(t *testing.T) {
-	var out strings.Builder
-	j := `{"gomaxprocs": 1, "ingest_pipeline": {"workers": 4, "speedup": 0.9}}`
-	if err := gateSnapshot("snap.json", []byte(j), snapshotGates{MinIngest: 1.3}, &out); err != nil {
-		t.Fatalf("single-core snapshot should pass via skip, got %v", err)
-	}
-	if !strings.Contains(out.String(), "skipped") || !strings.Contains(out.String(), "gomaxprocs=1") {
-		t.Fatalf("skip not reported:\n%s", out.String())
-	}
-}
-
-// TestGateSnapshotMultipleBlocks checks every present block is gated: a
-// snapshot passing one gate but failing another fails overall.
-func TestGateSnapshotMultipleBlocks(t *testing.T) {
-	var out strings.Builder
-	j := `{"batched": true,
-	      "batch_compare": {"decay_speedup": 5.0},
-	      "serve": {"readers": 2, "read_qps": 100}}`
-	err := gateSnapshot("snap.json", []byte(j), snapshotGates{MinDecaySpeedup: 2.0, MinReadQPS: 50_000}, &out)
-	if err == nil || !isGateFail(err) || !strings.Contains(err.Error(), "read throughput") {
-		t.Fatalf("serve floor should fail the combined snapshot, got %v", err)
 	}
 }
