@@ -446,13 +446,13 @@ func TestCertifiedExploreSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestInStoryUpdateZeroAlloc pins the two walks an update between members of a
-// live story runs (inStoryEngine): the positive one takes the paired snapshot
-// — nodes and partners, both into engine-owned buffers — and settles every
-// cheap-exploration on the partner's dense flag without building a set; the
-// negative one visits only the subsets holding both endpoints and builds no
-// set either. Neither allocates.
+// live story runs (core.InStoryEngine): the positive one takes the paired
+// snapshot — nodes and partners, both into engine-owned buffers — and settles
+// every cheap-exploration on the partner's dense flag without building a set;
+// the negative one visits only the subsets holding both endpoints and builds
+// no set either. Neither allocates.
 func TestInStoryUpdateZeroAlloc(t *testing.T) {
-	eng, pairs := inStoryEngine(t)
+	eng, pairs := core.InStoryEngine(t, 300)
 	sweep := func(delta float64) func() {
 		return func() {
 			for _, u := range pairs {

@@ -220,49 +220,23 @@ func BenchmarkProcessPlantedSteady(b *testing.B) {
 	b.ReportMetric(float64(after.ExploreCertified-before.ExploreCertified)/float64(b.N), "certified/op")
 }
 
-// inStoryEngine returns a warm engine holding one planted six-entity story —
-// every pair at 1.3·T, Nmax 5, so its 56 subsets of two to five members are
-// all indexed — among 300 background vertices that put light edges into it and
-// between each other, and the story's 15 member pairs. An update of a member
-// pair (a, b) meets every indexed subset holding a, b or both, and the union
-// of each one-endpoint subset with the other endpoint is indexed already
-// unless it would have six members: the in-story regime of the docs workloads.
-func inStoryEngine(tb testing.TB) (*core.Engine, []core.Update) {
-	tb.Helper()
-	const (
-		T          = 3.0
-		storySize  = 6
-		background = 300
-	)
-	member := func(i int) core.Vertex { return core.Vertex(background + i) }
-	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
-	eng.SetSink(&core.CountingSink{})
-	for x := 0; x < background; x++ { // sixteenths and eighths cancel exactly
-		eng.Process(core.Update{A: core.Vertex(x), B: core.Vertex((7*x + 1) % background), Delta: 1.0 / 16})
-		eng.Process(core.Update{A: core.Vertex(x), B: member(x % storySize), Delta: 1.0 / 16})
-	}
-	var pairs []core.Update
-	for i := 0; i < storySize; i++ {
-		for j := i + 1; j < storySize; j++ {
-			pairs = append(pairs, core.Update{A: member(i), B: member(j)})
-			eng.Process(core.Update{A: member(i), B: member(j), Delta: 31.0 / 8})
-		}
-	}
-	if eng.DenseCount() != 56 || eng.ImplicitFamilyCount() != 0 {
-		tb.Fatalf("fixture: %d dense subgraphs and %d families, want the story's 56 subsets and none", eng.DenseCount(), eng.ImplicitFamilyCount())
-	}
-	return eng, pairs
-}
-
 // BenchmarkProcessInStory measures an update between two members of a live
-// story: each op raises one member pair and lowers it again, so the positive
-// half snapshots the 48 subsets holding either endpoint with their partners
-// and cheap-explores the 30 that hold one — 28 unions already indexed, two
-// past Nmax — and the negative half walks the 18 that hold both. Nothing is
-// admitted or evicted; indexed/op reports the cheap-explorations that ended at
-// an indexed union.
-func BenchmarkProcessInStory(b *testing.B) {
-	eng, pairs := inStoryEngine(b)
+// story (core.InStoryEngine over 300 background vertices): each op raises one
+// member pair and lowers it again, so the positive half snapshots the 48
+// subsets holding either endpoint with their partners and cheap-explores the
+// 30 that hold one — 28 unions already indexed, two past Nmax — and the
+// negative half walks the 18 that hold both. Nothing is admitted or evicted;
+// indexed/op reports the cheap-explorations that ended at an indexed union.
+func BenchmarkProcessInStory(b *testing.B) { benchInStory(b, 300) }
+
+// BenchmarkProcessInStoryWide is BenchmarkProcessInStory over 2000 background
+// vertices, ≈ 333 light neighbours per member as in the docs workloads: what
+// an update costs when it must not scan the endpoints' neighbourhoods for the
+// MaxExplore caps that none of its attempts needs.
+func BenchmarkProcessInStoryWide(b *testing.B) { benchInStory(b, 2000) }
+
+func benchInStory(b *testing.B, background int) {
+	eng, pairs := core.InStoryEngine(b, background)
 	op := func(n int) {
 		u := pairs[n%len(pairs)]
 		u.Delta = 1.0 / 8

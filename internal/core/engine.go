@@ -134,12 +134,12 @@ type Stats struct {
 	Explorations     uint64 // explore() invocations that scanned a neighbourhood
 	ExploreCertified uint64 // explore() invocations settled by the node's reach certificate instead
 	ExploreAll       uint64 // Explore-All scans (only without ImplicitTooDense)
-	CheapExplores    uint64 // cheap-exploration attempts
+	CheapExplores    uint64 // cheap-exploration attempts; an indexed union counts even where MaxExplore would skip it
 	CheapIndexed     uint64 // those that ended because the union was already indexed
 	Insertions       uint64 // dense subgraphs inserted into the index
 	Evictions        uint64 // dense subgraphs evicted from the index
 	StarInsertions   uint64 // ImplicitTooDense families created
-	MaxExploreSkips  uint64 // explorations skipped by the MaxExplore heuristic
+	MaxExploreSkips  uint64 // (cheap-)explorations skipped by MaxExplore; only those no indexed union or certificate settled
 	DegreeSkips      uint64 // candidates skipped by DegreePrioritize
 	Events           uint64 // output events emitted
 
@@ -703,17 +703,18 @@ func (e *Engine) processPositive() {
 // missing endpoint puts into it is needed.
 //
 // The update raised that weight, which is the one way an update breaks node's
-// reach certificate: every path out of here that leaves C ∪ {missing} out of
-// the index either raises the certificate to that weight or, where the weight
-// was never computed, drops it.
+// reach certificate — unless C ∪ {missing} is indexed, a child the certificate
+// need not cover. So the exits that find the union indexed keep it, and every
+// other path out of here either raises the certificate to that weight or,
+// where the weight was never computed, drops it.
+//
+// The O(1) exits come first: the pruning rules of shouldCheapExplore, whose
+// MaxExplore caps cost a scan of both endpoints' neighbourhoods, are consulted
+// only by an attempt the cardinality gate and the partner's flag left open.
 func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	missing, present := e.b, e.a
 	if !hasA {
 		missing, present = e.a, e.b
-	}
-	if !e.shouldCheapExplore(node, present) {
-		node.DropReach()
-		return
 	}
 	// C contains exactly one endpoint, so missing ∉ C and |C ∪ {missing}| is
 	// |C|+1; the cardinality gate needs no materialised union. Nothing ever
@@ -722,12 +723,17 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	if n+1 > e.th.Nmax {
 		return
 	}
-	e.stats.CheapExplores++
 	indexed := partner != nil && partner.Dense()
 	if indexed && !e.cfg.EnableDegreePrioritize {
+		e.stats.CheapExplores++
 		e.stats.CheapIndexed++
 		return
 	}
+	if !e.shouldCheapExplore(node, present) {
+		node.DropReach()
+		return
+	}
+	e.stats.CheapExplores++
 	score := node.Score()
 	c := node.SetInto(e.getSetBuf())
 	switch add := e.g.ScoreWith(c, missing); {
@@ -759,6 +765,9 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 // indexed. With ImplicitTooDense enabled the supergraph obtained by adding
 // the updated endpoint may only be implicitly represented, so the
 // cheap-exploration must still run to promote it to an explicit entry.
+// cheapExplore asks only when the union fits Nmax and — unless
+// DegreePrioritize must weigh the missing endpoint — is not indexed yet, that
+// is, only when the attempt could still admit something.
 func (e *Engine) shouldCheapExplore(node *index.Node, present Vertex) bool {
 	n := node.Card()
 	if e.cfg.DisableImplicitTooDense && e.th.IsTooDense(node.Score(), n) {
@@ -1002,6 +1011,11 @@ func (e *Engine) exploreNeed(score float64, n int) float64 {
 // without one; none is persisted). A scan leaves a fresh one: what the graph
 // reports of the vertices left out, raised to those returned whose child was
 // neither admitted nor indexed.
+//
+// The certificate is read before the MaxExplore gate of Section 7.1: both
+// exits admit nothing, and the certificate costs O(1) where the caps scan both
+// endpoints' neighbourhoods, so the caps are computed only for an exploration
+// that would otherwise scan or Explore-All.
 func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 	n, score := c.Len(), node.Score()
 	if n >= e.th.Nmax {
@@ -1013,6 +1027,13 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 		return
 	}
 	if iter > e.maxIter {
+		return
+	}
+	// A too-dense node's need is negative, below any reach, so the
+	// certificate never settles an Explore-All.
+	need := e.exploreNeed(score, n)
+	if node.Reach() < need {
+		e.stats.ExploreCertified++
 		return
 	}
 	if e.cfg.EnableMaxExplore {
@@ -1036,11 +1057,6 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 			}
 			e.admit(child, score+e.g.ScoreWith(c, y), iter+1)
 		}
-		return
-	}
-	need := e.exploreNeed(score, n)
-	if node.Reach() < need {
-		e.stats.ExploreCertified++
 		return
 	}
 	e.stats.Explorations++

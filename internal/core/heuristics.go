@@ -9,9 +9,12 @@ package core
 // without affecting correctness.
 //
 // The caps are computed on first use within the update — the graph does not
-// change while an update is processed, and most updates touch a pair with
-// nothing indexed around it and never ask. When the heuristic is disabled the
-// caps sit past Nmax so they never restrict anything.
+// change while an update is processed — and only an attempt that is still
+// open asks: a cheap-exploration whose union fits Nmax and is not indexed, or
+// an exploration its node's reach certificate did not settle. Around a live
+// story those O(1) exits settle nearly every attempt, so most positive updates
+// never pay for the two neighbourhood passes. When the heuristic is disabled
+// the caps sit past Nmax so they never restrict anything.
 func (e *Engine) maxExploreCaps() (capA, capB int) {
 	if !e.maxExploreKnown {
 		e.maxExploreKnown = true
