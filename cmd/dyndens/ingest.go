@@ -26,9 +26,12 @@ func aggWorkersFlag(fs *flag.FlagSet) func() (int, error) {
 
 // docFrontEnd abstracts the serial and pipelined document front-ends for the
 // drivers: both produce the identical update/batch stream and the same final
-// aggregation counters, so the summary path need not care which ran.
+// aggregation counters, so the summary path need not care which ran. Both are
+// BatchSources, so the replay drivers consume their own epoch and document
+// batches and never chunk them by a read size.
 type docFrontEnd interface {
 	stream.UpdateSource
+	stream.BatchSource
 	Stats() stream.AggregatorStats
 }
 

@@ -93,7 +93,6 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 	deltaItFrac := fs.Float64("deltait-frac", 0.01, "δ_it as a fraction of its maximum valid value")
 	measure := fs.String("measure", "avgweight", "density measure: avgweight, avgdegree, or sqrt")
 	maxExplore := fs.Bool("maxexplore", true, "enable the MaxExplore heuristic (Section 7.1)")
-	degreePrioritize := fs.Bool("degree-prioritize", false, "enable the DegreePrioritize heuristic (Section 7.2)")
 	return func() (core.Config, error) {
 		m, err := measureByName(*measure)
 		if err != nil {
@@ -105,12 +104,11 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 			return core.Config{}, fmt.Errorf("-deltait-frac must be in (0, 1), got %g", *deltaItFrac)
 		}
 		return core.Config{
-			Measure:                m,
-			T:                      *t,
-			Nmax:                   *nmax,
-			DeltaItFraction:        *deltaItFrac,
-			EnableMaxExplore:       *maxExplore,
-			EnableDegreePrioritize: *degreePrioritize,
+			Measure:          m,
+			T:                *t,
+			Nmax:             *nmax,
+			DeltaItFraction:  *deltaItFrac,
+			EnableMaxExplore: *maxExplore,
 		}, nil
 	}
 }
@@ -135,7 +133,7 @@ func overlapFlag(fs *flag.FlagSet) func() (shard.Overlap, error) {
 // run a completely different configuration.
 func rejectPositionalArgs(fs *flag.FlagSet, cmd string) error {
 	if fs.NArg() > 0 {
-		return fmt.Errorf("%s: unexpected argument %q (flags must precede it; note -batch is a boolean switch, the micro-batch size is -read-batch)", cmd, fs.Arg(0))
+		return fmt.Errorf("%s: unexpected argument %q (flags must precede it; note -batch is a boolean switch)", cmd, fs.Arg(0))
 	}
 	return nil
 }

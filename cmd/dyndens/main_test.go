@@ -403,12 +403,30 @@ func TestRunBatchModeMarkers(t *testing.T) {
 	if !strings.Contains(out, "became-output-dense") {
 		t.Errorf("no became events in batch run:\n%s", out)
 	}
-	// The sequential reader skips markers: same 4 updates, one tick each.
+	// Without -batch the markers still delimit read batches, but every update
+	// is its own tick: the same 4 updates, one tick each.
 	seq := captureStdout(t, func() error {
 		return cmdRun([]string{"-input", streamPath, "-T", "2", "-nmax", "4"})
 	})
 	if !strings.Contains(seq, "updates=4 ticks=4") {
-		t.Errorf("sequential run should see 4 updates with 4 ticks (markers skipped):\n%s", seq)
+		t.Errorf("sequential run should see 4 updates with 4 ticks:\n%s", seq)
+	}
+}
+
+// TestRunReadBatchCapsMarkerlessStream pins the cap -read-batch puts on a
+// stream without "%%" markers, with or without -batch: the golden stream's 120
+// updates are replayed in ⌈120/16⌉ batches of at most 16, not as one batch
+// holding the whole stream, and sequentially, one tick per update.
+func TestRunReadBatchCapsMarkerlessStream(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdRun([]string{"-input", filepath.Join("testdata", "gen_small.stream"), "-T", "2", "-nmax", "4", "-read-batch", "16", "-quiet"})
+	})
+	m := regexp.MustCompile(`replay\{updates=(\d+) ticks=(\d+) events=\d+ batches=(\d+) `).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no replay stats in output:\n%s", out)
+	}
+	if m[1] != "120" || m[2] != "120" || m[3] != "8" {
+		t.Errorf("replayed updates=%s ticks=%s in %s batches, want 120, 120 and 8:\n%s", m[1], m[2], m[3], out)
 	}
 }
 

@@ -21,15 +21,15 @@ import (
 // cmdRun replays a recorded update stream (file or stdin) through the engine
 // — single-threaded by default, sharded across K workers with -shards K —
 // streaming the output-dense changes that pass the configured filter to
-// stdout, and prints the throughput and engine summary at the end. With
-// -batch the stream is replayed in coalesced batches (Engine.ProcessBatch):
-// "%%" marker lines in the input delimit the batches (a file without markers
-// is one batch), each batch is one logical tick, and the reported events are
-// the net transitions per batch.
+// stdout, and prints the throughput and engine summary at the end. The
+// stream is read in batches: "%%" marker lines in the input delimit them, and
+// a run of more than -read-batch updates is split. With -batch each batch is
+// coalesced (Engine.ProcessBatch) into one logical tick whose reported events
+// are its net transitions; without it every update is its own tick.
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("dyndens run", flag.ExitOnError)
 	input := fs.String("input", "-", "update stream path (- for stdin), edge-list `a b delta` lines")
-	batch := fs.Int("read-batch", 256, "micro-batch size for the replay driver (with -batch: also the maximum coalesced batch size)")
+	batch := fs.Int("read-batch", 256, "maximum replay batch size: runs between `%%` lines are split at this many updates")
 	batchMode := fs.Bool("batch", false, "coalesce batches through Engine.ProcessBatch (batches delimited by `%%` lines, split at -read-batch; net events per batch)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
@@ -86,21 +86,17 @@ func cmdRun(args []string) error {
 		defer f.Close()
 		fileSrc = f
 	}
-	if *batchMode || aggWorkers > 0 || walOpts.enabled() {
-		// Memory guard for coalesced replay: a marker-less stream is one
-		// whole-stream batch, so cap batches at the read size — runs longer
-		// than -read-batch split into their own ticks. SetMaxBatch treats
-		// n ≤ 0 as "no cap", which would silently disable the guard; reject
-		// it here like the sequential driver does. The pipelined front-end
-		// needs the same cap: its handoff unit is the source batch, and an
-		// unbounded batch would buffer the whole stream in one queue entry.
-		// The WAL needs it too: its frame unit is the source batch, and the
-		// cap makes the framing a deterministic function of -read-batch.
-		if *batch <= 0 {
-			return fmt.Errorf("run: -read-batch must be positive, got %d", *batch)
-		}
-		fileSrc.SetMaxBatch(*batch)
+	// Memory guard: a marker-less stream is one whole-stream batch, so cap
+	// batches at the read size — runs longer than -read-batch split into
+	// batches (and, with -batch, ticks) of their own. SetMaxBatch treats n ≤ 0
+	// as "no cap", which would silently disable the guard, so reject it. The
+	// pipelined front-end's handoff unit and the WAL's frame unit are the
+	// source batch too: the cap bounds one queue entry, and it makes the
+	// framing a deterministic function of -read-batch.
+	if *batch <= 0 {
+		return fmt.Errorf("run: -read-batch must be positive, got %d", *batch)
 	}
+	fileSrc.SetMaxBatch(*batch)
 	src = fileSrc
 	if aggWorkers > 0 {
 		// Edge streams have no expansion stage, so N > 0 just moves reading
@@ -196,15 +192,7 @@ func cmdRun(args []string) error {
 			return ps, nil
 		}
 		r.SetBoundaryHook(runHook(capture))
-		var st stream.ShardReplayStats
-		if *batchMode || pst != nil {
-			// The WAL frame unit is the source batch, so persisted runs go
-			// through the batch driver even when not coalescing — snapshots
-			// then land exactly on frame boundaries.
-			st, err = r.RunBatches(*batch, *batchMode)
-		} else {
-			st, err = r.Run(*batch)
-		}
+		st, err := r.RunBatches(*batch, *batchMode)
 		interrupted := errors.Is(err, stream.ErrStopped)
 		if err != nil && !interrupted {
 			return err
@@ -230,14 +218,7 @@ func cmdRun(args []string) error {
 		return ps, nil
 	}
 	r.SetBoundaryHook(runHook(capture))
-	var st stream.ReplayStats
-	if *batchMode || pst != nil {
-		// See the sharded path: persisted runs use the batch driver so
-		// snapshots land on WAL frame boundaries.
-		st, err = r.RunBatches(*batch, *batchMode)
-	} else {
-		st, err = r.Run(*batch)
-	}
+	st, err := r.RunBatches(*batch, *batchMode)
 	interrupted := errors.Is(err, stream.ErrStopped)
 	if err != nil && !interrupted {
 		return err

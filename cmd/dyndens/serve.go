@@ -60,7 +60,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("dyndens serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (host:port; port 0 picks a free one)")
 	input := fs.String("input", "", "document stream path (- for stdin); empty = generate with -synth flags")
-	batch := fs.Int("read-batch", 256, "micro-batch size for the replay driver (unused with -batch: the aggregator's own epoch/document batches are never split)")
 	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
@@ -297,19 +296,9 @@ func cmdServe(args []string) error {
 				return ps, nil
 			}
 			r.SetBoundaryHook(serveHook(capture))
+			// The front-end is a BatchSource; see cmdStoriesRun.
 			var st stream.ShardReplayStats
-			switch {
-			case *batchMode:
-				st, err = r.RunBatches(*batch, true)
-			case aggCfg.DecayMode == stream.DecayRescale || pst != nil:
-				// Rescaled decay is batch-structured (threshold epoch units),
-				// so the non-coalescing replay still runs through the batch
-				// driver; persisted runs need frame-aligned boundaries. See
-				// cmdStoriesRun.
-				st, err = r.RunBatches(*batch, false)
-			default:
-				st, err = r.Run(*batch)
-			}
+			st, err = r.RunBatches(0, *batchMode)
 			interrupted = errors.Is(err, stream.ErrStopped)
 			if err == nil {
 				// Checkpoint before Builder.Close: Close resolves grace
@@ -341,14 +330,7 @@ func cmdServe(args []string) error {
 			}
 			r.SetBoundaryHook(serveHook(capture))
 			var st stream.ReplayStats
-			switch {
-			case *batchMode:
-				st, err = r.RunBatches(*batch, true)
-			case aggCfg.DecayMode == stream.DecayRescale || pst != nil:
-				st, err = r.RunBatches(*batch, false)
-			default:
-				st, err = r.Run(*batch)
-			}
+			st, err = r.RunBatches(0, *batchMode)
 			interrupted = errors.Is(err, stream.ErrStopped)
 			if err == nil {
 				// See the sharded path: checkpoint precedes Builder.Close.

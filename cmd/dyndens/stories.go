@@ -232,7 +232,6 @@ func cmdStoriesRun(args []string) error {
 	fs := flag.NewFlagSet("dyndens stories run", flag.ExitOnError)
 	input := fs.String("input", "-", "document stream path (- for stdin), `time e1 e2 ...` lines")
 	synth := fs.Bool("synth", false, "generate the documents instead of reading -input (see gen-docs flags)")
-	batch := fs.Int("read-batch", 256, "micro-batch size for the replay driver (unused with -batch: the aggregator's own epoch/document batches are never split)")
 	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
@@ -404,20 +403,9 @@ func cmdStoriesRun(args []string) error {
 			return ps, nil
 		}
 		r.SetBoundaryHook(storiesHook(capture))
-		var st stream.ShardReplayStats
-		switch {
-		case *batchMode:
-			st, err = r.RunBatches(*batch, true)
-		case aggCfg.DecayMode == stream.DecayRescale || pst != nil:
-			// Rescaled decay is batch-structured (threshold epoch units), so
-			// the non-coalescing replay still runs through the batch driver —
-			// documents are fed per-update, epochs as atomic threshold ticks.
-			// Persisted runs need it too: the WAL frame unit is the document,
-			// and the batch driver keeps boundaries frame-aligned.
-			st, err = r.RunBatches(*batch, false)
-		default:
-			st, err = r.Run(*batch)
-		}
+		// The front-end is a BatchSource, so the driver replays its own epoch
+		// and document batches and no read size applies.
+		st, err := r.RunBatches(0, *batchMode)
 		interrupted := errors.Is(err, stream.ErrStopped)
 		if err != nil && !interrupted {
 			return err
@@ -451,17 +439,7 @@ func cmdStoriesRun(args []string) error {
 		return ps, nil
 	}
 	r.SetBoundaryHook(storiesHook(capture))
-	var st stream.ReplayStats
-	switch {
-	case *batchMode:
-		st, err = r.RunBatches(*batch, true)
-	case aggCfg.DecayMode == stream.DecayRescale || pst != nil:
-		// See the sharded path: rescaled decay and persisted runs require
-		// the batch driver.
-		st, err = r.RunBatches(*batch, false)
-	default:
-		st, err = r.Run(*batch)
-	}
+	st, err := r.RunBatches(0, *batchMode) // see the sharded path
 	interrupted := errors.Is(err, stream.ErrStopped)
 	if err != nil && !interrupted {
 		return err

@@ -100,8 +100,8 @@ func closeWALStore(pst *persist.Store, opts walOptions, interrupted bool) error 
 // engineFingerprint renders the engine knobs that shape persisted state.
 func engineFingerprint(cfg core.Config) string {
 	c := cfg.WithDefaults()
-	return fmt.Sprintf("measure=%s,T=%g,nmax=%d,deltait=%g,maxexplore=%v,degprio=%v",
-		c.Measure.Name(), c.T, c.Nmax, c.DeltaIt, c.EnableMaxExplore, c.EnableDegreePrioritize)
+	return fmt.Sprintf("measure=%s,T=%g,nmax=%d,deltait=%g,maxexplore=%v",
+		c.Measure.Name(), c.T, c.Nmax, c.DeltaIt, c.EnableMaxExplore)
 }
 
 // aggFingerprint renders the aggregation knobs that shape the derived update

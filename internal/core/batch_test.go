@@ -6,6 +6,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -122,14 +123,15 @@ func TestProcessBatchClampOrdering(t *testing.T) {
 // (summed in stream order), a pair netting to exactly zero (dropped — it must
 // not reach discovery), a pair clamped at zero and refilled (net = final −
 // initial, not the sum of raw deltas), and a pair clamped to zero for good.
-// The explicit index is canonical here (no ImplicitTooDense), so the batched
-// engine must equal the sequential one key for key and weight for weight.
+// The batched engine must equal the sequential one weight for weight, and
+// both must expand to the oracle's output-dense set: which members of an
+// ImplicitTooDense family are explicit depends on the order of discovery, so
+// the explicit keys are not compared.
 func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
-	cfg := core.Config{T: 2, Nmax: 4, DisableImplicitTooDense: true}
+	cfg := core.Config{T: 2, Nmax: 4}
 	seq, bat := core.MustNew(cfg), core.MustNew(cfg)
 	// Light edges first, so every vertex is known by the time the heavy
-	// subgraphs form and Explore-All extends them ({5,6} keeps 5 connected
-	// once {4,5} is gone: Explore-All adds connected vertices only).
+	// subgraphs form and turn too-dense.
 	warm := []core.Update{
 		{A: 6, B: 7, Delta: 1}, {A: 8, B: 9, Delta: 0.5}, {A: 3, B: 4, Delta: 0.25}, {A: 5, B: 6, Delta: 0.25}, {A: 4, B: 5, Delta: 5},
 		{A: 1, B: 2, Delta: 5}, {A: 2, B: 3, Delta: 5}, {A: 1, B: 3, Delta: 5},
@@ -164,22 +166,10 @@ func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
 	if w := bat.Graph().Weight(8, 9); w != 0.5+0.75+1.5+0.125 {
 		t.Fatalf("duplicate pair weight = %g", w)
 	}
-	if got, want := bat.OutputDenseKeys(), seq.OutputDenseKeys(); !slices.Equal(got, want) {
-		t.Fatalf("batched keys %v != sequential %v", got, want)
-	}
-	if got, want := bat.DenseCount(), seq.DenseCount(); got != want {
-		t.Fatalf("batch indexes %d dense subgraphs, sequential %d", got, want)
-	}
-	oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: bat.Config().Measure, T: cfg.T, Nmax: cfg.Nmax}))
-	if got := bat.OutputDenseKeys(); !slices.Equal(got, oracle) {
-		t.Fatalf("batched keys %v != oracle %v", got, oracle)
-	}
 	if msg := bat.ValidateIndex(); msg != "" {
 		t.Fatalf("index invalid after the batch: %s", msg)
 	}
-	if msg := bat.ValidateCertificates(); msg != "" {
-		t.Fatalf("after the batch: %s", msg)
-	}
+	checkExpandedAgainstOracle(t, "after the batch", bat, seq)
 	// Two pairs end with a positive net delta ({8,9} and {3,4}); the zero-net
 	// pair and the three negative ones must not run a discovery pass.
 	if got := bat.Stats().BatchPairs - before.BatchPairs; got != 2 {
@@ -216,31 +206,42 @@ func TestProcessBatchNetsFlappingTransitions(t *testing.T) {
 	}
 }
 
+// checkExpandedAgainstOracle requires the batched and the sequential engine,
+// which share one graph state, to expand to brute.EnumerateAll's output-dense
+// set, and their reach certificates to be valid.
+func checkExpandedAgainstOracle(t *testing.T, label string, bat, seq *core.Engine) {
+	t.Helper()
+	cfg := bat.Config()
+	oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	for name, eng := range map[string]*core.Engine{"batch": bat, "sequential": seq} {
+		var expanded []string
+		for _, s := range eng.OutputDenseExpanded() {
+			expanded = append(expanded, s.Set.Key())
+		}
+		slices.Sort(expanded)
+		if !slices.Equal(expanded, oracle) {
+			t.Fatalf("%s: %s expanded set %v != oracle %v", label, name, expanded, oracle)
+		}
+		if msg := eng.ValidateCertificates(); msg != "" {
+			t.Fatalf("%s: %s: %s", label, name, msg)
+		}
+	}
+}
+
 // TestProcessBatchMatchesSequential replays seeded mixed streams through a
 // sequential engine and, in random partitions, through ProcessBatch, checking
-// state equivalence at every batch boundary. Two representation regimes are
-// distinguished:
-//
-//   - exact representation (DisableImplicitTooDense): the explicit index IS
-//     the set of dense subgraphs — a pure function of the graph — so the
-//     batched engine's OutputDenseKeys must deep-equal the sequential
-//     engine's AND brute.EnumerateAll, bit for bit;
-//   - with ImplicitTooDense enabled, which dense subgraphs are explicit vs
-//     implicitly represented through '*' families is order-dependent (a
-//     member promoted by one sequential sub-step may stay implicit under the
-//     coalesced net deltas), so the conformance claim is semantic: the
-//     expanded output-dense set must equal brute.EnumerateAll for both
-//     engines, which share one graph state.
+// state equivalence at every batch boundary. Which dense subgraphs are
+// explicit vs implicitly represented through '*' families is order-dependent
+// (a member promoted by one sequential sub-step may stay implicit under the
+// coalesced net deltas), so the conformance claim is semantic: the expanded
+// output-dense set must equal brute.EnumerateAll for both engines.
 func TestProcessBatchMatchesSequential(t *testing.T) {
 	configs := []struct {
-		name  string
-		cfg   core.Config
-		exact bool // explicit index is canonical: compare keys verbatim
+		name string
+		cfg  core.Config
 	}{
-		{"exact", core.Config{T: 2, Nmax: 4, DisableImplicitTooDense: true}, true},
-		{"exact-maxexplore", core.Config{T: 2, Nmax: 4, DisableImplicitTooDense: true, EnableMaxExplore: true}, true},
-		{"implicit", core.Config{T: 2, Nmax: 4}, false},
-		{"implicit-maxexplore", core.Config{T: 2, Nmax: 4, EnableMaxExplore: true}, false},
+		{"implicit", core.Config{T: 2, Nmax: 4}},
+		{"implicit-maxexplore", core.Config{T: 2, Nmax: 4, EnableMaxExplore: true}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,39 +272,13 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 					}
 					events += len(bat.ProcessBatch(chunk))
 
-					if tc.exact {
-						if got, want := bat.OutputDenseKeys(), seq.OutputDenseKeys(); !slices.Equal(got, want) {
-							t.Fatalf("seed %d after %d updates: batch keys %v != sequential %v", seed, pos, got, want)
-						}
-					}
 					if msg := bat.ValidateIndex(); msg != "" {
 						t.Fatalf("seed %d after %d updates: batch index invalid: %s", seed, pos, msg)
 					}
-					ecfg := bat.Config()
-					oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: ecfg.Measure, T: ecfg.T, Nmax: ecfg.Nmax}))
-					for name, eng := range map[string]*core.Engine{"batch": bat, "sequential": seq} {
-						var expanded []string
-						for _, s := range eng.OutputDenseExpanded() {
-							expanded = append(expanded, s.Set.Key())
-						}
-						slices.Sort(expanded)
-						if !slices.Equal(expanded, oracle) {
-							t.Fatalf("seed %d after %d updates: %s expanded set %v != oracle %v", seed, pos, name, expanded, oracle)
-						}
-						if msg := eng.ValidateCertificates(); msg != "" {
-							t.Fatalf("seed %d after %d updates: %s: %s", seed, pos, name, msg)
-						}
-					}
+					checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), bat, seq)
 				}
 				if events == 0 {
 					t.Fatalf("seed %d: batched replay emitted no events; fixture too weak", seed)
-				}
-				if tc.exact {
-					// Dense (not just output-dense) index content must agree
-					// too: later discoveries grow from it.
-					if got, want := bat.DenseCount(), seq.DenseCount(); got != want {
-						t.Fatalf("seed %d: batch indexes %d dense subgraphs, sequential %d", seed, got, want)
-					}
 				}
 			}
 		})

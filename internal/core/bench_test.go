@@ -345,26 +345,14 @@ func BenchmarkThresholdTick(b *testing.B) {
 func BenchmarkReplayPipeline(b *testing.B) {
 	const rebuildEvery = 1 << 16 // uniform weights stay ≪ T within a cycle
 	b.ReportAllocs()
-	newReplay := func() *stream.Replay {
-		src := stream.MustSynthetic(stream.SynthConfig{Vertices: benchVertices, Seed: 7, NegativeFraction: 0.1})
+	for done := 0; done < b.N; done += rebuildEvery {
+		b.StopTimer()
+		src := stream.MustSynthetic(stream.SynthConfig{Vertices: benchVertices, Updates: min(rebuildEvery, b.N-done), Seed: 7, NegativeFraction: 0.1})
 		eng := core.MustNew(core.Config{T: 25, Nmax: 5, EnableMaxExplore: true})
-		return stream.NewReplay(src, eng, &core.CountingSink{})
-	}
-	r := newReplay()
-	b.ResetTimer()
-	cycle := 0
-	for done := 0; done < b.N; {
-		if cycle == rebuildEvery {
-			b.StopTimer()
-			r = newReplay()
-			cycle = 0
-			b.StartTimer()
-		}
-		n, err := r.Batch(min(1024, b.N-done, rebuildEvery-cycle))
-		if err != nil {
+		r := stream.NewReplay(src, eng, &core.CountingSink{})
+		b.StartTimer()
+		if _, err := r.RunBatches(1024, false); err != nil {
 			b.Fatal(err)
 		}
-		done += n
-		cycle += n
 	}
 }

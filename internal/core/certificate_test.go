@@ -94,10 +94,7 @@ func (r *plantedRun) step(t *testing.T) string {
 		// builds it: from the real-unit threshold. It starts without
 		// certificates and must carry on exactly where the old one stopped.
 		cfg := r.e.Config()
-		fresh := MustNew(Config{
-			T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore,
-			DisableImplicitTooDense: cfg.DisableImplicitTooDense, EnableDegreePrioritize: cfg.EnableDegreePrioritize,
-		})
+		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore})
 		if err := fresh.ImportState(r.e.Graph().ExportState(), r.e.ExportState()); err != nil {
 			t.Fatal(err)
 		}
@@ -111,13 +108,11 @@ func (r *plantedRun) step(t *testing.T) string {
 // TestPlantedStatefulCertificates checks after every step of such walks that
 // the index is valid and that every reach certificate still bounds what the
 // graph holds, and — where the engine is exact — that skipping scans on the
-// certificates' word loses nothing against brute.EnumerateAll. The exact arms
-// are the plain algorithm and its two ablation switches, ImplicitTooDense off
-// and DegreePrioritize on, whose cheap-explorations are the ones that still
-// read the subgraph's vertex set. The last arm runs the shipped default,
-// MaxExplore on, which consults its caps only for an exploration the
-// certificate did not settle; it is lossy by itself (ROADMAP 1), so it is
-// held to the one-sided oracle: no set the oracle lacks, misses logged.
+// certificates' word loses nothing against brute.EnumerateAll. The exact arm
+// is the plain algorithm. The other arm runs the shipped default, MaxExplore
+// on, which consults its caps only for an exploration the certificate did not
+// settle; it is lossy by itself (ROADMAP 1), so it is held to the one-sided
+// oracle: no set the oracle lacks, misses logged.
 func TestPlantedStatefulCertificates(t *testing.T) {
 	const steps = 300
 	misses := 0
@@ -128,8 +123,6 @@ func TestPlantedStatefulCertificates(t *testing.T) {
 		seeds int64
 	}{
 		{"plain", Config{}, checkAgainstBrute, 12},
-		{"ImplicitTooDense off", Config{DisableImplicitTooDense: true}, checkAgainstBrute, 5},
-		{"DegreePrioritize", Config{EnableDegreePrioritize: true}, checkAgainstBrute, 5},
 		{"MaxExplore", Config{EnableMaxExplore: true}, checkWithinBrute(&misses), 12},
 	} {
 		arm.cfg.T, arm.cfg.Nmax = 1, 4

@@ -42,14 +42,8 @@ type Config struct {
 	// matching the paper's main experiments.
 	DeltaItFraction float64
 
-	// DisableImplicitTooDense turns off the ImplicitTooDense optimisation
-	// (Section 3.2.3), forcing Explore-All to insert every supergraph of a
-	// too-dense subgraph explicitly. Only useful for the ablation experiment.
-	DisableImplicitTooDense bool
 	// EnableMaxExplore enables the MaxExplore heuristic (Section 7.1).
 	EnableMaxExplore bool
-	// EnableDegreePrioritize enables the DegreePrioritize heuristic (Section 7.2).
-	EnableDegreePrioritize bool
 }
 
 // WithDefaults returns the configuration with default values applied (the
@@ -133,14 +127,12 @@ type Stats struct {
 	NegativeUpdates  uint64
 	Explorations     uint64 // explore() invocations that scanned a neighbourhood
 	ExploreCertified uint64 // explore() invocations settled by the node's reach certificate instead
-	ExploreAll       uint64 // Explore-All scans (only without ImplicitTooDense)
 	CheapExplores    uint64 // cheap-exploration attempts; an indexed union counts even where MaxExplore would skip it
 	CheapIndexed     uint64 // those that ended because the union was already indexed
 	Insertions       uint64 // dense subgraphs inserted into the index
 	Evictions        uint64 // dense subgraphs evicted from the index
 	StarInsertions   uint64 // ImplicitTooDense families created
 	MaxExploreSkips  uint64 // (cheap-)explorations skipped by MaxExplore; only those no indexed union or certificate settled
-	DegreeSkips      uint64 // candidates skipped by DegreePrioritize
 	Events           uint64 // output events emitted
 
 	IndexedDense  int // current number of explicitly indexed dense subgraphs
@@ -165,14 +157,12 @@ func (s *Stats) Add(o Stats) {
 	s.NegativeUpdates += o.NegativeUpdates
 	s.Explorations += o.Explorations
 	s.ExploreCertified += o.ExploreCertified
-	s.ExploreAll += o.ExploreAll
 	s.CheapExplores += o.CheapExplores
 	s.CheapIndexed += o.CheapIndexed
 	s.Insertions += o.Insertions
 	s.Evictions += o.Evictions
 	s.StarInsertions += o.StarInsertions
 	s.MaxExploreSkips += o.MaxExploreSkips
-	s.DegreeSkips += o.DegreeSkips
 	s.Events += o.Events
 	s.IndexedDense += o.IndexedDense
 	s.IndexedStars += o.IndexedStars
@@ -708,9 +698,9 @@ func (e *Engine) processPositive() {
 // other path out of here either raises the certificate to that weight or,
 // where the weight was never computed, drops it.
 //
-// The O(1) exits come first: the pruning rules of shouldCheapExplore, whose
-// MaxExplore caps cost a scan of both endpoints' neighbourhoods, are consulted
-// only by an attempt the cardinality gate and the partner's flag left open.
+// The O(1) exits come first: the MaxExplore restriction of shouldCheapExplore,
+// whose caps cost a scan of both endpoints' neighbourhoods, is consulted only
+// by an attempt the cardinality gate and the partner's flag left open.
 func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	missing, present := e.b, e.a
 	if !hasA {
@@ -723,56 +713,39 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	if n+1 > e.th.Nmax {
 		return
 	}
-	indexed := partner != nil && partner.Dense()
-	if indexed && !e.cfg.EnableDegreePrioritize {
+	if partner != nil && partner.Dense() {
 		e.stats.CheapExplores++
 		e.stats.CheapIndexed++
 		return
 	}
-	if !e.shouldCheapExplore(node, present) {
+	if !e.shouldCheapExplore(n, present) {
 		node.DropReach()
 		return
 	}
 	e.stats.CheapExplores++
 	score := node.Score()
 	c := node.SetInto(e.getSetBuf())
-	switch add := e.g.ScoreWith(c, missing); {
-	case e.cfg.EnableDegreePrioritize && add > 2.0/float64(n-1)*score:
-		// Section 7.2: skip the cheap-exploration when the added endpoint has a
-		// generalised degree (after the update) exceeding 2/(|C|−1)·score⁻(C).
-		e.stats.DegreeSkips++
-		node.RaiseReach(add)
-	case indexed:
+	add := e.g.ScoreWith(c, missing)
+	union := vset.AddInto(e.getSetBuf(), c, missing)
+	if partner == nil && e.ix.HasDense(union) {
 		e.stats.CheapIndexed++
-	default:
-		union := vset.AddInto(e.getSetBuf(), c, missing)
-		if partner == nil && e.ix.HasDense(union) {
-			e.stats.CheapIndexed++
-		} else if uScore := score + add; e.th.IsDense(uScore, n+1) {
-			e.admit(union, uScore, 2)
-		} else {
-			node.RaiseReach(add)
-		}
-		e.putSetBuf(union)
+	} else if uScore := score + add; e.th.IsDense(uScore, n+1) {
+		e.admit(union, uScore, 2)
+	} else {
+		node.RaiseReach(add)
 	}
+	e.putSetBuf(union)
 	e.putSetBuf(c)
 }
 
-// shouldCheapExplore implements the cheap-exploration pruning rules: the
-// MaxExplore restriction of Section 7.1 and, when ImplicitTooDense is
-// disabled, the footnote-5 rule that too-dense subgraphs need not be
-// cheap-explored because all their supergraphs are already (explicitly)
-// indexed. With ImplicitTooDense enabled the supergraph obtained by adding
-// the updated endpoint may only be implicitly represented, so the
-// cheap-exploration must still run to promote it to an explicit entry.
-// cheapExplore asks only when the union fits Nmax and — unless
-// DegreePrioritize must weigh the missing endpoint — is not indexed yet, that
-// is, only when the attempt could still admit something.
-func (e *Engine) shouldCheapExplore(node *index.Node, present Vertex) bool {
-	n := node.Card()
-	if e.cfg.DisableImplicitTooDense && e.th.IsTooDense(node.Score(), n) {
-		return false
-	}
+// shouldCheapExplore implements the MaxExplore restriction of Section 7.1 on
+// the cheap-exploration of a subgraph of n vertices holding only the endpoint
+// present. A too-dense subgraph is cheap-explored like any other: the
+// supergraph obtained by adding the updated endpoint may only be implicitly
+// represented (Section 3.2.3), so the cheap-exploration must run to promote it
+// to an explicit entry. cheapExplore asks only when the union fits Nmax and is
+// not indexed yet, that is, only when the attempt could still admit something.
+func (e *Engine) shouldCheapExplore(n int, present Vertex) bool {
 	if !e.cfg.EnableMaxExplore {
 		return true
 	}
@@ -795,15 +768,11 @@ func (e *Engine) shouldCheapExplore(node *index.Node, present Vertex) bool {
 }
 
 // maintainStar keeps the invariant that every explicitly indexed dense
-// subgraph that is too-dense carries an ImplicitTooDense family (unless the
-// optimisation is disabled). It reports whether it created the family: the
-// caller then owes the newly implicit members a discovery pass (starEdgeScan)
-// — exploreStarMembers only covers families that already existed when the
-// update began.
+// subgraph that is too-dense carries an ImplicitTooDense family. It reports
+// whether it created the family: the caller then owes the newly implicit
+// members a discovery pass (starEdgeScan) — exploreStarMembers only covers
+// families that already existed when the update began.
 func (e *Engine) maintainStar(node *index.Node, score float64, n int) bool {
-	if e.cfg.DisableImplicitTooDense {
-		return false
-	}
 	if n < e.th.Nmax && e.th.IsTooDense(score, n) && !e.ix.HasStar(node) {
 		e.ix.InsertStar(node)
 		e.stats.StarInsertions++
@@ -1015,7 +984,7 @@ func (e *Engine) exploreNeed(score float64, n int) float64 {
 // The certificate is read before the MaxExplore gate of Section 7.1: both
 // exits admit nothing, and the certificate costs O(1) where the caps scan both
 // endpoints' neighbourhoods, so the caps are computed only for an exploration
-// that would otherwise scan or Explore-All.
+// that would otherwise scan.
 func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 	n, score := c.Len(), node.Score()
 	if n >= e.th.Nmax {
@@ -1029,8 +998,6 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 	if iter > e.maxIter {
 		return
 	}
-	// A too-dense node's need is negative, below any reach, so the
-	// certificate never settles an Explore-All.
 	need := e.exploreNeed(score, n)
 	if node.Reach() < need {
 		e.stats.ExploreCertified++
@@ -1043,27 +1010,7 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 			return
 		}
 	}
-	if e.th.IsTooDense(score, n) && e.cfg.DisableImplicitTooDense {
-		// Explore-All (Algorithm 2, line 3): every other vertex yields a dense
-		// supergraph, all of which must be inserted explicitly.
-		e.stats.ExploreAll++
-		for _, y := range e.g.Vertices() {
-			if c.Contains(y) {
-				continue
-			}
-			child := c.Add(y)
-			if e.ix.HasDense(child) {
-				continue
-			}
-			e.admit(child, score+e.g.ScoreWith(c, y), iter+1)
-		}
-		return
-	}
 	e.stats.Explorations++
-	degreeCap := 0.0
-	if e.cfg.EnableDegreePrioritize && n > 1 {
-		degreeCap = 2.0 / float64(n-1) * score
-	}
 	// The neighbourhood scan and the candidate set work in buffers popped
 	// off the engine free lists: admissions recurse back into explore, and
 	// that deeper frame pops its own buffers, so ys/adds and child stay
@@ -1076,14 +1023,6 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 		add := adds[i]
 		childScore := score + add
 		if !e.th.IsDense(childScore, n+1) {
-			reach = max(reach, add)
-			continue
-		}
-		if degreeCap > 0 && add > degreeCap {
-			// Section 7.2: a vertex this strongly connected to C will be (or has
-			// been) reached by exploring around the subgraph obtained by dropping
-			// C's minimum-degree vertex instead.
-			e.stats.DegreeSkips++
 			reach = max(reach, add)
 			continue
 		}

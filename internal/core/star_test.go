@@ -95,28 +95,14 @@ func TestStarHeavyStreamMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestStarHeavyStreamAblations runs the same three arms under the two
-// paper-ablation switches whose cheap-explorations take a path of their own.
-// DegreePrioritize, which weighs the missing endpoint before anything else,
-// stays exact. With ImplicitTooDense off a too-dense subgraph is not
-// cheap-explored (footnote 5) and Explore-All inserts its supergraphs instead
-// — over the vertices that carry an edge at that moment, where the oracle
-// counts every vertex ever seen — so that arm is held to a valid index and
-// valid certificates, not to the oracle. The shipped default, MaxExplore on,
+// TestStarHeavyStreamAblations runs the same three arms under the one
+// paper-ablation switch left, MaxExplore. It is the shipped default, and it
 // misses sets here (the {0,2,7,8} of TestStarHeavyStreamMatchesBrute), so it
 // is held to the one-sided oracle: nothing reported that the oracle lacks.
 func TestStarHeavyStreamAblations(t *testing.T) {
 	misses := 0
 	for seed := int64(1); seed <= 2; seed++ {
-		st := starHeavyRun(t, Config{T: 1, Nmax: 4, EnableDegreePrioritize: true}, seed, checkAgainstBrute)
-		if st.DegreeSkips == 0 {
-			t.Fatalf("seed %d: DegreePrioritize skipped nothing", seed)
-		}
-		st = starHeavyRun(t, Config{T: 1, Nmax: 4, DisableImplicitTooDense: true}, seed, checkValid)
-		if st.ExploreAll == 0 || st.StarInsertions != 0 {
-			t.Fatalf("seed %d, ImplicitTooDense off: %d Explore-All scans, %d families", seed, st.ExploreAll, st.StarInsertions)
-		}
-		st = starHeavyRun(t, Config{T: 1, Nmax: 4, EnableMaxExplore: true}, seed, checkWithinBrute(&misses))
+		st := starHeavyRun(t, Config{T: 1, Nmax: 4, EnableMaxExplore: true}, seed, checkWithinBrute(&misses))
 		if st.MaxExploreSkips == 0 {
 			t.Fatalf("seed %d: MaxExplore skipped nothing", seed)
 		}
@@ -128,7 +114,6 @@ func TestStarHeavyStreamAblations(t *testing.T) {
 // unit, and returns the sequential arm's work counters.
 func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T, e *Engine, label string)) Stats {
 	t.Helper()
-	implicit := !cfg.DisableImplicitTooDense
 	updates := starHeavyStream(seed, 700)
 	rng := rand.New(rand.NewSource(seed))
 	var batches [][]Update
@@ -143,7 +128,7 @@ func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T,
 		check(t, single, fmt.Sprintf("seed %d Process %d %v", seed, i, u))
 	}
 	st := single.Stats()
-	if (implicit && st.StarInsertions < 20) || st.CheapExplores < 1000 {
+	if st.StarInsertions < 20 || st.CheapExplores < 1000 {
 		t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions, st.CheapExplores)
 	}
 
@@ -186,7 +171,7 @@ func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T,
 		}
 		check(t, scaled, fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
 	}
-	if decreases == 0 || (implicit && scaled.Stats().StarInsertions == 0) {
+	if decreases == 0 || scaled.Stats().StarInsertions == 0 {
 		t.Fatalf("seed %d: rescaled run made %d threshold decreases and %d families", seed, decreases, scaled.Stats().StarInsertions)
 	}
 	return st

@@ -151,20 +151,6 @@ func (e *Engine) updateExplore(c vset.Set, score float64) {
 	if n >= e.th.Nmax {
 		return
 	}
-	if e.th.IsTooDense(score, n) && e.cfg.DisableImplicitTooDense {
-		e.stats.ExploreAll++
-		for _, y := range e.g.Vertices() {
-			if c.Contains(y) {
-				continue
-			}
-			child := c.Add(y)
-			if e.ix.HasDense(child) {
-				continue
-			}
-			e.thresholdAdmit(child, score+e.g.ScoreWith(c, y))
-		}
-		return
-	}
 	e.stats.Explorations++
 	nbuf := e.getNbuf()
 	ys, adds := e.g.NeighborhoodScores(c, e.exploreNeed(score, n), nbuf)

@@ -331,16 +331,6 @@ func (g *Graph) NeighborsSorted(u Vertex) ([]Vertex, []float64) {
 	return vs, ws
 }
 
-// Vertices returns all vertices with at least one incident edge, sorted.
-func (g *Graph) Vertices() []Vertex {
-	vs := make([]Vertex, 0, len(g.adj))
-	for v := range g.adj {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
-}
-
 // KnownVertices returns the fixed vertex universe: every vertex that has ever
 // carried an edge, sorted, including vertices whose edges have since decayed
 // to zero. Ground-truth enumerations and ImplicitTooDense expansions must use

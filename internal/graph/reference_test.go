@@ -284,7 +284,7 @@ func TestAdjacencyVectorInvariant(t *testing.T) {
 			Delta: rng.Float64()*3 - 1,
 		})
 	}
-	for _, u := range g.Vertices() {
+	for _, u := range g.KnownVertices() {
 		vs, ws := g.Neighborhood(u)
 		if len(vs) != len(ws) {
 			t.Fatalf("vertex %d: parallel vectors out of sync: %d vs %d", u, len(vs), len(ws))

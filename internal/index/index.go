@@ -46,8 +46,8 @@
 // The index also supports the ImplicitTooDense optimisation (Section 3.2.3):
 // a fictitious vertex '*' (lexicographically larger than every real vertex)
 // whose node under a too-dense subgraph C stands for every supergraph C∪{y}
-// with y disconnected from C, so that Explore-All does not have to insert
-// |V| subgraphs explicitly.
+// with y disconnected from C, so that none of those |V| supergraphs has to be
+// inserted explicitly.
 //
 // A dense node also carries its reach, the engine's exploration certificate:
 // an upper bound on the weight Γ_C·ê_y any vertex y puts into the node's set C

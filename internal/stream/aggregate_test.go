@@ -139,7 +139,7 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 	})
 	agg := MustAggregator(gen, AggregatorConfig{EpochLength: 40, Decay: 0.5, PruneBelow: 0.05})
 	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
-	if _, err := NewReplay(agg, eng, nil).Run(64); err != nil {
+	if _, err := NewReplay(agg, eng, nil).RunBatches(0, false); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()

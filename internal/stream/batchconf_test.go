@@ -9,10 +9,10 @@
 //     sequential engine's per-update events over the same batch partition;
 //   - the resulting story lifecycle records and final story table must
 //     deep-equal the sequential reference driven at the same boundaries;
-//   - in the exact-representation configuration (DisableImplicitTooDense,
-//     where the explicit index is a pure function of the graph) the final
-//     OutputDenseKeys must deep-equal the sequential engine's AND
-//     brute.EnumerateAll;
+//   - on a stream that warms every vertex in and never clamps an edge
+//     (cliqueWarmup, clampFreeStream), where the explicit index is a
+//     function of the graph alone, OutputDenseKeys must deep-equal the
+//     sequential engine's, and the expanded set brute.EnumerateAll;
 //   - the sharded batched path (whole-epoch shipping) must be bit-identical
 //     to the single batched engine at K ∈ {1, 2, 4};
 //
@@ -164,12 +164,12 @@ func requireSameRecords(t *testing.T, label string, got, want *story.Tracker) {
 
 // cliqueWarmup returns one tiny-weight update per vertex pair. Which dense
 // subgraphs the engine represents EXPLICITLY (vs implicitly through
-// ImplicitTooDense families, vs not yet enumerated by Explore-All) depends on
-// when vertices first appear in the graph — an order the batch mode
-// deliberately changes. Warming every vertex in as a shared first batch
-// removes that degree of freedom, so the explicit output-dense set becomes a
-// function of the graph alone and batch-vs-sequential key equality is a fair
-// assertion. The ε weights shift every score identically in both engines.
+// ImplicitTooDense families) depends on when vertices first appear in the
+// graph — an order the batch mode deliberately changes. Warming every vertex
+// in as a shared first batch removes that degree of freedom, so the explicit
+// output-dense set becomes a function of the graph alone and
+// batch-vs-sequential key equality is a fair assertion. The ε weights shift
+// every score identically in both engines.
 func cliqueWarmup(vertices int) []core.Update {
 	var out []core.Update
 	for a := 0; a < vertices; a++ {
@@ -471,15 +471,16 @@ func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
 	}
 }
 
-// TestRunBatchesMatchesRun pins that the batched replay driver applies
-// exactly the same updates as the sequential one (chunked fallback for plain
-// sources) and reports coherent tick counts.
-func TestRunBatchesMatchesRun(t *testing.T) {
+// TestRunBatchesCoalescedMatchesSequential pins that the replay driver applies
+// exactly the same updates whether it coalesces the chunks of a plain source
+// or processes them update by update, reports coherent tick counts, and ends
+// at the same expanded output-dense set, the oracle's.
+func TestRunBatchesCoalescedMatchesSequential(t *testing.T) {
 	synth := SynthConfig{Vertices: 12, Updates: 500, Seed: 9, NegativeFraction: 0.3, MeanDelta: 1.5}
-	engCfg := core.Config{T: 2, Nmax: 4, DisableImplicitTooDense: true}
+	engCfg := core.Config{T: 2, Nmax: 4}
 
 	seqEng := core.MustNew(engCfg)
-	seqStats, err := NewReplay(MustSynthetic(synth), seqEng, nil).Run(64)
+	seqStats, err := NewReplay(MustSynthetic(synth), seqEng, nil).RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,14 +492,24 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 	if batStats.Updates != seqStats.Updates {
 		t.Fatalf("batched replay processed %d updates, sequential %d", batStats.Updates, seqStats.Updates)
 	}
-	if batStats.Ticks != (synth.Updates+63)/64 {
-		t.Fatalf("batched ticks = %d, want %d chunks", batStats.Ticks, (synth.Updates+63)/64)
+	chunks := (synth.Updates + 63) / 64
+	if batStats.Ticks != chunks || batStats.Batches != chunks || seqStats.Batches != chunks {
+		t.Fatalf("batched ticks = %d, batches %d and %d, want %d chunks", batStats.Ticks, batStats.Batches, seqStats.Batches, chunks)
 	}
 	if seqStats.Ticks != seqStats.Updates {
 		t.Fatalf("sequential ticks = %d, want %d (one per update)", seqStats.Ticks, seqStats.Updates)
 	}
-	if !slices.Equal(batEng.OutputDenseKeys(), seqEng.OutputDenseKeys()) {
-		t.Fatalf("result sets diverged: %v vs %v", batEng.OutputDenseKeys(), seqEng.OutputDenseKeys())
+	// Which members of an ImplicitTooDense family are explicit depends on the
+	// order of discovery, so the engines are compared expanded.
+	cfg := batEng.Config()
+	oracle := brute.Keys(brute.EnumerateAll(batEng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	if len(oracle) == 0 {
+		t.Fatal("no output-dense subgraphs at end of stream; fixture too weak")
+	}
+	for name, eng := range map[string]*core.Engine{"coalesced": batEng, "sequential": seqEng} {
+		if got := expandedKeys(eng); !slices.Equal(got, oracle) {
+			t.Fatalf("%s: expanded set %v != oracle %v", name, got, oracle)
+		}
 	}
 	if batEng.Stats().Batches == 0 {
 		t.Fatal("batched replay drove no ProcessBatch calls")

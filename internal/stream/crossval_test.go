@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"math"
 	"slices"
@@ -100,13 +98,9 @@ func runCrossVal(t *testing.T, seed int64, sink core.EventSink, tracker *eventTr
 	})
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	r := NewReplay(src, eng, sink)
-	step := 0
-	for !r.Done() {
-		n, err := r.Batch(crossValInterval)
-		if err != nil && !errors.Is(err, io.EOF) {
-			t.Fatal(err)
-		}
-		step += n
+	checks := 0
+	r.SetBoundaryHook(func() error {
+		step := r.Stats().Updates
 		checkAgainstOracle(t, eng, step)
 		if tracker != nil {
 			got := tracker.sortedKeys()
@@ -115,9 +109,15 @@ func runCrossVal(t *testing.T, seed int64, sink core.EventSink, tracker *eventTr
 				t.Fatalf("after %d updates: event-tracked set %v != engine explicit set %v", step, got, want)
 			}
 		}
+		checks++
+		return nil
+	})
+	st, err := r.RunBatches(crossValInterval, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if step != 400 {
-		t.Fatalf("replayed %d updates, want 400", step)
+	if st.Updates != 400 || checks != 400/crossValInterval {
+		t.Fatalf("replayed %d updates with %d checks, want 400 with %d", st.Updates, checks, 400/crossValInterval)
 	}
 	if eng.Stats().Events == 0 {
 		t.Fatal("stream produced no events; cross-validation exercised nothing")
@@ -310,7 +310,7 @@ func TestShardReplayMatchesReplay(t *testing.T) {
 	engCfg := core.Config{T: 2, Nmax: 4}
 
 	eng := core.MustNew(engCfg)
-	refStats, err := NewReplay(MustSynthetic(synth), eng, nil).Run(64)
+	refStats, err := NewReplay(MustSynthetic(synth), eng, nil).RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestShardReplayMatchesReplay(t *testing.T) {
 	defer se.Close()
 	var counter core.CountingSink
 	r := NewShardReplay(MustSynthetic(synth), se, &counter)
-	st, err := r.Run(64)
+	st, err := r.RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestCrossValFilterSinkSelective(t *testing.T) {
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	var all, filtered core.CollectorSink
 	filter := &core.FilterSink{Next: &filtered, MinCardinality: 3}
-	if _, err := NewReplay(src, eng, core.MultiSink{&all, filter}).Run(crossValInterval); err != nil {
+	if _, err := NewReplay(src, eng, core.MultiSink{&all, filter}).RunBatches(crossValInterval, false); err != nil {
 		t.Fatal(err)
 	}
 	want := 0

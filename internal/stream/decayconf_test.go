@@ -107,7 +107,7 @@ func TestDecayModeConformance(t *testing.T) {
 			exactCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: DecayExact}
 			rescaleCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: DecayRescale}
 
-			exactSeq := runDecayConfPipeline(t, docCfg, exactCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.Run(64) })
+			exactSeq := runDecayConfPipeline(t, docCfg, exactCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, false) })
 			exactBat := runDecayConfPipeline(t, docCfg, exactCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, true) })
 			rescaleSeq := runDecayConfPipeline(t, docCfg, rescaleCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, false) })
 			rescaleBat := runDecayConfPipeline(t, docCfg, rescaleCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, true) })

@@ -125,8 +125,7 @@ const BatchMarker = "%%"
 //
 // FileSource is also a BatchSource: NextBatch groups updates at BatchMarker
 // lines ("%%"), with consecutive markers yielding legal empty batches. A file
-// without markers is one single batch — chunk it with AsBatchSource over a
-// plain reader if fixed-size batches are wanted instead.
+// without markers is one single batch unless SetMaxBatch caps it.
 type FileSource struct {
 	ls       *lineScanner
 	buf      []Update // NextBatch staging, reused across batches

@@ -13,7 +13,7 @@ import (
 
 // ShardReplay drives an UpdateSource through a ShardedEngine. It is the
 // parallel counterpart of Replay: the source is read on the caller's
-// goroutine in micro-batches and fed to the sharded engine's asynchronous
+// goroutine batch by batch and fed to the sharded engine's asynchronous
 // Process, and the final statistics combine the aggregate wall-clock
 // throughput with the per-shard busy-time accounting the merge layer keeps.
 type ShardReplay struct {
@@ -23,7 +23,6 @@ type ShardReplay struct {
 	stats ShardReplayStats
 	start time.Time
 	done  bool
-	buf   []Update
 	hook  func() error
 }
 
@@ -141,58 +140,12 @@ func NewShardReplay(src UpdateSource, se *shard.ShardedEngine, sink core.EventSi
 	return &ShardReplay{src: src, se: se}
 }
 
-// SetBoundaryHook installs fn to run between driver batches in Run and
-// RunBatches, exactly like Replay.SetBoundaryHook. The hook runs on the
-// producer goroutine with updates possibly still in flight behind the merge
-// barrier; a hook that needs a quiesced deployment (checkpointing) flushes
-// the engine itself.
+// SetBoundaryHook installs fn to run between driver batches in RunBatches,
+// exactly like Replay.SetBoundaryHook. The hook runs on the producer
+// goroutine with updates possibly still in flight behind the merge barrier; a
+// hook that needs a quiesced deployment (checkpointing) flushes the engine
+// itself.
 func (r *ShardReplay) SetBoundaryHook(fn func() error) { r.hook = fn }
-
-// Engine returns the driven sharded engine.
-func (r *ShardReplay) Engine() *shard.ShardedEngine { return r.se }
-
-// Done reports whether the source has been exhausted.
-func (r *ShardReplay) Done() bool { return r.done }
-
-// Batch pulls up to n updates from the source and feeds them to the sharded
-// engine, returning the number accepted. It returns io.EOF (possibly
-// alongside a non-zero count) once the source is exhausted. Feeding is
-// asynchronous; call Flush (or Run, which flushes) before reading results.
-func (r *ShardReplay) Batch(n int) (int, error) {
-	if r.done {
-		return 0, io.EOF
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("stream: batch size must be positive, got %d", n)
-	}
-	r.buf = r.buf[:0]
-	var srcErr error
-	for len(r.buf) < n {
-		u, err := r.src.Next()
-		if err != nil {
-			srcErr = err
-			break
-		}
-		r.buf = append(r.buf, u)
-	}
-	if len(r.buf) > 0 {
-		if r.start.IsZero() {
-			r.start = time.Now()
-		}
-		r.se.ProcessAll(r.buf)
-		r.stats.Updates += len(r.buf)
-		r.stats.Ticks += len(r.buf) // one merger sequence slot per update
-		r.stats.Batches++
-	}
-	if srcErr != nil {
-		if errors.Is(srcErr, io.EOF) {
-			r.done = true
-			return len(r.buf), io.EOF
-		}
-		return len(r.buf), srcErr
-	}
-	return len(r.buf), nil
-}
 
 // Flush blocks until every fed update has cleared the merge barrier and
 // refreshes the statistics.
@@ -227,26 +180,6 @@ func (r *ShardReplay) Stats() ShardReplayStats {
 	return s
 }
 
-// Run drains the source in read batches of batchSize, flushes, and returns
-// the final statistics. A source error other than io.EOF aborts the run and
-// is returned with the statistics accumulated so far.
-func (r *ShardReplay) Run(batchSize int) (ShardReplayStats, error) {
-	for {
-		_, err := r.Batch(batchSize)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return r.Stats(), nil
-			}
-			return r.Stats(), err
-		}
-		if r.hook != nil {
-			if err := r.hook(); err != nil {
-				return r.Stats(), err
-			}
-		}
-	}
-}
-
 // RunBatches drains the source batch by batch (the source's own batches when
 // it implements BatchSource, fixed chunks of readBatch updates otherwise).
 // With coalesce true each whole batch ships to the sharded engine as one
@@ -255,7 +188,8 @@ func (r *ShardReplay) Run(batchSize int) (ShardReplayStats, error) {
 // are fed per-update (ProcessAll), the sequential-semantics baseline.
 // Threshold batch units — rescaled-decay epochs — are inherently atomic and
 // ship as one broadcast unit in both modes. Flushes and returns the final
-// statistics.
+// statistics; a source error other than io.EOF aborts the run and is
+// returned with the statistics accumulated so far.
 func (r *ShardReplay) RunBatches(readBatch int, coalesce bool) (ShardReplayStats, error) {
 	if r.done {
 		return r.Stats(), nil

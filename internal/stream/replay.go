@@ -13,9 +13,9 @@ import (
 // the glue of the pipeline: sources know nothing about the engine, the engine
 // knows nothing about where updates come from, and sinks only see results.
 //
-// Updates are processed in micro-batches (Batch) so that callers can
-// interleave replay with queries, threshold changes, or backpressure checks,
-// and so that latency is tracked at a granularity that is meaningful for a
+// Updates are processed batch by batch (RunBatches) so that callers can
+// interleave replay with checkpoints or stop checks at the boundary hook, and
+// so that latency is tracked at a granularity that is meaningful for a
 // streaming system (per-batch, amortising the timer cost over many
 // sub-microsecond updates).
 type Replay struct {
@@ -26,7 +26,6 @@ type Replay struct {
 	startEvents uint64
 	stats       ReplayStats
 	done        bool
-	buf         []Update // per-batch staging so source I/O stays untimed
 	hook        func() error
 }
 
@@ -62,10 +61,9 @@ type ReplayStats struct {
 	MinBatchLatency time.Duration // fastest non-empty batch
 	MaxBatchLatency time.Duration // slowest non-empty batch
 
-	// DecaySeg and OtherSeg split the replay by batch provenance when the
-	// source exposes natural batches (RunBatches over a BatchSource): epoch
-	// fading bursts vs document/positive batches. Both are zero for the
-	// plain Run driver, whose sources carry no provenance.
+	// DecaySeg and OtherSeg split the replay by batch provenance: epoch
+	// fading bursts vs document/positive batches. A source without natural
+	// batches (fixed chunks) puts everything in OtherSeg.
 	DecaySeg SegmentStats
 	OtherSeg SegmentStats
 
@@ -93,7 +91,7 @@ func (s ReplayStats) MeanUpdateLatency() time.Duration {
 }
 
 // String formats the throughput/latency summary printed by the CLI driver.
-// Segment lines appear only when the replay had batch provenance to split on.
+// The segment line appears once a batch has been processed.
 func (s ReplayStats) String() string {
 	out := fmt.Sprintf(
 		"replay{updates=%d ticks=%d events=%d batches=%d elapsed=%v throughput=%.0f upd/s mean=%v batch=[%v..%v]}",
@@ -132,22 +130,16 @@ func NewReplay(src UpdateSource, eng *core.Engine, sink core.EventSink) *Replay 
 	}
 }
 
-// SetBoundaryHook installs fn to run between driver batches in Run and
-// RunBatches — the quiescent points where every handed-out update has been
-// processed. Hooks are how periodic checkpointing and signal-aware stops
-// plug into the drivers: a non-nil error aborts the run and is returned to
-// the caller (return ErrStopped for a clean stop; the driver's statistics
-// remain valid either way).
+// SetBoundaryHook installs fn to run between driver batches in RunBatches —
+// the quiescent points where every handed-out update has been processed.
+// Hooks are how periodic checkpointing and signal-aware stops plug into the
+// driver: a non-nil error aborts the run and is returned to the caller
+// (return ErrStopped for a clean stop; the driver's statistics remain valid
+// either way).
 func (r *Replay) SetBoundaryHook(fn func() error) { r.hook = fn }
-
-// Engine returns the driven engine.
-func (r *Replay) Engine() *core.Engine { return r.eng }
 
 // Sink returns the installed sink.
 func (r *Replay) Sink() core.EventSink { return r.sink }
-
-// Done reports whether the source has been exhausted.
-func (r *Replay) Done() bool { return r.done }
 
 // Stats returns the statistics accumulated so far.
 func (r *Replay) Stats() ReplayStats {
@@ -160,88 +152,21 @@ func (r *Replay) Stats() ReplayStats {
 	return s
 }
 
-// Batch pulls up to n updates from the source and processes them, returning
-// the number processed. It returns io.EOF (possibly alongside a non-zero
-// count) once the source is exhausted, and any source error verbatim.
-//
-// The batch is staged in memory before processing so that the latency
-// statistics measure engine cost only, not source I/O or parsing.
-func (r *Replay) Batch(n int) (int, error) {
-	if r.done {
-		return 0, io.EOF
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("stream: batch size must be positive, got %d", n)
-	}
-	r.buf = r.buf[:0]
-	var srcErr error
-	for len(r.buf) < n {
-		u, err := r.src.Next()
-		if err != nil {
-			srcErr = err
-			break
-		}
-		r.buf = append(r.buf, u)
-	}
-	processed := len(r.buf)
-	start := time.Now()
-	for _, u := range r.buf {
-		r.eng.Process(u)
-	}
-	elapsed := time.Since(start)
-	if processed > 0 {
-		r.stats.Updates += processed
-		r.stats.Ticks += processed // one engine boundary per Process call
-		r.stats.Batches++
-		r.stats.Elapsed += elapsed
-		if r.stats.MinBatchLatency == 0 || elapsed < r.stats.MinBatchLatency {
-			r.stats.MinBatchLatency = elapsed
-		}
-		if elapsed > r.stats.MaxBatchLatency {
-			r.stats.MaxBatchLatency = elapsed
-		}
-	}
-	if srcErr != nil {
-		if errors.Is(srcErr, io.EOF) {
-			r.done = true
-			return processed, io.EOF
-		}
-		return processed, srcErr
-	}
-	return processed, nil
-}
-
-// Run drains the source in batches of batchSize and returns the final
-// statistics. A source error other than io.EOF aborts the run and is
-// returned with the statistics accumulated so far.
-func (r *Replay) Run(batchSize int) (ReplayStats, error) {
-	for {
-		_, err := r.Batch(batchSize)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return r.Stats(), nil
-			}
-			return r.Stats(), err
-		}
-		if r.hook != nil {
-			if err := r.hook(); err != nil {
-				return r.Stats(), err
-			}
-		}
-	}
-}
-
 // RunBatches drains the source batch by batch — the source's own batches when
 // it implements BatchSource (the aggregator's epoch bursts and per-document
 // deltas, a marker-delimited file), fixed chunks of readBatch updates
 // otherwise — and returns the final statistics, with the decay/other segment
-// split populated from batch provenance.
+// split populated from batch provenance. A source error other than io.EOF
+// aborts the run and is returned with the statistics accumulated so far; a
+// call after the source is exhausted returns them without reading.
 //
 // With coalesce true each batch goes through Engine.ProcessBatch: one logical
 // tick, net events at the batch boundary. With coalesce false the batch's
 // updates are processed one Process call at a time but timed as a group,
 // which is the apples-to-apples sequential baseline for the batched mode (the
-// same grouping, the same timer granularity, per-update semantics).
+// same grouping, the same timer granularity, per-update semantics). Either
+// way a batch is in memory before its timer starts, so the latency statistics
+// measure engine cost only, not source I/O or parsing.
 //
 // Threshold batch units — rescaled-decay epochs — are inherently atomic: they
 // go through Engine.ProcessThresholdBatch as one tick in both modes, so a

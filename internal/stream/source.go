@@ -6,8 +6,8 @@
 // from entity co-occurrences in a document stream (Section 2). This package
 // abstracts where that stream comes from — a file of recorded updates, a
 // seeded synthetic workload generator, or any custom UpdateSource — and
-// provides the Replay driver that micro-batches a source through
-// Engine.Process while aggregating throughput and latency statistics.
+// provides the Replay driver that feeds a source batch by batch through the
+// engine while aggregating throughput and latency statistics.
 //
 // # Errors versus panics
 //

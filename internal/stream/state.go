@@ -19,7 +19,7 @@ import (
 // process would have produced.
 
 // ErrStopped is the sentinel a replay boundary hook returns to stop the run
-// cleanly between batches: Run/RunBatches return it with the pipeline
+// cleanly between batches: RunBatches returns it with the pipeline
 // drained, which is how signal-aware CLI drivers cut a final checkpoint and
 // print stats instead of dying mid-update.
 var ErrStopped = errors.New("stream: replay stopped at boundary")

@@ -215,17 +215,19 @@ func TestReplayBatchingAndStats(t *testing.T) {
 	eng := core.MustNew(core.Config{T: 1.5, Nmax: 4})
 	var sink core.CountingSink
 	r := NewReplay(src, eng, &sink)
+	var sizes []int
+	r.SetBoundaryHook(func() error {
+		sizes = append(sizes, r.Stats().Updates)
+		return nil
+	})
 
-	for !r.Done() {
-		n, err := r.Batch(25)
-		if err != nil && !errors.Is(err, io.EOF) {
-			t.Fatal(err)
-		}
-		if n == 0 && !errors.Is(err, io.EOF) {
-			t.Fatal("empty batch without EOF")
-		}
+	st, err := r.RunBatches(25, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := r.Stats()
+	if !slices.Equal(sizes, []int{25, 50, 75, 100, 105}) {
+		t.Fatalf("updates replayed at each boundary = %v, want 25, 50, 75, 100, 105", sizes)
+	}
 	if st.Updates != 105 {
 		t.Fatalf("Updates = %d, want 105", st.Updates)
 	}
@@ -241,8 +243,9 @@ func TestReplayBatchingAndStats(t *testing.T) {
 	if st.MinBatchLatency <= 0 || st.MaxBatchLatency < st.MinBatchLatency {
 		t.Fatalf("degenerate latency stats: %+v", st)
 	}
-	if _, err := r.Batch(1); !errors.Is(err, io.EOF) {
-		t.Fatalf("Batch after exhaustion = %v, want io.EOF", err)
+	again, err := r.RunBatches(1, false)
+	if err != nil || again.Updates != st.Updates || again.Batches != st.Batches || len(sizes) != 5 {
+		t.Fatalf("RunBatches after exhaustion = %+v, %v with %d boundaries, want the same stats, no error and no boundary", again, err, len(sizes))
 	}
 }
 
@@ -254,7 +257,7 @@ func TestNewReplayNilSinkKeepsInstalledSink(t *testing.T) {
 	if r.Sink() != &mine {
 		t.Fatal("NewReplay(nil sink) replaced the engine's installed sink")
 	}
-	if _, err := r.Run(8); err != nil {
+	if _, err := r.RunBatches(8, false); err != nil {
 		t.Fatal(err)
 	}
 	if mine.Became != 1 {
@@ -273,7 +276,7 @@ func TestReplayRunMatchesSliceModeEngine(t *testing.T) {
 
 	eng := core.MustNew(engineCfg)
 	r := NewReplay(MustSynthetic(cfg), eng, nil)
-	st, err := r.Run(32)
+	st, err := r.RunBatches(32, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ type SynthConfig struct {
 	// Vertices is the size of the vertex universe [0, Vertices); must be ≥ 2.
 	Vertices int
 	// Updates caps the stream length; 0 means unbounded (the source never
-	// returns io.EOF — wrap with NewLimitSource or drive it through a bounded
-	// Replay).
+	// returns io.EOF — wrap it with NewLimitSource).
 	Updates int
 	// Seed seeds the generator; equal configs with equal seeds produce
 	// identical streams.
