@@ -99,8 +99,9 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 			return core.Config{}, err
 		}
 		// Config.withDefaults silently falls back to 0.01 for out-of-range
-		// fractions; an explicitly set flag should fail loudly instead.
-		if *deltaItFrac <= 0 || *deltaItFrac >= 1 {
+		// fractions; an explicitly set flag should fail loudly instead, NaN
+		// included.
+		if !(*deltaItFrac > 0 && *deltaItFrac < 1) {
 			return core.Config{}, fmt.Errorf("-deltait-frac must be in (0, 1), got %g", *deltaItFrac)
 		}
 		return core.Config{

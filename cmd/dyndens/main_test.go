@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -216,24 +218,38 @@ func TestGoldenStoriesGenDocs(t *testing.T) {
 // lifecycle log, story table, aggregation counters and engine summary over
 // the golden document stream. The record lines are fully deterministic
 // (sequence-labelled, canonical resolution order), so unlike run's event
-// lines they are compared in order. The exact golden pins the paper-literal
-// per-pair sweep (its lifecycle log and story table predate the rescaled
-// fading mode and must not drift); the rescale golden pins the default mode's
-// tick structure (one threshold tick per epoch) and sequence numbering.
+// lines they are compared in order. The golden also pins the tick structure
+// (one threshold tick per epoch) and sequence numbering.
 func TestGoldenStoriesRun(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return cmdStoriesRun([]string{"-input", filepath.Join("testdata", "docs_small.docs"), "-decay-mode", "exact"})
+		return cmdStoriesRun([]string{"-input", filepath.Join("testdata", "docs_small.docs")})
 	})
 	compareGolden(t, filepath.Join("testdata", "stories_small.golden"), normalizeRunOutput(out))
 }
 
-// TestGoldenStoriesRunRescale pins the same pipeline under the default
-// rescaled fading mode.
+// TestGoldenStoriesRunRescale pins the rescaled fading path against the same
+// golden at a scale far from 1: with -doc-weight, -T and -prune all
+// multiplied by 2⁻⁴⁰, every density and the threshold move together, so the
+// lifecycle log, aggregation counters and story table must equal
+// stories_small.golden's line for line.
 func TestGoldenStoriesRunRescale(t *testing.T) {
+	c := math.Ldexp(1, -40)
+	scaled := func(v float64) string { return strconv.FormatFloat(v*c, 'g', -1, 64) }
 	out := captureStdout(t, func() error {
-		return cmdStoriesRun([]string{"-input", filepath.Join("testdata", "docs_small.docs")})
+		return cmdStoriesRun([]string{"-input", filepath.Join("testdata", "docs_small.docs"),
+			"-doc-weight", scaled(1), "-T", scaled(6.5), "-prune", scaled(1e-3)})
 	})
-	compareGolden(t, filepath.Join("testdata", "stories_small_rescale.golden"), normalizeRunOutput(out))
+	want, err := os.ReadFile(filepath.Join("testdata", "stories_small.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines, gotLines := storyLifecycleLines(string(want)), storyLifecycleLines(out)
+	if !strings.Contains(strings.Join(wantLines, "\n"), "born") {
+		t.Fatal("golden lifecycle log contains no born record; fixture too weak")
+	}
+	if got, w := strings.Join(gotLines, "\n"), strings.Join(wantLines, "\n"); got != w {
+		t.Errorf("lifecycle output at scale 2⁻⁴⁰ differs from stories_small.golden:\n--- want ---\n%s\n--- got ---\n%s", w, got)
+	}
 }
 
 // storyLifecycleLines extracts the deterministic story-pipeline lines: the
@@ -252,31 +268,23 @@ func storyLifecycleLines(out string) []string {
 // TestStoriesShardedLifecycleParity is the CLI form of the acceptance
 // criterion: `stories run` over the same document stream must print the
 // identical lifecycle log and final story table single-threaded, at K=1 and
-// at K=4 under both delivery policies, in each fading mode.
+// at K=4 under both delivery policies.
 func TestStoriesShardedLifecycleParity(t *testing.T) {
 	input := filepath.Join("testdata", "docs_small.docs")
-	run := func(mode string, args ...string) string {
+	run := func(args ...string) string {
 		out := captureStdout(t, func() error {
-			return cmdStoriesRun(append([]string{"-input", input, "-decay-mode", mode}, args...))
+			return cmdStoriesRun(append([]string{"-input", input}, args...))
 		})
 		return strings.Join(storyLifecycleLines(out), "\n")
 	}
-	for _, group := range []struct {
-		mode    string
-		sharded [][]string
-	}{
-		{"rescale", [][]string{{"-shards", "1"}, {"-shards", "4"}, {"-shards", "4", "-overlap", "mirror"}}},
-		{"exact", [][]string{{"-shards", "4"}, {"-shards", "4", "-overlap", "mirror"}}},
-	} {
-		ref := run(group.mode, "-shards", "0")
-		if !strings.Contains(ref, "born") {
-			t.Fatalf("-decay-mode %s: single-threaded lifecycle log contains no born record; fixture too weak", group.mode)
-		}
-		for _, args := range group.sharded {
-			if got := run(group.mode, args...); got != ref {
-				t.Errorf("-decay-mode %s: lifecycle output differs between single and %s:\n--- single ---\n%s\n--- sharded ---\n%s",
-					group.mode, strings.Join(args, " "), ref, got)
-			}
+	ref := run("-shards", "0")
+	if !strings.Contains(ref, "born") {
+		t.Fatal("single-threaded lifecycle log contains no born record; fixture too weak")
+	}
+	for _, args := range [][]string{{"-shards", "1"}, {"-shards", "4"}, {"-shards", "4", "-overlap", "mirror"}} {
+		if got := run(args...); got != ref {
+			t.Errorf("lifecycle output differs between single and %s:\n--- single ---\n%s\n--- sharded ---\n%s",
+				strings.Join(args, " "), ref, got)
 		}
 	}
 }
@@ -371,6 +379,33 @@ func TestBenchSubcommandRetired(t *testing.T) {
 	}
 }
 
+// TestRejectsNonFiniteFlags pins that a NaN or infinite threshold, δ_it
+// fraction, decay or prune floor fails the run with an error instead of
+// quietly running an engine that reports nothing or a tracker that never
+// retires a pair.
+func TestRejectsNonFiniteFlags(t *testing.T) {
+	for _, c := range []struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		{cmdRun, []string{"-input", filepath.Join("testdata", "gen_small.stream"), "-T", "NaN"}},
+		{cmdRun, []string{"-input", filepath.Join("testdata", "gen_small.stream"), "-T", "Inf"}},
+		{cmdRun, []string{"-input", filepath.Join("testdata", "gen_small.stream"), "-deltait-frac", "NaN"}},
+		{cmdStoriesRun, []string{"-input", filepath.Join("testdata", "docs_small.docs"), "-T", "NaN"}},
+		{cmdStoriesRun, []string{"-input", filepath.Join("testdata", "docs_small.docs"), "-prune", "NaN"}},
+		{cmdStoriesRun, []string{"-input", filepath.Join("testdata", "docs_small.docs"), "-decay", "NaN"}},
+	} {
+		var err error
+		captureStdout(t, func() error {
+			err = c.cmd(append(c.args, "-quiet"))
+			return nil
+		})
+		if err == nil {
+			t.Errorf("%v accepted", c.args[2:])
+		}
+	}
+}
+
 // TestGenRejectsBadFlags pins gen's validation behaviour.
 func TestGenRejectsBadFlags(t *testing.T) {
 	if err := cmdGen([]string{"-updates", "0"}); err == nil {
@@ -430,15 +465,14 @@ func TestRunReadBatchCapsMarkerlessStream(t *testing.T) {
 	}
 }
 
-// TestStoriesBatchParity: `stories run -batch` (default rescaled fading) must
-// recover the same stories as the paper-literal exact sequential replay on the
-// golden document stream — the lifecycle logs differ in sequence numbering
-// (batch ticks vs updates) but the born-story entity sets must match, single
-// and sharded batched runs must be identical, and coalescing must reduce
-// ticks below updates. The sequential reference pins -decay-mode exact: a
-// rescaled sequential replay has a different tick structure (one threshold
-// tick per epoch instead of one tick per faded pair), so the same -grace value
-// spans a different number of documents and story expiry timing shifts.
+// TestStoriesBatchParity: `stories run -batch` must recover the same stories
+// as the sequential replay on the golden document stream — the lifecycle logs
+// differ in sequence numbering (batch ticks vs updates) but the final story
+// entity sets must match, single and sharded batched runs must be identical,
+// and coalescing must reduce ticks below updates. Grace counts ticks, so the
+// sequential reference runs with a grace window spanning about as many
+// documents as the batched run's 40 ticks; on this stream every -grace from
+// 100 to 200 gives the batched run's final entity sets.
 func TestStoriesBatchParity(t *testing.T) {
 	input := filepath.Join("testdata", "docs_small.docs")
 	run := func(args ...string) string {
@@ -466,7 +500,7 @@ func TestStoriesBatchParity(t *testing.T) {
 		sort.Strings(sets)
 		return sets
 	}
-	sequential := run("-decay-mode", "exact")
+	sequential := run("-grace", "120")
 	if a, b := entitySets(batched), entitySets(sequential); strings.Join(a, "|") != strings.Join(b, "|") {
 		t.Errorf("final story entity sets differ:\nbatched:    %v\nsequential: %v", a, b)
 	}

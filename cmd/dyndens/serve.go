@@ -60,7 +60,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("dyndens serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (host:port; port 0 picks a free one)")
 	input := fs.String("input", "", "document stream path (- for stdin); empty = generate with -synth flags")
-	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
+	batchMode := fs.Bool("batch", false, "coalescing: ship each document's deltas whole as one Engine.ProcessBatch (an epoch tick is one unit either way; story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
 	newAggWorkers := aggWorkersFlag(fs)

@@ -102,7 +102,6 @@ func aggregatorFlags(fs *flag.FlagSet) func() (stream.AggregatorConfig, error) {
 	decay := fs.Float64("decay", 0.7, "multiplicative per-epoch fading factor in (0, 1]")
 	docWeight := fs.Float64("doc-weight", 1, "edge weight contributed by one co-occurrence")
 	prune := fs.Float64("prune", 1e-3, "retire pairs whose faded weight drops below this (≤0 = never)")
-	mode := fs.String("decay-mode", "rescale", "epoch fading realisation: rescale (O(1) ticks: normalized weights + threshold updates) or exact (paper-literal per-pair sweep, the conformance reference)")
 	return func() (stream.AggregatorConfig, error) {
 		// The config layer treats zero fields as "use the default", so an
 		// explicitly invalid flag must fail loudly here rather than be
@@ -113,10 +112,6 @@ func aggregatorFlags(fs *flag.FlagSet) func() (stream.AggregatorConfig, error) {
 		if *docWeight <= 0 {
 			return stream.AggregatorConfig{}, fmt.Errorf("-doc-weight must be positive, got %g", *docWeight)
 		}
-		dm, err := stream.ParseDecayMode(*mode)
-		if err != nil {
-			return stream.AggregatorConfig{}, fmt.Errorf("-decay-mode: %w", err)
-		}
 		p := *prune
 		if p <= 0 {
 			p = -1 // ≤0 on the command line means never prune
@@ -126,15 +121,14 @@ func aggregatorFlags(fs *flag.FlagSet) func() (stream.AggregatorConfig, error) {
 			Decay:       *decay,
 			DocWeight:   *docWeight,
 			PruneBelow:  p,
-			DecayMode:   dm,
 		}, nil
 	}
 }
 
-// checkDecay rejects fading factors outside (0, 1] before the config layer's
-// zero-means-default rule can swallow them.
+// checkDecay rejects fading factors outside (0, 1], NaN included, before the
+// config layer's zero-means-default rule can swallow them.
 func checkDecay(decay float64) error {
-	if decay <= 0 || decay > 1 {
+	if !(decay > 0 && decay <= 1) {
 		return fmt.Errorf("-decay must be in (0, 1], got %g", decay)
 	}
 	return nil
@@ -232,7 +226,7 @@ func cmdStoriesRun(args []string) error {
 	fs := flag.NewFlagSet("dyndens stories run", flag.ExitOnError)
 	input := fs.String("input", "-", "document stream path (- for stdin), `time e1 e2 ...` lines")
 	synth := fs.Bool("synth", false, "generate the documents instead of reading -input (see gen-docs flags)")
-	batchMode := fs.Bool("batch", false, "epoch coalescing: ship each decay burst and each document's deltas whole as one Engine.ProcessBatch (story grace then counts batch ticks)")
+	batchMode := fs.Bool("batch", false, "coalescing: ship each document's deltas whole as one Engine.ProcessBatch (an epoch tick is one unit either way; story grace then counts batch ticks)")
 	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
 	newOverlap := overlapFlag(fs)
 	newAggWorkers := aggWorkersFlag(fs)

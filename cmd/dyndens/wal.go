@@ -107,8 +107,8 @@ func engineFingerprint(cfg core.Config) string {
 // aggFingerprint renders the aggregation knobs that shape the derived update
 // stream (and therefore everything downstream of a logged document).
 func aggFingerprint(cfg stream.AggregatorConfig) string {
-	return fmt.Sprintf("epoch=%d,decay=%g,docweight=%g,prune=%g,mode=%v",
-		cfg.EpochLength, cfg.Decay, cfg.DocWeight, cfg.PruneBelow, cfg.DecayMode)
+	return fmt.Sprintf("epoch=%d,decay=%g,docweight=%g,prune=%g",
+		cfg.EpochLength, cfg.Decay, cfg.DocWeight, cfg.PruneBelow)
 }
 
 // trackerFingerprint renders the story-identity knobs persisted in tracker

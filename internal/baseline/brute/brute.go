@@ -51,7 +51,7 @@ func EnumerateAll(g *graph.Graph, p Params) []Result {
 	var rec func(start int, cur vset.Set, score float64)
 	rec = func(start int, cur vset.Set, score float64) {
 		n := cur.Len()
-		if n >= 2 && density.Density(p.Measure, score, n) >= p.T-1e-12 {
+		if n >= 2 && density.Density(p.Measure, score, n) >= p.T-1e-12*p.T {
 			out = append(out, Result{Set: cur.Clone(), Score: score, Density: density.Density(p.Measure, score, n)})
 		}
 		if n == p.Nmax {
@@ -82,7 +82,7 @@ func EnumerateConnected(g *graph.Graph, p Params) []Result {
 		}
 		seen[k] = true
 		n := c.Len()
-		if d := density.Density(p.Measure, score, n); d >= p.T-1e-12 {
+		if d := density.Density(p.Measure, score, n); d >= p.T-1e-12*p.T {
 			out = append(out, Result{Set: c.Clone(), Score: score, Density: d})
 		}
 	}

@@ -119,7 +119,7 @@ func ValidateMeasure(m Measure, nmax int) error {
 // Errors returned by NewThresholds.
 var (
 	ErrBadNmax      = errors.New("density: Nmax must be at least 2")
-	ErrBadThreshold = errors.New("density: threshold T must be positive")
+	ErrBadThreshold = errors.New("density: threshold T must be positive and finite")
 	ErrBadDeltaIt   = errors.New("density: delta_it outside its validity range")
 )
 
@@ -159,18 +159,19 @@ func MaxDeltaIt(m Measure, t float64, nmax int) float64 {
 
 // NewThresholds validates the parameters and precomputes the schedule.
 // deltaIt must lie in (0, MaxDeltaIt); the paper recommends values well below
-// the upper end (its experiments use 1%–50% of the maximum).
+// the upper end (its experiments use 1%–50% of the maximum). The range checks
+// are written so that NaN fails them.
 func NewThresholds(m Measure, t float64, nmax int, deltaIt float64) (*Thresholds, error) {
 	if nmax < 2 {
 		return nil, ErrBadNmax
 	}
-	if t <= 0 {
+	if !(t > 0) || math.IsInf(t, 1) {
 		return nil, ErrBadThreshold
 	}
 	if err := ValidateMeasure(m, nmax); err != nil {
 		return nil, err
 	}
-	if deltaIt <= 0 || deltaIt >= MaxDeltaIt(m, t, nmax) {
+	if !(deltaIt > 0 && deltaIt < MaxDeltaIt(m, t, nmax)) {
 		return nil, fmt.Errorf("%w: δ_it=%v, valid range (0, %v)", ErrBadDeltaIt, deltaIt, MaxDeltaIt(m, t, nmax))
 	}
 	th := &Thresholds{Measure: m, T: t, Nmax: nmax, DeltaIt: deltaIt}
@@ -349,8 +350,10 @@ func (th *Thresholds) String() string {
 // predicates accept score ≥ bound up to a relative epsilon. Bounds are
 // products of user parameters, scores are running sums of weights; without
 // the tolerance, subgraphs whose density sits exactly on a threshold could
-// classify differently depending on summation order.
+// classify differently depending on summation order. The tolerance is purely
+// relative, so multiplying every weight and T by one factor classifies every
+// subgraph the same way at any magnitude.
 func tolerantBound(bound float64) float64 {
 	const eps = 1e-9
-	return bound - eps*math.Max(1, math.Abs(bound))
+	return bound - eps*math.Abs(bound)
 }

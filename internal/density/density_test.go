@@ -1,6 +1,7 @@
 package density
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,18 @@ func TestNewThresholdsValidation(t *testing.T) {
 	}
 	if _, err := NewThresholds(AvgWeight, 0, 5, 0.1); err == nil {
 		t.Error("T=0 should be rejected")
+	}
+	for _, T := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewThresholds(AvgWeight, T, 5, 0.1); !errors.Is(err, ErrBadThreshold) {
+			t.Errorf("T=%v: err = %v, want ErrBadThreshold", T, err)
+		}
+	}
+	for _, dit := range []float64{math.NaN(), math.Inf(1)} {
+		for _, nmax := range []int{2, 5} {
+			if _, err := NewThresholds(AvgWeight, 1.0, nmax, dit); !errors.Is(err, ErrBadDeltaIt) {
+				t.Errorf("δit=%v nmax=%d: err = %v, want ErrBadDeltaIt", dit, nmax, err)
+			}
+		}
 	}
 	if _, err := NewThresholds(AvgWeight, 1.0, 5, 0); err == nil {
 		t.Error("δit=0 should be rejected")
@@ -257,12 +270,11 @@ func TestMinDenseScoreBoundary(t *testing.T) {
 	}
 }
 
-// geqReference is the comparison the predicates made before their tolerant
-// bounds were precomputed: score ≥ bound up to a relative epsilon, worked out
-// on every call.
+// geqReference is the comparison the predicates make, worked out on every
+// call instead of precomputed: score ≥ bound up to a relative epsilon.
 func geqReference(score, bound float64) bool {
 	const eps = 1e-9
-	return score >= bound-eps*math.Max(1, math.Abs(bound))
+	return score >= bound-eps*math.Abs(bound)
 }
 
 // TestPrecomputedBoundsMatchTolerantComparison walks every predicate over
@@ -293,7 +305,7 @@ func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 				if math.IsInf(bound, 0) {
 					continue
 				}
-				tol := bound - 1e-9*math.Max(1, math.Abs(bound))
+				tol := bound - 1e-9*math.Abs(bound)
 				for _, s := range []float64{
 					bound, math.Nextafter(bound, math.Inf(1)), math.Nextafter(bound, math.Inf(-1)),
 					tol, math.Nextafter(tol, math.Inf(1)), math.Nextafter(tol, math.Inf(-1)),
@@ -316,6 +328,41 @@ func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 		}
 		if !math.IsInf(th.DenseFloor(1), 1) || !math.IsInf(th.DenseFloor(th.Nmax+1), 1) {
 			t.Fatalf("%v: DenseFloor outside 2..Nmax must be +Inf", th)
+		}
+	}
+}
+
+// TestClassificationIsScaleInvariant pins that the comparison tolerance is
+// relative at every magnitude: multiplying T, δ_it and a score by the same
+// power of two (exact in floating point) leaves every verdict unchanged.
+// A tolerance floored at an absolute 1e-9 broke this below 1 — at T = 1e-12
+// it classified a negative score as dense.
+func TestClassificationIsScaleInvariant(t *testing.T) {
+	tiny := MustThresholds(AvgWeight, 1e-12, 4, 0.01*MaxDeltaIt(AvgWeight, 1e-12, 4))
+	if tiny.IsDense(-9.99e-10, 2) || tiny.IsOutputDense(0, 2) || tiny.IsTooDense(0, 2) {
+		t.Fatal("a non-positive score classified dense at T = 1e-12")
+	}
+	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
+		base := MustThresholds(m, 6.5, 5, 0.01*MaxDeltaIt(m, 6.5, 5))
+		for _, c := range []float64{0x1p-400, 0x1p-40, 0x1p400} {
+			th := MustThresholds(m, base.T*c, base.Nmax, base.DeltaIt*c)
+			for n := 1; n <= base.Nmax+1; n++ {
+				for _, bound := range []float64{base.MinDenseScore(n), base.MinDenseScore(n + 1), base.MinOutputScore(n)} {
+					if math.IsInf(bound, 0) {
+						continue
+					}
+					for _, s := range []float64{
+						bound, bound * (1 - 5e-10), bound * (1 - 2e-9), bound * (1 + 2e-9),
+						math.Nextafter(tolerantBound(bound), math.Inf(-1)), tolerantBound(bound), 0, -bound,
+					} {
+						if base.IsDense(s, n) != th.IsDense(s*c, n) ||
+							base.IsOutputDense(s, n) != th.IsOutputDense(s*c, n) ||
+							base.IsTooDense(s, n) != th.IsTooDense(s*c, n) {
+							t.Fatalf("%s c=%g n=%d: score %v classifies differently once scaled", m.Name(), c, n, s)
+						}
+					}
+				}
+			}
 		}
 	}
 }

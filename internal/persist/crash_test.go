@@ -17,15 +17,13 @@ import (
 // The crash-recovery property: kill the pipeline at an arbitrary point,
 // restart it over the same WAL directory, let it finish — the story records,
 // the story table, and the output-dense result set must be deep-equal to an
-// uninterrupted run. Exercised across {single, K=4 scoped} × {exact, rescale}
-// × {buffered, fsync} with the kill point randomised.
+// uninterrupted run. Exercised across {single, K=4 scoped} × {buffered,
+// fsync} with the kill point randomised.
 
 var testEngCfg = core.Config{T: 6.5, Nmax: 4}
 var testTrkCfg = story.Config{MinJaccard: 0.5, Grace: 350, MinCardinality: 3}
 
-func testAggCfg(mode stream.DecayMode) stream.AggregatorConfig {
-	return stream.AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: mode}
-}
+var testAggCfg = stream.AggregatorConfig{EpochLength: 25, Decay: 0.7}
 
 func testDocs(t *testing.T, n int) []stream.Document {
 	t.Helper()
@@ -53,11 +51,11 @@ type runResult struct {
 // the store is abandoned without checkpoint, flush, or close — exactly the
 // state a SIGKILL leaves behind. Returns finished=false in that case.
 func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
-	mode stream.DecayMode, fsync bool, stopAfter, snapEvery uint64) (runResult, bool) {
+	fsync bool, stopAfter, snapEvery uint64) (runResult, bool) {
 	t.Helper()
 	st, err := Open(Config{
 		Dir:           dir,
-		Fingerprint:   fmt.Sprintf("crash-test:shards=%d:mode=%d", shards, mode),
+		Fingerprint:   fmt.Sprintf("crash-test:shards=%d", shards),
 		SnapshotEvery: snapEvery,
 		Fsync:         fsync,
 		SegmentBytes:  4096, // force rotation so recovery crosses segments
@@ -66,7 +64,7 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 		t.Fatal(err)
 	}
 	src := st.Docs(stream.NewSliceDocSource(docs))
-	agg, err := RestoreAggregator(src, testAggCfg(mode), st.Restored())
+	agg, err := RestoreAggregator(src, testAggCfg, st.Restored())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +159,9 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 }
 
 // runBare is the persistence-free reference: the same pipeline with no store.
-func runBare(t *testing.T, docs []stream.Document, shards int, mode stream.DecayMode) runResult {
+func runBare(t *testing.T, docs []stream.Document, shards int) runResult {
 	t.Helper()
-	agg, err := stream.NewAggregator(stream.NewSliceDocSource(docs), testAggCfg(mode))
+	agg, err := stream.NewAggregator(stream.NewSliceDocSource(docs), testAggCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +211,13 @@ func checkEqual(t *testing.T, got, want runResult, label string) {
 func TestLoggedRunMatchesBare(t *testing.T) {
 	docs := testDocs(t, 400)
 	for _, shards := range []int{0, 4} {
-		for _, mode := range []stream.DecayMode{stream.DecayExact, stream.DecayRescale} {
-			label := fmt.Sprintf("shards=%d/mode=%v", shards, mode)
-			want := runBare(t, docs, shards, mode)
-			got, done := runPipeline(t, t.TempDir(), docs, shards, mode, false, 0, 60)
-			if !done {
-				t.Fatalf("%s: uninterrupted run did not finish", label)
-			}
-			checkEqual(t, got, want, label)
+		label := fmt.Sprintf("shards=%d", shards)
+		want := runBare(t, docs, shards)
+		got, done := runPipeline(t, t.TempDir(), docs, shards, false, 0, 60)
+		if !done {
+			t.Fatalf("%s: uninterrupted run did not finish", label)
 		}
+		checkEqual(t, got, want, label)
 	}
 }
 
@@ -235,26 +231,24 @@ func TestCrashRestartRecovers(t *testing.T) {
 	docs := testDocs(t, 400)
 	rng := rand.New(rand.NewSource(41))
 	for _, shards := range []int{0, 4} {
-		for _, mode := range []stream.DecayMode{stream.DecayExact, stream.DecayRescale} {
-			want := runBare(t, docs, shards, mode)
-			for _, fsync := range []bool{false, true} {
-				kills := 3
-				if fsync {
-					kills = 2 // fsync per frame is slow; fewer kill points suffice
+		want := runBare(t, docs, shards)
+		for _, fsync := range []bool{false, true} {
+			kills := 3
+			if fsync {
+				kills = 2 // fsync per frame is slow; fewer kill points suffice
+			}
+			for k := 0; k < kills; k++ {
+				stopAfter := uint64(rng.Intn(len(docs)-20) + 10)
+				label := fmt.Sprintf("shards=%d/fsync=%v/kill@%d", shards, fsync, stopAfter)
+				dir := filepath.Join(t.TempDir(), "wal")
+				if _, done := runPipeline(t, dir, docs, shards, fsync, stopAfter, 60); done {
+					t.Fatalf("%s: run finished before the kill point", label)
 				}
-				for k := 0; k < kills; k++ {
-					stopAfter := uint64(rng.Intn(len(docs)-20) + 10)
-					label := fmt.Sprintf("shards=%d/mode=%v/fsync=%v/kill@%d", shards, mode, fsync, stopAfter)
-					dir := filepath.Join(t.TempDir(), "wal")
-					if _, done := runPipeline(t, dir, docs, shards, mode, fsync, stopAfter, 60); done {
-						t.Fatalf("%s: run finished before the kill point", label)
-					}
-					got, done := runPipeline(t, dir, docs, shards, mode, fsync, 0, 60)
-					if !done {
-						t.Fatalf("%s: restarted run did not finish", label)
-					}
-					checkEqual(t, got, want, label)
+				got, done := runPipeline(t, dir, docs, shards, fsync, 0, 60)
+				if !done {
+					t.Fatalf("%s: restarted run did not finish", label)
 				}
+				checkEqual(t, got, want, label)
 			}
 		}
 	}
@@ -264,16 +258,15 @@ func TestCrashRestartRecovers(t *testing.T) {
 // recovering from the first — before letting it finish.
 func TestDoubleCrashRecovers(t *testing.T) {
 	docs := testDocs(t, 400)
-	mode := stream.DecayRescale
-	want := runBare(t, docs, 0, mode)
+	want := runBare(t, docs, 0)
 	dir := filepath.Join(t.TempDir(), "wal")
-	if _, done := runPipeline(t, dir, docs, 0, mode, false, 250, 60); done {
+	if _, done := runPipeline(t, dir, docs, 0, false, 250, 60); done {
 		t.Fatal("first run finished before the kill point")
 	}
-	if _, done := runPipeline(t, dir, docs, 0, mode, false, 320, 60); done {
+	if _, done := runPipeline(t, dir, docs, 0, false, 320, 60); done {
 		t.Fatal("second run finished before the kill point")
 	}
-	got, done := runPipeline(t, dir, docs, 0, mode, false, 0, 60)
+	got, done := runPipeline(t, dir, docs, 0, false, 0, 60)
 	if !done {
 		t.Fatal("final run did not finish")
 	}

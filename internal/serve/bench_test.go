@@ -5,7 +5,6 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/story"
-	"dyndens/internal/stream"
 )
 
 // updateLog records a run's events grouped by the update that produced them.
@@ -28,18 +27,16 @@ func (l *updateLog) EndUpdate() {
 // serve.Builder, from Emit to the published snapshot — on the event stream of
 // a planted document workload: the conformance tests' three staggered
 // four-entity stories over background chatter, twenty times as long, so that
-// stories are born, blip at every decay tick, merge, split and die throughout. The stream runs through the aggregator and
-// the engine once, untimed; an op is one engine update replayed into the
+// stories are born, blip at every decay tick, merge, split and die
+// throughout. The stream runs through the paper-literal fading sweep and the
+// engine once, untimed; an op is one engine update replayed into the
 // builder: its events (pairs below MinCardinality included, as the engine
 // emits them) and its boundary, most of which carry nothing. The log is
 // replayed into a fresh builder each time it runs out.
 func BenchmarkSinkPlantedSteady(b *testing.B) {
 	w := defaultWorkload()
 	w.doc.Docs = 12000
-	updates, err := stream.Drain(stream.MustAggregator(stream.MustDocSynthetic(w.doc), w.agg))
-	if err != nil {
-		b.Fatal(err)
-	}
+	updates := w.updates(b)
 	eng := core.MustNew(w.eng)
 	var log updateLog
 	eng.SetSink(&log)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
@@ -17,12 +18,14 @@ import (
 
 // storyWorkload mirrors the story package's reference pipeline workload:
 // planted stories over background chatter, parameters chosen so the stream
-// exercises birth, merge, split, fading blips, and death.
+// exercises birth, merge, split, fading blips, and death. The update stream
+// is the paper-literal fading sweep, one negative delta per tracked pair each
+// epoch.
 type storyWorkload struct {
-	doc stream.DocSynthConfig
-	agg stream.AggregatorConfig
-	eng core.Config
-	trk story.Config
+	doc  stream.DocSynthConfig
+	fade fade.Config
+	eng  core.Config
+	trk  story.Config
 }
 
 func defaultWorkload() storyWorkload {
@@ -37,20 +40,19 @@ func defaultWorkload() storyWorkload {
 			BackgroundSkew:     1.1,
 			NoiseMentionProb:   -1,
 		},
-		agg: stream.AggregatorConfig{EpochLength: 25, Decay: 0.7},
-		eng: core.Config{T: 6.5, Nmax: 4},
-		trk: story.Config{MinCardinality: 3, Grace: 350},
+		fade: fade.Config{EpochLength: 25, Decay: 0.7, DocWeight: 1, PruneBelow: 1e-3},
+		eng:  core.Config{T: 6.5, Nmax: 4},
+		trk:  story.Config{MinCardinality: 3, Grace: 350},
 	}
 }
 
-func (w storyWorkload) updates(t *testing.T) []stream.Update {
-	t.Helper()
-	gen := stream.MustDocSynthetic(w.doc)
-	updates, err := stream.Drain(stream.MustAggregator(gen, w.agg))
+func (w storyWorkload) updates(tb testing.TB) []stream.Update {
+	tb.Helper()
+	docs, err := stream.DrainDocs(stream.MustDocSynthetic(w.doc))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return updates
+	return fade.Sweep(docs, w.fade).Updates
 }
 
 // validateSnapshot checks every internal-consistency invariant a published

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
 	"dyndens/internal/stream"
@@ -15,12 +16,14 @@ import (
 // activity windows so the stream exercises birth, fading blips at epoch
 // ticks, and death. The engine/tracker parameters put the planted
 // co-occurrence weights inside the band where story subgraphs are
-// output-dense but never so heavy that free-rider supersets appear.
+// output-dense but never so heavy that free-rider supersets appear. The
+// update stream is the paper-literal fading sweep, one negative delta per
+// tracked pair each epoch.
 type pipelineWorkload struct {
-	doc stream.DocSynthConfig
-	agg stream.AggregatorConfig
-	eng core.Config
-	trk Config
+	doc  stream.DocSynthConfig
+	fade fade.Config
+	eng  core.Config
+	trk  Config
 }
 
 func defaultWorkload() pipelineWorkload {
@@ -35,21 +38,21 @@ func defaultWorkload() pipelineWorkload {
 			BackgroundSkew:     1.1,
 			NoiseMentionProb:   -1,
 		},
-		agg: stream.AggregatorConfig{EpochLength: 25, Decay: 0.7},
-		eng: core.Config{T: 6.5, Nmax: 4},
-		trk: Config{MinCardinality: 3, Grace: 350},
+		fade: fade.Config{EpochLength: 25, Decay: 0.7, DocWeight: 1, PruneBelow: 1e-3},
+		eng:  core.Config{T: 6.5, Nmax: 4},
+		trk:  Config{MinCardinality: 3, Grace: 350},
 	}
 }
 
-// updates materialises the workload's aggregated update stream.
+// updates materialises the workload's faded update stream.
 func (w pipelineWorkload) updates(t *testing.T) ([]stream.Update, []stream.PlantedStory) {
 	t.Helper()
 	gen := stream.MustDocSynthetic(w.doc)
-	updates, err := stream.Drain(stream.MustAggregator(gen, w.agg))
+	docs, err := stream.DrainDocs(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return updates, gen.PlantedStories()
+	return fade.Sweep(docs, w.fade).Updates, gen.PlantedStories()
 }
 
 // runSingle drives the updates through a single engine with the tracker

@@ -10,46 +10,18 @@ import (
 	"dyndens/internal/vset"
 )
 
-// DecayMode selects how the Aggregator realises per-epoch fading.
+// DecayMode names the fading realisation. It has one value, DecayRescale,
+// which is its zero value; the AggregatorConfig field stays only because
+// existing callers name it. The paper-literal per-pair sweep it once chose
+// between lives on as the test reference internal/baseline/fade.
 type DecayMode int
 
-const (
-	// DecayExact is the paper-literal sweep: every epoch tick multiplies
-	// every tracked pair's weight by the decay factor and emits one negative
-	// delta per pair — O(tracked pairs) per epoch. It is the conformance
-	// reference the rescaled mode is checked against.
-	DecayExact DecayMode = iota
-	// DecayRescale keeps weights in normalized units w' = w/λ with a
-	// cumulative scale λ: an epoch tick is one float multiply plus a single
-	// threshold batch unit (λ) the engine absorbs via incremental threshold
-	// adjustment, and PruneBelow retirement is served lazily from an
-	// expiry-scale heap — per-epoch cost independent of the tracked-pair
-	// count. Rescaled streams are batch-structured: drive them through
-	// NextBatch (Next returns an error).
-	DecayRescale
-)
-
-// String returns the CLI spelling of the mode.
-func (m DecayMode) String() string {
-	switch m {
-	case DecayExact:
-		return "exact"
-	case DecayRescale:
-		return "rescale"
-	}
-	return fmt.Sprintf("DecayMode(%d)", int(m))
-}
-
-// ParseDecayMode parses the CLI spelling of a decay mode.
-func ParseDecayMode(s string) (DecayMode, error) {
-	switch s {
-	case "exact":
-		return DecayExact, nil
-	case "rescale":
-		return DecayRescale, nil
-	}
-	return 0, fmt.Errorf("stream: unknown decay mode %q (want exact or rescale)", s)
-}
+// DecayRescale keeps weights in normalized units w' = w/λ with a cumulative
+// scale λ: an epoch tick is one float multiply plus a single threshold batch
+// unit (λ) the engine absorbs via incremental threshold adjustment, and
+// PruneBelow retirement is served lazily from an expiry-scale heap — per-epoch
+// cost independent of the tracked-pair count.
+const DecayRescale DecayMode = 0
 
 // renormBelow is the λ underflow guard: when the cumulative scale drops below
 // it, the aggregator renormalizes stored weights back to λ = 1 in one O(E)
@@ -67,8 +39,8 @@ const renormBelow = 1e-150
 type AggregatorConfig struct {
 	// EpochLength is the fading period in document time units; must be ≥ 1.
 	// When a document's timestamp crosses into a later epoch, the decay for
-	// every elapsed epoch is applied (as negative edge-weight deltas) before
-	// the document's own co-occurrences are emitted.
+	// every elapsed epoch is applied (as one threshold batch unit) before the
+	// document's own co-occurrences are emitted.
 	EpochLength int64
 	// Decay is the multiplicative per-epoch fading factor in (0, 1]; 1 turns
 	// fading off. Defaults to 0.5.
@@ -83,9 +55,7 @@ type AggregatorConfig struct {
 	// Defaults to 1e-3; a negative value disables pruning (every pair is
 	// tracked forever).
 	PruneBelow float64
-	// DecayMode selects the fading realisation; the zero value is DecayExact
-	// (the sweep). DecayRescale makes epoch ticks O(1) via normalized
-	// weights and threshold batch units; see the DecayMode constants.
+	// DecayMode must be DecayRescale, the zero value.
 	DecayMode DecayMode
 }
 
@@ -110,12 +80,14 @@ func (c AggregatorConfig) Validate() error {
 	switch {
 	case c.EpochLength < 1:
 		return fmt.Errorf("stream: epoch length must be ≥ 1, got %d", c.EpochLength)
-	case c.Decay <= 0 || c.Decay > 1:
+	case !(c.Decay > 0 && c.Decay <= 1): // written so that NaN fails it
 		return fmt.Errorf("stream: decay %v outside (0, 1]", c.Decay)
 	case c.DocWeight <= 0 || math.IsInf(c.DocWeight, 0) || math.IsNaN(c.DocWeight):
 		return fmt.Errorf("stream: document weight %v must be positive and finite", c.DocWeight)
-	case c.DecayMode != DecayExact && c.DecayMode != DecayRescale:
-		return fmt.Errorf("stream: invalid decay mode %d", int(c.DecayMode))
+	case math.IsNaN(c.PruneBelow):
+		return fmt.Errorf("stream: prune threshold is NaN")
+	case c.DecayMode != DecayRescale:
+		return fmt.Errorf("stream: invalid decay mode %d (only rescale, 0, remains)", int(c.DecayMode))
 	}
 	return nil
 }
@@ -124,19 +96,18 @@ func (c AggregatorConfig) Validate() error {
 type AggregatorStats struct {
 	Docs         int   // documents consumed
 	PairUpdates  int   // positive co-occurrence updates emitted
-	DecayUpdates int   // negative fading/cancellation updates emitted
+	DecayUpdates int   // negative cancellation and renormalization updates emitted
 	Retired      int   // pairs fully cancelled and dropped by PruneBelow
 	Epochs       int64 // fading epochs applied
 	TrackedPairs int   // pairs currently carrying weight
 
-	// Rescaled-mode counters (zero in exact mode).
 	ThresholdUpdates int // threshold batch units emitted (epoch ticks with fading)
 	Renorms          int // λ-underflow renormalization passes
 	// EpochPairTouches counts, cumulatively, the tracked pairs an epoch tick
-	// examined: the exact sweep adds the full tracked count every tick, the
-	// rescaled mode only the heap entries popped (retirements and stale
-	// re-keys) plus renormalization passes. The O(1)-epoch claim is pinned as
-	// "a no-retirement rescaled epoch leaves this unchanged".
+	// examined: the heap entries popped (retirements and stale re-keys) plus
+	// renormalization passes. The O(1)-epoch claim is pinned as "a
+	// no-retirement epoch leaves this unchanged"; the per-pair sweep of the
+	// paper would add the full tracked count every tick.
 	EpochPairTouches int
 }
 
@@ -165,7 +136,8 @@ func (k pairKey) vertices() (a, b graph.Vertex) {
 // cumulative scale λ drops below expLambda. Entries are only ever stale-HIGH
 // (later additions grow w' and shrink the true expiry scale), so they fire
 // early and are verified against the authoritative weight on pop — never
-// late, which is what keeps lazy retirement equivalent to the exact sweep.
+// late, which is what keeps lazy retirement equivalent to sweeping every pair
+// each epoch.
 type retireEntry struct {
 	key       pairKey
 	expLambda float64
@@ -177,25 +149,23 @@ type retiredPair struct {
 	w   float64 // normalized weight cancelled
 }
 
-// Aggregator converts a DocumentSource into the edge-weight UpdateSource the
+// Aggregator converts a DocumentSource into the edge-weight batch stream the
 // engine consumes: it is the first stage of the documents→stories pipeline
 // and slots into the existing Replay/ShardReplay drivers unchanged.
 //
-// For every document it emits one positive update of DocWeight per entity
-// pair, and whenever the document time crosses an epoch boundary it applies
-// fading first. In exact mode fading is emitted literally — weight·(Decay^k −
-// 1) for every tracked pair — while in rescaled mode the stored weights are
-// normalized (w' = w/λ) and the epoch instead emits one threshold batch unit
-// carrying the new λ plus the exact cancellations of pairs that expired below
-// PruneBelow. In both modes the aggregator mirrors the exact weight the
-// engine's graph holds for each pair — the engine applies every delta the
-// aggregator emits and nothing else — so weights never drift and the
-// clamp-at-zero path is never hit.
+// For every document it emits one positive update per entity pair, and
+// whenever the document time crosses an epoch boundary it applies fading
+// first. Stored weights are normalized (w' = w/λ), so an epoch emits one
+// threshold batch unit carrying the new λ plus the exact cancellations of
+// pairs that expired below PruneBelow. The aggregator mirrors the exact
+// weight the engine's graph holds for each pair — the engine applies every
+// delta the aggregator emits and nothing else — so weights never drift and
+// the clamp-at-zero path is never hit.
 //
 // Emission order is deterministic: a document's pairs are emitted in sorted
-// order (documents carry sorted entity sets) and decay/cancellation updates
-// are emitted in sorted pair order, so equal document streams produce equal
-// update streams, which is what makes the end-to-end story pipeline
+// order (documents carry sorted entity sets) and cancellation updates are
+// emitted in sorted pair order, so equal document streams produce equal
+// batch streams, which is what makes the end-to-end story pipeline
 // reproducible and shard-count independent.
 type Aggregator struct {
 	cfg     AggregatorConfig
@@ -206,23 +176,17 @@ type Aggregator struct {
 	epoch    int64 // current fading epoch (time / EpochLength)
 	lastTime int64
 
-	pending  []Update
-	pos      int
-	decayEnd int // pending[:decayEnd] is the epoch-tick decay burst, the rest the document's pairs
+	// The last ingested document's batches, until NextBatch hands them out:
+	// the epoch unit (pendingThreshold non-nil; its updates are tickUpdates),
+	// then the document's co-occurrence deltas.
+	pendingThreshold *ThresholdUpdate
+	thresholdUnit    ThresholdUpdate // backing store, reused per epoch
+	tickUpdates      []Update        // the epoch's cancellations and renormalization deltas
+	docUpdates       []Update
 
-	// decayGroup marks that the current pending buffer opens with an epoch
-	// tick NextBatch has not yet handed out — set on every epoch crossing
-	// with fading in force, even when the burst itself is empty, so exact
-	// and rescaled replays see identical batch-group structure (rescaled
-	// epochs always ship a unit: the threshold update).
-	decayGroup       bool
-	pendingThreshold *ThresholdUpdate // the epoch's threshold unit (rescale mode)
-	thresholdUnit    ThresholdUpdate  // backing store, reused per epoch
-
-	lambda     float64       // cumulative decay scale λ (1 in exact mode)
+	lambda     float64       // cumulative decay scale λ
 	retire     []retireEntry // max-heap on expLambda: largest expiry scale fires first
 	retiredBuf []retiredPair // reusable scratch for confirmed retirements
-	sortedKeys []pairKey     // exact mode: tracked pairs, kept sorted incrementally
 	pairBuf    []pairKey     // reusable per-document pair-expansion scratch
 
 	stats    AggregatorStats
@@ -263,74 +227,57 @@ func (g *Aggregator) Stats() AggregatorStats {
 }
 
 // Weight returns the aggregator's current stored weight for the pair {a, b}
-// (0 if untracked), in the same units the engine's graph holds: real faded
-// weight in exact mode, normalized weight w' = w/λ in rescaled mode (multiply
-// by Scale for the real faded value). After a full drain through an engine
-// this equals the engine graph's edge weight up to float rounding.
+// (0 if untracked), in the units the engine's graph holds: the normalized
+// weight w' = w/λ (multiply by Scale for the real faded value). After a full
+// drain through an engine this equals the engine graph's edge weight up to
+// float rounding.
 func (g *Aggregator) Weight(a, b graph.Vertex) float64 {
 	w, _ := g.weights.get(makePairKey(a, b))
 	return w
 }
 
 // Scale returns the cumulative decay scale λ: stored weights are w' = w/λ.
-// It is 1 in exact mode and immediately after a renormalization pass.
+// It is 1 before the first epoch tick and immediately after a
+// renormalization pass.
 func (g *Aggregator) Scale() float64 { return g.lambda }
 
-// ErrNeedBatch is returned by Next in rescaled decay mode: an epoch tick is a
-// threshold batch unit, which has no per-update representation.
-var ErrNeedBatch = errors.New("stream: rescaled decay emits threshold batch units; drive the aggregator through NextBatch")
+// ErrNeedBatch is returned by the per-update Next of a document front-end:
+// an epoch tick is a threshold batch unit, which has no per-update
+// representation.
+var ErrNeedBatch = errors.New("stream: fading emits threshold batch units; drive the aggregator through NextBatch")
 
-// Next implements UpdateSource: it replays the queued deltas of the current
-// document (and any epoch tick that preceded it) and pulls the next document
-// when the queue runs dry. In rescaled decay mode Next returns ErrNeedBatch —
-// the stream is batch-structured and must be consumed through NextBatch.
+// Next implements UpdateSource, which the replay drivers take, and always
+// returns ErrNeedBatch: the stream is batch-structured and the drivers
+// consume it through NextBatch.
 func (g *Aggregator) Next() (Update, error) {
-	if g.cfg.DecayMode == DecayRescale {
-		return Update{}, ErrNeedBatch
-	}
-	for g.pos >= len(g.pending) {
-		if err := g.ingest(); err != nil {
-			return Update{}, err
-		}
-	}
-	u := g.pending[g.pos]
-	g.pos++
-	if g.pos >= g.decayEnd {
-		g.decayGroup = false
-	}
-	return u, nil
+	return Update{}, ErrNeedBatch
 }
 
 // NextBatch implements BatchSource: the queued deltas are handed out in their
 // natural coalescible groups — each epoch tick as one batch (Decay true,
-// carrying the threshold unit in rescaled mode) and each document's positive
-// co-occurrence deltas as another — so a batched replay ships one engine tick
-// per epoch or document instead of one Process per pair. An epoch tick's
-// batch may be empty (no fading deltas / no retirements) but is still
-// emitted: the tick itself is a unit of stream structure, and exact and
-// rescaled replays produce identical group sequences. Groups follow the same
-// deterministic order Next yields individual updates in; mixing Next and
-// NextBatch on one aggregator hands out the remainder of the current group
-// first.
+// carrying the threshold unit) and each document's positive co-occurrence
+// deltas as another — so a batched replay ships one engine tick per epoch or
+// document instead of one Process per pair. An epoch tick's batch usually
+// carries no updates (no retirements) but is always emitted: the threshold
+// unit is the tick. A document without pairs contributes no batch.
 func (g *Aggregator) NextBatch() (Batch, error) {
-	for g.pos >= len(g.pending) && !g.decayGroup {
+	for g.pendingThreshold == nil && len(g.docUpdates) == 0 {
 		if err := g.ingest(); err != nil {
 			return Batch{}, err
 		}
 	}
-	if g.decayGroup {
-		b := Batch{Updates: g.pending[g.pos:g.decayEnd], Decay: true, Threshold: g.pendingThreshold}
-		g.pos = g.decayEnd
-		g.decayGroup = false
+	if t := g.pendingThreshold; t != nil {
 		g.pendingThreshold = nil
-		return b, nil
+		return Batch{Updates: g.tickUpdates, Decay: true, Threshold: t}, nil
 	}
-	b := Batch{Updates: g.pending[g.pos:]}
-	g.pos = len(g.pending)
+	// The batch keeps the backing array, which the next ingest overwrites:
+	// valid until the next NextBatch call, as BatchSource promises.
+	b := Batch{Updates: g.docUpdates}
+	g.docUpdates = g.docUpdates[:0]
 	return b, nil
 }
 
-// ingest consumes one document, queueing its epoch-tick decay (if any) and
+// ingest consumes one document, queueing its epoch tick (if any) and
 // co-occurrence updates.
 func (g *Aggregator) ingest() (err error) {
 	doc, err := g.docs.Next()
@@ -367,9 +314,8 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 	if g.started && docTime < g.lastTime {
 		return fmt.Errorf("stream: document time went backwards: %d after %d", docTime, g.lastTime)
 	}
-	g.pending = g.pending[:0]
-	g.pos = 0
-	g.decayGroup = false
+	g.tickUpdates = g.tickUpdates[:0]
+	g.docUpdates = g.docUpdates[:0]
 	g.pendingThreshold = nil
 	g.stats.Docs++
 
@@ -378,108 +324,50 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 		g.started = true
 		g.epoch = epoch
 	} else if epoch > g.epoch {
-		if g.cfg.DecayMode == DecayRescale {
-			g.applyDecayRescale(epoch - g.epoch)
-		} else {
-			g.applyDecay(epoch - g.epoch)
-		}
+		g.tickEpoch(epoch - g.epoch)
 		g.epoch = epoch
 	}
-	g.decayEnd = len(g.pending)
 	g.lastTime = docTime
 
-	docWeight := g.cfg.DocWeight / g.lambda // λ = 1 in exact mode
+	docWeight := g.cfg.DocWeight / g.lambda
 	for _, k := range pairs {
 		w, tracked := g.weights.add(k, docWeight)
-		if !tracked {
-			g.trackPair(k, w)
+		if !tracked && g.cfg.PruneBelow > 0 {
+			// A pair that gains more weight later keeps this (then stale-high)
+			// entry: it fires early, is verified on pop, and gets re-keyed —
+			// see retireExpired.
+			g.heapPush(retireEntry{key: k, expLambda: g.expiryLambda(w)})
 		}
 		a, b := k.vertices()
-		g.pending = append(g.pending, Update{A: a, B: b, Delta: docWeight})
+		g.docUpdates = append(g.docUpdates, Update{A: a, B: b, Delta: docWeight})
 		g.stats.PairUpdates++
 	}
 	return nil
-}
-
-// trackPair registers a pair that just went absent→present: exact mode keeps
-// the sorted sweep order incrementally (insert here, delete on retirement —
-// the satellite fix for the per-epoch rebuild+sort), rescaled mode records
-// the pair's expiry scale in the lazy-retirement heap. Pairs that gain more
-// weight later keep their (now stale-high) heap entry: it fires early, is
-// verified on pop, and gets re-keyed — see retireExpired.
-func (g *Aggregator) trackPair(k pairKey, w float64) {
-	if g.cfg.DecayMode == DecayRescale {
-		if g.cfg.PruneBelow > 0 {
-			g.heapPush(retireEntry{key: k, expLambda: g.expiryLambda(w)})
-		}
-		return
-	}
-	i, found := slices.BinarySearch(g.sortedKeys, k)
-	if !found {
-		g.sortedKeys = slices.Insert(g.sortedKeys, i, k)
-	}
 }
 
 // expiryLambda returns the cumulative scale below which a pair of normalized
 // weight w has faded under PruneBelow (w·λ < PruneBelow ⟺ λ < PruneBelow/w).
 // The slight inflation makes boundary cases fire one tick early — where the
 // pop-time verification catches them — rather than one tick late, which
-// would diverge from the exact sweep.
+// would diverge from sweeping every pair each epoch.
 func (g *Aggregator) expiryLambda(w float64) float64 {
 	return g.cfg.PruneBelow / w * (1 + 1e-12)
 }
 
-// applyDecay is the exact sweep: fade every tracked pair by Decay^elapsed,
-// queueing the negative deltas in sorted pair order and retiring pairs below
-// the prune threshold.
-func (g *Aggregator) applyDecay(elapsed int64) {
-	g.stats.Epochs += elapsed
-	factor := math.Pow(g.cfg.Decay, float64(elapsed))
-	if factor == 1 {
-		return
-	}
-	g.decayGroup = true
-	keys := g.sortedKeys
-	g.stats.EpochPairTouches += len(keys)
-	out := keys[:0] // compact survivors in place (read index ≥ write index)
-	for _, k := range keys {
-		w, _ := g.weights.get(k)
-		faded := w * factor
-		var delta float64
-		if faded < g.cfg.PruneBelow {
-			delta = -w
-			g.weights.del(k)
-			g.stats.Retired++
-		} else {
-			delta = faded - w
-			g.weights.put(k, faded)
-			out = append(out, k)
-		}
-		if delta == 0 {
-			continue
-		}
-		a, b := k.vertices()
-		g.pending = append(g.pending, Update{A: a, B: b, Delta: delta})
-		g.stats.DecayUpdates++
-	}
-	g.sortedKeys = out
-}
-
-// applyDecayRescale is the O(1) epoch tick: fold the elapsed decay into the
+// tickEpoch is the O(1) epoch tick: fold the elapsed decay into the
 // cumulative scale λ (stored weights are untouched — they are normalized),
 // retire only the pairs whose expiry scale the new λ crossed, and queue one
 // threshold unit carrying λ for the engine. When λ underflows toward
 // renormBelow an amortized O(E) renormalization folds the scale back into
 // the stored weights first, so the same epoch unit carries the rescale
 // deltas and a Scale of exactly 1.
-func (g *Aggregator) applyDecayRescale(elapsed int64) {
+func (g *Aggregator) tickEpoch(elapsed int64) {
 	g.stats.Epochs += elapsed
 	factor := math.Pow(g.cfg.Decay, float64(elapsed))
 	if factor == 1 {
 		return
 	}
 	g.lambda *= factor
-	g.decayGroup = true
 	if g.cfg.PruneBelow > 0 {
 		g.retireExpired()
 	}
@@ -494,7 +382,7 @@ func (g *Aggregator) applyDecayRescale(elapsed int64) {
 // retireExpired pops every heap entry whose recorded expiry scale the current
 // λ has crossed. Each pop is verified against the authoritative weight:
 // confirmed expiries are deleted and their exact normalized cancellation
-// queued (in sorted pair order, matching the exact sweep's determinism);
+// queued (in sorted pair order, so the stream stays deterministic);
 // stale-high entries — the pair gained weight since the entry was pushed —
 // are re-keyed with the accurate expiry scale, clamped to the current λ so a
 // float boundary can't re-fire them within the same tick.
@@ -530,7 +418,7 @@ func (g *Aggregator) retireExpired() {
 	})
 	for _, r := range retired {
 		a, b := r.key.vertices()
-		g.pending = append(g.pending, Update{A: a, B: b, Delta: -r.w})
+		g.tickUpdates = append(g.tickUpdates, Update{A: a, B: b, Delta: -r.w})
 		g.stats.DecayUpdates++
 	}
 	g.retiredBuf = retired
@@ -552,7 +440,7 @@ func (g *Aggregator) renormalize() {
 		g.weights.put(k, rescaled)
 		if delta := rescaled - w; delta != 0 {
 			a, b := k.vertices()
-			g.pending = append(g.pending, Update{A: a, B: b, Delta: delta})
+			g.tickUpdates = append(g.tickUpdates, Update{A: a, B: b, Delta: delta})
 			g.stats.DecayUpdates++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
 	"dyndens/internal/graph"
 	"dyndens/internal/vset"
@@ -18,27 +19,38 @@ func doc(time int64, entities ...vset.Vertex) Document {
 	return Document{Time: time, Entities: vset.New(entities...)}
 }
 
+// flatten concatenates a recorded batch stream's updates.
+func flatten(batches []recordedBatch) []Update {
+	var out []Update
+	for _, b := range batches {
+		out = append(out, b.updates...)
+	}
+	return out
+}
+
+// drainAggregator records every batch of agg, failing on any error but EOF.
+func drainAggregator(t *testing.T, agg *Aggregator) []recordedBatch {
+	t.Helper()
+	batches, err := recordBatches(agg)
+	if !errors.Is(err, io.EOF) {
+		t.Fatal(err)
+	}
+	return batches
+}
+
 // TestAggregatorEmitsPairDeltas checks the basic co-occurrence expansion: a
 // document with k entities yields k(k-1)/2 positive updates in sorted order.
 func TestAggregatorEmitsPairDeltas(t *testing.T) {
 	agg := MustAggregator(NewSliceDocSource([]Document{doc(0, 3, 1, 2)}),
 		AggregatorConfig{EpochLength: 10, DocWeight: 2})
-	got, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatten(drainAggregator(t, agg))
 	want := []Update{
 		{A: 1, B: 2, Delta: 2},
 		{A: 1, B: 3, Delta: 2},
 		{A: 2, B: 3, Delta: 2},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d updates, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("update %d: got %+v, want %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 	st := agg.Stats()
 	if st.Docs != 1 || st.PairUpdates != 3 || st.DecayUpdates != 0 || st.TrackedPairs != 3 {
@@ -46,44 +58,35 @@ func TestAggregatorEmitsPairDeltas(t *testing.T) {
 	}
 }
 
-// TestAggregatorFadesOnEpochTick pins the fading schedule: crossing an epoch
-// boundary emits negative deltas that take every tracked pair to
-// weight·Decay^elapsed, multiple elapsed epochs compound, and documents with
-// fewer than two entities still advance time.
+// TestAggregatorFadesOnEpochTick pins the fading schedule in rescaled terms:
+// crossing an epoch boundary emits one threshold unit whose Scale is the
+// cumulative λ, multiple elapsed epochs compound into one unit, later
+// documents add DocWeight/λ, documents with fewer than two entities still
+// advance time, and the real weight Weight·Scale is weight·Decay^elapsed.
+// fade's TestSweepFadesOnEpochTick pins the same schedule as per-pair deltas.
 func TestAggregatorFadesOnEpochTick(t *testing.T) {
 	src := NewSliceDocSource([]Document{
 		doc(0, 1, 2),
 		doc(9, 1, 2),  // same epoch: weight accumulates to 2
-		doc(10, 3, 4), // epoch 1: {1,2} fades to 1
+		doc(10, 3, 4), // epoch 1: λ = 0.5, {1,2} fades to 1
 		doc(35, 5),    // epoch 3: two elapsed epochs compound on {1,2} and {3,4}
 	})
 	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: -1})
-	got, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Update{
-		{A: 1, B: 2, Delta: 1},
-		{A: 1, B: 2, Delta: 1},
-		{A: 1, B: 2, Delta: -1}, // 2 → 1
-		{A: 3, B: 4, Delta: 1},
-		{A: 1, B: 2, Delta: -0.75}, // 1 → 0.25 (two epochs)
-		{A: 3, B: 4, Delta: -0.75}, // 1 → 0.25
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d updates %+v, want %d", len(got), got, len(want))
-	}
-	for i := range want {
-		if got[i].A != want[i].A || got[i].B != want[i].B || math.Abs(got[i].Delta-want[i].Delta) > 1e-12 {
-			t.Errorf("update %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	requireSameBatches(t, "fading", drainAggregator(t, agg), []recordedBatch{
+		{updates: []Update{{A: 1, B: 2, Delta: 1}}},
+		{updates: []Update{{A: 1, B: 2, Delta: 1}}},
+		{decay: true, threshold: &ThresholdUpdate{Scale: 0.5}},
+		{updates: []Update{{A: 3, B: 4, Delta: 2}}}, // 1/λ: real weight 1
+		{decay: true, threshold: &ThresholdUpdate{Scale: 0.125}},
+	})
 	st := agg.Stats()
-	if st.Epochs != 3 || st.DecayUpdates != 3 || st.Retired != 0 {
+	if st.Epochs != 3 || st.ThresholdUpdates != 2 || st.DecayUpdates != 0 || st.Retired != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if w := agg.Weight(2, 1); math.Abs(w-0.25) > 1e-12 {
-		t.Fatalf("Weight(2,1) = %v, want 0.25", w)
+	for _, p := range [][2]graph.Vertex{{2, 1}, {3, 4}} {
+		if w := agg.Weight(p[0], p[1]) * agg.Scale(); w != 0.25 {
+			t.Fatalf("real weight of %v = %v, want 0.25", p, w)
+		}
 	}
 }
 
@@ -95,12 +98,8 @@ func TestAggregatorPrunesStalePairs(t *testing.T) {
 		doc(50, 3), // 5 epochs: 1·0.5⁵ = 0.03125 < 0.1 → retire
 	})
 	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.1})
-	got, err := Drain(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum := 0.0
-	for _, u := range got {
+	for _, u := range flatten(drainAggregator(t, agg)) {
 		if u.A != 1 || u.B != 2 {
 			t.Fatalf("unexpected pair in %+v", u)
 		}
@@ -119,8 +118,8 @@ func TestAggregatorPrunesStalePairs(t *testing.T) {
 func TestAggregatorRejectsTimeRegression(t *testing.T) {
 	src := NewSliceDocSource([]Document{doc(10, 1, 2), doc(5, 3, 4)})
 	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10})
-	if _, err := Drain(agg); err == nil || !strings.Contains(err.Error(), "backwards") {
-		t.Fatalf("Drain = %v, want time-regression error", err)
+	if _, err := recordBatches(agg); err == nil || !strings.Contains(err.Error(), "backwards") {
+		t.Fatalf("recordBatches = %v, want time-regression error", err)
 	}
 }
 
@@ -162,26 +161,16 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 }
 
 // TestAggregatorDeterministic replays one document stream twice and requires
-// identical update streams.
+// identical batch streams.
 func TestAggregatorDeterministic(t *testing.T) {
 	cfg := DocSynthConfig{BackgroundEntities: 20, Stories: 1, StorySize: 3, Docs: 150, Seed: 3}
 	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.5}
-	a, err := Drain(MustAggregator(MustDocSynthetic(cfg), aggCfg))
-	if err != nil {
-		t.Fatal(err)
+	a := drainAggregator(t, MustAggregator(MustDocSynthetic(cfg), aggCfg))
+	b := drainAggregator(t, MustAggregator(MustDocSynthetic(cfg), aggCfg))
+	if len(a) == 0 {
+		t.Fatal("empty stream")
 	}
-	b, err := Drain(MustAggregator(MustDocSynthetic(cfg), aggCfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("stream lengths %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("streams diverge at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	requireSameBatches(t, "second run", b, a)
 }
 
 func TestAggregatorValidation(t *testing.T) {
@@ -190,8 +179,11 @@ func TestAggregatorValidation(t *testing.T) {
 		{EpochLength: 0},
 		{EpochLength: 10, Decay: 1.5},
 		{EpochLength: 10, Decay: -0.5},
+		{EpochLength: 10, Decay: math.NaN()},
 		{EpochLength: 10, DocWeight: -1},
 		{EpochLength: 10, DocWeight: math.Inf(1)},
+		{EpochLength: 10, PruneBelow: math.NaN()},
+		{EpochLength: 10, DecayMode: 1}, // the retired per-pair sweep
 	}
 	for i, cfg := range bad {
 		if _, err := NewAggregator(src, cfg); err == nil {
@@ -201,72 +193,54 @@ func TestAggregatorValidation(t *testing.T) {
 }
 
 // TestAggregatorNextBatchGroups pins the aggregator's natural batch
-// structure: each epoch tick's decay burst is one Decay batch, each
-// document's positive co-occurrence deltas another, and the concatenation of
-// all batches equals the per-update Next stream exactly.
+// structure: each epoch tick is one Decay batch carrying the threshold unit,
+// each document's positive co-occurrence deltas another, a pairless document
+// none — the same group sequence the reference sweep cuts. Next has no
+// per-update form and always returns ErrNeedBatch.
 func TestAggregatorNextBatchGroups(t *testing.T) {
 	docs := []Document{
 		{Time: 0, Entities: []vset.Vertex{1, 2, 3}},
 		{Time: 10, Entities: []vset.Vertex{1, 2}},
-		{Time: 60, Entities: []vset.Vertex{2, 3, 4}}, // crosses an epoch boundary: decay burst first
+		{Time: 60, Entities: []vset.Vertex{2, 3, 4}}, // crosses an epoch boundary: threshold unit first
 		{Time: 70, Entities: []vset.Vertex{9}},       // single entity: no pairs, no batch
 		{Time: 130, Entities: []vset.Vertex{1, 4}},   // another boundary
 	}
 	cfg := AggregatorConfig{EpochLength: 50, Decay: 0.5, PruneBelow: -1}
-
-	batched := MustAggregator(NewSliceDocSource(docs), cfg)
-	var batches []Batch
-	var flat []Update
-	for {
-		b, err := batched.NextBatch()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				t.Fatal(err)
-			}
-			break
-		}
-		cp := Batch{Updates: append([]Update(nil), b.Updates...), Decay: b.Decay}
-		batches = append(batches, cp)
-		flat = append(flat, cp.Updates...)
+	agg := MustAggregator(NewSliceDocSource(docs), cfg)
+	if _, err := agg.Next(); !errors.Is(err, ErrNeedBatch) {
+		t.Fatalf("Next = %v, want ErrNeedBatch", err)
 	}
+	batches := drainAggregator(t, agg)
 
-	sequential := MustAggregator(NewSliceDocSource(docs), cfg)
-	want, err := Drain(sequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(flat, want) {
-		t.Fatalf("batched stream %v != sequential %v", flat, want)
-	}
-
-	// Shape: doc0 pairs, doc1 pairs, decay burst, doc2 pairs, decay burst,
-	// doc4 pairs (the pairless doc contributes no batch).
 	wantShape := []struct {
-		decay bool
 		n     int
+		scale float64 // threshold unit's Scale; 0 for a document batch
 	}{
-		{false, 3}, // {1,2,3}: 3 pairs
-		{false, 1}, // {1,2}
-		{true, 3},  // fade of the 3 tracked pairs
-		{false, 3}, // {2,3,4}
-		{true, 5},  // fade of all 5 tracked pairs (one elapsed epoch)
-		{false, 1}, // {1,4}
+		{3, 0},   // {1,2,3}: 3 pairs
+		{1, 0},   // {1,2}
+		{0, 0.5}, // epoch 1
+		{3, 0},   // {2,3,4}
+		{0, 0.25},
+		{1, 0}, // {1,4}
 	}
-	if len(batches) != len(wantShape) {
-		t.Fatalf("got %d batches, want %d: %+v", len(batches), len(wantShape), batches)
+	ref := fade.Sweep(docs, fadeConfig(cfg))
+	if len(batches) != len(wantShape) || len(ref.Groups) != len(wantShape) {
+		t.Fatalf("got %d batches and %d reference groups, want %d: %+v", len(batches), len(ref.Groups), len(wantShape), batches)
 	}
 	for i, w := range wantShape {
-		if batches[i].Decay != w.decay || len(batches[i].Updates) != w.n {
-			t.Errorf("batch %d: decay=%v n=%d, want decay=%v n=%d",
-				i, batches[i].Decay, len(batches[i].Updates), w.decay, w.n)
+		b := batches[i]
+		if len(b.updates) != w.n || b.decay != (w.scale != 0) || (b.threshold == nil) != (w.scale == 0) ||
+			(b.threshold != nil && b.threshold.Scale != w.scale) {
+			t.Errorf("batch %d: decay=%v n=%d threshold=%v, want n=%d scale=%v", i, b.decay, len(b.updates), b.threshold, w.n, w.scale)
 		}
-	}
-	for _, b := range batches {
-		for _, u := range b.Updates {
-			if b.Decay && u.Delta >= 0 {
-				t.Errorf("decay batch carries non-negative delta %+v", u)
-			}
-			if !b.Decay && u.Delta <= 0 {
+		// Same pairs as the reference's document groups; the deltas differ
+		// by the normalization 1/λ.
+		samePairs := func(x, y Update) bool { return x.A == y.A && x.B == y.B }
+		if g := ref.Groups[i]; g.Epoch != b.decay || (!g.Epoch && !slices.EqualFunc(g.Updates, b.updates, samePairs)) {
+			t.Errorf("batch %d: epoch=%v %v, reference group epoch=%v %v", i, b.decay, b.updates, g.Epoch, g.Updates)
+		}
+		for _, u := range b.updates {
+			if u.Delta <= 0 {
 				t.Errorf("document batch carries non-positive delta %+v", u)
 			}
 		}

@@ -391,31 +391,18 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 }
 
 // TestBatchedStoryPipelineShardedConformance runs the full documents→stories
-// pipeline in batch mode — aggregator epoch bursts and per-document deltas
-// shipped whole — and checks that every shard count produces the identical
-// lifecycle stream and story table, and that the planted stories are still
-// recovered. Both fading realisations are exercised: the exact per-pair
-// sweep and the rescaled threshold-unit mode, whose single-engine batched
-// lifecycles must additionally agree with each other (the batch groups are
-// tick-aligned and story records carry no floats).
+// pipeline in batch mode — threshold units and per-document deltas shipped
+// whole — and checks that every shard count produces the identical lifecycle
+// stream and story table, and that the planted stories are still recovered.
+// TestDecayModeConformance checks the same batched lifecycle against the
+// paper-literal per-pair sweep.
 func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
-	docCfg := DocSynthConfig{
-		BackgroundEntities: 30,
-		Stories:            3,
-		StorySize:          4,
-		Docs:               600,
-		Seed:               7,
-		BackgroundSkew:     1.1,
-	}
+	docs := conformanceDocs(t, 7)
 	engCfg := core.Config{T: 6.5, Nmax: 4}
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40} // grace in batch ticks ≈ docs
 
-	run := func(k int, mode DecayMode) (*story.Tracker, ReplayStats, ShardReplayStats) {
-		gen, err := NewDocSynthetic(docCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg := MustAggregator(gen, AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: mode})
+	run := func(t *testing.T, k int) (*story.Tracker, ReplayStats, ShardReplayStats) {
+		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7})
 		tracker := story.MustTracker(trkCfg)
 		if k == 0 {
 			eng := core.MustNew(engCfg)
@@ -439,36 +426,27 @@ func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
 		return tracker, ReplayStats{}, st
 	}
 
-	var modeRefs []*story.Tracker
-	for _, mode := range []DecayMode{DecayExact, DecayRescale} {
-		t.Run(mode.String(), func(t *testing.T) {
-			refTracker, refStats, _ := run(0, mode)
-			if refStats.DecaySeg.Batches == 0 {
-				t.Fatalf("batched pipeline saw no decay bursts: %+v", refStats)
+	// The one fading path: each epoch is a rescaled threshold unit.
+	t.Run("rescale", func(t *testing.T) {
+		refTracker, refStats, _ := run(t, 0)
+		if refStats.DecaySeg.Batches == 0 {
+			t.Fatalf("batched pipeline saw no epoch ticks: %+v", refStats)
+		}
+		if refStats.Ticks >= refStats.Updates {
+			t.Fatalf("coalescing did not reduce ticks: %d ticks for %d updates", refStats.Ticks, refStats.Updates)
+		}
+		if refTracker.Stats().Born == 0 {
+			t.Fatal("batched pipeline bore no stories; fixture too weak")
+		}
+		for _, k := range []int{1, 2, 4} {
+			shTracker, _, shStats := run(t, k)
+			if shStats.Ticks != refStats.Ticks || shStats.Updates != refStats.Updates {
+				t.Fatalf("K=%d: tick/update accounting diverged: %d/%d vs %d/%d",
+					k, shStats.Ticks, shStats.Updates, refStats.Ticks, refStats.Updates)
 			}
-			if mode == DecayExact && refStats.DecaySeg.Updates == 0 {
-				t.Fatalf("exact batched pipeline shipped no fade deltas: %+v", refStats)
-			}
-			if refStats.Ticks >= refStats.Updates {
-				t.Fatalf("coalescing did not reduce ticks: %d ticks for %d updates", refStats.Ticks, refStats.Updates)
-			}
-			if refTracker.Stats().Born == 0 {
-				t.Fatal("batched pipeline bore no stories; fixture too weak")
-			}
-			for _, k := range []int{1, 2, 4} {
-				shTracker, _, shStats := run(k, mode)
-				if shStats.Ticks != refStats.Ticks || shStats.Updates != refStats.Updates {
-					t.Fatalf("K=%d: tick/update accounting diverged: %d/%d vs %d/%d",
-						k, shStats.Ticks, shStats.Updates, refStats.Ticks, refStats.Updates)
-				}
-				requireSameRecords(t, fmt.Sprintf("K=%d", k), shTracker, refTracker)
-			}
-			modeRefs = append(modeRefs, refTracker)
-		})
-	}
-	if len(modeRefs) == 2 {
-		requireSameRecords(t, "rescale vs exact", modeRefs[1], modeRefs[0])
-	}
+			requireSameRecords(t, fmt.Sprintf("K=%d", k), shTracker, refTracker)
+		}
+	})
 }
 
 // TestRunBatchesCoalescedMatchesSequential pins that the replay driver applies

@@ -1,28 +1,28 @@
-// The exact-vs-rescale fading conformance suite: the evidence that the O(1)
-// rescaled decay representation (normalized weights + threshold units) is an
-// optimization, not an approximation.
+// The fading conformance suite: the evidence that the O(1) rescaled decay
+// representation (normalized weights + threshold units) is an optimization,
+// not an approximation.
 //
-// The two modes realise the same mathematical object — the faded co-occurrence
-// graph — in different units: exact mode stores real weights and sweeps every
-// pair each epoch; rescaled mode stores w' = w/λ and moves the engine's
-// threshold to T/λ instead. Uniform scaling preserves every density ratio, so
-// the suite pins:
+// The reference is internal/baseline/fade, the paper-literal sweep: it stores
+// real weights and emits one negative delta per tracked pair each epoch. The
+// aggregator stores w' = w/λ and moves the engine's threshold to T/λ instead.
+// Uniform scaling preserves every density ratio, so the suite pins:
 //
-//   - batch structure: both modes emit identical group sequences (one decay
-//     group per epoch crossing, one group per document), so batched replays
-//     are tick-aligned and the story pipeline — whose records carry no floats
-//     — must produce DEEP-EQUAL lifecycle records and story tables, single
-//     and sharded (K ∈ {1, 4});
+//   - batch structure: both emit identical group sequences (one epoch group
+//     per epoch crossing, one group per document), so batched replays are
+//     tick-aligned and the story pipeline — whose records carry no floats —
+//     must produce DEEP-EQUAL lifecycle records and story tables, single and
+//     sharded (K ∈ {1, 4});
 //   - end state: the expanded output-dense vertex sets must agree across all
-//     four drive modes (exact sequential, exact batched, rescaled
+//     four drive modes (sweep sequential, sweep batched, rescaled
 //     uncoalesced, rescaled batched), and match brute.EnumerateAll on the
 //     engine's own (normalized) graph;
-//   - units: rescaled graph weights times λ must equal the exact graph's
-//     weights, and rescaled emitted densities are real-unit (the engine
-//     multiplies by λ at the emit boundary) — both to float tolerance;
+//   - units: rescaled emitted densities are real-unit (the engine multiplies
+//     by λ at the emit boundary) and equal the sweep's to float tolerance;
 //   - retirement: the lazy expiry heap must retire exactly the pairs the
-//     exact sweep retires, at the same epoch, over randomized add/decay
-//     schedules with multi-epoch time jumps.
+//     sweep retires, at the same epoch, over randomized add/decay schedules
+//     with multi-epoch time jumps;
+//   - scale: multiplying DocWeight, PruneBelow and T by one power of two
+//     leaves the story pipeline's output unchanged at any magnitude.
 package stream
 
 import (
@@ -31,10 +31,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"dyndens/internal/baseline/brute"
+	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
@@ -49,27 +51,62 @@ func relClose(a, b, rel float64) bool {
 	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// decayConfPipeline is one full documents→stories drive of the conformance
-// workload in the given mode.
+// fadeConfig is the reference schedule of an aggregator configuration, with
+// the aggregator's defaults applied.
+func fadeConfig(c AggregatorConfig) fade.Config {
+	c = c.withDefaults()
+	return fade.Config{EpochLength: c.EpochLength, Decay: c.Decay, DocWeight: c.DocWeight, PruneBelow: c.PruneBelow}
+}
+
+// fadeSource replays a reference stream in the aggregator's batch structure,
+// each epoch sweep as a Decay batch.
+type fadeSource struct{ groups []fade.Group }
+
+// Next implements UpdateSource for NewReplay; the drivers use NextBatch.
+func (s *fadeSource) Next() (Update, error) { return Update{}, ErrNeedBatch }
+
+func (s *fadeSource) NextBatch() (Batch, error) {
+	if len(s.groups) == 0 {
+		return Batch{}, io.EOF
+	}
+	g := s.groups[0]
+	s.groups = s.groups[1:]
+	return Batch{Updates: g.Updates, Decay: g.Epoch}, nil
+}
+
+// conformanceDocs is the conformance document workload: three planted
+// stories over skewed background chatter.
+func conformanceDocs(t *testing.T, seed int64) []Document {
+	t.Helper()
+	docs, err := DrainDocs(MustDocSynthetic(DocSynthConfig{
+		BackgroundEntities: 30,
+		Stories:            3,
+		StorySize:          4,
+		Docs:               600,
+		Seed:               seed,
+		BackgroundSkew:     1.1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
+// decayConfPipeline is one full documents→stories drive.
 type decayConfPipeline struct {
 	eng     *core.Engine
-	agg     *Aggregator
 	tracker *story.Tracker
 	stats   ReplayStats
 }
 
-func runDecayConfPipeline(t *testing.T, docCfg DocSynthConfig, aggCfg AggregatorConfig, engCfg core.Config, drive func(*Replay) (ReplayStats, error)) *decayConfPipeline {
+func runDecayConfPipeline(t *testing.T, src UpdateSource, engCfg core.Config, coalesce bool) *decayConfPipeline {
 	t.Helper()
-	gen, err := NewDocSynthetic(docCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := &decayConfPipeline{
-		agg:     MustAggregator(gen, aggCfg),
 		eng:     core.MustNew(engCfg),
 		tracker: story.MustTracker(story.Config{MinCardinality: 3, Grace: 40}),
 	}
-	if p.stats, err = drive(NewReplay(p.agg, p.eng, p.tracker)); err != nil {
+	var err error
+	if p.stats, err = NewReplay(src, p.eng, p.tracker).RunBatches(0, coalesce); err != nil {
 		t.Fatal(err)
 	}
 	p.tracker.Close(uint64(p.stats.Ticks))
@@ -88,57 +125,53 @@ func expandedKeys(eng *core.Engine) []string {
 }
 
 // TestDecayModeConformance drives the same randomized document workload
-// through the four replay modes and checks the contracts in the package
-// comment. Decay 0.7 with PruneBelow defaulted retires pairs continuously,
-// so the lazy heap, the threshold units, and the cancellation path are all
-// exercised on every seed.
+// through the sweep and the aggregator, each sequential and batched, and
+// checks the contracts in the package comment. Decay 0.7 with PruneBelow
+// defaulted retires pairs continuously, so the lazy heap, the threshold
+// units, and the cancellation path are all exercised on every seed.
 func TestDecayModeConformance(t *testing.T) {
 	engCfg := core.Config{T: 6.5, Nmax: 4}
+	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7}
 	for seed := int64(7); seed <= 9; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			docCfg := DocSynthConfig{
-				BackgroundEntities: 30,
-				Stories:            3,
-				StorySize:          4,
-				Docs:               600,
-				Seed:               seed,
-				BackgroundSkew:     1.1,
-			}
-			exactCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: DecayExact}
-			rescaleCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: DecayRescale}
+			docs := conformanceDocs(t, seed)
+			ref := fade.Sweep(docs, fadeConfig(aggCfg))
+			sweepSeq := runDecayConfPipeline(t, &fadeSource{ref.Groups}, engCfg, false)
+			sweepBat := runDecayConfPipeline(t, &fadeSource{ref.Groups}, engCfg, true)
+			rescaleSeq := runDecayConfPipeline(t, MustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, false)
+			agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
+			rescaleBat := runDecayConfPipeline(t, agg, engCfg, true)
 
-			exactSeq := runDecayConfPipeline(t, docCfg, exactCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, false) })
-			exactBat := runDecayConfPipeline(t, docCfg, exactCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, true) })
-			rescaleSeq := runDecayConfPipeline(t, docCfg, rescaleCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, false) })
-			rescaleBat := runDecayConfPipeline(t, docCfg, rescaleCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, true) })
-
-			if rescaleBat.agg.Stats().ThresholdUpdates == 0 {
+			if agg.Stats().ThresholdUpdates == 0 {
 				t.Fatal("rescaled drive emitted no threshold units; fixture too weak")
 			}
-			if exactBat.agg.Stats().Retired == 0 {
+			if ref.Retired == 0 {
 				t.Fatal("workload retired no pairs; fixture too weak")
 			}
-
-			// Tick alignment: the batched modes must agree on batch structure —
-			// and therefore on the float-free story lifecycle, exactly.
-			if exactBat.stats.Ticks != rescaleBat.stats.Ticks {
-				t.Fatalf("batched tick counts diverge: exact %d, rescale %d", exactBat.stats.Ticks, rescaleBat.stats.Ticks)
+			if got, want := agg.Stats().Retired, ref.Retired; got != want {
+				t.Fatalf("aggregator retired %d pairs, sweep %d", got, want)
 			}
-			requireSameRecords(t, "exact-batched vs rescale-batched", rescaleBat.tracker, exactBat.tracker)
+
+			// Tick alignment: the batched drives must agree on batch structure —
+			// and therefore on the float-free story lifecycle, exactly.
+			if sweepBat.stats.Ticks != rescaleBat.stats.Ticks {
+				t.Fatalf("batched tick counts diverge: sweep %d, rescale %d", sweepBat.stats.Ticks, rescaleBat.stats.Ticks)
+			}
+			requireSameRecords(t, "sweep-batched vs rescale-batched", rescaleBat.tracker, sweepBat.tracker)
 
 			// End state: expanded output-dense sets agree across all four
 			// drives and match the brute oracle on each engine's own graph
 			// (normalized units for the rescaled engines — the oracle scales
 			// with the graph it is given).
-			ref := expandedKeys(exactSeq.eng)
-			if len(ref) == 0 {
+			want := expandedKeys(sweepSeq.eng)
+			if len(want) == 0 {
 				t.Fatal("no dense subgraphs at end of stream; fixture too weak")
 			}
 			for name, p := range map[string]*decayConfPipeline{
-				"exact-batched": exactBat, "rescale-uncoalesced": rescaleSeq, "rescale-batched": rescaleBat,
+				"sweep-sequential": sweepSeq, "sweep-batched": sweepBat, "rescale-uncoalesced": rescaleSeq, "rescale-batched": rescaleBat,
 			} {
-				if got := expandedKeys(p.eng); !slices.Equal(got, ref) {
-					t.Fatalf("%s: expanded dense set %v != exact sequential %v", name, got, ref)
+				if got := expandedKeys(p.eng); !slices.Equal(got, want) {
+					t.Fatalf("%s: expanded dense set %v != sweep sequential %v", name, got, want)
 				}
 				cfg := p.eng.Config()
 				oracle := brute.Keys(brute.EnumerateAll(p.eng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
@@ -147,26 +180,26 @@ func TestDecayModeConformance(t *testing.T) {
 				}
 			}
 
-			// Units: the rescaled engine's λ equals the aggregator's, stored
-			// weights are w' = w/λ, and reported densities are real-unit.
-			lambda := rescaleBat.agg.Scale()
+			// Units: the rescaled engine's λ equals the aggregator's, and
+			// reported densities are real-unit.
+			lambda := agg.Scale()
 			if got := rescaleBat.eng.DecayScale(); got != lambda {
 				t.Fatalf("engine λ %v != aggregator λ %v", got, lambda)
 			}
 			if lambda >= 1 {
-				t.Fatalf("λ = %v after %d epochs; decay never applied", lambda, rescaleBat.agg.Stats().Epochs)
+				t.Fatalf("λ = %v after %d epochs; decay never applied", lambda, agg.Stats().Epochs)
 			}
-			exactDens := map[string]float64{}
-			for _, s := range exactBat.eng.OutputDense() {
-				exactDens[s.Set.Key()] = s.Density
+			sweepDens := map[string]float64{}
+			for _, s := range sweepBat.eng.OutputDense() {
+				sweepDens[s.Set.Key()] = s.Density
 			}
 			for _, s := range rescaleBat.eng.OutputDense() {
-				want, ok := exactDens[s.Set.Key()]
+				want, ok := sweepDens[s.Set.Key()]
 				if !ok {
-					t.Fatalf("rescaled output-dense %s absent from exact engine", s.Set.Key())
+					t.Fatalf("rescaled output-dense %s absent from the sweep engine", s.Set.Key())
 				}
 				if !relClose(s.Density, want, 1e-6) {
-					t.Fatalf("density of %s: rescaled %v != exact %v", s.Set.Key(), s.Density, want)
+					t.Fatalf("density of %s: rescaled %v != sweep %v", s.Set.Key(), s.Density, want)
 				}
 			}
 			// Threshold identity: normalized T = baseT/λ.
@@ -177,34 +210,55 @@ func TestDecayModeConformance(t *testing.T) {
 	}
 }
 
+// TestScaleInvariance is the oracle-free metamorphic check: the story
+// pipeline's output depends on the weights only relative to T, so
+// multiplying DocWeight, PruneBelow and T by one power of two (exact in
+// floating point) must leave the lifecycle records, the story table and the
+// expanded dense set identical, down to 2⁻⁴⁰⁰ and up to 2⁴⁰⁰.
+func TestScaleInvariance(t *testing.T) {
+	docs := conformanceDocs(t, 7)
+	run := func(c float64, coalesce bool) *decayConfPipeline {
+		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7, DocWeight: c, PruneBelow: 1e-3 * c})
+		return runDecayConfPipeline(t, agg, core.Config{T: 6.5 * c, Nmax: 4}, coalesce)
+	}
+	for _, coalesce := range []bool{false, true} {
+		want := run(1, coalesce)
+		if want.tracker.Stats().Born == 0 {
+			t.Fatal("reference bore no stories; fixture too weak")
+		}
+		for _, c := range []float64{0x1p-400, 0x1p-40, 0x1p400} {
+			got := run(c, coalesce)
+			label := fmt.Sprintf("c=%g coalesce=%v", c, coalesce)
+			if !reflect.DeepEqual(got.tracker.Records(), want.tracker.Records()) {
+				t.Fatalf("%s: lifecycle records diverge (%d vs %d records)", label, len(got.tracker.Records()), len(want.tracker.Records()))
+			}
+			if !reflect.DeepEqual(got.tracker.Stories(), want.tracker.Stories()) {
+				t.Fatalf("%s: story tables diverge:\n--- got ---\n%v\n--- want ---\n%v", label, got.tracker.Stories(), want.tracker.Stories())
+			}
+			if g, w := expandedKeys(got.eng), expandedKeys(want.eng); !slices.Equal(g, w) {
+				t.Fatalf("%s: expanded dense set %v != %v", label, g, w)
+			}
+		}
+	}
+}
+
 // TestDecayModeShardedConformance pins the sharded rescaled pipeline: the
 // threshold epoch unit is broadcast to every worker as one sequenced batch,
 // so K ∈ {1, 4} must reproduce the single rescaled engine's story lifecycle
 // and table exactly, in both overlap policies.
 func TestDecayModeShardedConformance(t *testing.T) {
-	docCfg := DocSynthConfig{
-		BackgroundEntities: 30,
-		Stories:            3,
-		StorySize:          4,
-		Docs:               600,
-		Seed:               7,
-		BackgroundSkew:     1.1,
-	}
-	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: DecayRescale}
+	docs := conformanceDocs(t, 7)
+	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7}
 	engCfg := core.Config{T: 6.5, Nmax: 4}
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40}
 
-	ref := runDecayConfPipeline(t, docCfg, aggCfg, engCfg, func(r *Replay) (ReplayStats, error) { return r.RunBatches(0, true) })
+	ref := runDecayConfPipeline(t, MustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, true)
 	if ref.tracker.Stats().Born == 0 {
 		t.Fatal("reference bore no stories; fixture too weak")
 	}
 	for _, k := range []int{1, 4} {
 		for _, ov := range []shard.Overlap{shard.OverlapScoped, shard.OverlapMirror} {
-			gen, err := NewDocSynthetic(docCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg := MustAggregator(gen, aggCfg)
+			agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
 			se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov})
 			tracker := story.MustTracker(trkCfg)
 			se.SetSeqSink(tracker)
@@ -224,29 +278,13 @@ func TestDecayModeShardedConformance(t *testing.T) {
 	}
 }
 
-// drainAggregatorBatches pulls every batch of one aggregator, handing each to
-// visit with the λ in effect after the batch was formed.
-func drainAggregatorBatches(t *testing.T, agg *Aggregator, visit func(b Batch, lambda float64)) {
-	t.Helper()
-	for {
-		b, err := agg.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			t.Fatal(err)
-		}
-		visit(b, agg.Scale())
-	}
-}
-
 // TestRescaleRetirementMatchesExactSweep is the lazy-heap property test: over
 // randomized document schedules — bursty pair adds, single- and multi-epoch
-// time jumps, re-added pairs that invalidate heap entries — the rescaled
-// aggregator must retire exactly the pairs the exact sweep retires, in the
-// same epoch batch, and the surviving weights must agree in real units. Both
+// time jumps, re-added pairs that invalidate heap entries — the aggregator
+// must retire exactly the pairs the reference sweep retires, in the same
+// epoch batch, and the surviving weights must agree in real units. Both
 // sides are mirrored purely from the emitted update streams, so the test
-// also pins that cancellations telescope to exact zero in each mode's own
+// also pins that cancellations telescope to exact zero in each side's own
 // units.
 func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
@@ -271,66 +309,74 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			}
 			cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
 
+			// mirror applies a stream's batches, recording the pairs each epoch
+			// batch cancels to exactly zero, in emission order.
 			type mirror struct {
 				weights map[[2]core.Vertex]float64
-				batches [][]string // retired pair keys per decay batch, in emission order
+				batches [][]string
 			}
-			drain := func(mode DecayMode) (*mirror, AggregatorStats) {
-				exCfg := cfg
-				exCfg.DecayMode = mode
-				agg := MustAggregator(NewSliceDocSource(docs), exCfg)
-				m := &mirror{weights: map[[2]core.Vertex]float64{}}
-				drainAggregatorBatches(t, agg, func(b Batch, lambda float64) {
-					var retired []string
-					for _, u := range b.Updates {
-						k := [2]core.Vertex{u.A, u.B}
-						m.weights[k] += u.Delta
-						if b.Decay && m.weights[k] == 0 {
-							delete(m.weights, k)
-							retired = append(retired, fmt.Sprintf("%d-%d", u.A, u.B))
-						}
+			apply := func(m *mirror, updates []Update, epoch bool) {
+				var retired []string
+				for _, u := range updates {
+					k := [2]core.Vertex{u.A, u.B}
+					m.weights[k] += u.Delta
+					if epoch && m.weights[k] == 0 {
+						delete(m.weights, k)
+						retired = append(retired, fmt.Sprintf("%d-%d", u.A, u.B))
 					}
-					if b.Decay {
-						m.batches = append(m.batches, retired)
-					}
-				})
-				// Real units for comparison: exact λ is 1, so this is a no-op
-				// there; rescaled mirrors hold normalized weights.
-				for k, w := range m.weights {
-					m.weights[k] = w * agg.Scale()
 				}
-				return m, agg.Stats()
+				if epoch {
+					m.batches = append(m.batches, retired)
+				}
 			}
 
-			exact, exactStats := drain(DecayExact)
-			rescale, rescaleStats := drain(DecayRescale)
+			ref := fade.Sweep(docs, fadeConfig(cfg))
+			exact := &mirror{weights: map[[2]core.Vertex]float64{}}
+			for _, g := range ref.Groups {
+				apply(exact, g.Updates, g.Epoch)
+			}
+			agg := MustAggregator(NewSliceDocSource(docs), cfg)
+			batches, err := recordBatches(agg)
+			if !errors.Is(err, io.EOF) {
+				t.Fatal(err)
+			}
+			rescale := &mirror{weights: map[[2]core.Vertex]float64{}}
+			for _, b := range batches {
+				apply(rescale, b.updates, b.decay)
+			}
+			// Real units for comparison: the rescaled mirror holds normalized
+			// weights.
+			for k, w := range rescale.weights {
+				rescale.weights[k] = w * agg.Scale()
+			}
+			rescaleStats := agg.Stats()
 
-			if exactStats.Retired == 0 {
+			if ref.Retired == 0 {
 				t.Fatal("schedule retired no pairs; fixture too weak")
 			}
-			if rescaleStats.Retired != exactStats.Retired {
-				t.Fatalf("retired counts diverge: rescale %d, exact %d", rescaleStats.Retired, exactStats.Retired)
+			if rescaleStats.Retired != ref.Retired {
+				t.Fatalf("retired counts diverge: rescale %d, sweep %d", rescaleStats.Retired, ref.Retired)
 			}
 			if len(rescale.batches) != len(exact.batches) {
-				t.Fatalf("decay batch counts diverge: rescale %d, exact %d", len(rescale.batches), len(exact.batches))
+				t.Fatalf("epoch batch counts diverge: rescale %d, sweep %d", len(rescale.batches), len(exact.batches))
 			}
 			for i := range exact.batches {
 				if !slices.Equal(rescale.batches[i], exact.batches[i]) {
-					t.Fatalf("decay batch %d: rescale retired %v, exact retired %v", i, rescale.batches[i], exact.batches[i])
+					t.Fatalf("epoch batch %d: rescale retired %v, sweep retired %v", i, rescale.batches[i], exact.batches[i])
 				}
 			}
 			if len(rescale.weights) != len(exact.weights) {
-				t.Fatalf("surviving pair counts diverge: rescale %d, exact %d", len(rescale.weights), len(exact.weights))
+				t.Fatalf("surviving pair counts diverge: rescale %d, sweep %d", len(rescale.weights), len(exact.weights))
 			}
 			for k, want := range exact.weights {
 				if got, ok := rescale.weights[k]; !ok || !relClose(got, want, 1e-9) {
-					t.Fatalf("pair %v: rescaled real weight %v != exact %v", k, rescale.weights[k], want)
+					t.Fatalf("pair %v: rescaled real weight %v != sweep %v", k, rescale.weights[k], want)
 				}
 			}
 			// The whole point: the rescaled drain touched only expiring pairs,
-			// the exact sweep touched every tracked pair every epoch.
-			if rescaleStats.EpochPairTouches >= exactStats.EpochPairTouches {
-				t.Fatalf("rescaled touches %d not below exact sweep's %d", rescaleStats.EpochPairTouches, exactStats.EpochPairTouches)
+			// the sweep touched every tracked pair every epoch.
+			if rescaleStats.EpochPairTouches >= ref.Touches {
+				t.Fatalf("rescaled touches %d not below the sweep's %d", rescaleStats.EpochPairTouches, ref.Touches)
 			}
 			// Each touch is either a confirmed retirement or a stale-high
 			// re-key (the pair gained weight after its entry was pushed, so
@@ -365,7 +411,7 @@ func TestRescaleEpochIsO1AndAllocFree(t *testing.T) {
 		docs = append(docs, Document{Time: int64(10 * i), Entities: vset.New(0, 1)})
 	}
 	agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{
-		EpochLength: 10, Decay: 0.99, DocWeight: 1000, PruneBelow: 1e-3, DecayMode: DecayRescale,
+		EpochLength: 10, Decay: 0.99, DocWeight: 1000, PruneBelow: 1e-3,
 	})
 	// Warmup: the clique doc (buffer growth) plus a few full epoch cycles
 	// (decay group + document group each).
@@ -414,7 +460,7 @@ func TestRescaleRenormalization(t *testing.T) {
 	for i := 0; i <= 8; i++ {
 		docs = append(docs, Document{Time: int64(10 * i), Entities: vset.New(0, 1, 2)})
 	}
-	aggCfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1, DecayMode: DecayRescale}
+	aggCfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1}
 	agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	if _, err := NewReplay(agg, eng, nil).RunBatches(0, true); err != nil {

@@ -205,9 +205,9 @@ func NewPipelinedBatchSource(src UpdateSource, readBatch int, cfg PipelineConfig
 // workers parse and enumerate pair keys concurrently, and a sequencer applies
 // the sequential aggregation core in document order and emits the batch
 // stream. The emitted stream is identical to MustAggregator(docs,
-// aggCfg).NextBatch()'s in both decay modes — the sequencer runs the same
-// code over the same inputs in the same order; only the expansion (a pure
-// per-document computation) runs concurrently.
+// aggCfg).NextBatch()'s — the sequencer runs the same code over the same
+// inputs in the same order; only the expansion (a pure per-document
+// computation) runs concurrently.
 func NewParallelAggregator(docs DocumentSource, aggCfg AggregatorConfig, cfg PipelineConfig) (*Pipeline, error) {
 	// The aggregator is fed pre-expanded documents by the sequencer and never
 	// pulls from a DocumentSource itself — the reader owns the source.
@@ -275,10 +275,10 @@ func (p *Pipeline) NextBatch() (Batch, error) {
 	return b, nil
 }
 
-// Next implements UpdateSource by cursoring over the batch stream, so the
-// per-update replay drivers work unchanged. Like the serial aggregator, a
-// rescaled-decay stream cannot be consumed per-update: hitting a threshold
-// batch unit returns ErrNeedBatch.
+// Next implements UpdateSource by cursoring over the batch stream. A
+// document stream cannot be consumed per-update once fading ticks: hitting a
+// threshold batch unit returns ErrNeedBatch, as the serial aggregator's Next
+// always does.
 func (p *Pipeline) Next() (Update, error) {
 	for p.nextPos >= len(p.nextBuf) {
 		b, err := p.NextBatch()
@@ -387,8 +387,8 @@ func (p *Pipeline) runSource(bs BatchSource) {
 
 // startParallel launches the parallel document front-end: reader → workers →
 // sequencer. Stages carry pprof labels (stage=parse/expand/apply) so CPU
-// profiles attribute time per pipeline stage; the engine side is labelled by
-// the bench driver.
+// profiles attribute time per pipeline stage; the engine runs unlabelled on
+// the consumer's goroutine.
 func (p *Pipeline) startParallel(docs DocumentSource, agg *Aggregator) {
 	raw, _ := docs.(rawDocLiner)
 	name := ""
@@ -533,10 +533,10 @@ func (p *Pipeline) runSequencer(agg *Aggregator) {
 				return
 			}
 			// Drain the document's queued groups through the aggregator's own
-			// batch emission (decay/threshold group, then the document's
-			// pairs) — the guard matches NextBatch's ingest condition, so no
+			// batch emission (threshold group, then the document's pairs) —
+			// NextBatch ingests only once the aggregator is Drained, so no
 			// further document is pulled here.
-			for agg.decayGroup || agg.pos < len(agg.pending) {
+			for !agg.Drained() {
 				b, _ := agg.NextBatch()
 				if !p.emit(b) {
 					return

@@ -2,8 +2,8 @@
 // stage decoupling and parallel expansion change when work happens, never
 // what is emitted. Every test compares the pipeline's batch stream — updates,
 // Decay flags, ThresholdUpdate units, group order — value-by-value against
-// the serial reference, across worker counts, decay modes, document sources
-// (in-memory and raw-line file), shard counts, and error positions.
+// the serial reference, across worker counts, document sources (in-memory
+// and raw-line file), shard counts, and error positions.
 package stream
 
 import (
@@ -124,52 +124,50 @@ func docsToFileSource(t *testing.T, docs []Document) *DocFileSource {
 }
 
 // TestParallelAggregatorMatchesSerial is the core conformance matrix:
-// W ∈ {1, 2, 4} × {exact, rescale} × {in-memory source, raw-line file
-// source}, batch streams deep-equal to the serial aggregator, and the final
-// aggregation counters identical.
+// W ∈ {1, 2, 4} × {in-memory source, raw-line file source}, batch streams
+// deep-equal to the serial aggregator, and the final aggregation counters
+// identical.
 func TestParallelAggregatorMatchesSerial(t *testing.T) {
 	docs := pipelineConfDocs(11, 500)
-	for _, mode := range []DecayMode{DecayExact, DecayRescale} {
-		cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05, DecayMode: mode}
-		ref := serialBatches(t, docs, cfg)
-		refAgg := MustAggregator(NewSliceDocSource(docs), cfg)
-		for {
-			if _, err := refAgg.NextBatch(); err != nil {
-				break
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
+	ref := serialBatches(t, docs, cfg)
+	refAgg := MustAggregator(NewSliceDocSource(docs), cfg)
+	for {
+		if _, err := refAgg.NextBatch(); err != nil {
+			break
+		}
+	}
+	refStats := refAgg.Stats()
+	if refStats.ThresholdUpdates == 0 {
+		t.Fatal("reference emitted no threshold units; fixture too weak")
+	}
+	if refStats.Retired == 0 {
+		t.Fatal("workload retired no pairs; fixture too weak")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, src := range []string{"slice", "file"} {
+			label := fmt.Sprintf("W=%d src=%s", workers, src)
+			var ds DocumentSource = NewSliceDocSource(docs)
+			if src == "file" {
+				ds = docsToFileSource(t, docs)
 			}
-		}
-		refStats := refAgg.Stats()
-		if mode == DecayRescale && refStats.ThresholdUpdates == 0 {
-			t.Fatal("rescaled reference emitted no threshold units; fixture too weak")
-		}
-		if refStats.Retired == 0 {
-			t.Fatal("workload retired no pairs; fixture too weak")
-		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, src := range []string{"slice", "file"} {
-				label := fmt.Sprintf("mode=%v W=%d src=%s", mode, workers, src)
-				var ds DocumentSource = NewSliceDocSource(docs)
-				if src == "file" {
-					ds = docsToFileSource(t, docs)
-				}
-				p, err := NewParallelAggregator(ds, cfg, PipelineConfig{Workers: workers, Depth: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gerr := recordBatches(p)
-				if !errors.Is(gerr, io.EOF) {
-					t.Fatalf("%s: pipeline failed: %v", label, gerr)
-				}
-				requireSameBatches(t, label, got, ref)
-				if st, ok := p.AggregatorStats(); !ok || st != refStats {
-					t.Fatalf("%s: aggregator stats = %+v (ok=%v), want %+v", label, st, ok, refStats)
-				}
-				is := p.IngestStats()
-				if is.Batches != len(ref) {
-					t.Fatalf("%s: ingest stats counted %d batches, want %d", label, is.Batches, len(ref))
-				}
-				p.Close()
+			p, err := NewParallelAggregator(ds, cfg, PipelineConfig{Workers: workers, Depth: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, gerr := recordBatches(p)
+			if !errors.Is(gerr, io.EOF) {
+				t.Fatalf("%s: pipeline failed: %v", label, gerr)
+			}
+			requireSameBatches(t, label, got, ref)
+			if st, ok := p.AggregatorStats(); !ok || st != refStats {
+				t.Fatalf("%s: aggregator stats = %+v (ok=%v), want %+v", label, st, ok, refStats)
+			}
+			is := p.IngestStats()
+			if is.Batches != len(ref) {
+				t.Fatalf("%s: ingest stats counted %d batches, want %d", label, is.Batches, len(ref))
+			}
+			p.Close()
 		}
 	}
 }
@@ -183,7 +181,7 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		docs = append(docs, Document{Time: int64(i * 10), Entities: vset.New(vset.Vertex(i%6), vset.Vertex(i%6+1), vset.Vertex(i%6+2))})
 	}
-	cfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1, DecayMode: DecayRescale}
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1}
 	ref := serialBatches(t, docs, cfg)
 	refAgg := MustAggregator(NewSliceDocSource(docs), cfg)
 	for {
@@ -206,20 +204,18 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 }
 
 // TestPipelinedBatchSourceMatchesSerial pins pure stage decoupling: wrapping
-// any source — here the serial aggregator in both modes, and a fixed-chunked
-// update stream — must reproduce its batch sequence exactly.
+// any source — here the serial aggregator, and a fixed-chunked update
+// stream — must reproduce its batch sequence exactly.
 func TestPipelinedBatchSourceMatchesSerial(t *testing.T) {
 	docs := pipelineConfDocs(13, 300)
-	for _, mode := range []DecayMode{DecayExact, DecayRescale} {
-		cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05, DecayMode: mode}
-		ref := serialBatches(t, docs, cfg)
-		p := NewPipelinedBatchSource(MustAggregator(NewSliceDocSource(docs), cfg), 0, PipelineConfig{Depth: 3})
-		got, gerr := recordBatches(p)
-		if !errors.Is(gerr, io.EOF) {
-			t.Fatalf("mode=%v: pipeline failed: %v", mode, gerr)
-		}
-		requireSameBatches(t, fmt.Sprintf("mode=%v", mode), got, ref)
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
+	ref := serialBatches(t, docs, cfg)
+	p := NewPipelinedBatchSource(MustAggregator(NewSliceDocSource(docs), cfg), 0, PipelineConfig{Depth: 3})
+	got, gerr := recordBatches(p)
+	if !errors.Is(gerr, io.EOF) {
+		t.Fatalf("aggregator: pipeline failed: %v", gerr)
 	}
+	requireSameBatches(t, "aggregator", got, ref)
 
 	// Fixed-size chunking of a plain update source must match AsBatchSource.
 	var updates []Update
@@ -231,23 +227,24 @@ func TestPipelinedBatchSourceMatchesSerial(t *testing.T) {
 	if !errors.Is(err, io.EOF) {
 		t.Fatal(err)
 	}
-	p := NewPipelinedBatchSource(NewSliceSource(updates), 64, PipelineConfig{})
-	got, gerr := recordBatches(p)
+	p = NewPipelinedBatchSource(NewSliceSource(updates), 64, PipelineConfig{})
+	got, gerr = recordBatches(p)
 	if !errors.Is(gerr, io.EOF) {
 		t.Fatalf("chunked pipeline failed: %v", gerr)
 	}
 	requireSameBatches(t, "chunked", got, ref)
 }
 
-// TestPipelineNextMatchesSerial pins the per-update view (UpdateSource): the
-// cursor over the pipelined batch stream must yield the exact update sequence
-// of the serial aggregator's Next.
+// TestPipelineNextMatchesSerial pins the per-update view (UpdateSource): with
+// fading off, the cursor over the pipelined batch stream must yield the
+// serial aggregator's batches flattened; with fading on, it must stop at the
+// first threshold unit with ErrNeedBatch.
 func TestPipelineNextMatchesSerial(t *testing.T) {
 	docs := pipelineConfDocs(17, 300)
-	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
-	ref, err := Drain(MustAggregator(NewSliceDocSource(docs), cfg))
-	if err != nil {
-		t.Fatal(err)
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 1}
+	var ref []Update
+	for _, b := range serialBatches(t, docs, cfg) {
+		ref = append(ref, b.updates...)
 	}
 	p, perr := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 2})
 	if perr != nil {
@@ -266,8 +263,8 @@ func TestPipelineNextMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// Rescaled streams are batch-structured through the pipeline too.
-	rp, perr := NewParallelAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 10, Decay: 0.5, DecayMode: DecayRescale}, PipelineConfig{Workers: 2})
+	// Fading streams are batch-structured through the pipeline too.
+	rp, perr := NewParallelAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 10, Decay: 0.5}, PipelineConfig{Workers: 2})
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -275,93 +272,77 @@ func TestPipelineNextMatchesSerial(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		if _, err := rp.Next(); err != nil {
 			if !errors.Is(err, ErrNeedBatch) {
-				t.Fatalf("rescaled per-update error = %v, want ErrNeedBatch", err)
+				t.Fatalf("fading per-update error = %v, want ErrNeedBatch", err)
 			}
 			return
 		}
 	}
-	t.Fatal("rescaled per-update drive never hit a threshold unit")
+	t.Fatal("fading per-update drive never hit a threshold unit")
 }
 
 // TestPipelineReplayConformance drives the full documents→stories pipeline —
 // engine, tracker, lifecycle records — with the parallel front-end against
-// the serial front-end, single-engine (K=0) and sharded (K=4), in both decay
-// modes. Records carry no floats, so requireSameRecords is exact.
+// the serial front-end, single-engine (K=0) and sharded (K=4). Records carry
+// no floats, so requireSameRecords is exact.
 func TestPipelineReplayConformance(t *testing.T) {
-	gen, err := NewDocSynthetic(DocSynthConfig{
-		BackgroundEntities: 30,
-		Stories:            3,
-		StorySize:          4,
-		Docs:               600,
-		Seed:               7,
-		BackgroundSkew:     1.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, err := DrainDocs(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	docs := conformanceDocs(t, 7)
 	engCfg := core.Config{T: 6.5, Nmax: 4}
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40}
-	for _, mode := range []DecayMode{DecayExact, DecayRescale} {
-		aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7, DecayMode: mode}
+	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7}
 
-		refEng := core.MustNew(engCfg)
-		refTrk := story.MustTracker(trkCfg)
-		refStats, err := NewReplay(MustAggregator(NewSliceDocSource(docs), aggCfg), refEng, refTrk).RunBatches(0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refTrk.Close(uint64(refStats.Ticks))
-		if refTrk.Stats().Born == 0 {
-			t.Fatal("reference bore no stories; fixture too weak")
-		}
-
-		// K=0: single engine behind the parallel front-end.
-		p, perr := NewParallelAggregator(docsToFileSource(t, docs), aggCfg, PipelineConfig{Workers: 4, Depth: 4})
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		eng := core.MustNew(engCfg)
-		trk := story.MustTracker(trkCfg)
-		st, err := NewReplay(p, eng, trk).RunBatches(0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trk.Close(uint64(st.Ticks))
-		if st.Ticks != refStats.Ticks || st.Updates != refStats.Updates || st.Events != refStats.Events {
-			t.Fatalf("mode=%v K=0: stats (ticks=%d upd=%d ev=%d), want (%d, %d, %d)",
-				mode, st.Ticks, st.Updates, st.Events, refStats.Ticks, refStats.Updates, refStats.Events)
-		}
-		if st.Ingest == nil || st.Ingest.Batches == 0 {
-			t.Fatalf("mode=%v K=0: replay stats carry no ingest accounting: %+v", mode, st.Ingest)
-		}
-		requireSameRecords(t, fmt.Sprintf("mode=%v K=0", mode), trk, refTrk)
-
-		// K=4: sharded engine behind the parallel front-end.
-		sp, perr := NewParallelAggregator(NewSliceDocSource(docs), aggCfg, PipelineConfig{Workers: 2})
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
-		strk := story.MustTracker(trkCfg)
-		se.SetSeqSink(strk)
-		sst, err := NewShardReplay(sp, se, nil).RunBatches(0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strk.Close(uint64(sst.Ticks))
-		if sst.Ticks != refStats.Ticks {
-			t.Fatalf("mode=%v K=4: %d ticks, want %d", mode, sst.Ticks, refStats.Ticks)
-		}
-		if sst.Ingest == nil || sst.Ingest.Batches == 0 {
-			t.Fatalf("mode=%v K=4: shard replay stats carry no ingest accounting: %+v", mode, sst.Ingest)
-		}
-		requireSameRecords(t, fmt.Sprintf("mode=%v K=4", mode), strk, refTrk)
-		se.Close()
+	refEng := core.MustNew(engCfg)
+	refTrk := story.MustTracker(trkCfg)
+	refStats, err := NewReplay(MustAggregator(NewSliceDocSource(docs), aggCfg), refEng, refTrk).RunBatches(0, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	refTrk.Close(uint64(refStats.Ticks))
+	if refTrk.Stats().Born == 0 {
+		t.Fatal("reference bore no stories; fixture too weak")
+	}
+
+	// K=0: single engine behind the parallel front-end.
+	p, perr := NewParallelAggregator(docsToFileSource(t, docs), aggCfg, PipelineConfig{Workers: 4, Depth: 4})
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	eng := core.MustNew(engCfg)
+	trk := story.MustTracker(trkCfg)
+	st, err := NewReplay(p, eng, trk).RunBatches(0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trk.Close(uint64(st.Ticks))
+	if st.Ticks != refStats.Ticks || st.Updates != refStats.Updates || st.Events != refStats.Events {
+		t.Fatalf("K=0: stats (ticks=%d upd=%d ev=%d), want (%d, %d, %d)",
+			st.Ticks, st.Updates, st.Events, refStats.Ticks, refStats.Updates, refStats.Events)
+	}
+	if st.Ingest == nil || st.Ingest.Batches == 0 {
+		t.Fatalf("K=0: replay stats carry no ingest accounting: %+v", st.Ingest)
+	}
+	requireSameRecords(t, "K=0", trk, refTrk)
+
+	// K=4: sharded engine behind the parallel front-end.
+	sp, perr := NewParallelAggregator(NewSliceDocSource(docs), aggCfg, PipelineConfig{Workers: 2})
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
+	defer se.Close()
+	strk := story.MustTracker(trkCfg)
+	se.SetSeqSink(strk)
+	sst, err := NewShardReplay(sp, se, nil).RunBatches(0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strk.Close(uint64(sst.Ticks))
+	if sst.Ticks != refStats.Ticks {
+		t.Fatalf("K=4: %d ticks, want %d", sst.Ticks, refStats.Ticks)
+	}
+	if sst.Ingest == nil || sst.Ingest.Batches == 0 {
+		t.Fatalf("K=4: shard replay stats carry no ingest accounting: %+v", sst.Ingest)
+	}
+	requireSameRecords(t, "K=4", strk, refTrk)
 }
 
 // TestPipelineErrorConformance pins error positioning: a mid-stream parse
@@ -469,7 +450,7 @@ func TestPipelineHandoffZeroAlloc(t *testing.T) {
 
 // FuzzParallelAggregatorMatchesSerial derives a document stream from fuzz
 // bytes (entity pairs + time deltas) and checks batch-stream equality between
-// the serial aggregator and a 3-worker pipeline in both decay modes.
+// the serial aggregator and a 3-worker pipeline.
 func FuzzParallelAggregatorMatchesSerial(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -486,21 +467,19 @@ func FuzzParallelAggregatorMatchesSerial(f *testing.F) {
 		if len(docs) == 0 {
 			return
 		}
-		for _, mode := range []DecayMode{DecayExact, DecayRescale} {
-			cfg := AggregatorConfig{EpochLength: 8, Decay: 0.5, PruneBelow: 0.05, DecayMode: mode}
-			ref, refErr := recordBatches(MustAggregator(NewSliceDocSource(docs), cfg))
-			if !errors.Is(refErr, io.EOF) {
-				t.Fatalf("serial reference failed: %v", refErr)
-			}
-			p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 3, Depth: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotErr := recordBatches(p)
-			if !errors.Is(gotErr, io.EOF) {
-				t.Fatalf("pipeline failed: %v", gotErr)
-			}
-			requireSameBatches(t, mode.String(), got, ref)
+		cfg := AggregatorConfig{EpochLength: 8, Decay: 0.5, PruneBelow: 0.05}
+		ref, refErr := recordBatches(MustAggregator(NewSliceDocSource(docs), cfg))
+		if !errors.Is(refErr, io.EOF) {
+			t.Fatalf("serial reference failed: %v", refErr)
 		}
+		p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 3, Depth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := recordBatches(p)
+		if !errors.Is(gotErr, io.EOF) {
+			t.Fatalf("pipeline failed: %v", gotErr)
+		}
+		requireSameBatches(t, "fuzz", got, ref)
 	})
 }

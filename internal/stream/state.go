@@ -41,11 +41,11 @@ func ValidateThresholdScale(scale float64) error {
 // be cut at (mid-buffer positions are not persisted; the recovering process
 // re-derives them by replaying the document).
 func (g *Aggregator) Drained() bool {
-	return g.pos >= len(g.pending) && !g.decayGroup
+	return g.pendingThreshold == nil && len(g.docUpdates) == 0
 }
 
 // AggregatorPair is one persisted weight-table entry (a < b; normalized
-// weight in rescaled mode).
+// weight).
 type AggregatorPair struct {
 	A, B graph.Vertex
 	W    float64
@@ -98,12 +98,11 @@ func (g *Aggregator) ExportState() (AggregatorState, error) {
 }
 
 // NewAggregatorFromState builds an aggregator over docs resuming from an
-// exported state: the weight table, sorted sweep order (exact mode), lazy
-// retirement heap (rescaled mode), cumulative scale, and epoch clock all
-// come back exactly. docs must be the remainder of the original document
-// stream (persist chains WAL-replayed documents with the skipped-ahead live
-// source). Validation errors are returned, not panicked: the state may come
-// from a damaged snapshot.
+// exported state: the weight table, lazy retirement heap, cumulative scale,
+// and epoch clock all come back exactly. docs must be the remainder of the
+// original document stream (persist chains WAL-replayed documents with the
+// skipped-ahead live source). Validation errors are returned, not panicked:
+// the state may come from a damaged snapshot.
 func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st AggregatorState) (*Aggregator, error) {
 	g, err := NewAggregator(docs, cfg)
 	if err != nil {
@@ -111,9 +110,6 @@ func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st Aggreg
 	}
 	if math.IsNaN(st.Lambda) || st.Lambda <= 0 || st.Lambda > 1 {
 		return nil, fmt.Errorf("stream: restored scale %v outside (0, 1]", st.Lambda)
-	}
-	if g.cfg.DecayMode == DecayExact && st.Lambda != 1 {
-		return nil, fmt.Errorf("stream: restored scale %v in exact decay mode", st.Lambda)
 	}
 	g.started = st.Started
 	g.epoch = st.Epoch
@@ -131,12 +127,6 @@ func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st Aggreg
 			return nil, fmt.Errorf("stream: restored pair (%d, %d) duplicated", p.A, p.B)
 		}
 		g.weights.put(k, p.W)
-		if g.cfg.DecayMode == DecayExact {
-			g.sortedKeys = append(g.sortedKeys, k)
-		}
-	}
-	if g.cfg.DecayMode == DecayExact && !slices.IsSorted(g.sortedKeys) {
-		slices.Sort(g.sortedKeys)
 	}
 	// The heap slice is persisted verbatim; the heap property is positional,
 	// so copying it back preserves pop order bit-for-bit.

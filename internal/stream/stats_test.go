@@ -9,9 +9,9 @@ import (
 
 // TestStatsZeroElapsedFinite pins the zero-duration guards on every derived
 // throughput/ratio method: a replay whose measured duration rounds to zero
-// (tiny workloads on coarse clocks) must report 0, never +Inf or NaN. The
-// derived values feed bench -json via float64 fields, and non-finite floats
-// make json.Marshal fail, corrupting the committed benchmark snapshots.
+// (tiny workloads on coarse clocks) must report 0, never +Inf or NaN. A
+// caller that writes the derived values as JSON float64 fields would
+// otherwise fail: json.Marshal rejects non-finite floats.
 func TestStatsZeroElapsedFinite(t *testing.T) {
 	seg := SegmentStats{Updates: 500, Elapsed: 0}
 	if got := seg.UpdatesPerSecond(); got != 0 {
@@ -40,8 +40,7 @@ func TestStatsZeroElapsedFinite(t *testing.T) {
 		t.Errorf("idle shard delivery fraction = %v, want 0", got)
 	}
 
-	// The derived values must round-trip through JSON finitely, the way the
-	// bench writer embeds them.
+	// The derived values must round-trip through JSON finitely.
 	out, err := json.Marshal(map[string]float64{
 		"updates_per_second":     rs.UpdatesPerSecond(),
 		"sharded_throughput":     ss.UpdatesPerSecond(),
