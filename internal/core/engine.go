@@ -415,7 +415,7 @@ func (e *Engine) ProcessRouted(u Update, seedPairs bool) []Event {
 		e.processNegative()
 	} else {
 		e.stats.PositiveUpdates++
-		e.processPositive()
+		e.processPositive(after)
 	}
 	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
 		e.stats.MaxIndexNodes = n
@@ -624,8 +624,9 @@ func (e *Engine) processNegative() {
 	}
 }
 
-// processPositive handles δ > 0 (Algorithm 1, lines 4–11).
-func (e *Engine) processPositive() {
+// processPositive handles δ > 0 (Algorithm 1, lines 4–11); w is the updated
+// edge's new weight.
+func (e *Engine) processPositive(w float64) {
 	a, b := e.a, e.b
 	e.maxIter = e.th.Iterations(e.delta)
 	e.maxExploreKnown = false
@@ -646,10 +647,8 @@ func (e *Engine) processPositive() {
 			e.pairBuf[0], e.pairBuf[1] = b, a
 		}
 		pair := vset.Set(e.pairBuf[:])
-		if e.ix.LookupDense(pair) == nil {
-			if w := e.g.Weight(a, b); e.th.IsDense(w, 2) {
-				e.admit(pair, w, 1)
-			}
+		if e.ix.LookupDense(pair) == nil && e.th.IsDense(w, 2) {
+			e.admit(pair, w, 1)
 		}
 	}
 

@@ -133,7 +133,7 @@ func TestBoundedScansMatchReference(t *testing.T) {
 				continue
 			}
 
-			c := randomSet(rng, universe, []float64{0, 0.15, 0.4}[rng.Intn(3)])
+			c := randomSet(rng, denseIDs(universe), []float64{0, 0.15, 0.4}[rng.Intn(3)])
 			var bound float64
 			edges := refEdgesNotIncident(g, nil)
 			switch {

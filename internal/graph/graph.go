@@ -9,7 +9,11 @@
 // vertex order — so that Score/ScoreWith are binary-search probes of a few
 // vectors and point updates insert/delete in place (amortised O(degree) worst
 // case, O(log degree) when the edge already exists, which is the steady state
-// of a weight-update stream).
+// of a weight-update stream). The vectors are found through a vertex table
+// (vset.Table), one probe per vertex whatever its ID, and Apply searches the
+// first endpoint's vector once, writing the new weight where it found the
+// old. Edges runs in ascending (u, v) order, so the heavy-edge buckets it
+// fills, and every scan of them, follow from the update history alone.
 //
 // # Bounded discovery scans
 //
@@ -67,19 +71,19 @@ type adjacency struct {
 }
 
 // find returns the position of v in the vector and whether it is present;
-// absent vertices report their insertion point. vset.Search is the shared
-// sorted-[]Vertex lower-bound primitive (linear scan on small slices,
-// branch-free halving search above).
+// absent vertices report their insertion point, 0 in a nil vector. vset.Search
+// is the shared sorted-[]Vertex lower-bound primitive (linear scan on small
+// slices, branch-free halving search above).
 func (l *adjacency) find(v Vertex) (int, bool) {
+	if l == nil {
+		return 0, false
+	}
 	i := vset.Search(l.vs, v)
 	return i, i < len(l.vs) && l.vs[i] == v
 }
 
 // weight returns the edge weight to v (0 when absent).
 func (l *adjacency) weight(v Vertex) float64 {
-	if l == nil {
-		return 0
-	}
 	if i, ok := l.find(v); ok {
 		return l.ws[i]
 	}
@@ -130,7 +134,9 @@ func (l *adjacency) sumOver(c []Vertex, skip Vertex) float64 {
 // stream sequentially (as in the paper). Concurrent readers are safe as long
 // as no Apply call is in flight.
 type Graph struct {
-	adj map[Vertex]*adjacency
+	// adj is the vertex table of neighbourhood vectors: a vertex has one
+	// exactly while it has an edge.
+	adj vset.Table[*adjacency]
 	// known remembers every vertex that ever carried an edge. The paper's
 	// vertex universe is fixed; a vertex whose last edge decays away can
 	// still belong to dense subgraphs (supergraphs of too-dense subgraphs
@@ -155,7 +161,6 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		adj:        make(map[Vertex]*adjacency),
 		known:      make(map[Vertex]bool),
 		heavyFloor: heavyOff,
 		heavyAsked: heavyOff,
@@ -167,22 +172,18 @@ func (g *Graph) Weight(a, b Vertex) float64 {
 	if a == b {
 		return 0
 	}
-	return g.adj[a].weight(b)
+	return g.adj.Get(a).weight(b)
 }
 
 // HasEdge reports whether edge {a, b} currently has non-zero weight.
 func (g *Graph) HasEdge(a, b Vertex) bool {
-	l := g.adj[a]
-	if l == nil {
-		return false
-	}
-	_, ok := l.find(b)
+	_, ok := g.adj.Get(a).find(b)
 	return ok
 }
 
 // Degree returns the number of neighbours of u with non-zero edge weight.
 func (g *Graph) Degree(u Vertex) int {
-	if l := g.adj[u]; l != nil {
+	if l := g.adj.Get(u); l != nil {
 		return len(l.vs)
 	}
 	return 0
@@ -194,7 +195,7 @@ func (g *Graph) NumEdges() int { return g.edgeCount }
 // NumVertices returns the number of vertices that currently have at least one
 // incident edge. (The paper's vertex set is fixed; vertices with no incident
 // edges never participate in dense subgraphs, so tracking them is unnecessary.)
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return g.adj.Len() }
 
 // TotalWeight returns the sum of all edge weights (a diagnostic quantity used
 // by workload generators and tests).
@@ -203,18 +204,23 @@ func (g *Graph) TotalWeight() float64 { return g.totalWeight }
 // Apply applies the edge-weight update (a, b, δ) and returns the previous and
 // new weight of the edge. Edges whose weight becomes ≤ 0 are removed (weights
 // are association strengths, which are non-negative for all measures used in
-// the paper); the new weight reported is then 0.
+// the paper); the new weight reported is then 0. The edge is looked up once:
+// the position found in a's vector is where the new weight is written.
 func (g *Graph) Apply(u Update) (before, after float64) {
 	a, b := u.A, u.B
 	if a == b {
 		return 0, 0
 	}
-	before = g.adj[a].weight(b)
+	la := g.adj.Get(a)
+	i, ok := la.find(b)
+	if ok {
+		before = la.ws[i]
+	}
 	after = before + u.Delta
 	if after <= 0 {
 		after = 0
 	}
-	g.setWeight(a, b, after)
+	g.store(a, b, la, i, ok, after)
 	return before, after
 }
 
@@ -226,79 +232,71 @@ func (g *Graph) SetWeight(a, b Vertex, w float64) {
 	if w < 0 {
 		w = 0
 	}
-	g.setWeight(a, b, w)
+	la := g.adj.Get(a)
+	i, ok := la.find(b)
+	g.store(a, b, la, i, ok, w)
 }
 
-// setWeight is the one place an edge weight changes, and so the one place
-// the heavy-edge index is kept up, once a bounded scan has switched it on.
-func (g *Graph) setWeight(a, b Vertex, w float64) {
-	old := g.storeWeight(a, b, w)
+// store writes weight w (0 removes the edge) into both endpoints' vectors,
+// given a's vector la (nil if a has none) and the position i of b in it,
+// present or not, as find reports them. It is the one place an edge weight
+// changes, and so the one place the heavy-edge index is kept up, once a
+// bounded scan has switched it on.
+func (g *Graph) store(a, b Vertex, la *adjacency, i int, ok bool, w float64) {
+	var old float64
+	if ok {
+		old = la.ws[i]
+	} else if w == 0 {
+		return // the edge is absent already
+	}
+	lb := g.adj.Get(b)
+	switch {
+	case w == 0:
+		la.remove(i)
+		j, _ := lb.find(a)
+		lb.remove(j)
+		if len(la.vs) == 0 {
+			g.adj.Set(a, nil)
+		}
+		if len(lb.vs) == 0 {
+			g.adj.Set(b, nil)
+		}
+		g.edgeCount--
+		g.totalWeight -= old
+	case ok:
+		la.ws[i] = w
+		j, _ := lb.find(a)
+		lb.ws[j] = w
+		g.totalWeight += w - old
+	default:
+		// A vertex only ever (re)enters adj through vector creation, so
+		// marking it known here keeps the universe bookkeeping off the hot
+		// path.
+		if la == nil {
+			la = &adjacency{}
+			g.adj.Set(a, la)
+			g.known[a] = true
+		}
+		if lb == nil {
+			lb = &adjacency{}
+			g.adj.Set(b, lb)
+			g.known[b] = true
+		}
+		la.insert(i, b, w)
+		j, _ := lb.find(a)
+		lb.insert(j, a, w)
+		g.edgeCount++
+		g.totalWeight += w
+	}
 	if g.heavyFloor != heavyOff && old != w {
 		g.heavyUpdate(a, b, old, w)
 	}
 }
 
-// storeWeight writes weight w (0 removes the edge) into both endpoints'
-// vectors and returns the weight the edge had (0 if it was absent).
-func (g *Graph) storeWeight(a, b Vertex, w float64) (old float64) {
-	la := g.adj[a]
-	if w == 0 {
-		if la == nil {
-			return 0
-		}
-		i, ok := la.find(b)
-		if !ok {
-			return 0
-		}
-		old = la.ws[i]
-		la.remove(i)
-		lb := g.adj[b]
-		j, _ := lb.find(a)
-		lb.remove(j)
-		if len(la.vs) == 0 {
-			delete(g.adj, a)
-		}
-		if len(lb.vs) == 0 {
-			delete(g.adj, b)
-		}
-		g.edgeCount--
-		g.totalWeight -= old
-		return old
-	}
-	// A vertex only ever (re)enters adj through vector creation, so marking
-	// it known here keeps the universe bookkeeping off the hot path.
-	if la == nil {
-		la = &adjacency{}
-		g.adj[a] = la
-		g.known[a] = true
-	}
-	lb := g.adj[b]
-	if lb == nil {
-		lb = &adjacency{}
-		g.adj[b] = lb
-		g.known[b] = true
-	}
-	i, ok := la.find(b)
-	if ok {
-		old = la.ws[i]
-		la.ws[i] = w
-		j, _ := lb.find(a)
-		lb.ws[j] = w
-		g.totalWeight += w - old
-		return old
-	}
-	la.insert(i, b, w)
-	j, _ := lb.find(a)
-	lb.insert(j, a, w)
-	g.edgeCount++
-	g.totalWeight += w
-	return 0
-}
-
 // Neighbors calls fn for every neighbour of u with non-zero edge weight, in
 // increasing vertex order.
 func (g *Graph) Neighbors(u Vertex, fn func(v Vertex, w float64)) {
-	if l := g.adj[u]; l != nil {
+	if l := g.adj.Get(u); l != nil {
 		for i, v := range l.vs {
 			fn(v, l.ws[i])
 		}
@@ -311,7 +309,7 @@ func (g *Graph) Neighbors(u Vertex, fn func(v Vertex, w float64)) {
 // not hold them across mutations. This is the zero-copy accessor the paper's
 // Section 3.2.1 graph index exists to provide.
 func (g *Graph) Neighborhood(u Vertex) ([]Vertex, []float64) {
-	if l := g.adj[u]; l != nil {
+	if l := g.adj.Get(u); l != nil {
 		return l.vs, l.ws
 	}
 	return nil, nil
@@ -320,7 +318,7 @@ func (g *Graph) Neighborhood(u Vertex) ([]Vertex, []float64) {
 // NeighborsSorted returns a copy of the neighbourhood vector of u. Use
 // Neighborhood in hot paths to avoid the allocation.
 func (g *Graph) NeighborsSorted(u Vertex) ([]Vertex, []float64) {
-	l := g.adj[u]
+	l := g.adj.Get(u)
 	if l == nil {
 		return nil, nil
 	}
@@ -352,7 +350,7 @@ func (g *Graph) KnownVertices() []Vertex {
 func (g *Graph) Score(c vset.Set) float64 {
 	var s float64
 	for i := 0; i+1 < len(c); i++ {
-		s += g.adj[c[i]].sumOver(c[i+1:], c[i])
+		s += g.adj.Get(c[i]).sumOver(c[i+1:], c[i])
 	}
 	return s
 }
@@ -361,7 +359,7 @@ func (g *Graph) Score(c vset.Set) float64 {
 // edges between u and the vertices of C. If u ∈ C the result is the weight of
 // edges from u to the rest of C.
 func (g *Graph) ScoreWith(c vset.Set, u Vertex) float64 {
-	return g.adj[u].sumOver(c, u)
+	return g.adj.Get(u).sumOver(c, u)
 }
 
 // NeighborhoodBuf is the reusable scratch a NeighborhoodScores call works in
@@ -397,7 +395,7 @@ func (g *Graph) NeighborhoodScores(c vset.Set, need float64, buf *NeighborhoodBu
 	cand := buf.vs[:0]
 	light := 0.0
 	for _, v := range c {
-		if l := g.adj[v]; l != nil {
+		if l := g.adj.Get(v); l != nil {
 			for i, w := range l.ws {
 				if w >= heavy {
 					if !c.Contains(l.vs[i]) {
@@ -416,7 +414,7 @@ func (g *Graph) NeighborhoodScores(c vset.Set, need float64, buf *NeighborhoodBu
 		if i > 0 && y == cand[i-1] {
 			continue
 		}
-		if sum := g.adj[y].sumOver(c, y); sum >= need {
+		if sum := g.adj.Get(y).sumOver(c, y); sum >= need {
 			vs = append(vs, y) // in place: at most i entries precede cand[i]
 			ws = append(ws, sum)
 		} else if sum > reach {
@@ -462,10 +460,11 @@ func (g *Graph) EdgesNotIncident(c vset.Set, minW float64, fn func(u, v Vertex, 
 	}
 }
 
-// Edges calls fn for every edge {u, v} with u < v and non-zero weight.
+// Edges calls fn for every edge {u, v} with u < v and non-zero weight, in
+// ascending (u, v) order.
 func (g *Graph) Edges(fn func(u, v Vertex, w float64)) {
-	for u, l := range g.adj {
-		start, _ := l.find(u + 1)
+	for u, l := range g.adj.All() {
+		start, _ := l.find(u) // u is not its own neighbour: the first v > u
 		for i := start; i < len(l.vs); i++ {
 			fn(u, l.vs[i], l.ws[i])
 		}
@@ -475,11 +474,8 @@ func (g *Graph) Edges(fn func(u, v Vertex, w float64)) {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	out := New()
-	for u, l := range g.adj {
-		cp := &adjacency{vs: make([]Vertex, len(l.vs)), ws: make([]float64, len(l.ws))}
-		copy(cp.vs, l.vs)
-		copy(cp.ws, l.ws)
-		out.adj[u] = cp
+	for u, l := range g.adj.All() {
+		out.adj.Set(u, &adjacency{vs: slices.Clone(l.vs), ws: slices.Clone(l.ws)})
 	}
 	for v := range g.known {
 		out.known[v] = true
@@ -498,8 +494,8 @@ func (g *Graph) String() string {
 // least one incident edge (0 for the empty graph). The complexity analysis of
 // Section 4.2 is parameterised by this quantity.
 func (g *Graph) AverageDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.adj.Len() == 0 {
 		return 0
 	}
-	return 2 * float64(g.edgeCount) / float64(len(g.adj))
+	return 2 * float64(g.edgeCount) / float64(g.adj.Len())
 }

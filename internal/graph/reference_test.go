@@ -95,7 +95,7 @@ func refNeighborhoodScores(g *Graph, c vset.Set) (vs []Vertex, ws []float64) {
 	}
 	var cursors []cursor
 	for _, v := range c {
-		if l := g.adj[v]; l != nil {
+		if l := g.adj.Get(v); l != nil {
 			cursors = append(cursors, cursor{vs: l.vs, ws: l.ws})
 		}
 	}
@@ -144,7 +144,7 @@ func sortEdges(es []weightedEdge) {
 // {u, v}, u < v, with neither endpoint in c, sorted.
 func refEdgesNotIncident(g *Graph, c vset.Set) []weightedEdge {
 	var out []weightedEdge
-	for u, l := range g.adj {
+	for u, l := range g.adj.All() {
 		if c.Contains(u) {
 			continue
 		}
@@ -158,11 +158,11 @@ func refEdgesNotIncident(g *Graph, c vset.Set) []weightedEdge {
 	return out
 }
 
-// randomSet draws a subset of [0, universe) with each vertex included with
+// randomSet draws a subset of universe with each vertex included with
 // probability p.
-func randomSet(rng *rand.Rand, universe int, p float64) vset.Set {
+func randomSet(rng *rand.Rand, universe []Vertex, p float64) vset.Set {
 	var c vset.Set
-	for v := Vertex(0); v < Vertex(universe); v++ {
+	for _, v := range universe {
 		if rng.Float64() < p {
 			c = c.Add(v)
 		}
@@ -170,21 +170,38 @@ func randomSet(rng *rand.Rand, universe int, p float64) vset.Set {
 	return c
 }
 
+// denseIDs returns the vertices 0, …, n−1.
+func denseIDs(n int) []Vertex {
+	vs := make([]Vertex, n)
+	for i := range vs {
+		vs[i] = Vertex(i)
+	}
+	return vs
+}
+
+// extremeIDs is a 16-vertex universe spread over the whole int32 range:
+// negative IDs, 0, IDs that differ only in high bits, and the largest IDs,
+// where an ID plus one overflows.
+var extremeIDs = []Vertex{math.MinInt32, -1 << 30, -5, -1, 0, 1, 2, 1 << 16, 2 << 16, 1 << 30, 1<<30 + 1, 3 << 29, math.MaxInt32 - 2, math.MaxInt32 - 1, math.MaxInt32}
+
 func TestSortedVectorsMatchMapReference(t *testing.T) {
 	const (
-		trials   = 40
-		universe = 16
-		steps    = 300
+		trials = 40
+		steps  = 300
 	)
 	for trial := 0; trial < trials; trial++ {
+		universe := denseIDs(16)
+		if trial%2 == 1 {
+			universe = extremeIDs
+		}
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		g := New()
 		ref := newRefGraph()
 		var buf NeighborhoodBuf
 		for step := 0; step < steps; step++ {
 			u := Update{
-				A:     Vertex(rng.Intn(universe)),
-				B:     Vertex(rng.Intn(universe)),
+				A:     universe[rng.Intn(len(universe))],
+				B:     universe[rng.Intn(len(universe))],
 				Delta: rng.Float64()*2 - 0.6, // mixed growth and decay
 			}
 			g.Apply(u)
@@ -194,8 +211,8 @@ func TestSortedVectorsMatchMapReference(t *testing.T) {
 				continue
 			}
 			// Point queries across the whole universe.
-			for a := Vertex(0); a < Vertex(universe); a++ {
-				for b := a + 1; b < Vertex(universe); b++ {
+			for i, a := range universe {
+				for _, b := range universe[i+1:] {
 					if got, want := g.Weight(a, b), ref.adj[a][b]; math.Abs(got-want) > 1e-9 {
 						t.Fatalf("trial %d step %d: Weight(%d,%d) = %v, want %v", trial, step, a, b, got, want)
 					}
@@ -207,7 +224,7 @@ func TestSortedVectorsMatchMapReference(t *testing.T) {
 				if got, want := g.Score(c), ref.score(c); math.Abs(got-want) > 1e-9 {
 					t.Fatalf("trial %d step %d: Score(%v) = %v, want %v", trial, step, c, got, want)
 				}
-				for v := Vertex(0); v < Vertex(universe); v++ {
+				for _, v := range universe {
 					if got, want := g.ScoreWith(c, v), ref.scoreWith(c, v); math.Abs(got-want) > 1e-9 {
 						t.Fatalf("trial %d step %d: ScoreWith(%v,%d) = %v, want %v", trial, step, c, v, got, want)
 					}
@@ -227,9 +244,18 @@ func TestSortedVectorsMatchMapReference(t *testing.T) {
 					}
 				}
 			}
-			// Edge enumeration parity: count and total weight.
+			// Edge enumeration parity: count and total weight, and the
+			// enumeration order is ascending (u, v).
 			gotN, gotW := 0, 0.0
-			g.Edges(func(u, v Vertex, w float64) { gotN++; gotW += w })
+			var prev weightedEdge
+			g.Edges(func(u, v Vertex, w float64) {
+				if u >= v || (gotN > 0 && (u < prev.u || u == prev.u && v <= prev.v)) {
+					t.Fatalf("trial %d step %d: Edges yields %d-%d after %d-%d", trial, step, u, v, prev.u, prev.v)
+				}
+				prev = weightedEdge{u, v, w}
+				gotN++
+				gotW += w
+			})
 			wantN, wantW := 0, 0.0
 			for u, nbrs := range ref.adj {
 				for v, w := range nbrs {

@@ -11,20 +11,14 @@ type State struct {
 	EdgeW []float64
 }
 
-// ExportState captures the graph's full content. The adjacency maps are
-// iterated through the sorted known-vertex list rather than Edges, which
-// walks the map in hash order.
+// ExportState captures the graph's full content.
 func (g *Graph) ExportState() State {
 	st := State{Known: g.KnownVertices()}
-	for _, u := range st.Known {
-		g.Neighbors(u, func(v Vertex, w float64) {
-			if u < v {
-				st.EdgeU = append(st.EdgeU, u)
-				st.EdgeV = append(st.EdgeV, v)
-				st.EdgeW = append(st.EdgeW, w)
-			}
-		})
-	}
+	g.Edges(func(u, v Vertex, w float64) {
+		st.EdgeU = append(st.EdgeU, u)
+		st.EdgeV = append(st.EdgeV, v)
+		st.EdgeW = append(st.EdgeW, w)
+	})
 	return st
 }
 

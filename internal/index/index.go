@@ -14,14 +14,18 @@
 // (graph.adjacency): two parallel vectors, labels in strictly increasing
 // order and the child nodes beside them, searched with vset.Search and
 // edited in place (nodeVec). A leaf owns neither vector and only the root is
-// ever wide; the heads of the inverted lists are one more such vector. No
-// state of the index is a Go map, which gives three properties the engine
-// relies on: a step down the tree is a search of a few vertices; '*' — larger
-// than every real vertex — is by construction the LAST child, so the
-// ImplicitTooDense family of a node is read in O(1); and every traversal
-// visits children in label order, so AppendDense yields the indexed sets in
-// lexicographic order and every walk is a deterministic function of the
-// index's history (an inverted list is visited newest node first).
+// ever wide. Every real label has one slot in a vertex table (vset.Table),
+// the index's per-vertex directory: the head of the label's inverted list and
+// the root's child with that label. One probe thus starts every inverted-list
+// walk and every descent from the root, whose wide vector is kept only for
+// the walks that need its order; '*' keeps its list head apart. No state of
+// the index is a Go map, which gives three properties the engine relies on: a
+// step down the tree is a search of a few vertices; '*' — larger than every
+// real vertex — is by construction the LAST child, so the ImplicitTooDense
+// family of a node is read in O(1); and every traversal visits children in
+// label order, so AppendDense yields the indexed sets in lexicographic order
+// and every walk is a deterministic function of the index's history (an
+// inverted list is visited newest node first).
 //
 // The two iterations of Algorithm 1 are walks of that layout, and sorted paths
 // let them skip what the update cannot touch. A negative update of (a, b)
@@ -132,8 +136,7 @@ func (n *Node) DropReach() { n.reach = math.Inf(1) }
 
 // nodeVec is a set of nodes keyed by label, stored as two parallel vectors in
 // strictly increasing label order — the shape of graph.adjacency, searched
-// with the same vset.Search. A node's children are one; so are the heads of
-// the inverted lists.
+// with the same vset.Search. A node's children are one.
 type nodeVec struct {
 	labels []Vertex
 	nodes  []*Node
@@ -222,9 +225,10 @@ func (n *Node) SetInto(buf []vset.Vertex) vset.Set {
 // Index is the dense-subgraph index. The zero value is not usable; call New.
 // It is not safe for concurrent use.
 type Index struct {
-	root  *Node
-	inv   nodeVec // heads of the per-vertex inverted lists
-	epoch uint64
+	root   *Node
+	labels vset.Table[slot] // per real label: list head and root child
+	stars  *Node            // head of Star's inverted list: every '*' node
+	epoch  uint64
 
 	belowBuf []Vertex // DropParentReach's path scratch
 
@@ -239,6 +243,13 @@ type Index struct {
 	// least one ImplicitTooDense family". Sharded deployments use this to
 	// maintain per-worker interest maps incrementally (scoped delivery).
 	membership func(v Vertex, present bool)
+}
+
+// slot is the index's entry for one real label: the head of the label's
+// inverted list and the root's child with that label, nil while no indexed
+// set starts with it. A label has a slot exactly while a node carries it.
+type slot struct {
+	head, root *Node
 }
 
 // New returns an empty index.
@@ -261,15 +272,25 @@ func (ix *Index) SetMembershipListener(fn func(v Vertex, present bool)) {
 // behind scoped delivery: an update endpoint absent from the index (and from
 // every star family) provably cannot affect any indexed subgraph.
 func (ix *Index) HasVertex(v Vertex) bool {
-	_, ok := ix.inv.find(v)
-	return ok
+	if v == Star {
+		return ix.stars != nil
+	}
+	return ix.labels.Get(v).head != nil
 }
 
 // Vertices returns the sorted labels that currently have at least one
-// prefix-tree node (including Star when any ImplicitTooDense family exists).
-// It is intended for interest-map seeding and invariant checks, not hot paths.
+// prefix-tree node (including Star, last, when any ImplicitTooDense family
+// exists). It is intended for interest-map seeding and invariant checks, not
+// hot paths.
 func (ix *Index) Vertices() []Vertex {
-	return slices.Clone(ix.inv.labels)
+	var vs []Vertex
+	for v := range ix.labels.All() {
+		vs = append(vs, v)
+	}
+	if ix.stars != nil {
+		vs = append(vs, Star)
+	}
+	return vs
 }
 
 // Len returns the number of explicitly indexed dense subgraphs.
@@ -304,17 +325,26 @@ func (ix *Index) Annotation(n *Node) (int, bool) {
 // Lookup returns the node representing c, or nil if no such node exists
 // (dense or not).
 func (ix *Index) Lookup(c vset.Set) *Node {
-	cur := ix.root
-	for _, v := range c {
-		cur = cur.kids.get(v)
+	if len(c) == 0 {
+		return nil
+	}
+	cur := ix.labels.Get(c[0]).root
+	for _, v := range c[1:] {
 		if cur == nil {
 			return nil
 		}
-	}
-	if cur == ix.root {
-		return nil
+		cur = cur.kids.get(v)
 	}
 	return cur
+}
+
+// child returns p's child labelled v, or nil. The root's is read from v's
+// slot rather than searched for in the root's wide vector.
+func (ix *Index) child(p *Node, v Vertex) *Node {
+	if p == ix.root {
+		return ix.labels.Get(v).root
+	}
+	return p.kids.get(v)
 }
 
 // LookupDense returns the node for c if c is explicitly indexed as dense.
@@ -333,7 +363,7 @@ func (ix *Index) HasDense(c vset.Set) bool { return ix.LookupDense(c) != nil }
 func (ix *Index) ensure(c vset.Set) *Node {
 	cur := ix.root
 	for _, v := range c {
-		next := cur.kids.get(v)
+		next := ix.child(cur, v)
 		if next == nil {
 			next = ix.newChild(cur, v)
 		}
@@ -348,34 +378,53 @@ func (ix *Index) newChild(parent *Node, label Vertex) *Node {
 	parent.kids.insert(i, label, n)
 	ix.nodeCount++
 	// Link at the head of label's inverted list.
-	if j, ok := ix.inv.find(label); ok {
-		head := ix.inv.nodes[j]
-		n.invNext, head.invPrev = head, n
-		ix.inv.nodes[j] = n
+	var head *Node
+	if label == Star {
+		head, ix.stars = ix.stars, n
 	} else {
-		ix.inv.insert(j, label, n)
-		if ix.membership != nil {
-			ix.membership(label, true)
+		s := ix.labels.Get(label)
+		head, s.head = s.head, n
+		if parent == ix.root {
+			s.root = n
 		}
+		ix.labels.Set(label, s)
+	}
+	if head != nil {
+		n.invNext, head.invPrev = head, n
+	} else if ix.membership != nil {
+		ix.membership(label, true)
 	}
 	return n
 }
 
+// unlink takes n, still attached to its parent, out of its inverted list and,
+// for a root child, out of its label's slot.
 func (ix *Index) unlink(n *Node) {
 	if n.invPrev != nil {
 		n.invPrev.invNext = n.invNext
-	} else if j, ok := ix.inv.find(n.label); ok && ix.inv.nodes[j] == n {
-		if n.invNext == nil {
-			ix.inv.remove(j)
-			if ix.membership != nil {
-				ix.membership(n.label, false)
-			}
-		} else {
-			ix.inv.nodes[j] = n.invNext
-		}
 	}
 	if n.invNext != nil {
 		n.invNext.invPrev = n.invPrev
+	}
+	if n.invPrev == nil || n.parent == ix.root {
+		var head *Node
+		if n.label == Star {
+			ix.stars = n.invNext
+			head = ix.stars
+		} else {
+			s := ix.labels.Get(n.label)
+			if s.head == n {
+				s.head = n.invNext
+			}
+			if s.root == n {
+				s.root = nil
+			}
+			ix.labels.Set(n.label, s) // the zero slot, once no node is left, deletes it
+			head = s.head
+		}
+		if head == nil && ix.membership != nil {
+			ix.membership(n.label, false)
+		}
 	}
 	n.invPrev, n.invNext = nil, nil
 }
@@ -432,7 +481,7 @@ func (ix *Index) DropParentReach(n *Node) {
 	for cur := n; cur.parent != nil; cur = cur.parent {
 		p := cur.parent
 		for i := len(below) - 1; i >= 0 && p != nil; i-- {
-			p = p.kids.get(below[i])
+			p = ix.child(p, below[i])
 		}
 		if p != nil {
 			p.reach = math.Inf(1)
@@ -541,7 +590,7 @@ func appendIfDense(dst []*Node, n *Node) []*Node {
 // list is visited newest node first and each subtree lexicographically, so
 // the order is a function of the index's history alone.
 func (ix *Index) AppendDenseContaining(dst []*Node, u Vertex) []*Node {
-	for head := ix.inv.get(u); head != nil; head = head.invNext {
+	for head := ix.labels.Get(u).head; head != nil; head = head.invNext {
 		if !head.star {
 			dst = appendDenseSubtree(appendIfDense(dst, head), head)
 		}
@@ -555,7 +604,7 @@ func (ix *Index) AppendDenseContaining(dst []*Node, u Vertex) []*Node {
 // b, in the same order, without visiting the rest (see the package comment).
 // This is the iteration Algorithm 1 performs for a negative edge-weight update.
 func (ix *Index) AppendDenseContainingBoth(dst []*Node, a, b Vertex) []*Node {
-	for head := ix.inv.get(a); head != nil; head = head.invNext {
+	for head := ix.labels.Get(a).head; head != nil; head = head.invNext {
 		if b > a {
 			dst = appendDenseThrough(dst, head, b)
 		} else if pathHolds(head, b) {
@@ -601,8 +650,9 @@ func pathHolds(n *Node, v Vertex) bool {
 // updates, making the snapshot allocation-free in steady state.
 func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ []*Node, split int) {
 	w := pairWalk{nodes: nodes, partners: partners, lo: min(a, b), hi: max(a, b)}
-	w.rootLo = ix.root.kids.get(w.lo)
-	for head := ix.inv.get(w.hi); head != nil; head = head.invNext {
+	lo := ix.labels.Get(w.lo)
+	w.rootLo = lo.root
+	for head := ix.labels.Get(w.hi).head; head != nil; head = head.invNext {
 		if pathHolds(head, w.lo) {
 			// Every set at and below head holds both endpoints: its own partner.
 			w.nodes = appendDenseSubtree(appendIfDense(w.nodes, head), head)
@@ -612,7 +662,7 @@ func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ [
 		}
 	}
 	split = len(w.nodes)
-	for head := ix.inv.get(w.lo); head != nil; head = head.invNext {
+	for head := lo.head; head != nil; head = head.invNext {
 		w.below(head)
 	}
 	return w.nodes, w.partners, split
@@ -622,13 +672,13 @@ func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ [
 type pairWalk struct {
 	nodes, partners []*Node
 	lo, hi          Vertex
-	rootLo          *Node // the root's child labelled lo: the one search of the wide root
+	rootLo          *Node // the root's child labelled lo, from lo's slot
 }
 
 // withLo returns the node of n's set extended by lo, or nil, for an n whose
 // path holds hi and not lo: up to the ancestor where the labels drop below lo,
 // a step to lo, and the labels passed again — each a search among a few
-// siblings, not a descent from the wide root.
+// siblings, not a search of the wide root.
 func (w *pairWalk) withLo(n *Node) *Node {
 	p := n.parent
 	switch {
@@ -699,10 +749,8 @@ func (w *pairWalk) below(n *Node) {
 // AppendStarNodes appends a snapshot of all ImplicitTooDense star nodes to
 // dst and returns the extended slice.
 func (ix *Index) AppendStarNodes(dst []*Node) []*Node {
-	for head := ix.inv.star(); head != nil; head = head.invNext {
-		if head.star {
-			dst = append(dst, head)
-		}
+	for n := ix.stars; n != nil; n = n.invNext {
+		dst = append(dst, n)
 	}
 	return dst
 }
@@ -761,23 +809,43 @@ func (ix *Index) Validate() string {
 	if nodes != ix.nodeCount {
 		return "node count mismatch"
 	}
-	// Inverted lists must contain exactly the nodes with each label.
-	if msg := ix.inv.validate(); msg != "" {
-		return "inverted list heads: " + msg
-	}
+	// Inverted lists must contain exactly the nodes with each label, and a
+	// label's slot must hold its list's head and the root's child with it.
 	listed := 0
-	for _, head := range ix.inv.nodes {
+	list := func(head *Node, label Vertex) string {
+		if head == nil {
+			return "slot without a node for label " + vset.New(label).String()
+		}
 		if head.invPrev != nil {
 			return "inverted list head has a predecessor"
 		}
 		for n := head; n != nil; n = n.invNext {
 			listed++
-			if n.label != head.label {
+			if n.label != label {
 				return "inverted list label mismatch"
 			}
 			if n.invNext != nil && n.invNext.invPrev != n {
 				return "inverted list back-pointer mismatch"
 			}
+		}
+		return ""
+	}
+	for v, s := range ix.labels.All() {
+		if msg := list(s.head, v); msg != "" {
+			return msg
+		}
+		if s.root != ix.root.kids.get(v) {
+			return "slot's root child disagrees with the root's children for label " + vset.New(v).String()
+		}
+	}
+	if ix.stars != nil {
+		if msg := list(ix.stars, Star); msg != "" {
+			return msg
+		}
+	}
+	for _, kid := range ix.root.kids.nodes {
+		if ix.labels.Get(kid.label).root != kid {
+			return "root child without its slot: " + kid.Set().String()
 		}
 	}
 	if listed != nodes {

@@ -285,6 +285,87 @@ func TestWideRootInsertAndPrune(t *testing.T) {
 	}
 }
 
+// Labels anywhere in the int32 range below Star live in the vertex table;
+// Vertices lists them ascending with Star last, and every descent finds its
+// root child through them.
+func TestVerticesAscendingStarLast(t *testing.T) {
+	ids := []Vertex{math.MinInt32, -1 << 30, -5, 0, 7, 1 << 30, math.MaxInt32 - 1}
+	ix := New()
+	var sets []vset.Set
+	for i := range ids {
+		for _, j := range []int{(i + 1) % len(ids), (i + 3) % len(ids)} {
+			c := vset.New(ids[i], ids[j])
+			sets = append(sets, c)
+			if node := ix.InsertDense(c, 1); i%2 == 0 {
+				ix.InsertStar(node)
+			}
+		}
+	}
+	want := append(slices.Clone(ids), Star)
+	if got := ix.Vertices(); !slices.Equal(got, want) {
+		t.Fatalf("Vertices = %v, want %v", got, want)
+	}
+	for _, v := range want {
+		if !ix.HasVertex(v) {
+			t.Fatalf("HasVertex(%d) = false", v)
+		}
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	for _, c := range sets {
+		ix.EvictDense(ix.LookupDense(c))
+		if msg := ix.Validate(); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	if got := ix.Vertices(); len(got) != 0 || ix.HasVertex(Star) || ix.HasVertex(0) {
+		t.Fatalf("empty index has labels %v", got)
+	}
+}
+
+// Validate checks every label's slot against the tree: a head with a
+// predecessor, a root child that is not the root's child vector's, and a slot
+// for a label no node carries are each reported.
+func TestValidateChecksSlots(t *testing.T) {
+	build := func() *Index {
+		ix := New()
+		ix.InsertDense(vset.New(1, 3), 1)
+		ix.InsertDense(vset.New(3, 5), 1)
+		ix.InsertStar(ix.InsertDense(vset.New(1, 3, 5), 1))
+		if msg := ix.Validate(); msg != "" {
+			t.Fatal(msg)
+		}
+		return ix
+	}
+	for name, corrupt := range map[string]func(ix *Index){
+		"head with a predecessor": func(ix *Index) {
+			s := ix.labels.Get(3)
+			s.head = s.head.invNext
+			ix.labels.Set(3, s)
+		},
+		"root child dropped": func(ix *Index) {
+			s := ix.labels.Get(1)
+			s.root = nil
+			ix.labels.Set(1, s)
+		},
+		"root child that is not the root's": func(ix *Index) {
+			s := ix.labels.Get(5)
+			s.root = s.head
+			ix.labels.Set(5, s)
+		},
+		"slot without a node": func(ix *Index) {
+			ix.labels.Set(7, slot{root: ix.Lookup(vset.New(1))})
+		},
+	} {
+		ix := build()
+		corrupt(ix)
+		if msg := ix.Validate(); msg == "" {
+			t.Errorf("%s: Validate found nothing", name)
+		}
+	}
+}
+
 // lexLess orders vertex sets the way the prefix tree spells them.
 func lexLess(a, b vset.Set) bool { return slices.Compare(a, b) < 0 }
 

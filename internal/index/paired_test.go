@@ -26,7 +26,7 @@ func refDenseContainingEither(ix *Index, a, b Vertex) []*Node {
 		return dst
 	}
 	under := func(dst []*Node, u, cut Vertex) []*Node {
-		for head := ix.inv.get(u); head != nil; head = head.invNext {
+		for head := ix.labels.Get(u).head; head != nil; head = head.invNext {
 			if head.dense {
 				dst = append(dst, head)
 			}
