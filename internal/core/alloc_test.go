@@ -162,23 +162,11 @@ func TestProcessBatchSteadyStateZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "batch", cycle)
 }
 
-// thresholdTableAllocs is what moving the threshold costs by itself: the new
-// schedule density.Thresholds.WithThreshold builds (the struct and the one
-// table its five bound vectors share).
-func thresholdTableAllocs(eng *core.Engine) float64 {
-	th := eng.Thresholds()
-	return testing.AllocsPerRun(50, func() {
-		if _, err := th.WithThreshold(th.T * 1.5); err != nil {
-			panic(err)
-		}
-	})
-}
-
 // TestThresholdTickSteadyStateZeroAlloc pins the decay epoch of a quiet
 // stream: a rising-threshold tick over a few hundred indexed subgraphs, none
 // of which crosses a bound, classifies every node from its cardinality and
-// score and allocates nothing beyond the new schedule — no index snapshot,
-// no vertex set per node.
+// score and allocates nothing — the new schedule is rescaled into the
+// engine's spare one, and there is no index snapshot or vertex set per node.
 func TestThresholdTickSteadyStateZeroAlloc(t *testing.T) {
 	eng, _ := steadyStateEngine(t)
 	if eng.DenseCount() < 200 {
@@ -191,16 +179,61 @@ func TestThresholdTickSteadyStateZeroAlloc(t *testing.T) {
 	}
 	tick()
 	before := eng.Stats()
-	want := thresholdTableAllocs(eng)
-	if got := testing.AllocsPerRun(50, tick); got != want {
-		t.Errorf("quiet threshold tick performed %v allocs/run, want the schedule's %v", got, want)
-	}
+	assertZeroAllocs(t, "quiet threshold tick", tick)
 	after := eng.Stats()
 	if after.ThresholdTicks == before.ThresholdTicks || eng.Config().T <= benchConfig().T {
 		t.Fatal("the ticks did not move the threshold")
 	}
 	if after.Evictions != before.Evictions || after.Events != before.Events || after.IndexedStars != before.IndexedStars {
 		t.Fatalf("the ticks were not quiet: %+v → %+v", before, after)
+	}
+}
+
+// TestBackgroundChurnSteadyStateZeroAlloc pins the fading stream's churn: a
+// planted group stays indexed while a batch of documents brings background
+// entities in — light pairs between them and into the group — and the next
+// epoch's tick retires every one of those pairs, so the entities leave the
+// graph, and moves the threshold. Once the first cycle has stocked the
+// graph's vector pool and the spare schedule, a cycle allocates nothing:
+// entities come back in recycled vectors, the schedule is rescaled in place,
+// and the retirements repair only the subgraphs holding both endpoints.
+func TestBackgroundChurnSteadyStateZeroAlloc(t *testing.T) {
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+	eng.SetSink(&core.CountingSink{})
+	group := []core.Vertex{0, 1, 2, 3, 4}
+	for i, a := range group {
+		for _, b := range group[i+1:] {
+			eng.Process(core.Update{A: a, B: b, Delta: 31.0 / 8})
+		}
+	}
+	var born, retired []core.Update
+	for x := core.Vertex(100); x < 112; x++ { // sixteenths cancel exactly
+		born = append(born, core.Update{A: x, B: x + 1, Delta: 1.0 / 16}, core.Update{A: x, B: group[x%5], Delta: 1.0 / 16})
+	}
+	for _, u := range born {
+		retired = append(retired, core.Update{A: u.B, B: u.A, Delta: -u.Delta})
+	}
+	if len(retired) > eng.DenseCount() {
+		t.Fatalf("fixture: %d retirements against %d indexed subgraphs take the whole-index walk", len(retired), eng.DenseCount())
+	}
+	scale := 1.0
+	cycle := func() {
+		eng.ProcessBatch(born)
+		scale *= 1 - 1e-12
+		eng.ProcessThresholdBatch(scale, retired)
+	}
+	cycle()
+	before := eng.Stats()
+	assertZeroAllocs(t, "background churn", cycle)
+	after := eng.Stats()
+	if after.ThresholdTicks == before.ThresholdTicks || after.NegativeUpdates == before.NegativeUpdates {
+		t.Fatal("the cycles retired nothing")
+	}
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		t.Fatalf("the cycles were not steady: %+v → %+v", before, after)
+	}
+	if n := eng.Graph().NumVertices(); n != len(group) {
+		t.Fatalf("%d vertices in the graph after the retirements, want the group's %d", n, len(group))
 	}
 }
 

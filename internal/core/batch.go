@@ -206,21 +206,37 @@ func (e *Engine) batchDeltaOf(c vset.Set) float64 {
 // what keeps the per-batch event stream free of became/ceased flapping and
 // the sharded merger's per-unit kinds consistent across workers.
 func (e *Engine) batchRepair() {
-	// Snapshot the affected dense nodes: a narrow batch (one document's
-	// pairs) walks the inverted lists of its few dirty vertices — the same
-	// lists sequential processing walks — while a broad one (an epoch decay
-	// burst touches nearly every tracked pair) amortises better as one
-	// whole-tree walk. The inverted-list route visits a node once per dirty
-	// vertex it contains, so those snapshots are deduplicated through the
+	// Snapshot the affected dense nodes. A subgraph's score changes only if
+	// it holds both endpoints of a changed pair, and its certificate breaks
+	// only if it holds an endpoint of a raised one, so:
+	//   - a batch whose pairs all fell (every threshold unit: retirements, and
+	//     a renormalisation's uniform rescale) walks, per pair, the subgraphs
+	//     holding both endpoints — Algorithm 1's negative walk — unless it
+	//     has more pairs than the index has dense subgraphs (a
+	//     renormalisation), where one whole-tree walk costs less;
+	//   - a narrow batch with a raised pair (one document's pairs) walks the
+	//     inverted lists of its few dirty vertices, the lists sequential
+	//     processing walks;
+	//   - a broad one walks the whole tree.
+	// The per-pair and per-vertex routes reach a node once per pair or dirty
+	// vertex it holds, so those snapshots are deduplicated through the
 	// index's per-update annotation epoch (nothing else reads annotations on
-	// pre-existing nodes during a batch).
-	narrow := len(e.batchDirty) <= 8
+	// pre-existing nodes during a batch). Nodes are repaired independently of
+	// one another, so the route changes nothing but the cost.
 	e.affectedBuf = e.affectedBuf[:0]
-	if narrow {
+	dedup := true
+	switch {
+	case len(e.batchRaised) == 0 && len(e.batchNet) <= e.ix.Len() && !e.wholeIndexRepair:
+		for _, p := range e.batchNet {
+			a, b := unpackPair(p.key)
+			e.affectedBuf = e.ix.AppendDenseContainingBoth(e.affectedBuf, a, b)
+		}
+	case len(e.batchRaised) > 0 && len(e.batchDirty) <= 8:
 		for _, v := range e.batchDirty {
 			e.affectedBuf = e.ix.AppendDenseContaining(e.affectedBuf, v)
 		}
-	} else {
+	default:
+		dedup = false
 		e.affectedBuf = e.ix.AppendDense(e.affectedBuf)
 	}
 	setBuf := e.getSetBuf()
@@ -228,7 +244,7 @@ func (e *Engine) batchRepair() {
 		if !node.Dense() {
 			continue // evicted via an earlier node's pruning cascade
 		}
-		if narrow {
+		if dedup {
 			if _, seen := e.ix.Annotation(node); seen {
 				continue // already repaired via another dirty vertex's list
 			}

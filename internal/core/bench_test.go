@@ -16,6 +16,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyndens/internal/core"
@@ -332,6 +333,83 @@ func BenchmarkThresholdTick(b *testing.B) {
 		scale *= step
 		eng.ProcessThresholdBatch(scale, retired[k:k+retire])
 		k += retire
+	}
+}
+
+// BenchmarkThresholdTickRetire measures the epoch of a fading stream whose
+// background churns: an index of 1 040 subgraphs — every subset of forty
+// planted five-vertex groups at 1.3·T — over a ring of 1 000 light resident
+// vertices. Each op is four documents that bring four transient entities in,
+// each with a light pair into the ring and one into a group, and the next
+// epoch's tick that moves the threshold a hair and retires those eight
+// pairs, so the entities leave the graph again. No subgraph crosses a bound;
+// the tick's cost is the threshold walk and the repair of the subgraphs that
+// hold both endpoints of a retired pair.
+func BenchmarkThresholdTickRetire(b *testing.B) {
+	const (
+		T         = 3.0
+		groups    = 40
+		groupSize = 5
+		residents = 1000
+		entities  = 4
+	)
+	member := func(g, i int) core.Vertex { return core.Vertex(residents + g*groupSize + i) }
+	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng.SetSink(&core.CountingSink{})
+	var setup []core.Update // weights in eighths and sixteenths cancel exactly
+	for v := 0; v < residents; v++ {
+		setup = append(setup, core.Update{A: core.Vertex(v), B: core.Vertex((v + 1) % residents), Delta: 1.0 / 16})
+	}
+	for g := 0; g < groups; g++ {
+		for i := 0; i < groupSize; i++ {
+			for j := i + 1; j < groupSize; j++ {
+				setup = append(setup, core.Update{A: member(g, i), B: member(g, j), Delta: 31.0 / 8})
+			}
+		}
+	}
+	eng.ProcessBatch(setup)
+	if want := groups * 26; eng.DenseCount() != want {
+		b.Fatalf("fixture: %d dense subgraphs, want the groups' %d subsets", eng.DenseCount(), want)
+	}
+	// Op n brings in entities from a rotating range of 64 IDs.
+	born := make([][]core.Update, 16)
+	retired := make([][]core.Update, len(born))
+	for k := range born {
+		for e := 0; e < entities; e++ {
+			x := core.Vertex(100000 + k*entities + e)
+			n := k*entities + e
+			born[k] = append(born[k],
+				core.Update{A: x, B: core.Vertex(n * 13 % residents), Delta: 1.0 / 16},
+				core.Update{A: x, B: member(n%groups, n%groupSize), Delta: 1.0 / 16})
+		}
+		for _, u := range born[k] {
+			retired[k] = append(retired[k], core.Update{A: u.A, B: u.B, Delta: -u.Delta})
+		}
+	}
+	scale := 1.0
+	op := func(n int) {
+		for doc := range slices.Chunk(born[n%len(born)], 2) { // one document per entity
+			eng.ProcessBatch(doc)
+		}
+		scale *= 1 - 1e-9
+		eng.ProcessThresholdBatch(scale, retired[n%len(born)])
+	}
+	for n := 0; n < len(born); n++ {
+		op(n)
+	}
+	before := eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op(n)
+	}
+	b.StopTimer()
+	after := eng.Stats()
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		b.Fatalf("the ops are not steady: %+v → %+v", before, after)
+	}
+	if eng.Graph().NumVertices() != residents+groups*groupSize {
+		b.Fatalf("%d vertices in the graph; the entities did not leave", eng.Graph().NumVertices())
 	}
 }
 

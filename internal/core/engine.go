@@ -175,8 +175,11 @@ func (s *Stats) Add(o Stats) {
 type Engine struct {
 	cfg Config
 	th  *density.Thresholds
-	g   *graph.Graph
-	ix  *index.Index
+	// spareTh is the schedule a threshold move computes the new one into
+	// (density.Thresholds.Rescale); the move then swaps it with th.
+	spareTh *density.Thresholds
+	g       *graph.Graph
+	ix      *index.Index
 
 	// Rescaled-decay state (see thresholdbatch.go). The engine's graph,
 	// index, and threshold schedule may run in normalized weight units w' =
@@ -216,15 +219,18 @@ type Engine struct {
 	maxExploreKnown          bool
 	maxExploreA, maxExploreB int
 
-	// Reusable buffers. Steady-state Process performs no graph/neighbourhood
-	// allocations: index snapshots land in affectedBuf/partnerBuf/starBuf, sets
-	// are reconstructed and extended in buffers drawn from the setFree list,
-	// and neighbourhood scans run in NeighborhoodBufs from nbufFree. The
-	// free lists (rather than single buffers) exist because exploration is
-	// recursive: each explore frame pops its own buffers and pushes them back
-	// when done, so a parent's scan results and candidate set survive the
-	// admissions it recurses into. Depth is bounded by Nmax, so each list
-	// settles at a handful of entries.
+	// Reusable buffers. A steady-state unit — one that admits nothing and
+	// whose vertices come back at no higher degree than they left with —
+	// allocates nothing: the graph recycles the neighbourhood vectors of the
+	// vertices that come and go (graph's vector pool), a threshold move
+	// rescales the spare schedule in place, index snapshots land in
+	// affectedBuf/partnerBuf/starBuf, sets are reconstructed and extended in
+	// buffers drawn from the setFree list, and neighbourhood scans run in
+	// NeighborhoodBufs from nbufFree. The free lists (rather than single
+	// buffers) exist because exploration is recursive: each explore frame
+	// pops its own buffers and pushes them back when done, so a parent's scan
+	// results and candidate set survive the admissions it recurses into.
+	// Depth is bounded by Nmax, so each list settles at a handful of entries.
 	affectedBuf []*index.Node
 	partnerBuf  []*index.Node // positive pass: the partners of affectedBuf (index.AppendDensePaired)
 	starBuf     []*index.Node
@@ -246,6 +252,11 @@ type Engine struct {
 	dirtyInC    []Vertex               // batchDeltaOf's dirty∩C scratch
 	batchSeed   func(a, b Vertex) bool // nil = seed every pair
 	staged      []stagedEvent          // output-dense transitions of the batch, in discovery order
+	// wholeIndexRepair makes batchRepair walk the whole index for a batch
+	// whose pairs all fell, where it would walk the subgraphs holding both
+	// endpoints of each pair. Only tests set it, to hold the two routes to
+	// the same result.
+	wholeIndexRepair bool
 }
 
 // getSetBuf pops a vertex-set scratch buffer off the free list.
@@ -286,6 +297,7 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:       cfg,
 		th:        th,
+		spareTh:   new(density.Thresholds),
 		g:         graph.New(),
 		ix:        index.New(),
 		emitScale: 1,
@@ -310,7 +322,11 @@ func MustNew(cfg Config) *Engine {
 // Config returns the effective configuration (with defaults applied).
 func (e *Engine) Config() Config { return e.cfg }
 
-// Thresholds exposes the active threshold schedule.
+// Thresholds exposes the active threshold schedule. The engine keeps two
+// schedules and rewrites the inactive one in place on every threshold move
+// (SetThreshold, or a threshold tick that changes T), so the returned one is
+// the active schedule until the next move and is overwritten by the move
+// after that: read it between units, not across them.
 func (e *Engine) Thresholds() *density.Thresholds { return e.th }
 
 // DecayScale returns the cumulative decay scale λ the engine currently runs

@@ -82,13 +82,11 @@ func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 		// index walk: the restored index already reflects the normalized
 		// threshold baseT/λ.
 		newT := e.baseT / st.Scale
-		newTh, err := e.th.WithThreshold(newT)
-		if err != nil {
+		if err := e.th.Rescale(e.th, newT); err != nil {
 			return fmt.Errorf("core: restored scale %v yields invalid threshold %v: %w", st.Scale, newT, err)
 		}
-		e.th = newTh
 		e.cfg.T = newT
-		e.cfg.DeltaIt = newTh.DeltaIt
+		e.cfg.DeltaIt = e.th.DeltaIt
 	}
 	e.emitScale = st.Scale
 	for _, de := range st.Dense {

@@ -27,23 +27,15 @@ var ErrSameThreshold = errors.New("core: new threshold equals the current thresh
 // Like Process, SetThreshold pushes the changes to the installed sink (and
 // returns a nil slice) when one is present.
 func (e *Engine) SetThreshold(newT float64) ([]Event, error) {
-	oldTh := e.th
-	if newT == oldTh.T {
+	if newT == e.th.T {
 		return nil, ErrSameThreshold
 	}
-	newTh, err := oldTh.WithThreshold(newT)
-	if err != nil {
+	if err := e.th.Rescale(e.spareTh, newT); err != nil {
 		return nil, err
 	}
 	e.beginEmit()
 	e.ix.BeginUpdate()
-	if newT > oldTh.T {
-		e.increaseThreshold(newTh)
-	} else {
-		e.decreaseThreshold(newTh)
-	}
-	e.cfg.T = newT
-	e.cfg.DeltaIt = newTh.DeltaIt
+	e.switchThreshold()
 	// newT is in the engine's internal (normalized) units; keep the real-unit
 	// base threshold consistent so rescaled-decay ticks keep honouring the
 	// caller's choice (baseT/emitScale must always equal the normalized T).
@@ -52,6 +44,21 @@ func (e *Engine) SetThreshold(newT float64) ([]Event, error) {
 		e.stats.MaxIndexNodes = n
 	}
 	return e.finishEmit(), nil
+}
+
+// switchThreshold moves the engine onto the schedule Rescale left in spareTh,
+// repairing the index as Algorithm 3 does for a move in that direction. The
+// schedule it leaves becomes the spare, which the next move rewrites: the
+// engine keeps two schedules, and a threshold move allocates no third.
+func (e *Engine) switchThreshold() {
+	oldTh, newTh := e.th, e.spareTh
+	if newTh.T > oldTh.T {
+		e.increaseThreshold(newTh)
+	} else {
+		e.decreaseThreshold(newTh)
+	}
+	e.spareTh = oldTh
+	e.cfg.T, e.cfg.DeltaIt = newTh.T, newTh.DeltaIt
 }
 
 // increaseThreshold implements Algorithm 3, lines 2–4. Every indexed node is

@@ -19,9 +19,9 @@ import "fmt"
 // The engine's graph, index, and threshold schedule all run in normalized
 // units; emitScale = λ converts scores and densities back to real
 // (paper-semantics) units at every emission and query point, so sinks and
-// trackers downstream observe exactly what the exact-decay path would have
-// produced (modulo float rounding — pinned by the exact-vs-rescale
-// conformance suite).
+// trackers downstream observe exactly what a per-pair decay sweep would have
+// produced (modulo float rounding — pinned against the paper-literal sweep of
+// internal/baseline/fade by internal/stream's decay conformance tests).
 
 // ProcessThresholdBatch absorbs one decay epoch of a rescaled-decay stream:
 // it applies the (possibly empty) retirement cancellations in updates as a
@@ -75,22 +75,14 @@ func (e *Engine) ProcessThresholdBatchRouted(scale float64, updates []Update, se
 	if hasDeltas {
 		e.batchRepair()
 	}
-	newT := e.baseT / scale
-	if newT != e.th.T {
-		newTh, err := e.th.WithThreshold(newT)
-		if err != nil {
+	if newT := e.baseT / scale; newT != e.th.T {
+		if err := e.th.Rescale(e.spareTh, newT); err != nil {
 			// Unreachable for the scales a rescaled aggregator produces
 			// (λ ∈ [1e-150, 1] keeps newT finite and positive); a panic here
 			// means the caller handed us garbage, not a recoverable stream.
 			panic(fmt.Sprintf("core: threshold batch scale %v yields invalid threshold %v: %v", scale, newT, err))
 		}
-		if newT > e.th.T {
-			e.increaseThreshold(newTh)
-		} else {
-			e.decreaseThreshold(newTh)
-		}
-		e.cfg.T = newT
-		e.cfg.DeltaIt = newTh.DeltaIt
+		e.switchThreshold()
 	}
 	if hasDeltas {
 		e.batchDiscover()

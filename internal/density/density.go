@@ -137,6 +137,8 @@ type Thresholds struct {
 	// n. denseFloor[n] and outputFloor[n] are the bounds the predicates
 	// actually compare against: minScore[n] and S(n)·T lowered by the
 	// comparison tolerance, computed once instead of on every classification.
+	// The five share tab, which Rescale rewrites in place.
+	tab         []float64
 	tn          []float64
 	sn          []float64
 	minScore    []float64
@@ -165,28 +167,81 @@ func NewThresholds(m Measure, t float64, nmax int, deltaIt float64) (*Thresholds
 	if nmax < 2 {
 		return nil, ErrBadNmax
 	}
-	if !(t > 0) || math.IsInf(t, 1) {
-		return nil, ErrBadThreshold
+	if err := checkThreshold(t); err != nil {
+		return nil, err
 	}
 	if err := ValidateMeasure(m, nmax); err != nil {
 		return nil, err
 	}
-	if !(deltaIt > 0 && deltaIt < MaxDeltaIt(m, t, nmax)) {
-		return nil, fmt.Errorf("%w: δ_it=%v, valid range (0, %v)", ErrBadDeltaIt, deltaIt, MaxDeltaIt(m, t, nmax))
+	if err := checkSchedule(m, t, nmax, deltaIt); err != nil {
+		return nil, err
 	}
 	th := &Thresholds{Measure: m, T: t, Nmax: nmax, DeltaIt: deltaIt}
 	th.precompute()
-	// Sanity: every T_n must be positive and the growth property
-	// T_n·g_n > T_{n-1}·g_{n-1} must hold.
-	for n := 2; n <= nmax; n++ {
-		if th.tn[n] <= 0 {
-			return nil, fmt.Errorf("%w: T_%d = %v ≤ 0", ErrBadDeltaIt, n, th.tn[n])
-		}
-		if n > 2 && th.tn[n]*G(m, n) <= th.tn[n-1]*G(m, n-1) {
-			return nil, fmt.Errorf("density: growth property violated at n=%d (T_n·g_n not increasing)", n)
-		}
-	}
 	return th, nil
+}
+
+// Rescale writes into dst the schedule th would have at output threshold
+// newT, with δ_it rescaled proportionally as in Algorithm 3 (line 1) of the
+// paper: bit for bit NewThresholds(th.Measure, newT, th.Nmax,
+// th.DeltaIt·newT/th.T), reusing dst's tables. It is the dynamic
+// threshold-update procedure's schedule move, and it allocates nothing once
+// dst has held a schedule of the same Nmax. Every check that depends on the
+// threshold runs; the measure's, which does not, ran when th was built. On
+// error dst is left as it was, so dst may be th itself.
+func (th *Thresholds) Rescale(dst *Thresholds, newT float64) error {
+	if err := checkThreshold(newT); err != nil {
+		return err
+	}
+	scaled := th.DeltaIt * newT / th.T
+	if err := checkSchedule(th.Measure, newT, th.Nmax, scaled); err != nil {
+		return err
+	}
+	dst.Measure, dst.T, dst.Nmax, dst.DeltaIt = th.Measure, newT, th.Nmax, scaled
+	dst.precompute()
+	return nil
+}
+
+// checkThreshold rejects an output threshold that is not positive and
+// finite, NaN included.
+func checkThreshold(t float64) error {
+	if !(t > 0) || math.IsInf(t, 1) {
+		return ErrBadThreshold
+	}
+	return nil
+}
+
+// checkSchedule checks what the threshold T decides about the schedule: δ_it
+// lies in (0, MaxDeltaIt), every T_n is positive, and the growth property
+// T_n·g_n > T_{n-1}·g_{n-1} holds. It computes T_n as precompute does, so it
+// checks exactly the values precompute stores.
+func checkSchedule(m Measure, t float64, nmax int, deltaIt float64) error {
+	if !(deltaIt > 0 && deltaIt < MaxDeltaIt(m, t, nmax)) {
+		return fmt.Errorf("%w: δ_it=%v, valid range (0, %v)", ErrBadDeltaIt, deltaIt, MaxDeltaIt(m, t, nmax))
+	}
+	prev := 0.0 // T_{n-1}·g_{n-1}
+	for n := 2; n <= nmax; n++ {
+		tn := scheduleTn(m, t, nmax, deltaIt, n)
+		if tn <= 0 {
+			return fmt.Errorf("%w: T_%d = %v ≤ 0", ErrBadDeltaIt, n, tn)
+		}
+		cur := tn * G(m, n)
+		if n > 2 && cur <= prev {
+			return fmt.Errorf("density: growth property violated at n=%d (T_n·g_n not increasing)", n)
+		}
+		prev = cur
+	}
+	return nil
+}
+
+// scheduleTn returns T_n of Eq. 8 for 2 ≤ n ≤ Nmax+1. By construction
+// T_Nmax = T exactly; it is pinned to avoid rounding drift.
+func scheduleTn(m Measure, t float64, nmax int, deltaIt float64, n int) float64 {
+	if n == nmax {
+		return t
+	}
+	tail := float64(nmax-2) / float64(nmax-1)
+	return (G(m, nmax)*t + deltaIt*(float64(n-2)/float64(n-1)-tail)) / G(m, n)
 }
 
 // MustThresholds is NewThresholds that panics on error; intended for tests
@@ -199,24 +254,22 @@ func MustThresholds(m Measure, t float64, nmax int, deltaIt float64) *Thresholds
 	return th
 }
 
+// precompute fills the tables from Measure, T, Nmax and DeltaIt, in the
+// storage they already have when it is large enough.
 func (th *Thresholds) precompute() {
 	m, t, nmax, dit := th.Measure, th.T, th.Nmax, th.DeltaIt
 	k := nmax + 2
-	tab := make([]float64, 5*k) // the five tables share one allocation
+	if len(th.tab) != 5*k {
+		th.tab = make([]float64, 5*k) // the five tables share one allocation
+	}
+	tab := th.tab
 	th.tn, th.sn, th.minScore = tab[:k:k], tab[k:2*k:2*k], tab[2*k:3*k:3*k]
 	th.denseFloor, th.outputFloor = tab[3*k:4*k:4*k], tab[4*k:]
-	gNmax := G(m, nmax)
-	tail := float64(nmax-2) / float64(nmax-1)
 	for n := 2; n <= nmax+1; n++ {
 		th.sn[n] = m.S(n)
-		gn := G(m, n)
-		tn := (gNmax*t + dit*(float64(n-2)/float64(n-1)-tail)) / gn
-		th.tn[n] = tn
-		th.minScore[n] = th.sn[n] * tn
+		th.tn[n] = scheduleTn(m, t, nmax, dit, n)
+		th.minScore[n] = th.sn[n] * th.tn[n]
 	}
-	// By construction T_Nmax = T exactly; pin it to avoid rounding drift.
-	th.tn[nmax] = t
-	th.minScore[nmax] = th.sn[nmax] * t
 	for n := 2; n <= nmax+1; n++ {
 		th.denseFloor[n] = tolerantBound(th.minScore[n])
 		th.outputFloor[n] = tolerantBound(th.sn[n] * t)
@@ -331,14 +384,6 @@ func (th *Thresholds) Iterations(delta float64) int {
 		it = 1
 	}
 	return it
-}
-
-// WithThreshold returns a new schedule identical to th except for the output
-// threshold, with δ_it rescaled proportionally as in Algorithm 3 (line 1) of
-// the paper. It is used by the dynamic threshold-update procedure.
-func (th *Thresholds) WithThreshold(newT float64) (*Thresholds, error) {
-	scaled := th.DeltaIt * newT / th.T
-	return NewThresholds(th.Measure, newT, th.Nmax, scaled)
 }
 
 // String summarises the schedule.

@@ -2,7 +2,9 @@ package density
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -208,10 +210,10 @@ func TestIterations(t *testing.T) {
 	}
 }
 
-func TestWithThresholdRescalesDeltaIt(t *testing.T) {
+func TestRescaleScalesDeltaIt(t *testing.T) {
 	th := MustThresholds(AvgWeight, 1.0, 6, 0.05)
-	th2, err := th.WithThreshold(0.8)
-	if err != nil {
+	th2 := new(Thresholds)
+	if err := th.Rescale(th2, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(th2.DeltaIt-0.04) > 1e-12 {
@@ -219,6 +221,107 @@ func TestWithThresholdRescalesDeltaIt(t *testing.T) {
 	}
 	if math.Abs(th2.Tn(th2.Nmax)-0.8) > 1e-12 {
 		t.Errorf("new T_Nmax = %v, want 0.8", th2.Tn(th2.Nmax))
+	}
+}
+
+// sameSchedule reports the first field in which two schedules differ bit for
+// bit, or "" if they agree everywhere.
+func sameSchedule(got, want *Thresholds) string {
+	if got.Measure != want.Measure || got.Nmax != want.Nmax {
+		return "measure or Nmax"
+	}
+	if math.Float64bits(got.T) != math.Float64bits(want.T) {
+		return fmt.Sprintf("T %v, want %v", got.T, want.T)
+	}
+	if math.Float64bits(got.DeltaIt) != math.Float64bits(want.DeltaIt) {
+		return fmt.Sprintf("δ_it %v, want %v", got.DeltaIt, want.DeltaIt)
+	}
+	tables := [][2][]float64{
+		{got.tn, want.tn}, {got.sn, want.sn}, {got.minScore, want.minScore},
+		{got.denseFloor, want.denseFloor}, {got.outputFloor, want.outputFloor},
+	}
+	for i, p := range tables {
+		if len(p[0]) != len(p[1]) {
+			return fmt.Sprintf("table %d has %d entries, want %d", i, len(p[0]), len(p[1]))
+		}
+		for n := range p[0] {
+			if math.Float64bits(p[0][n]) != math.Float64bits(p[1][n]) {
+				return fmt.Sprintf("table %d entry %d: %v, want %v", i, n, p[0][n], p[1][n])
+			}
+		}
+	}
+	return ""
+}
+
+// TestRescaleMatchesNewThresholds walks random decay-scale sequences — the
+// threshold baseT/λ of a rescaled-decay engine, λ shrinking by random factors
+// with occasional renormalisations back to 1, plus stretches near λ = 1e-150
+// — through two alternating schedules, as the engine keeps them, and through
+// one schedule rescaled onto itself. Every step equals NewThresholds on the
+// same parameters bit for bit, and rewrites the tables without allocating.
+func TestRescaleMatchesNewThresholds(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
+		for _, nmax := range []int{2, 3, 5, 9} {
+			const baseT = 6.5
+			start := MustThresholds(m, baseT, nmax, 0.01*math.Min(MaxDeltaIt(m, baseT, nmax), baseT))
+			cur, spare := start, new(Thresholds)
+			self := MustThresholds(m, baseT, nmax, start.DeltaIt)
+			scale := 1.0
+			for step := 0; step < 400; step++ {
+				switch r := rng.Float64(); {
+				case r < 0.05:
+					scale = 1
+				case r < 0.15:
+					scale = 1e-150 * (1 + 10*rng.Float64())
+				default:
+					scale *= 0.5 + 0.5*rng.Float64()
+					scale = max(scale, 1e-150)
+				}
+				newT := baseT / scale
+				want, err := NewThresholds(m, newT, nmax, cur.DeltaIt*newT/cur.T)
+				if err != nil {
+					t.Fatalf("%s nmax=%d step %d: NewThresholds: %v", m.Name(), nmax, step, err)
+				}
+				if err := cur.Rescale(spare, newT); err != nil {
+					t.Fatalf("%s nmax=%d step %d: Rescale: %v", m.Name(), nmax, step, err)
+				}
+				if msg := sameSchedule(spare, want); msg != "" {
+					t.Fatalf("%s nmax=%d step %d (λ=%g): %s", m.Name(), nmax, step, scale, msg)
+				}
+				cur, spare = spare, cur
+				if err := self.Rescale(self, newT); err != nil {
+					t.Fatalf("%s nmax=%d step %d: in-place Rescale: %v", m.Name(), nmax, step, err)
+				}
+				if msg := sameSchedule(self, cur); msg != "" {
+					t.Fatalf("%s nmax=%d step %d: in place: %s", m.Name(), nmax, step, msg)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if err := cur.Rescale(spare, cur.T*1.01); err != nil {
+					panic(err)
+				}
+				cur, spare = spare, cur
+			}); allocs != 0 {
+				t.Errorf("%s nmax=%d: Rescale performed %v allocs/run, want 0", m.Name(), nmax, allocs)
+			}
+		}
+	}
+}
+
+// TestRescaleRejectsBadThresholds: a threshold that is not positive and
+// finite is an error, and the destination — here the schedule itself — keeps
+// what it held.
+func TestRescaleRejectsBadThresholds(t *testing.T) {
+	th := MustThresholds(SqrtDens, 2, 5, 0.01*MaxDeltaIt(SqrtDens, 2, 5))
+	want := MustThresholds(SqrtDens, 2, 5, th.DeltaIt)
+	for _, newT := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64} {
+		if err := th.Rescale(th, newT); !errors.Is(err, ErrBadThreshold) {
+			t.Errorf("Rescale(%v): err = %v, want ErrBadThreshold", newT, err)
+		}
+		if msg := sameSchedule(th, want); msg != "" {
+			t.Fatalf("a rejected Rescale(%v) changed the schedule: %s", newT, msg)
+		}
 	}
 }
 
@@ -281,20 +384,19 @@ func geqReference(score, bound float64) bool {
 // scores on and around every bound of the schedule — the bound itself, the
 // tolerant bound, their float neighbours and points a tolerance away — and
 // requires the verdict the per-call comparison gave, for schedules from tiny
-// to huge thresholds and for schedules derived through WithThreshold (the
-// path every rescaled-decay epoch takes).
+// to huge thresholds and for schedules derived through Rescale (the path
+// every rescaled-decay epoch takes).
 func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 	var schedules []*Thresholds
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
 		for _, T := range []float64{1e-12, 0.3, 1, 6.5, 1e9, 3.8e124} {
 			for _, nmax := range []int{2, 3, 5, 9} {
 				th := MustThresholds(m, T, nmax, 0.01*math.Min(MaxDeltaIt(m, T, nmax), T))
-				schedules = append(schedules, th)
-				if moved, err := th.WithThreshold(T * 1.37); err != nil {
+				moved := new(Thresholds)
+				if err := th.Rescale(moved, T*1.37); err != nil {
 					t.Fatal(err)
-				} else {
-					schedules = append(schedules, moved)
 				}
+				schedules = append(schedules, th, moved)
 			}
 		}
 	}

@@ -15,6 +15,22 @@
 // old. Edges runs in ascending (u, v) order, so the heavy-edge buckets it
 // fills, and every scan of them, follow from the update history alone.
 //
+// # Recycled vectors
+//
+// Vertices come and go with their edges: a fading stream retires every pair
+// of a background entity and brings the entity back a few documents later.
+// The graph therefore keeps the vectors it frees in a pool of its own,
+// bucketed by capacity class (class k holds capacity 2^k up to 2^(k+1)). A
+// vector that empties goes back to its class, and so do the old arrays of a
+// vector that grows; a vertex gaining its first edge takes a class-0 vector,
+// and a full vector grows into one of the next class. Every vector thus
+// reaches its capacity through the classes its own degree passes, so a leaf
+// never inherits a hub's vector, and a vertex that leaves and comes back
+// with no higher degree costs no allocation. Each class holds at most 64
+// vectors, and from class 7 up only as many as make 4096 entries of nominal
+// capacity (one at least), so the pool's memory is bounded whatever the
+// churn; a vector freed into a full class is left to the collector.
+//
 // # Bounded discovery scans
 //
 // Every discovery scan the engine runs knows, before it starts, how much
@@ -28,8 +44,8 @@
 //     entries and only the survivors are summed.
 //   - EdgesNotIncident(c, minW, fn) enumerates the edges of weight ≥ minW with
 //     no endpoint in c from the heavy-edge index: edges bucketed by the binary
-//     exponent of their weight, maintained at the single choke point
-//     setWeight, an edge moving only when its weight crosses a power of two.
+//     exponent of their weight, maintained at the single choke point store,
+//     an edge moving only when its weight crosses a power of two.
 //
 // The heavy-edge index holds only the edges at or above a floor that follows
 // demand. It starts empty (floor +Inf), so a graph that is never asked a
@@ -47,6 +63,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -90,7 +107,13 @@ func (l *adjacency) weight(v Vertex) float64 {
 	return 0
 }
 
-// insert places (v, w) at position i, shifting the tail (amortised in-place).
+// class returns the vector's capacity class: the k with 2^k ≤ capacity < 2^(k+1).
+func (l *adjacency) class() int {
+	return bits.Len(uint(min(cap(l.vs), cap(l.ws)))) - 1
+}
+
+// insert places (v, w) at position i, shifting the tail in place; the caller
+// has made room (Graph.insert).
 func (l *adjacency) insert(i int, v Vertex, w float64) {
 	l.vs = append(l.vs, 0)
 	l.ws = append(l.ws, 0)
@@ -142,6 +165,9 @@ type Graph struct {
 	// still belong to dense subgraphs (supergraphs of too-dense subgraphs
 	// absorb disconnected vertices), so the universe must not shrink.
 	known map[Vertex]bool
+	// pool holds the free neighbourhood vectors (see the package comment):
+	// pool[k] the empty ones of capacity class k, at most poolLimit(k) of them.
+	pool [][]*adjacency
 	// edgeCount tracks the number of edges with non-zero weight.
 	edgeCount int
 	// totalWeight tracks the sum of all positive edge weights (diagnostic).
@@ -257,9 +283,11 @@ func (g *Graph) store(a, b Vertex, la *adjacency, i int, ok bool, w float64) {
 		lb.remove(j)
 		if len(la.vs) == 0 {
 			g.adj.Set(a, nil)
+			g.release(la)
 		}
 		if len(lb.vs) == 0 {
 			g.adj.Set(b, nil)
+			g.release(lb)
 		}
 		g.edgeCount--
 		g.totalWeight -= old
@@ -273,24 +301,84 @@ func (g *Graph) store(a, b Vertex, la *adjacency, i int, ok bool, w float64) {
 		// marking it known here keeps the universe bookkeeping off the hot
 		// path.
 		if la == nil {
-			la = &adjacency{}
+			la = g.vector(0)
 			g.adj.Set(a, la)
 			g.known[a] = true
 		}
 		if lb == nil {
-			lb = &adjacency{}
+			lb = g.vector(0)
 			g.adj.Set(b, lb)
 			g.known[b] = true
 		}
-		la.insert(i, b, w)
+		g.insert(la, i, b, w)
 		j, _ := lb.find(a)
-		lb.insert(j, a, w)
+		g.insert(lb, j, a, w)
 		g.edgeCount++
 		g.totalWeight += w
 	}
 	if g.heavyFloor != heavyOff && old != w {
 		g.heavyUpdate(a, b, old, w)
 	}
+}
+
+// poolLimit bounds capacity class k of the vector pool: 64 vectors, and from
+// class 7 up 4096 entries of nominal capacity, one vector at least.
+func poolLimit(k int) int { return max(1, min(64, 4096>>k)) }
+
+// vector returns an empty vector of capacity class k: the pool's, or a new one
+// of capacity exactly 2^k.
+func (g *Graph) vector(k int) *adjacency {
+	if k < len(g.pool) {
+		if n := len(g.pool[k]); n > 0 {
+			l := g.pool[k][n-1]
+			g.pool[k][n-1] = nil
+			g.pool[k] = g.pool[k][:n-1]
+			return l
+		}
+	}
+	return &adjacency{vs: make([]Vertex, 0, 1<<k), ws: make([]float64, 0, 1<<k)}
+}
+
+// poolHasRoom reports whether class k of the pool takes another vector.
+func (g *Graph) poolHasRoom(k int) bool {
+	return k >= len(g.pool) || len(g.pool[k]) < poolLimit(k)
+}
+
+// release returns an emptied vector to the pool, or drops it if its class is
+// full.
+func (g *Graph) release(l *adjacency) {
+	k := l.class()
+	if !g.poolHasRoom(k) {
+		return
+	}
+	for len(g.pool) <= k {
+		g.pool = append(g.pool, nil)
+	}
+	l.vs, l.ws = l.vs[:0], l.ws[:0]
+	g.pool[k] = append(g.pool[k], l)
+}
+
+// insert places (v, w) at position i of l. A full vector first moves into one
+// of the next capacity class, the pool's if it has one, and its old arrays go
+// to the pool in turn.
+func (g *Graph) insert(l *adjacency, i int, v Vertex, w float64) {
+	if len(l.vs) == cap(l.vs) || len(l.ws) == cap(l.ws) {
+		k := l.class()
+		pooled := k+1 < len(g.pool) && len(g.pool[k+1]) > 0
+		if !pooled && !g.poolHasRoom(k) {
+			// Nothing to take and no room for what would be given back: a
+			// plain reallocation, without a spare vector to carry the old one.
+			l.vs = append(make([]Vertex, 0, 2<<k), l.vs...)
+			l.ws = append(make([]float64, 0, 2<<k), l.ws...)
+		} else {
+			nl := g.vector(k + 1)
+			nl.vs = append(nl.vs, l.vs...)
+			nl.ws = append(nl.ws, l.ws...)
+			l.vs, l.ws, nl.vs, nl.ws = nl.vs, nl.ws, l.vs, l.ws
+			g.release(nl)
+		}
+	}
+	l.insert(i, v, w)
 }
 
 // Neighbors calls fn for every neighbour of u with non-zero edge weight, in

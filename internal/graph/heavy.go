@@ -4,7 +4,7 @@ import "math"
 
 // The heavy-edge index: every edge whose weight is at or above the floor, in
 // buckets by the binary exponent of the weight. See the package comment for
-// the floor's policy; everything here is reached from setWeight (upkeep) or
+// the floor's policy; everything here is reached from store (upkeep) or
 // EdgesNotIncident (lookup and floor lowering).
 
 // heavyOff is the floor of an empty index: above every weight's exponent.
