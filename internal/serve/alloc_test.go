@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"dyndens/internal/core"
 	"dyndens/internal/story"
 	"dyndens/internal/vset"
 )
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a share
+// of the values put back at random.
+var raceEnabled bool
 
 // Allocation pins of the sink path: what an update costs between the engine's
 // Emit and the published snapshot, counted with testing.AllocsPerRun. The
@@ -106,4 +113,125 @@ func TestSubsetAttachAllocs(t *testing.T) {
 		t.Fatalf("after the attaches: %d live subgraphs in %d stories, entities %v", snap.LiveSubgraphs, len(snap.Stories), snap.Stories[0].Entities)
 	}
 	checkMatchesTracker(t, b)
+}
+
+// Allocation pins of the read path: what one request costs inside the
+// handler, counted with a ResponseWriter that drops the body. The responses
+// are rendered into a pooled buffer that the warm-up run has grown, so the
+// count is a constant — the same for any k and any number of subgraphs or
+// matching stories.
+
+// discardWriter is a ResponseWriter that keeps the status and the body length
+// and drops the body.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func newDiscardWriter() *discardWriter { return &discardWriter{header: http.Header{}} }
+
+func (w *discardWriter) Header() http.Header    { return w.header }
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// readRequest is a GET of path with its pattern's path value set, ready to
+// hand to a handler method directly.
+func readRequest(path, name, value string) *http.Request {
+	r := httptest.NewRequest(http.MethodGet, path, nil)
+	if name != "" {
+		r.SetPathValue(name, value)
+	}
+	return r
+}
+
+// readAllocs returns the allocations of one request, and fails the test unless
+// the handler answered 200 with a body.
+func readAllocs(t *testing.T, h http.HandlerFunc, r *http.Request) float64 {
+	t.Helper()
+	w := newDiscardWriter()
+	allocs := testing.AllocsPerRun(100, func() {
+		w.status, w.n = 0, 0
+		h(w, r)
+	})
+	if w.status != http.StatusOK || w.n == 0 {
+		t.Fatalf("GET %s: status %d, %d body bytes", r.URL, w.status, w.n)
+	}
+	return allocs
+}
+
+// readFixture serves one live story with eleven subgraphs (entities 0..4)
+// and twelve one-subgraph stories {7, 20+10i, 21+10i} that share entity 7.
+func readFixture(t *testing.T) *Server {
+	t.Helper()
+	b := liveStoryBuilder(t)
+	for i := vset.Vertex(0); i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			for k := j + 1; k < 5; k++ {
+				b.Emit(core.Event{Kind: core.BecameOutputDense, Set: vset.New(i, j, k), Density: 5})
+			}
+		}
+	}
+	b.EndUpdate()
+	for i := vset.Vertex(0); i < 12; i++ {
+		b.Emit(core.Event{Kind: core.BecameOutputDense, Set: vset.New(7, 20+10*i, 21+10*i), Density: 1 + float64(i)/8})
+		b.EndUpdate()
+	}
+	snap := b.View().Snapshot()
+	if len(snap.Ranked) != 13 || len(snap.Stories[0].Subgraphs) != 11 || len(snap.ByEntity[7]) != 12 {
+		t.Fatalf("fixture: %d ranked, %d subgraphs in story %d, %d stories on entity 7",
+			len(snap.Ranked), len(snap.Stories[0].Subgraphs), snap.Stories[0].ID, len(snap.ByEntity[7]))
+	}
+	return NewServer(b.View(), nil)
+}
+
+// TestReadHandlerAllocs pins each read handler to a small constant number of
+// allocations per request, independent of k, of the story's subgraph count
+// and of how many stories an entity is in.
+func TestReadHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	s := readFixture(t)
+	snap := s.view.Snapshot()
+	wide, narrow := snap.Stories[0], snap.Stories[1]
+	id := func(e *Entry) string { return strconv.FormatUint(uint64(e.ID), 10) }
+	for _, c := range []struct {
+		name  string
+		h     http.HandlerFunc
+		reqs  []*http.Request
+		limit float64
+	}{
+		{"top", s.handleTop, []*http.Request{
+			readRequest("/stories/top?k=1", "", ""),
+			readRequest("/stories/top?k=10", "", ""),
+			readRequest("/stories/top?k=1000000000", "", ""), // more than ranked: the whole ranking
+		}, 3}, // the url.Values of r.URL.Query()
+		{"story", s.handleStory, []*http.Request{
+			readRequest("/stories/"+id(narrow), "id", id(narrow)),
+			readRequest("/stories/"+id(wide), "id", id(wide)),
+		}, 0},
+		{"entity", s.handleEntity, []*http.Request{
+			readRequest("/entities/20", "e", "20"),
+			readRequest("/entities/7", "e", "7"),
+			readRequest("/entities/99", "e", "99"), // in no story
+		}, 0},
+	} {
+		first := readAllocs(t, c.h, c.reqs[0])
+		if first > c.limit {
+			t.Errorf("%s: GET %s allocated %v times, want at most %v", c.name, c.reqs[0].URL, first, c.limit)
+		}
+		for _, r := range c.reqs[1:] {
+			if got := readAllocs(t, c.h, r); got != first {
+				t.Errorf("%s: GET %s allocated %v times, GET %s %v: the count grows with the response", c.name, r.URL, got, c.reqs[0].URL, first)
+			}
+		}
+	}
 }

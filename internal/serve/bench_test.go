@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"net/http"
+	"strconv"
 	"testing"
 
 	"dyndens/internal/core"
 	"dyndens/internal/story"
+	"dyndens/internal/vset"
 )
 
 // updateLog records a run's events grouped by the update that produced them.
@@ -23,6 +26,20 @@ func (l *updateLog) EndUpdate() {
 	l.cur = nil
 }
 
+// plantedSteady returns the tracker configuration and the engine's event log
+// of BenchmarkSinkPlantedSteady's workload (see there).
+func plantedSteady(tb testing.TB) (story.Config, *updateLog) {
+	tb.Helper()
+	w := defaultWorkload()
+	w.doc.Docs = 12000
+	updates := w.updates(tb)
+	eng := core.MustNew(w.eng)
+	log := new(updateLog)
+	eng.SetSink(log)
+	eng.ProcessAll(updates)
+	return w.trk, log
+}
+
 // BenchmarkSinkPlantedSteady measures the sink alone — story.Tracker under
 // serve.Builder, from Emit to the published snapshot — on the event stream of
 // a planted document workload: the conformance tests' three staggered
@@ -34,15 +51,7 @@ func (l *updateLog) EndUpdate() {
 // emits them) and its boundary, most of which carry nothing. The log is
 // replayed into a fresh builder each time it runs out.
 func BenchmarkSinkPlantedSteady(b *testing.B) {
-	w := defaultWorkload()
-	w.doc.Docs = 12000
-	updates := w.updates(b)
-	eng := core.MustNew(w.eng)
-	var log updateLog
-	eng.SetSink(&log)
-	eng.ProcessAll(updates)
-
-	trk := w.trk
+	trk, log := plantedSteady(b)
 	bld := NewBuilder(story.MustTracker(trk))
 	for _, evs := range log.updates {
 		for _, ev := range evs {
@@ -74,4 +83,58 @@ func BenchmarkSinkPlantedSteady(b *testing.B) {
 	b.ReportMetric(float64(log.events)*perUpdate, "events/op")
 	b.ReportMetric(float64(vs.Records)*perUpdate, "records/op")
 	b.ReportMetric(float64(vs.Publishes)*perUpdate, "publishes/op")
+}
+
+// BenchmarkServeRead measures the three read handlers, called directly with a
+// body-discarding ResponseWriter, on the busiest table of the planted
+// workload (the snapshot with the most live subgraphs): top is k=10, story the
+// story with the most subgraphs, entity the entity in the most stories.
+func BenchmarkServeRead(b *testing.B) {
+	trk, log := plantedSteady(b)
+	bld := NewBuilder(story.MustTracker(trk))
+	snap := bld.View().Snapshot()
+	for _, evs := range log.updates {
+		for _, ev := range evs {
+			bld.Emit(ev)
+		}
+		bld.EndUpdate()
+		if cur := bld.View().Snapshot(); cur.LiveSubgraphs > snap.LiveSubgraphs {
+			snap = cur
+		}
+	}
+	view := NewView()
+	view.publish(snap)
+	s := NewServer(view, nil)
+	wide := snap.Stories[0]
+	for _, e := range snap.Stories {
+		if len(e.Subgraphs) > len(wide.Subgraphs) {
+			wide = e
+		}
+	}
+	var popular vset.Vertex
+	for v, ids := range snap.ByEntity {
+		if n := len(snap.ByEntity[popular]); len(ids) > n || len(ids) == n && v < popular {
+			popular = v
+		}
+	}
+	id, ent := strconv.FormatUint(uint64(wide.ID), 10), strconv.Itoa(int(popular))
+	for _, c := range []struct {
+		name string
+		h    http.HandlerFunc
+		r    *http.Request
+	}{
+		{"top", s.handleTop, readRequest("/stories/top?k=10", "", "")},
+		{"story", s.handleStory, readRequest("/stories/"+id, "id", id)},
+		{"entity", s.handleEntity, readRequest("/entities/"+ent, "e", ent)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := newDiscardWriter()
+			b.ReportAllocs()
+			for b.Loop() {
+				w.n = 0
+				c.h(w, c.r)
+			}
+			b.ReportMetric(float64(w.n), "bytes/resp")
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -115,53 +116,22 @@ func NewServer(view *View, hub *Hub) *Server {
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// storyJSON is the wire form of an Entry.
-type storyJSON struct {
-	ID        story.ID       `json:"id"`
-	Density   float64        `json:"density"`
-	Entities  []int32        `json:"entities"`
-	Subgraphs []subgraphJSON `json:"subgraphs,omitempty"`
-	NumSubs   int            `json:"subgraph_count"`
-	BornSeq   uint64         `json:"born_seq"`
-	LastSeq   uint64         `json:"last_seq"`
-	Fading    bool           `json:"fading"`
-}
-
-// subgraphJSON is the wire form of a SubgraphRef: here, and only here, the
-// vertex set becomes its canonical key string.
-type subgraphJSON struct {
-	Key     string  `json:"key"`
-	Density float64 `json:"density"`
-}
-
-func entryJSON(e *Entry, detail bool) storyJSON {
-	ents := make([]int32, len(e.Entities))
-	for i, v := range e.Entities {
-		ents[i] = int32(v)
-	}
-	out := storyJSON{
-		ID:       e.ID,
-		Density:  e.Density,
-		Entities: ents,
-		NumSubs:  len(e.Subgraphs),
-		BornSeq:  e.BornSeq,
-		LastSeq:  e.LastSeq,
-		Fading:   e.Fading,
-	}
-	if detail {
-		for _, sg := range e.Subgraphs {
-			out.Subgraphs = append(out.Subgraphs, subgraphJSON{Key: sg.Set.Key(), Density: sg.Density})
-		}
-	}
-	return out
-}
-
+// writeJSON renders v with encoding/json, indented as the read endpoints are,
+// and sends it with the given status — the path of /stats and of error bodies,
+// which carry arbitrary values and client-supplied strings. A value that
+// cannot be encoded (a non-finite float, a channel) is answered with 500 and
+// the encoder's error, never with the status and a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	w.Write(buf.Bytes()) // a failed write means the client has gone; there is no one to tell
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -198,71 +168,45 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad k %q", q)})
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad k " + strconv.Quote(q)})
 			return
 		}
 		k = n
 	}
-	snap := s.view.Snapshot()
-	ranked := snap.Top(k)
-	out := struct {
-		Epoch   uint64      `json:"epoch"`
-		Ranked  int         `json:"ranked"`
-		Stories []storyJSON `json:"stories"`
-	}{Epoch: snap.Epoch, Ranked: len(snap.Ranked), Stories: make([]storyJSON, 0, len(ranked))}
-	for _, rk := range ranked {
-		e, _ := snap.Story(rk.Story) // every ranked story is in the table
-		out.Stories = append(out.Stories, entryJSON(e, false))
-	}
-	writeJSON(w, http.StatusOK, out)
+	out := getWire()
+	defer putWire(out)
+	out.top(s.view.Snapshot(), k)
+	writeWire(w, out)
 }
 
 func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad story id %q", r.PathValue("id"))})
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad story id " + strconv.Quote(r.PathValue("id"))})
 		return
 	}
 	snap := s.view.Snapshot()
 	e, ok := snap.Story(story.ID(id))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no story %d", id)})
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no story " + strconv.FormatUint(id, 10)})
 		return
 	}
-	out := struct {
-		Epoch uint64    `json:"epoch"`
-		Story storyJSON `json:"story"`
-	}{Epoch: snap.Epoch, Story: entryJSON(e, true)}
-	writeJSON(w, http.StatusOK, out)
+	out := getWire()
+	defer putWire(out)
+	out.detail(snap, e)
+	writeWire(w, out)
 }
 
 func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	ev, err := strconv.ParseInt(r.PathValue("e"), 10, 32)
 	if err != nil || ev < 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad entity %q", r.PathValue("e"))})
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad entity " + strconv.Quote(r.PathValue("e"))})
 		return
 	}
-	snap := s.view.Snapshot()
-	ids := snap.ByEntity[vset.Vertex(ev)]
-	out := struct {
-		Epoch   uint64      `json:"epoch"`
-		Entity  int64       `json:"entity"`
-		Stories []storyJSON `json:"stories"`
-	}{Epoch: snap.Epoch, Entity: ev, Stories: make([]storyJSON, 0, len(ids))}
-	for _, id := range ids {
-		e, _ := snap.Story(id) // every posted story is in the table
-		out.Stories = append(out.Stories, entryJSON(e, false))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// recordJSON is the SSE wire form of a lifecycle record.
-type recordJSON struct {
-	Seq      uint64   `json:"seq"`
-	Kind     string   `json:"kind"`
-	Story    story.ID `json:"story"`
-	Other    story.ID `json:"other,omitempty"`
-	Entities []int32  `json:"entities"`
+	out := getWire()
+	defer putWire(out)
+	out.entity(s.view.Snapshot(), vset.Vertex(ev))
+	writeWire(w, out)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +224,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	id, ch := s.hub.Subscribe(256)
 	defer s.hub.Unsubscribe(id)
-	fmt.Fprintf(w, ": connected epoch=%d\n\n", s.view.Snapshot().Epoch)
+	// One buffer per connection: each frame is rendered into it and sent
+	// in one Write.
+	var frame wire
+	frame.b = append(frame.b, ": connected epoch="...)
+	frame.b = strconv.AppendUint(frame.b, s.view.Snapshot().Epoch, 10)
+	frame.b = append(frame.b, "\n\n"...)
+	w.Write(frame.b)
 	fl.Flush()
 	for {
 		select {
@@ -290,17 +240,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			ents := make([]int32, len(rec.Entities))
-			for i, v := range rec.Entities {
-				ents[i] = int32(v)
-			}
-			data, err := json.Marshal(recordJSON{
-				Seq: rec.Seq, Kind: rec.Kind.String(), Story: rec.Story, Other: rec.Other, Entities: ents,
-			})
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", rec.Kind, data)
+			frame.record(rec)
+			w.Write(frame.b)
 			fl.Flush()
 		}
 	}

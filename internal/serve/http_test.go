@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -145,6 +146,52 @@ func TestHTTPStatsWriterExtra(t *testing.T) {
 	}
 	// No hub: the SSE endpoint is absent.
 	getJSON(t, srv, "/events", http.StatusNotFound, nil)
+}
+
+// TestHTTPStatsUnencodableExtra: a /stats value encoding/json cannot encode
+// is answered 500 with the encoder's error as a JSON body, not as a 200 with
+// an empty or truncated one.
+func TestHTTPStatsUnencodableExtra(t *testing.T) {
+	b := testBuilder(t)
+	for _, extra := range []any{math.Inf(1), make(chan int)} {
+		s := NewServer(b.View(), nil)
+		s.Extra = func() any { return extra }
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || !strings.Contains(body.Error, "unsupported") {
+			t.Errorf("Extra %T: %d %q (%v), want 500 with the encoder's error", extra, rec.Code, rec.Body.Bytes(), err)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Extra %T: content type %q", extra, ct)
+		}
+	}
+}
+
+// TestTopKBounds: k beyond int or below 0 is a 400 with the reference's error
+// body; k beyond the ranking returns the whole ranking (its allocations are
+// pinned in TestReadHandlerAllocs).
+func TestTopKBounds(t *testing.T) {
+	b := testBuilder(t)
+	srv, ref := NewServer(b.View(), nil).Handler(), refHandler(b.View())
+	for _, q := range []string{"99999999999999999999", "-1", "junk", "1e3", "%22%E2%98%83%00"} {
+		if rec := sameResponse(t, srv, ref, "/stories/top?k="+q); rec.Code != http.StatusBadRequest {
+			t.Errorf("k=%s: %d, want 400", q, rec.Code)
+		}
+	}
+	for _, path := range []string{"/stories/junk", "/stories/-1", "/entities/-1", "/entities/2147483648", "/entities/%22x"} {
+		sameResponse(t, srv, ref, path)
+	}
+	rec := sameResponse(t, srv, ref, "/stories/top?k=99999999999")
+	var top struct {
+		Ranked  int               `json:"ranked"`
+		Stories []json.RawMessage `json:"stories"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); rec.Code != http.StatusOK || err != nil || top.Ranked != 2 || len(top.Stories) != 2 {
+		t.Fatalf("k beyond the ranking: %d %s (%v), want both ranked stories", rec.Code, rec.Body.Bytes(), err)
+	}
 }
 
 // TestSSEStreamsRecords subscribes to /events and checks a lifecycle record

@@ -13,8 +13,9 @@ import (
 // SubgraphRef is one live output-dense subgraph of a story as the serving
 // layer sees it: the vertex set that identifies it and the density annotated
 // on the engine event that last crossed its output threshold (see
-// story.Subgraph). The canonical "key" string clients read exists only in the
-// JSON the HTTP layer writes.
+// story.Subgraph). Clients read the set as its canonical "key" ("1,2,10"),
+// which the HTTP layer appends to the response vertex by vertex: no key string
+// is built on the serving path.
 type SubgraphRef = story.Subgraph
 
 // Entry is one immutable story row of a published Snapshot. Everything it
