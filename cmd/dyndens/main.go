@@ -114,18 +114,6 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 	}
 }
 
-// overlapFlag registers the sharded delivery-policy flag shared by run, stories
-// and serve and returns a constructor that parses it. It only matters with
-// -shards > 0: scoped (the default) delivers each update for full processing
-// only to interested workers, mirror broadcasts to all of them; both produce
-// identical output.
-func overlapFlag(fs *flag.FlagSet) func() (shard.Overlap, error) {
-	overlap := fs.String("overlap", "scoped", "sharded delivery policy: scoped (interest-tracked) or mirror (full broadcast)")
-	return func() (shard.Overlap, error) {
-		return shard.ParseOverlap(*overlap)
-	}
-}
-
 // rejectPositionalArgs fails when anything is left after flag parsing. The
 // subcommands take no positional arguments, and Go's flag package stops at
 // the first non-flag token — without this check a stray value (for example a
@@ -137,6 +125,15 @@ func rejectPositionalArgs(fs *flag.FlagSet, cmd string) error {
 		return fmt.Errorf("%s: unexpected argument %q (flags must precede it; note -batch is a boolean switch)", cmd, fs.Arg(0))
 	}
 	return nil
+}
+
+// isSet reports whether the named flag was given on the command line, as
+// opposed to left at its default: a flag that is set but would be ignored in
+// the given combination is rejected, whatever value it was set to.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func measureByName(name string) (density.Measure, error) {
@@ -178,12 +175,8 @@ func createOutput(path string) (w io.Writer, close func() error, err error) {
 	}, nil
 }
 
-// engineSummary formats the engine-side work counters for the end-of-run
+// statsSummary formats the engine-side work counters for the end-of-run
 // report.
-func engineSummary(eng *core.Engine) string {
-	return statsSummary(eng.Stats())
-}
-
 func statsSummary(s core.Stats) string {
 	return fmt.Sprintf(
 		"engine: updates=%d (+%d/-%d) events=%d dense=%d stars=%d index-nodes=%d (max %d)\n"+

@@ -1,19 +1,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"dyndens/internal/core"
-	"dyndens/internal/persist"
-	"dyndens/internal/shard"
 	"dyndens/internal/stream"
 	"dyndens/internal/vset"
 )
@@ -31,14 +25,11 @@ func cmdRun(args []string) error {
 	input := fs.String("input", "-", "update stream path (- for stdin), edge-list `a b delta` lines")
 	batch := fs.Int("read-batch", 256, "maximum replay batch size: runs between `%%` lines are split at this many updates")
 	batchMode := fs.Bool("batch", false, "coalesce batches through Engine.ProcessBatch (batches delimited by `%%` lines, split at -read-batch; net events per batch)")
-	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
-	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
+	newLayout := layoutFlags(fs)
 	quiet := fs.Bool("quiet", false, "suppress per-event output, print only the summary")
 	minCard := fs.Int("min-card", 0, "only report subgraphs with at least this many vertices")
 	watch := fs.String("watch", "", "comma-separated vertex watchlist; only report subgraphs containing one")
 	newEngineCfg := engineFlags(fs, 3, 5)
-	newWAL := walFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -50,31 +41,17 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("run: -shards must be ≥ 0, got %d", *shards)
-	}
-	// Validate even for the single-threaded path, where the value is unused —
-	// a typo'd -overlap should fail loudly regardless of -shards.
-	if _, err := newOverlap(); err != nil {
+	l, err := newLayout("run")
+	if err != nil {
 		return err
-	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	walOpts, err := newWAL()
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("run: -wal is incompatible with -agg-workers (the WAL logs units on the replay goroutine; a pipelined producer would race it)")
 	}
 	watchSet, err := parseWatchlist(*watch)
 	if err != nil {
 		return err
 	}
 
-	var src stream.UpdateSource
+	p := &pipeline{layout: l}
+	defer p.close()
 	var fileSrc *stream.FileSource
 	if *input == "-" {
 		fileSrc = stream.NewReaderSource("stdin", os.Stdin)
@@ -83,7 +60,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		p.closers = append(p.closers, func() { f.Close() })
 		fileSrc = f
 	}
 	// Memory guard: a marker-less stream is one whole-stream batch, so cap
@@ -97,38 +74,31 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("run: -read-batch must be positive, got %d", *batch)
 	}
 	fileSrc.SetMaxBatch(*batch)
-	src = fileSrc
-	if aggWorkers > 0 {
+	p.src = fileSrc
+	if l.aggWorkers > 0 {
 		// Edge streams have no expansion stage, so N > 0 just moves reading
 		// and parsing onto a producer goroutine that runs ahead of the engine
 		// behind a bounded handoff queue; the batch sequence is unchanged.
 		pipe := stream.NewPipelinedBatchSource(fileSrc, *batch, stream.PipelineConfig{})
-		defer pipe.Close()
-		src = pipe
+		p.closers = append(p.closers, func() { pipe.Close() })
+		p.src = pipe
 	}
 
 	// Durability: log every source batch to the WAL and recover past state at
 	// open. The fingerprint binds the directory to everything that shapes the
 	// persisted state or the batch framing — input identity, framing knobs,
 	// shard layout, delivery policy, and the engine configuration.
-	var pst *persist.Store
-	var restored *persist.PipelineState
-	if walOpts.enabled() {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
+	if l.wal.enabled() {
 		fp := fmt.Sprintf("run:v1:input=%s,read-batch=%d,batch=%v,shards=%d,overlap=%s,%s",
-			*input, *batch, *batchMode, *shards, overlap, engineFingerprint(engCfg))
-		if pst, err = openWAL(walOpts, fp, *input == "-"); err != nil {
+			*input, *batch, *batchMode, l.shards, l.overlap, engineFingerprint(engCfg))
+		if err := p.openWAL(fp, *input == "-"); err != nil {
 			return err
 		}
-		restored = pst.Restored()
-		src = pst.Batches(fileSrc).(stream.UpdateSource)
+		p.src = p.pst.Batches(fileSrc).(stream.UpdateSource)
 	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	if err := p.openEngine(engCfg); err != nil {
+		return err
+	}
 
 	// Sink chain: filter → counter (+ printer unless -quiet).
 	counter := &core.CountingSink{}
@@ -141,93 +111,14 @@ func cmdRun(args []string) error {
 	}
 	filter := &core.FilterSink{Next: inner, MinCardinality: *minCard, Watch: watchSet}
 
-	// runHook is the per-batch boundary hook: stop cleanly on a signal
-	// (cutting a final checkpoint first when persisting), cut a periodic
-	// background snapshot otherwise. Edge streams have no aggregator, so
-	// every batch boundary is a consistent snapshot point.
-	runHook := func(capture func() (*persist.PipelineState, error)) func() error {
-		return func() error {
-			if ctx.Err() != nil {
-				if pst != nil {
-					if err := pst.Checkpoint(capture); err != nil {
-						return err
-					}
-				}
-				return stream.ErrStopped
-			}
-			if pst != nil {
-				return pst.MaybeSnapshot(capture)
-			}
-			return nil
-		}
-	}
-	finishWAL := func(interrupted bool, capture func() (*persist.PipelineState, error)) error {
-		if err := checkpointWAL(pst, interrupted, capture); err != nil {
-			return err
-		}
-		return closeWALStore(pst, walOpts, interrupted)
-	}
-	baseTicks := uint64(0)
-	if pst != nil {
-		baseTicks = pst.BaseTicks()
-	}
-
-	if *shards > 0 {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
-		se, err := persist.RestoreSharded(shard.Config{Shards: *shards, Engine: engCfg, Overlap: overlap}, restored)
-		if err != nil {
-			return err
-		}
-		defer se.Close()
-		r := stream.NewShardReplay(src, se, filter)
-		capture := func() (*persist.PipelineState, error) {
-			ps, err := persist.CaptureSharded(se, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-			return ps, nil
-		}
-		r.SetBoundaryHook(runHook(capture))
-		st, err := r.RunBatches(*batch, *batchMode)
-		interrupted := errors.Is(err, stream.ErrStopped)
-		if err != nil && !interrupted {
-			return err
-		}
+	ctx, stopSignals := signalContext()
+	defer stopSignals()
+	return p.drive(ctx, filter, *batch, *batchMode, func(st replayStats, _ bool) {
 		fmt.Println(st)
-		fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d net-output-dense=%d\n",
-			filter.Passed, counter.Became, counter.Ceased, filter.Dropped, se.OutputDenseCount())
-		fmt.Println(shardedSummary(se.Stats()))
-		return finishWAL(interrupted, capture)
-	}
-
-	eng, err := persist.RestoreEngine(engCfg, restored)
-	if err != nil {
-		return err
-	}
-	r := stream.NewReplay(src, eng, filter)
-	capture := func() (*persist.PipelineState, error) {
-		ps, err := persist.CaptureSingle(eng, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-		return ps, nil
-	}
-	r.SetBoundaryHook(runHook(capture))
-	st, err := r.RunBatches(*batch, *batchMode)
-	interrupted := errors.Is(err, stream.ErrStopped)
-	if err != nil && !interrupted {
-		return err
-	}
-	fmt.Println(st)
-	fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d\n",
-		filter.Passed, counter.Became, counter.Ceased, filter.Dropped)
-	fmt.Println(engineSummary(eng))
-	return finishWAL(interrupted, capture)
+		fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d%s\n",
+			filter.Passed, counter.Became, counter.Ceased, filter.Dropped, p.engine.netOutputDense())
+		fmt.Println(p.engine.summary())
+	})
 }
 
 func parseWatchlist(s string) (vset.Set, error) {

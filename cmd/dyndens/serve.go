@@ -8,17 +8,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"dyndens/internal/core"
-	"dyndens/internal/persist"
 	"dyndens/internal/serve"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
-	"dyndens/internal/stream"
 )
 
 // serveTestHooks lets the CLI tests observe the bound address and trigger a
@@ -60,157 +54,35 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("dyndens serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (host:port; port 0 picks a free one)")
 	input := fs.String("input", "", "document stream path (- for stdin); empty = generate with -synth flags")
-	batchMode := fs.Bool("batch", false, "coalescing: ship each document's deltas whole as one Engine.ProcessBatch (an epoch tick is one unit either way; story grace then counts batch ticks)")
-	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
-	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
+	open := docFlags(fs, input)
 	quiet := fs.Bool("quiet", false, "suppress the streaming lifecycle log on stdout")
 	exitAfter := fs.Bool("exit-after-ingest", false, "shut down once the input is exhausted instead of serving the final table indefinitely")
 	linger := fs.Duration("linger", 0, "with -exit-after-ingest: keep serving this long after ingestion completes")
-	newSynthCfg := docSynthFlags(fs)
-	newAggCfg := aggregatorFlags(fs)
-	newTrkCfg := trackerFlags(fs)
-	newEngineCfg := engineFlags(fs, 6.5, 4)
-	newWAL := walFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := rejectPositionalArgs(fs, "dyndens serve"); err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("serve: -shards must be ≥ 0, got %d", *shards)
+	if isSet(fs, "linger") && !*exitAfter {
+		return fmt.Errorf("serve: -linger requires -exit-after-ingest (without it the server serves the final table until stopped)")
 	}
-	if _, err := newOverlap(); err != nil {
-		return err
-	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	walOpts, err := newWAL()
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("serve: -wal is incompatible with -agg-workers (the WAL logs documents on the replay goroutine; a pipelined producer would race it)")
-	}
-	engCfg, err := newEngineCfg()
-	if err != nil {
-		return err
-	}
-	aggCfg, err := newAggCfg()
-	if err != nil {
-		return err
-	}
-	trkCfg, err := newTrkCfg()
+	p, err := open("serve", "serve", *input == "")
 	if err != nil {
 		return err
 	}
 
-	var docs stream.DocumentSource
-	inputID := *input // the fingerprint's input-identity component
-	liveTail := false
-	switch {
-	case *input == "":
-		cfg, err := newSynthCfg()
-		if err != nil {
-			return err
-		}
-		gen, err := stream.NewDocSynthetic(cfg)
-		if err != nil {
-			return err
-		}
-		docs = gen
-		inputID = fmt.Sprintf("synth:%+v", gen.Config())
-	case *input == "-":
-		docs = stream.NewDocReaderSource("stdin", os.Stdin)
-		liveTail = true // stdin continues at the crash point, it cannot re-read
-	default:
-		f, err := stream.OpenDocFile(*input)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		docs = f
-	}
-
-	// Durability: identical to stories run — documents are the WAL unit, the
-	// fingerprint binds everything shaping the derived stream, and recovery
-	// resumes serving with story identities intact.
-	var pst *persist.Store
-	var restored *persist.PipelineState
-	if walOpts.enabled() {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
-		fp := fmt.Sprintf("serve:v1:input=%s,batch=%v,shards=%d,overlap=%s,%s,%s,%s",
-			inputID, *batchMode, *shards, overlap,
-			aggFingerprint(aggCfg), trackerFingerprint(trkCfg), engineFingerprint(engCfg))
-		if pst, err = openWAL(walOpts, fp, liveTail); err != nil {
-			return err
-		}
-		restored = pst.Restored()
-		docs = pst.Docs(docs)
-	}
-
-	var front docFrontEnd
-	var agg *stream.Aggregator
-	closeFront := func() {}
-	if pst != nil {
-		// The persisted path pins the serial in-line aggregator; see
-		// cmdStoriesRun.
-		if agg, err = persist.RestoreAggregator(docs, aggCfg, restored); err != nil {
-			return err
-		}
-		front = agg
-	} else if front, closeFront, err = newDocFrontEnd(docs, aggCfg, aggWorkers); err != nil {
-		return err
-	}
-	defer closeFront()
-	tracker, err := persist.RestoreTracker(trkCfg, restored)
-	if err != nil {
-		return err
-	}
-	baseTicks := uint64(0)
-	if pst != nil {
-		baseTicks = pst.BaseTicks()
-	}
-
-	// The engines are built (and restored) up front: a recovered serving table
-	// needs the restored engine's output densities before the first snapshot
-	// publishes.
-	var eng *core.Engine
-	var se *shard.ShardedEngine
-	if *shards > 0 {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
-		if se, err = persist.RestoreSharded(shard.Config{Shards: *shards, Engine: engCfg, Overlap: overlap}, restored); err != nil {
-			return err
-		}
-		defer se.Close()
-	} else if eng, err = persist.RestoreEngine(engCfg, restored); err != nil {
-		return err
-	}
-
+	// A recovered serving table needs the restored engine's output densities
+	// before the first snapshot publishes.
 	var bld *serve.Builder
-	if restored != nil && restored.Tracker != nil {
-		var dense []core.Subgraph
-		if se != nil {
-			dense = se.OutputDense()
-		} else {
-			dense = eng.OutputDense()
-		}
-		bld = serve.NewBuilderFromState(tracker, dense)
+	if p.restored != nil && p.restored.Tracker != nil {
+		bld = serve.NewBuilderFromState(p.tracker, p.engine.outputDense())
 	} else {
-		bld = serve.NewBuilder(tracker)
+		bld = serve.NewBuilder(p.tracker)
 	}
-	if se != nil {
-		se.SetSeqSink(bld)
-	}
+	// Captures sync the builder first, so the serving view and the captured
+	// tracker fold the same boundary.
+	p.sync = bld.Sync
 	hub := serve.NewHub()
 	if *quiet {
 		bld.SetRecordSink(hub.Publish)
@@ -223,6 +95,7 @@ func cmdServe(args []string) error {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		p.close()
 		return err
 	}
 	fmt.Printf("serving on http://%s\n", ln.Addr())
@@ -247,115 +120,25 @@ func cmdServe(args []string) error {
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- httpSrv.Serve(ln) }()
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
-	// serveHook is the per-batch boundary hook (see cmdStoriesRun): graceful
-	// stop on a signal, periodic background snapshots — both only at drained
-	// boundaries, with the builder synced so the serving view and the captured
-	// tracker fold the same boundary.
-	serveHook := func(capture func() (*persist.PipelineState, error)) func() error {
-		return func() error {
-			if ctx.Err() != nil {
-				if pst == nil {
-					return stream.ErrStopped
-				}
-				if !agg.Drained() {
-					return nil // run on to the next drained boundary first
-				}
-				if err := pst.Checkpoint(capture); err != nil {
-					return err
-				}
-				return stream.ErrStopped
-			}
-			if pst != nil && agg.Drained() {
-				return pst.MaybeSnapshot(capture)
-			}
-			return nil
-		}
-	}
-
-	// The writer goroutine owns the whole ingestion pipeline (and the WAL
-	// store — Close must happen on the producer goroutine); the builder
-	// publishes snapshots at update boundaries, so the HTTP readers and the
-	// SSE hub observe the stream live.
+	// The writer goroutine owns the whole pipeline, the WAL store included
+	// (Close must happen on the producer goroutine); the builder publishes
+	// snapshots at update boundaries, so the HTTP readers and the SSE hub
+	// observe the stream live. The final table is reported only for an
+	// ingest that ran to the end.
 	ingestDone := make(chan error, 1)
 	go func() {
-		var summarize func()
-		var err error
-		var interrupted bool
-		if se != nil {
-			r := stream.NewShardReplay(front, se, nil)
-			capture := func() (*persist.PipelineState, error) {
-				bld.Sync()
-				ps, cerr := persist.CaptureSharded(se, agg, tracker)
-				if cerr != nil {
-					return nil, cerr
-				}
-				ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-				return ps, nil
+		err := p.drive(ctx, bld, 0, p.batch, func(st replayStats, interrupted bool) {
+			if interrupted {
+				return
 			}
-			r.SetBoundaryHook(serveHook(capture))
-			// The front-end is a BatchSource; see cmdStoriesRun.
-			var st stream.ShardReplayStats
-			st, err = r.RunBatches(0, *batchMode)
-			interrupted = errors.Is(err, stream.ErrStopped)
-			if err == nil {
-				// Checkpoint before Builder.Close: Close resolves grace
-				// windows for the final table, which must not leak into
-				// resumable state.
-				if cerr := checkpointWAL(pst, interrupted, capture); cerr != nil {
-					ingestDone <- cerr
-					return
-				}
-				bld.Close(baseTicks + uint64(st.Ticks))
-				ingestState.Store(&ingestSummary{Complete: true, Updates: st.Updates, Ticks: st.Ticks, UpdatesPerSecond: st.UpdatesPerSecond()})
-				summarize = func() {
-					fmt.Println(st)
-					fmt.Println(front.Stats())
-					printStoryTable(tracker)
-					fmt.Println(shardedSummary(se.Stats()))
-				}
-			}
-		} else {
-			r := stream.NewReplay(front, eng, bld)
-			capture := func() (*persist.PipelineState, error) {
-				bld.Sync()
-				ps, cerr := persist.CaptureSingle(eng, agg, tracker)
-				if cerr != nil {
-					return nil, cerr
-				}
-				ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-				return ps, nil
-			}
-			r.SetBoundaryHook(serveHook(capture))
-			var st stream.ReplayStats
-			st, err = r.RunBatches(0, *batchMode)
-			interrupted = errors.Is(err, stream.ErrStopped)
-			if err == nil {
-				// See the sharded path: checkpoint precedes Builder.Close.
-				if cerr := checkpointWAL(pst, interrupted, capture); cerr != nil {
-					ingestDone <- cerr
-					return
-				}
-				bld.Close(baseTicks + uint64(st.Ticks))
-				ingestState.Store(&ingestSummary{Complete: true, Updates: st.Updates, Ticks: st.Ticks, UpdatesPerSecond: st.UpdatesPerSecond()})
-				summarize = func() {
-					fmt.Println(st)
-					fmt.Println(front.Stats())
-					printStoryTable(tracker)
-					fmt.Println(engineSummary(eng))
-				}
-			}
-		}
-		if err != nil && !interrupted {
-			ingestDone <- err
-			return
-		}
-		if summarize != nil {
-			summarize()
-		}
-		ingestDone <- closeWALStore(pst, walOpts, interrupted)
+			ingestState.Store(&ingestSummary{Complete: true, Updates: st.updates, Ticks: st.ticks, UpdatesPerSecond: st.perSecond})
+			p.report(st)
+		})
+		p.close()
+		ingestDone <- err
 	}()
 
 	shutdown := func() error {

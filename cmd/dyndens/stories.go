@@ -1,16 +1,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"dyndens/internal/persist"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 )
@@ -224,232 +218,30 @@ func cmdStoriesGenDocs(args []string) error {
 // given input and identical for every shard count.
 func cmdStoriesRun(args []string) error {
 	fs := flag.NewFlagSet("dyndens stories run", flag.ExitOnError)
-	input := fs.String("input", "-", "document stream path (- for stdin), `time e1 e2 ...` lines")
-	synth := fs.Bool("synth", false, "generate the documents instead of reading -input (see gen-docs flags)")
-	batchMode := fs.Bool("batch", false, "coalescing: ship each document's deltas whole as one Engine.ProcessBatch (an epoch tick is one unit either way; story grace then counts batch ticks)")
-	shards := fs.Int("shards", 0, "partition the engine across K workers (0 = single-threaded)")
-	newOverlap := overlapFlag(fs)
-	newAggWorkers := aggWorkersFlag(fs)
+	open := docFlags(fs, fs.String("input", "-", "document stream path (- for stdin), `time e1 e2 ...` lines"))
 	quiet := fs.Bool("quiet", false, "suppress the streaming lifecycle log, print only summaries and the table")
-	newSynthCfg := docSynthFlags(fs)
-	newAggCfg := aggregatorFlags(fs)
-	newTrkCfg := trackerFlags(fs)
-	newEngineCfg := engineFlags(fs, 6.5, 4)
-	newWAL := walFlags(fs)
+	synth := fs.Bool("synth", false, "generate the documents instead of reading -input (see gen-docs flags)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := rejectPositionalArgs(fs, "dyndens stories run"); err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("stories run: -shards must be ≥ 0, got %d", *shards)
+	if *synth && isSet(fs, "input") {
+		return fmt.Errorf("stories run: -synth generates the documents and ignores -input; give one of them")
 	}
-	aggWorkers, err := newAggWorkers()
-	if err != nil {
-		return fmt.Errorf("stories run: %w", err)
-	}
-	walOpts, err := newWAL()
-	if err != nil {
-		return fmt.Errorf("stories run: %w", err)
-	}
-	if walOpts.enabled() && aggWorkers > 0 {
-		return fmt.Errorf("stories run: -wal is incompatible with -agg-workers (the WAL logs documents on the replay goroutine; a pipelined producer would race it)")
-	}
-	// Validate even for the single-threaded path, where the value is unused —
-	// a typo'd -overlap should fail loudly regardless of -shards.
-	if _, err := newOverlap(); err != nil {
-		return err
-	}
-	engCfg, err := newEngineCfg()
+	p, err := open("stories run", "stories", *synth)
 	if err != nil {
 		return err
 	}
-	aggCfg, err := newAggCfg()
-	if err != nil {
-		return err
-	}
-	trkCfg, err := newTrkCfg()
-	if err != nil {
-		return err
-	}
-
-	var docs stream.DocumentSource
-	inputID := *input // the fingerprint's input-identity component
-	liveTail := false
-	switch {
-	case *synth:
-		cfg, err := newSynthCfg()
-		if err != nil {
-			return err
-		}
-		gen, err := stream.NewDocSynthetic(cfg)
-		if err != nil {
-			return err
-		}
-		docs = gen
-		inputID = fmt.Sprintf("synth:%+v", gen.Config())
-	case *input == "-":
-		docs = stream.NewDocReaderSource("stdin", os.Stdin)
-		liveTail = true // stdin continues at the crash point, it cannot re-read
-	default:
-		f, err := stream.OpenDocFile(*input)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		docs = f
-	}
-
-	// Durability: log every document to the WAL and recover past state at
-	// open. Only documents are logged — the aggregator deterministically
-	// regenerates the co-occurrence updates on replay, so the WAL stays small
-	// and the fingerprint must bind every knob that shapes the derived stream.
-	var pst *persist.Store
-	var restored *persist.PipelineState
-	if walOpts.enabled() {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
-		fp := fmt.Sprintf("stories:v1:input=%s,batch=%v,shards=%d,overlap=%s,%s,%s,%s",
-			inputID, *batchMode, *shards, overlap,
-			aggFingerprint(aggCfg), trackerFingerprint(trkCfg), engineFingerprint(engCfg))
-		if pst, err = openWAL(walOpts, fp, liveTail); err != nil {
-			return err
-		}
-		restored = pst.Restored()
-		docs = pst.Docs(docs)
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	var front docFrontEnd
-	var agg *stream.Aggregator
-	closeFront := func() {}
-	if pst != nil {
-		// The persisted path pins the serial in-line aggregator: its Drained
-		// boundaries are the consistent snapshot points.
-		if agg, err = persist.RestoreAggregator(docs, aggCfg, restored); err != nil {
-			return err
-		}
-		front = agg
-	} else if front, closeFront, err = newDocFrontEnd(docs, aggCfg, aggWorkers); err != nil {
-		return err
-	}
-	defer closeFront()
-	tracker, err := persist.RestoreTracker(trkCfg, restored)
-	if err != nil {
-		return err
-	}
+	defer p.close()
 	if !*quiet {
-		tracker.SetRecordSink(func(r story.Record) { fmt.Println(r) })
+		p.tracker.SetRecordSink(func(r story.Record) { fmt.Println(r) })
 	}
-	baseTicks := uint64(0)
-	if pst != nil {
-		baseTicks = pst.BaseTicks()
-	}
-
-	// storiesHook is the per-batch boundary hook: stop cleanly on a signal
-	// and snapshot periodically — both only at drained boundaries, where the
-	// aggregator has handed out every update of the documents consumed so far
-	// (mid-document state would not be capturable).
-	storiesHook := func(capture func() (*persist.PipelineState, error)) func() error {
-		return func() error {
-			if ctx.Err() != nil {
-				if pst == nil {
-					return stream.ErrStopped
-				}
-				if !agg.Drained() {
-					return nil // run on to the next drained boundary first
-				}
-				if err := pst.Checkpoint(capture); err != nil {
-					return err
-				}
-				return stream.ErrStopped
-			}
-			if pst != nil && agg.Drained() {
-				return pst.MaybeSnapshot(capture)
-			}
-			return nil
-		}
-	}
-
-	if *shards > 0 {
-		overlap, err := newOverlap()
-		if err != nil {
-			return err
-		}
-		se, err := persist.RestoreSharded(shard.Config{Shards: *shards, Engine: engCfg, Overlap: overlap}, restored)
-		if err != nil {
-			return err
-		}
-		defer se.Close()
-		se.SetSeqSink(tracker)
-		r := stream.NewShardReplay(front, se, nil)
-		capture := func() (*persist.PipelineState, error) {
-			ps, err := persist.CaptureSharded(se, agg, tracker)
-			if err != nil {
-				return nil, err
-			}
-			ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-			return ps, nil
-		}
-		r.SetBoundaryHook(storiesHook(capture))
-		// The front-end is a BatchSource, so the driver replays its own epoch
-		// and document batches and no read size applies.
-		st, err := r.RunBatches(0, *batchMode)
-		interrupted := errors.Is(err, stream.ErrStopped)
-		if err != nil && !interrupted {
-			return err
-		}
-		if !interrupted {
-			// Checkpoint before Tracker.Close: Close resolves grace windows
-			// for the final report, which must not leak into resumable state.
-			if err := checkpointWAL(pst, interrupted, capture); err != nil {
-				return err
-			}
-			tracker.Close(baseTicks + uint64(st.Ticks))
-		}
-		fmt.Println(st)
-		fmt.Println(front.Stats())
-		printStoryTable(tracker)
-		fmt.Println(shardedSummary(se.Stats()))
-		return closeWALStore(pst, walOpts, interrupted)
-	}
-
-	eng, err := persist.RestoreEngine(engCfg, restored)
-	if err != nil {
-		return err
-	}
-	r := stream.NewReplay(front, eng, tracker)
-	capture := func() (*persist.PipelineState, error) {
-		ps, err := persist.CaptureSingle(eng, agg, tracker)
-		if err != nil {
-			return nil, err
-		}
-		ps.Ticks = baseTicks + uint64(r.Stats().Ticks)
-		return ps, nil
-	}
-	r.SetBoundaryHook(storiesHook(capture))
-	st, err := r.RunBatches(0, *batchMode) // see the sharded path
-	interrupted := errors.Is(err, stream.ErrStopped)
-	if err != nil && !interrupted {
-		return err
-	}
-	if !interrupted {
-		// See the sharded path: checkpoint precedes Tracker.Close.
-		if err := checkpointWAL(pst, interrupted, capture); err != nil {
-			return err
-		}
-		tracker.Close(baseTicks + uint64(st.Ticks))
-	}
-	fmt.Println(st)
-	fmt.Println(front.Stats())
-	printStoryTable(tracker)
-	fmt.Println(engineSummary(eng))
-	return closeWALStore(pst, walOpts, interrupted)
+	ctx, stopSignals := signalContext()
+	defer stopSignals()
+	// The front-end is a BatchSource, so no read size applies.
+	return p.drive(ctx, p.tracker, 0, p.batch, func(st replayStats, _ bool) { p.report(st) })
 }
 
 // printStoryTable prints the tracker summary line and the final story table.
