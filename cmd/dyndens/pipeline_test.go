@@ -110,6 +110,55 @@ func TestResumeExtendsInput(t *testing.T) {
 	}
 }
 
+// TestResumeFormatV1WAL pins resume across snapshot formats through the CLI.
+// testdata/wal_v1/stories and testdata/wal_v1/serve were written by `stories
+// run -wal` and `serve -wal` (with -quiet, serve also -exit-after-ingest)
+// over the first 300 documents of docs_small.docs, under its path, by a build
+// whose snapshots were format version 1 and stored the tracker's whole
+// lifecycle log. Each command resumes a copy of its directory over the whole
+// file and must end on the one-shot run's story table, stories: totals
+// included.
+func TestResumeFormatV1WAL(t *testing.T) {
+	input := filepath.Join("testdata", "docs_small.docs")
+	ref := storyTable(captureStdout(t, func() error {
+		return cmdStoriesRun([]string{"-input", input, "-quiet"})
+	}))
+	for _, c := range []struct {
+		name, dir string
+		cmd       func([]string) error
+		extra     []string
+	}{
+		{"stories run", "stories", cmdStoriesRun, nil},
+		{"serve", "serve", cmdServe, []string{"-exit-after-ingest", "-addr", "127.0.0.1:0"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := filepath.Join("testdata", "wal_v1", c.dir)
+			files, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join(src, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeFile(t, filepath.Join(dir, f.Name()), string(data))
+			}
+			out, stderr, err := runCapturing(t, c.cmd, append([]string{"-input", input, "-wal", dir, "-quiet"}, c.extra...))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if !strings.Contains(stderr, "wal: recovered 300 durable units (0 WAL frames") {
+				t.Errorf("did not resume from the version-1 snapshot at 300 documents:\n%s", stderr)
+			}
+			if got := storyTable(out); got != ref {
+				t.Errorf("resumed story table differs from the one-shot run:\n--- one-shot ---\n%s\n--- resumed ---\n%s", ref, got)
+			}
+		})
+	}
+}
+
 // TestErrorExitFlushesWAL pins that a run failing on malformed input still
 // flushes the WAL frames of the units before it: the rerun over the same
 // directory recovers them. For stdin those units could not be read again.

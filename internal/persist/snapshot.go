@@ -12,8 +12,11 @@ import (
 )
 
 const (
-	snapMagic   = "DDSNAP1\n"
-	snapVersion = 1
+	snapMagic = "DDSNAP1\n"
+	// snapVersion is the format encodeSnapshot writes. Version 2 stores the
+	// tracker's per-kind record counts where version 1 stored its whole
+	// lifecycle log; decodeSnapshot reads both.
+	snapVersion = 2
 )
 
 func snapshotName(seq uint64) string {
@@ -58,13 +61,14 @@ func decodeSnapshot(raw []byte, fingerprint string) (*PipelineState, error) {
 		return nil, fmt.Errorf("persist: snapshot CRC mismatch")
 	}
 	d := decoder{b: body, off: len(snapMagic)}
-	if v := d.u32(); d.err == nil && v != snapVersion {
-		return nil, fmt.Errorf("persist: snapshot version %d not supported (want %d)", v, snapVersion)
+	v := d.u32()
+	if d.err == nil && (v < 1 || v > snapVersion) {
+		return nil, fmt.Errorf("persist: snapshot version %d not supported (want 1 to %d)", v, snapVersion)
 	}
 	if fp := d.str(); d.err == nil && fp != fingerprint {
 		return nil, fmt.Errorf("persist: snapshot fingerprint %q does not match pipeline %q", fp, fingerprint)
 	}
-	st := decodePipelineState(&d)
+	st := decodePipelineState(&d, v)
 	if err := d.done(); err != nil {
 		return nil, err
 	}

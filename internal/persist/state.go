@@ -179,17 +179,16 @@ func encodeTrackerState(e *encoder, ts *story.TrackerState) {
 		e.u64(s.SnapSeq)
 		e.set(s.Snapshot)
 	}
-	e.u32(uint32(len(ts.Records)))
-	for _, r := range ts.Records {
-		e.u64(r.Seq)
-		e.u8(uint8(r.Kind))
-		e.u64(uint64(r.Story))
-		e.u64(uint64(r.Other))
-		e.set(r.Entities)
+	for k := story.Born; k <= story.Died; k++ {
+		e.u64(uint64(ts.Counts[k]))
 	}
 }
 
-func decodeTrackerState(d *decoder) *story.TrackerState {
+// decodeTrackerState reads the tracker state of a snapshot in the given
+// format version. Version 1 stored the whole lifecycle log where version 2
+// stores the five per-kind counts; a version-1 log is counted by kind and
+// dropped, so a directory written before the change resumes with its totals.
+func decodeTrackerState(d *decoder, version uint32) *story.TrackerState {
 	ts := &story.TrackerState{Seq: d.u64(), NextID: story.ID(d.u64())}
 	n := d.count(48)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -205,15 +204,24 @@ func decodeTrackerState(d *decoder) *story.TrackerState {
 		s.Snapshot = d.set()
 		ts.Stories = append(ts.Stories, s)
 	}
-	n = d.count(29)
-	for i := 0; i < n && d.err == nil; i++ {
-		ts.Records = append(ts.Records, story.Record{
-			Seq:      d.u64(),
-			Kind:     story.LifecycleKind(d.u8()),
-			Story:    story.ID(d.u64()),
-			Other:    story.ID(d.u64()),
-			Entities: d.set(),
-		})
+	if version == 1 {
+		n = d.count(29) // seq, kind, story, other, entity count
+		for i := 0; i < n && d.err == nil; i++ {
+			d.u64()
+			k := story.LifecycleKind(d.u8())
+			d.u64()
+			d.u64()
+			d.set()
+			if k < story.Born || k > story.Died {
+				d.fail("persist: version-1 lifecycle record %d has unknown kind %d", i, k)
+				break
+			}
+			ts.Counts[k]++
+		}
+		return ts
+	}
+	for k := story.Born; k <= story.Died; k++ {
+		ts.Counts[k] = int(d.u64())
 	}
 	return ts
 }
@@ -243,7 +251,7 @@ func encodePipelineState(e *encoder, st *PipelineState) {
 	}
 }
 
-func decodePipelineState(d *decoder) *PipelineState {
+func decodePipelineState(d *decoder, version uint32) *PipelineState {
 	st := &PipelineState{Seq: d.u64(), Ticks: d.u64()}
 	if d.boolean() {
 		gs := decodeGraphState(d)
@@ -260,7 +268,7 @@ func decodePipelineState(d *decoder) *PipelineState {
 		st.Agg = decodeAggState(d)
 	}
 	if d.boolean() {
-		st.Tracker = decodeTrackerState(d)
+		st.Tracker = decodeTrackerState(d, version)
 	}
 	return st
 }

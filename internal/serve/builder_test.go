@@ -246,6 +246,7 @@ func TestBuilderShardedConformance(t *testing.T) {
 
 	eng := core.MustNew(w.eng)
 	ref := NewBuilder(story.MustTracker(w.trk))
+	refRecs := logRecords(ref)
 	eng.SetSink(ref)
 	for _, u := range updates {
 		eng.Process(u)
@@ -258,6 +259,7 @@ func TestBuilderShardedConformance(t *testing.T) {
 			se := shard.MustNew(shard.Config{Shards: k, Engine: w.eng, BatchSize: 64})
 			defer se.Close()
 			b := NewBuilder(story.MustTracker(w.trk))
+			recs := logRecords(b)
 			se.SetSeqSink(b)
 			se.ProcessAll(updates)
 			se.Flush()
@@ -267,7 +269,7 @@ func TestBuilderShardedConformance(t *testing.T) {
 			if got := entryFingerprint(b.View().Snapshot()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("K=%d final snapshot diverges from single engine:\nsharded %v\nsingle  %v", k, got, want)
 			}
-			if !reflect.DeepEqual(b.Tracker().Records(), ref.Tracker().Records()) {
+			if !reflect.DeepEqual(*recs, *refRecs) {
 				t.Fatalf("K=%d lifecycle records diverge", k)
 			}
 		})
@@ -315,28 +317,106 @@ func TestBuilderLiveKeysMatchEngine(t *testing.T) {
 	checkMatchesTracker(t, b)
 }
 
+// logRecords installs a record sink on b that collects every lifecycle
+// record it forwards.
+func logRecords(b *Builder) *[]story.Record {
+	var recs []story.Record
+	b.SetRecordSink(func(r story.Record) { recs = append(recs, r) })
+	return &recs
+}
+
 // TestBuilderRecordForwarding checks that SetRecordSink observes every
-// lifecycle record, in order, as the tracker produces them.
+// lifecycle record, in order, as the tracker produces them: the forwarded
+// stream equals the one a bare tracker streams over the same updates, and the
+// view and the tracker count it whole.
 func TestBuilderRecordForwarding(t *testing.T) {
 	w := defaultWorkload()
 	updates := w.updates(t)
 	eng := core.MustNew(w.eng)
 	b := NewBuilder(story.MustTracker(w.trk))
-	var got []story.Record
-	b.SetRecordSink(func(r story.Record) { got = append(got, r) })
+	got := logRecords(b)
 	eng.SetSink(b)
 	for _, u := range updates {
 		eng.Process(u)
 	}
 	b.Close(uint64(len(updates)))
-	want := b.Tracker().Records()
-	if len(got) != len(want) {
-		t.Fatalf("forwarded %d records, tracker has %d", len(got), len(want))
+
+	bare := story.MustTracker(w.trk)
+	var want []story.Record
+	bare.SetRecordSink(func(r story.Record) { want = append(want, r) })
+	eng = core.MustNew(w.eng)
+	eng.SetSink(bare)
+	for _, u := range updates {
+		eng.Process(u)
 	}
-	for i := range got {
-		if got[i].Seq != want[i].Seq || got[i].Kind != want[i].Kind || got[i].Story != want[i].Story || got[i].Other != want[i].Other || !got[i].Entities.Equal(want[i].Entities) {
-			t.Fatalf("record %d: forwarded %v, tracker %v", i, got[i], want[i])
-		}
+	bare.Close(uint64(len(updates)))
+
+	if len(want) == 0 || !reflect.DeepEqual(*got, want) {
+		t.Fatalf("forwarded %d records, a bare tracker streams %d: %v", len(*got), len(want), *got)
+	}
+	if b.Tracker().Stats() != bare.Stats() {
+		t.Fatalf("wrapped tracker Stats %+v != bare %+v", b.Tracker().Stats(), bare.Stats())
+	}
+	if n := b.View().Stats().Records; n != uint64(len(want)) {
+		t.Fatalf("view counts %d records, %d were forwarded", n, len(want))
+	}
+}
+
+// TestRestoredViewCountsWholeStream pins /stats continuity across a restore:
+// a builder rebuilt with NewBuilderFromState from a mid-stream tracker state
+// must report the records of the whole stream, not only those since the
+// restore, and otherwise match the uninterrupted builder — the same records
+// after the restore, the same tracker Stats and the same final snapshot.
+func TestRestoredViewCountsWholeStream(t *testing.T) {
+	w := defaultWorkload()
+	updates := w.updates(t)
+	eng := core.MustNew(w.eng)
+	ref := NewBuilder(story.MustTracker(w.trk))
+	refRecs := logRecords(ref)
+	eng.SetSink(ref)
+	for _, u := range updates {
+		eng.Process(u)
+	}
+	ref.Close(uint64(len(updates)))
+
+	cut := len(updates) / 2
+	eng = core.MustNew(w.eng)
+	before := NewBuilder(story.MustTracker(w.trk))
+	eng.SetSink(before)
+	for _, u := range updates[:cut] {
+		eng.Process(u)
+	}
+	before.Sync()
+	st, err := before.Tracker().ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := story.NewTrackerFromState(w.trk, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilderFromState(tr, eng.OutputDense())
+	if got, want := b.View().Stats().Records, before.View().Stats().Records; got != want || got == 0 {
+		t.Fatalf("restored view counts %d records, %d were produced before the restore", got, want)
+	}
+	recs := logRecords(b)
+	eng.SetSink(b)
+	for _, u := range updates[cut:] {
+		eng.Process(u)
+	}
+	b.Close(uint64(len(updates)))
+
+	if got, want := b.View().Stats().Records, ref.View().Stats().Records; got != want {
+		t.Fatalf("/stats records = %d after the restore, uninterrupted %d", got, want)
+	}
+	if n := int(before.View().Stats().Records); !reflect.DeepEqual(*recs, (*refRecs)[n:]) {
+		t.Fatalf("the %d records after the restore are not the uninterrupted stream's %d past the first %d", len(*recs), len(*refRecs)-n, n)
+	}
+	if b.Tracker().Stats() != ref.Tracker().Stats() {
+		t.Fatalf("restored tracker Stats %+v != uninterrupted %+v", b.Tracker().Stats(), ref.Tracker().Stats())
+	}
+	if got, want := entryFingerprint(b.View().Snapshot()), entryFingerprint(ref.View().Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored final snapshot diverges:\n got %v\nwant %v", got, want)
 	}
 }
 

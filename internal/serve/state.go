@@ -27,12 +27,15 @@ func (b *Builder) Sync() {
 // engine's output-dense set: it gives the live subgraphs their densities
 // back. A subgraph missing from it restores with density 0, as do fading
 // stories — the last-known density is a serving cache, not durable state, and
-// heals at the story's next event.
+// heals at the story's next event. The view's record counter resumes from the
+// tracker's restored totals, so /stats counts the whole stream.
 func NewBuilderFromState(tr *story.Tracker, dense []core.Subgraph) *Builder {
 	b := NewBuilder(tr)
 	for _, sg := range dense {
 		tr.SetDensity(sg.Set, sg.Density)
 	}
+	s := tr.Stats()
+	b.view.records.Store(uint64(s.Born + s.Updated + s.Merged + s.Split + s.Died))
 	rows := tr.Stories()
 	ids := make([]story.ID, len(rows))
 	for i, row := range rows {

@@ -57,30 +57,31 @@ func (w pipelineWorkload) updates(t *testing.T) ([]stream.Update, []stream.Plant
 
 // runSingle drives the updates through a single engine with the tracker
 // installed as its sink (events and update boundaries arrive automatically).
-func (w pipelineWorkload) runSingle(t *testing.T, updates []stream.Update) *Tracker {
+// It returns the tracker and the records it streamed.
+func (w pipelineWorkload) runSingle(t *testing.T, updates []stream.Update) (*Tracker, []Record) {
 	t.Helper()
 	eng := core.MustNew(w.eng)
-	tr := MustTracker(w.trk)
+	tr, log := loggedTracker(w.trk)
 	eng.SetSink(tr)
 	for _, u := range updates {
 		eng.Process(u)
 	}
 	tr.Close(uint64(len(updates)))
-	return tr
+	return tr, log.recs
 }
 
 // runSharded drives the updates through a K-shard deployment with the
 // tracker consuming the merged, sequence-numbered event stream.
-func (w pipelineWorkload) runSharded(t *testing.T, updates []stream.Update, shards int) *Tracker {
+func (w pipelineWorkload) runSharded(t *testing.T, updates []stream.Update, shards int) (*Tracker, []Record) {
 	t.Helper()
 	se := shard.MustNew(shard.Config{Shards: shards, Engine: w.eng, BatchSize: 64})
 	defer se.Close()
-	tr := MustTracker(w.trk)
+	tr, log := loggedTracker(w.trk)
 	se.SetSeqSink(tr)
 	se.ProcessAll(updates)
 	se.Flush()
 	tr.Close(uint64(len(updates)))
-	return tr
+	return tr, log.recs
 }
 
 // TestStoryPipelineRecoversPlantedStories is the end-to-end acceptance
@@ -91,7 +92,7 @@ func (w pipelineWorkload) runSharded(t *testing.T, updates []stream.Update, shar
 func TestStoryPipelineRecoversPlantedStories(t *testing.T) {
 	w := defaultWorkload()
 	updates, planted := w.updates(t)
-	tr := w.runSingle(t, updates)
+	tr, recs := w.runSingle(t, updates)
 
 	for s, p := range planted {
 		// Every record whose entity set overlaps this planted story's
@@ -100,7 +101,7 @@ func TestStoryPipelineRecoversPlantedStories(t *testing.T) {
 		var ids []ID
 		seen := map[ID]bool{}
 		reachedFull := false
-		for _, r := range tr.Records() {
+		for _, r := range recs {
 			if inter, _ := overlap(r.Entities, p.Entities); inter == 0 {
 				continue
 			}
@@ -121,7 +122,7 @@ func TestStoryPipelineRecoversPlantedStories(t *testing.T) {
 		}
 
 		died := false
-		for _, r := range tr.Records() {
+		for _, r := range recs {
 			if r.Story == ids[0] && r.Kind == Died {
 				died = true
 			}
@@ -158,9 +159,9 @@ func TestStoryPipelineRecoversPlantedStories(t *testing.T) {
 func TestStoryPipelineDeterministic(t *testing.T) {
 	w := defaultWorkload()
 	updates, _ := w.updates(t)
-	a := w.runSingle(t, updates)
-	b := w.runSingle(t, updates)
-	if !reflect.DeepEqual(a.Records(), b.Records()) {
+	a, aRecs := w.runSingle(t, updates)
+	b, bRecs := w.runSingle(t, updates)
+	if !reflect.DeepEqual(aRecs, bRecs) {
 		t.Fatal("two identical runs produced different records")
 	}
 	if !reflect.DeepEqual(a.Stories(), b.Stories()) {
@@ -174,16 +175,19 @@ func TestStoryPipelineDeterministic(t *testing.T) {
 func TestStoryPipelineShardedConformance(t *testing.T) {
 	w := defaultWorkload()
 	updates, _ := w.updates(t)
-	ref := w.runSingle(t, updates)
-	if len(ref.Records()) == 0 {
+	ref, refRecs := w.runSingle(t, updates)
+	if len(refRecs) == 0 {
 		t.Fatal("reference run produced no records; workload too weak")
 	}
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			got := w.runSharded(t, updates, k)
-			if !reflect.DeepEqual(got.Records(), ref.Records()) {
+			got, gotRecs := w.runSharded(t, updates, k)
+			if !reflect.DeepEqual(gotRecs, refRecs) {
 				t.Fatalf("K=%d records diverge from single engine (%d vs %d records): %s",
-					k, len(got.Records()), len(ref.Records()), firstDiff(got.Records(), ref.Records()))
+					k, len(gotRecs), len(refRecs), firstDiff(gotRecs, refRecs))
+			}
+			if got.Stats() != ref.Stats() {
+				t.Fatalf("K=%d Stats %+v != single %+v", k, got.Stats(), ref.Stats())
 			}
 			if !reflect.DeepEqual(got.Stories(), ref.Stories()) {
 				t.Fatalf("K=%d story tables diverge:\nsharded %+v\nsingle  %+v", k, got.Stories(), ref.Stories())

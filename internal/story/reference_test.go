@@ -344,15 +344,12 @@ func TestTrackerMatchesKeyStringReference(t *testing.T) {
 
 	eng := core.MustNew(w.eng)
 	tr, ref := MustTracker(w.trk), newRefTracker(w.trk)
+	log := logRecords(tr)
 	eng.SetSink(core.MultiSink{tr, ref})
-	checked := 0
 	for i, u := range updates {
 		eng.Process(u)
-		if n := len(ref.records); n != checked { // Records() copies the whole log: compare it only when it grew
-			if got := tr.Records(); !reflect.DeepEqual(got, ref.records) {
-				t.Fatalf("update %d: records diverge:\n got %v\nwant %v", i+1, got[checked:], ref.records[checked:])
-			}
-			checked = n
+		if !reflect.DeepEqual(log.recs, ref.records) {
+			t.Fatalf("update %d: records diverge: %s", i+1, firstDiff(log.recs, ref.records))
 		}
 		if got, want := tr.Stories(), ref.Stories(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("update %d: story tables diverge:\n got %+v\nwant %+v", i+1, got, want)

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the story half of crash recovery (internal/persist): the
-// tracker's table, lifecycle log, and ID counter export to a plain value and
-// import into a fresh tracker, so a restarted pipeline resumes with story
-// identities intact — the property the paper's real-time story identification
-// is about.
+// tracker's table, per-kind record counts, and ID counter export to a plain
+// value and import into a fresh tracker, so a restarted pipeline resumes with
+// story identities intact — the property the paper's real-time story
+// identification is about.
 
 // StoryState is the persisted form of one story-table row.
 type StoryState struct {
@@ -26,22 +26,26 @@ type StoryState struct {
 }
 
 // TrackerState is the persisted state of a Tracker at a quiescent boundary
-// (Sync'd, no buffered events). Stories are sorted by ID.
+// (Sync'd, no buffered events). Stories are sorted by ID. Its size is
+// proportional to the story table, not to the stream: the records themselves
+// went to the record sink, and only their counts are kept.
 type TrackerState struct {
 	Seq     uint64
 	NextID  ID
 	Stories []StoryState
-	Records []Record
+	// Counts is the number of lifecycle records emitted so far, indexed by
+	// LifecycleKind (index 0 is unused).
+	Counts [Died + 1]int
 }
 
-// ExportState captures the tracker's table, lifecycle log, and ID counter.
+// ExportState captures the tracker's table, record counts, and ID counter.
 // It fails if events are still buffered: call Sync at a quiesced boundary
 // first.
 func (t *Tracker) ExportState() (TrackerState, error) {
 	if t.pendingSeq != 0 || len(t.buf) > 0 {
 		return TrackerState{}, fmt.Errorf("story: tracker export requires a resolved boundary (call Sync)")
 	}
-	st := TrackerState{Seq: t.seq, NextID: t.nextID, Records: t.Records()}
+	st := TrackerState{Seq: t.seq, NextID: t.nextID, Counts: t.kinds}
 	for _, s := range t.stories {
 		row := StoryState{
 			ID:       s.id,
@@ -61,11 +65,12 @@ func (t *Tracker) ExportState() (TrackerState, error) {
 }
 
 // NewTrackerFromState builds a tracker resuming from an exported state: the
-// story table (including fade snapshots and grace bookkeeping), the full
-// lifecycle log, the ID counter, and the resolved sequence all come back
-// exactly, so subsequent events produce the same records an uninterrupted
-// tracker would have. Restored records are NOT replayed through the record
-// sink — they were already delivered before the snapshot was cut.
+// story table (including fade snapshots and grace bookkeeping), the record
+// counts, the ID counter, and the resolved sequence all come back exactly, so
+// subsequent events produce the same records — and Stats the same totals — an
+// uninterrupted tracker would have. Every story enters the table by Born or
+// Split and leaves it by Merged or Died, so counts that disagree with the
+// number of rows are rejected.
 func NewTrackerFromState(cfg Config, st TrackerState) (*Tracker, error) {
 	t, err := NewTracker(cfg)
 	if err != nil {
@@ -104,12 +109,16 @@ func NewTrackerFromState(cfg Config, st TrackerState) (*Tracker, error) {
 			snapshot: row.Snapshot,
 		})
 	}
-	for _, r := range st.Records {
-		if r.Kind < Born || r.Kind > Died {
-			return nil, fmt.Errorf("story: restored record at seq %d has unknown kind %d", r.Seq, r.Kind)
+	c := st.Counts
+	for k := Born; k <= Died; k++ {
+		if c[k] < 0 {
+			return nil, fmt.Errorf("story: restored %s count %d is negative", k, c[k])
 		}
-		t.kinds[r.Kind]++
 	}
-	t.records = st.Records
+	if rows := c[Born] + c[Split] - c[Merged] - c[Died]; rows != len(st.Stories) {
+		return nil, fmt.Errorf("story: restored counts born=%d split=%d merged=%d died=%d leave %d stories, the table has %d",
+			c[Born], c[Split], c[Merged], c[Died], rows, len(st.Stories))
+	}
+	t.kinds = c
 	return t, nil
 }

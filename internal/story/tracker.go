@@ -158,7 +158,6 @@ type Tracker struct {
 	// below it with no events changes nothing but the sequence.
 	nextExpiry uint64
 
-	records  []Record
 	kinds    [Died + 1]int // records emitted, by kind
 	onRecord func(Record)
 
@@ -193,8 +192,10 @@ func MustTracker(cfg Config) *Tracker {
 func (t *Tracker) Config() Config { return t.cfg }
 
 // SetRecordSink installs a callback invoked for every lifecycle record as it
-// is produced (the stories CLI streams its log through this). Records are
-// also retained and available via Records.
+// is produced (the stories CLI streams its log through this). It is the only
+// way records leave the tracker: it keeps no log, only the per-kind counts
+// Stats reports. A sink that retains records must treat Record.Entities as
+// read-only.
 func (t *Tracker) SetRecordSink(fn func(Record)) { t.onRecord = fn }
 
 // Emit implements core.EventSink: events are buffered until the engine marks
@@ -512,27 +513,10 @@ func (t *Tracker) bear(s uint64, at int, set vset.Set, density float64) {
 }
 
 func (t *Tracker) record(r Record) {
-	t.records = append(t.records, r)
 	t.kinds[r.Kind]++
 	if t.onRecord != nil {
 		t.onRecord(r)
 	}
-}
-
-// Records returns every lifecycle record produced so far, in order. The
-// slice and the Entities sets it carries are copied out of the tracker's
-// log, so they are the caller's to keep or mutate: nothing a caller does to
-// the returned value can corrupt lifecycle history, and the tracker's later
-// progress never changes a previously returned slice. (Records delivered
-// through SetRecordSink are not copied — a sink that retains them must treat
-// Record.Entities as read-only.)
-func (t *Tracker) Records() []Record {
-	out := make([]Record, len(t.records))
-	copy(out, t.records)
-	for i := range out {
-		out[i].Entities = out[i].Entities.Clone()
-	}
-	return out
 }
 
 // row is a story's table row, sharing the tracker's entity set.
@@ -549,8 +533,8 @@ func (st *storyState) row() Snapshot {
 
 // Stories returns the current story table, sorted by ID: live stories first
 // have their union-of-subgraphs entity sets, fading ones their fade
-// snapshots. Like Records, the returned rows (including their Entities sets)
-// are private copies owned by the caller.
+// snapshots. The returned rows (including their Entities sets) are private
+// copies owned by the caller.
 func (t *Tracker) Stories() []Snapshot {
 	out := make([]Snapshot, 0, len(t.stories))
 	for _, st := range t.stories {
@@ -637,7 +621,7 @@ func (t *Tracker) LiveKeys() []string {
 	return keys
 }
 
-// Stats summarises the records and the current table.
+// Stats summarises the records emitted so far and the current table.
 func (t *Tracker) Stats() Stats {
 	s := Stats{
 		Born: t.kinds[Born], Updated: t.kinds[Updated], Merged: t.kinds[Merged],

@@ -25,6 +25,23 @@ func ceased(vs ...vset.Vertex) core.Event {
 	return core.Event{Kind: core.CeasedOutputDense, Set: vset.New(vs...)}
 }
 
+// recordLog collects the lifecycle records a tracker streams through its
+// record sink, the only place records leave the tracker.
+type recordLog struct{ recs []Record }
+
+// logRecords installs a fresh log as tr's record sink.
+func logRecords(tr *Tracker) *recordLog {
+	l := &recordLog{}
+	tr.SetRecordSink(func(r Record) { l.recs = append(l.recs, r) })
+	return l
+}
+
+// loggedTracker builds a tracker whose records stream into a fresh log.
+func loggedTracker(cfg Config) (*Tracker, *recordLog) {
+	tr := MustTracker(cfg)
+	return tr, logRecords(tr)
+}
+
 // kinds extracts the record kinds in order.
 func kinds(records []Record) []LifecycleKind {
 	out := make([]LifecycleKind, len(records))
@@ -35,12 +52,12 @@ func kinds(records []Record) []LifecycleKind {
 }
 
 func TestTrackerBornAndUpdated(t *testing.T) {
-	tr := MustTracker(Config{})
+	tr, log := loggedTracker(Config{})
 	turn(tr, became(1, 2, 3))
 	turn(tr, became(1, 2, 3, 4)) // Jaccard 3/4 → same story, grown
 	turn(tr)                     // event-free update advances the clock only
 
-	recs := tr.Records()
+	recs := log.recs
 	if len(recs) != 2 || recs[0].Kind != Born || recs[1].Kind != Updated {
 		t.Fatalf("records = %v", recs)
 	}
@@ -63,10 +80,10 @@ func TestTrackerBornAndUpdated(t *testing.T) {
 }
 
 func TestTrackerShrinkEmitsUpdated(t *testing.T) {
-	tr := MustTracker(Config{})
+	tr, log := loggedTracker(Config{})
 	turn(tr, became(1, 2, 3), became(1, 2, 3, 4))
 	turn(tr, ceased(1, 2, 3, 4)) // story keeps subgraph {1,2,3}; entities shrink
-	recs := tr.Records()
+	recs := log.recs
 	last := recs[len(recs)-1]
 	if last.Kind != Updated || !last.Entities.Equal(vset.New(1, 2, 3)) {
 		t.Fatalf("records = %v", recs)
@@ -80,12 +97,12 @@ func TestTrackerShrinkEmitsUpdated(t *testing.T) {
 // exists for: a story whose only subgraph ceases and is re-discovered within
 // the grace window keeps its ID, with no lifecycle noise for the blip.
 func TestTrackerFadeReviveKeepsIdentity(t *testing.T) {
-	tr := MustTracker(Config{Grace: 10})
+	tr, log := loggedTracker(Config{Grace: 10})
 	turn(tr, became(1, 2, 3))
 	turn(tr, ceased(1, 2, 3)) // fade, no record
 	turn(tr)
 	turn(tr, became(1, 2, 3, 4)) // revived and grown within grace
-	recs := tr.Records()
+	recs := log.recs
 	if want := []LifecycleKind{Born, Updated}; !reflect.DeepEqual(kinds(recs), want) {
 		t.Fatalf("records = %v, want kinds %v", recs, want)
 	}
@@ -101,13 +118,13 @@ func TestTrackerFadeReviveKeepsIdentity(t *testing.T) {
 // TestTrackerDiesAfterGrace pins the logical expiry sequence: fade at s with
 // grace G dies at s+G+1 regardless of when the tracker notices.
 func TestTrackerDiesAfterGrace(t *testing.T) {
-	tr := MustTracker(Config{Grace: 2})
+	tr, log := loggedTracker(Config{Grace: 2})
 	turn(tr, became(1, 2, 3)) // seq 1
 	turn(tr, ceased(1, 2, 3)) // seq 2: fade
 	turn(tr)                  // seq 3: still revivable
 	turn(tr)                  // seq 4: last revivable update
 	turn(tr)                  // seq 5: grace over → died
-	recs := tr.Records()
+	recs := log.recs
 	if len(recs) != 2 || recs[1].Kind != Died || recs[1].Seq != 5 {
 		t.Fatalf("records = %v", recs)
 	}
@@ -120,12 +137,12 @@ func TestTrackerDiesAfterGrace(t *testing.T) {
 
 	// Same history, but the tail is accounted for by Close instead of
 	// explicit event-free updates: identical records.
-	tr2 := MustTracker(Config{Grace: 2})
+	tr2, log2 := loggedTracker(Config{Grace: 2})
 	turn(tr2, became(1, 2, 3))
 	turn(tr2, ceased(1, 2, 3))
 	tr2.Close(5)
-	if !reflect.DeepEqual(tr2.Records(), recs) {
-		t.Fatalf("Close path records %v != explicit path %v", tr2.Records(), recs)
+	if !reflect.DeepEqual(log2.recs, recs) {
+		t.Fatalf("Close path records %v != explicit path %v", log2.recs, recs)
 	}
 }
 
@@ -148,6 +165,7 @@ func TestTrackerEventFreeUpdateZeroAlloc(t *testing.T) {
 	}
 	tr := MustTracker(Config{Grace: 40})
 	history(tr)
+	log := logRecords(tr) // the quiet stretches run with a sink installed
 	quiet := func(tr *Tracker, through uint64) {
 		t.Helper()
 		n := int(through - tr.Seq())
@@ -159,12 +177,11 @@ func TestTrackerEventFreeUpdateZeroAlloc(t *testing.T) {
 		}
 	}
 	quiet(tr, 42)
-	before := len(tr.Records())
 	turn(tr) // seq 43: story 2 dies
 	quiet(tr, 47)
 	turn(tr) // seq 48: story 3 dies
 	quiet(tr, 100)
-	recs := tr.Records()[before:]
+	recs := log.recs
 	if len(recs) != 2 || recs[0].Kind != Died || recs[0].Seq != 43 || recs[0].Story != 2 ||
 		recs[1].Kind != Died || recs[1].Seq != 48 || recs[1].Story != 3 {
 		t.Fatalf("expiries inside the quiet stretches = %v", recs)
@@ -180,11 +197,15 @@ func TestTrackerEventFreeUpdateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	restoredLog := logRecords(restored)
 	for restored.Seq() < 100 {
 		turn(restored)
 	}
-	if !reflect.DeepEqual(restored.Records(), tr.Records()) {
-		t.Fatalf("restored tracker records %v != uninterrupted %v", restored.Records(), tr.Records())
+	if !reflect.DeepEqual(restoredLog.recs, recs) {
+		t.Fatalf("restored tracker streamed %v, uninterrupted %v", restoredLog.recs, recs)
+	}
+	if restored.Stats() != tr.Stats() {
+		t.Fatalf("restored tracker Stats %+v != uninterrupted %+v", restored.Stats(), tr.Stats())
 	}
 }
 
@@ -200,13 +221,13 @@ func TestTrackerRevivalAtGraceBoundary(t *testing.T) {
 		t.Fatalf("table = %+v", got)
 	}
 
-	tr = MustTracker(Config{Grace: 2})
+	tr, log := loggedTracker(Config{Grace: 2})
 	turn(tr, became(1, 2, 3))
 	turn(tr, ceased(1, 2, 3))
 	turn(tr)
 	turn(tr)
 	turn(tr, became(1, 2, 3)) // seq 5: too late — new story
-	recs := tr.Records()
+	recs := log.recs
 	if want := []LifecycleKind{Born, Died, Born}; !reflect.DeepEqual(kinds(recs), want) {
 		t.Fatalf("records = %v, want kinds %v", recs, want)
 	}
@@ -216,12 +237,12 @@ func TestTrackerRevivalAtGraceBoundary(t *testing.T) {
 }
 
 func TestTrackerMerge(t *testing.T) {
-	tr := MustTracker(Config{})
+	tr, log := loggedTracker(Config{})
 	turn(tr, became(1, 2, 3))
 	turn(tr, became(10, 11, 12))
 	// A subgraph bridging both stories at Jaccard 3/6 = 0.5 each.
 	turn(tr, became(1, 2, 3, 10, 11, 12))
-	recs := tr.Records()
+	recs := log.recs
 	if want := []LifecycleKind{Born, Born, Merged, Updated}; !reflect.DeepEqual(kinds(recs), want) {
 		t.Fatalf("records = %v, want kinds %v", recs, want)
 	}
@@ -239,12 +260,12 @@ func TestTrackerMerge(t *testing.T) {
 }
 
 func TestTrackerSplit(t *testing.T) {
-	tr := MustTracker(Config{Grace: 10})
+	tr, log := loggedTracker(Config{Grace: 10})
 	turn(tr, became(1, 2, 3, 4, 5, 6))
 	turn(tr, ceased(1, 2, 3, 4, 5, 6)) // fade with snapshot {1..6}
 	turn(tr, became(1, 2, 3))          // revives story 1 (Jaccard 3/6 vs snapshot)
 	turn(tr, became(4, 5, 6))          // no current match; snapshot match → split
-	recs := tr.Records()
+	recs := log.recs
 	if want := []LifecycleKind{Born, Updated, Split}; !reflect.DeepEqual(kinds(recs), want) {
 		t.Fatalf("records = %v, want kinds %v", recs, want)
 	}
@@ -259,11 +280,11 @@ func TestTrackerSplit(t *testing.T) {
 }
 
 func TestTrackerMinCardinality(t *testing.T) {
-	tr := MustTracker(Config{MinCardinality: 3})
+	tr, log := loggedTracker(Config{MinCardinality: 3})
 	turn(tr, became(1, 2))    // gated out
 	turn(tr, became(4, 5, 6)) // passes
 	turn(tr, ceased(1, 2))    // unknown key: ignored
-	if recs := tr.Records(); len(recs) != 1 || !recs[0].Entities.Equal(vset.New(4, 5, 6)) {
+	if recs := log.recs; len(recs) != 1 || !recs[0].Entities.Equal(vset.New(4, 5, 6)) {
 		t.Fatalf("records = %v", recs)
 	}
 	if keys := tr.LiveKeys(); len(keys) != 1 || keys[0] != "4,5,6" {
@@ -276,11 +297,11 @@ func TestTrackerMinCardinality(t *testing.T) {
 // arriving in either order produce identical records.
 func TestTrackerCanonicalOrderWithinUpdate(t *testing.T) {
 	run := func(evs ...core.Event) []Record {
-		tr := MustTracker(Config{})
+		tr, log := loggedTracker(Config{})
 		turn(tr, became(1, 2, 3, 4, 5, 6))
 		turn(tr, ceased(1, 2, 3, 4, 5, 6))
 		turn(tr, evs...)
-		return tr.Records()
+		return log.recs
 	}
 	a := run(became(1, 2, 3), became(4, 5, 6))
 	b := run(became(4, 5, 6), became(1, 2, 3))
@@ -295,14 +316,23 @@ func TestTrackerCanonicalOrderWithinUpdate(t *testing.T) {
 	}
 }
 
+// TestTrackerRecordSinkStreams pins that every record reaches the sink as it
+// is produced, in order, and that Stats counts exactly what was streamed.
 func TestTrackerRecordSinkStreams(t *testing.T) {
 	tr := MustTracker(Config{})
 	var streamed []Record
 	tr.SetRecordSink(func(r Record) { streamed = append(streamed, r) })
 	turn(tr, became(1, 2, 3))
 	turn(tr, became(1, 2, 3, 4))
-	if !reflect.DeepEqual(streamed, tr.Records()) {
-		t.Fatalf("streamed %v != retained %v", streamed, tr.Records())
+	want := []Record{
+		{Seq: 1, Kind: Born, Story: 1, Entities: vset.New(1, 2, 3)},
+		{Seq: 2, Kind: Updated, Story: 1, Entities: vset.New(1, 2, 3, 4)},
+	}
+	if !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("streamed %v, want %v", streamed, want)
+	}
+	if st := tr.Stats(); st.Born != 1 || st.Updated != 1 || st.Merged+st.Split+st.Died != 0 {
+		t.Fatalf("Stats = %+v, want born=1 updated=1", st)
 	}
 }
 
@@ -332,14 +362,14 @@ func TestLifecycleKindStrings(t *testing.T) {
 // GraceNone dies at fadeSeq+1, the first update after its last subgraph
 // ceases, while a zero Grace still selects the documented default of 200.
 func TestTrackerGraceNone(t *testing.T) {
-	tr := MustTracker(Config{Grace: GraceNone})
+	tr, log := loggedTracker(Config{Grace: GraceNone})
 	if g := tr.Config().Grace; g != 0 {
 		t.Fatalf("effective Grace = %d, want 0", g)
 	}
 	turn(tr, became(1, 2, 3)) // seq 1
 	turn(tr, ceased(1, 2, 3)) // seq 2: fade, expiry at 3
 	turn(tr)                  // seq 3: grace window already over → died
-	recs := tr.Records()
+	recs := log.recs
 	if len(recs) != 2 || recs[1].Kind != Died || recs[1].Seq != 3 {
 		t.Fatalf("records = %v", recs)
 	}
@@ -351,63 +381,53 @@ func TestTrackerGraceNone(t *testing.T) {
 	// only way back: by seq 3 the identity is gone and a re-appearing
 	// subgraph is a fresh story (no split either — the snapshot window is
 	// also zero-length).
-	tr2 := MustTracker(Config{Grace: GraceNone})
+	tr2, log2 := loggedTracker(Config{Grace: GraceNone})
 	turn(tr2, became(1, 2, 3))
 	turn(tr2, ceased(1, 2, 3))
 	turn(tr2)
 	turn(tr2, became(1, 2, 3))
-	recs2 := tr2.Records()
+	recs2 := log2.recs
 	last := recs2[len(recs2)-1]
 	if last.Kind != Born || last.Story != 2 {
 		t.Fatalf("re-appearance after no-grace death = %v, want fresh Born story 2", last)
 	}
 
 	// The zero value still means "default": the story survives a short gap.
-	tr3 := MustTracker(Config{})
+	tr3, log3 := loggedTracker(Config{})
 	if g := tr3.Config().Grace; g != 200 {
 		t.Fatalf("default Grace = %d, want 200", g)
 	}
 	turn(tr3, became(1, 2, 3))
 	turn(tr3, ceased(1, 2, 3))
 	turn(tr3)
-	if got := kinds(tr3.Records()); len(got) != 1 || got[0] != Born {
-		t.Fatalf("default-grace records = %v, want story still fading", tr3.Records())
+	if got := kinds(log3.recs); len(got) != 1 || got[0] != Born {
+		t.Fatalf("default-grace records = %v, want story still fading", log3.recs)
 	}
 }
 
-// TestTrackerQueryOwnership pins the copy-on-read contract of Records and
-// Stories: callers own the returned values outright, so mutating them —
-// including the Entities sets, which the tracker may still reference — must
-// not corrupt lifecycle history or the story table.
+// TestTrackerQueryOwnership pins the copy-on-read contract of Stories:
+// callers own the returned rows outright, so mutating them — including the
+// Entities sets, which the tracker still references — must not corrupt the
+// story table or the records that follow.
 func TestTrackerQueryOwnership(t *testing.T) {
-	tr := MustTracker(Config{})
+	tr, log := loggedTracker(Config{})
 	turn(tr, became(1, 2, 3))
 	turn(tr, became(1, 2, 3, 4))
 
-	pristineRecs := tr.Records()
 	pristineTable := tr.Stories()
-
-	recs := tr.Records()
-	recs[0].Entities[0] = 999 // scribble over a recorded entity set
-	recs[1] = Record{}        // and over a whole record
-	_ = append(recs, Record{Kind: Died})
-
 	table := tr.Stories()
 	table[0].Entities[0] = -7
 	table[0].Subgraphs = 42
 
-	if !reflect.DeepEqual(tr.Records(), pristineRecs) {
-		t.Fatalf("mutating Records() result corrupted the log:\n got %v\nwant %v", tr.Records(), pristineRecs)
-	}
 	if !reflect.DeepEqual(tr.Stories(), pristineTable) {
 		t.Fatalf("mutating Stories() result corrupted the table:\n got %+v\nwant %+v", tr.Stories(), pristineTable)
 	}
 
 	// The tracker must also still resolve future updates against intact
-	// state: the scribbled vertex 999 must not surface anywhere.
+	// state: the scribbled vertex must not surface anywhere.
 	turn(tr, ceased(1, 2, 3))
-	for _, r := range tr.Records() {
-		if r.Entities.Contains(999) || r.Entities.Contains(-7) {
+	for _, r := range log.recs {
+		if r.Entities.Contains(-7) {
 			t.Fatalf("scribbled vertex leaked into record %v", r)
 		}
 	}

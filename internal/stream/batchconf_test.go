@@ -150,12 +150,28 @@ func (r *seqRecorder) tick(seq uint64) []core.Event {
 	return r.bySeq[seq]
 }
 
-// requireSameRecords asserts two lifecycle streams and story tables are
-// deep-equal.
-func requireSameRecords(t *testing.T, label string, got, want *story.Tracker) {
+// loggedTracker is a story tracker with the log of the lifecycle records it
+// streamed through its record sink. It is a sink wherever the tracker is.
+type loggedTracker struct {
+	*story.Tracker
+	records []story.Record
+}
+
+func newLoggedTracker(cfg story.Config) *loggedTracker {
+	lt := &loggedTracker{Tracker: story.MustTracker(cfg)}
+	lt.SetRecordSink(func(r story.Record) { lt.records = append(lt.records, r) })
+	return lt
+}
+
+// requireSameRecords asserts two lifecycle streams, their per-kind counts and
+// the story tables are deep-equal.
+func requireSameRecords(t *testing.T, label string, got, want *loggedTracker) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Records(), want.Records()) {
-		t.Fatalf("%s: lifecycle records diverge:\n--- got ---\n%v\n--- want ---\n%v", label, got.Records(), want.Records())
+	if !reflect.DeepEqual(got.records, want.records) {
+		t.Fatalf("%s: lifecycle records diverge:\n--- got ---\n%v\n--- want ---\n%v", label, got.records, want.records)
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: tracker stats diverge: got %+v, want %+v", label, got.Stats(), want.Stats())
 	}
 	if !reflect.DeepEqual(got.Stories(), want.Stories()) {
 		t.Fatalf("%s: story tables diverge:\n--- got ---\n%v\n--- want ---\n%v", label, got.Stories(), want.Stories())
@@ -232,7 +248,7 @@ func TestBatchConformance(t *testing.T) {
 
 			// Sequential reference: per-update processing, netted per batch.
 			ref := core.MustNew(engCfg)
-			refTracker := story.MustTracker(trackerConfig)
+			refTracker := newLoggedTracker(trackerConfig)
 			netter := newNetBatcher()
 			nets := make([][]core.Event, len(batches))
 			refKeys := make([][]string, len(batches))
@@ -258,7 +274,7 @@ func TestBatchConformance(t *testing.T) {
 
 			// K=0: the batched single engine.
 			bat := core.MustNew(engCfg)
-			batTracker := story.MustTracker(trackerConfig)
+			batTracker := newLoggedTracker(trackerConfig)
 			rec := &tickRecorder{}
 			bat.SetSink(core.MultiSink{rec, batTracker})
 			for i, b := range batches {
@@ -288,7 +304,7 @@ func TestBatchConformance(t *testing.T) {
 			// K ∈ {1, 2, 4}: whole-epoch shipping through the sharded engine.
 			for _, k := range []int{1, 2, 4} {
 				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg})
-				shTracker := story.MustTracker(trackerConfig)
+				shTracker := newLoggedTracker(trackerConfig)
 				shRec := &seqRecorder{}
 				se.SetSeqSink(seqFanOut{shRec, shTracker})
 				for i, b := range batches {
@@ -339,7 +355,7 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 
 			seq := core.MustNew(engCfg)
 			bat := core.MustNew(engCfg)
-			batTracker := story.MustTracker(trackerConfig)
+			batTracker := newLoggedTracker(trackerConfig)
 			rec := &tickRecorder{}
 			bat.SetSink(core.MultiSink{rec, batTracker})
 			for i, b := range batches {
@@ -366,7 +382,7 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 
 			for _, k := range []int{1, 2, 4} {
 				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg})
-				shTracker := story.MustTracker(trackerConfig)
+				shTracker := newLoggedTracker(trackerConfig)
 				shRec := &seqRecorder{}
 				se.SetSeqSink(seqFanOut{shRec, shTracker})
 				for _, b := range batches {
@@ -401,9 +417,9 @@ func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
 	engCfg := core.Config{T: 6.5, Nmax: 4}
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40} // grace in batch ticks ≈ docs
 
-	run := func(t *testing.T, k int) (*story.Tracker, ReplayStats, ShardReplayStats) {
+	run := func(t *testing.T, k int) (*loggedTracker, ReplayStats, ShardReplayStats) {
 		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7})
-		tracker := story.MustTracker(trkCfg)
+		tracker := newLoggedTracker(trkCfg)
 		if k == 0 {
 			eng := core.MustNew(engCfg)
 			st, err := NewReplay(agg, eng, tracker).RunBatches(0, true)

@@ -31,7 +31,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -95,7 +94,7 @@ func conformanceDocs(t *testing.T, seed int64) []Document {
 // decayConfPipeline is one full documents→stories drive.
 type decayConfPipeline struct {
 	eng     *core.Engine
-	tracker *story.Tracker
+	tracker *loggedTracker
 	stats   ReplayStats
 }
 
@@ -103,7 +102,7 @@ func runDecayConfPipeline(t *testing.T, src UpdateSource, engCfg core.Config, co
 	t.Helper()
 	p := &decayConfPipeline{
 		eng:     core.MustNew(engCfg),
-		tracker: story.MustTracker(story.Config{MinCardinality: 3, Grace: 40}),
+		tracker: newLoggedTracker(story.Config{MinCardinality: 3, Grace: 40}),
 	}
 	var err error
 	if p.stats, err = NewReplay(src, p.eng, p.tracker).RunBatches(0, coalesce); err != nil {
@@ -229,12 +228,7 @@ func TestScaleInvariance(t *testing.T) {
 		for _, c := range []float64{0x1p-400, 0x1p-40, 0x1p400} {
 			got := run(c, coalesce)
 			label := fmt.Sprintf("c=%g coalesce=%v", c, coalesce)
-			if !reflect.DeepEqual(got.tracker.Records(), want.tracker.Records()) {
-				t.Fatalf("%s: lifecycle records diverge (%d vs %d records)", label, len(got.tracker.Records()), len(want.tracker.Records()))
-			}
-			if !reflect.DeepEqual(got.tracker.Stories(), want.tracker.Stories()) {
-				t.Fatalf("%s: story tables diverge:\n--- got ---\n%v\n--- want ---\n%v", label, got.tracker.Stories(), want.tracker.Stories())
-			}
+			requireSameRecords(t, label, got.tracker, want.tracker)
 			if g, w := expandedKeys(got.eng), expandedKeys(want.eng); !slices.Equal(g, w) {
 				t.Fatalf("%s: expanded dense set %v != %v", label, g, w)
 			}
@@ -260,7 +254,7 @@ func TestDecayModeShardedConformance(t *testing.T) {
 		for _, ov := range []shard.Overlap{shard.OverlapScoped, shard.OverlapMirror} {
 			agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
 			se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov})
-			tracker := story.MustTracker(trkCfg)
+			tracker := newLoggedTracker(trkCfg)
 			se.SetSeqSink(tracker)
 			r := NewShardReplay(agg, se, nil)
 			st, err := r.RunBatches(0, true)

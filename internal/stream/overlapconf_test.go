@@ -17,7 +17,6 @@ import (
 	"dyndens/internal/baseline/brute"
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
-	"dyndens/internal/story"
 )
 
 // matrixOverlaps spans both delivery policies; matrixShards spans the shard
@@ -44,7 +43,7 @@ func TestOverlapConformanceMatrixSequential(t *testing.T) {
 	// Single sequential reference: per-update events, checkpointed keys, an
 	// oracle check per checkpoint, and a story tracker driven per update.
 	ref := core.MustNew(engCfg)
-	refTracker := story.MustTracker(trackerConfig)
+	refTracker := newLoggedTracker(trackerConfig)
 	perSeq := make(map[uint64][]string)
 	keysAt := make(map[int][]string)
 	total := 0
@@ -82,7 +81,7 @@ func TestOverlapConformanceMatrixSequential(t *testing.T) {
 			t.Run(fmt.Sprintf("K=%d/%s", k, ov), func(t *testing.T) {
 				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov, BatchSize: 32})
 				defer se.Close()
-				shTracker := story.MustTracker(trackerConfig)
+				shTracker := newLoggedTracker(trackerConfig)
 				rec := &seqRecorder{}
 				se.SetSeqSink(seqFanOut{rec, shTracker})
 				for i, u := range updates {
@@ -128,7 +127,7 @@ func TestOverlapConformanceMatrixBatched(t *testing.T) {
 	// batch boundaries. The batched single engine is itself pinned to the
 	// sequential engine by TestBatchConformance; here it anchors the matrix.
 	bat := core.MustNew(engCfg)
-	batTracker := story.MustTracker(trackerConfig)
+	batTracker := newLoggedTracker(trackerConfig)
 	rec := &tickRecorder{}
 	bat.SetSink(core.MultiSink{rec, batTracker})
 	for _, b := range batches {
@@ -148,7 +147,7 @@ func TestOverlapConformanceMatrixBatched(t *testing.T) {
 			t.Run(fmt.Sprintf("K=%d/%s", k, ov), func(t *testing.T) {
 				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov})
 				defer se.Close()
-				shTracker := story.MustTracker(trackerConfig)
+				shTracker := newLoggedTracker(trackerConfig)
 				shRec := &seqRecorder{}
 				se.SetSeqSink(seqFanOut{shRec, shTracker})
 				for _, b := range batches {

@@ -291,7 +291,7 @@ func TestPipelineReplayConformance(t *testing.T) {
 	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7}
 
 	refEng := core.MustNew(engCfg)
-	refTrk := story.MustTracker(trkCfg)
+	refTrk := newLoggedTracker(trkCfg)
 	refStats, err := NewReplay(MustAggregator(NewSliceDocSource(docs), aggCfg), refEng, refTrk).RunBatches(0, true)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestPipelineReplayConformance(t *testing.T) {
 		t.Fatal(perr)
 	}
 	eng := core.MustNew(engCfg)
-	trk := story.MustTracker(trkCfg)
+	trk := newLoggedTracker(trkCfg)
 	st, err := NewReplay(p, eng, trk).RunBatches(0, true)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestPipelineReplayConformance(t *testing.T) {
 	}
 	se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
 	defer se.Close()
-	strk := story.MustTracker(trkCfg)
+	strk := newLoggedTracker(trkCfg)
 	se.SetSeqSink(strk)
 	sst, err := NewShardReplay(sp, se, nil).RunBatches(0, true)
 	if err != nil {
