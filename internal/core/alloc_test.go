@@ -239,7 +239,7 @@ func TestBackgroundChurnSteadyStateZeroAlloc(t *testing.T) {
 
 // TestThresholdTickAfterLargeBatchStaysSmall: the cost of a tick follows the
 // tick, not the largest batch the engine ever saw. A four-retirement epoch
-// issued right after a renormalisation-sized batch (over ten thousand pairs)
+// issued right after a batch of over ten thousand pairs
 // allocates exactly what the same epoch costs an engine that never saw the
 // large batch.
 func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
@@ -277,55 +277,51 @@ func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
 }
 
 // TestThresholdTickNettingBuildsNoKey pins the event stage of a batch tick: a
-// renormalisation-shaped tick — every weight scaled down under the old, high
-// threshold, then the threshold dropped to match — stages a Ceased and a
-// Became for every output-dense subgraph, and they net to nothing. Staging,
-// netting and dropping them costs no allocation on top of a tick that moves
-// the threshold the same way and stages nothing: the stage identifies a
-// subgraph by its vertex set, not by a key string per staged event.
+// tick whose deltas lift every output-dense candidate of a triangle over T
+// under the old threshold, while its scale raises the threshold back over
+// them, stages a Became and a Ceased for the triangle and each of its pairs,
+// and they net to nothing. Staging, netting and dropping them costs no
+// allocation on top of a tick that moves the threshold the same way and
+// stages nothing: the stage identifies a subgraph by its vertex set, not by a
+// key string per staged event. The threshold only rises, as it does on every
+// tick of a fading stream: lowering it would rebuild the index.
 func TestThresholdTickNettingBuildsNoKey(t *testing.T) {
-	// δ_it = 1 puts the dense thresholds of pairs and triangles well below
-	// T, so what ceases to be output-dense here stays indexed.
+	// δ_it = T/3 puts the dense thresholds of pairs and triangles at T/2 and
+	// 5T/6, whatever the scale, so what is not output-dense here stays indexed.
 	eng := core.MustNew(core.Config{T: 3, Nmax: 5, DeltaIt: 1, EnableMaxExplore: true})
 	var sink core.CountingSink
 	eng.SetSink(&sink)
 	pairs := [][2]core.Vertex{{0, 1}, {0, 2}, {1, 2}}
-	move := func(delta float64) []core.Update {
-		us := make([]core.Update, len(pairs))
+	us := make([]core.Update, len(pairs))
+	scale := 1.0
+	// tick raises the threshold 10% and moves every pair weight to target·T
+	// under the old threshold T.
+	tick := func(target float64) {
+		T := eng.Config().T
 		for i, p := range pairs {
-			us[i] = core.Update{A: p[0], B: p[1], Delta: delta}
+			us[i] = core.Update{A: p[0], B: p[1], Delta: target*T - eng.Graph().Weight(p[0], p[1])}
 		}
-		return us
+		scale /= 1.1
+		eng.ProcessThresholdBatch(scale, us)
 	}
-	// In real units the triangle's edges weigh 3.0625 throughout: output-dense
-	// at T=3. At scale 0.96 they are stored as 3.1875 against a threshold of
-	// 3.125; every weight is a binary fraction, so the cycle is exact.
-	eng.ProcessBatch(move(3.1875))
-	eng.ProcessThresholdBatch(0.96, nil)
-	if sink.Became != 4 || sink.Ceased != 0 {
-		t.Fatalf("fixture: %d became, %d ceased, want the triangle and its three pairs", sink.Became, sink.Ceased)
+	eng.ProcessBatch([]core.Update{{A: 0, B: 1, Delta: 2.7}, {A: 0, B: 2, Delta: 2.7}, {A: 1, B: 2, Delta: 2.7}})
+	if eng.DenseCount() != 4 || eng.OutputDenseCount() != 0 {
+		t.Fatalf("fixture: %d dense, %d output-dense, want the triangle and its pairs dense, none output-dense", eng.DenseCount(), eng.OutputDenseCount())
 	}
-	quiet := func() { // the threshold goes down and up again; nothing crosses it
-		eng.ProcessThresholdBatch(0.97, nil)
-		eng.ProcessThresholdBatch(0.96, nil)
-	}
-	down, up := move(-0.125), move(0.125)
-	netting := func() {
-		eng.ProcessThresholdBatch(1, down)  // all four cease under 3.125 and become again under 3
-		eng.ProcessThresholdBatch(0.96, up) // and stay output-dense on the way back
-	}
+	quiet := func() { tick(0.96) }   // stays under T, and dense under 1.1·T
+	netting := func() { tick(1.05) } // crosses T, and falls back under 1.1·T
 	quiet()
 	netting()
 	want := testing.AllocsPerRun(50, quiet)
 	before := eng.Stats()
 	if got := testing.AllocsPerRun(50, netting); got != want {
-		t.Errorf("netting cycle performed %v allocs/run, a quiet down-and-up cycle %v", got, want)
+		t.Errorf("netting tick performed %v allocs/run, a quiet tick %v", got, want)
 	}
 	if after := eng.Stats(); after.Insertions != before.Insertions || after.Evictions != before.Evictions {
-		t.Fatalf("the cycle rebuilt the index: %+v → %+v", before, after)
+		t.Fatalf("the ticks changed the index: %+v → %+v", before, after)
 	}
-	if sink.Became != 4 || sink.Ceased != 0 || eng.OutputDenseCount() != 4 {
-		t.Fatalf("the cycles were not event-free: %d became, %d ceased, %d output-dense", sink.Became, sink.Ceased, eng.OutputDenseCount())
+	if sink.Became != 0 || sink.Ceased != 0 || eng.DenseCount() != 4 || eng.OutputDenseCount() != 0 {
+		t.Fatalf("the ticks were not event-free: %d became, %d ceased, %d dense, %d output-dense", sink.Became, sink.Ceased, eng.DenseCount(), eng.OutputDenseCount())
 	}
 }
 

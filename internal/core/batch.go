@@ -1,22 +1,15 @@
-// Batched update processing (epoch coalescing).
+// Batched update processing. A document's pair deltas, and an epoch's
+// retirements, arrive in bursts; feeding them to Process one pair at a time
+// pays an index snapshot, exploration setup and event round trip per pair.
+// ProcessBatch applies every delta to the graph up front, repairs the index
+// in one pass, and runs one deduplicated discovery phase over the coalesced
+// per-pair net deltas.
 //
-// The fading-weight schedule of the story pipeline makes every epoch tick a
-// burst of correlated updates — one negative delta per tracked pair — and the
-// per-document positive deltas arrive in small bursts too. Feeding those
-// bursts to Process one pair at a time pays a full index snapshot,
-// exploration setup, and event round trip per pair. ProcessBatch amortises
-// that: all weight deltas are applied to the graph up front, the index is
-// repaired in one pass, and a single deduplicated discovery phase runs over
-// the coalesced per-pair net deltas.
-//
-// Batch semantics: a batch is ONE logical tick. The installed sink observes
-// the net output-dense transitions across the whole batch — a subgraph that
-// both becomes and ceases output-dense within the batch is not reported — in
-// canonical (kind, set-key) order, followed by exactly one EndUpdate. The
-// final index, scores, and output-dense set are identical to processing the
-// batch's updates one Process call at a time; only the event granularity
-// changes. The batch-vs-sequential conformance suite in internal/stream pins
-// this equivalence against the sequential engine and brute.EnumerateAll.
+// A batch is ONE logical tick: the sink observes the net output-dense
+// transitions across it, in canonical (kind, set-key) order, followed by one
+// EndUpdate. The final index, scores and output-dense set are those of one
+// Process call per update (pinned by internal/stream's batch conformance
+// suite against the sequential engine and brute.EnumerateAll).
 package core
 
 import (
@@ -101,9 +94,7 @@ func (e *Engine) ProcessBatchRouted(updates []Update, seed func(a, b Vertex) boo
 	e.batchDiscover()
 	e.batchSeed = nil
 	e.batching = false
-	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
-		e.stats.MaxIndexNodes = n
-	}
+	e.noteIndexSize()
 	e.flushBatchEvents()
 	return e.finishEmit()
 }
@@ -209,11 +200,10 @@ func (e *Engine) batchRepair() {
 	// Snapshot the affected dense nodes. A subgraph's score changes only if
 	// it holds both endpoints of a changed pair, and its certificate breaks
 	// only if it holds an endpoint of a raised one, so:
-	//   - a batch whose pairs all fell (every threshold unit: retirements, and
-	//     a renormalisation's uniform rescale) walks, per pair, the subgraphs
-	//     holding both endpoints — Algorithm 1's negative walk — unless it
-	//     has more pairs than the index has dense subgraphs (a
-	//     renormalisation), where one whole-tree walk costs less;
+	//   - a batch whose pairs all fell (a threshold unit's retirements) walks,
+	//     per pair, the subgraphs holding both endpoints — Algorithm 1's
+	//     negative walk — unless it has more pairs than the index has dense
+	//     subgraphs, where one whole-tree walk costs less;
 	//   - a narrow batch with a raised pair (one document's pairs) walks the
 	//     inverted lists of its few dirty vertices, the lists sequential
 	//     processing walks;
@@ -340,7 +330,7 @@ func (e *Engine) batchDiscover() {
 			setBuf = c
 			score := node.Score()
 			if e.maintainStar(node, score, c.Len()) {
-				e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
+				e.starEdgeScan(c, score, 2)
 			}
 			e.explore(node, c, 1)
 		}

@@ -57,12 +57,9 @@ func (r *plantedRun) pick() Update {
 	}
 }
 
-// step applies one random unit and returns its description. Thresholds only
-// ever rise: a decrease is not complete at HEAD (see the skipped
-// TestThresholdDecreaseExistingStarsMissEdgeMembers), which would fail the
-// oracle arm for reasons of its own.
+// step applies one random unit and returns its description.
 func (r *plantedRun) step(t *testing.T) string {
-	switch k := r.rng.Intn(40); {
+	switch k := r.rng.Intn(41); {
 	case k < 24:
 		u := r.pick()
 		r.e.Process(u)
@@ -89,6 +86,11 @@ func (r *plantedRun) step(t *testing.T) string {
 			t.Fatal(err)
 		}
 		return "SetThreshold ×1.1"
+	case k < 39:
+		if _, err := r.e.SetThreshold(r.e.Config().T * 0.9); err != nil {
+			t.Fatal(err)
+		}
+		return "SetThreshold ×0.9"
 	default:
 		// Snapshot and restore into a fresh engine, built the way recovery
 		// builds it: from the real-unit threshold. It starts without

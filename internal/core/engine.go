@@ -185,12 +185,10 @@ type Engine struct {
 	// index, and threshold schedule may run in normalized weight units w' =
 	// w/λ; emitScale holds λ, the factor that converts internal scores and
 	// densities back to real (paper-semantics) units at every emission and
-	// query point. baseT is the real-unit output threshold fixed at
-	// construction: the normalized threshold in force is always baseT/λ.
-	// Outside rescaled decay both stay 1 and cfg.T, making every path below
-	// a plain multiply-by-one.
+	// query point. base is the real-unit schedule, moved only by
+	// SetThreshold: a threshold unit puts the engine on base.Normalize(λ).
 	emitScale float64
-	baseT     float64
+	base      *density.Thresholds
 
 	stats Stats
 
@@ -239,7 +237,6 @@ type Engine struct {
 	weightsBuf  []float64     // maxExploreFor's top-weights scratch
 	pairBuf     [2]Vertex     // seed-pair scratch
 	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
-	tooDenseBuf []bool        // decreaseThreshold's was-too-dense flags, parallel to its snapshot
 
 	// Per-batch scratch state (valid during ProcessBatch only; see batch.go).
 	// All containers are engine-owned and reused across batches, so a
@@ -294,6 +291,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, _ := density.NewThresholds(cfg.Measure, cfg.T, cfg.Nmax, cfg.DeltaIt)
 	return &Engine{
 		cfg:       cfg,
 		th:        th,
@@ -301,7 +299,7 @@ func New(cfg Config) (*Engine, error) {
 		g:         graph.New(),
 		ix:        index.New(),
 		emitScale: 1,
-		baseT:     cfg.T,
+		base:      base,
 	}, nil
 }
 
@@ -433,31 +431,21 @@ func (e *Engine) ProcessRouted(u Update, seedPairs bool) []Event {
 		e.stats.PositiveUpdates++
 		e.processPositive(after)
 	}
-	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
-		e.stats.MaxIndexNodes = n
-	}
+	e.noteIndexSize()
 	return e.finishEmit()
 }
 
 // ApplyOnly applies an update's weight change to the graph replica without
-// running any discovery or index maintenance. It is the scoped-delivery
-// counterpart of ProcessRouted for updates the engine provably cannot act on:
-// when the engine is not the update's designated seeder, neither endpoint has
-// a prefix-tree node (Index.HasVertex), and — for positive deltas — no
-// ImplicitTooDense family reacts (StarNeedsPositive), ProcessRouted(u, false)
-// performs exactly a graph Apply plus scratch work and emits nothing, so
-// ApplyOnly(u) leaves the engine in the same state at a fraction of the cost.
-// For negative deltas the condition is weaker still: only subgraphs containing
-// BOTH endpoints are affected, so one absent endpoint suffices (stars never
-// react to negative deltas directly; their bases are repaired as ordinary
-// dense nodes).
-//
-// The equivalence holds because exploration, cheap-exploration, and star
-// scans all start from indexed nodes reached through the endpoints' inverted
-// lists or the star list, and only the seeder may admit the base pair. The
-// one observable difference is bookkeeping: the update counts as AppliedOnly
-// instead of Updates, and the index epoch does not advance (epoch annotations
-// are per-update scratch, so skipping the tick cannot resurrect stale ones).
+// running any discovery or index maintenance: the scoped-delivery counterpart
+// of ProcessRouted for updates the engine provably cannot act on. When the
+// engine does not seed the update, neither endpoint has a prefix-tree node
+// (Index.HasVertex) and — for positive deltas — no ImplicitTooDense family
+// reacts (StarNeedsPositive), ProcessRouted(u, false) is exactly a graph
+// Apply that emits nothing, since every discovery starts from a node reached
+// through the endpoints' inverted lists or the star list. A negative delta
+// needs one absent endpoint only: it affects the subgraphs holding both. The
+// update counts as AppliedOnly instead of Updates, and the index epoch does
+// not advance (its annotations are per-update scratch).
 func (e *Engine) ApplyOnly(u Update) {
 	e.stats.AppliedOnly++
 	if u.A != u.B && u.Delta != 0 {
@@ -481,26 +469,18 @@ func (e *Engine) SetMembershipListener(fn func(v Vertex, present bool)) {
 func (e *Engine) IndexVertices() []Vertex { return e.ix.Vertices() }
 
 // StarNeedsPositive reports whether some ImplicitTooDense family on this
-// engine must see the positive update {a, b} even though neither endpoint is
-// on an indexed path. processStar reacts to such an update only in its
-// disconnected-endpoint case, and only by admitting the union: a base C with
-// a, b ∉ C acts iff a or b has no edge into C, the union C∪{a, b} fits Nmax,
-// is not already indexed, and is dense after the update. The check replays
-// that exact condition against this engine's own replica; pendingDelta is
-// the update's not-yet-applied weight change (pass the raw delta when called
-// before the graph apply, 0 when the graph already reflects it, as in batch
-// discovery). It is exact on both sides of the apply: positive deltas never
-// clamp, so the post-apply union score is Score(union)+pendingDelta, and the
-// disconnection test is apply-invariant because the edge {a, b} never
-// contributes to either endpoint's connection to a base excluding both.
-// Bases containing an endpoint need no decision here — every base vertex is
-// inverted-list subscribed, so endpoint interest already delivers those
-// updates. Positive processing only grows the index, so a union indexed at
-// decision time is still indexed (a no-op) at processing time; a union
-// admitted mid-update by an earlier phase only makes the decision
-// over-deliver, never skip. It must be called between updates (it shares
-// the engine's scratch free lists), which is where scoped workers make
-// their delivery decisions.
+// engine must see the positive update {a, b} although neither endpoint is on
+// an indexed path. processStar acts on such an update only by admitting the
+// union: a base C with a, b ∉ C acts iff a or b has no edge into C and the
+// union C∪{a, b} fits Nmax, is not indexed, and is dense after the update.
+// The check replays that condition on this engine's replica; pendingDelta is
+// the update's weight change not yet applied (the raw delta before the graph
+// apply, 0 after it, as in batch discovery) — exact either way, as positive
+// deltas never clamp and the edge {a, b} never connects an endpoint to a base
+// excluding both. Bases holding an endpoint need no decision: endpoint
+// interest delivers those updates. A union indexed at decision time stays
+// indexed, and one admitted mid-update only makes the decision over-deliver.
+// It shares the engine's scratch, so it must be called between updates.
 func (e *Engine) StarNeedsPositive(a, b Vertex, pendingDelta float64) bool {
 	e.scopeBuf = e.ix.AppendStarNodes(e.scopeBuf[:0])
 	if len(e.scopeBuf) == 0 {
@@ -544,6 +524,13 @@ func (e *Engine) ProcessAll(updates []Update) int {
 		e.Process(u)
 	}
 	return int(e.stats.Events - before)
+}
+
+// noteIndexSize raises the index high-water mark to the current node count.
+func (e *Engine) noteIndexSize() {
+	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
+		e.stats.MaxIndexNodes = n
+	}
 }
 
 // emit pushes an output event to the current destination. The subgraph set
@@ -689,7 +676,7 @@ func (e *Engine) processPositive(w float64) {
 			e.emit(BecameOutputDense, c, newScore)
 		}
 		if e.maintainStar(node, newScore, n) {
-			e.starEdgeScan(c, newScore, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, 2) })
+			e.starEdgeScan(c, newScore, 2)
 		}
 		e.explore(node, c, 1)
 	}
@@ -800,13 +787,12 @@ func (e *Engine) maintainStar(node *index.Node, score float64, n int) bool {
 // first created: the members base∪{u} are only implicit, so an edge {u, v}
 // between two outside vertices can make base∪{u, v} dense with no explicit
 // subgraph to grow it from. Following Section 3.2.3, the base is augmented
-// with whole edges of sufficient weight; each admission is dispatched through
-// admit so it is reported, starred, and explored like any other discovery
-// (admit is e.admit during updates and thresholdAdmit during threshold
-// decreases, which differ in iteration bookkeeping). The base's deficit
-// MinDenseScore(n+2) − score is the least weight such an edge can have, and
-// the graph enumerates only the edges that reach it.
-func (e *Engine) starEdgeScan(base vset.Set, score float64, admit func(c vset.Set, score float64)) {
+// with whole edges of sufficient weight; each admission goes through admit,
+// at exploration iteration iter, so it is reported, starred, and explored like
+// any other discovery. The base's deficit MinDenseScore(n+2) − score is the
+// least weight such an edge can have, and the graph enumerates only the edges
+// that reach it.
+func (e *Engine) starEdgeScan(base vset.Set, score float64, iter int) {
 	n := base.Len()
 	if n+2 > e.th.Nmax {
 		return
@@ -820,7 +806,7 @@ func (e *Engine) starEdgeScan(base vset.Set, score float64, admit func(c vset.Se
 		}
 		s := e.g.Score(cand)
 		if e.th.IsDense(s, n+2) {
-			admit(cand, s)
+			e.admit(cand, s, iter)
 		}
 	})
 	e.putSetBuf(buf)
@@ -838,7 +824,7 @@ func (e *Engine) admit(c vset.Set, score float64, iter int) {
 		e.emit(BecameOutputDense, c, score)
 	}
 	if e.maintainStar(node, score, n) {
-		e.starEdgeScan(c, score, func(c2 vset.Set, s2 float64) { e.admit(c2, s2, iter+1) })
+		e.starEdgeScan(c, score, iter+1)
 	}
 	e.explore(node, c, iter)
 }
@@ -965,7 +951,7 @@ func (e *Engine) exploreStarMembers(star *index.Node, base vset.Set) {
 	if e.th.IsTooDense(e.scoreBefore(base, scoreAfter), base.Len()+1) {
 		return
 	}
-	e.starEdgeScan(base, scoreAfter, func(c vset.Set, score float64) { e.admit(c, score, 2) })
+	e.starEdgeScan(base, scoreAfter, 2)
 }
 
 // exploreNeed returns the deficit an exploration around a subgraph of n

@@ -99,17 +99,16 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 }
 
 // TestThresholdDecreaseExistingStarsMissEdgeMembers is the reduced reproducer
-// of an incompleteness of decreaseThreshold (ROADMAP 1), found by a random
-// walk over Process / ProcessBatch / ProcessThresholdBatch / SetThreshold
-// ×1.1 and ×0.9 on ten vertices at T=1.2, Nmax=4 with MaxExplore off: 8 of 200
-// seeds left brute.EnumerateAll, each right after a decrease, each missing a
-// set of Nmax vertices. Two disjoint pairs, both too-dense before the decrease
-// and so both with a family already: their union is 0.01 short of dense at
-// T=1.2 and dense at 1.08, and nothing looks for it — starEdgeScan runs only
-// for a family the decrease creates, and Algorithm 3's exploration skips a
-// subgraph that was too-dense under the old schedule.
+// of an incompleteness of the incremental threshold decrease (Algorithm 3,
+// lines 5–9), found by a random walk over Process / ProcessBatch /
+// ProcessThresholdBatch / SetThreshold ×1.1 and ×0.9 on ten vertices at
+// T=1.2, Nmax=4 with MaxExplore off: 8 of 200 seeds left brute.EnumerateAll,
+// each right after a decrease, each missing a set of Nmax vertices. Two
+// disjoint pairs, both too-dense before the decrease and so both with a family
+// already: their union is 0.01 short of dense at T=1.2 and dense at 1.08, and
+// the incremental walk never looked for it. A decrease now rebuilds the index
+// from the graph, which finds it the way one batch of every edge does.
 func TestThresholdDecreaseExistingStarsMissEdgeMembers(t *testing.T) {
-	t.Skip("ROADMAP 1: decreaseThreshold incomplete")
 	e := MustNew(Config{T: 1.2, Nmax: 4})
 	e.Process(Update{A: 1, B: 3, Delta: 3.595})
 	e.Process(Update{A: 5, B: 6, Delta: 3.595})

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"dyndens/internal/density"
 )
 
 // repairRun drives two engines through the same random planted stream: one
@@ -98,15 +100,17 @@ func (r *repairRun) unit() (string, func(e *Engine) []Event) {
 			return e.ProcessThresholdBatch(scale, batch)
 		}
 	default:
-		// A renormalisation: every weight folded down by λ, the scale back
-		// to 1.
+		// A fold: every weight cut a little under a scale below the fold
+		// floor, so the unit relabels both engines by a power of two too.
+		f := 0.95 + 0.05*r.rng.Float64()
 		var batch []Update
 		r.e.Graph().Edges(func(u, v Vertex, w float64) {
-			batch = append(batch, Update{A: u, B: v, Delta: w*r.scale - w})
+			batch = append(batch, Update{A: u, B: v, Delta: w*f - w})
 		})
-		r.scale = 1
-		return fmt.Sprintf("renormalisation of %d pairs", len(batch)), func(e *Engine) []Event {
-			return e.ProcessThresholdBatch(1, batch)
+		scale := r.scale * 0x1p-520
+		r.scale, _ = density.Fold(scale)
+		return fmt.Sprintf("fold of %v with cuts of %d pairs", scale, len(batch)), func(e *Engine) []Event {
+			return e.ProcessThresholdBatch(scale, batch)
 		}
 	}
 }
@@ -191,7 +195,7 @@ func annotatedSets(e *Engine) []string {
 // TestRepairRouteFollowsSizes pins the route choice on the two sizes it
 // reads: a unit with no more cancelled pairs than the index has dense
 // subgraphs reaches only those holding both endpoints of a pair, and one
-// with more walks the whole index — as a renormalisation does.
+// with more walks the whole index.
 func TestRepairRouteFollowsSizes(t *testing.T) {
 	e := MustNew(Config{T: 1, Nmax: 4})
 	e.ProcessBatch([]Update{{A: 0, B: 1, Delta: 2}, {A: 0, B: 2, Delta: 2}, {A: 1, B: 2, Delta: 2}})

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"dyndens/internal/density"
 )
 
 // starHeavyStream is a stream over at most ten vertices in which ImplicitToo-
@@ -85,7 +87,7 @@ func checkValid(t *testing.T, e *Engine, label string) {
 // discovery scans and the star prefilter where they do the most work: the
 // same star-heavy stream through single Process calls, through ProcessBatch
 // and through ProcessThresholdBatch (the stream in normalised units under a
-// scale that decays and renormalises), checked against brute.EnumerateAll
+// scale that decays, folds and now and then rises), checked against brute.EnumerateAll
 // after every unit. The engine runs the exact algorithm: MaxExplore is a
 // heuristic, and in this regime it does skip discoveries (so it did before
 // the scans were bounded: {0,2,7,8} at update 73 of seed 1).
@@ -142,11 +144,14 @@ func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T,
 	}
 
 	// Rescaled decay: every fourth batch is an epoch that fades the graph
-	// by 0.8, i.e. raises the normalised threshold; λ is folded back to 1
-	// (a threshold decrease, whose pair base case is a bounded scan) once
-	// it drops below 0.05. Weights are handed over in normalised units.
+	// by 0.8, i.e. raises the normalised threshold, except every sixth,
+	// which raises λ by 1.5 instead: a threshold decrease, which rebuilds the
+	// index. λ starts at 2^-495, so the epochs cross the fold floor early on
+	// and the engine folds its units. Weights are handed over in normalised
+	// units.
 	scaled := MustNew(cfg)
-	lambda := 1.0
+	lambda := 0x1p-495
+	scaled.ProcessThresholdBatch(lambda, nil)
 	norm := func(b []Update, by float64) []Update {
 		out := make([]Update, len(b))
 		for i, u := range b {
@@ -154,25 +159,30 @@ func starHeavyRun(t *testing.T, cfg Config, seed int64, check func(t *testing.T,
 		}
 		return out
 	}
-	decreases := 0
+	folds, rebuilds := 0, 0
 	for i, b := range batches {
 		if i%4 != 3 {
 			scaled.ProcessBatch(norm(b, lambda))
-		} else if lambda *= 0.8; lambda >= 0.05 {
-			scaled.ProcessThresholdBatch(lambda, norm(b, lambda))
 		} else {
-			var fold []Update
-			scaled.Graph().Edges(func(u, v Vertex, w float64) {
-				fold = append(fold, Update{A: u, B: v, Delta: w*lambda - w})
-			})
-			lambda = 1
-			scaled.ProcessThresholdBatch(lambda, append(fold, b...))
-			decreases++
+			if i%24 == 23 {
+				lambda *= 1.5
+				rebuilds++
+			} else {
+				lambda *= 0.8
+			}
+			scaled.ProcessThresholdBatch(lambda, norm(b, lambda))
+			if m, k := density.Fold(lambda); k != 0 {
+				lambda = m
+				folds++
+			}
 		}
 		check(t, scaled, fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
 	}
-	if decreases == 0 || scaled.Stats().StarInsertions == 0 {
-		t.Fatalf("seed %d: rescaled run made %d threshold decreases and %d families", seed, decreases, scaled.Stats().StarInsertions)
+	if folds == 0 || rebuilds == 0 || scaled.Stats().StarInsertions == 0 {
+		t.Fatalf("seed %d: rescaled run made %d folds, %d threshold decreases and %d families", seed, folds, rebuilds, scaled.Stats().StarInsertions)
+	}
+	if got, want := scaled.DecayScale(), lambda; got != want {
+		t.Fatalf("seed %d: engine ends at scale %v, the stream at %v", seed, got, want)
 	}
 	return st
 }

@@ -6,24 +6,17 @@ import (
 	"slices"
 
 	"dyndens/internal/graph"
+	"dyndens/internal/index"
 	"dyndens/internal/vset"
 )
 
 // This file is the engine half of crash recovery (internal/persist): a
-// deterministic export of everything Process has built — the dense-subgraph
-// index and the rescaled-decay scale — and an import that rebuilds a fresh
-// engine to the exact same state. The graph travels separately (graph.State)
-// because sharded deployments replicate one graph across K workers and the
-// snapshot stores it once.
-//
-// Error-handling contract (the panic-vs-error distinction the recovery work
-// formalises): constructors and importers that consume persisted or replayed
-// data return errors — a corrupt snapshot or WAL frame must surface to the
-// recoverer, not crash the process. Panics remain only for invariant
-// violations that indicate a programming bug (e.g. a threshold batch scale
-// the validated stream layers can never produce), and for the Must*
-// convenience wrappers, which exist for tests and examples with known-good
-// configurations.
+// deterministic export of the dense-subgraph index and the decay scale, and
+// an import that rebuilds a fresh engine to the exact same state. The graph
+// travels separately (graph.State): sharded deployments replicate one graph
+// across K workers and the snapshot stores it once. Importers of persisted
+// data return errors — a corrupt snapshot must surface to the recoverer, not
+// crash the process; panics are left to caller bugs and the Must* wrappers.
 
 // DenseEntry is the persisted form of one explicitly indexed dense subgraph.
 // Scores are in the engine's internal normalized units (real score =
@@ -66,8 +59,9 @@ func (e *Engine) ExportState() EngineState {
 
 // ImportState rebuilds a freshly constructed engine (same Config as the
 // exported one) to the exported state: graph content, dense index with
-// ImplicitTooDense families, and the rescaled-decay threshold position.
-// It validates everything it consumes and returns an error rather than
+// ImplicitTooDense families, and the rescaled-decay threshold position — the
+// schedule a threshold unit of the same scale would have put it on. It
+// validates everything it consumes and returns an error rather than
 // panicking — the state may come from a damaged snapshot.
 func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 	if e.stats != (Stats{}) || e.ix.NodeCount() != 0 {
@@ -76,25 +70,22 @@ func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 	if math.IsNaN(st.Scale) || st.Scale <= 0 || st.Scale > 1 {
 		return fmt.Errorf("core: restored decay scale %v outside (0, 1]", st.Scale)
 	}
-	e.g = graph.NewFromState(gs)
-	if st.Scale != 1 {
-		// Same move ProcessThresholdBatch performs, minus the incremental
-		// index walk: the restored index already reflects the normalized
-		// threshold baseT/λ.
-		newT := e.baseT / st.Scale
-		if err := e.th.Rescale(e.th, newT); err != nil {
-			return fmt.Errorf("core: restored scale %v yields invalid threshold %v: %w", st.Scale, newT, err)
-		}
-		e.cfg.T = newT
-		e.cfg.DeltaIt = e.th.DeltaIt
+	g, err := graph.NewFromState(gs)
+	if err != nil {
+		return fmt.Errorf("core: restored %w", err)
 	}
-	e.emitScale = st.Scale
-	for _, de := range st.Dense {
-		if n := de.Set.Len(); n < 2 || n > e.th.Nmax {
-			return fmt.Errorf("core: restored dense entry %v has cardinality %d outside [2, %d]", de.Set, n, e.th.Nmax)
+	e.g = g
+	if err := e.base.Normalize(e.th, st.Scale); err != nil {
+		return fmt.Errorf("core: restored scale %v yields invalid threshold %v: %w", st.Scale, e.base.T/st.Scale, err)
+	}
+	e.cfg.T, e.cfg.DeltaIt, e.emitScale = e.th.T, e.th.DeltaIt, st.Scale
+	for i, de := range st.Dense {
+		fault := e.entryFault(de)
+		if fault == "" && i > 0 && vset.CompareKeys(st.Dense[i-1].Set, de.Set) >= 0 {
+			fault = "out of order"
 		}
-		if math.IsNaN(de.Score) || math.IsInf(de.Score, 0) {
-			return fmt.Errorf("core: restored dense entry %v has non-finite score %v", de.Set, de.Score)
+		if fault != "" {
+			return fmt.Errorf("core: restored dense entry %v at score %v: %s", de.Set, de.Score, fault)
 		}
 		node := e.ix.InsertDense(de.Set.Clone(), de.Score)
 		if de.Star {
@@ -102,8 +93,29 @@ func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 			e.ix.SetScore(star, de.StarScore)
 		}
 	}
-	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
-		e.stats.MaxIndexNodes = n
+	if msg := e.ValidateIndex(); msg != "" {
+		return fmt.Errorf("core: restored index: %s", msg)
 	}
+	e.noteIndexSize()
 	return nil
+}
+
+// entryFault names what makes de an entry the engine cannot have exported
+// under its schedule, or returns "".
+func (e *Engine) entryFault(de DenseEntry) string {
+	n := de.Set.Len()
+	for i := 1; i < n; i++ {
+		if de.Set[i-1] >= de.Set[i] || de.Set[i] == index.Star {
+			return "not a strictly increasing vertex set"
+		}
+	}
+	switch {
+	case n < 2 || n > e.th.Nmax:
+		return "cardinality outside [2, Nmax]"
+	case math.IsInf(de.Score, 0) || !e.th.IsDense(de.Score, n):
+		return "not finite and dense"
+	case de.Star && (!e.th.IsTooDense(de.Score, n) || de.StarScore != de.Score):
+		return "a family on a base that is not too-dense, or at another score"
+	}
+	return ""
 }

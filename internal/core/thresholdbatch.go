@@ -1,45 +1,38 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// This file implements threshold updates as first-class stream units: the
-// engine-side half of rescaled decay (see internal/stream's Aggregator).
-//
-// A rescaled-decay aggregator keeps edge weights in normalized units
-// w' = w/λ, where λ is the cumulative decay scale, and never sweeps its
-// tracked pairs on an epoch tick. Because scaling every weight by λ scales
-// every subgraph score and density by the same λ, fading the whole graph is
-// algebraically identical to raising the density threshold to baseT/λ —
-// which is exactly the dynamic threshold-adjustment procedure of Section 6
-// that SetThreshold already implements incrementally. A decay epoch therefore
-// reaches the engine as ONE unit carrying the new scale plus the (usually
-// empty) exact cancellations of pairs that expired below PruneBelow, instead
-// of a negative delta per tracked pair.
-//
-// The engine's graph, index, and threshold schedule all run in normalized
-// units; emitScale = λ converts scores and densities back to real
-// (paper-semantics) units at every emission and query point, so sinks and
-// trackers downstream observe exactly what a per-pair decay sweep would have
-// produced (modulo float rounding — pinned against the paper-literal sweep of
-// internal/baseline/fade by internal/stream's decay conformance tests).
+	"dyndens/internal/density"
+)
 
-// ProcessThresholdBatch absorbs one decay epoch of a rescaled-decay stream:
-// it applies the (possibly empty) retirement cancellations in updates as a
-// coalesced batch, then moves the normalized output threshold to baseT/scale
-// via the incremental threshold walk, and emits the net output-dense changes
-// as one logical tick. scale is the cumulative decay factor λ in force after
-// the epoch; it becomes the engine's emit scale. Like ProcessBatch it pushes
-// events to the installed sink (returning nil) when one is present.
+// This file implements threshold updates as stream units: the engine half of
+// rescaled decay (see internal/stream's Aggregator). The aggregator keeps
+// weights in normalized units w' = w/λ, λ the cumulative decay scale. Scaling
+// every weight by λ scales every density by λ, so fading the graph is raising
+// the threshold to baseT/λ: an epoch reaches the engine as ONE unit carrying
+// the new scale plus the cancellations of pairs retired below PruneBelow, and
+// emitScale = λ converts scores and densities back to real units wherever
+// they leave the engine. λ only shrinks, so below the fold floor
+// density.Fold splits it into m·2^k and the engine relabels its state by 2^k
+// (fold) — exact, so it changes nothing but units — as the aggregator does
+// its own at the same unit.
+
+// ProcessThresholdBatch absorbs one decay epoch: it applies the retirement
+// cancellations in updates as a coalesced batch, moves the normalized output
+// threshold to baseT/scale, and emits the net output-dense changes as one
+// logical tick. scale is the cumulative decay factor λ after the epoch; it
+// becomes the emit scale, folded if it is below the fold floor. A shrinking
+// scale raises the threshold through the incremental walk; a growing one
+// lowers it, which rebuilds the index. Like ProcessBatch it pushes events to
+// the installed sink (returning nil) when one is present.
 func (e *Engine) ProcessThresholdBatch(scale float64, updates []Update) []Event {
 	return e.ProcessThresholdBatchRouted(scale, updates, nil)
 }
 
 // ProcessThresholdBatchScoped is ProcessThresholdBatchRouted under scoped
-// delivery. Threshold units are broadcast to every worker: the deltas of a
-// threshold batch are negative cancellations (handled index-scoped by
-// batchRepair) or a renormalization's uniform rescale, so the scoped
-// discovery skip never fires on them, but the flag keeps any admissions made
-// by the threshold walk consistent with the worker's interest map.
+// delivery, which keeps a rebuild's admissions within the worker's interest.
 func (e *Engine) ProcessThresholdBatchScoped(scale float64, updates []Update, seed func(a, b Vertex) bool) []Event {
 	e.batchScoped = true
 	defer func() { e.batchScoped = false }()
@@ -47,16 +40,12 @@ func (e *Engine) ProcessThresholdBatchScoped(scale float64, updates []Update, se
 }
 
 // ProcessThresholdBatchRouted is ProcessThresholdBatch for engines embedded
-// as workers of a partitioned deployment (see ProcessBatchRouted).
-//
-// Ordering within the tick matters and mirrors the exact path's semantics:
-// the cancellation deltas land first under the OLD threshold (a retiring
-// pair's weight change must be netted before the schedule moves — and a
-// renormalization's rescale deltas must be in place before the threshold
-// drops back to baseT), then the threshold walk repairs the index, and the
-// emit scale switches to the tick's new λ only after all staged events are
-// known, so the flush converts every score with the factor in force at the
-// batch boundary.
+// as workers of a partitioned deployment (see ProcessBatchRouted). A fold
+// comes first; then the cancellations land under the OLD threshold (a
+// retiring pair's weight change is netted before the schedule moves), the
+// threshold walk repairs the index, and the emit scale switches to the new λ
+// only after all staged events are known. A rebuild replaces repair, walk and
+// discovery.
 func (e *Engine) ProcessThresholdBatchRouted(scale float64, updates []Update, seed func(a, b Vertex) bool) []Event {
 	e.stats.Updates += uint64(len(updates))
 	e.stats.Batches++
@@ -64,35 +53,53 @@ func (e *Engine) ProcessThresholdBatchRouted(scale float64, updates []Update, se
 
 	e.stageBatchDeltas(updates)
 	e.beginEmit()
-	hasDeltas := len(e.batchNet) > 0
-	if hasDeltas {
-		e.prepareBatchDirty()
-	}
-
 	e.batching = true
 	e.batchSeed = seed
 	e.ix.BeginUpdate()
-	if hasDeltas {
+	m, k := density.Fold(scale)
+	if k != 0 {
+		e.fold(k)
+	}
+	repair := len(e.batchNet) > 0 && e.base.T/m >= e.th.T // a decrease rebuilds instead
+	if repair {
+		e.prepareBatchDirty()
 		e.batchRepair()
 	}
-	if newT := e.baseT / scale; newT != e.th.T {
-		if err := e.th.Rescale(e.spareTh, newT); err != nil {
-			// Unreachable for the scales a rescaled aggregator produces
-			// (λ ∈ [1e-150, 1] keeps newT finite and positive); a panic here
-			// means the caller handed us garbage, not a recoverable stream.
-			panic(fmt.Sprintf("core: threshold batch scale %v yields invalid threshold %v: %v", scale, newT, err))
-		}
+	if e.base.T/m != e.th.T {
+		e.scheduleAt(e.spareTh, m)
 		e.switchThreshold()
 	}
-	if hasDeltas {
+	if repair {
 		e.batchDiscover()
 	}
 	e.batchSeed = nil
 	e.batching = false
-	e.emitScale = scale
-	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {
-		e.stats.MaxIndexNodes = n
-	}
+	e.emitScale = m
+	e.noteIndexSize()
 	e.flushBatchEvents()
 	return e.finishEmit()
+}
+
+// scheduleAt writes the schedule of decay scale s into dst. Every scale a
+// rescaled aggregator produces has one; a panic here means the caller handed
+// us garbage, not a recoverable stream.
+func (e *Engine) scheduleAt(dst *density.Thresholds, s float64) {
+	if err := e.base.Normalize(dst, s); err != nil {
+		panic(fmt.Sprintf("core: threshold batch scale %v yields invalid threshold %v: %v", s, e.base.T/s, err))
+	}
+}
+
+// fold relabels the engine's normalized units by 2^k: edge weights, stored
+// and family scores, finite reach certificates, heavy-edge buckets and the
+// staged deltas are multiplied by 2^k, and the schedule and emit scale
+// follow. All of it is exact, so a fold admits, evicts and reports nothing.
+func (e *Engine) fold(k int) {
+	e.g.Ldexp(k)
+	e.ix.Ldexp(k)
+	for i := range e.batchNet {
+		e.batchNet[i].delta = math.Ldexp(e.batchNet[i].delta, k)
+	}
+	e.emitScale = math.Ldexp(e.emitScale, -k)
+	e.scheduleAt(e.th, e.emitScale)
+	e.cfg.T, e.cfg.DeltaIt = e.th.T, e.th.DeltaIt
 }

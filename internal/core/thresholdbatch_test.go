@@ -160,15 +160,16 @@ func TestProcessThresholdBatchEquivalentToSetThreshold(t *testing.T) {
 	}
 }
 
-// TestProcessThresholdBatchRenormRoundTrip drives a unit-change round trip:
-// first an epoch whose compensating deltas multiply every stored weight by
-// 1/λ while λ drops to 1/1024 (real graph unchanged — no transitions may
-// fire), then the renormalization unit that folds λ back into the weights
-// with Scale exactly 1. The engine must end at the base threshold, scale 1,
-// the original graph to an ulp (the compensating delta w·λ−w rounds once),
-// and an unchanged dense set throughout.
+// TestProcessThresholdBatchRenormRoundTrip drives a unit-change round trip
+// through a fold: one unit carries compensating deltas that multiply every
+// stored weight by 2^501 while λ drops to 2^-501 (the real graph unchanged —
+// no transition may fire), and that scale is below the fold floor, so the
+// engine folds it into its state: density.Fold(2^-501) = ½·2^-500. The engine
+// must end at scale ½, at the threshold 2/½ = 4 exactly, holding exactly
+// twice every original weight (w·2^501 − w rounds to w·2^501 and the fold is
+// exact), with an unchanged dense set.
 func TestProcessThresholdBatchRenormRoundTrip(t *testing.T) {
-	const scale = 1.0 / 1024
+	const scale = 0x1p-501
 	updates := scaleStream(17, 8, 200)
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	sink := &boundarySink{}
@@ -178,48 +179,33 @@ func TestProcessThresholdBatchRenormRoundTrip(t *testing.T) {
 	events := sink.Len()
 	g := eng.Graph()
 	pairs := dedupePairs(updates)
+	grow := make([]core.Update, len(pairs))
 	original := make([]float64, len(pairs))
 	for i, u := range pairs {
 		original[i] = g.Weight(u.A, u.B)
-	}
-
-	// Unit change down: w' = w/λ so the real graph is untouched.
-	grow := make([]core.Update, len(pairs))
-	for i, u := range pairs {
 		grow[i] = core.Update{A: u.A, B: u.B, Delta: original[i]/scale - original[i]}
 	}
 	eng.ProcessThresholdBatch(scale, grow)
-	if sink.Len() != events {
-		t.Fatalf("pure unit change emitted %d events", sink.Len()-events)
-	}
-	if !slices.Equal(eng.OutputDenseKeys(), before) {
-		t.Fatalf("pure unit change altered the dense set: %v vs %v", eng.OutputDenseKeys(), before)
-	}
-
-	// Renormalize: fold λ into the weights (w' → w'·λ) and return Scale to 1.
-	shrink := make([]core.Update, len(pairs))
-	for i, u := range pairs {
-		w := g.Weight(u.A, u.B)
-		shrink[i] = core.Update{A: u.A, B: u.B, Delta: w*scale - w}
-	}
-	eng.ProcessThresholdBatch(1, shrink)
 
 	if sink.Len() != events {
-		t.Fatalf("renorm emitted %d events", sink.Len()-events)
+		t.Fatalf("a pure unit change with a fold emitted %d events", sink.Len()-events)
 	}
-	if eng.DecayScale() != 1 {
-		t.Fatalf("DecayScale = %v after renorm, want 1", eng.DecayScale())
+	if eng.DecayScale() != 0.5 {
+		t.Fatalf("DecayScale = %v after the fold, want 0.5", eng.DecayScale())
 	}
-	if got := eng.Config().T; got != 2 {
-		t.Fatalf("threshold %v after renorm, want exactly the base 2", got)
+	if got := eng.Config().T; got != 4 {
+		t.Fatalf("threshold %v after the fold, want exactly 4", got)
 	}
 	if !slices.Equal(eng.OutputDenseKeys(), before) {
-		t.Fatalf("renorm changed the dense set: %v vs %v", eng.OutputDenseKeys(), before)
+		t.Fatalf("the unit changed the dense set: %v vs %v", eng.OutputDenseKeys(), before)
 	}
 	for i, u := range pairs {
-		if got := g.Weight(u.A, u.B); !relCloseTo(got, original[i], 1e-12) {
-			t.Fatalf("weight %d-%d = %v, want the original %v", u.A, u.B, got, original[i])
+		if got := g.Weight(u.A, u.B); got != 2*original[i] {
+			t.Fatalf("weight %d-%d = %v, want twice the original %v", u.A, u.B, got, original[i])
 		}
+	}
+	if msg := eng.ValidateIndex(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

@@ -190,16 +190,45 @@ func NewThresholds(m Measure, t float64, nmax int, deltaIt float64) (*Thresholds
 // threshold runs; the measure's, which does not, ran when th was built. On
 // error dst is left as it was, so dst may be th itself.
 func (th *Thresholds) Rescale(dst *Thresholds, newT float64) error {
-	if err := checkThreshold(newT); err != nil {
+	return dst.set(th.Measure, newT, th.Nmax, th.DeltaIt*newT/th.T)
+}
+
+// Normalize is Rescale to the units of a cumulative decay scale s, where a
+// weight w is held as w/s: T and δ_it divided by s. A function of s alone, it
+// commutes exactly with a power-of-two relabel: Normalize(s·2^-k) is
+// Normalize(s) with every bound multiplied by 2^k, bit for bit.
+func (th *Thresholds) Normalize(dst *Thresholds, s float64) error {
+	return dst.set(th.Measure, th.T/s, th.Nmax, th.DeltaIt/s)
+}
+
+// set checks and installs a schedule moved to threshold t and δ_it dit.
+func (th *Thresholds) set(m Measure, t float64, nmax int, dit float64) error {
+	if err := checkThreshold(t); err != nil {
 		return err
 	}
-	scaled := th.DeltaIt * newT / th.T
-	if err := checkSchedule(th.Measure, newT, th.Nmax, scaled); err != nil {
+	if err := checkSchedule(m, t, nmax, dit); err != nil {
 		return err
 	}
-	dst.Measure, dst.T, dst.Nmax, dst.DeltaIt = th.Measure, newT, th.Nmax, scaled
-	dst.precompute()
+	th.Measure, th.T, th.Nmax, th.DeltaIt = m, t, nmax, dit
+	th.precompute()
 	return nil
+}
+
+// foldBelow is the smallest decay scale held unfolded, leaving ~150 orders of
+// magnitude of float64 headroom on the normalized weights and threshold.
+const foldBelow = 1e-150
+
+// Fold decides when state in the normalized units of a decay scale s is
+// relabelled: below foldBelow it splits s into m·2^k, m in [½, 1), and the
+// holder multiplies every stored weight by 2^k — exact — and carries on at
+// scale m; otherwise k is 0. The aggregator and the engine both call it on
+// the scale a threshold unit carries, so they fold at the same unit by the
+// same power of two without a word passing between them.
+func Fold(s float64) (m float64, k int) {
+	if !(s < foldBelow) {
+		return s, 0
+	}
+	return math.Frexp(s)
 }
 
 // checkThreshold rejects an output threshold that is not positive and

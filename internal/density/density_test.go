@@ -468,3 +468,44 @@ func TestClassificationIsScaleInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeCommutesWithFold pins the two facts a fold rests on: Fold
+// splits a scale below 1e-150 into m·2^k with m in [½, 1) and leaves any
+// other alone, and the schedule Normalize gives for s·2^-k is the one for s
+// with every bound multiplied by 2^k, bit for bit — so relabelling weights
+// and schedule by 2^k together classifies nothing differently.
+func TestNormalizeCommutesWithFold(t *testing.T) {
+	for _, s := range []float64{1, 0.5, 1e-150, 0x1p-400} {
+		if m, k := Fold(s); m != s || k != 0 {
+			t.Fatalf("Fold(%v) = %v, %d; want no fold", s, m, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
+		base := MustThresholds(m, 3, 5, 0.4*MaxDeltaIt(m, 3, 5))
+		for i := 0; i < 200; i++ {
+			s := math.Ldexp(0.5+0.5*rng.Float64(), -499-rng.Intn(400))
+			frac, k := Fold(s)
+			if frac < 0.5 || frac >= 1 || math.Ldexp(frac, k) != s {
+				t.Fatalf("Fold(%v) = %v, %d", s, frac, k)
+			}
+			var at, folded Thresholds
+			if err := base.Normalize(&at, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.Normalize(&folded, frac); err != nil {
+				t.Fatal(err)
+			}
+			for n := 2; n <= 6; n++ {
+				for _, tab := range [][2][]float64{{at.tn, folded.tn}, {at.minScore, folded.minScore}, {at.denseFloor, folded.denseFloor}, {at.outputFloor, folded.outputFloor}} {
+					if math.Ldexp(tab[0][n], k) != tab[1][n] {
+						t.Fatalf("%s: at scale %v a bound of n=%d is %v; ×2^%d that is not the folded %v", m.Name(), s, n, tab[0][n], k, tab[1][n])
+					}
+				}
+			}
+			if math.Ldexp(at.T, k) != folded.T || math.Ldexp(at.DeltaIt, k) != folded.DeltaIt {
+				t.Fatalf("%s: at scale %v T, δ_it = %v, %v; folded %v, %v", m.Name(), s, at.T, at.DeltaIt, folded.T, folded.DeltaIt)
+			}
+		}
+	}
+}

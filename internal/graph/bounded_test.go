@@ -163,7 +163,11 @@ func TestBoundedScansMatchReference(t *testing.T) {
 			checkHeavyIndex(t, g)
 
 			if step%60 == 30 {
-				clone, restored := g.Clone(), NewFromState(g.ExportState())
+				clone := g.Clone()
+				restored, err := NewFromState(g.ExportState())
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, cp := range []*Graph{clone, restored} {
 					checkBounded(t, cp, c, bound, &buf)
 					checkHeavyIndex(t, cp)
@@ -229,4 +233,56 @@ func TestHeavyIndexIdleCost(t *testing.T) {
 		t.Fatalf("idle index survived two sweep periods: floor %d, %d buckets", g.heavyFloor, len(g.heavy))
 	}
 	checkHeavyIndex(t, g)
+}
+
+// TestLdexpRelabelsExactly folds a graph by 2^-600 twice after a bounded scan
+// has built the heavy-edge index: every weight, the index's buckets and its
+// floor must follow exactly, so the index stays valid and a bound relabelled
+// with the weights selects the same edges. At 2^-1200 the lightest weights
+// reach 0 and leave the graph, with their vertices still known, and the
+// index, whose floor would leave the normal range, is dropped.
+func TestLdexpRelabelsExactly(t *testing.T) {
+	g := New()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		u, v := Vertex(rng.Intn(30)), Vertex(rng.Intn(30))
+		g.Apply(Update{A: u, B: v, Delta: math.Ldexp(1+rng.Float64(), rng.Intn(400))})
+	}
+	before, edges, gone := g.ExportState(), g.NumEdges(), 0
+	g.Edges(func(_, _ Vertex, w float64) {
+		if math.Ldexp(math.Ldexp(w, -600), -600) == 0 {
+			gone++
+		}
+	})
+	bound := 0x1p100
+	g.EdgesNotIncident(nil, bound, func(Vertex, Vertex, float64) {})
+	if g.heavyFloor == heavyOff || gone == 0 {
+		t.Fatal("fixture: no heavy-edge index, or no weight light enough to vanish")
+	}
+	for fold := 1; fold <= 2; fold++ {
+		g.Ldexp(-600)
+		bound = math.Ldexp(bound, -600)
+		if fold == 1 {
+			checkHeavyIndex(t, g)
+			checkBounded(t, g, nil, bound, &NeighborhoodBuf{})
+			after := g.ExportState()
+			for i := range before.EdgeW {
+				before.EdgeW[i] = math.Ldexp(before.EdgeW[i], -600)
+			}
+			if !slices.Equal(after.EdgeW, before.EdgeW) || !slices.Equal(after.EdgeU, before.EdgeU) {
+				t.Fatal("the first fold is not an exact relabel")
+			}
+		}
+	}
+	if g.heavyFloor != heavyOff || g.NumEdges() != edges-gone || len(g.KnownVertices()) != len(before.Known) {
+		t.Fatalf("after 2^-1200: floor %d, %d edges of %d (%d vanishing), %d known of %d",
+			g.heavyFloor, g.NumEdges(), edges, gone, len(g.KnownVertices()), len(before.Known))
+	}
+	checkHeavyIndex(t, g)
+	for v := Vertex(0); v < 30; v++ {
+		vs, _ := g.Neighborhood(v)
+		if g.Degree(v) != len(vs) || (len(vs) == 0) != (g.adj.Get(v) == nil) {
+			t.Fatalf("vertex %d: degree %d, vector %v", v, g.Degree(v), vs)
+		}
+	}
 }

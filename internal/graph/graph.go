@@ -54,15 +54,17 @@
 // mutations a sweep checks that the index still earns its memory: if no
 // bounded scan ran in that period it is dropped, and if it has come to hold
 // more than a quarter of the edges its floor rises to the lowest bound the
-// period saw. Both happen under rescaled decay, where normalised weights inflate
-// without limit and carry every new edge past any fixed floor: a pipeline
-// whose only bounded scan is the pair pass of a renormalisation gets its
-// memory back within two periods, and one that scans all the time keeps an
-// index of the edges its current thresholds can use.
+// period saw. Both happen under rescaled decay, where normalised weights
+// inflate by up to 150 orders of magnitude between two folds (Ldexp, which
+// shifts the buckets with the weights) and carry every new edge past any fixed
+// floor: a pipeline that stops asking bounded questions gets its memory back
+// within two periods, and one that scans all the time keeps an index of the
+// edges its current thresholds can use.
 package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -381,16 +383,6 @@ func (g *Graph) insert(l *adjacency, i int, v Vertex, w float64) {
 	l.insert(i, v, w)
 }
 
-// Neighbors calls fn for every neighbour of u with non-zero edge weight, in
-// increasing vertex order.
-func (g *Graph) Neighbors(u Vertex, fn func(v Vertex, w float64)) {
-	if l := g.adj.Get(u); l != nil {
-		for i, v := range l.vs {
-			fn(v, l.ws[i])
-		}
-	}
-}
-
 // Neighborhood returns the sorted neighbourhood vector Γ_u: u's neighbours in
 // increasing vertex order with the parallel edge weights. The returned slices
 // are the graph's own storage — callers must treat them as read-only and must
@@ -557,6 +549,34 @@ func (g *Graph) Edges(fn func(u, v Vertex, w float64)) {
 			fn(u, l.vs[i], l.ws[i])
 		}
 	}
+}
+
+// Ldexp multiplies every edge weight by 2^k, the relabel that folds a decay
+// scale into normalized weights: exact for normal weights. One taken lower
+// rounds as math.Ldexp does for every holder of it; at 0 it leaves the graph.
+func (g *Graph) Ldexp(k int) {
+	var emptied []Vertex
+	removed := 0 // twice the edges removed: each sits in two vectors
+	for u, l := range g.adj.All() {
+		n := 0
+		for i, w := range l.ws {
+			if w = math.Ldexp(w, k); w != 0 {
+				l.vs[n], l.ws[n] = l.vs[i], w
+				n++
+			}
+		}
+		removed += len(l.vs) - n
+		if l.vs, l.ws = l.vs[:n], l.ws[:n]; n == 0 {
+			emptied = append(emptied, u)
+		}
+	}
+	for _, u := range emptied {
+		g.release(g.adj.Get(u))
+		g.adj.Set(u, nil)
+	}
+	g.edgeCount -= removed / 2
+	g.totalWeight = math.Ldexp(g.totalWeight, k)
+	g.heavyLdexp(k)
 }
 
 // Clone returns a deep copy of the graph.

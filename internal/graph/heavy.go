@@ -134,6 +134,26 @@ func (g *Graph) heavySweep() {
 	}
 }
 
+// heavyLdexp shifts the index with weights all just multiplied by 2^k: every
+// exponent moves by k while the floor stays normal; otherwise the index goes,
+// and the next bounded scan rebuilds it.
+func (g *Graph) heavyLdexp(k int) {
+	if g.heavyFloor == heavyOff || g.heavyFloor+k < 1 {
+		g.heavy, g.heavyPos, g.heavyFloor, g.heavyAsked = nil, nil, heavyOff, heavyOff
+		return
+	}
+	g.heavyFloor += k
+	if g.heavyAsked != heavyOff {
+		g.heavyAsked = max(0, g.heavyAsked+k)
+	}
+	for i := range g.heavy {
+		g.heavy[i].exp += k
+		for j := range g.heavy[i].edges {
+			g.heavy[i].edges[j].w = math.Ldexp(g.heavy[i].edges[j].w, k)
+		}
+	}
+}
+
 // lowerHeavyFloor extends the index down to exponent exp with one pass over
 // the graph. Every bucket it fills is new: the existing ones are all at or
 // above the old floor.

@@ -453,6 +453,18 @@ func (ix *Index) AddScore(n *Node, delta float64) float64 {
 	return n.score
 }
 
+// Ldexp multiplies every stored score and reach certificate by 2^k, the
+// relabel that goes with graph.Graph.Ldexp (+Inf stays +Inf).
+func (ix *Index) Ldexp(k int) { ldexpSubtree(ix.root, k) }
+
+func ldexpSubtree(n *Node, k int) {
+	for _, child := range n.kids.nodes {
+		child.score = math.Ldexp(child.score, k)
+		child.reach = math.Ldexp(child.reach, k)
+		ldexpSubtree(child, k)
+	}
+}
+
 // EvictDense removes the dense marking from node n and prunes any resulting
 // chain of childless, non-dense nodes (typically O(1), at worst O(|C|)).
 // Any '*' child of n is removed as well: the implicit family exists only

@@ -6,29 +6,26 @@ import (
 	"math"
 	"slices"
 
+	"dyndens/internal/density"
 	"dyndens/internal/graph"
 	"dyndens/internal/vset"
 )
 
-// DecayMode names the fading realisation. It has one value, DecayRescale,
-// which is its zero value; the AggregatorConfig field stays only because
-// existing callers name it. The paper-literal per-pair sweep it once chose
-// between lives on as the test reference internal/baseline/fade.
+// DecayMode names the fading realisation. Its one value is the zero value
+// DecayRescale; the field stays because existing callers name it. The
+// paper-literal per-pair sweep lives on as the test reference
+// internal/baseline/fade.
 type DecayMode int
 
-// DecayRescale keeps weights in normalized units w' = w/λ with a cumulative
-// scale λ: an epoch tick is one float multiply plus a single threshold batch
-// unit (λ) the engine absorbs via incremental threshold adjustment, and
-// PruneBelow retirement is served lazily from an expiry-scale heap — per-epoch
-// cost independent of the tracked-pair count.
+// DecayRescale keeps weights in normalized units w' = w/λ: an epoch tick is
+// one float multiply plus a single threshold unit (λ), and PruneBelow
+// retirement is served lazily from an expiry-scale heap.
 const DecayRescale DecayMode = 0
 
-// renormBelow is the λ underflow guard: when the cumulative scale drops below
-// it, the aggregator renormalizes stored weights back to λ = 1 in one O(E)
-// pass. 1e-150 leaves ~150 orders of magnitude of float64 headroom on both
-// the normalized weights (w/λ) and the rescaled threshold (T/λ), and is
-// crossed only once per thousands of epochs at realistic decay factors.
-const renormBelow = 1e-150
+// maxTickFade bounds how far one epoch tick fades, whatever the gap between
+// documents: any pair a positive PruneBelow still tracks at that depth
+// retires either way, and it keeps λ·factor a normal float for density.Fold.
+const maxTickFade = 0x1p-500
 
 // AggregatorConfig configures the document→update co-occurrence aggregation
 // (the paper's Section 2 pre-processing): each document contributes DocWeight
@@ -96,16 +93,16 @@ func (c AggregatorConfig) Validate() error {
 type AggregatorStats struct {
 	Docs         int   // documents consumed
 	PairUpdates  int   // positive co-occurrence updates emitted
-	DecayUpdates int   // negative cancellation and renormalization updates emitted
+	DecayUpdates int   // negative cancellation updates emitted, one per retired pair
 	Retired      int   // pairs fully cancelled and dropped by PruneBelow
 	Epochs       int64 // fading epochs applied
 	TrackedPairs int   // pairs currently carrying weight
 
 	ThresholdUpdates int // threshold batch units emitted (epoch ticks with fading)
-	Renorms          int // λ-underflow renormalization passes
+	Renorms          int // folds of λ into the stored weights (density.Fold)
 	// EpochPairTouches counts, cumulatively, the tracked pairs an epoch tick
 	// examined: the heap entries popped (retirements and stale re-keys) plus
-	// renormalization passes. The O(1)-epoch claim is pinned as "a
+	// the pairs a fold relabelled. The O(1)-epoch claim is pinned as "a
 	// no-retirement epoch leaves this unchanged"; the per-pair sweep of the
 	// paper would add the full tracked count every tick.
 	EpochPairTouches int
@@ -150,23 +147,16 @@ type retiredPair struct {
 }
 
 // Aggregator converts a DocumentSource into the edge-weight batch stream the
-// engine consumes: it is the first stage of the documents→stories pipeline
-// and slots into the existing Replay/ShardReplay drivers unchanged.
-//
-// For every document it emits one positive update per entity pair, and
-// whenever the document time crosses an epoch boundary it applies fading
-// first. Stored weights are normalized (w' = w/λ), so an epoch emits one
-// threshold batch unit carrying the new λ plus the exact cancellations of
-// pairs that expired below PruneBelow. The aggregator mirrors the exact
-// weight the engine's graph holds for each pair — the engine applies every
-// delta the aggregator emits and nothing else — so weights never drift and
-// the clamp-at-zero path is never hit.
-//
-// Emission order is deterministic: a document's pairs are emitted in sorted
-// order (documents carry sorted entity sets) and cancellation updates are
-// emitted in sorted pair order, so equal document streams produce equal
-// batch streams, which is what makes the end-to-end story pipeline
-// reproducible and shard-count independent.
+// engine consumes, the first stage of the documents→stories pipeline. For
+// every document it emits one positive update per entity pair, and when the
+// document time crosses an epoch boundary it fades first: stored weights are
+// normalized (w' = w/λ), so an epoch emits one threshold unit carrying the
+// new λ plus the exact cancellations of pairs that expired below PruneBelow.
+// It mirrors the exact weight the engine's graph holds for each pair, so
+// weights never drift and the clamp-at-zero path is never hit. Pairs and
+// cancellations are emitted in sorted order, so equal document streams give
+// equal batch streams: the story pipeline is reproducible and shard-count
+// independent.
 type Aggregator struct {
 	cfg     AggregatorConfig
 	docs    DocumentSource
@@ -181,7 +171,7 @@ type Aggregator struct {
 	// then the document's co-occurrence deltas.
 	pendingThreshold *ThresholdUpdate
 	thresholdUnit    ThresholdUpdate // backing store, reused per epoch
-	tickUpdates      []Update        // the epoch's cancellations and renormalization deltas
+	tickUpdates      []Update        // the epoch's cancellations
 	docUpdates       []Update
 
 	lambda     float64       // cumulative decay scale λ
@@ -189,8 +179,7 @@ type Aggregator struct {
 	retiredBuf []retiredPair // reusable scratch for confirmed retirements
 	pairBuf    []pairKey     // reusable per-document pair-expansion scratch
 
-	stats    AggregatorStats
-	decayBuf []pairKey // reusable sorted-key scratch for renormalization
+	stats AggregatorStats
 }
 
 // NewAggregator wires docs through the co-occurrence aggregation. It returns
@@ -237,8 +226,7 @@ func (g *Aggregator) Weight(a, b graph.Vertex) float64 {
 }
 
 // Scale returns the cumulative decay scale λ: stored weights are w' = w/λ.
-// It is 1 before the first epoch tick and immediately after a
-// renormalization pass.
+// It is 1 before the first epoch tick and in [½, 1) right after a fold.
 func (g *Aggregator) Scale() float64 { return g.lambda }
 
 // ErrNeedBatch is returned by the per-update Next of a document front-end:
@@ -357,26 +345,26 @@ func (g *Aggregator) expiryLambda(w float64) float64 {
 // tickEpoch is the O(1) epoch tick: fold the elapsed decay into the
 // cumulative scale λ (stored weights are untouched — they are normalized),
 // retire only the pairs whose expiry scale the new λ crossed, and queue one
-// threshold unit carrying λ for the engine. When λ underflows toward
-// renormBelow an amortized O(E) renormalization folds the scale back into
-// the stored weights first, so the same epoch unit carries the rescale
-// deltas and a Scale of exactly 1.
+// threshold unit carrying λ for the engine. A λ below the fold floor is then
+// split by density.Fold into m·2^k and folded into the stored weights
+// (renormalize); the unit still carries the unsplit λ, from which the engine
+// decides the same fold.
 func (g *Aggregator) tickEpoch(elapsed int64) {
 	g.stats.Epochs += elapsed
 	factor := math.Pow(g.cfg.Decay, float64(elapsed))
 	if factor == 1 {
 		return
 	}
-	g.lambda *= factor
+	g.lambda *= max(factor, maxTickFade)
 	if g.cfg.PruneBelow > 0 {
 		g.retireExpired()
-	}
-	if g.lambda < renormBelow {
-		g.renormalize()
 	}
 	g.thresholdUnit = ThresholdUpdate{Scale: g.lambda}
 	g.pendingThreshold = &g.thresholdUnit
 	g.stats.ThresholdUpdates++
+	if m, k := density.Fold(g.lambda); k != 0 {
+		g.renormalize(m, k)
+	}
 }
 
 // retireExpired pops every heap entry whose recorded expiry scale the current
@@ -424,34 +412,19 @@ func (g *Aggregator) retireExpired() {
 	g.retiredBuf = retired
 }
 
-// renormalize folds the cumulative scale back into the stored weights
-// (w' ← w'·λ, λ ← 1), queueing the per-pair deltas in sorted order and
-// rebuilding the retirement heap against the fresh scale. It runs once per
-// ~⌈150 / -log10(Decay)⌉ epochs, so the O(E log E) cost amortizes to a
-// vanishing per-epoch share.
-func (g *Aggregator) renormalize() {
-	keys := g.weights.appendKeys(g.decayBuf[:0])
-	slices.Sort(keys)
-	g.decayBuf = keys
-	g.stats.EpochPairTouches += len(keys)
-	for _, k := range keys {
-		w, _ := g.weights.get(k)
-		rescaled := w * g.lambda
-		g.weights.put(k, rescaled)
-		if delta := rescaled - w; delta != 0 {
-			a, b := k.vertices()
-			g.tickUpdates = append(g.tickUpdates, Update{A: a, B: b, Delta: delta})
-			g.stats.DecayUpdates++
-		}
+// renormalize folds λ = m·2^k into the stored weights: every weight is
+// multiplied by 2^k and every expiry scale by 2^-k, both exact, and λ
+// restarts at m. Real weights w'·λ are unchanged, nothing is emitted, and a
+// uniform exact scaling keeps the heap in order. A weight that the relabel
+// takes below the normal range rounds exactly as the engine's copy of it
+// does; one that reaches 0 — possible only without pruning — is dropped, as
+// the engine's graph drops the edge.
+func (g *Aggregator) renormalize(m float64, k int) {
+	g.stats.EpochPairTouches += g.weights.ldexp(k)
+	for i := range g.retire {
+		g.retire[i].expLambda = math.Ldexp(g.retire[i].expLambda, -k)
 	}
-	g.lambda = 1
-	g.retire = g.retire[:0]
-	if g.cfg.PruneBelow > 0 {
-		for _, k := range keys {
-			w, _ := g.weights.get(k)
-			g.heapPush(retireEntry{key: k, expLambda: g.expiryLambda(w)})
-		}
-	}
+	g.lambda = m
 	g.stats.Renorms++
 }
 

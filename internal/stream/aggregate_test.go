@@ -127,7 +127,9 @@ func TestAggregatorRejectsTimeRegression(t *testing.T) {
 // replaying the aggregated stream, the engine graph's edge weights equal the
 // aggregator's tracked weights exactly (the engine applies every delta the
 // aggregator emits and nothing else, so the mirror never drifts and decay
-// deltas are never clamped).
+// deltas are never clamped). The stream fades by 10^-5 per epoch, so λ
+// crosses the fold floor every 30 epochs: both sides fold their weights by
+// the same power of two at the same unit, which keeps them equal bit for bit.
 func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 	gen := MustDocSynthetic(DocSynthConfig{
 		BackgroundEntities: 30,
@@ -136,27 +138,27 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 		Docs:               400,
 		Seed:               11,
 	})
-	agg := MustAggregator(gen, AggregatorConfig{EpochLength: 40, Decay: 0.5, PruneBelow: 0.05})
+	agg := MustAggregator(gen, AggregatorConfig{EpochLength: 4, Decay: 1e-5, PruneBelow: 0.05})
 	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 	if _, err := NewReplay(agg, eng, nil).RunBatches(0, false); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()
-	if st.Docs != 400 || st.PairUpdates == 0 || st.DecayUpdates == 0 || st.Retired == 0 {
+	if st.Docs != 400 || st.PairUpdates == 0 || st.DecayUpdates == 0 || st.Retired == 0 || st.Renorms < 3 {
 		t.Fatalf("workload too weak to validate the mirror: %+v", st)
 	}
 	checked := 0
 	for a := graph.Vertex(0); a < 40; a++ {
 		for b := a + 1; b < 40; b++ {
-			if got, want := eng.Graph().Weight(a, b), agg.Weight(a, b); math.Abs(got-want) > 1e-9 {
+			if got, want := eng.Graph().Weight(a, b), agg.Weight(a, b); got != want {
 				t.Fatalf("edge {%d,%d}: engine weight %v, aggregator %v", a, b, got, want)
 			} else if want != 0 {
 				checked++
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no tracked pairs in the checked vertex range")
+	if checked == 0 || checked != eng.Graph().NumEdges() || checked != st.TrackedPairs {
+		t.Fatalf("%d tracked pairs in the checked vertex range, %d edges, %d tracked", checked, eng.Graph().NumEdges(), st.TrackedPairs)
 	}
 }
 

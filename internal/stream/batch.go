@@ -30,8 +30,9 @@ type Batch struct {
 // cumulative decay factor λ in force after the epoch: the aggregator's stored
 // weights are normalized as w' = w/λ, so the engine rescales its density
 // threshold to baseT/Scale and multiplies emitted scores and densities by
-// Scale to restore real (paper-semantics) units. A renormalization epoch
-// resets Scale to exactly 1.
+// Scale to restore real (paper-semantics) units. A Scale below the fold
+// floor is folded by receiver and sender alike (density.Fold): both relabel
+// their weights by the same power of two and carry on at a scale in [½, 1).
 type ThresholdUpdate struct {
 	Scale float64
 }

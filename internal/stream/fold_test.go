@@ -1,0 +1,279 @@
+package stream
+
+import (
+	"errors"
+	"io"
+	"math"
+	"reflect"
+	"testing"
+
+	"dyndens/internal/core"
+	"dyndens/internal/density"
+	"dyndens/internal/story"
+)
+
+// foldAggConfig fades by 0.8 per epoch of two documents: λ crosses the fold
+// floor once every 1 548 epochs, i.e. 3 096 documents.
+var foldAggConfig = AggregatorConfig{EpochLength: 2, Decay: 0.8}
+
+// foldDocs is a planted workload of n documents, one per time unit.
+func foldDocs(t *testing.T, n int) []Document {
+	t.Helper()
+	docs, err := DrainDocs(MustDocSynthetic(DocSynthConfig{
+		BackgroundEntities: 30,
+		Stories:            3,
+		StorySize:          4,
+		Docs:               n,
+		Seed:               5,
+		BackgroundSkew:     1.1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
+// ldexpUpdates returns us with every delta multiplied by 2^k.
+func ldexpUpdates(us []Update, k int) []Update {
+	out := make([]Update, len(us))
+	for i, u := range us {
+		out[i] = Update{A: u.A, B: u.B, Delta: math.Ldexp(u.Delta, k)}
+	}
+	return out
+}
+
+// requireRelabel requires engine a's graph and index to be engine b's with
+// every weight and score multiplied by 2^shift, bit for bit, and both valid.
+func requireRelabel(t *testing.T, label string, a, b *core.Engine, shift int) {
+	t.Helper()
+	ga, gb := a.Graph().ExportState(), b.Graph().ExportState()
+	for i := range gb.EdgeW {
+		gb.EdgeW[i] = math.Ldexp(gb.EdgeW[i], shift)
+	}
+	if !reflect.DeepEqual(ga, gb) {
+		t.Fatalf("%s: graph is not the twin's ×2^%d", label, shift)
+	}
+	ea, eb := a.ExportState(), b.ExportState()
+	eb.Scale = math.Ldexp(eb.Scale, -shift)
+	for i := range eb.Dense {
+		eb.Dense[i].Score = math.Ldexp(eb.Dense[i].Score, shift)
+		eb.Dense[i].StarScore = math.Ldexp(eb.Dense[i].StarScore, shift)
+	}
+	if !reflect.DeepEqual(ea, eb) {
+		t.Fatalf("%s: index is not the twin's ×2^%d", label, shift)
+	}
+	for _, e := range []*core.Engine{a, b} {
+		if msg := e.ValidateIndex(); msg != "" {
+			t.Fatalf("%s: %s", label, msg)
+		}
+		if msg := e.ValidateCertificates(); msg != "" {
+			t.Fatalf("%s: %s", label, msg)
+		}
+	}
+}
+
+// TestFoldIsARelabel runs the aggregator's stream through engine a as it
+// comes and through a twin b in units 2^-shift times a's: deltas scaled down
+// and scales up by 2^shift, starting at shift 250. Each engine folds when the
+// scale it is handed crosses the fold floor, so they fold at different units,
+// and each fold moves shift by its exponent. Across three folds of each, the
+// two must emit the same events and count the same work at every unit — so
+// a fold adds no event, insertion, eviction or exploration — and at every
+// unit where either folds, one's graph and index must be the other's ×2^shift
+// bit for bit: the folded state is the unfolded one relabelled. The folding
+// units carry nothing but retirements.
+func TestFoldIsARelabel(t *testing.T) {
+	agg := MustAggregator(NewSliceDocSource(foldDocs(t, 11000)), foldAggConfig)
+	cfg := core.Config{T: 2, Nmax: 4}
+	a, b := core.MustNew(cfg), core.MustNew(cfg)
+	shift := 250
+	b.ProcessThresholdBatch(math.Ldexp(1, shift), nil)
+	twinStats := func() core.Stats {
+		st := b.Stats()
+		st.Batches--
+		st.ThresholdTicks--
+		return st
+	}
+	var foldsA, foldsB int
+	for unit := 0; ; unit++ {
+		batch, err := agg.NextBatch()
+		if errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		var evA, evB []core.Event
+		kA, kB := 0, 0
+		if batch.Threshold == nil {
+			evA = a.ProcessBatch(batch.Updates)
+			evB = b.ProcessBatch(ldexpUpdates(batch.Updates, -shift))
+		} else {
+			s, sB := batch.Threshold.Scale, math.Ldexp(batch.Threshold.Scale, shift)
+			_, kA = density.Fold(s)
+			_, kB = density.Fold(sB)
+			if kA != 0 {
+				for _, u := range batch.Updates {
+					if u.Delta != -a.Graph().Weight(u.A, u.B) || agg.Weight(u.A, u.B) != 0 {
+						t.Fatalf("unit %d: the folding unit carries %+v, not a retirement", unit, u)
+					}
+				}
+			}
+			evA = a.ProcessThresholdBatch(s, batch.Updates)
+			evB = b.ProcessThresholdBatch(sB, ldexpUpdates(batch.Updates, -shift))
+		}
+		shift += kA - kB
+		if !reflect.DeepEqual(evA, evB) {
+			t.Fatalf("unit %d (folds %d, %d): events\n%v\nand the twin's\n%v", unit, kA, kB, evA, evB)
+		}
+		if st := twinStats(); a.Stats() != st {
+			t.Fatalf("unit %d (folds %d, %d): work\n%+v\nand the twin's\n%+v", unit, kA, kB, a.Stats(), st)
+		}
+		if kA != 0 || kB != 0 {
+			requireRelabel(t, "after a fold", a, b, shift)
+			foldsA += min(1, -kA)
+			foldsB += min(1, -kB)
+		}
+	}
+	requireRelabel(t, "at the end", a, b, shift)
+	st := agg.Stats()
+	if foldsA < 3 || foldsB < 3 || st.Renorms != foldsA || a.Stats().Events == 0 || a.Stats().Evictions == 0 {
+		t.Fatalf("the run folded %d and %d times (aggregator %d) over %d events and %d evictions; want 3 each",
+			foldsA, foldsB, st.Renorms, a.Stats().Events, a.Stats().Evictions)
+	}
+	if st.DecayUpdates != st.Retired || st.Retired == 0 {
+		t.Fatalf("the aggregator emitted %d decay updates for %d retirements", st.DecayUpdates, st.Retired)
+	}
+	if a.DecayScale() != agg.Scale() {
+		t.Fatalf("engine at scale %v, aggregator at %v", a.DecayScale(), agg.Scale())
+	}
+}
+
+// TestRestoreAtFoldBoundaryIsInvisible exports the aggregator and the engine
+// at the first drained boundary after a fold, restores both, and carries on:
+// the batches, the events and the story table must equal the uninterrupted
+// run's, which they can only if the restored engine's schedule — computed
+// from the real threshold and the restored scale — is the folded one bit for
+// bit.
+func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
+	docs := foldDocs(t, 4000)
+	engCfg := core.Config{T: 2, Nmax: 4}
+	run := func(restore bool) ([]recordedBatch, [][]core.Event, *loggedTracker) {
+		agg := MustAggregator(NewSliceDocSource(docs), foldAggConfig)
+		eng := core.MustNew(engCfg)
+		tr := newLoggedTracker(story.Config{MinCardinality: 3, Grace: 40})
+		var batches []recordedBatch
+		var events [][]core.Event
+		for {
+			b, err := agg.NextBatch()
+			if errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			rb := recordedBatch{updates: append([]Update(nil), b.Updates...), decay: b.Decay}
+			var evs []core.Event
+			if b.Threshold != nil {
+				thr := *b.Threshold
+				rb.threshold = &thr
+				evs = eng.ProcessThresholdBatch(thr.Scale, b.Updates)
+			} else {
+				evs = eng.ProcessBatch(b.Updates)
+			}
+			batches, events = append(batches, rb), append(events, evs)
+			for _, ev := range evs {
+				tr.Emit(ev)
+			}
+			tr.EndUpdate()
+			if !restore || agg.Stats().Renorms == 0 || !agg.Drained() {
+				continue
+			}
+			restore = false
+			aggSt, err := agg.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg, err = NewAggregatorFromState(NewSliceDocSource(docs[agg.Stats().Docs:]), foldAggConfig, aggSt); err != nil {
+				t.Fatal(err)
+			}
+			fresh := core.MustNew(engCfg)
+			if err := fresh.ImportState(eng.Graph().ExportState(), eng.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh.Thresholds(), eng.Thresholds()) {
+				t.Fatalf("restored schedule %v, the folded one %v", fresh.Thresholds(), eng.Thresholds())
+			}
+			eng = fresh
+		}
+		if restore {
+			t.Fatal("the run never folded")
+		}
+		tr.Close(uint64(len(batches)))
+		return batches, events, tr
+	}
+	wantB, wantE, wantT := run(false)
+	gotB, gotE, gotT := run(true)
+	requireSameBatches(t, "restored at the fold", gotB, wantB)
+	if !reflect.DeepEqual(gotE, wantE) {
+		t.Fatal("restored at the fold: the events diverge")
+	}
+	requireSameRecords(t, "restored at the fold", gotT, wantT)
+	if wantT.Stats().Born == 0 {
+		t.Fatal("no story was born; fixture too weak")
+	}
+}
+
+// TestAggregatorStateRejectsTamperedHeap restores an aggregator from an
+// exported state with its retirement heap tampered in each way the restore
+// must catch: out of heap order (it would retire late, drifting from the
+// per-pair sweep), a non-finite expiry scale, an entry naming an untracked
+// pair, a pair queued twice, and a tracked pair not queued at all.
+func TestAggregatorStateRejectsTamperedHeap(t *testing.T) {
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
+	agg := MustAggregator(NewSliceDocSource(pipelineConfDocs(3, 300)), cfg)
+	drainAggregator(t, agg)
+	good, err := agg.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Retire) < 3 || len(good.Retire) != len(good.Pairs) {
+		t.Fatalf("fixture: %d heap entries for %d pairs", len(good.Retire), len(good.Pairs))
+	}
+	// child is an entry whose expiry scale is strictly below its parent's.
+	child := -1
+	for i := len(good.Retire) - 1; i > 0 && child < 0; i-- {
+		if good.Retire[(i-1)/2].ExpLambda > good.Retire[i].ExpLambda {
+			child = i
+		}
+	}
+	if child < 0 {
+		t.Fatal("fixture: no entry below its parent")
+	}
+	for _, c := range []struct {
+		name   string
+		tamper func(st *AggregatorState)
+		ok     bool
+	}{
+		{"untouched", func(*AggregatorState) {}, true},
+		{"out of order", func(st *AggregatorState) {
+			p := (child - 1) / 2
+			st.Retire[p], st.Retire[child] = st.Retire[child], st.Retire[p]
+		}, false},
+		{"infinite expiry", func(st *AggregatorState) { st.Retire[0].ExpLambda = math.Inf(1) }, false},
+		{"NaN expiry", func(st *AggregatorState) { st.Retire[1].ExpLambda = math.NaN() }, false},
+		{"untracked pair", func(st *AggregatorState) { st.Retire[1].A, st.Retire[1].B = 1000, 1001 }, false},
+		{"pair queued twice", func(st *AggregatorState) {
+			st.Retire[child].A, st.Retire[child].B = st.Retire[0].A, st.Retire[0].B
+		}, false},
+		{"pair not queued", func(st *AggregatorState) { st.Retire = st.Retire[:len(st.Retire)-1] }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := good
+			st.Retire = append([]RetireEntryState(nil), good.Retire...)
+			c.tamper(&st)
+			_, err := NewAggregatorFromState(NewSliceDocSource(nil), cfg, st)
+			if c.ok != (err == nil) {
+				t.Fatalf("restore returned %v", err)
+			}
+		})
+	}
+}

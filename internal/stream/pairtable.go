@@ -1,31 +1,16 @@
 package stream
 
-// pairTable is the aggregator's weight table: an open-addressing hash table
-// from packed pair keys to float64 weights, replacing the previous
-// map[pairKey]float64. The Go runtime map was the last allocation and
-// pointer-chasing hot spot on the document ingest path — every co-occurrence
-// probe hashed through runtime.mapaccess/mapassign with bucket indirection,
-// and growth allocated overflow buckets. This table keeps keys and values in
-// two flat parallel slices (one cache line holds eight keys), probes with a
-// strong 64-bit finalizer plus linear stepping, and is allocation-free in
-// steady state for probe, insert, and delete alike; only capacity growth and
-// tombstone compaction allocate, and both are amortized O(1) per insert.
-//
-// Key space: pairKey packs two distinct vertices a < b, so a == b keys are
-// unrepresentable in the aggregation domain. That frees two sentinel words —
-// key 0 (the pair {0,0}) marks an empty slot and ^0 (the pair {MaxUint32,
-// MaxUint32}, outside the valid vertex range) marks a tombstone — so no
-// separate metadata array is needed.
-//
-// Deletion uses tombstones so retirement (PruneBelow) stays O(probe) without
-// the backward-shift bookkeeping; a compaction pass rehashes the live entries
-// in place once tombstones exceed a quarter of the capacity, bounding the
-// probe-length decay long retirement-heavy streams would otherwise suffer.
-//
-// Iteration order is insertion/hash dependent and deliberately unexported:
-// every emission path that feeds the deterministic update stream (the exact
-// sweep, lazy retirement, renormalization) orders keys explicitly, so the
-// table never leaks its layout into the batch stream.
+import "math"
+
+// pairTable is the aggregator's weight table: open addressing from packed
+// pair keys to float64 weights in two flat parallel slices, probed with a
+// strong 64-bit finalizer plus linear stepping, and allocation-free in steady
+// state for probe, insert and delete alike (only growth and tombstone
+// compaction allocate, amortized O(1) per insert). pairKey packs a < b, so
+// key 0 (the pair {0,0}) can mark an empty slot and ^0 a tombstone. Deletion
+// leaves a tombstone, and a compaction pass rehashes in place once they
+// exceed a quarter of the capacity. Iteration order depends on the layout and
+// is unexported: every path that feeds the update stream orders keys itself.
 type pairTable struct {
 	keys []uint64
 	vals []float64
@@ -161,6 +146,23 @@ func (t *pairTable) appendKeys(buf []pairKey) []pairKey {
 		}
 	}
 	return buf
+}
+
+// ldexp multiplies every weight by 2^k, deleting those that become 0, and
+// returns how many entries it visited.
+func (t *pairTable) ldexp(k int) int {
+	visited := t.live
+	for i, key := range t.keys {
+		if key != ptEmpty && key != ptTombstone {
+			if t.vals[i] = math.Ldexp(t.vals[i], k); t.vals[i] == 0 {
+				t.keys[i], t.live, t.dead = ptTombstone, t.live-1, t.dead+1
+			}
+		}
+	}
+	if t.dead > len(t.keys)/4 {
+		t.rehash(len(t.keys))
+	}
+	return visited
 }
 
 // maybeGrow doubles the table once live+dead occupancy passes 3/4, keeping

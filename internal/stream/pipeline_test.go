@@ -173,9 +173,8 @@ func TestParallelAggregatorMatchesSerial(t *testing.T) {
 }
 
 // TestParallelAggregatorRenormConformance pins the rarest epoch path: a decay
-// factor small enough that λ underflows renormBelow forces renormalization
-// passes mid-stream, which must emit identical rescale deltas through the
-// pipeline.
+// factor small enough that λ crosses the fold floor folds it mid-stream, and
+// the pipeline must carry the folding units' unsplit scales exactly.
 func TestParallelAggregatorRenormConformance(t *testing.T) {
 	var docs []Document
 	for i := 0; i < 40; i++ {
@@ -190,7 +189,7 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 		}
 	}
 	if refAgg.Stats().Renorms == 0 {
-		t.Fatal("fixture never renormalized; weaken Decay further")
+		t.Fatal("fixture never folded; weaken Decay further")
 	}
 	p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 3})
 	if err != nil {

@@ -128,14 +128,27 @@ func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st Aggreg
 		}
 		g.weights.put(k, p.W)
 	}
-	// The heap slice is persisted verbatim; the heap property is positional,
-	// so copying it back preserves pop order bit-for-bit.
+	// The heap slice is persisted verbatim, which preserves pop order bit for
+	// bit. It must be what the aggregator keeps: a max-heap of finite expiry
+	// scales (out of order, it retires late), one entry per tracked pair
+	// while pruning is on, and none for an untracked pair.
 	g.retire = make([]retireEntry, len(st.Retire))
+	queued := make(map[pairKey]bool, len(st.Retire))
 	for i, e := range st.Retire {
-		if math.IsNaN(e.ExpLambda) || e.ExpLambda < 0 {
+		k := makePairKey(e.A, e.B)
+		switch _, tracked := g.weights.get(k); {
+		case math.IsNaN(e.ExpLambda) || math.IsInf(e.ExpLambda, 0) || e.ExpLambda < 0:
 			return nil, fmt.Errorf("stream: restored retire entry (%d, %d) has invalid expiry scale %v", e.A, e.B, e.ExpLambda)
+		case i > 0 && st.Retire[(i-1)/2].ExpLambda < e.ExpLambda:
+			return nil, fmt.Errorf("stream: restored retire heap out of order at entry %d", i)
+		case !tracked || queued[k]:
+			return nil, fmt.Errorf("stream: restored retire entry (%d, %d) names no tracked pair, or one already queued", e.A, e.B)
 		}
-		g.retire[i] = retireEntry{key: makePairKey(e.A, e.B), expLambda: e.ExpLambda}
+		queued[k] = true
+		g.retire[i] = retireEntry{key: k, expLambda: e.ExpLambda}
+	}
+	if g.cfg.PruneBelow > 0 && len(queued) != g.weights.len() {
+		return nil, fmt.Errorf("stream: restored retire heap queues %d of %d tracked pairs", len(queued), g.weights.len())
 	}
 	return g, nil
 }
