@@ -92,7 +92,6 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 	nmax := fs.Int("nmax", defNmax, "maximum subgraph cardinality Nmax")
 	deltaItFrac := fs.Float64("deltait-frac", 0.01, "δ_it as a fraction of its maximum valid value")
 	measure := fs.String("measure", "avgweight", "density measure: avgweight, avgdegree, or sqrt")
-	maxExplore := fs.Bool("maxexplore", true, "enable the MaxExplore heuristic (Section 7.1)")
 	return func() (core.Config, error) {
 		m, err := measureByName(*measure)
 		if err != nil {
@@ -105,11 +104,10 @@ func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Confi
 			return core.Config{}, fmt.Errorf("-deltait-frac must be in (0, 1), got %g", *deltaItFrac)
 		}
 		return core.Config{
-			Measure:          m,
-			T:                *t,
-			Nmax:             *nmax,
-			DeltaItFraction:  *deltaItFrac,
-			EnableMaxExplore: *maxExplore,
+			Measure:         m,
+			T:               *t,
+			Nmax:            *nmax,
+			DeltaItFraction: *deltaItFrac,
 		}, nil
 	}
 }
@@ -180,10 +178,10 @@ func createOutput(path string) (w io.Writer, close func() error, err error) {
 func statsSummary(s core.Stats) string {
 	return fmt.Sprintf(
 		"engine: updates=%d (+%d/-%d) events=%d dense=%d stars=%d index-nodes=%d (max %d)\n"+
-			"work:   explorations=%d certified=%d cheap-explores=%d cheap-indexed=%d insertions=%d evictions=%d maxexplore-skips=%d",
+			"work:   explorations=%d certified=%d cheap-explores=%d cheap-indexed=%d insertions=%d evictions=%d",
 		s.Updates, s.PositiveUpdates, s.NegativeUpdates, s.Events,
 		s.IndexedDense, s.IndexedStars, s.IndexNodes, s.MaxIndexNodes,
-		s.Explorations, s.ExploreCertified, s.CheapExplores, s.CheapIndexed, s.Insertions, s.Evictions, s.MaxExploreSkips)
+		s.Explorations, s.ExploreCertified, s.CheapExplores, s.CheapIndexed, s.Insertions, s.Evictions)
 }
 
 // shardedSummary formats the aggregate + per-shard work counters of a sharded

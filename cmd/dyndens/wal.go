@@ -68,11 +68,14 @@ func (p *pipeline) openWAL(fingerprint string, liveTail bool) error {
 	return nil
 }
 
-// engineFingerprint renders the engine knobs that shape persisted state.
+// engineFingerprint renders the engine knobs that shape persisted state. The
+// trailing maxexplore=true is a literal: earlier builds had a -maxexplore
+// flag, on by default, and wrote its value here, so directories they wrote
+// under the default must still match.
 func engineFingerprint(cfg core.Config) string {
 	c := cfg.WithDefaults()
-	return fmt.Sprintf("measure=%s,T=%g,nmax=%d,deltait=%g,maxexplore=%v",
-		c.Measure.Name(), c.T, c.Nmax, c.DeltaIt, c.EnableMaxExplore)
+	return fmt.Sprintf("measure=%s,T=%g,nmax=%d,deltait=%g,maxexplore=true",
+		c.Measure.Name(), c.T, c.Nmax, c.DeltaIt)
 }
 
 // aggFingerprint renders the aggregation knobs that shape the derived update

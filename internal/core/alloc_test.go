@@ -198,7 +198,7 @@ func TestThresholdTickSteadyStateZeroAlloc(t *testing.T) {
 // entities come back in recycled vectors, the schedule is rescaled in place,
 // and the retirements repair only the subgraphs holding both endpoints.
 func TestBackgroundChurnSteadyStateZeroAlloc(t *testing.T) {
-	eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
 	group := []core.Vertex{0, 1, 2, 3, 4}
 	for i, a := range group {
@@ -244,7 +244,7 @@ func TestBackgroundChurnSteadyStateZeroAlloc(t *testing.T) {
 // large batch.
 func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
 	mk := func(large bool) func() {
-		eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+		eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 		eng.SetSink(&core.CountingSink{})
 		eng.ProcessBatch([]core.Update{{A: 0, B: 1, Delta: 9}, {A: 0, B: 2, Delta: 9}, {A: 1, B: 2, Delta: 9}})
 		if large {
@@ -288,7 +288,7 @@ func TestThresholdTickAfterLargeBatchStaysSmall(t *testing.T) {
 func TestThresholdTickNettingBuildsNoKey(t *testing.T) {
 	// δ_it = T/3 puts the dense thresholds of pairs and triangles at T/2 and
 	// 5T/6, whatever the scale, so what is not output-dense here stays indexed.
-	eng := core.MustNew(core.Config{T: 3, Nmax: 5, DeltaIt: 1, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5, DeltaIt: 1})
 	var sink core.CountingSink
 	eng.SetSink(&sink)
 	pairs := [][2]core.Vertex{{0, 1}, {0, 2}, {1, 2}}
@@ -434,7 +434,7 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 // light — so the measured cycles settle every exploration without a scan, and
 // allocate nothing.
 func TestCertifiedExploreSteadyStateZeroAlloc(t *testing.T) {
-	eng := core.MustNew(core.Config{T: 3, Nmax: 5, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
 	clique := []core.Vertex{0, 1, 2, 3}
 	for i := 0; i < 40; i++ { // background: into the clique and beside it

@@ -301,7 +301,6 @@ func (e *Engine) batchDiscover() {
 		e.a, e.b, e.delta = a, b, delta
 		e.seedPairs = seed
 		e.maxIter = e.th.Iterations(delta)
-		e.maxExploreKnown = false
 
 		var split int
 		e.affectedBuf, e.partnerBuf, split = e.ix.AppendDensePaired(e.affectedBuf[:0], e.partnerBuf[:0], a, b)

@@ -236,51 +236,43 @@ func checkExpandedAgainstOracle(t *testing.T, label string, bat, seq *core.Engin
 // coalesced net deltas), so the conformance claim is semantic: the expanded
 // output-dense set must equal brute.EnumerateAll for both engines.
 func TestProcessBatchMatchesSequential(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"implicit", core.Config{T: 2, Nmax: 4}},
-		{"implicit-maxexplore", core.Config{T: 2, Nmax: 4, EnableMaxExplore: true}},
-	}
-	for _, tc := range configs {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
-					Vertices:         10,
-					Updates:          400,
-					Seed:             seed,
-					NegativeFraction: 0.35,
-					MeanDelta:        1.5,
-				}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq := core.MustNew(tc.cfg)
-				bat := core.MustNew(tc.cfg)
-				rng := rand.New(rand.NewSource(seed * 101))
-				events := 0
-				for pos := 0; pos < len(updates); {
-					n := rng.Intn(9) // empty batches included
-					if pos+n > len(updates) {
-						n = len(updates) - pos
-					}
-					chunk := updates[pos : pos+n]
-					pos += n
-					for _, u := range chunk {
-						seq.Process(u)
-					}
-					events += len(bat.ProcessBatch(chunk))
-
-					if msg := bat.ValidateIndex(); msg != "" {
-						t.Fatalf("seed %d after %d updates: batch index invalid: %s", seed, pos, msg)
-					}
-					checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), bat, seq)
-				}
-				if events == 0 {
-					t.Fatalf("seed %d: batched replay emitted no events; fixture too weak", seed)
-				}
+	cfg := core.Config{T: 2, Nmax: 4}
+	t.Run("implicit", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+				Vertices:         10,
+				Updates:          400,
+				Seed:             seed,
+				NegativeFraction: 0.35,
+				MeanDelta:        1.5,
+			}))
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			seq := core.MustNew(cfg)
+			bat := core.MustNew(cfg)
+			rng := rand.New(rand.NewSource(seed * 101))
+			events := 0
+			for pos := 0; pos < len(updates); {
+				n := rng.Intn(9) // empty batches included
+				if pos+n > len(updates) {
+					n = len(updates) - pos
+				}
+				chunk := updates[pos : pos+n]
+				pos += n
+				for _, u := range chunk {
+					seq.Process(u)
+				}
+				events += len(bat.ProcessBatch(chunk))
+
+				if msg := bat.ValidateIndex(); msg != "" {
+					t.Fatalf("seed %d after %d updates: batch index invalid: %s", seed, pos, msg)
+				}
+				checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), bat, seq)
+			}
+			if events == 0 {
+				t.Fatalf("seed %d: batched replay emitted no events; fixture too weak", seed)
+			}
+		}
+	})
 }

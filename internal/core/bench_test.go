@@ -31,7 +31,7 @@ const (
 )
 
 func benchConfig() core.Config {
-	return core.Config{T: 100, Nmax: 5, EnableMaxExplore: true}
+	return core.Config{T: 100, Nmax: 5}
 }
 
 // benchUpdates materialises n updates from a seeded generator.
@@ -150,7 +150,7 @@ func BenchmarkProcessStarHeavy(b *testing.B) {
 		ring[i%window] = u
 	}
 	warm := 2*warmIns - window
-	benchProcess(b, core.Config{T: 3, Nmax: 5, EnableMaxExplore: true}, updates[:warm], updates[warm:])
+	benchProcess(b, core.Config{T: 3, Nmax: 5}, updates[:warm], updates[warm:])
 }
 
 // BenchmarkProcessPlantedSteady measures the life of a planted story, the
@@ -171,7 +171,7 @@ func BenchmarkProcessPlantedSteady(b *testing.B) {
 		background = 2000
 	)
 	member := func(g, i int) core.Vertex { return core.Vertex(background + g*cliqueSize + i) }
-	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: T, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
 	var setup []core.Update // weights in eighths and sixteenths cancel exactly
 	for x := 0; x < background; x++ {
@@ -232,8 +232,8 @@ func BenchmarkProcessInStory(b *testing.B) { benchInStory(b, 300) }
 
 // BenchmarkProcessInStoryWide is BenchmarkProcessInStory over 2000 background
 // vertices, ≈ 333 light neighbours per member as in the docs workloads: what
-// an update costs when it must not scan the endpoints' neighbourhoods for the
-// MaxExplore caps that none of its attempts needs.
+// an update costs when every attempt ends at an O(1) exit, so the endpoints'
+// wide neighbourhoods are never scanned.
 func BenchmarkProcessInStoryWide(b *testing.B) { benchInStory(b, 2000) }
 
 func benchInStory(b *testing.B, background int) {
@@ -284,7 +284,7 @@ func BenchmarkThresholdTick(b *testing.B) {
 		groupSize  = 5
 		background = 1000
 	)
-	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: T, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
 	var light []core.Update
 	for i := 0; i < 2*background; i++ {
@@ -354,7 +354,7 @@ func BenchmarkThresholdTickRetire(b *testing.B) {
 		entities  = 4
 	)
 	member := func(g, i int) core.Vertex { return core.Vertex(residents + g*groupSize + i) }
-	eng := core.MustNew(core.Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng := core.MustNew(core.Config{T: T, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
 	var setup []core.Update // weights in eighths and sixteenths cancel exactly
 	for v := 0; v < residents; v++ {
@@ -426,7 +426,7 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	for done := 0; done < b.N; done += rebuildEvery {
 		b.StopTimer()
 		src := stream.MustSynthetic(stream.SynthConfig{Vertices: benchVertices, Updates: min(rebuildEvery, b.N-done), Seed: 7, NegativeFraction: 0.1})
-		eng := core.MustNew(core.Config{T: 25, Nmax: 5, EnableMaxExplore: true})
+		eng := core.MustNew(core.Config{T: 25, Nmax: 5})
 		r := stream.NewReplay(src, eng, &core.CountingSink{})
 		b.StartTimer()
 		if _, err := r.RunBatches(1024, false); err != nil {

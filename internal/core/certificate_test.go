@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -96,7 +95,7 @@ func (r *plantedRun) step(t *testing.T) string {
 		// builds it: from the real-unit threshold. It starts without
 		// certificates and must carry on exactly where the old one stopped.
 		cfg := r.e.Config()
-		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax, EnableMaxExplore: cfg.EnableMaxExplore})
+		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax})
 		if err := fresh.ImportState(r.e.Graph().ExportState(), r.e.ExportState()); err != nil {
 			t.Fatal(err)
 		}
@@ -108,50 +107,32 @@ func (r *plantedRun) step(t *testing.T) string {
 }
 
 // TestPlantedStatefulCertificates checks after every step of such walks that
-// the index is valid and that every reach certificate still bounds what the
-// graph holds, and — where the engine is exact — that skipping scans on the
-// certificates' word loses nothing against brute.EnumerateAll. The exact arm
-// is the plain algorithm. The other arm runs the shipped default, MaxExplore
-// on, which consults its caps only for an exploration the certificate did not
-// settle; it is lossy by itself (ROADMAP 1), so it is held to the one-sided
-// oracle: no set the oracle lacks, misses logged.
+// the index is valid, that every reach certificate still bounds what the
+// graph holds, and that skipping scans on the certificates' word loses
+// nothing against brute.EnumerateAll.
 func TestPlantedStatefulCertificates(t *testing.T) {
 	const steps = 300
-	misses := 0
-	for _, arm := range []struct {
-		name  string
-		cfg   Config
-		check func(t *testing.T, e *Engine, label string)
-		seeds int64
-	}{
-		{"plain", Config{}, checkAgainstBrute, 12},
-		{"MaxExplore", Config{EnableMaxExplore: true}, checkWithinBrute(&misses), 12},
-	} {
-		arm.cfg.T, arm.cfg.Nmax = 1, 4
-		var certified, scanned uint64
-		for seed := int64(1); seed <= arm.seeds; seed++ {
-			r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(arm.cfg), scale: 1}
-			for i := 0; i < steps; i++ {
-				label := fmt.Sprintf("%s seed %d step %d: %s", arm.name, seed, i, r.step(t))
-				arm.check(t, r.e, label)
-			}
-			certified += r.certified + r.e.stats.ExploreCertified
-			scanned += r.scanned + r.e.stats.Explorations
+	var certified, scanned uint64
+	for seed := int64(1); seed <= 12; seed++ {
+		r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(Config{T: 1, Nmax: 4}), scale: 1}
+		for i := 0; i < steps; i++ {
+			checkAgainstBrute(t, r.e, fmt.Sprintf("seed %d step %d: %s", seed, i, r.step(t)))
 		}
-		t.Logf("%s: %d explorations settled by certificate, %d scanned", arm.name, certified, scanned)
-		if certified == 0 {
-			t.Fatalf("%s: no exploration was settled by a certificate; the walk does not exercise them", arm.name)
-		}
+		certified += r.certified + r.e.stats.ExploreCertified
+		scanned += r.scanned + r.e.stats.Explorations
 	}
-	t.Logf("MaxExplore: %d steps missed sets of the oracle, none reported a spurious one", misses)
+	t.Logf("%d explorations settled by certificate, %d scanned", certified, scanned)
+	if certified == 0 {
+		t.Fatal("no exploration was settled by a certificate; the walk does not exercise them")
+	}
 }
 
 // certifiedTriple returns an engine holding the triple {0,1,2} at pair weight
 // 1.5 (T=1, Nmax=4: dense, not too-dense) with nothing else in the graph, so
 // the scans that admitted it left every subset of it a certificate of reach 0.
-func certifiedTriple(t *testing.T, maxExplore bool) *Engine {
+func certifiedTriple(t *testing.T) *Engine {
 	t.Helper()
-	e := MustNew(Config{T: 1, Nmax: 4, EnableMaxExplore: maxExplore})
+	e := MustNew(Config{T: 1, Nmax: 4})
 	for _, u := range []Update{{A: 0, B: 1, Delta: 1.5}, {A: 0, B: 2, Delta: 1.5}, {A: 1, B: 2, Delta: 1.5}} {
 		e.Process(u)
 	}
@@ -167,7 +148,7 @@ func certifiedTriple(t *testing.T, maxExplore bool) *Engine {
 // it is already there and no cheap-exploration has accounted for it yet:
 // batchRepair must have dropped the certificates, and the explorations scan.
 func TestBatchRaisedPairDropsCertificate(t *testing.T) {
-	e := certifiedTriple(t, false)
+	e := certifiedTriple(t)
 	before := e.Stats()
 	e.ProcessBatch([]Update{{A: 0, B: 1, Delta: 1e-9}, {A: 0, B: 9, Delta: 0.3}})
 	after := e.Stats()
@@ -178,42 +159,15 @@ func TestBatchRaisedPairDropsCertificate(t *testing.T) {
 	checkAgainstBrute(t, e, "after the batch")
 }
 
-// TestCheapExploreSkipDropsCertificate pins the exit of cheapExplore that
-// never computes the weight the update raised: with the triple's weights let
-// down to barely dense, both endpoints of a cross update {0,9} as light as
-// 0.004 have MaxExplore caps of 3, the cheap-exploration of {0,1,2} is skipped,
-// and its certificate of reach 0 — which vertex 9 now exceeds — must go with it.
-func TestCheapExploreSkipDropsCertificate(t *testing.T) {
-	e := certifiedTriple(t, true)
-	down := e.th.DenseFloor(3)/3 + 1e-3 - 1.5
-	for _, u := range []Update{{A: 0, B: 1, Delta: down}, {A: 0, B: 2, Delta: down}, {A: 1, B: 2, Delta: down}} {
-		e.Process(u)
-	}
-	node := e.ix.LookupDense([]Vertex{0, 1, 2})
-	if node == nil || node.Reach() != 0 {
-		t.Fatalf("setup: negative updates should leave {0,1,2} indexed and certified: %v", node)
-	}
-	before := e.Stats()
-	e.Process(Update{A: 0, B: 9, Delta: 0.004})
-	if after := e.Stats(); after.MaxExploreSkips == before.MaxExploreSkips {
-		t.Fatalf("the cross update was not skipped by MaxExplore: %+v → %+v", before, after)
-	}
-	if !math.IsInf(node.Reach(), 1) {
-		t.Fatalf("the skipped cheap-exploration left {0,1,2} its certificate of reach %v", node.Reach())
-	}
-	checkValid(t, e, "after the skipped cheap-exploration")
-}
-
-// TestCheapExploreIndexedUnionKeepsCertificate is the sibling in which the
-// union is indexed: {1,2} at 3.5 carries the triples {0,1,2} and {1,2,3} and
-// the quadruple {0,1,2,3}, every other pair weighs at most 0.625, and the
-// cross update {0,3} leaves both endpoints MaxExplore caps of 3 — under which
-// the cheap-exploration of {0,1,2}, which holds 0 and has three vertices,
-// would be skipped. Its union is indexed, so the attempt ends there instead,
-// counted as CheapIndexed, and the certificate stays: the weight the update
-// raised is that of vertex 3, whose child the certificate need not cover.
+// TestCheapExploreIndexedUnionKeepsCertificate pins the cheap-exploration
+// exit that keeps a certificate: {1,2} at 3.5 carries the triples {0,1,2} and
+// {1,2,3} and the quadruple {0,1,2,3}, and every other pair weighs at most
+// 0.625. The cross update {0,3} raises the weight vertex 3 puts into
+// {0,1,2}, but the union {0,1,2,3} is indexed, so the attempt ends there,
+// counted as CheapIndexed, and the certificate of reach 0 stays: vertex 3's
+// child is indexed, and the certificate need not cover it.
 func TestCheapExploreIndexedUnionKeepsCertificate(t *testing.T) {
-	e := MustNew(Config{T: 1, Nmax: 4, EnableMaxExplore: true})
+	e := MustNew(Config{T: 1, Nmax: 4})
 	for _, u := range []Update{
 		{A: 0, B: 1, Delta: 0.625}, {A: 0, B: 2, Delta: 0.625}, {A: 1, B: 3, Delta: 0.625},
 		{A: 2, B: 3, Delta: 0.625}, {A: 0, B: 3, Delta: 0.5}, {A: 1, B: 2, Delta: 3.5},
@@ -226,12 +180,8 @@ func TestCheapExploreIndexedUnionKeepsCertificate(t *testing.T) {
 	}
 	before := e.Stats()
 	e.Process(Update{A: 0, B: 3, Delta: 1.0 / 256})
-	after := e.Stats()
-	if capA, capB := e.maxExploreCaps(); capA != 3 || capB != 3 {
-		t.Fatalf("setup: the cross update has MaxExplore caps %d and %d, want 3 and 3", capA, capB)
-	}
-	if skips, indexed := after.MaxExploreSkips-before.MaxExploreSkips, after.CheapIndexed-before.CheapIndexed; skips != 0 || indexed != 2 {
-		t.Fatalf("%d MaxExplore skips and %d cheap-explorations ended at an indexed union, want 0 and 2 ({0,1,2} and {1,2,3})", skips, indexed)
+	if indexed := e.Stats().CheapIndexed - before.CheapIndexed; indexed != 2 {
+		t.Fatalf("%d cheap-explorations ended at an indexed union, want 2 ({0,1,2} and {1,2,3})", indexed)
 	}
 	if node.Reach() != 0 {
 		t.Fatalf("{0,1,2}'s certificate went from 0 to %v", node.Reach())
@@ -254,7 +204,7 @@ func InStoryEngine(tb testing.TB, background int) (*Engine, []Update) {
 		storySize = 6
 	)
 	member := func(i int) Vertex { return Vertex(background + i) }
-	eng := MustNew(Config{T: T, Nmax: 5, EnableMaxExplore: true})
+	eng := MustNew(Config{T: T, Nmax: 5})
 	eng.SetSink(&CountingSink{})
 	for x := 0; x < background; x++ { // sixteenths and eighths cancel exactly
 		eng.Process(Update{A: Vertex(x), B: Vertex((7*x + 1) % background), Delta: 1.0 / 16})
@@ -273,13 +223,12 @@ func InStoryEngine(tb testing.TB, background int) (*Engine, []Update) {
 	return eng, pairs
 }
 
-// TestInStoryUpdateComputesNoCaps pins when the MaxExplore caps are paid for:
-// only by an attempt that is still open. Once a round of scans has left every
-// subset of a story in a wide background its certificate, a member-pair update
-// settles each cheap-exploration at an indexed union (or the Nmax gate) and
-// each exploration by a certificate, so it never computes the caps — two
-// passes over ≈ 333 neighbours — and MaxExplore skips nothing.
-func TestInStoryUpdateComputesNoCaps(t *testing.T) {
+// TestInStoryUpdateScansNothing pins the in-story regime's O(1) exits. Once a
+// round of scans has left every subset of a story in a wide background its
+// certificate, a member-pair update settles each cheap-exploration at an
+// indexed union (or the Nmax gate) and each exploration by a certificate, so
+// it never scans the ≈ 333 neighbours of either endpoint.
+func TestInStoryUpdateScansNothing(t *testing.T) {
 	e, pairs := InStoryEngine(t, 2000)
 	for round := 0; round < 2; round++ { // round 0: the scans that derive the certificates
 		for _, u := range pairs {
@@ -287,12 +236,8 @@ func TestInStoryUpdateComputesNoCaps(t *testing.T) {
 			u.Delta = 1.0 / 8
 			e.Process(u)
 			after := e.Stats()
-			switch {
-			case round == 0:
-			case e.maxExploreKnown || after.MaxExploreSkips != before.MaxExploreSkips:
-				t.Fatalf("update %v computed the MaxExplore caps (%d skips)", u, after.MaxExploreSkips-before.MaxExploreSkips)
-			case after.Explorations != before.Explorations || after.ExploreCertified == before.ExploreCertified ||
-				after.CheapIndexed-before.CheapIndexed != after.CheapExplores-before.CheapExplores || after.CheapIndexed == before.CheapIndexed:
+			if round > 0 && (after.Explorations != before.Explorations || after.ExploreCertified == before.ExploreCertified ||
+				after.CheapIndexed-before.CheapIndexed != after.CheapExplores-before.CheapExplores || after.CheapIndexed == before.CheapIndexed) {
 				t.Fatalf("update %v: want every union indexed and every exploration certified: %+v → %+v", u, before, after)
 			}
 			u.Delta = -u.Delta

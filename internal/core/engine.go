@@ -1,6 +1,7 @@
 // Package core implements DynDens, the incremental algorithm for maintaining
 // dense subgraphs under streaming edge-weight updates (the Engagement
-// problem) described in Sections 3, 4, 6 and 7 of the paper.
+// problem) described in Sections 3, 4 and 6 of the paper. It implements none
+// of the heuristics of Section 7: the engine is exact.
 //
 // The engine owns the evolving weighted graph, the dense-subgraph prefix-tree
 // index, and the threshold schedule. Each call to Process applies one edge
@@ -42,7 +43,11 @@ type Config struct {
 	// matching the paper's main experiments.
 	DeltaItFraction float64
 
-	// EnableMaxExplore enables the MaxExplore heuristic (Section 7.1).
+	// EnableMaxExplore is accepted and ignored: the engine always runs the
+	// exact algorithm. The paper's MaxExplore caps (Section 7.1) are not
+	// implemented, because they skip dense subgraphs that only an
+	// ImplicitTooDense family represents. The field stays only because the
+	// benchmark harness sets it (ROADMAP item 5).
 	EnableMaxExplore bool
 }
 
@@ -127,13 +132,16 @@ type Stats struct {
 	NegativeUpdates  uint64
 	Explorations     uint64 // explore() invocations that scanned a neighbourhood
 	ExploreCertified uint64 // explore() invocations settled by the node's reach certificate instead
-	CheapExplores    uint64 // cheap-exploration attempts; an indexed union counts even where MaxExplore would skip it
+	CheapExplores    uint64 // cheap-exploration attempts
 	CheapIndexed     uint64 // those that ended because the union was already indexed
 	Insertions       uint64 // dense subgraphs inserted into the index
 	Evictions        uint64 // dense subgraphs evicted from the index
 	StarInsertions   uint64 // ImplicitTooDense families created
-	MaxExploreSkips  uint64 // (cheap-)explorations skipped by MaxExplore; only those no indexed union or certificate settled
-	Events           uint64 // output events emitted
+	// MaxExploreSkips is always 0: the engine implements no MaxExplore caps
+	// (see Config.EnableMaxExplore). It stays only because the benchmark
+	// harness reads it (ROADMAP item 5).
+	MaxExploreSkips uint64
+	Events          uint64 // output events emitted
 
 	IndexedDense  int // current number of explicitly indexed dense subgraphs
 	IndexedStars  int // current number of ImplicitTooDense families
@@ -162,7 +170,6 @@ func (s *Stats) Add(o Stats) {
 	s.Insertions += o.Insertions
 	s.Evictions += o.Evictions
 	s.StarInsertions += o.StarInsertions
-	s.MaxExploreSkips += o.MaxExploreSkips
 	s.Events += o.Events
 	s.IndexedDense += o.IndexedDense
 	s.IndexedStars += o.IndexedStars
@@ -212,10 +219,6 @@ type Engine struct {
 	delta     float64
 	seedPairs bool
 	maxIter   int
-	// MaxExplore heuristic caps (Nmax+1 = unlimited), computed on first use
-	// within the update: read them through maxExploreCaps.
-	maxExploreKnown          bool
-	maxExploreA, maxExploreB int
 
 	// Reusable buffers. A steady-state unit — one that admits nothing and
 	// whose vertices come back at no higher degree than they left with —
@@ -234,7 +237,6 @@ type Engine struct {
 	starBuf     []*index.Node
 	setFree     [][]Vertex
 	nbufFree    []*graph.NeighborhoodBuf
-	weightsBuf  []float64     // maxExploreFor's top-weights scratch
 	pairBuf     [2]Vertex     // seed-pair scratch
 	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
 
@@ -632,7 +634,6 @@ func (e *Engine) processNegative() {
 func (e *Engine) processPositive(w float64) {
 	a, b := e.a, e.b
 	e.maxIter = e.th.Iterations(e.delta)
-	e.maxExploreKnown = false
 
 	// Snapshot the dense subgraphs containing a or b before any insertions so
 	// that each pre-existing dense subgraph is examined exactly once. The
@@ -696,17 +697,12 @@ func (e *Engine) processPositive(w float64) {
 //
 // The update raised that weight, which is the one way an update breaks node's
 // reach certificate — unless C ∪ {missing} is indexed, a child the certificate
-// need not cover. So the exits that find the union indexed keep it, and every
-// other path out of here either raises the certificate to that weight or,
-// where the weight was never computed, drops it.
-//
-// The O(1) exits come first: the MaxExplore restriction of shouldCheapExplore,
-// whose caps cost a scan of both endpoints' neighbourhoods, is consulted only
-// by an attempt the cardinality gate and the partner's flag left open.
+// need not cover. So the exits that find the union indexed, or admit it, keep
+// it, and the one that finds the union not dense raises it to that weight.
 func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
-	missing, present := e.b, e.a
+	missing := e.b
 	if !hasA {
-		missing, present = e.a, e.b
+		missing = e.a
 	}
 	// C contains exactly one endpoint, so missing ∉ C and |C ∪ {missing}| is
 	// |C|+1; the cardinality gate needs no materialised union. Nothing ever
@@ -715,16 +711,11 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	if n+1 > e.th.Nmax {
 		return
 	}
+	e.stats.CheapExplores++
 	if partner != nil && partner.Dense() {
-		e.stats.CheapExplores++
 		e.stats.CheapIndexed++
 		return
 	}
-	if !e.shouldCheapExplore(n, present) {
-		node.DropReach()
-		return
-	}
-	e.stats.CheapExplores++
 	score := node.Score()
 	c := node.SetInto(e.getSetBuf())
 	add := e.g.ScoreWith(c, missing)
@@ -738,35 +729,6 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 	}
 	e.putSetBuf(union)
 	e.putSetBuf(c)
-}
-
-// shouldCheapExplore implements the MaxExplore restriction of Section 7.1 on
-// the cheap-exploration of a subgraph of n vertices holding only the endpoint
-// present. A too-dense subgraph is cheap-explored like any other: the
-// supergraph obtained by adding the updated endpoint may only be implicitly
-// represented (Section 3.2.3), so the cheap-exploration must run to promote it
-// to an explicit entry. cheapExplore asks only when the union fits Nmax and is
-// not indexed yet, that is, only when the attempt could still admit something.
-func (e *Engine) shouldCheapExplore(n int, present Vertex) bool {
-	if !e.cfg.EnableMaxExplore {
-		return true
-	}
-	// Section 7.1: if maxExplore_a ≥ maxExplore_b, cheap-explore all subgraphs
-	// containing only b, and subgraphs of cardinality ≤ maxExplore_a−1
-	// containing only a (and symmetrically).
-	limitA, limitB := e.maxExploreCaps()
-	if limitA >= limitB {
-		if present == e.a && n > limitA-1 {
-			e.stats.MaxExploreSkips++
-			return false
-		}
-	} else {
-		if present == e.b && n > limitB-1 {
-			e.stats.MaxExploreSkips++
-			return false
-		}
-	}
-	return true
 }
 
 // maintainStar keeps the invariant that every explicitly indexed dense
@@ -981,11 +943,6 @@ func (e *Engine) exploreNeed(score float64, n int) float64 {
 // without one; none is persisted). A scan leaves a fresh one: what the graph
 // reports of the vertices left out, raised to those returned whose child was
 // neither admitted nor indexed.
-//
-// The certificate is read before the MaxExplore gate of Section 7.1: both
-// exits admit nothing, and the certificate costs O(1) where the caps scan both
-// endpoints' neighbourhoods, so the caps are computed only for an exploration
-// that would otherwise scan.
 func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 	n, score := c.Len(), node.Score()
 	if n >= e.th.Nmax {
@@ -1003,13 +960,6 @@ func (e *Engine) explore(node *index.Node, c vset.Set, iter int) {
 	if node.Reach() < need {
 		e.stats.ExploreCertified++
 		return
-	}
-	if e.cfg.EnableMaxExplore {
-		capA, capB := e.maxExploreCaps()
-		if limit := min(capA, capB); limit <= 3 || n >= limit {
-			e.stats.MaxExploreSkips++
-			return
-		}
 	}
 	e.stats.Explorations++
 	// The neighbourhood scan and the candidate set work in buffers popped

@@ -102,7 +102,7 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 // of an incompleteness of the incremental threshold decrease (Algorithm 3,
 // lines 5–9), found by a random walk over Process / ProcessBatch /
 // ProcessThresholdBatch / SetThreshold ×1.1 and ×0.9 on ten vertices at
-// T=1.2, Nmax=4 with MaxExplore off: 8 of 200 seeds left brute.EnumerateAll,
+// T=1.2, Nmax=4: 8 of 200 seeds left brute.EnumerateAll,
 // each right after a decrease, each missing a set of Nmax vertices. Two
 // disjoint pairs, both too-dense before the decrease and so both with a family
 // already: their union is 0.01 short of dense at T=1.2 and dense at 1.08, and

@@ -60,15 +60,13 @@ func firstDifference(a, b [][]string) int {
 // so two engines fed the same stream emitted one update's events in different
 // orders. Within an update the order is now a function of the input alone.
 func TestEventOrderIndependentOfInstance(t *testing.T) {
-	for _, maxExplore := range []bool{false, true} {
-		cfg := Config{T: 1, Nmax: 4, EnableMaxExplore: maxExplore}
-		for seed := int64(1); seed <= 40; seed++ {
-			updates := starHeavyStream(seed, 400)
-			_, a := eventLog(cfg, updates, 0)
-			_, b := eventLog(cfg, updates, 0)
-			if i := firstDifference(a, b); i >= 0 {
-				t.Fatalf("MaxExplore %v seed %d update %d %v: events\n %v\nand\n %v", maxExplore, seed, i, updates[i], a[i], b[i])
-			}
+	cfg := Config{T: 1, Nmax: 4}
+	for seed := int64(1); seed <= 40; seed++ {
+		updates := starHeavyStream(seed, 400)
+		_, a := eventLog(cfg, updates, 0)
+		_, b := eventLog(cfg, updates, 0)
+		if i := firstDifference(a, b); i >= 0 {
+			t.Fatalf("seed %d update %d %v: events\n %v\nand\n %v", seed, i, updates[i], a[i], b[i])
 		}
 	}
 }
@@ -82,7 +80,7 @@ func TestEventOrderIndependentOfInstance(t *testing.T) {
 func TestShiftedVertexIDs(t *testing.T) {
 	const shift = Vertex(1) << 30
 	for seed := int64(1); seed <= 4; seed++ {
-		cfg := Config{T: 1, Nmax: 4, EnableMaxExplore: true}
+		cfg := Config{T: 1, Nmax: 4}
 		updates := starHeavyStream(seed, 300)
 		plain, a := eventLog(cfg, updates, 0)
 		shifted, b := eventLog(cfg, updates, shift)
@@ -108,37 +106,19 @@ func TestShiftedVertexIDs(t *testing.T) {
 	}
 }
 
-// checkPermutedPlanted is the permutation relation at scale: a planted stream
-// over 2 000 vertices runs through two engines, the second with every vertex
-// relabelled by a random permutation, and every 50 units the expanded
-// output-dense sets must correspond under it. The stream mixes batches, single
-// updates and threshold units that retire pairs under a scale that starts
-// near the fold floor and fades by 2^-5 per epoch, so both engines fold
-// several times. MaxExplore is off: the relation holds for the exact
-// algorithm, whose output is a function of the graph alone.
-func checkPermutedPlanted(t *testing.T, seed int64) {
-	const vertices = 2000
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(vertices)
-	relabel := func(us []Update) []Update {
-		out := make([]Update, len(us))
-		for i, u := range us {
-			out[i] = Update{A: Vertex(perm[u.A]), B: Vertex(perm[u.B]), Delta: u.Delta}
-		}
-		return out
-	}
+// plantedDraw returns the update draw of the planted streams over the given
+// number of vertices: one update in four is a light pair anywhere, the rest
+// raise a pair inside one of ten five-vertex cliques. Every delta is
+// non-negative, and a clique pair stays under 1.9·T in e's graph, so nothing
+// is ever too-dense: a family's expansion over 2 000 vertices would be too
+// large to list.
+func plantedDraw(rng *rand.Rand, vertices int, e *Engine) func() Update {
 	cliques := make([][]int, 10)
 	for i := range cliques {
 		cliques[i] = rng.Perm(vertices)[:5]
 	}
-	a, b := MustNew(Config{T: 1, Nmax: 4}), MustNew(Config{T: 1, Nmax: 4})
-	scale := 0x1p-490
-	a.ProcessThresholdBatch(scale, nil)
-	b.ProcessThresholdBatch(scale, nil)
-	// A pair stays under 1.9·T, so nothing is ever too-dense: a family's
-	// expansion over 2 000 vertices would be too large to list.
-	draw := func() Update {
-		t := a.Config().T
+	return func() Update {
+		t := e.Config().T
 		if rng.Intn(4) == 0 {
 			u, v := rng.Intn(vertices), rng.Intn(vertices-1)
 			if v >= u {
@@ -152,9 +132,70 @@ func checkPermutedPlanted(t *testing.T, seed int64) {
 			j++
 		}
 		u := Update{A: Vertex(c[i]), B: Vertex(c[j])}
-		u.Delta = min((0.4+0.8*rng.Float64())*t, 1.9*t-a.Graph().Weight(u.A, u.B))
+		u.Delta = min((0.4+0.8*rng.Float64())*t, 1.9*t-e.Graph().Weight(u.A, u.B))
 		return u
 	}
+}
+
+// TestRebatchedPlantedStream is the re-batching relation at scale: a planted
+// stream over 2 000 vertices with non-negative deltas runs through single
+// Process calls and through three random partitions into ProcessBatch calls.
+// The graph ends the same whatever the partition, and the engine is exact,
+// so all four runs must end with the same expanded output-dense set.
+func TestRebatchedPlantedStream(t *testing.T) {
+	const vertices = 2000
+	rng := rand.New(rand.NewSource(1))
+	single := MustNew(Config{T: 1, Nmax: 4})
+	draw := plantedDraw(rng, vertices, single)
+	updates := make([]Update, 3000)
+	for i := range updates {
+		updates[i] = draw()
+		single.Process(updates[i])
+	}
+	want := expandedKeys(single)
+	if len(want) == 0 || single.Stats().Insertions == 0 || single.ImplicitFamilyCount() != 0 {
+		t.Fatalf("fixture: %d output-dense sets, %d insertions, %d families", len(want), single.Stats().Insertions, single.ImplicitFamilyCount())
+	}
+	for p := 0; p < 3; p++ {
+		batched := MustNew(Config{T: 1, Nmax: 4})
+		batches := 0
+		for rest := updates; len(rest) > 0; batches++ {
+			k := min(1+rng.Intn(200), len(rest))
+			batched.ProcessBatch(rest[:k])
+			rest = rest[k:]
+		}
+		if got := expandedKeys(batched); !slices.Equal(got, want) {
+			t.Fatalf("partition %d into %d batches ends at\n %v\nsingle updates at\n %v", p, batches, got, want)
+		}
+		checkValid(t, batched, fmt.Sprintf("partition %d", p))
+	}
+	t.Logf("%d output-dense sets, %d events", len(want), single.Stats().Events)
+}
+
+// checkPermutedPlanted is the permutation relation at scale: a planted stream
+// over 2 000 vertices runs through two engines, the second with every vertex
+// relabelled by a random permutation, and every 50 units the expanded
+// output-dense sets must correspond under it. The stream mixes batches, single
+// updates and threshold units that retire pairs under a scale that starts
+// near the fold floor and fades by 2^-5 per epoch, so both engines fold
+// several times. The relation holds because the engine is exact: its output
+// is a function of the graph alone.
+func checkPermutedPlanted(t *testing.T, seed int64) {
+	const vertices = 2000
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(vertices)
+	relabel := func(us []Update) []Update {
+		out := make([]Update, len(us))
+		for i, u := range us {
+			out[i] = Update{A: Vertex(perm[u.A]), B: Vertex(perm[u.B]), Delta: u.Delta}
+		}
+		return out
+	}
+	a, b := MustNew(Config{T: 1, Nmax: 4}), MustNew(Config{T: 1, Nmax: 4})
+	scale := 0x1p-490
+	a.ProcessThresholdBatch(scale, nil)
+	b.ProcessThresholdBatch(scale, nil)
+	draw := plantedDraw(rng, vertices, a)
 	folds, compared := 0, 0
 	for unit := 1; unit <= 1000; unit++ {
 		switch k := rng.Intn(10); {

@@ -123,7 +123,7 @@ func (r *repairRun) unit() (string, func(e *Engine) []Event) {
 func TestPairLocalRepairMatchesWholeIndex(t *testing.T) {
 	var pairLocal, whole, repaired, starBases int
 	for seed := int64(1); seed <= 20; seed++ {
-		cfg := Config{T: 1, Nmax: 4, EnableMaxExplore: seed%2 == 0}
+		cfg := Config{T: 1, Nmax: 4}
 		r := &repairRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(cfg), ref: MustNew(cfg), scale: 1}
 		r.ref.wholeIndexRepair = true
 		var plant []Update
