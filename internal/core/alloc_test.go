@@ -391,9 +391,13 @@ func TestEmitCloneElision(t *testing.T) {
 // scan the triple's reach certificate says so, and the exploration is settled
 // without one) and the family's heavy-edge scan (one far edge heavy enough,
 // its union already indexed); nudging a far light edge runs the both-outside
-// check, which the prefilter settles. None of it may allocate once the
-// heavy-edge index has been built by the first scan — including the index's
-// own upkeep and sweeps, which the measured updates drive.
+// check, which the prefilter settles. A second triple, {40,41,42}, sits
+// just below too-dense (17.875 of 17.98): nudging one of its pairs up by 1/8
+// and back creates its family and removes it again, with the postings of its
+// three vertices. None of it may allocate once the heavy-edge index has been
+// built by the first scan — including the index's own upkeep and sweeps, which
+// the measured updates drive, and the family's '*' node and postings, which
+// the index recycles.
 func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
 	eng.SetSink(&core.CountingSink{})
@@ -401,11 +405,14 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 		{A: 10, B: 11, Delta: 7}, // heavy enough to close the triple's deficit of 6
 		{A: 20, B: 21, Delta: 1}, {A: 22, B: 23, Delta: 1.5}, {A: 0, B: 30, Delta: 0.5}, {A: 1, B: 31, Delta: 0.5},
 		{A: 0, B: 1, Delta: 8}, {A: 0, B: 2, Delta: 8}, {A: 1, B: 2, Delta: 8},
+		// 24 + 5.875 keeps {0,1,2,40,41} below DenseFloor(5) ≈ 29.99.
+		{A: 40, B: 41, Delta: 5.75}, {A: 40, B: 42, Delta: 6.0625}, {A: 41, B: 42, Delta: 6.0625},
 	} {
 		eng.Process(u)
 	}
-	if eng.ImplicitFamilyCount() == 0 || !eng.Contains(vset.New(0, 1, 2, 10, 11)) {
-		t.Fatalf("setup: %d families, {0,1,2,10,11} indexed: %v", eng.ImplicitFamilyCount(), eng.Contains(vset.New(0, 1, 2, 10, 11)))
+	if eng.ImplicitFamilyCount() != 1 || !eng.Contains(vset.New(0, 1, 2, 10, 11)) || !eng.Contains(vset.New(40, 41, 42)) {
+		t.Fatalf("setup: %d families, {0,1,2,10,11} indexed: %v, {40,41,42}: %v", eng.ImplicitFamilyCount(),
+			eng.Contains(vset.New(0, 1, 2, 10, 11)), eng.Contains(vset.New(40, 41, 42)))
 	}
 	before := eng.Stats()
 	cycle := func() {
@@ -413,6 +420,8 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 		eng.Process(core.Update{A: 20, B: 21, Delta: 1e-9})
 		eng.Process(core.Update{A: 0, B: 1, Delta: -1e-9})
 		eng.Process(core.Update{A: 20, B: 21, Delta: -1e-9})
+		eng.Process(core.Update{A: 40, B: 41, Delta: 0.125})
+		eng.Process(core.Update{A: 40, B: 41, Delta: -0.125})
 	}
 	assertZeroAllocs(t, "star scan", cycle)
 	after := eng.Stats()
@@ -422,6 +431,12 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
 		t.Fatalf("the cycle is not steady: %+v → %+v", before, after)
+	}
+	if after.StarInsertions == before.StarInsertions || after.IndexedStars != 1 {
+		t.Fatalf("the cycle created %d families and ends with %d, want some and 1", after.StarInsertions-before.StarInsertions, after.IndexedStars)
+	}
+	if msg := eng.ValidateIndex(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"slices"
 
+	"dyndens/internal/index"
 	"dyndens/internal/vset"
 )
 
@@ -213,7 +214,8 @@ func (e *Engine) batchRepair() {
 	// index's per-update annotation epoch (nothing else reads annotations on
 	// pre-existing nodes during a batch). Nodes are repaired independently of
 	// one another, so the route changes nothing but the cost.
-	e.affectedBuf = e.affectedBuf[:0]
+	e.affectedBuf = reuseSnapshot(e.affectedBuf)
+	var nodes []*index.Node
 	dedup := true
 	switch {
 	case len(e.batchRaised) == 0 && len(e.batchNet) <= e.ix.Len() && !e.wholeIndexRepair:
@@ -221,16 +223,17 @@ func (e *Engine) batchRepair() {
 			a, b := unpackPair(p.key)
 			e.affectedBuf = e.ix.AppendDenseContainingBoth(e.affectedBuf, a, b)
 		}
+		nodes = e.affectedBuf
 	case len(e.batchRaised) > 0 && len(e.batchDirty) <= 8:
 		for _, v := range e.batchDirty {
 			e.affectedBuf = e.ix.AppendDenseContaining(e.affectedBuf, v)
 		}
+		nodes = e.affectedBuf
 	default:
-		dedup = false
-		e.affectedBuf = e.ix.AppendDense(e.affectedBuf)
+		nodes, dedup = e.denseSnapshot(), false
 	}
 	setBuf := e.getSetBuf()
-	for _, node := range e.affectedBuf {
+	for _, node := range nodes {
 		if !node.Dense() {
 			continue // evicted via an earlier node's pruning cascade
 		}
@@ -302,9 +305,7 @@ func (e *Engine) batchDiscover() {
 		e.seedPairs = seed
 		e.maxIter = e.th.Iterations(delta)
 
-		var split int
-		e.affectedBuf, e.partnerBuf, split = e.ix.AppendDensePaired(e.affectedBuf[:0], e.partnerBuf[:0], a, b)
-		e.starBuf = e.ix.AppendStarNodes(e.starBuf[:0])
+		split := e.snapshotPositive()
 
 		if e.seedPairs {
 			e.pairBuf[0], e.pairBuf[1] = a, b // a < b by canonical pair order

@@ -15,6 +15,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -111,46 +112,67 @@ func BenchmarkProcessMixed(b *testing.B) {
 // against one warm engine (benchProcess rebuilds it if b.N outlasts them).
 func BenchmarkProcessStarHeavy(b *testing.B) {
 	const (
-		window     = 1200  // insertions a contribution stays in the graph
-		groups     = 18    // concurrently active planted groups
-		groupSize  = 5     // vertices per group
-		groupLife  = 10000 // insertions a group lives
-		background = 5000
-		warmIns    = 2*groupLife + 2*window
-		benchIns   = 200000
+		groupLife = 10000 // insertions a planted group lives
+		warmIns   = 2*groupLife + 2*core.StarHeavyWindow
+		benchIns  = 200000
 	)
-	rng := rand.New(rand.NewSource(1))
-	var members [groups][groupSize]core.Vertex
-	next := core.Vertex(background)
-	var updates []core.Update
-	ring := make([]core.Update, window)
-	for i := 0; i < warmIns+benchIns; i++ {
-		if i%(groupLife/groups) == 0 {
-			g := &members[i/(groupLife/groups)%groups]
-			for k := range g {
-				g[k], next = next, next+1
-			}
-		}
-		var x, y core.Vertex
-		if rng.Intn(2) == 0 {
-			g := &members[rng.Intn(groups)]
-			p := rng.Perm(groupSize)
-			x, y = g[p[0]], g[p[1]]
-		} else {
-			x = core.Vertex(rng.Intn(background))
-			y = (x + 1 + core.Vertex(rng.Intn(background-1))) % background
-		}
-		u := core.Update{A: x, B: y, Delta: float64(1+rng.Intn(17)) / 8} // eighths cancel exactly
-		updates = append(updates, u)
-		if i >= window {
-			old := ring[i%window]
-			old.Delta = -old.Delta
-			updates = append(updates, old)
-		}
-		ring[i%window] = u
-	}
-	warm := 2*warmIns - window
+	updates := core.StarHeavyUpdates(1, 5000, warmIns+benchIns)
+	warm := 2*warmIns - core.StarHeavyWindow
 	benchProcess(b, core.Config{T: 3, Nmax: 5}, updates[:warm], updates[warm:])
+}
+
+// BenchmarkProcessFamilyBackground measures a light background update beside
+// F ImplicitTooDense families it cannot touch, for F = 16 and 256: F planted
+// triples held too-dense (pairs at 6.25, score 18.75 of the 17.98 it takes
+// at T=3) beside a ring of 1 000 background vertices joined by edges of 1/16.
+// Each op raises one ring pair by 1/8 and lowers it again. No base holds an
+// endpoint or a neighbour of one, and a triple's score plus the pair's weight
+// is far below a dense five-vertex set, so the positive half's family pass
+// counts F failed cheap-explorations without visiting the families:
+// ns/op should not grow with F. attempts/op reports the count.
+func BenchmarkProcessFamilyBackground(b *testing.B) {
+	for _, families := range []int{16, 256} {
+		b.Run(fmt.Sprintf("F=%d", families), func(b *testing.B) { benchFamilyBackground(b, families) })
+	}
+}
+
+func benchFamilyBackground(b *testing.B, families int) {
+	const background = 1000
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
+	eng.SetSink(&core.CountingSink{})
+	var setup []core.Update // weights in sixteenths cancel exactly
+	for v := 0; v < background; v++ {
+		setup = append(setup, core.Update{A: core.Vertex(v), B: core.Vertex((v + 1) % background), Delta: 1.0 / 16})
+	}
+	for f := 0; f < families; f++ {
+		x := core.Vertex(background + 3*f)
+		setup = append(setup,
+			core.Update{A: x, B: x + 1, Delta: 6.25}, core.Update{A: x, B: x + 2, Delta: 6.25}, core.Update{A: x + 1, B: x + 2, Delta: 6.25})
+	}
+	eng.ProcessAll(setup)
+	if eng.ImplicitFamilyCount() != families {
+		b.Fatalf("fixture: %d families, want %d", eng.ImplicitFamilyCount(), families)
+	}
+	rng := rand.New(rand.NewSource(1))
+	op := func() {
+		v := core.Vertex(rng.Intn(background))
+		u := core.Update{A: v, B: (v + 1) % background, Delta: 1.0 / 8}
+		eng.Process(u)
+		u.Delta = -u.Delta
+		eng.Process(u)
+	}
+	before := eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+	b.StopTimer()
+	after := eng.Stats()
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
+		b.Fatalf("the ops are not steady: %+v → %+v", before, after)
+	}
+	b.ReportMetric(float64(after.CheapExplores-before.CheapExplores)/float64(b.N), "attempts/op")
 }
 
 // BenchmarkProcessPlantedSteady measures the life of a planted story, the

@@ -225,16 +225,19 @@ type Engine struct {
 	// allocates nothing: the graph recycles the neighbourhood vectors of the
 	// vertices that come and go (graph's vector pool), a threshold move
 	// rescales the spare schedule in place, index snapshots land in
-	// affectedBuf/partnerBuf/starBuf, sets are reconstructed and extended in
-	// buffers drawn from the setFree list, and neighbourhood scans run in
-	// NeighborhoodBufs from nbufFree. The free lists (rather than single
-	// buffers) exist because exploration is recursive: each explore frame
-	// pops its own buffers and pushes them back when done, so a parent's scan
-	// results and candidate set survive the admissions it recurses into.
-	// Depth is bounded by Nmax, so each list settles at a handful of entries.
-	affectedBuf []*index.Node
+	// affectedBuf/denseBuf/partnerBuf/starBuf, sets are reconstructed and
+	// extended in buffers drawn from the setFree list, and neighbourhood
+	// scans run in NeighborhoodBufs from nbufFree. The free lists (rather
+	// than single buffers) exist because exploration is recursive: each
+	// explore frame pops its own buffers and pushes them back when done, so a
+	// parent's scan results and candidate set survive the admissions it
+	// recurses into. Depth is bounded by Nmax, so each list settles at a
+	// handful of entries.
+	affectedBuf []*index.Node // the subgraphs an update or batch touches (reuseSnapshot)
+	denseBuf    []*index.Node // whole-index snapshots (denseSnapshot)
 	partnerBuf  []*index.Node // positive pass: the partners of affectedBuf (index.AppendDensePaired)
-	starBuf     []*index.Node
+	starBuf     []*index.Node // positive pass: the families processStars visits (snapshotPositive)
+	starsOut    int           // positive pass: the families it counts as failed attempts instead
 	setFree     [][]Vertex
 	nbufFree    []*graph.NeighborhoodBuf
 	pairBuf     [2]Vertex     // seed-pair scratch
@@ -256,6 +259,12 @@ type Engine struct {
 	// endpoints of each pair. Only tests set it, to hold the two routes to
 	// the same result.
 	wholeIndexRepair bool
+	// wholeStarScan makes every positive pass snapshot the whole '*' list,
+	// where it would select the families that can act (selectStars). Only
+	// tests set it; they read starRoutes: how many passes selected ([0]) and
+	// how many snapshot the whole list ([1]).
+	wholeStarScan bool
+	starRoutes    [2]int
 }
 
 // getSetBuf pops a vertex-set scratch buffer off the free list.
@@ -285,6 +294,17 @@ func (e *Engine) getNbuf() *graph.NeighborhoodBuf {
 // putNbuf returns a neighbourhood buffer to the free list.
 func (e *Engine) putNbuf(b *graph.NeighborhoodBuf) { e.nbufFree = append(e.nbufFree, b) }
 
+// reuseSnapshot empties a snapshot buffer of the nodes an update touches for
+// the next snapshot. It clears the entries first: every snapshot goes through
+// it, so the buffer holds no pointer past its length, and an entry left behind
+// would keep the node of a subgraph evicted since alive. Clearing costs what
+// filling cost; whole-index snapshots, which a small one would then pay for,
+// go to denseBuf, which every such snapshot refills in full.
+func reuseSnapshot(buf []*index.Node) []*index.Node {
+	clear(buf)
+	return buf[:0]
+}
+
 // New creates a DynDens engine. It validates the configuration (threshold
 // schedule, δ_it range, measure monotonicity).
 func New(cfg Config) (*Engine, error) {
@@ -299,7 +319,7 @@ func New(cfg Config) (*Engine, error) {
 		th:        th,
 		spareTh:   new(density.Thresholds),
 		g:         graph.New(),
-		ix:        index.New(),
+		ix:        index.New(cfg.Nmax),
 		emitScale: 1,
 		base:      base,
 	}, nil
@@ -607,7 +627,7 @@ func (e *Engine) evict(node *index.Node) {
 // below the output threshold are reported, and subgraphs that stop being
 // dense are evicted from the index.
 func (e *Engine) processNegative() {
-	e.affectedBuf = e.ix.AppendDenseContainingBoth(e.affectedBuf[:0], e.a, e.b)
+	e.affectedBuf = e.ix.AppendDenseContainingBoth(reuseSnapshot(e.affectedBuf), e.a, e.b)
 	for _, node := range e.affectedBuf {
 		if !node.Dense() {
 			continue // already evicted via pruning cascade
@@ -635,12 +655,7 @@ func (e *Engine) processPositive(w float64) {
 	a, b := e.a, e.b
 	e.maxIter = e.th.Iterations(e.delta)
 
-	// Snapshot the dense subgraphs containing a or b before any insertions so
-	// that each pre-existing dense subgraph is examined exactly once. The
-	// snapshot slices are engine-owned and reused across updates.
-	var split int
-	e.affectedBuf, e.partnerBuf, split = e.ix.AppendDensePaired(e.affectedBuf[:0], e.partnerBuf[:0], a, b)
-	e.starBuf = e.ix.AppendStarNodes(e.starBuf[:0])
+	split := e.snapshotPositive()
 
 	// Base case: the edge {a, b} itself may have become dense. In a routed
 	// deployment only the designated seeder runs this step, so each pair —
@@ -684,6 +699,75 @@ func (e *Engine) processPositive(w float64) {
 	e.putSetBuf(setBuf)
 
 	e.processStars()
+}
+
+// snapshotPositive takes the snapshots of a positive pass for {e.a, e.b}
+// before any insertions, so that each pre-existing dense subgraph and family
+// is examined exactly once: the dense subgraphs holding an endpoint with
+// their partners, whose cheap-explorations that end at an indexed union it
+// counts, and the families processStars visits. It returns the split of
+// index.AppendDensePaired. The snapshot slices are engine-owned and reused
+// across updates.
+func (e *Engine) snapshotPositive() (split int) {
+	var indexed int
+	e.affectedBuf, e.partnerBuf, split, indexed = e.ix.AppendDensePaired(reuseSnapshot(e.affectedBuf), reuseSnapshot(e.partnerBuf), e.a, e.b)
+	e.stats.CheapExplores += uint64(indexed)
+	e.stats.CheapIndexed += uint64(indexed)
+	e.starsOut = 0
+	e.starBuf = reuseSnapshot(e.starBuf)
+	if !e.wholeStarScan && e.selectStars() {
+		e.starRoutes[0]++
+	} else {
+		e.starBuf = e.ix.AppendStarNodes(reuseSnapshot(e.starBuf))
+		e.starRoutes[1]++
+	}
+	return split
+}
+
+// selectStars snapshots into starBuf the families a positive pass for {a, b}
+// can act on, in '*'-list order, and sets starsOut to the number of the others,
+// whose visits would each be a failed cheap-exploration attempt. processStar
+// acts only on a family whose base C has at most Nmax−2 vertices (the index's
+// tracked families). If C holds neither a, b nor a neighbour of either,
+// Γ_a·C = Γ_b·C = 0, so its check reads the family's score plus w_ab alone,
+// and fails when unionAtMost of that is not dense at |C|+2. The index bounds
+// the scores of the families of each base cardinality, and unionAtMost and
+// IsDense are monotone in the score: where no bound passes the check, the
+// families in the postings of a, b and their neighbours are the only ones a
+// whole-list pass would act on. It reports false, for the caller to snapshot
+// the whole list, when a bound passes, or when the neighbours outnumber the
+// families' base vertices or the postings outnumber the families: there the
+// whole list is the cheaper read.
+func (e *Engine) selectStars() bool {
+	total := e.ix.TrackedFamilies()
+	if total == 0 {
+		return true
+	}
+	ends := e.starEndsOf(e.a, e.b, 0)
+	posted := 0
+	for k := 2; k <= e.th.Nmax-2; k++ {
+		count, bound := e.ix.Families(k)
+		if most, _ := ends.unionAtMost(bound, nil); count > 0 && e.th.IsDense(most, k+2) {
+			return false
+		}
+		posted += k * count
+	}
+	if len(ends.aVs)+len(ends.bVs) > posted {
+		return false
+	}
+	fams := append(e.starBuf, e.ix.FamiliesOf(e.a)...)
+	fams = append(fams, e.ix.FamiliesOf(e.b)...)
+	for _, vs := range [2][]Vertex{ends.aVs, ends.bVs} {
+		for _, v := range vs {
+			if fams = append(fams, e.ix.FamiliesOf(v)...); len(fams) > total {
+				e.starBuf = fams
+				return false
+			}
+		}
+	}
+	e.starBuf = index.InStarOrder(fams)
+	e.starsOut = total - len(e.starBuf)
+	return true
 }
 
 // cheapExplore attempts to augment the dense subgraph C of node, which
@@ -793,7 +877,7 @@ func (e *Engine) admit(c vset.Set, score float64, iter int) {
 
 // processStar handles one ImplicitTooDense family during a positive update.
 // The family of a too-dense base C stands for every C∪{y} with y disconnected
-// from C. Three cases matter (see DESIGN.md):
+// from C. Three cases matter (README.md, "ImplicitTooDense families"):
 //
 //   - a, b ∈ C: the base's score (and hence every member's score) grew; the
 //     base itself was handled as a stable-dense subgraph. Members may now be
@@ -845,9 +929,11 @@ func (e *Engine) processStar(star *index.Node, ends *starEnds) {
 	}
 }
 
-// processStars examines the inverted list of '*' — every ImplicitTooDense
-// family (Section 3.2.3) — as part of a positive update.
+// processStars examines the ImplicitTooDense families (Section 3.2.3) of the
+// positive pass's snapshot, in the order of the inverted list of '*', and
+// counts the failed attempts of those the snapshot left out (selectStars).
 func (e *Engine) processStars() {
+	e.stats.CheapExplores += uint64(e.starsOut)
 	if len(e.starBuf) == 0 {
 		return
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // denseSnapshot returns every explicitly indexed dense node, in lexicographic
-// set order, in the engine's snapshot buffer: valid until the next update,
-// threshold change or query.
+// set order, in the engine's whole-index snapshot buffer: valid until the
+// next update, threshold change or query.
 func (e *Engine) denseSnapshot() []*index.Node {
-	e.affectedBuf = e.ix.AppendDense(e.affectedBuf[:0])
-	return e.affectedBuf
+	e.denseBuf = e.ix.AppendDense(e.denseBuf[:0])
+	return e.denseBuf
 }
 
 // OutputDense returns the explicitly indexed subgraphs whose density is at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -37,6 +38,121 @@ func starHeavyStream(seed int64, n int) []Update {
 		}
 	}
 	return out
+}
+
+// StarHeavyWindow is the number of insertions a contribution of
+// StarHeavyUpdates stays in the graph.
+const StarHeavyWindow = 1200
+
+// StarHeavyUpdates is the stream of BenchmarkProcessStarHeavy, exported to the
+// external benchmarks: a sliding window of exactly cancelled insertions, half
+// of them inside 18 planted five-vertex groups whose triples go too-dense at
+// T=3, half spread over a uniform background of the given number of vertices.
+// It returns the updates of the given number of insertions, each retired
+// StarHeavyWindow insertions later.
+func StarHeavyUpdates(seed int64, background, insertions int) []Update {
+	const (
+		window    = StarHeavyWindow
+		groups    = 18 // concurrently active planted groups
+		groupSize = 5
+		groupLife = 10000 // insertions a group lives
+	)
+	rng := rand.New(rand.NewSource(seed))
+	var members [groups][groupSize]Vertex
+	next := Vertex(background)
+	var updates []Update
+	ring := make([]Update, window)
+	for i := 0; i < insertions; i++ {
+		if i%(groupLife/groups) == 0 {
+			g := &members[i/(groupLife/groups)%groups]
+			for k := range g {
+				g[k], next = next, next+1
+			}
+		}
+		var x, y Vertex
+		if rng.Intn(2) == 0 {
+			g := &members[rng.Intn(groups)]
+			p := rng.Perm(groupSize)
+			x, y = g[p[0]], g[p[1]]
+		} else {
+			x = Vertex(rng.Intn(background))
+			y = (x + 1 + Vertex(rng.Intn(background-1))) % Vertex(background)
+		}
+		u := Update{A: x, B: y, Delta: float64(1+rng.Intn(17)) / 8} // eighths cancel exactly
+		updates = append(updates, u)
+		if i >= window {
+			old := ring[i%window]
+			old.Delta = -old.Delta
+			updates = append(updates, old)
+		}
+		ring[i%window] = u
+	}
+	return updates
+}
+
+// TestStarSelectionMatchesFullScan is the differential test of the selective
+// family snapshot (Engine.selectStars): twin engines, one of them made to
+// snapshot the whole '*' list on every positive pass, run the same stream
+// through Process and through ProcessBatch, and must agree on the events,
+// the Stats and the exported index after every unit. The streams are
+// StarHeavyUpdates over 2 000 background vertices, where the light
+// background updates select, and starHeavyStream's ten vertices, where
+// endpoints touch most families and the bounds often pass. Each route must
+// run at least 100 times.
+func TestStarSelectionMatchesFullScan(t *testing.T) {
+	var routes [2]int
+	run := func(name string, cfg Config, updates []Update, seed int64) {
+		t.Helper()
+		twins := func() (sel, full *Engine) {
+			sel, full = MustNew(cfg), MustNew(cfg)
+			full.wholeStarScan = true
+			return sel, full
+		}
+		check := func(label string, sel, full *Engine, got, want []Event) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: events\n got %v\nwant %v", name, label, got, want)
+			}
+			if sel.Stats() != full.Stats() {
+				t.Fatalf("%s %s: stats\n got %+v\nwant %+v", name, label, sel.Stats(), full.Stats())
+			}
+			if !reflect.DeepEqual(sel.ExportState(), full.ExportState()) {
+				t.Fatalf("%s %s: exported index differs", name, label)
+			}
+		}
+		tally := func(sel, full *Engine) {
+			t.Helper()
+			checkValid(t, sel, name)
+			if full.starRoutes[0] != 0 {
+				t.Fatalf("%s: the whole-list twin selected %d times", name, full.starRoutes[0])
+			}
+			routes[0] += sel.starRoutes[0]
+			routes[1] += sel.starRoutes[1]
+			t.Logf("%s: %d passes selected, %d snapshot the whole list; %d families created", name, sel.starRoutes[0], sel.starRoutes[1], sel.Stats().StarInsertions)
+		}
+
+		sel, full := twins()
+		for i, u := range updates {
+			check(fmt.Sprintf("Process %d %v", i, u), sel, full, sel.Process(u), full.Process(u))
+		}
+		tally(sel, full)
+
+		sel, full = twins()
+		rng := rand.New(rand.NewSource(seed))
+		for i, rest := 0, updates; len(rest) > 0; i++ {
+			k := min(1+rng.Intn(6), len(rest))
+			check(fmt.Sprintf("ProcessBatch %d", i), sel, full, sel.ProcessBatch(rest[:k]), full.ProcessBatch(rest[:k]))
+			rest = rest[k:]
+		}
+		tally(sel, full)
+	}
+	run("planted groups", Config{T: 3, Nmax: 5}, StarHeavyUpdates(1, 2000, 6000), 1)
+	for seed := int64(1); seed <= 4; seed++ {
+		run(fmt.Sprintf("star-heavy seed %d", seed), Config{T: 1, Nmax: 4}, starHeavyStream(seed, 700), seed)
+	}
+	if routes[0] < 100 || routes[1] < 100 {
+		t.Fatalf("vacuous: %d passes selected and %d snapshot the whole list, want 100 of each", routes[0], routes[1])
+	}
 }
 
 // checkAgainstBrute requires the engine's expanded output-dense set to equal

@@ -389,9 +389,10 @@ func (th *Thresholds) IsOutputDense(score float64, n int) bool {
 
 // IsTooDense reports whether a subgraph of cardinality n with the given score
 // is "too-dense": augmenting it with any vertex, even one disconnected from
-// it, yields a dense subgraph, i.e. score(C) ≥ S(n+1)·T_{n+1}. (See DESIGN.md
-// §4: this is the property an ImplicitTooDense family relies on; it is
-// slightly stricter than the shorthand used in Table 1 of the paper.)
+// it, yields a dense subgraph, i.e. score(C) ≥ S(n+1)·T_{n+1}. This is the
+// property an ImplicitTooDense family relies on; it is slightly stricter than
+// the shorthand used in Table 1 of the paper (README.md, "Notation that
+// departs from the paper").
 // Subgraphs of cardinality Nmax are never too-dense because their supergraphs
 // exceed the cardinality constraint.
 func (th *Thresholds) IsTooDense(score float64, n int) bool {

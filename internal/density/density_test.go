@@ -90,7 +90,8 @@ func TestNewThresholdsValidation(t *testing.T) {
 // The execution example of Section 3.1 uses AvgWeight, T = 1, Nmax = 4 and
 // the schedule T_2 = 0.9, T_3 = 0.975, T_4 = 1. Under the literal Eq. 8 this
 // schedule corresponds to δ_it = 0.075 (the example quotes 0.15, which matches
-// the S_n = n(n−1) convention; see DESIGN.md §4).
+// the S_n = n(n−1) convention; see README.md, "Notation that departs from the
+// paper").
 func TestPaperExecutionExampleSchedule(t *testing.T) {
 	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
 	want := map[int]float64{2: 0.9, 3: 0.975, 4: 1.0}

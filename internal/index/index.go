@@ -51,7 +51,18 @@
 // a fictitious vertex '*' (lexicographically larger than every real vertex)
 // whose node under a too-dense subgraph C stands for every supergraph C∪{y}
 // with y disconnected from C, so that none of those |V| supergraphs has to be
-// inserted explicitly.
+// inserted explicitly. A positive update acts only on the families whose base
+// has at most Nmax−2 vertices (core.Engine.processStar), and for those, the
+// tracked families, the index keeps what lets it skip the rest: per-vertex
+// postings (the families whose base holds the vertex, in a vertex table), a
+// per-family seq that reproduces the order of the '*' inverted list (newest
+// first, so decreasing seq), and per base cardinality a count and an upper
+// bound on the family scores. Every score write raises the bound, Ldexp
+// scales it, and a full walk of the '*' list (AppendStarNodes) makes it exact
+// again. Removed '*' nodes and emptied postings are kept for reuse on free
+// lists of at most freeLimit entries, so a family that comes and goes in
+// steady state allocates nothing; a snapshot holding a removed family's node
+// must therefore not outlive the pass that removed it.
 //
 // A dense node also carries its reach, the engine's exploration certificate:
 // an upper bound on the weight Γ_C·ê_y any vertex y puts into the node's set C
@@ -65,6 +76,7 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -84,22 +96,23 @@ const Star Vertex = math.MaxInt32
 // must not be retained across Evict calls.
 type Node struct {
 	label  Vertex
+	depth  int32 // cardinality of the represented set ('*' counts as one vertex)
 	parent *Node
 	kids   nodeVec // children by label; empty (and unallocated) for a leaf
 
 	dense bool
 	star  bool // this node is a '*' child: it represents parent.Set() ∪ {y} for disconnected y
-	score float64
-	reach float64 // exploration certificate (see the package comment); +Inf = none
-	depth int     // cardinality of the represented set ('*' counts as one vertex)
+	// iteration is the exploration-iteration annotation of Section 3.2.2,
+	// valid only while epoch matches the index's current update epoch.
+	iteration int32
+	score     float64
+	reach     float64 // exploration certificate (see the package comment); +Inf = none
 
 	// Embedded inverted-list linkage (per label vertex).
 	invPrev, invNext *Node
 
-	// iteration is the exploration-iteration annotation of Section 3.2.2,
-	// valid only while epoch matches the index's current update epoch.
-	iteration int
-	epoch     uint64
+	epoch uint64
+	seq   uint64 // a '*' node's insertion sequence: the '*' list is in decreasing seq
 }
 
 // Dense reports whether the node currently represents a dense subgraph.
@@ -115,7 +128,7 @@ func (n *Node) Score() float64 { return n.score }
 
 // Card returns the cardinality of the represented vertex set. For star nodes
 // it is |base|+1.
-func (n *Node) Card() int { return n.depth }
+func (n *Node) Card() int { return int(n.depth) }
 
 // Parent returns the parent node (nil for the root).
 func (n *Node) Parent() *Node { return n.parent }
@@ -203,7 +216,7 @@ func (n *Node) Set() vset.Set { return n.SetInto(nil) }
 // array unless it had to grow; callers that retain it past the next SetInto
 // must clone it.
 func (n *Node) SetInto(buf []vset.Vertex) vset.Set {
-	depth := n.depth
+	depth := int(n.depth)
 	if n.star {
 		depth--
 	}
@@ -236,6 +249,17 @@ type Index struct {
 	starCount  int
 	nodeCount  int
 
+	// The tracked ImplicitTooDense families (see the package comment): those
+	// whose base has at most nmax−2 vertices.
+	nmax     int
+	famSeq   uint64               // seq of the newest family
+	posts    vset.Table[*posting] // per vertex: the tracked families whose base holds it
+	famCount []int                // [k]: tracked families with a base of k vertices
+	famBound []float64            // [k]: an upper bound on their scores, -Inf while there are none
+	famTotal int                  // Σ famCount
+	postFree []*posting           // emptied postings, for reuse
+	starFree []*Node              // removed '*' nodes, for reuse
+
 	// membership, when installed, observes label-presence transitions: it is
 	// called with (v, true) when v gains its first prefix-tree node and with
 	// (v, false) when it loses its last. Star transitions are reported like
@@ -252,9 +276,24 @@ type slot struct {
 	head, root *Node
 }
 
-// New returns an empty index.
-func New() *Index {
-	return &Index{root: &Node{}}
+// posting is one vertex's tracked families, in increasing seq.
+type posting struct{ fams []*Node }
+
+// freeLimit bounds each of the index's free lists (postFree, starFree).
+const freeLimit = 64
+
+// New returns an empty index for sets of at most nmax vertices.
+func New(nmax int) *Index {
+	ix := &Index{
+		root:     &Node{},
+		nmax:     nmax,
+		famCount: make([]int, max(nmax-1, 0)),
+		famBound: make([]float64, max(nmax-1, 0)),
+	}
+	for k := range ix.famBound {
+		ix.famBound[k] = math.Inf(-1)
+	}
+	return ix
 }
 
 // SetMembershipListener installs fn as the label-presence observer (see the
@@ -309,7 +348,7 @@ func (ix *Index) BeginUpdate() { ix.epoch++ }
 // Annotate records that node n was identified at exploration iteration it
 // during the current update.
 func (ix *Index) Annotate(n *Node, it int) {
-	n.iteration = it
+	n.iteration = int32(it)
 	n.epoch = ix.epoch
 }
 
@@ -317,7 +356,7 @@ func (ix *Index) Annotate(n *Node, it int) {
 // during the current update, and whether such an annotation exists.
 func (ix *Index) Annotation(n *Node) (int, bool) {
 	if n.epoch == ix.epoch && ix.epoch != 0 {
-		return n.iteration, true
+		return int(n.iteration), true
 	}
 	return 0, false
 }
@@ -373,7 +412,15 @@ func (ix *Index) ensure(c vset.Set) *Node {
 }
 
 func (ix *Index) newChild(parent *Node, label Vertex) *Node {
-	n := &Node{label: label, parent: parent, depth: parent.depth + 1, reach: math.Inf(1)}
+	var n *Node
+	if k := len(ix.starFree); label == Star && k > 0 {
+		n = ix.starFree[k-1]
+		ix.starFree[k-1] = nil
+		ix.starFree = ix.starFree[:k-1]
+	} else {
+		n = new(Node)
+	}
+	*n = Node{label: label, parent: parent, depth: parent.depth + 1, reach: math.Inf(1)}
 	i, _ := parent.kids.find(label)
 	parent.kids.insert(i, label, n)
 	ix.nodeCount++
@@ -444,18 +491,39 @@ func (ix *Index) InsertDense(c vset.Set, score float64) *Node {
 }
 
 // SetScore overwrites the stored score of a dense or star node.
-func (ix *Index) SetScore(n *Node, score float64) { n.score = score }
+func (ix *Index) SetScore(n *Node, score float64) {
+	n.score = score
+	ix.raiseBound(n)
+}
 
 // AddScore adds delta to the stored score of a dense or star node and returns
 // the new value.
 func (ix *Index) AddScore(n *Node, delta float64) float64 {
 	n.score += delta
+	ix.raiseBound(n)
 	return n.score
 }
 
-// Ldexp multiplies every stored score and reach certificate by 2^k, the
-// relabel that goes with graph.Graph.Ldexp (+Inf stays +Inf).
-func (ix *Index) Ldexp(k int) { ldexpSubtree(ix.root, k) }
+// tracked reports whether a family with a base of k vertices is tracked.
+func (ix *Index) tracked(k int) bool { return k <= ix.nmax-2 }
+
+// raiseBound widens the score bound of n's cardinality to n's score if n is
+// a tracked family.
+func (ix *Index) raiseBound(n *Node) {
+	if k := int(n.depth) - 1; n.star && ix.tracked(k) {
+		ix.famBound[k] = max(ix.famBound[k], n.score)
+	}
+}
+
+// Ldexp multiplies every stored score, family score bound and reach
+// certificate by 2^k, the relabel that goes with graph.Graph.Ldexp (+Inf
+// stays +Inf). Ldexp is monotone, so a bound stays a bound.
+func (ix *Index) Ldexp(k int) {
+	ldexpSubtree(ix.root, k)
+	for i, b := range ix.famBound {
+		ix.famBound[i] = math.Ldexp(b, k)
+	}
+}
 
 func ldexpSubtree(n *Node, k int) {
 	for _, child := range n.kids.nodes {
@@ -511,6 +579,9 @@ func (ix *Index) prune(n *Node) {
 		ix.unlink(n)
 		ix.nodeCount--
 		n.parent = nil
+		if n.label == Star && len(ix.starFree) < freeLimit {
+			ix.starFree = append(ix.starFree, n)
+		}
 		n = parent
 	}
 }
@@ -523,13 +594,22 @@ func (ix *Index) InsertStar(base *Node) *Node {
 		return nil
 	}
 	if existing := base.kids.star(); existing != nil {
-		existing.score = base.score
+		ix.SetScore(existing, base.score)
 		return existing
 	}
 	n := ix.newChild(base, Star)
 	n.star = true
-	n.score = base.score
+	ix.famSeq++
+	n.seq = ix.famSeq
 	ix.starCount++
+	if k := int(base.depth); ix.tracked(k) {
+		ix.famCount[k]++
+		ix.famTotal++
+		for cur := base; cur != ix.root; cur = cur.parent {
+			ix.post(cur.label, n)
+		}
+	}
+	ix.SetScore(n, base.score)
 	return n
 }
 
@@ -544,9 +624,79 @@ func (ix *Index) RemoveStar(base *Node) {
 }
 
 func (ix *Index) removeStarNode(n *Node) {
+	if k := int(n.depth) - 1; ix.tracked(k) {
+		ix.famCount[k]--
+		ix.famTotal--
+		if ix.famCount[k] == 0 {
+			ix.famBound[k] = math.Inf(-1)
+		}
+		for cur := n.parent; cur != ix.root; cur = cur.parent {
+			ix.unpost(cur.label, n)
+		}
+	}
 	n.star = false
 	ix.starCount--
 	ix.prune(n)
+}
+
+// post appends the family fam, the newest, to v's posting.
+func (ix *Index) post(v Vertex, fam *Node) {
+	p := ix.posts.Get(v)
+	if p == nil {
+		if k := len(ix.postFree); k > 0 {
+			p = ix.postFree[k-1]
+			ix.postFree[k-1] = nil
+			ix.postFree = ix.postFree[:k-1]
+		} else {
+			p = new(posting)
+		}
+		ix.posts.Set(v, p)
+	}
+	p.fams = append(p.fams, fam)
+}
+
+// unpost removes the family fam from v's posting, and the posting from v if
+// it empties.
+func (ix *Index) unpost(v Vertex, fam *Node) {
+	p := ix.posts.Get(v)
+	i, _ := slices.BinarySearchFunc(p.fams, fam.seq, func(f *Node, seq uint64) int { return cmp.Compare(f.seq, seq) })
+	p.fams = slices.Delete(p.fams, i, i+1)
+	if len(p.fams) == 0 {
+		ix.posts.Set(v, nil)
+		if len(ix.postFree) < freeLimit {
+			ix.postFree = append(ix.postFree, p)
+		}
+	}
+}
+
+// TrackedFamilies returns the number of tracked families: those whose base
+// has at most nmax−2 vertices.
+func (ix *Index) TrackedFamilies() int { return ix.famTotal }
+
+// Families returns the number of tracked families whose base has k vertices
+// and an upper bound on their scores (-Inf if there are none).
+func (ix *Index) Families(k int) (count int, bound float64) {
+	if !ix.tracked(k) {
+		return 0, math.Inf(-1)
+	}
+	return ix.famCount[k], ix.famBound[k]
+}
+
+// FamiliesOf returns the tracked families whose base holds v, oldest first.
+// The slice is the index's own storage: read-only, and valid until the next
+// family is inserted or removed.
+func (ix *Index) FamiliesOf(v Vertex) []*Node {
+	if p := ix.posts.Get(v); p != nil {
+		return p.fams
+	}
+	return nil
+}
+
+// InStarOrder sorts star nodes into the order of the '*' inverted list, the
+// newest family first, drops duplicates, and returns the shortened slice.
+func InStarOrder(fams []*Node) []*Node {
+	slices.SortFunc(fams, func(x, y *Node) int { return cmp.Compare(y.seq, x.seq) })
+	return slices.Compact(fams)
 }
 
 // HasStar reports whether base has an ImplicitTooDense family.
@@ -651,8 +801,8 @@ func pathHolds(n *Node, v Vertex) bool {
 	return false
 }
 
-// AppendDensePaired appends a snapshot of every explicitly indexed dense
-// subgraph containing a or b (a ≠ b) to nodes, each exactly once, and its
+// AppendDensePaired appends a snapshot of the explicitly indexed dense
+// subgraphs containing a or b (a ≠ b) to nodes, each at most once, and its
 // partner (see the package comment) to partners; split tells the sets holding
 // max(a, b), nodes[:split], from those holding min(a, b) only. This is the
 // iteration Algorithm 1 performs for a positive edge-weight update, in the
@@ -660,8 +810,13 @@ func pathHolds(n *Node, v Vertex) bool {
 // then those on the smaller's with descent cut at children labelled with the
 // larger, which were already collected. The engine reuses both slices across
 // updates, making the snapshot allocation-free in steady state.
-func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ []*Node, split int) {
-	w := pairWalk{nodes: nodes, partners: partners, lo: min(a, b), hi: max(a, b)}
+//
+// A set holding one endpoint is left out where its cheap-exploration would
+// end in O(1) (core.Engine.cheapExplore): if it has nmax vertices, so the
+// union is too large, or if its partner is dense, so the union is indexed —
+// for good, as a positive pass never evicts. indexed counts the latter.
+func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ []*Node, split, indexed int) {
+	w := pairWalk{nodes: nodes, partners: partners, lo: min(a, b), hi: max(a, b), nmax: int32(ix.nmax)}
 	lo := ix.labels.Get(w.lo)
 	w.rootLo = lo.root
 	for head := ix.labels.Get(w.hi).head; head != nil; head = head.invNext {
@@ -677,7 +832,7 @@ func (ix *Index) AppendDensePaired(nodes, partners []*Node, a, b Vertex) (_, _ [
 	for head := lo.head; head != nil; head = head.invNext {
 		w.below(head)
 	}
-	return w.nodes, w.partners, split
+	return w.nodes, w.partners, split, w.indexed
 }
 
 // pairWalk is the state of one AppendDensePaired traversal.
@@ -685,6 +840,8 @@ type pairWalk struct {
 	nodes, partners []*Node
 	lo, hi          Vertex
 	rootLo          *Node // the root's child labelled lo, from lo's slot
+	nmax            int32
+	indexed         int // sets left out because their partner is dense
 }
 
 // withLo returns the node of n's set extended by lo, or nil, for an n whose
@@ -707,8 +864,14 @@ func (w *pairWalk) withLo(n *Node) *Node {
 	return p.kids.get(n.label)
 }
 
+// add takes n, a set holding one endpoint whose partner is partner, into the
+// snapshot unless it is not dense or its cheap-exploration ends in O(1).
 func (w *pairWalk) add(n, partner *Node) {
-	if n.dense {
+	switch {
+	case !n.dense || n.depth >= w.nmax:
+	case partner != nil && partner.dense:
+		w.indexed++
+	default:
 		w.nodes = append(w.nodes, n)
 		w.partners = append(w.partners, partner)
 	}
@@ -759,10 +922,15 @@ func (w *pairWalk) below(n *Node) {
 }
 
 // AppendStarNodes appends a snapshot of all ImplicitTooDense star nodes to
-// dst and returns the extended slice.
+// dst, in '*'-list order, and returns the extended slice. The walk reads
+// every family's score, so it also makes the score bounds exact again.
 func (ix *Index) AppendStarNodes(dst []*Node) []*Node {
+	for k := range ix.famBound {
+		ix.famBound[k] = math.Inf(-1)
+	}
 	for n := ix.stars; n != nil; n = n.invNext {
 		dst = append(dst, n)
+		ix.raiseBound(n)
 	}
 	return dst
 }
@@ -785,7 +953,7 @@ func (ix *Index) Validate() string {
 			if child.parent != n {
 				return "parent pointer mismatch"
 			}
-			if child.depth != depth+1 {
+			if int(child.depth) != depth+1 {
 				return "depth mismatch"
 			}
 			if child.dense {
@@ -862,6 +1030,63 @@ func (ix *Index) Validate() string {
 	}
 	if listed != nodes {
 		return "inverted list node count mismatch"
+	}
+	return ix.validateFamilies()
+}
+
+// validateFamilies checks the family bookkeeping: seqs decrease along the '*'
+// list, each tracked family is in exactly the postings of its base vertices,
+// in increasing seq, and the counts and score bounds hold.
+func (ix *Index) validateFamilies() string {
+	count := make([]int, len(ix.famCount))
+	posted := 0
+	for n := ix.stars; n != nil; n = n.invNext {
+		if n.invNext != nil && n.invNext.seq >= n.seq {
+			return "'*' list not in decreasing seq"
+		}
+		k := int(n.depth) - 1
+		if !ix.tracked(k) {
+			continue
+		}
+		count[k]++
+		if !(n.score <= ix.famBound[k]) {
+			return "family score above its cardinality's bound: " + n.Set().String()
+		}
+		for cur := n.parent; cur != ix.root; cur = cur.parent {
+			fams := ix.FamiliesOf(cur.label)
+			i, ok := slices.BinarySearchFunc(fams, n.seq, func(f *Node, seq uint64) int { return cmp.Compare(f.seq, seq) })
+			if !ok || fams[i] != n {
+				return "family missing from a base vertex's posting: " + n.Set().String()
+			}
+			posted++
+		}
+	}
+	if !slices.Equal(count, ix.famCount) {
+		return "family count mismatch"
+	}
+	total := 0
+	for _, c := range count {
+		total += c
+	}
+	if total != ix.famTotal {
+		return "family total mismatch"
+	}
+	for _, p := range ix.posts.All() {
+		if len(p.fams) == 0 {
+			return "empty posting"
+		}
+		for i, f := range p.fams {
+			if i > 0 && p.fams[i-1].seq >= f.seq {
+				return "posting not in increasing seq"
+			}
+			if !f.star {
+				return "posting holds a node that is not a family"
+			}
+			posted--
+		}
+	}
+	if posted != 0 {
+		return "postings hold families under vertices outside their base"
 	}
 	return ""
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,16 +12,22 @@ import (
 )
 
 func keys(nodes []*Node) []string {
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, n.Set().Key())
-	}
+	out := listed(nodes)
 	sort.Strings(out)
 	return out
 }
 
+// listed returns the sets of nodes in their order.
+func listed(nodes []*Node) []string {
+	out := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		out = append(out, n.Set().Key())
+	}
+	return out
+}
+
 func TestInsertLookupEvict(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	c := vset.New(1, 3, 4)
 	n := ix.InsertDense(c, 2.5)
 	if ix.Len() != 1 {
@@ -58,7 +65,7 @@ func TestInsertLookupEvict(t *testing.T) {
 }
 
 func TestEvictKeepsSharedPrefixes(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	a := ix.InsertDense(vset.New(1, 3), 1)
 	b := ix.InsertDense(vset.New(1, 3, 4), 2)
 	ix.InsertDense(vset.New(1, 3, 5), 2)
@@ -83,7 +90,7 @@ func TestEvictKeepsSharedPrefixes(t *testing.T) {
 }
 
 func TestInsertDenseTwiceUpdatesScore(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	ix.InsertDense(vset.New(2, 7), 1.0)
 	n := ix.InsertDense(vset.New(2, 7), 1.5)
 	if ix.Len() != 1 || n.Score() != 1.5 {
@@ -92,7 +99,7 @@ func TestInsertDenseTwiceUpdatesScore(t *testing.T) {
 }
 
 func TestScoreMutators(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	n := ix.InsertDense(vset.New(1, 2), 1.0)
 	if got := ix.AddScore(n, 0.25); got != 1.25 {
 		t.Fatalf("AddScore = %v", got)
@@ -104,7 +111,7 @@ func TestScoreMutators(t *testing.T) {
 }
 
 func TestDenseContaining(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	// Mirrors Figure 3 of the paper: dense subgraphs {1,3}, {1,3,4}, {1,3,5},
 	// {3,4,5}, {4,5}.
 	for _, c := range []vset.Set{
@@ -131,7 +138,7 @@ func TestDenseContaining(t *testing.T) {
 }
 
 func TestDenseContainingEitherNoDuplicates(t *testing.T) {
-	ix := New()
+	ix := New(3)
 	sets := []vset.Set{
 		vset.New(1, 3), vset.New(1, 3, 4), vset.New(1, 3, 5), vset.New(3, 4, 5),
 		vset.New(4, 5), vset.New(1, 4), vset.New(2, 3),
@@ -139,47 +146,39 @@ func TestDenseContainingEitherNoDuplicates(t *testing.T) {
 	for _, c := range sets {
 		ix.InsertDense(c, 1)
 	}
-	nodes, partners, split := ix.AppendDensePaired(nil, nil, 3, 4)
+	// Every inserted set containing 3 or 4, at most once: {1,3} and {1,4}
+	// (whose union {1,3,4} is indexed) and {4,5} (union {3,4,5}) are counted
+	// instead, and {1,3,5} is left out: its union is above Nmax.
+	nodes, partners, split, indexed := ix.AppendDensePaired(nil, nil, 3, 4)
 	got := keys(nodes)
-	// Every inserted set containing 3 or 4, exactly once.
-	want := []string{"1,3", "1,3,4", "1,3,5", "1,4", "2,3", "3,4,5", "4,5"}
-	if len(got) != len(want) {
-		t.Fatalf("DenseContainingEither = %v, want %v", got, want)
+	want := []string{"1,3,4", "2,3", "3,4,5"}
+	if !slices.Equal(got, want) || indexed != 3 {
+		t.Fatalf("AppendDensePaired = %v and %d indexed, want %v and 3", got, indexed, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DenseContainingEither = %v, want %v", got, want)
-		}
-	}
-	// {1,3,4} and {3,4,5} hold both endpoints and are the unions of {1,3},
-	// {1,4} and {4,5}; those of {1,3,5} and {2,3} have no node. The four sets
-	// holding 4 come first.
-	if len(partners) != len(nodes) || split != 4 {
-		t.Fatalf("%d partners for %d nodes, split %d, want 4", len(partners), len(nodes), split)
+	// {1,3,4} and {3,4,5} hold both endpoints and are their own partners;
+	// {2,3}'s union has no node. The two sets holding 4 come first.
+	if len(partners) != len(nodes) || split != 2 {
+		t.Fatalf("%d partners for %d nodes, split %d, want 2", len(partners), len(nodes), split)
 	}
 	for i, n := range nodes {
 		var want *Node
 		switch n.Set().Key() {
 		case "1,3,4", "3,4,5":
 			want = n
-		case "1,3", "1,4":
-			want = ix.Lookup(vset.New(1, 3, 4))
-		case "4,5":
-			want = ix.Lookup(vset.New(3, 4, 5))
 		}
 		if partners[i] != want {
 			t.Fatalf("partner of %v = %v, want %v", n.Set(), partners[i], want)
 		}
 	}
 	// Symmetric in argument order.
-	swapped, swappedPartners, swappedSplit := ix.AppendDensePaired(nil, nil, 4, 3)
-	if !slices.Equal(swapped, nodes) || !slices.Equal(swappedPartners, partners) || swappedSplit != split {
+	swapped, swappedPartners, swappedSplit, swappedIndexed := ix.AppendDensePaired(nil, nil, 4, 3)
+	if !slices.Equal(swapped, nodes) || !slices.Equal(swappedPartners, partners) || swappedSplit != split || swappedIndexed != indexed {
 		t.Fatal("AppendDensePaired not symmetric")
 	}
 }
 
 func TestStarNodes(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	base := ix.InsertDense(vset.New(1, 3), 5)
 	star := ix.InsertStar(base)
 	if star == nil || !star.IsStar() {
@@ -223,7 +222,7 @@ func TestStarNodes(t *testing.T) {
 // and then prune the whole path; a base that also has a real child loses the
 // star but stays as an interior node, the real child now its last.
 func TestEvictRemovesStarChild(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	base := ix.InsertDense(vset.New(2, 6), 5)
 	ix.InsertStar(base)
 	ix.EvictDense(base)
@@ -258,7 +257,7 @@ func TestEvictRemovesStarChild(t *testing.T) {
 func TestWideRootInsertAndPrune(t *testing.T) {
 	const n = 1500
 	rng := rand.New(rand.NewSource(7))
-	ix := New()
+	ix := New(8)
 	for _, i := range rng.Perm(n) {
 		ix.InsertDense(vset.New(Vertex(i), Vertex(i+n)), float64(i))
 	}
@@ -290,7 +289,7 @@ func TestWideRootInsertAndPrune(t *testing.T) {
 // root child through them.
 func TestVerticesAscendingStarLast(t *testing.T) {
 	ids := []Vertex{math.MinInt32, -1 << 30, -5, 0, 7, 1 << 30, math.MaxInt32 - 1}
-	ix := New()
+	ix := New(8)
 	var sets []vset.Set
 	for i := range ids {
 		for _, j := range []int{(i + 1) % len(ids), (i + 3) % len(ids)} {
@@ -329,7 +328,7 @@ func TestVerticesAscendingStarLast(t *testing.T) {
 // for a label no node carries are each reported.
 func TestValidateChecksSlots(t *testing.T) {
 	build := func() *Index {
-		ix := New()
+		ix := New(8)
 		ix.InsertDense(vset.New(1, 3), 1)
 		ix.InsertDense(vset.New(3, 5), 1)
 		ix.InsertStar(ix.InsertDense(vset.New(1, 3, 5), 1))
@@ -390,7 +389,7 @@ func TestTraversalOrder(t *testing.T) {
 		}
 	}
 	build := func(order []int) *Index {
-		ix := New()
+		ix := New(8)
 		for _, i := range order {
 			node := ix.InsertDense(sets[i], float64(i))
 			if i%5 == 0 {
@@ -466,14 +465,14 @@ func TestTraversalOrder(t *testing.T) {
 		v := (u + 1 + Vertex(rng.Intn(13))) % 14
 		lo, hi := min(u, v), max(u, v)
 		check("AppendDensePaired", func(ix *Index) []*Node {
-			nodes, _, _ := ix.AppendDensePaired(nil, nil, u, v)
+			nodes, _, _, _ := ix.AppendDensePaired(nil, nil, u, v)
 			return nodes
 		}, hi, lo)
 	}
 }
 
 func TestAnnotations(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	n := ix.InsertDense(vset.New(1, 2), 1)
 	if _, ok := ix.Annotation(n); ok {
 		t.Fatal("annotation should not exist before BeginUpdate")
@@ -494,7 +493,7 @@ func TestAnnotations(t *testing.T) {
 func TestRandomOperationsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		ix := New()
+		ix := New(6) // sets of up to 5 vertices; families of bases of 5 go untracked
 		model := map[string]float64{}
 		stars := map[string]bool{}
 		for op := 0; op < 500; op++ {
@@ -574,6 +573,67 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 				}
 			}
 		}
+		checkFamilies(t, ix, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// checkFamilies holds the family queries to the '*' list: FamiliesOf(u) is
+// the tracked families whose base holds u, oldest first; InStarOrder of the
+// postings of a vertex range is the '*' list's tracked families touching it,
+// in list order; Families(k) counts and bounds those of base k, exactly after
+// the full walk of AppendStarNodes, and Ldexp scales the bound with the
+// scores.
+func checkFamilies(t *testing.T, ix *Index, label string) {
+	t.Helper()
+	list := ix.AppendStarNodes(nil)
+	var all []*Node
+	for u := Vertex(0); u < 12; u++ {
+		var want []*Node
+		for _, star := range slices.Backward(list) {
+			if star.Card()-1 <= ix.nmax-2 && star.Parent().Set().Contains(u) {
+				want = append(want, star)
+			}
+		}
+		if got := ix.FamiliesOf(u); !slices.Equal(got, want) {
+			t.Fatalf("%s: FamiliesOf(%d) = %v, want %v", label, u, listed(got), listed(want))
+		}
+		if u%2 == 0 {
+			all = append(all, ix.FamiliesOf(u)...)
+		}
+	}
+	var want []*Node
+	for _, star := range list {
+		base := star.Parent().Set()
+		if star.Card()-1 <= ix.nmax-2 && slices.ContainsFunc(base, func(v Vertex) bool { return v%2 == 0 }) {
+			want = append(want, star)
+		}
+	}
+	if got := InStarOrder(all); !slices.Equal(got, want) {
+		t.Fatalf("%s: InStarOrder = %v, want %v", label, listed(got), listed(want))
+	}
+	total := 0
+	for k := 0; k <= ix.nmax; k++ {
+		count, bound := ix.Families(k)
+		most := math.Inf(-1)
+		n := 0
+		for _, star := range list {
+			if star.Card()-1 == k && k <= ix.nmax-2 {
+				n++
+				most = max(most, star.Score())
+			}
+		}
+		if count != n || bound != most {
+			t.Fatalf("%s: Families(%d) = %d, %v after a full walk, want %d, %v", label, k, count, bound, n, most)
+		}
+		total += n
+		ix.Ldexp(-3)
+		if _, scaled := ix.Families(k); scaled != math.Ldexp(most, -3) {
+			t.Fatalf("%s: Ldexp(-3) scales the bound of base %d from %v to %v", label, k, most, scaled)
+		}
+		ix.Ldexp(3)
+	}
+	if ix.TrackedFamilies() != total {
+		t.Fatalf("%s: TrackedFamilies() = %d, want %d", label, ix.TrackedFamilies(), total)
 	}
 }
 
@@ -605,7 +665,7 @@ func vsetFromKeyContains(key string, u Vertex) bool {
 // a prefix and is inserted again), and RaiseReach never certifies a node that
 // holds none.
 func TestReachLifecycle(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	n := ix.InsertDense(vset.New(1, 3), 1)
 	ix.InsertDense(vset.New(1, 3, 5), 2)
 	if !math.IsInf(n.Reach(), 1) {
@@ -643,7 +703,7 @@ func TestReachLifecycle(t *testing.T) {
 // sit in the tree — under D's own path or on a path of their own — and only
 // they lose their certificate; a parent with no node is skipped.
 func TestDropParentReach(t *testing.T) {
-	ix := New()
+	ix := New(8)
 	d := ix.InsertDense(vset.New(2, 4, 6, 8), 9)
 	certified := map[string]*Node{}
 	for _, c := range []vset.Set{

@@ -41,25 +41,28 @@ func refDenseContainingEither(ix *Index, a, b Vertex) []*Node {
 }
 
 // TestPairedWalkMatchesReference builds random indexes — dense nodes over
-// pure-prefix nodes, star children, evictions that prune — and checks, for
-// endpoint pairs in both argument orders that include vertices absent from the
-// index and vertices below, between and above every label, that
-// AppendDensePaired returns the reference walk's nodes in its order, that
-// every partner is the node of the set extended by the missing endpoint (the
-// node itself iff the set holds both), that split separates the sets holding
-// the larger endpoint from the rest, and that AppendDenseContainingBoth is the
-// reference filter of AppendDenseContaining.
+// pure-prefix nodes, star children, evictions that prune, Nmax from 3 to 7 —
+// and checks, for endpoint pairs in both argument orders that include vertices
+// absent from the index and vertices below, between and above every label,
+// that AppendDensePaired returns the reference walk's nodes in its order less
+// the sets holding one endpoint that have Nmax vertices or a dense partner,
+// that it counts the latter, that every partner is the node of the set
+// extended by the missing endpoint (the node itself iff the set holds both),
+// that split separates the sets holding the larger endpoint from the rest, and
+// that AppendDenseContainingBoth is the reference filter of
+// AppendDenseContaining.
 func TestPairedWalkMatchesReference(t *testing.T) {
 	// Labels are even — 0 (the root's zero label) to 22 in even trials, 2 to 24
 	// in odd ones — so odd endpoints, and 0 or 26, have no node.
 	const labels = 12
 	rng := rand.New(rand.NewSource(11))
-	var selfPartner, densePartner, prefixPartner, noPartner int
+	var selfPartner, densePartner, prefixPartner, noPartner, full int
 	for trial := 0; trial < 40; trial++ {
-		ix := New()
+		nmax := 3 + trial%5
+		ix := New(nmax)
 		for op := 0; op < 30+rng.Intn(300); op++ {
 			var c vset.Set
-			for n := 2 + rng.Intn(5); len(c) < n; {
+			for n := 2 + rng.Intn(nmax-1); len(c) < n; {
 				c = c.Add(Vertex(2*rng.Intn(labels) + 2*(trial%2)))
 			}
 			switch node := ix.LookupDense(c); {
@@ -80,11 +83,27 @@ func TestPairedWalkMatchesReference(t *testing.T) {
 				if a == b {
 					continue
 				}
-				var split int
-				nodes, partners, split = ix.AppendDensePaired(nodes[:0], partners[:0], a, b)
-				if want := refDenseContainingEither(ix, a, b); !slices.Equal(nodes, want) {
-					t.Fatalf("trial %d (%d,%d): nodes %v, reference %v", trial, a, b, keys(nodes), keys(want))
+				var split, indexed int
+				nodes, partners, split, indexed = ix.AppendDensePaired(nodes[:0], partners[:0], a, b)
+				var want []*Node
+				wantIndexed := 0
+				for _, n := range refDenseContainingEither(ix, a, b) {
+					c := n.Set()
+					switch p := ix.Lookup(c.Add(a).Add(b)); {
+					case p == n:
+						want = append(want, n)
+					case c.Len() == nmax:
+						full++
+					case p != nil && p.dense:
+						wantIndexed++
+					default:
+						want = append(want, n)
+					}
 				}
+				if !slices.Equal(nodes, want) || indexed != wantIndexed {
+					t.Fatalf("trial %d (%d,%d): nodes %v and %d indexed, reference %v and %d", trial, a, b, keys(nodes), indexed, keys(want), wantIndexed)
+				}
+				densePartner += indexed
 				if len(partners) != len(nodes) {
 					t.Fatalf("trial %d (%d,%d): %d partners for %d nodes", trial, a, b, len(partners), len(nodes))
 				}
@@ -104,26 +123,24 @@ func TestPairedWalkMatchesReference(t *testing.T) {
 						selfPartner++
 					case p == nil:
 						noPartner++
-					case p.dense:
-						densePartner++
 					default:
 						prefixPartner++
 					}
 				}
 
-				var want []*Node
+				var both []*Node
 				for _, n := range ix.AppendDenseContaining(nil, a) {
 					if n.Set().Contains(b) {
-						want = append(want, n)
+						both = append(both, n)
 					}
 				}
-				if got := ix.AppendDenseContainingBoth(nil, a, b); !slices.Equal(got, want) {
-					t.Fatalf("trial %d: AppendDenseContainingBoth(%d,%d) = %v, want %v", trial, a, b, keys(got), keys(want))
+				if got := ix.AppendDenseContainingBoth(nil, a, b); !slices.Equal(got, both) {
+					t.Fatalf("trial %d: AppendDenseContainingBoth(%d,%d) = %v, want %v", trial, a, b, keys(got), keys(both))
 				}
 			}
 		}
 	}
-	if min(selfPartner, densePartner, prefixPartner, noPartner) < 100 {
-		t.Fatalf("vacuous: %d self, %d dense, %d pure-prefix and %d nil partners", selfPartner, densePartner, prefixPartner, noPartner)
+	if min(selfPartner, densePartner, prefixPartner, noPartner, full) < 100 {
+		t.Fatalf("vacuous: %d self, %d dense, %d pure-prefix and %d nil partners, %d sets of Nmax vertices", selfPartner, densePartner, prefixPartner, noPartner, full)
 	}
 }
