@@ -15,6 +15,7 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"dyndens/internal/core"
@@ -521,5 +522,54 @@ func TestInStoryUpdateZeroAlloc(t *testing.T) {
 	}
 	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
 		t.Fatalf("the sweeps are not steady: %+v → %+v", before, after)
+	}
+}
+
+// TestDenseChurnSteadyStateZeroAlloc pins the churn of ordinary dense sets: a
+// triangle with a fourth vertex held just below the dense floor of four, and a
+// pair held just below the pair floor, each nudged over it and back, so every
+// cycle inserts the 4-set's leaf and the pair's two nodes — one of them a root
+// child — and evicts them again. The index hands each pruned node out again
+// from the next update on, with its child vectors, so once the first cycle has
+// stocked the free list a cycle allocates nothing.
+func TestDenseChurnSteadyStateZeroAlloc(t *testing.T) {
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5})
+	eng.SetSink(&core.CountingSink{})
+	th := eng.Thresholds()
+	// below returns a multiple of 1/64 under x by at least 1/32, so nudges of
+	// ±1/4 cancel exactly and one of them crosses x.
+	below := func(x float64) float64 { return math.Floor((x-1.0/32)*64) / 64 }
+	for _, u := range []core.Update{
+		{A: 50, B: 51, Delta: 3.5}, {A: 50, B: 52, Delta: 3.5}, {A: 51, B: 52, Delta: 3.5},
+		{A: 80, B: 81, Delta: below(th.MinDenseScore(2))},
+	} {
+		eng.Process(u)
+	}
+	x := below((th.MinDenseScore(4) - 10.5) / 3) // 53's weight to each of the triangle
+	for _, v := range []core.Vertex{50, 51, 52} {
+		eng.Process(core.Update{A: v, B: 53, Delta: x})
+	}
+	quad := vset.New(50, 51, 52, 53)
+	if !eng.Contains(vset.New(50, 51, 52)) || eng.Contains(quad) || eng.Contains(vset.New(80, 81)) || eng.ImplicitFamilyCount() != 0 {
+		t.Fatalf("setup: want the triangle dense, %v and {80,81} not, no families; %d dense, %d families", quad, eng.DenseCount(), eng.ImplicitFamilyCount())
+	}
+	cycle := func() {
+		eng.Process(core.Update{A: 50, B: 51, Delta: 0.25})
+		eng.Process(core.Update{A: 80, B: 81, Delta: 0.25})
+		eng.Process(core.Update{A: 50, B: 51, Delta: -0.25})
+		eng.Process(core.Update{A: 80, B: 81, Delta: -0.25})
+	}
+	cycle()
+	before := eng.Stats()
+	assertZeroAllocs(t, "dense churn", cycle)
+	after := eng.Stats()
+	if runs := after.Insertions - before.Insertions; runs == 0 || after.Evictions-before.Evictions != runs {
+		t.Fatalf("the cycles inserted %d and evicted %d sets, want some and as many", runs, after.Evictions-before.Evictions)
+	}
+	if eng.Contains(quad) || eng.Contains(vset.New(80, 81)) || eng.ImplicitFamilyCount() != 0 {
+		t.Fatal("the cycles did not end where they started")
+	}
+	if msg := eng.ValidateIndex(); msg != "" {
+		t.Fatal(msg)
 	}
 }

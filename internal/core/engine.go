@@ -835,16 +835,18 @@ func (e *Engine) maintainStar(node *index.Node, score float64, n int) bool {
 // subgraph to grow it from. Following Section 3.2.3, the base is augmented
 // with whole edges of sufficient weight; each admission goes through admit,
 // at exploration iteration iter, so it is reported, starred, and explored like
-// any other discovery. The base's deficit MinDenseScore(n+2) − score is the
-// least weight such an edge can have, and the graph enumerates only the edges
-// that reach it.
+// any other discovery. The least weight such an edge can have is what the
+// union lacks to DenseFloor(n+2), less exploreNeed's slack, so every union
+// IsDense would accept — a tie with T included — is among the edges the graph
+// enumerates.
 func (e *Engine) starEdgeScan(base vset.Set, score float64, iter int) {
 	n := base.Len()
 	if n+2 > e.th.Nmax {
 		return
 	}
+	floor := e.th.DenseFloor(n + 2)
 	buf := e.getSetBuf()
-	e.g.EdgesNotIncident(base, e.th.MinDenseScore(n+2)-score, func(u, v Vertex, w float64) {
+	e.g.EdgesNotIncident(base, floor-score-scoreSlack(floor+math.Abs(score)), func(u, v Vertex, w float64) {
 		cand := vset.Add2Into(buf, base, u, v)
 		buf = cand
 		if e.ix.HasDense(cand) {

@@ -59,10 +59,17 @@
 // first, so decreasing seq), and per base cardinality a count and an upper
 // bound on the family scores. Every score write raises the bound, Ldexp
 // scales it, and a full walk of the '*' list (AppendStarNodes) makes it exact
-// again. Removed '*' nodes and emptied postings are kept for reuse on free
-// lists of at most freeLimit entries, so a family that comes and goes in
-// steady state allocates nothing; a snapshot holding a removed family's node
-// must therefore not outlive the pass that removed it.
+// again. Emptied postings are kept for reuse on a free list of at most
+// postFreeLimit entries.
+//
+// Nodes are recycled too, so a set that comes and goes in steady state — an
+// ordinary dense set or a family — allocates nothing. A pruned node is parked
+// on the pass's removed list and handed out again, with the capacity of its
+// child vectors, only after the next BeginUpdate moves it to the free list;
+// the two lists together hold at most nodeFreeLimit nodes. An engine snapshot
+// taken in a pass may thus hold a node the pass pruned — it reads it as not
+// dense — but never one given out again as another set: a snapshot must not
+// outlive its pass.
 //
 // A dense node also carries its reach, the engine's exploration certificate:
 // an upper bound on the weight Γ_C·ê_y any vertex y puts into the node's set C
@@ -93,7 +100,8 @@ const Star Vertex = math.MaxInt32
 // Node is a prefix-tree node. A node represents the vertex set spelled out by
 // the path from the root; it carries subgraph information (score, density
 // bookkeeping) only when Dense() is true. Nodes are owned by the Index and
-// must not be retained across Evict calls.
+// recycled: a node must not be retained past the pass (BeginUpdate to
+// BeginUpdate) it was read in.
 type Node struct {
 	label  Vertex
 	depth  int32 // cardinality of the represented set ('*' counts as one vertex)
@@ -258,7 +266,9 @@ type Index struct {
 	famBound []float64            // [k]: an upper bound on their scores, -Inf while there are none
 	famTotal int                  // Σ famCount
 	postFree []*posting           // emptied postings, for reuse
-	starFree []*Node              // removed '*' nodes, for reuse
+
+	removed []*Node // nodes pruned during this pass: free from the next one
+	free    []*Node // nodes pruned in earlier passes, for reuse
 
 	// membership, when installed, observes label-presence transitions: it is
 	// called with (v, true) when v gains its first prefix-tree node and with
@@ -279,8 +289,12 @@ type slot struct {
 // posting is one vertex's tracked families, in increasing seq.
 type posting struct{ fams []*Node }
 
-// freeLimit bounds each of the index's free lists (postFree, starFree).
-const freeLimit = 64
+// postFreeLimit bounds postFree; nodeFreeLimit bounds removed and free
+// together.
+const (
+	postFreeLimit = 64
+	nodeFreeLimit = 256
+)
 
 // New returns an empty index for sets of at most nmax vertices.
 func New(nmax int) *Index {
@@ -342,8 +356,14 @@ func (ix *Index) StarCount() int { return ix.starCount }
 func (ix *Index) NodeCount() int { return ix.nodeCount }
 
 // BeginUpdate starts a new update epoch, invalidating all exploration
-// iteration annotations from the previous update (Section 3.2.2).
-func (ix *Index) BeginUpdate() { ix.epoch++ }
+// iteration annotations from the previous update (Section 3.2.2), and frees
+// the nodes the previous passes pruned for reuse.
+func (ix *Index) BeginUpdate() {
+	ix.epoch++
+	ix.free = append(ix.free, ix.removed...)
+	clear(ix.removed)
+	ix.removed = ix.removed[:0]
+}
 
 // Annotate records that node n was identified at exploration iteration it
 // during the current update.
@@ -413,14 +433,16 @@ func (ix *Index) ensure(c vset.Set) *Node {
 
 func (ix *Index) newChild(parent *Node, label Vertex) *Node {
 	var n *Node
-	if k := len(ix.starFree); label == Star && k > 0 {
-		n = ix.starFree[k-1]
-		ix.starFree[k-1] = nil
-		ix.starFree = ix.starFree[:k-1]
+	var kids nodeVec
+	if k := len(ix.free); k > 0 {
+		n = ix.free[k-1]
+		ix.free[k-1] = nil
+		ix.free = ix.free[:k-1]
+		kids = nodeVec{n.kids.labels[:0], n.kids.nodes[:0]}
 	} else {
 		n = new(Node)
 	}
-	*n = Node{label: label, parent: parent, depth: parent.depth + 1, reach: math.Inf(1)}
+	*n = Node{label: label, parent: parent, depth: parent.depth + 1, kids: kids, reach: math.Inf(1)}
 	i, _ := parent.kids.find(label)
 	parent.kids.insert(i, label, n)
 	ix.nodeCount++
@@ -579,8 +601,8 @@ func (ix *Index) prune(n *Node) {
 		ix.unlink(n)
 		ix.nodeCount--
 		n.parent = nil
-		if n.label == Star && len(ix.starFree) < freeLimit {
-			ix.starFree = append(ix.starFree, n)
+		if len(ix.removed)+len(ix.free) < nodeFreeLimit {
+			ix.removed = append(ix.removed, n)
 		}
 		n = parent
 	}
@@ -663,7 +685,7 @@ func (ix *Index) unpost(v Vertex, fam *Node) {
 	p.fams = slices.Delete(p.fams, i, i+1)
 	if len(p.fams) == 0 {
 		ix.posts.Set(v, nil)
-		if len(ix.postFree) < freeLimit {
+		if len(ix.postFree) < postFreeLimit {
 			ix.postFree = append(ix.postFree, p)
 		}
 	}
@@ -1031,7 +1053,33 @@ func (ix *Index) Validate() string {
 	if listed != nodes {
 		return "inverted list node count mismatch"
 	}
+	if msg := ix.validateRecycled(); msg != "" {
+		return msg
+	}
 	return ix.validateFamilies()
+}
+
+// validateRecycled checks the removed and free lists: within their bound, and
+// every node on them listed once and detached — no parent, children or list
+// links, neither dense nor a family. Every node the walk from the root reaches
+// has a parent, so a detached node other than the root is unreachable.
+func (ix *Index) validateRecycled() string {
+	if len(ix.removed)+len(ix.free) > nodeFreeLimit {
+		return "recycled nodes over their bound"
+	}
+	seen := make(map[*Node]bool, len(ix.removed)+len(ix.free))
+	for _, n := range slices.Concat(ix.removed, ix.free) {
+		switch {
+		case n == ix.root || n.parent != nil || len(n.kids.nodes) != 0 || n.invPrev != nil || n.invNext != nil:
+			return "recycled node is still attached"
+		case n.dense || n.star:
+			return "recycled node is dense or a family"
+		case seen[n]:
+			return "recycled node listed twice"
+		}
+		seen[n] = true
+	}
+	return ""
 }
 
 // validateFamilies checks the family bookkeeping: seqs decrease along the '*'

@@ -356,6 +356,13 @@ func TestValidateChecksSlots(t *testing.T) {
 		"slot without a node": func(ix *Index) {
 			ix.labels.Set(7, slot{root: ix.Lookup(vset.New(1))})
 		},
+		"live node on the free list": func(ix *Index) {
+			ix.free = append(ix.free, ix.Lookup(vset.New(1, 3, 5)))
+		},
+		"recycled node listed twice": func(ix *Index) {
+			ix.EvictDense(ix.Lookup(vset.New(3, 5)))
+			ix.free = append(ix.free, ix.removed...)
+		},
 	} {
 		ix := build()
 		corrupt(ix)
@@ -490,6 +497,63 @@ func TestAnnotations(t *testing.T) {
 
 // Property: a random sequence of inserts and evicts keeps the index
 // consistent with a map-based model and passes Validate.
+// A pruned node is handed out again only after the next BeginUpdate, with its
+// child vectors' capacity: a set evicted and re-inserted within one pass gets a
+// fresh node, so a snapshot of the pass never sees its node stand for another
+// set.
+func TestPrunedNodeReusedFromNextPass(t *testing.T) {
+	ix := New(5)
+	ix.BeginUpdate()
+	for _, v := range []Vertex{8, 9, 10} {
+		ix.InsertDense(vset.New(7, v), 1)
+	}
+	seven := ix.Lookup(vset.New(7))
+	ix.BeginUpdate()
+	for _, v := range []Vertex{8, 9, 10} {
+		ix.EvictDense(ix.Lookup(vset.New(7, v)))
+	}
+	if ix.NodeCount() != 0 || len(ix.removed) != 4 || len(ix.free) != 0 {
+		t.Fatalf("after the evictions: %d nodes, %d removed, %d free; want 0, 4, 0", ix.NodeCount(), len(ix.removed), len(ix.free))
+	}
+	again := ix.InsertDense(vset.New(7), 1)
+	if again == seven {
+		t.Fatal("a node pruned in this pass was reused in the same pass")
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	ix.BeginUpdate()
+	if len(ix.removed) != 0 || len(ix.free) != 4 {
+		t.Fatalf("after BeginUpdate: %d removed, %d free; want 0, 4", len(ix.removed), len(ix.free))
+	}
+	// The free list is last in, first out: {7} was pruned last.
+	if n := ix.InsertDense(vset.New(11), 1); n != seven || n.Set().Key() != "11" || !n.Dense() || n.Card() != 1 {
+		t.Fatalf("the recycled node did not come back as {11}: %p (want %p), %v", n, seven, n.Set())
+	}
+	if cap(seven.kids.labels) < 3 || cap(seven.kids.nodes) < 3 || len(seven.kids.nodes) != 0 {
+		t.Fatalf("the recycled node lost its child vectors: len %d, caps %d/%d", len(seven.kids.nodes), cap(seven.kids.labels), cap(seven.kids.nodes))
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+	// The lists are bounded: a pass that prunes more parks only what fits.
+	ix.BeginUpdate()
+	for v := Vertex(100); v < 100+2*nodeFreeLimit; v++ {
+		ix.InsertDense(vset.New(v), 1)
+	}
+	ix.BeginUpdate()
+	for v := Vertex(100); v < 100+2*nodeFreeLimit; v++ {
+		ix.EvictDense(ix.Lookup(vset.New(v)))
+	}
+	ix.BeginUpdate()
+	if len(ix.removed)+len(ix.free) != nodeFreeLimit {
+		t.Fatalf("%d removed and %d free nodes, want %d together", len(ix.removed), len(ix.free), nodeFreeLimit)
+	}
+	if msg := ix.Validate(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 func TestRandomOperationsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -497,6 +561,9 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 		model := map[string]float64{}
 		stars := map[string]bool{}
 		for op := 0; op < 500; op++ {
+			if op%7 == 0 { // a new pass: the nodes pruned so far become reusable
+				ix.BeginUpdate()
+			}
 			// Random set of 2–5 vertices out of 12.
 			n := 2 + rng.Intn(4)
 			var c vset.Set

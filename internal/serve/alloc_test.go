@@ -115,6 +115,37 @@ func TestSubsetAttachAllocs(t *testing.T) {
 	checkMatchesTracker(t, b)
 }
 
+// TestPublishAllocsIndependentOfEntityCount: a boundary that moves an entity
+// into or out of a story allocates the same whether 10 or 2 000 other stories,
+// each with its own entities, are in the table. The snapshot carries no entity
+// index to copy: GET /entities/{e} scans the table instead.
+func TestPublishAllocsIndependentOfEntityCount(t *testing.T) {
+	grow := vset.New(0, 1, 2, 3, 5) // joins the story over 0..4 (Jaccard 4/6) and brings entity 5
+	cycle := func(others int) float64 {
+		b := liveStoryBuilder(t)
+		for i := range others {
+			v := vset.Vertex(100 + 3*i)
+			b.Emit(core.Event{Kind: core.BecameOutputDense, Set: vset.New(v, v+1, v+2), Density: 5})
+			b.EndUpdate()
+		}
+		b.Emit(core.Event{Kind: core.BecameOutputDense, Set: grow, Density: 5})
+		b.EndUpdate()
+		snap := b.View().Snapshot()
+		if len(snap.Stories) != others+1 || !snap.Stories[0].Entities.Equal(vset.New(0, 1, 2, 3, 4, 5)) {
+			t.Fatalf("fixture: %d stories, want %d; the first over %v, want entities 0..5", len(snap.Stories), others+1, snap.Stories[0].Entities)
+		}
+		return testing.AllocsPerRun(50, func() {
+			b.Emit(core.Event{Kind: core.CeasedOutputDense, Set: grow})
+			b.EndUpdate()
+			b.Emit(core.Event{Kind: core.BecameOutputDense, Set: grow, Density: 5})
+			b.EndUpdate()
+		})
+	}
+	if few, many := cycle(10), cycle(2000); few != many {
+		t.Errorf("moving one entity out of a story and back allocated %v times beside 10 stories, %v beside 2000", few, many)
+	}
+}
+
 // Allocation pins of the read path: what one request costs inside the
 // handler, counted with a ResponseWriter that drops the body. The responses
 // are rendered into a pooled buffer that the warm-up run has grown, so the
@@ -185,9 +216,9 @@ func readFixture(t *testing.T) *Server {
 		b.EndUpdate()
 	}
 	snap := b.View().Snapshot()
-	if len(snap.Ranked) != 13 || len(snap.Stories[0].Subgraphs) != 11 || len(snap.ByEntity[7]) != 12 {
+	if len(snap.Ranked) != 13 || len(snap.Stories[0].Subgraphs) != 11 || len(storiesWith(snap, 7)) != 12 {
 		t.Fatalf("fixture: %d ranked, %d subgraphs in story %d, %d stories on entity 7",
-			len(snap.Ranked), len(snap.Stories[0].Subgraphs), snap.Stories[0].ID, len(snap.ByEntity[7]))
+			len(snap.Ranked), len(snap.Stories[0].Subgraphs), snap.Stories[0].ID, len(storiesWith(snap, 7)))
 	}
 	return NewServer(b.View(), nil)
 }

@@ -111,9 +111,15 @@ func BenchmarkServeRead(b *testing.B) {
 			wide = e
 		}
 	}
+	stories := map[vset.Vertex]int{}
 	var popular vset.Vertex
-	for v, ids := range snap.ByEntity {
-		if n := len(snap.ByEntity[popular]); len(ids) > n || len(ids) == n && v < popular {
+	for _, e := range snap.Stories {
+		for _, v := range e.Entities {
+			stories[v]++
+		}
+	}
+	for v, n := range stories {
+		if m := stories[popular]; n > m || n == m && v < popular {
 			popular = v
 		}
 	}

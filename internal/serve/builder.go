@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"maps"
 	"slices"
 
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
-	"dyndens/internal/vset"
 )
 
 // Builder is the writer side of the serving layer. It sits in the sink
@@ -22,7 +20,9 @@ import (
 // touched (Tracker.Touched), so the builder keeps no second copy: a boundary
 // rebuilds the entries of the touched stories from the tracker's rows and
 // shares every other entry with the previous snapshot. What the builder does
-// own is derived serving state: the density ranking and the entity postings.
+// own is derived serving state: the density ranking. There is no entity
+// index: GET /entities/{e} scans the table, which holds only the live and
+// fading stories.
 //
 // Like the tracker it wraps, the Builder supports both delivery modes:
 //
@@ -46,20 +46,14 @@ type Builder struct {
 	pending    bool   // an event or a record arrived since the last boundary
 	onRecord   func(story.Record)
 
-	rank     RankedIndex
-	byEntity map[vset.Vertex][]story.ID
-	entDirty bool // byEntity changed since the last publish
+	rank RankedIndex
 }
 
 // NewBuilder wraps a tracker in a serving builder with a fresh View. The
 // builder must be installed before the first update is processed, and it
 // takes over the tracker's record sink.
 func NewBuilder(tr *story.Tracker) *Builder {
-	b := &Builder{
-		tracker:  tr,
-		view:     NewView(),
-		byEntity: make(map[vset.Vertex][]story.ID),
-	}
+	b := &Builder{tracker: tr, view: NewView()}
 	tr.SetRecordSink(b.captureRecord)
 	return b
 }
@@ -135,11 +129,11 @@ var noEntry Entry
 
 // publish installs the snapshot of boundary s: the previous one with the
 // entries of the touched stories rebuilt from the tracker (or dropped, for a
-// story that died or was merged away). Untouched entries, posting slices and
-// the ranking are shared with the previous snapshot wherever nothing changed.
+// story that died or was merged away). Untouched entries and the ranking are
+// shared with the previous snapshot wherever nothing changed.
 func (b *Builder) publish(s uint64, touched []story.ID) {
 	prev := b.view.Snapshot()
-	ns := &Snapshot{Epoch: s, Stories: prev.Stories, Ranked: prev.Ranked, ByEntity: prev.ByEntity, LiveSubgraphs: prev.LiveSubgraphs}
+	ns := &Snapshot{Epoch: s, Stories: prev.Stories, Ranked: prev.Ranked, LiveSubgraphs: prev.LiveSubgraphs}
 	if len(touched) > 0 {
 		ns.Stories = make([]*Entry, len(prev.Stories), len(prev.Stories)+len(touched))
 		copy(ns.Stories, prev.Stories)
@@ -164,7 +158,6 @@ func (b *Builder) publish(s uint64, touched []story.ID) {
 			ns.Stories = slices.Delete(ns.Stories, at, at+1)
 		}
 		ns.LiveSubgraphs += len(ent.Subgraphs) - len(old.Subgraphs)
-		b.setEntities(id, old.Entities, ent.Entities)
 
 		// Only stories with a live subgraph are ranked.
 		before, ranked := b.rank.Density(id)
@@ -180,10 +173,6 @@ func (b *Builder) publish(s uint64, touched []story.ID) {
 
 	if rankChanged {
 		ns.Ranked = b.rank.Clone()
-	}
-	if b.entDirty {
-		ns.ByEntity = maps.Clone(b.byEntity)
-		b.entDirty = false
 	}
 	b.view.publish(ns)
 }
@@ -208,55 +197,4 @@ func (b *Builder) buildEntry(row story.Snapshot, old *Entry) *Entry {
 		}
 	}
 	return ent
-}
-
-// setEntities moves a story's postings from its old entity set to its new
-// one. Posting slices are copy-on-write: snapshots share them, so a changed
-// posting is always a fresh slice.
-func (b *Builder) setEntities(id story.ID, old, set vset.Set) {
-	i, j := 0, 0
-	for i < len(old) || j < len(set) {
-		switch {
-		case j >= len(set) || (i < len(old) && old[i] < set[j]):
-			b.unpost(old[i], id)
-			i++
-		case i >= len(old) || old[i] > set[j]:
-			b.post(set[j], id)
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-}
-
-func (b *Builder) post(v vset.Vertex, id story.ID) {
-	old := b.byEntity[v]
-	i, found := slices.BinarySearch(old, id)
-	if found {
-		return
-	}
-	ns := make([]story.ID, len(old)+1)
-	copy(ns, old[:i])
-	ns[i] = id
-	copy(ns[i+1:], old[i:])
-	b.byEntity[v] = ns
-	b.entDirty = true
-}
-
-func (b *Builder) unpost(v vset.Vertex, id story.ID) {
-	old := b.byEntity[v]
-	i, found := slices.BinarySearch(old, id)
-	if !found {
-		return
-	}
-	if len(old) == 1 {
-		delete(b.byEntity, v)
-	} else {
-		ns := make([]story.ID, len(old)-1)
-		copy(ns, old[:i])
-		copy(ns[i:], old[i+1:])
-		b.byEntity[v] = ns
-	}
-	b.entDirty = true
 }

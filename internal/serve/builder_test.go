@@ -111,11 +111,13 @@ func validateSnapshot(s *Snapshot) error {
 		if !e.Fading && e.Density != maxD {
 			return fmt.Errorf("epoch %d: story %d density %v != max subgraph density %v", s.Epoch, id, e.Density, maxD)
 		}
-		for _, v := range e.Entities {
-			ids := s.ByEntity[v]
-			i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-			if i >= len(ids) || ids[i] != id {
-				return fmt.Errorf("epoch %d: story %d has entity %d but is missing from its posting", s.Epoch, id, v)
+		// GET /entities/{e} finds a story by searching its entities.
+		if len(e.Entities) == 0 {
+			return fmt.Errorf("epoch %d: story %d has no entities", s.Epoch, id)
+		}
+		for i := 1; i < len(e.Entities); i++ {
+			if e.Entities[i-1] >= e.Entities[i] {
+				return fmt.Errorf("epoch %d: story %d entities %v not strictly ascending", s.Epoch, id, []vset.Vertex(e.Entities))
 			}
 		}
 	}
@@ -125,24 +127,19 @@ func validateSnapshot(s *Snapshot) error {
 	if keys := s.LiveKeys(); len(keys) != live || !sort.StringsAreSorted(keys) {
 		return fmt.Errorf("epoch %d: LiveKeys() = %v for %d subgraphs", s.Epoch, keys, live)
 	}
-	for v, ids := range s.ByEntity {
-		if len(ids) == 0 {
-			return fmt.Errorf("epoch %d: empty posting for entity %d", s.Epoch, v)
-		}
-		for i, id := range ids {
-			if i > 0 && ids[i-1] >= id {
-				return fmt.Errorf("epoch %d: posting for entity %d unordered", s.Epoch, v)
-			}
-			e, ok := s.Story(id)
-			if !ok {
-				return fmt.Errorf("epoch %d: posting for entity %d names missing story %d", s.Epoch, v, id)
-			}
-			if !e.Entities.Contains(v) {
-				return fmt.Errorf("epoch %d: story %d posted for entity %d it does not contain", s.Epoch, id, v)
-			}
+	return nil
+}
+
+// storiesWith returns the IDs of the snapshot's stories whose entity set holds
+// v, in table order: the stories GET /entities/{v} lists.
+func storiesWith(s *Snapshot, v vset.Vertex) []story.ID {
+	var ids []story.ID
+	for _, e := range s.Stories {
+		if e.Entities.Contains(v) {
+			ids = append(ids, e.ID)
 		}
 	}
-	return nil
+	return ids
 }
 
 // checkMatchesTracker asserts the published snapshot equals the wrapped
@@ -180,8 +177,8 @@ func checkMatchesTracker(t *testing.T, b *Builder) {
 			}
 		}
 		for _, v := range row.Entities {
-			if ids := snap.ByEntity[v]; !slices.Contains(ids, row.ID) {
-				t.Errorf("entity %d of story %d: posting %v does not name it", v, row.ID, ids)
+			if ids := storiesWith(snap, v); !slices.Contains(ids, row.ID) {
+				t.Errorf("entity %d of story %d: the stories with it, %v, do not include it", v, row.ID, ids)
 			}
 		}
 	}

@@ -39,8 +39,8 @@ type Entry struct {
 // pointer slice, never O(stream).
 //
 // All fields are read-only after publication. Tearing is impossible by
-// construction: a reader that loads a Snapshot sees the ranking, the story
-// table and the entity postings of the same epoch.
+// construction: a reader that loads a Snapshot sees the ranking and the story
+// table of the same epoch.
 type Snapshot struct {
 	// Epoch is the update boundary (engine sequence number) this snapshot
 	// corresponds to. Boundaries that deliver neither an event nor a
@@ -55,12 +55,8 @@ type Snapshot struct {
 	// Ranked orders the stories that currently own at least one live
 	// output-dense subgraph by density descending (ties to the lower ID).
 	// Fading stories are not ranked — their density is stale by definition —
-	// but stay queryable through Stories and ByEntity.
+	// but stay queryable through Stories.
 	Ranked []Rank
-
-	// ByEntity maps entity → ascending story IDs whose entity set contains
-	// it.
-	ByEntity map[vset.Vertex][]story.ID
 
 	// LiveSubgraphs is the number of live output-dense subgraphs over all
 	// entries — the size of the engine's output-dense set at this boundary

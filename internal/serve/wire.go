@@ -228,7 +228,9 @@ func (w *wire) detail(snap *Snapshot, e *Entry) {
 	w.b = append(w.b, '\n')
 }
 
-// entity renders the GET /entities/{e} response: the stories containing v.
+// entity renders the GET /entities/{e} response: the stories containing v, in
+// the table's ascending ID order. It scans the table, which holds only the
+// live and fading stories, so there is no entity index to keep.
 func (w *wire) entity(snap *Snapshot, v vset.Vertex) {
 	w.open('{')
 	w.field("epoch")
@@ -237,10 +239,11 @@ func (w *wire) entity(snap *Snapshot, v vset.Vertex) {
 	w.int(int(v))
 	w.field("stories")
 	w.open('[')
-	for _, id := range snap.ByEntity[v] {
-		e, _ := snap.Story(id) // every posted story is in the table
-		w.elem()
-		w.story(e, false)
+	for _, e := range snap.Stories {
+		if e.Entities.Contains(v) {
+			w.elem()
+			w.story(e, false)
+		}
 	}
 	w.close(']')
 	w.close('}')

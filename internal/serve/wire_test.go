@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,15 +141,15 @@ func refHandler(view *View) http.Handler {
 			return
 		}
 		snap := view.Snapshot()
-		ids := snap.ByEntity[vset.Vertex(ev)]
 		out := struct {
 			Epoch   uint64      `json:"epoch"`
 			Entity  int64       `json:"entity"`
 			Stories []storyJSON `json:"stories"`
-		}{Epoch: snap.Epoch, Entity: ev, Stories: make([]storyJSON, 0, len(ids))}
-		for _, id := range ids {
-			e, _ := snap.Story(id)
-			out.Stories = append(out.Stories, entryJSON(e, false))
+		}{Epoch: snap.Epoch, Entity: ev, Stories: []storyJSON{}}
+		for _, e := range snap.Stories {
+			if slices.Contains(e.Entities, vset.Vertex(ev)) {
+				out.Stories = append(out.Stories, entryJSON(e, false))
+			}
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
@@ -200,9 +201,15 @@ func sameReads(t *testing.T, got, want http.Handler, snap *Snapshot, cov *readCo
 	}
 	sameResponse(t, got, want, fmt.Sprintf("/stories/%d", maxID+1))
 	var maxEntity vset.Vertex
-	for v := range snap.ByEntity {
-		maxEntity = max(maxEntity, v)
-		sameResponse(t, got, want, fmt.Sprintf("/entities/%d", v))
+	seen := map[vset.Vertex]bool{}
+	for _, e := range snap.Stories {
+		for _, v := range e.Entities {
+			if !seen[v] {
+				seen[v] = true
+				maxEntity = max(maxEntity, v)
+				sameResponse(t, got, want, fmt.Sprintf("/entities/%d", v))
+			}
+		}
 	}
 	sameResponse(t, got, want, fmt.Sprintf("/entities/%d", maxEntity+1))
 }
@@ -362,7 +369,6 @@ func TestWireNonFiniteDensity(t *testing.T) {
 				{ID: 2, Entities: vset.New(5, 6, 7), Density: 2, Subgraphs: []SubgraphRef{{Set: vset.New(5, 6, 7), Density: bad}}, BornSeq: 2, LastSeq: 3},
 			},
 			Ranked:        []Rank{{Story: 2, Density: 2}, {Story: 1, Density: bad}},
-			ByEntity:      map[vset.Vertex][]story.ID{1: {1}, 2: {1}, 3: {1}, 5: {2}, 6: {2}, 7: {2}},
 			LiveSubgraphs: 2,
 		})
 		srv, ref := NewServer(view, nil).Handler(), refHandler(view)

@@ -1,7 +1,9 @@
 // Command benchgate is the CI benchmark regression gate: it parses two `go
 // test -bench` output files (base and head), compares the median ns/op of
 // every benchmark of the base run, and exits non-zero if any regresses by
-// more than the allowed fraction or is missing from the head run.
+// more than the allowed fraction or is missing from the head run. Where both
+// runs report allocs/op (-benchmem), a median that rises by more than the
+// same fraction and by at least one allocation fails the gate too.
 //
 // benchstat produces the human-readable statistical report in the same CI
 // job; benchgate exists because a gate needs a stable exit code, not a
@@ -41,10 +43,19 @@ func gateFailf(format string, args ...any) error {
 // benchLine matches e.g.
 //
 //	BenchmarkProcessMixed-8   2868   450652 ns/op   62 B/op   0 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+//
+// and allocsCol its allocs/op column, present under -benchmem.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsCol = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
-// parse returns benchmark name → observed ns/op samples.
-func parse(path string) (map[string][]float64, error) {
+// samples are one benchmark's observations: ns/op from every line, allocs/op
+// from the lines that carry it.
+type samples struct{ ns, allocs []float64 }
+
+// parse returns benchmark name → observed samples.
+func parse(path string) (map[string]*samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -53,8 +64,8 @@ func parse(path string) (map[string][]float64, error) {
 	return parseReader(path, f)
 }
 
-func parseReader(path string, f io.Reader) (map[string][]float64, error) {
-	out := make(map[string][]float64)
+func parseReader(path string, f io.Reader) (map[string]*samples, error) {
+	out := make(map[string]*samples)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -65,7 +76,19 @@ func parseReader(path string, f io.Reader) (map[string][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad ns/op in %q: %v", path, sc.Text(), err)
 		}
-		out[m[1]] = append(out[m[1]], v)
+		s := out[m[1]]
+		if s == nil {
+			s = new(samples)
+			out[m[1]] = s
+		}
+		s.ns = append(s.ns, v)
+		if a := allocsCol.FindStringSubmatch(sc.Text()); a != nil {
+			v, err := strconv.ParseFloat(a[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad allocs/op in %q: %v", path, sc.Text(), err)
+			}
+			s.allocs = append(s.allocs, v)
+		}
 	}
 	return out, sc.Err()
 }
@@ -87,7 +110,10 @@ func median(xs []float64) float64 {
 // that the head run no longer reports (it panicked, was renamed, or fell out
 // of the CI regex) fails the gate instead of silently shrinking it. A
 // benchmark only the head run reports has no baseline and is listed ungated.
-func gateCompare(base, head map[string][]float64, maxRegress float64, w io.Writer) error {
+// allocs/op is gated where both runs report it: a median above the base's by
+// more than maxRegress and by at least one allocation fails, so a benchmark
+// that allocated nothing fails at its first allocation.
+func gateCompare(base, head map[string]*samples, maxRegress float64, w io.Writer) error {
 	if len(base) == 0 {
 		return errors.New("no benchmarks in base")
 	}
@@ -106,15 +132,24 @@ func gateCompare(base, head map[string][]float64, maxRegress float64, w io.Write
 	for _, name := range names {
 		short := strings.TrimPrefix(name, "Benchmark")
 		if _, ok := base[name]; !ok {
-			fmt.Fprintf(w, "%-40s base=%12s        head=%12.0f ns/op  new (not gated)\n", short, "-", median(head[name]))
+			fmt.Fprintf(w, "%-40s base=%12s        head=%12.0f ns/op  new (not gated)\n", short, "-", median(head[name].ns))
 			continue
 		}
 		if _, ok := head[name]; !ok {
-			fmt.Fprintf(w, "%-40s base=%12.0f ns/op  head=%12s        MISSING\n", short, median(base[name]), "-")
+			fmt.Fprintf(w, "%-40s base=%12.0f ns/op  head=%12s        MISSING\n", short, median(base[name].ns), "-")
 			failures = append(failures, name+" missing from head")
 			continue
 		}
-		b, h := median(base[name]), median(head[name])
+		if bs, hs := base[name].allocs, head[name].allocs; len(bs) > 0 && len(hs) > 0 {
+			b, h := median(bs), median(hs)
+			status := "ok"
+			if h > b*(1+maxRegress) && h-b >= 1 {
+				status = "REGRESSION"
+				failures = append(failures, fmt.Sprintf("%s allocs/op %g → %g", name, b, h))
+			}
+			fmt.Fprintf(w, "%-40s base=%12g allocs/op  head=%12g allocs/op  %s\n", short, b, h, status)
+		}
+		b, h := median(base[name].ns), median(head[name].ns)
 		// A zero base median is measurement garbage (a broken or truncated
 		// bench line), not a real 0 ns/op baseline; dividing by it would turn
 		// the delta into ±Inf and poison the report, so the pair is reported
@@ -134,7 +169,7 @@ func gateCompare(base, head map[string][]float64, maxRegress float64, w io.Write
 			short, b, h, 100*delta, status)
 	}
 	if len(failures) > 0 {
-		return gateFailf("ns/op gate (max regression %.0f%%) failed: %s", 100*maxRegress, strings.Join(failures, "; "))
+		return gateFailf("ns/op and allocs/op gate (max regression %.0f%%) failed: %s", 100*maxRegress, strings.Join(failures, "; "))
 	}
 	return nil
 }
@@ -142,7 +177,7 @@ func gateCompare(base, head map[string][]float64, maxRegress float64, w io.Write
 func main() {
 	basePath := flag.String("base", "", "bench output of the base revision")
 	headPath := flag.String("head", "", "bench output of the head revision")
-	maxRegress := flag.Float64("max-regress", 0.15, "maximum allowed ns/op regression as a fraction (0.15 = +15%)")
+	maxRegress := flag.Float64("max-regress", 0.15, "maximum allowed ns/op and allocs/op regression as a fraction (0.15 = +15%)")
 	flag.Parse()
 
 	fail := func(err error) {
