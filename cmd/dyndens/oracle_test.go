@@ -14,7 +14,8 @@ import (
 // TestShippedConfigMatchesBrute builds the engine the way `dyndens run -T 2
 // -nmax 4` does, through engineFlags, replays small streams through it, and
 // after every update requires its expanded output-dense set to equal
-// brute.EnumerateAll over its graph.
+// brute.EnumerateAll over its graph, both over the vertex universe of the
+// updates so far.
 //
 // gen_small.stream is TestGoldenRun's input. An engine with the Section 7.1
 // MaxExplore caps reports {1,8,10,11} there late, at score 13.48 instead of
@@ -55,13 +56,9 @@ func TestShippedConfigMatchesBrute(t *testing.T) {
 		}
 		for i, u := range updates {
 			e.Process(u)
-			var got []string
-			for _, s := range e.OutputDenseExpanded() {
-				got = append(got, s.Set.Key())
-			}
-			slices.Sort(got)
-			want := brute.Keys(brute.EnumerateAll(e.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
-			if !slices.Equal(got, want) {
+			p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates[:i+1])}
+			got := brute.OutputDenseExpanded(e, p)
+			if want := brute.Keys(brute.EnumerateAll(e.Graph(), p)); !slices.Equal(got, want) {
 				t.Fatalf("%s update %d %v: expanded output-dense set\n got %v\nwant %v", name, i, u, got, want)
 			}
 		}

@@ -130,7 +130,7 @@ func TestProcessBatchClampOrdering(t *testing.T) {
 func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
 	cfg := core.Config{T: 2, Nmax: 4}
 	seq, bat := core.MustNew(cfg), core.MustNew(cfg)
-	// Light edges first, so every vertex is known by the time the heavy
+	// Light edges first, so every vertex has an edge by the time the heavy
 	// subgraphs form and turn too-dense.
 	warm := []core.Update{
 		{A: 6, B: 7, Delta: 1}, {A: 8, B: 9, Delta: 0.5}, {A: 3, B: 4, Delta: 0.25}, {A: 5, B: 6, Delta: 0.25}, {A: 4, B: 5, Delta: 5},
@@ -169,7 +169,7 @@ func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
 	if msg := bat.ValidateIndex(); msg != "" {
 		t.Fatalf("index invalid after the batch: %s", msg)
 	}
-	checkExpandedAgainstOracle(t, "after the batch", bat, seq)
+	checkExpandedAgainstOracle(t, "after the batch", brute.UniverseOf(append(warm, batch...)), bat, seq)
 	// Two pairs end with a positive net delta ({8,9} and {3,4}); the zero-net
 	// pair and the three negative ones must not run a discovery pass.
 	if got := bat.Stats().BatchPairs - before.BatchPairs; got != 2 {
@@ -208,18 +208,14 @@ func TestProcessBatchNetsFlappingTransitions(t *testing.T) {
 
 // checkExpandedAgainstOracle requires the batched and the sequential engine,
 // which share one graph state, to expand to brute.EnumerateAll's output-dense
-// set, and their reach certificates to be valid.
-func checkExpandedAgainstOracle(t *testing.T, label string, bat, seq *core.Engine) {
+// set over the vertex universe u, and their reach certificates to be valid.
+func checkExpandedAgainstOracle(t *testing.T, label string, u []core.Vertex, bat, seq *core.Engine) {
 	t.Helper()
 	cfg := bat.Config()
-	oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: u}
+	oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), p))
 	for name, eng := range map[string]*core.Engine{"batch": bat, "sequential": seq} {
-		var expanded []string
-		for _, s := range eng.OutputDenseExpanded() {
-			expanded = append(expanded, s.Set.Key())
-		}
-		slices.Sort(expanded)
-		if !slices.Equal(expanded, oracle) {
+		if expanded := brute.OutputDenseExpanded(eng, p); !slices.Equal(expanded, oracle) {
 			t.Fatalf("%s: %s expanded set %v != oracle %v", label, name, expanded, oracle)
 		}
 		if msg := eng.ValidateCertificates(); msg != "" {
@@ -268,7 +264,7 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 				if msg := bat.ValidateIndex(); msg != "" {
 					t.Fatalf("seed %d after %d updates: batch index invalid: %s", seed, pos, msg)
 				}
-				checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), bat, seq)
+				checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), brute.UniverseOf(updates[:pos]), bat, seq)
 			}
 			if events == 0 {
 				t.Fatalf("seed %d: batched replay emitted no events; fixture too weak", seed)

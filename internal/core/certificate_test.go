@@ -20,6 +20,7 @@ type plantedRun struct {
 	scale float64 // cumulative decay scale handed to ProcessThresholdBatch
 	// work done by engines this run has since replaced through a restore
 	certified, scanned uint64
+	seen               universe // the vertex universe of the updates applied
 }
 
 var plantedCliques = [3][]Vertex{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8}, {8, 9, 10, 11, 12}}
@@ -61,6 +62,7 @@ func (r *plantedRun) step(t *testing.T) string {
 	switch k := r.rng.Intn(41); {
 	case k < 24:
 		u := r.pick()
+		r.seen.add(u)
 		r.e.Process(u)
 		return fmt.Sprintf("Process %v", u)
 	case k < 34:
@@ -68,6 +70,7 @@ func (r *plantedRun) step(t *testing.T) string {
 		for i := range batch {
 			batch[i] = r.pick()
 		}
+		r.seen.add(batch...)
 		r.e.ProcessBatch(batch)
 		return fmt.Sprintf("ProcessBatch %v", batch)
 	case k < 37:
@@ -114,9 +117,10 @@ func TestPlantedStatefulCertificates(t *testing.T) {
 	const steps = 300
 	var certified, scanned uint64
 	for seed := int64(1); seed <= 12; seed++ {
-		r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(Config{T: 1, Nmax: 4}), scale: 1}
+		r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(Config{T: 1, Nmax: 4}), scale: 1, seen: universe{}}
 		for i := 0; i < steps; i++ {
-			checkAgainstBrute(t, r.e, fmt.Sprintf("seed %d step %d: %s", seed, i, r.step(t)))
+			label := fmt.Sprintf("seed %d step %d: %s", seed, i, r.step(t))
+			checkAgainstBrute(t, r.e, r.seen.vertices(), label)
 		}
 		certified += r.certified + r.e.stats.ExploreCertified
 		scanned += r.scanned + r.e.stats.Explorations
@@ -142,6 +146,26 @@ func certifiedTriple(t *testing.T) *Engine {
 	return e
 }
 
+// TestValidateCertificatesCatchesCorruptReach pins that the check, which
+// visits only the neighbours of each indexed set, still refuses a reach below
+// what a neighbour puts into the set, and a negative reach, which any vertex
+// with no edge into the set (0 into it) breaks.
+func TestValidateCertificatesCatchesCorruptReach(t *testing.T) {
+	e := certifiedTriple(t)
+	e.Process(Update{A: 0, B: 9, Delta: 0.25})
+	checkValid(t, e, "after the light edge {0,9}")
+	node := e.ix.LookupDense([]Vertex{0, 1, 2})
+	for r, want := range map[float64]string{
+		0.125: "reach 0.125 of {0,1,2} is below the 0.25 that 9 puts into it",
+		-1:    "reach -1 of {0,1,2} is below the 0 that a vertex with no edge into it puts into it",
+	} {
+		node.SetReach(r)
+		if msg := e.ValidateCertificates(); msg != want {
+			t.Fatalf("reach %v: ValidateCertificates says %q, want %q", r, msg, want)
+		}
+	}
+}
+
 // TestBatchRaisedPairDropsCertificate pins the batch choke point. Every delta
 // of a batch is in the graph before its first discovery pass, so when the pass
 // of pair {0,1} explores around {0,1,2}, the weight pair {0,9} added next to
@@ -156,7 +180,7 @@ func TestBatchRaisedPairDropsCertificate(t *testing.T) {
 		t.Fatalf("the batch settled %d explorations by certificate and scanned for %d, want none and some",
 			after.ExploreCertified-before.ExploreCertified, after.Explorations-before.Explorations)
 	}
-	checkAgainstBrute(t, e, "after the batch")
+	checkAgainstBrute(t, e, nil, "after the batch")
 }
 
 // TestCheapExploreIndexedUnionKeepsCertificate pins the cheap-exploration

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -8,20 +9,37 @@ import (
 	"dyndens/internal/vset"
 )
 
-// expandedKeys returns the engine's expanded output-dense set as sorted keys.
-func expandedKeys(e *Engine) []string {
-	var out []string
-	for _, s := range e.OutputDenseExpanded() {
-		out = append(out, s.Set.Key())
-	}
-	slices.Sort(out)
-	return out
+// oracleParams returns the brute-force parameters of e's configuration over
+// the vertex universe u. The graph's own vertices are always in it, so a nil
+// u is the whole universe of a test none of whose edges ever goes.
+func oracleParams(e *Engine, u []Vertex) brute.Params {
+	cfg := e.Config()
+	return brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: u}
 }
 
-func oracleKeys(e *Engine) []string {
-	cfg := e.Config()
-	return brute.Keys(brute.EnumerateAll(e.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+// expandedKeys returns the engine's expanded output-dense set over the vertex
+// universe u as sorted keys.
+func expandedKeys(e *Engine, u []Vertex) []string {
+	return brute.OutputDenseExpanded(e, oracleParams(e, u))
 }
+
+// oracleKeys returns brute.EnumerateAll's output-dense set over the vertex
+// universe u as sorted keys.
+func oracleKeys(e *Engine, u []Vertex) []string {
+	return brute.Keys(brute.EnumerateAll(e.Graph(), oracleParams(e, u)))
+}
+
+// universe is the vertex universe of a test's oracle checks: the union of
+// brute.UniverseOf over the units it has applied, kept as it applies them.
+type universe map[Vertex]bool
+
+func (u universe) add(ups ...Update) {
+	for _, v := range brute.UniverseOf(ups) {
+		u[v] = true
+	}
+}
+
+func (u universe) vertices() []Vertex { return slices.Sorted(maps.Keys(u)) }
 
 // TestNewStarDiscoversEdgeMembers is the regression test for the family-
 // creation discovery hole: when one large update makes a subgraph too-dense,
@@ -38,7 +56,7 @@ func TestNewStarDiscoversEdgeMembers(t *testing.T) {
 	if !e.Contains(vset.New(2, 4, 7, 9)) {
 		t.Fatal("{2,4,7,9} not explicitly indexed after {2,4} became too-dense")
 	}
-	if got, want := expandedKeys(e), oracleKeys(e); !slices.Equal(got, want) {
+	if got, want := expandedKeys(e, nil), oracleKeys(e, nil); !slices.Equal(got, want) {
 		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
 	}
 	if msg := e.ValidateIndex(); msg != "" {
@@ -49,27 +67,37 @@ func TestNewStarDiscoversEdgeMembers(t *testing.T) {
 // TestStarExpansionCoversDeepAndIsolatedMembers covers the other two facets
 // of the same hole: a too-dense base's family stands for any number of
 // mutually disconnected additions (not just one), and the vertex universe for
-// those additions is every vertex ever seen — including vertices whose edges
-// have since decayed to zero.
+// those additions is every vertex the stream has brought — including
+// vertices whose edges have since decayed to zero. The graph forgets such a
+// vertex with its last edge; the universe is the caller's, and with the
+// vertex in it the expansion and brute.EnumerateAll still both hold C∪{y}.
 func TestStarExpansionCoversDeepAndIsolatedMembers(t *testing.T) {
 	e := MustNew(Config{T: 2, Nmax: 4})
 	// Vertices 5 and 6 enter the universe, then their only edge decays away.
-	e.Process(Update{A: 5, B: 6, Delta: 0.5})
-	e.Process(Update{A: 5, B: 6, Delta: -0.5})
-	if e.Graph().HasEdge(5, 6) {
-		t.Fatal("edge {5,6} should have decayed to zero")
+	updates := []Update{{A: 5, B: 6, Delta: 0.5}, {A: 5, B: 6, Delta: -0.5}}
+	for _, u := range updates {
+		e.Process(u)
+	}
+	if vs, _ := e.Graph().Neighborhood(5); e.Graph().NumVertices() != 0 || len(vs) != 0 {
+		t.Fatalf("the graph keeps %d vertices and {5}'s neighbourhood %v after {5,6} decayed to zero", e.Graph().NumVertices(), vs)
 	}
 	// {2,4} becomes too-dense enough that even 4-sets built on it are dense.
-	e.Process(Update{A: 2, B: 4, Delta: 12})
+	updates = append(updates, Update{A: 2, B: 4, Delta: 12})
+	e.Process(updates[2])
 
-	keys := expandedKeys(e)
+	u := brute.UniverseOf(updates)
+	keys, oracle := expandedKeys(e, u), oracleKeys(e, u)
 	for _, want := range []string{"2,4,5", "2,4,6", "2,4,5,6"} {
-		if !slices.Contains(keys, want) {
-			t.Errorf("expanded set misses %s (isolated/deep family member); got %v", want, keys)
+		if !slices.Contains(keys, want) || !slices.Contains(oracle, want) {
+			t.Errorf("%s (isolated/deep family member) missing: expanded %v, oracle %v", want, keys, oracle)
 		}
 	}
-	if got, want := keys, oracleKeys(e); !slices.Equal(got, want) {
-		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
+	if !slices.Equal(keys, oracle) {
+		t.Fatalf("expanded output-dense set %v != oracle %v", keys, oracle)
+	}
+	// Without the decayed vertices in the universe, neither side has them.
+	if keys, oracle := expandedKeys(e, nil), oracleKeys(e, nil); slices.Contains(keys, "2,4,5") || !slices.Equal(keys, oracle) {
+		t.Fatalf("over the graph's own vertices: expanded %v, oracle %v", keys, oracle)
 	}
 }
 
@@ -90,7 +118,7 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 	if !e.Contains(vset.New(2, 4, 7, 9)) {
 		t.Fatal("{2,4,7,9} not admitted when the threshold decrease made {2,4} too-dense")
 	}
-	if got, want := expandedKeys(e), oracleKeys(e); !slices.Equal(got, want) {
+	if got, want := expandedKeys(e, nil), oracleKeys(e, nil); !slices.Equal(got, want) {
 		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
 	}
 	if msg := e.ValidateIndex(); msg != "" {
@@ -112,13 +140,13 @@ func TestThresholdDecreaseExistingStarsMissEdgeMembers(t *testing.T) {
 	e := MustNew(Config{T: 1.2, Nmax: 4})
 	e.Process(Update{A: 1, B: 3, Delta: 3.595})
 	e.Process(Update{A: 5, B: 6, Delta: 3.595})
-	if e.ImplicitFamilyCount() != 2 || slices.Contains(oracleKeys(e), "1,3,5,6") {
-		t.Fatalf("fixture: %d families, oracle %v", e.ImplicitFamilyCount(), oracleKeys(e))
+	if e.ImplicitFamilyCount() != 2 || slices.Contains(oracleKeys(e, nil), "1,3,5,6") {
+		t.Fatalf("fixture: %d families, oracle %v", e.ImplicitFamilyCount(), oracleKeys(e, nil))
 	}
 	if _, err := e.SetThreshold(1.08); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := expandedKeys(e), oracleKeys(e); !slices.Equal(got, want) {
+	if got, want := expandedKeys(e, nil), oracleKeys(e, nil); !slices.Equal(got, want) {
 		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
 	}
 }

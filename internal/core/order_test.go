@@ -42,6 +42,20 @@ func unshift(key string, shift Vertex) string {
 	return strings.Join(parts, ",")
 }
 
+// permuteKey maps the vertices of a set key through perm and returns the key
+// of the image.
+func permuteKey(key string, perm []int) string {
+	var vs []Vertex
+	for _, p := range strings.Split(key, ",") {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			panic(err)
+		}
+		vs = append(vs, Vertex(perm[v]))
+	}
+	return vset.New(vs...).Key()
+}
+
 // firstDifference returns the first update at which two event logs disagree,
 // or -1.
 func firstDifference(a, b [][]string) int {
@@ -152,7 +166,8 @@ func TestRebatchedPlantedStream(t *testing.T) {
 		updates[i] = draw()
 		single.Process(updates[i])
 	}
-	want := expandedKeys(single)
+	// Deltas are non-negative, so the graph's own vertices are the universe.
+	want := expandedKeys(single, nil)
 	if len(want) == 0 || single.Stats().Insertions == 0 || single.ImplicitFamilyCount() != 0 {
 		t.Fatalf("fixture: %d output-dense sets, %d insertions, %d families", len(want), single.Stats().Insertions, single.ImplicitFamilyCount())
 	}
@@ -164,7 +179,7 @@ func TestRebatchedPlantedStream(t *testing.T) {
 			batched.ProcessBatch(rest[:k])
 			rest = rest[k:]
 		}
-		if got := expandedKeys(batched); !slices.Equal(got, want) {
+		if got := expandedKeys(batched, nil); !slices.Equal(got, want) {
 			t.Fatalf("partition %d into %d batches ends at\n %v\nsingle updates at\n %v", p, batches, got, want)
 		}
 		checkValid(t, batched, fmt.Sprintf("partition %d", p))
@@ -196,6 +211,7 @@ func checkPermutedPlanted(t *testing.T, seed int64) {
 	a.ProcessThresholdBatch(scale, nil)
 	b.ProcessThresholdBatch(scale, nil)
 	draw := plantedDraw(rng, vertices, a)
+	seen := universe{} // a's; b's is its image under perm
 	folds, compared := 0, 0
 	for unit := 1; unit <= 1000; unit++ {
 		switch k := rng.Intn(10); {
@@ -204,10 +220,12 @@ func checkPermutedPlanted(t *testing.T, seed int64) {
 			for i := range batch {
 				batch[i] = draw()
 			}
+			seen.add(batch...)
 			a.ProcessBatch(batch)
 			b.ProcessBatch(relabel(batch))
 		case k < 8:
 			u := draw()
+			seen.add(u)
 			a.Process(u)
 			b.Process(relabel([]Update{u})[0])
 		default:
@@ -228,16 +246,18 @@ func checkPermutedPlanted(t *testing.T, seed int64) {
 		if unit%50 != 0 {
 			continue
 		}
+		ua := seen.vertices()
+		ub := make([]Vertex, len(ua))
+		for i, v := range ua {
+			ub[i] = Vertex(perm[v])
+		}
+		slices.Sort(ub)
 		var want []string
-		for _, s := range a.OutputDenseExpanded() {
-			vs := make([]Vertex, len(s.Set))
-			for i, v := range s.Set {
-				vs[i] = Vertex(perm[v])
-			}
-			want = append(want, vset.New(vs...).Key())
+		for _, k := range expandedKeys(a, ua) {
+			want = append(want, permuteKey(k, perm))
 		}
 		slices.Sort(want)
-		if got := expandedKeys(b); !slices.Equal(got, want) {
+		if got := expandedKeys(b, ub); !slices.Equal(got, want) {
 			t.Fatalf("seed %d unit %d: relabelled expanded set\n %v\nwant the permuted\n %v", seed, unit, got, want)
 		}
 		compared += len(want)

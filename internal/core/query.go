@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 
@@ -87,80 +88,21 @@ func (e *Engine) DenseCount() int { return e.ix.Len() }
 // ImplicitFamilyCount returns the number of ImplicitTooDense families.
 func (e *Engine) ImplicitFamilyCount() int { return e.ix.StarCount() }
 
-// OutputDenseExpanded returns the output-dense subgraphs including the
-// members of ImplicitTooDense families, de-duplicated against explicit
-// entries. It is intended for ground-truth comparisons and small graphs; the
-// expansion enumerates every mutually-disconnected extension of each family
-// base, which is exponential in the number of disconnected vertices.
-//
-// A family with base C and score s stands for C ∪ Y for every non-empty set Y
-// of vertices that are disconnected from C and from each other: adding such Y
-// leaves the score at s, so C ∪ Y is dense exactly while s clears the larger
-// cardinality's threshold (extensions with internal edges change the score
-// and are indexed explicitly — that is what starEdgeScan and processStar
-// guarantee).
-func (e *Engine) OutputDenseExpanded() []Subgraph {
-	seen := make(map[string]bool)
-	var out []Subgraph
-	add := func(s Subgraph) {
-		k := s.Set.Key()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, s)
-	}
-	for _, s := range e.OutputDense() {
-		add(s)
-	}
-	vertices := e.g.KnownVertices()
-	for _, star := range e.ix.AppendStarNodes(nil) {
-		base := star.Set()
-		score := star.Score()
-		// Candidates disconnected from the base, in ascending order so each
-		// extension set is enumerated once.
-		var disc []vset.Vertex
-		for _, y := range vertices {
-			if base.Contains(y) || e.g.ScoreWith(base, y) > 0 {
-				continue
-			}
-			disc = append(disc, y)
-		}
-		var added []vset.Vertex // the extension set Y built so far
-		var rec func(cur vset.Set, start int)
-		rec = func(cur vset.Set, start int) {
-			if cur.Len() >= e.th.Nmax {
+// ImplicitFamilies returns the ImplicitTooDense families as (base, score)
+// pairs, in lexicographic base order: a family (C, ∗) stands for every C ∪ Y
+// with Y a non-empty set of vertices that have no edge into C or between each
+// other, all at C's score (see brute.OutputDenseExpanded). Scores are in the
+// engine's internal normalised units, those of Thresholds. The engine must
+// not change while the sequence is ranged over. The engine never expands a
+// family itself: it keeps no vertex universe to expand one against.
+func (e *Engine) ImplicitFamilies() iter.Seq2[vset.Set, float64] {
+	return func(yield func(vset.Set, float64) bool) {
+		for _, n := range e.ix.AppendDense(nil) {
+			if star := e.ix.StarOf(n); star != nil && !yield(n.Set(), star.Score()) {
 				return
 			}
-			for i := start; i < len(disc); i++ {
-				y := disc[i]
-				mutual := true
-				for _, v := range added {
-					if e.g.Weight(v, y) != 0 {
-						mutual = false
-						break
-					}
-				}
-				if !mutual {
-					continue
-				}
-				ext := cur.Add(y)
-				if e.th.IsOutputDense(score, ext.Len()) {
-					add(Subgraph{
-						Set:     ext,
-						Score:   score * e.emitScale,
-						Density: e.th.Density(score, ext.Len()) * e.emitScale,
-					})
-				}
-				added = append(added, y)
-				rec(ext, i+1)
-				added = added[:len(added)-1]
-			}
 		}
-		rec(base, 0)
 	}
-	sortSubgraphs(out)
-	return out
 }
 
 // Contains reports whether the given vertex set is currently maintained as an
@@ -189,21 +131,28 @@ func (e *Engine) ValidateIndex() string {
 }
 
 // ValidateCertificates checks every reach certificate against the graph: no
-// known vertex y outside an indexed C whose C∪{y} is not explicitly indexed
-// may put more weight into C than C's reach (+Inf allows anything), to within
-// scoreSlack. It returns "" when all hold. It is a pass over the vertex
-// universe per indexed subgraph: for tests on small graphs, and deliberately
-// not part of ValidateIndex.
+// vertex y outside an indexed C whose C∪{y} is not explicitly indexed may put
+// more weight into C than C's reach (+Inf allows anything), to within
+// scoreSlack. Only the neighbours of C's members put weight into C; every
+// other vertex puts 0, which a reach covers as long as it is not negative, so
+// a negative reach is reported as such. It returns "" when all hold. It is a
+// pass over the neighbourhoods of every indexed subgraph: for tests, and
+// deliberately not part of ValidateIndex.
 func (e *Engine) ValidateCertificates() string {
-	vertices := e.g.KnownVertices()
 	for _, n := range e.denseSnapshot() {
-		c := n.Set()
-		for _, y := range vertices {
-			if c.Contains(y) || e.ix.HasDense(c.Add(y)) {
-				continue
-			}
-			if add := e.g.ScoreWith(c, y); add > n.Reach()+scoreSlack(add) {
-				return fmt.Sprintf("reach %v of %v is below the %v that %d puts into it", n.Reach(), c, add, y)
+		c, reach := n.Set(), n.Reach()
+		if reach < 0 {
+			return fmt.Sprintf("reach %v of %v is below the 0 that a vertex with no edge into it puts into it", reach, c)
+		}
+		for _, u := range c {
+			ys, _ := e.g.Neighborhood(u)
+			for _, y := range ys {
+				if c.Contains(y) || e.ix.HasDense(c.Add(y)) {
+					continue
+				}
+				if add := e.g.ScoreWith(c, y); add > reach+scoreSlack(add) {
+					return fmt.Sprintf("reach %v of %v is below the %v that %d puts into it", reach, c, add, y)
+				}
 			}
 		}
 	}

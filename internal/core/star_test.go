@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"dyndens/internal/baseline/brute"
 	"dyndens/internal/density"
 )
 
@@ -156,11 +157,11 @@ func TestStarSelectionMatchesFullScan(t *testing.T) {
 }
 
 // checkAgainstBrute requires the engine's expanded output-dense set to equal
-// the brute-force enumeration over its own graph, and its index and reach
-// certificates to be valid.
-func checkAgainstBrute(t *testing.T, e *Engine, label string) {
+// the brute-force enumeration over its own graph, both over the vertex
+// universe u, and its index and reach certificates to be valid.
+func checkAgainstBrute(t *testing.T, e *Engine, u []Vertex, label string) {
 	t.Helper()
-	if got, want := expandedKeys(e), oracleKeys(e); !slices.Equal(got, want) {
+	if got, want := expandedKeys(e, u), oracleKeys(e, u); !slices.Equal(got, want) {
 		t.Fatalf("%s: expanded output-dense set\n got %v\nwant %v", label, got, want)
 	}
 	checkValid(t, e, label)
@@ -204,16 +205,18 @@ func starHeavyRun(t *testing.T, seed int64) {
 	single := MustNew(cfg)
 	for i, u := range updates {
 		single.Process(u)
-		checkAgainstBrute(t, single, fmt.Sprintf("seed %d Process %d %v", seed, i, u))
+		checkAgainstBrute(t, single, brute.UniverseOf(updates[:i+1]), fmt.Sprintf("seed %d Process %d %v", seed, i, u))
 	}
 	if st := single.Stats(); st.StarInsertions < 20 || st.CheapExplores < 1000 {
 		t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions, st.CheapExplores)
 	}
 
 	batched := MustNew(cfg)
+	end := 0 // the batches are consecutive runs of the stream
 	for i, b := range batches {
 		batched.ProcessBatch(b)
-		checkAgainstBrute(t, batched, fmt.Sprintf("seed %d ProcessBatch %d", seed, i))
+		end += len(b)
+		checkAgainstBrute(t, batched, brute.UniverseOf(updates[:end]), fmt.Sprintf("seed %d ProcessBatch %d", seed, i))
 	}
 	if got, want := batched.OutputDenseKeys(), single.OutputDenseKeys(); !slices.Equal(got, want) {
 		t.Fatalf("seed %d: batched run ends at %v, sequential at %v", seed, got, want)
@@ -235,8 +238,9 @@ func starHeavyRun(t *testing.T, seed int64) {
 		}
 		return out
 	}
-	folds, rebuilds := 0, 0
+	folds, rebuilds, end := 0, 0, 0
 	for i, b := range batches {
+		end += len(b)
 		if i%4 != 3 {
 			scaled.ProcessBatch(norm(b, lambda))
 		} else {
@@ -252,7 +256,7 @@ func starHeavyRun(t *testing.T, seed int64) {
 				folds++
 			}
 		}
-		checkAgainstBrute(t, scaled, fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
+		checkAgainstBrute(t, scaled, brute.UniverseOf(updates[:end]), fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
 	}
 	if folds == 0 || rebuilds == 0 || scaled.Stats().StarInsertions == 0 {
 		t.Fatalf("seed %d: rescaled run made %d folds, %d threshold decreases and %d families", seed, folds, rebuilds, scaled.Stats().StarInsertions)

@@ -71,10 +71,7 @@ func TestImportStateRejectsTamperedState(t *testing.T) {
 		{"score the graph does not back", func(_ *graph.State, es *EngineState) { es.Dense[star].Score *= 1.5 }, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			gs := graph.State{
-				Known: slices.Clone(goodG.Known), EdgeU: slices.Clone(goodG.EdgeU),
-				EdgeV: slices.Clone(goodG.EdgeV), EdgeW: slices.Clone(goodG.EdgeW),
-			}
+			gs := graph.State{EdgeU: slices.Clone(goodG.EdgeU), EdgeV: slices.Clone(goodG.EdgeV), EdgeW: slices.Clone(goodG.EdgeW)}
 			es := EngineState{Scale: goodE.Scale, Dense: slices.Clone(goodE.Dense)}
 			for i := range es.Dense {
 				es.Dense[i].Set = es.Dense[i].Set.Clone()

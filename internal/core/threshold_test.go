@@ -21,6 +21,7 @@ type walkRun struct {
 	scale  float64
 	keys   map[string]bool // the explicit output-dense set, as the events apply it
 	ceased int             // CeasedOutputDense events emitted by decreases
+	seen   universe        // the vertex universe of the updates applied
 }
 
 // update draws one edge update relative to the threshold in force, so the
@@ -45,12 +46,14 @@ func (r *walkRun) step(t *testing.T) (string, bool) {
 	switch k := r.rng.Intn(20); {
 	case k < 9:
 		u := r.update()
+		r.seen.add(u)
 		evs, desc = r.e.Process(u), fmt.Sprintf("Process %v", u)
 	case k < 14:
 		batch := make([]Update, 1+r.rng.Intn(6))
 		for i := range batch {
 			batch[i] = r.update()
 		}
+		r.seen.add(batch...)
 		evs, desc = r.e.ProcessBatch(batch), fmt.Sprintf("ProcessBatch %v", batch)
 	case k < 17:
 		var retire []Update
@@ -108,13 +111,14 @@ func TestThresholdWalkMatchesBrute(t *testing.T) {
 		for seed := 1; seed <= seeds; seed++ {
 			t.Run(fmt.Sprint(seed), func(t *testing.T) {
 				t.Parallel()
-				r := &walkRun{rng: rand.New(rand.NewSource(int64(seed))), e: MustNew(Config{T: 1.2, Nmax: 4}), scale: 1, keys: map[string]bool{}}
+				r := &walkRun{rng: rand.New(rand.NewSource(int64(seed))), e: MustNew(Config{T: 1.2, Nmax: 4}), scale: 1, keys: map[string]bool{}, seen: universe{}}
 				var prev []string
 				for i := 0; i < steps; i++ {
 					desc, decrease := r.step(t)
 					label := fmt.Sprintf("seed %d step %d: %s", seed, i, desc)
-					cur := expandedKeys(r.e)
-					if want := oracleKeys(r.e); !slices.Equal(cur, want) {
+					u := r.seen.vertices()
+					cur := expandedKeys(r.e, u)
+					if want := oracleKeys(r.e, u); !slices.Equal(cur, want) {
 						t.Fatalf("%s: expanded output-dense set\n got %v\nwant %v", label, cur, want)
 					}
 					if msg := r.e.ValidateIndex(); msg != "" {
@@ -179,6 +183,7 @@ func FuzzEngineWalk(f *testing.F) {
 		}
 		e := MustNew(Config{T: 1.2, Nmax: 4})
 		scale := 1.0
+		seen := universe{}
 		update := func() Update {
 			a, b := Vertex(next()%10), Vertex(next()%10)
 			return Update{A: a, B: b, Delta: (float64(next())/255*2.5 - 0.5) * e.Config().T}
@@ -188,6 +193,7 @@ func FuzzEngineWalk(f *testing.F) {
 			switch op := next() % 6; op {
 			case 0:
 				u := update()
+				seen.add(u)
 				e.Process(u)
 				desc = fmt.Sprintf("Process %v", u)
 			case 1:
@@ -195,6 +201,7 @@ func FuzzEngineWalk(f *testing.F) {
 				for i := range batch {
 					batch[i] = update()
 				}
+				seen.add(batch...)
 				e.ProcessBatch(batch)
 				desc = fmt.Sprintf("ProcessBatch %v", batch)
 			case 2, 3:
@@ -224,7 +231,7 @@ func FuzzEngineWalk(f *testing.F) {
 				}
 				e, desc = fresh, "export → import"
 			}
-			checkAgainstBrute(t, e, fmt.Sprintf("step %d: %s", step, desc))
+			checkAgainstBrute(t, e, seen.vertices(), fmt.Sprintf("step %d: %s", step, desc))
 		}
 	})
 }

@@ -77,23 +77,16 @@ func TestProcessThresholdBatchMatchesRealUnitReference(t *testing.T) {
 	if eng.DecayScale() != scale {
 		t.Fatalf("DecayScale = %v, want %v", eng.DecayScale(), scale)
 	}
-	keys := func(e *core.Engine) []string {
-		var out []string
-		for _, s := range e.OutputDenseExpanded() {
-			out = append(out, s.Set.Key())
-		}
-		slices.Sort(out)
-		return out
-	}
-	got, want := keys(eng), keys(ref)
+	cfg := eng.Config()
+	p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates)}
+	got, want := brute.OutputDenseExpanded(eng, p), brute.OutputDenseExpanded(ref, p)
 	if len(want) == 0 {
 		t.Fatal("reference has no dense subgraphs; fixture too weak")
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("expanded dense set %v != real-unit reference %v", got, want)
 	}
-	cfg := eng.Config()
-	oracle := brute.Keys(brute.EnumerateAll(eng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	oracle := brute.Keys(brute.EnumerateAll(eng.Graph(), p))
 	if !slices.Equal(got, oracle) {
 		t.Fatalf("expanded dense set %v != oracle on normalized graph %v", got, oracle)
 	}

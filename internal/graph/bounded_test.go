@@ -239,8 +239,8 @@ func TestHeavyIndexIdleCost(t *testing.T) {
 // has built the heavy-edge index: every weight, the index's buckets and its
 // floor must follow exactly, so the index stays valid and a bound relabelled
 // with the weights selects the same edges. At 2^-1200 the lightest weights
-// reach 0 and leave the graph, with their vertices still known, and the
-// index, whose floor would leave the normal range, is dropped.
+// reach 0 and leave the graph, and so does every vertex whose last edge they
+// were, and the index, whose floor would leave the normal range, is dropped.
 func TestLdexpRelabelsExactly(t *testing.T) {
 	g := New()
 	rng := rand.New(rand.NewSource(3))
@@ -274,9 +274,11 @@ func TestLdexpRelabelsExactly(t *testing.T) {
 			}
 		}
 	}
-	if g.heavyFloor != heavyOff || g.NumEdges() != edges-gone || len(g.KnownVertices()) != len(before.Known) {
-		t.Fatalf("after 2^-1200: floor %d, %d edges of %d (%d vanishing), %d known of %d",
-			g.heavyFloor, g.NumEdges(), edges, gone, len(g.KnownVertices()), len(before.Known))
+	ends := map[Vertex]bool{}
+	g.Edges(func(u, v Vertex, _ float64) { ends[u], ends[v] = true, true })
+	if g.heavyFloor != heavyOff || g.NumEdges() != edges-gone || g.NumVertices() != len(ends) {
+		t.Fatalf("after 2^-1200: floor %d, %d edges of %d (%d vanishing), %d vertices for %d edge endpoints",
+			g.heavyFloor, g.NumEdges(), edges, gone, g.NumVertices(), len(ends))
 	}
 	checkHeavyIndex(t, g)
 	for v := Vertex(0); v < 30; v++ {

@@ -15,6 +15,14 @@
 // old. Edges runs in ascending (u, v) order, so the heavy-edge buckets it
 // fills, and every scan of them, follow from the update history alone.
 //
+// The graph keeps no vertex universe: a vertex is in it exactly while it has
+// an edge, and leaves it, with its vector, when its last edge goes. The
+// paper's fixed vertex set matters only to the supergraphs C∪{y} of a
+// too-dense C, which the engine keeps as one symbolic family (C, ∗); expanding
+// a family against a universe is the test oracle's job (baseline/brute), with
+// the universe its caller supplies. So the graph's memory follows its live
+// edges, not the length of the stream.
+//
 // # Recycled vectors
 //
 // Vertices come and go with their edges: a fading stream retires every pair
@@ -67,7 +75,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"dyndens/internal/vset"
 )
@@ -160,13 +167,9 @@ func (l *adjacency) sumOver(c []Vertex, skip Vertex) float64 {
 // as no Apply call is in flight.
 type Graph struct {
 	// adj is the vertex table of neighbourhood vectors: a vertex has one
-	// exactly while it has an edge.
+	// exactly while it has an edge, and the graph keeps nothing else per
+	// vertex, so a vertex leaves it with its last edge.
 	adj vset.Table[*adjacency]
-	// known remembers every vertex that ever carried an edge. The paper's
-	// vertex universe is fixed; a vertex whose last edge decays away can
-	// still belong to dense subgraphs (supergraphs of too-dense subgraphs
-	// absorb disconnected vertices), so the universe must not shrink.
-	known map[Vertex]bool
 	// pool holds the free neighbourhood vectors (see the package comment):
 	// pool[k] the empty ones of capacity class k, at most poolLimit(k) of them.
 	pool [][]*adjacency
@@ -189,7 +192,6 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		known:      make(map[Vertex]bool),
 		heavyFloor: heavyOff,
 		heavyAsked: heavyOff,
 	}
@@ -221,8 +223,7 @@ func (g *Graph) Degree(u Vertex) int {
 func (g *Graph) NumEdges() int { return g.edgeCount }
 
 // NumVertices returns the number of vertices that currently have at least one
-// incident edge. (The paper's vertex set is fixed; vertices with no incident
-// edges never participate in dense subgraphs, so tracking them is unnecessary.)
+// incident edge: the only vertices the graph keeps (see the package comment).
 func (g *Graph) NumVertices() int { return g.adj.Len() }
 
 // TotalWeight returns the sum of all edge weights (a diagnostic quantity used
@@ -299,18 +300,13 @@ func (g *Graph) store(a, b Vertex, la *adjacency, i int, ok bool, w float64) {
 		lb.ws[j] = w
 		g.totalWeight += w - old
 	default:
-		// A vertex only ever (re)enters adj through vector creation, so
-		// marking it known here keeps the universe bookkeeping off the hot
-		// path.
 		if la == nil {
 			la = g.vector(0)
 			g.adj.Set(a, la)
-			g.known[a] = true
 		}
 		if lb == nil {
 			lb = g.vector(0)
 			g.adj.Set(b, lb)
-			g.known[b] = true
 		}
 		g.insert(la, i, b, w)
 		j, _ := lb.find(a)
@@ -407,20 +403,6 @@ func (g *Graph) NeighborsSorted(u Vertex) ([]Vertex, []float64) {
 	copy(vs, l.vs)
 	copy(ws, l.ws)
 	return vs, ws
-}
-
-// KnownVertices returns the fixed vertex universe: every vertex that has ever
-// carried an edge, sorted, including vertices whose edges have since decayed
-// to zero. Ground-truth enumerations and ImplicitTooDense expansions must use
-// this universe — a too-dense subgraph's supergraphs include ones formed with
-// currently isolated vertices.
-func (g *Graph) KnownVertices() []Vertex {
-	vs := make([]Vertex, 0, len(g.known))
-	for v := range g.known {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }
 
 // Score returns score(C) = Σ_{i,j ∈ C, i<j} w_ij, the total internal edge
@@ -584,9 +566,6 @@ func (g *Graph) Clone() *Graph {
 	out := New()
 	for u, l := range g.adj.All() {
 		out.adj.Set(u, &adjacency{vs: slices.Clone(l.vs), ws: slices.Clone(l.ws)})
-	}
-	for v := range g.known {
-		out.known[v] = true
 	}
 	out.edgeCount = g.edgeCount
 	out.totalWeight = g.totalWeight

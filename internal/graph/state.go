@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// State is an order-canonical deep copy of a Graph for persistence: the known
-// vertex universe plus every non-zero edge as parallel (u, v, w) triples with
-// u < v, sorted by (u, v). Equal graphs export equal States regardless of the
-// insertion history, so snapshot bytes are deterministic.
+// State is an order-canonical deep copy of a Graph for persistence: every
+// non-zero edge as parallel (u, v, w) triples with u < v, sorted by (u, v).
+// The edges are the whole graph (it keeps no vertex without one). Equal
+// graphs export equal States regardless of the insertion history, so
+// snapshot bytes are deterministic.
 type State struct {
-	Known []Vertex
 	EdgeU []Vertex
 	EdgeV []Vertex
 	EdgeW []float64
@@ -18,7 +18,7 @@ type State struct {
 
 // ExportState captures the graph's full content.
 func (g *Graph) ExportState() State {
-	st := State{Known: g.KnownVertices()}
+	var st State
 	g.Edges(func(u, v Vertex, w float64) {
 		st.EdgeU = append(st.EdgeU, u)
 		st.EdgeV = append(st.EdgeV, v)
@@ -26,11 +26,6 @@ func (g *Graph) ExportState() State {
 	})
 	return st
 }
-
-// MarkKnown adds v to the known-vertex universe without touching any edge.
-// Restoration needs it for vertices whose edges have all decayed to zero:
-// they carry no adjacency vector but still count toward the universe.
-func (g *Graph) MarkKnown(v Vertex) { g.known[v] = true }
 
 // NewFromState rebuilds a graph from an exported State. It refuses a state
 // ExportState cannot have produced — edge slices of unequal length, an edge
@@ -50,9 +45,6 @@ func NewFromState(st State) (*Graph, error) {
 			return nil, fmt.Errorf("graph: state edge %d (%d, %d) of weight %v is out of order or not finite and positive", i, u, v, w)
 		}
 		g.SetWeight(u, v, w)
-	}
-	for _, v := range st.Known {
-		g.MarkKnown(v)
 	}
 	return g, nil
 }

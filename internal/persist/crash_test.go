@@ -26,7 +26,7 @@ var testTrkCfg = story.Config{MinJaccard: 0.5, Grace: 350, MinCardinality: 3}
 
 var testAggCfg = stream.AggregatorConfig{EpochLength: 25, Decay: 0.7}
 
-func testDocs(t *testing.T, n int) []stream.Document {
+func testDocs(t testing.TB, n int) []stream.Document {
 	t.Helper()
 	gen, err := stream.NewDocSynthetic(stream.DocSynthConfig{
 		BackgroundEntities: 30, Stories: 3, StorySize: 4, Docs: n, Seed: 7,

@@ -13,8 +13,9 @@
 //
 // On-disk layout (all integers little-endian):
 //
-//	snap-<seq>.snap   magic "DDSNAP1\n", format version (2; 1 is still
-//	                  read), fingerprint, payload, CRC-32C
+//	snap-<seq>.snap   magic "DDSNAP1\n", format version (3; 1 and 2 are
+//	                  still read, their vertex sets dropped), fingerprint,
+//	                  payload, CRC-32C
 //	wal-<seq>.seg     magic "DDWSEG1\n", fingerprint, first sequence, then
 //	                  frames of [length u32][crc u32][seq u64][kind u8][payload]
 //

@@ -7,17 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"dyndens/internal/core"
+	"dyndens/internal/graph"
+	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
+	"dyndens/internal/vset"
 )
 
 // captureAfter runs the single-engine document pipeline over docs and
 // captures its state at the end.
-func captureAfter(t *testing.T, docs []stream.Document) (*PipelineState, story.Stats) {
+func captureAfter(t testing.TB, docs []stream.Document) (*PipelineState, story.Stats) {
 	t.Helper()
 	agg, err := stream.NewAggregator(stream.NewSliceDocSource(docs), testAggCfg)
 	if err != nil {
@@ -71,19 +75,101 @@ func TestTrackerStateBoundedByTable(t *testing.T) {
 	}
 }
 
-// encodeSnapshotV1 writes st in snapshot format version 1, which stored the
-// tracker's whole lifecycle log (here log) where version 2 stores the counts.
-// The version-1 layout is written out independently of the current encoder.
-func encodeSnapshotV1(fingerprint string, st *PipelineState, log []story.Record) []byte {
+// TestGraphStateBoundedByLiveEdges pins that the persisted graph is a function
+// of the live pairs, not of the stream: n documents over a wide, uniformly
+// mentioned background are followed by a copy of themselves n time units on,
+// with every entity shifted past those of the first n. By the end of the copy
+// the first period has faded out, so the live pairs match in number while
+// twice as many vertices have carried an edge. The encoded graph states must
+// be within 10 % of each other.
+func TestGraphStateBoundedByLiveEdges(t *testing.T) {
+	const n = 2000
+	gen, err := stream.NewDocSynthetic(stream.DocSynthConfig{
+		BackgroundEntities: 2000, BackgroundSkew: 1, Stories: 3, StorySize: 4, Docs: n, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, err := stream.DrainDocs(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shift vset.Vertex
+	for _, d := range once {
+		shift = max(shift, d.Entities.Max()+1)
+	}
+	twice := append([]stream.Document(nil), once...)
+	for _, d := range once {
+		ents := make([]vset.Vertex, len(d.Entities))
+		for i, v := range d.Entities {
+			ents[i] = v + shift
+		}
+		twice = append(twice, stream.Document{Time: d.Time + n, Entities: vset.New(ents...)})
+	}
+	encoded := func(ps *PipelineState) int {
+		var e encoder
+		encodeGraphState(&e, ps.Graph)
+		return len(e.b)
+	}
+	short, _ := captureAfter(t, once)
+	long, _ := captureAfter(t, twice)
+	if a, b := len(short.Graph.EdgeU), len(long.Graph.EdgeU); 10*b > 11*a || 10*a > 11*b {
+		t.Fatalf("fixture: %d live pairs after %d documents, %d after %d; want about as many", a, n, b, 2*n)
+	}
+	if a, b := encoded(short), encoded(long); 10*b > 11*a || 10*a > 11*b {
+		t.Fatalf("encoded graph state is %d bytes after %d documents and %d after %d: it grows with the stream", a, n, b, 2*n)
+	}
+}
+
+// encodeSnapshotBefore3 writes st in snapshot format version 1 or 2, which
+// stored with each graph the set known of every vertex that had ever carried
+// an edge, ahead of its edges. Version 1 also stored the tracker's whole
+// lifecycle log (here log) where version 2 stores the counts. The graph and
+// tracker layouts are written out independently of the current encoder; the
+// engine and aggregator layouts have not changed since version 1.
+func encodeSnapshotBefore3(version uint32, fingerprint string, st *PipelineState, known []graph.Vertex, log []story.Record) []byte {
 	var e encoder
 	e.b = append(e.b, snapMagic...)
-	e.u32(1)
+	e.u32(version)
 	e.str(fingerprint)
-	front := *st
-	front.Tracker = nil
-	encodePipelineState(&e, &front)
+	graphV2 := func(gs *graph.State) {
+		e.set(vset.Set(known))
+		e.u32(uint32(len(gs.EdgeU)))
+		for i := range gs.EdgeU {
+			e.u32(uint32(gs.EdgeU[i]))
+			e.u32(uint32(gs.EdgeV[i]))
+			e.f64(gs.EdgeW[i])
+		}
+	}
+	e.u64(st.Seq)
+	e.u64(st.Ticks)
+	e.boolean(st.Graph != nil)
+	if st.Graph != nil {
+		graphV2(st.Graph)
+	}
+	e.boolean(st.Engine != nil)
+	if st.Engine != nil {
+		encodeEngineState(&e, st.Engine)
+	}
+	e.boolean(st.Shard != nil)
+	if ss := st.Shard; ss != nil {
+		e.u64(ss.NextSeq)
+		e.u32(uint32(len(ss.Tracked)))
+		for _, k := range ss.Tracked {
+			e.str(k)
+		}
+		graphV2(&ss.Graph)
+		e.u32(uint32(len(ss.Workers)))
+		for i := range ss.Workers {
+			encodeEngineState(&e, &ss.Workers[i])
+		}
+	}
+	e.boolean(st.Agg != nil)
+	if st.Agg != nil {
+		encodeAggState(&e, st.Agg)
+	}
+	e.boolean(st.Tracker != nil)
 	if ts := st.Tracker; ts != nil {
-		e.b[len(e.b)-1] = 1 // the tracker-present flag ends the payload
 		e.u64(ts.Seq)
 		e.u64(uint64(ts.NextID))
 		e.u32(uint32(len(ts.Stories)))
@@ -100,24 +186,70 @@ func encodeSnapshotV1(fingerprint string, st *PipelineState, log []story.Record)
 			e.u64(s.SnapSeq)
 			e.set(s.Snapshot)
 		}
-		e.u32(uint32(len(log)))
-		for _, r := range log {
-			e.u64(r.Seq)
-			e.u8(uint8(r.Kind))
-			e.u64(uint64(r.Story))
-			e.u64(uint64(r.Other))
-			e.set(r.Entities)
+		if version == 1 {
+			e.u32(uint32(len(log)))
+			for _, r := range log {
+				e.u64(r.Seq)
+				e.u8(uint8(r.Kind))
+				e.u64(uint64(r.Story))
+				e.u64(uint64(r.Other))
+				e.set(r.Entities)
+			}
+		} else {
+			for k := story.Born; k <= story.Died; k++ {
+				e.u64(uint64(ts.Counts[k]))
+			}
 		}
 	}
 	e.u32(crc32.Checksum(e.b, castagnoli))
 	return e.b
 }
 
+// encodeSnapshotV1 writes st in snapshot format version 1 (see
+// encodeSnapshotBefore3).
+func encodeSnapshotV1(fingerprint string, st *PipelineState, known []graph.Vertex, log []story.Record) []byte {
+	return encodeSnapshotBefore3(1, fingerprint, st, known, log)
+}
+
+// encodeSnapshotV2 writes st in snapshot format version 2 (see
+// encodeSnapshotBefore3).
+func encodeSnapshotV2(fingerprint string, st *PipelineState, known []graph.Vertex) []byte {
+	return encodeSnapshotBefore3(2, fingerprint, st, known, nil)
+}
+
+// knownOf is a vertex set such as versions 1 and 2 stored with st's graph:
+// every vertex with an edge, and one beyond them that has none any more.
+func knownOf(st *PipelineState) []graph.Vertex {
+	gs := st.Graph
+	if gs == nil {
+		gs = &st.Shard.Graph
+	}
+	known := append(slices.Clone(gs.EdgeU), gs.EdgeV...)
+	slices.Sort(known)
+	known = slices.Compact(known)
+	if len(known) == 0 {
+		return []graph.Vertex{0}
+	}
+	return append(known, known[len(known)-1]+1)
+}
+
 // TestSnapshotV1Resumes pins the cross-version resume: a WAL directory whose
-// snapshots are in format version 1 decodes to the same state as version 2
-// (the log counted by kind), and a restart over it ends with the Stats, the
-// story table and the record suffix of an uninterrupted run.
-func TestSnapshotV1Resumes(t *testing.T) {
+// snapshots are in format version 1 decodes to the same state as the current
+// version (the log counted by kind, the vertex set dropped), and a restart
+// over it ends with the Stats, the story table and the record suffix of an
+// uninterrupted run.
+func TestSnapshotV1Resumes(t *testing.T) { checkOldSnapshotsResume(t, 1) }
+
+// TestSnapshotV2Resumes pins the same for format version 2, whose graphs
+// carry the set of every vertex that ever had an edge: each snapshot restores
+// to the engine, aggregator and tracker state of its version-3 capture, and
+// one truncated inside its vertex set is refused.
+func TestSnapshotV2Resumes(t *testing.T) { checkOldSnapshotsResume(t, 2) }
+
+// checkOldSnapshotsResume rewrites the snapshots of a WAL directory in format
+// version 1 or 2 and checks what TestSnapshotV1Resumes and
+// TestSnapshotV2Resumes describe, single-engine and sharded.
+func checkOldSnapshotsResume(t *testing.T, version uint32) {
 	docs := testDocs(t, 400)
 	for _, shards := range []int{0, 4} {
 		label := fmt.Sprintf("shards=%d", shards)
@@ -150,15 +282,22 @@ func TestSnapshotV1Resumes(t *testing.T) {
 			for _, c := range st.Tracker.Counts {
 				counted += c
 			}
-			v1 := encodeSnapshotV1(fp, st, first.records[:counted])
-			back, err := decodeSnapshot(v1, fp)
+			known := knownOf(st)
+			old := encodeSnapshotBefore3(version, fp, st, known, first.records[:counted])
+			back, err := decodeSnapshot(old, fp)
 			if err != nil {
-				t.Fatalf("%s: %s in version 1: %v", label, ent.Name(), err)
+				t.Fatalf("%s: %s in version %d: %v", label, ent.Name(), version, err)
 			}
 			if !reflect.DeepEqual(back, st) {
-				t.Fatalf("%s: %s decodes differently in version 1:\n got %+v\nwant %+v", label, ent.Name(), back.Tracker, st.Tracker)
+				t.Fatalf("%s: %s decodes differently in version %d:\n got %+v\nwant %+v", label, ent.Name(), version, back, st)
 			}
-			if err := os.WriteFile(path, v1, 0o644); err != nil {
+			if version == 2 {
+				checkSameRestore(t, label+" "+ent.Name(), shards, back, st)
+				if shards == 0 {
+					checkTruncatedKnownRefused(t, label+" "+ent.Name(), old, fp, len(known))
+				}
+			}
+			if err := os.WriteFile(path, old, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			converted++
@@ -171,9 +310,73 @@ func TestSnapshotV1Resumes(t *testing.T) {
 			t.Fatalf("%s: resumed run did not finish", label)
 		}
 		if got.base == 0 {
-			t.Fatalf("%s: the resumed run restored no records from the version-1 snapshot", label)
+			t.Fatalf("%s: the resumed run restored no records from the version-%d snapshot", label, version)
 		}
 		checkEqual(t, got, want, label)
+	}
+}
+
+// checkSameRestore restores got and want into an engine (sharded when shards
+// > 0), an aggregator and a tracker each, and requires equal exported states.
+func checkSameRestore(t *testing.T, label string, shards int, got, want *PipelineState) {
+	t.Helper()
+	type restored struct {
+		graph  graph.State
+		engine any
+		agg    stream.AggregatorState
+		trk    story.TrackerState
+	}
+	restore := func(st *PipelineState) restored {
+		var r restored
+		if shards > 0 {
+			se, err := RestoreSharded(shard.Config{Shards: shards, Engine: testEngCfg}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			r.engine = se.ExportState()
+		} else {
+			eng, err := RestoreEngine(testEngCfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.graph, r.engine = eng.Graph().ExportState(), eng.ExportState()
+		}
+		agg, err := RestoreAggregator(stream.NewSliceDocSource(nil), testAggCfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.agg, err = agg.ExportState(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := RestoreTracker(testTrkCfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.trk, err = tr.ExportState(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if g, w := restore(got), restore(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: the version-2 snapshot restores to\n%+v\nthe version-3 capture to\n%+v", label, g, w)
+	}
+}
+
+// checkTruncatedKnownRefused cuts the single-engine version-2 snapshot raw
+// off halfway through the vertex set of its graph, which holds n vertices,
+// seals the rest with a valid CRC, and requires the decoder to refuse it.
+func checkTruncatedKnownRefused(t *testing.T, label string, raw []byte, fingerprint string, n int) {
+	t.Helper()
+	// magic, version, fingerprint, seq, ticks, the graph's flag, the set's length
+	at := len(snapMagic) + 4 + 4 + len(fingerprint) + 8 + 8 + 1 + 4 + 4*(n/2)
+	if at >= len(raw)-4 {
+		t.Fatalf("%s: the snapshot is %d bytes, too short to cut at %d", label, len(raw), at)
+	}
+	cut := append([]byte(nil), raw[:at]...)
+	cut = binary.LittleEndian.AppendUint32(cut, crc32.Checksum(cut, castagnoli))
+	if _, err := decodeSnapshot(cut, fingerprint); err == nil {
+		t.Fatalf("%s: a version-2 snapshot cut inside its vertex set decoded", label)
 	}
 }
 
@@ -183,7 +386,7 @@ func TestSnapshotVersionChecks(t *testing.T) {
 	st := &PipelineState{Seq: 3, Tracker: &story.TrackerState{NextID: 1}}
 	raw := encodeSnapshot(testFP, st)
 	if got, err := decodeSnapshot(raw, testFP); err != nil || !reflect.DeepEqual(got, st) {
-		t.Fatalf("version-2 round trip: %+v, %v", got, err)
+		t.Fatalf("version-%d round trip: %+v, %v", snapVersion, got, err)
 	}
 	future := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(future[len(snapMagic):], snapVersion+1)
@@ -191,8 +394,51 @@ func TestSnapshotVersionChecks(t *testing.T) {
 	if _, err := decodeSnapshot(future, testFP); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("a version-%d snapshot decoded (err %v)", snapVersion+1, err)
 	}
-	bad := encodeSnapshotV1(testFP, st, []story.Record{{Seq: 1, Kind: story.Died + 1, Story: 1}})
+	bad := encodeSnapshotV1(testFP, st, nil, []story.Record{{Seq: 1, Kind: story.Died + 1, Story: 1}})
 	if _, err := decodeSnapshot(bad, testFP); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("a version-1 record of unknown kind decoded (err %v)", err)
 	}
+}
+
+// FuzzDecodeSnapshot feeds the snapshot decoder arbitrary bytes, both as they
+// are and sealed with a valid CRC (so that mutations reach the payload), and
+// whatever decodes to the restore constructors. Every input must either be
+// refused with an error or restore, or be refused by a constructor with an
+// error; none may panic. The seeds are one small run's capture in format
+// versions 1, 2 and 3, without their CRC: 21 documents that leave a family on
+// {1,2}, a dense triple under it and a story, a few hundred bytes, so that the
+// fuzzer's minimiser is quick.
+func FuzzDecodeSnapshot(f *testing.F) {
+	var docs []stream.Document
+	for i := range 20 {
+		ents := vset.New(1, 2)
+		if i >= 12 {
+			ents = vset.New(1, 2, 3)
+		}
+		docs = append(docs, stream.Document{Time: int64(i), Entities: ents})
+	}
+	docs = append(docs, stream.Document{Time: 20, Entities: vset.New(3, 4)})
+	st, _ := captureAfter(f, docs)
+	for _, raw := range [][]byte{
+		encodeSnapshotV1(testFP, st, knownOf(st), nil),
+		encodeSnapshotV2(testFP, st, knownOf(st)),
+		encodeSnapshot(testFP, st),
+	} {
+		if _, err := decodeSnapshot(raw, testFP); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw[:len(raw)-4])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sealed := binary.LittleEndian.AppendUint32(slices.Clone(in), crc32.Checksum(in, castagnoli))
+		for _, raw := range [][]byte{in, sealed} {
+			st, err := decodeSnapshot(raw, testFP)
+			if err != nil {
+				continue
+			}
+			RestoreEngine(testEngCfg, st)
+			RestoreAggregator(stream.NewSliceDocSource(nil), testAggCfg, st)
+			RestoreTracker(testTrkCfg, st)
+		}
+	})
 }

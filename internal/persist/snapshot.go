@@ -15,8 +15,10 @@ const (
 	snapMagic = "DDSNAP1\n"
 	// snapVersion is the format encodeSnapshot writes. Version 2 stores the
 	// tracker's per-kind record counts where version 1 stored its whole
-	// lifecycle log; decodeSnapshot reads both.
-	snapVersion = 2
+	// lifecycle log; version 3 drops the set of every vertex that ever carried
+	// an edge, which versions 1 and 2 stored with each graph. decodeSnapshot
+	// reads all three.
+	snapVersion = 3
 )
 
 func snapshotName(seq uint64) string {

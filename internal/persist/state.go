@@ -8,7 +8,6 @@ import (
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
-	"dyndens/internal/vset"
 )
 
 // PipelineState is the full durable state of one pipeline deployment at a
@@ -33,7 +32,6 @@ type PipelineState struct {
 }
 
 func encodeGraphState(e *encoder, gs *graph.State) {
-	e.set(vset.Set(gs.Known))
 	e.u32(uint32(len(gs.EdgeU)))
 	for i := range gs.EdgeU {
 		e.u32(uint32(gs.EdgeU[i]))
@@ -42,9 +40,15 @@ func encodeGraphState(e *encoder, gs *graph.State) {
 	}
 }
 
-func decodeGraphState(d *decoder) graph.State {
+// decodeGraphState reads the graph state of a snapshot in the given format
+// version. Versions 1 and 2 stored the set of every vertex that ever carried
+// an edge ahead of the edges; the graph no longer keeps one, so the set is
+// read and dropped.
+func decodeGraphState(d *decoder, version uint32) graph.State {
 	var gs graph.State
-	gs.Known = []graph.Vertex(d.set())
+	if version < 3 {
+		d.set()
+	}
 	n := d.count(16)
 	if d.err != nil {
 		return gs
@@ -101,13 +105,13 @@ func encodeShardState(e *encoder, ss *shard.State) {
 	}
 }
 
-func decodeShardState(d *decoder) *shard.State {
+func decodeShardState(d *decoder, version uint32) *shard.State {
 	ss := &shard.State{NextSeq: d.u64()}
 	n := d.count(4)
 	for i := 0; i < n && d.err == nil; i++ {
 		ss.Tracked = append(ss.Tracked, d.str())
 	}
-	ss.Graph = decodeGraphState(d)
+	ss.Graph = decodeGraphState(d, version)
 	n = d.count(12)
 	for i := 0; i < n && d.err == nil; i++ {
 		ss.Workers = append(ss.Workers, decodeEngineState(d))
@@ -254,7 +258,7 @@ func encodePipelineState(e *encoder, st *PipelineState) {
 func decodePipelineState(d *decoder, version uint32) *PipelineState {
 	st := &PipelineState{Seq: d.u64(), Ticks: d.u64()}
 	if d.boolean() {
-		gs := decodeGraphState(d)
+		gs := decodeGraphState(d, version)
 		st.Graph = &gs
 	}
 	if d.boolean() {
@@ -262,7 +266,7 @@ func decodePipelineState(d *decoder, version uint32) *PipelineState {
 		st.Engine = &es
 	}
 	if d.boolean() {
-		st.Shard = decodeShardState(d)
+		st.Shard = decodeShardState(d, version)
 	}
 	if d.boolean() {
 		st.Agg = decodeAggState(d)

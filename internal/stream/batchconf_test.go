@@ -277,8 +277,10 @@ func TestBatchConformance(t *testing.T) {
 			batTracker := newLoggedTracker(trackerConfig)
 			rec := &tickRecorder{}
 			bat.SetSink(core.MultiSink{rec, batTracker})
+			var applied []core.Update
 			for i, b := range batches {
 				bat.ProcessBatch(b)
+				applied = append(applied, b...)
 				if got, want := canonKeys(rec.ticks[i]), canonKeys(nets[i]); !slices.Equal(got, want) {
 					t.Fatalf("batch %d: batched events %v != sequential net %v", i, got, want)
 				}
@@ -287,13 +289,9 @@ func TestBatchConformance(t *testing.T) {
 						t.Fatalf("after batch %d: batched keys %v != sequential %v", i, got, refKeys[i])
 					}
 					cfg := bat.Config()
-					oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
-					var expanded []string
-					for _, s := range bat.OutputDenseExpanded() {
-						expanded = append(expanded, s.Set.Key())
-					}
-					slices.Sort(expanded)
-					if !slices.Equal(expanded, oracle) {
+					p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(applied)}
+					oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), p))
+					if expanded := brute.OutputDenseExpanded(bat, p); !slices.Equal(expanded, oracle) {
 						t.Fatalf("after batch %d: batched expanded set %v != oracle %v", i, expanded, oracle)
 					}
 				}
@@ -358,21 +356,19 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 			batTracker := newLoggedTracker(trackerConfig)
 			rec := &tickRecorder{}
 			bat.SetSink(core.MultiSink{rec, batTracker})
+			applied := 0
 			for i, b := range batches {
 				for _, u := range b {
 					seq.Process(u)
 				}
 				bat.ProcessBatch(b)
+				applied += len(b)
 				if i%10 == 0 || i == len(batches)-1 {
 					cfg := bat.Config()
-					oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+					p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates[:applied])}
+					oracle := brute.Keys(brute.EnumerateAll(bat.Graph(), p))
 					for name, eng := range map[string]*core.Engine{"batched": bat, "sequential": seq} {
-						var expanded []string
-						for _, s := range eng.OutputDenseExpanded() {
-							expanded = append(expanded, s.Set.Key())
-						}
-						slices.Sort(expanded)
-						if !slices.Equal(expanded, oracle) {
+						if expanded := brute.OutputDenseExpanded(eng, p); !slices.Equal(expanded, oracle) {
 							t.Fatalf("after batch %d: %s expanded set %v != oracle %v", i, name, expanded, oracle)
 						}
 					}
@@ -495,13 +491,18 @@ func TestRunBatchesCoalescedMatchesSequential(t *testing.T) {
 	}
 	// Which members of an ImplicitTooDense family are explicit depends on the
 	// order of discovery, so the engines are compared expanded.
+	updates, err := Drain(MustSynthetic(synth))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := batEng.Config()
-	oracle := brute.Keys(brute.EnumerateAll(batEng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
+	p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates)}
+	oracle := brute.Keys(brute.EnumerateAll(batEng.Graph(), p))
 	if len(oracle) == 0 {
 		t.Fatal("no output-dense subgraphs at end of stream; fixture too weak")
 	}
 	for name, eng := range map[string]*core.Engine{"coalesced": batEng, "sequential": seqEng} {
-		if got := expandedKeys(eng); !slices.Equal(got, oracle) {
+		if got := brute.OutputDenseExpanded(eng, p); !slices.Equal(got, oracle) {
 			t.Fatalf("%s: expanded set %v != oracle %v", name, got, oracle)
 		}
 	}

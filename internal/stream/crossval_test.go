@@ -62,18 +62,14 @@ func (tr *eventTracker) sortedKeys() []string {
 	return slices.Sorted(maps.Keys(tr.keys))
 }
 
-// checkAgainstOracle asserts invariant 1 above.
-func checkAgainstOracle(t *testing.T, eng *core.Engine, step int) {
+// checkAgainstOracle asserts invariant 1 above after the first step updates
+// of the stream updates, over the vertex universe they bring.
+func checkAgainstOracle(t *testing.T, eng *core.Engine, updates []Update, step int) {
 	t.Helper()
 	cfg := eng.Config()
-	oracle := brute.EnumerateAll(eng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax})
-	wantKeys := brute.Keys(oracle)
-	var gotKeys []string
-	for _, s := range eng.OutputDenseExpanded() {
-		gotKeys = append(gotKeys, s.Set.Key())
-	}
-	sort.Strings(gotKeys)
-	if !slices.Equal(gotKeys, wantKeys) {
+	p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates[:step])}
+	wantKeys := brute.Keys(brute.EnumerateAll(eng.Graph(), p))
+	if gotKeys := brute.OutputDenseExpanded(eng, p); !slices.Equal(gotKeys, wantKeys) {
 		t.Fatalf("after %d updates: engine output-dense set %v != oracle %v", step, gotKeys, wantKeys)
 	}
 	if msg := eng.ValidateIndex(); msg != "" {
@@ -89,19 +85,23 @@ func checkAgainstOracle(t *testing.T, eng *core.Engine, step int) {
 // feeds an eventTracker whose view must match the engine's.
 func runCrossVal(t *testing.T, seed int64, sink core.EventSink, tracker *eventTracker) {
 	t.Helper()
-	src := MustSynthetic(SynthConfig{
+	synth := SynthConfig{
 		Vertices:         10,
 		Updates:          400,
 		Seed:             seed,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	})
+	}
+	updates, err := Drain(MustSynthetic(synth))
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
-	r := NewReplay(src, eng, sink)
+	r := NewReplay(MustSynthetic(synth), eng, sink)
 	checks := 0
 	r.SetBoundaryHook(func() error {
 		step := r.Stats().Updates
-		checkAgainstOracle(t, eng, step)
+		checkAgainstOracle(t, eng, updates, step)
 		if tracker != nil {
 			got := tracker.sortedKeys()
 			want := eng.OutputDenseKeys()
@@ -279,7 +279,7 @@ func TestShardedConformance(t *testing.T) {
 
 					// Oracle checkpoint: single engine vs brute, merged-tracked
 					// set vs both.
-					checkAgainstOracle(t, single, end)
+					checkAgainstOracle(t, single, updates, end)
 					gotKeys := se.OutputDenseKeys()
 					wantKeys := single.OutputDenseKeys()
 					if !slices.Equal(gotKeys, wantKeys) {

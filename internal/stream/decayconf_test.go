@@ -112,15 +112,21 @@ func runDecayConfPipeline(t *testing.T, src UpdateSource, engCfg core.Config, co
 	return p
 }
 
-// expandedKeys is the representation-independent result set: the expanded
-// output-dense subgraphs' canonical keys, sorted.
-func expandedKeys(eng *core.Engine) []string {
-	var out []string
-	for _, s := range eng.OutputDenseExpanded() {
-		out = append(out, s.Set.Key())
+// sweepUniverse is the vertex universe of an engine fed the reference stream
+// ref, or the aggregator's equivalent of it: brute.UniverseOf its updates.
+func sweepUniverse(ref fade.Stream) []vset.Vertex {
+	var all []Update
+	for _, g := range ref.Groups {
+		all = append(all, g.Updates...)
 	}
-	slices.Sort(out)
-	return out
+	return brute.UniverseOf(all)
+}
+
+// expandedKeys is the representation-independent result set: the expanded
+// output-dense subgraphs' canonical keys over the vertex universe u, sorted.
+func expandedKeys(eng *core.Engine, u []vset.Vertex) []string {
+	cfg := eng.Config()
+	return brute.OutputDenseExpanded(eng, brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: u})
 }
 
 // TestDecayModeConformance drives the same randomized document workload
@@ -162,19 +168,20 @@ func TestDecayModeConformance(t *testing.T) {
 			// drives and match the brute oracle on each engine's own graph
 			// (normalized units for the rescaled engines — the oracle scales
 			// with the graph it is given).
-			want := expandedKeys(sweepSeq.eng)
+			u := sweepUniverse(ref)
+			want := expandedKeys(sweepSeq.eng, u)
 			if len(want) == 0 {
 				t.Fatal("no dense subgraphs at end of stream; fixture too weak")
 			}
 			for name, p := range map[string]*decayConfPipeline{
 				"sweep-sequential": sweepSeq, "sweep-batched": sweepBat, "rescale-uncoalesced": rescaleSeq, "rescale-batched": rescaleBat,
 			} {
-				if got := expandedKeys(p.eng); !slices.Equal(got, want) {
+				if got := expandedKeys(p.eng, u); !slices.Equal(got, want) {
 					t.Fatalf("%s: expanded dense set %v != sweep sequential %v", name, got, want)
 				}
 				cfg := p.eng.Config()
-				oracle := brute.Keys(brute.EnumerateAll(p.eng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
-				if got := expandedKeys(p.eng); !slices.Equal(got, oracle) {
+				oracle := brute.Keys(brute.EnumerateAll(p.eng.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: u}))
+				if got := expandedKeys(p.eng, u); !slices.Equal(got, oracle) {
 					t.Fatalf("%s: expanded dense set %v != oracle %v", name, got, oracle)
 				}
 			}
@@ -216,6 +223,7 @@ func TestDecayModeConformance(t *testing.T) {
 // expanded dense set identical, down to 2⁻⁴⁰⁰ and up to 2⁴⁰⁰.
 func TestScaleInvariance(t *testing.T) {
 	docs := conformanceDocs(t, 7)
+	u := sweepUniverse(fade.Sweep(docs, fadeConfig(AggregatorConfig{EpochLength: 25, Decay: 0.7})))
 	run := func(c float64, coalesce bool) *decayConfPipeline {
 		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7, DocWeight: c, PruneBelow: 1e-3 * c})
 		return runDecayConfPipeline(t, agg, core.Config{T: 6.5 * c, Nmax: 4}, coalesce)
@@ -229,7 +237,7 @@ func TestScaleInvariance(t *testing.T) {
 			got := run(c, coalesce)
 			label := fmt.Sprintf("c=%g coalesce=%v", c, coalesce)
 			requireSameRecords(t, label, got.tracker, want.tracker)
-			if g, w := expandedKeys(got.eng), expandedKeys(want.eng); !slices.Equal(g, w) {
+			if g, w := expandedKeys(got.eng, u), expandedKeys(want.eng, u); !slices.Equal(g, w) {
 				t.Fatalf("%s: expanded dense set %v != %v", label, g, w)
 			}
 		}

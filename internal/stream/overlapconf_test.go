@@ -60,13 +60,9 @@ func TestOverlapConformanceMatrixSequential(t *testing.T) {
 		if (i+1)%checkEvery == 0 || i == len(updates)-1 {
 			keysAt[i+1] = ref.OutputDenseKeys()
 			cfg := ref.Config()
-			oracle := brute.Keys(brute.EnumerateAll(ref.Graph(), brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax}))
-			var expanded []string
-			for _, s := range ref.OutputDenseExpanded() {
-				expanded = append(expanded, s.Set.Key())
-			}
-			slices.Sort(expanded)
-			if !slices.Equal(expanded, oracle) {
+			p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates[:i+1])}
+			oracle := brute.Keys(brute.EnumerateAll(ref.Graph(), p))
+			if expanded := brute.OutputDenseExpanded(ref, p); !slices.Equal(expanded, oracle) {
 				t.Fatalf("after %d updates: reference expanded set %v != oracle %v", i+1, expanded, oracle)
 			}
 		}
