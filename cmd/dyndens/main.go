@@ -27,7 +27,6 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/density"
-	"dyndens/internal/shard"
 )
 
 func main() {
@@ -84,9 +83,7 @@ subcommands:
 // and serve and returns a constructor that builds the configuration after
 // parsing. defT and defNmax are the per-subcommand defaults (the story
 // pipeline wants a threshold matched to document co-occurrence weights, the
-// raw update commands the historical T=3/Nmax=5). The configuration feeds
-// either a single core.Engine or the per-worker engines of a sharded
-// deployment (-shards).
+// raw update commands the historical T=3/Nmax=5).
 func engineFlags(fs *flag.FlagSet, defT float64, defNmax int) func() (core.Config, error) {
 	t := fs.Float64("T", defT, "output-density threshold T")
 	nmax := fs.Int("nmax", defNmax, "maximum subgraph cardinality Nmax")
@@ -182,22 +179,4 @@ func statsSummary(s core.Stats) string {
 		s.Updates, s.PositiveUpdates, s.NegativeUpdates, s.Events,
 		s.IndexedDense, s.IndexedStars, s.IndexNodes, s.MaxIndexNodes,
 		s.Explorations, s.ExploreCertified, s.CheapExplores, s.CheapIndexed, s.Insertions, s.Evictions)
-}
-
-// shardedSummary formats the aggregate + per-shard work counters of a sharded
-// deployment. The aggregate sums the per-worker engines: under mirror
-// delivery updates count every (update, shard) application, under scoped
-// delivery each worker counts only the updates delivered to it (the rest
-// appear in its load's applied column).
-func shardedSummary(st shard.Stats) string {
-	var b strings.Builder
-	b.WriteString(statsSummary(st.Aggregate))
-	fmt.Fprintf(&b, "\nmerge:  overlap=%s merged-events=%d deduped=%d mean-delivery=%.2f",
-		st.Overlap, st.MergedEvents, st.DedupedEvents, st.MeanDeliveryFraction())
-	for i, ps := range st.PerShard {
-		l := st.Loads[i]
-		fmt.Fprintf(&b, "\nshard %d: delivered=%d applied=%d (fraction=%.2f) events=%d dense=%d explorations=%d insertions=%d evictions=%d",
-			i, l.Delivered, l.Applied, l.DeliveryFraction(), ps.Events, ps.IndexedDense, ps.Explorations, ps.Insertions, ps.Evictions)
-	}
-	return b.String()
 }

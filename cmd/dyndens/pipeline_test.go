@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dyndens/internal/persist"
 )
 
 // docPrefix returns the golden document stream cut after its first n
@@ -62,11 +64,12 @@ func runCapturing(t *testing.T, cmd func([]string) error, args []string) (stdout
 }
 
 // TestResumeExtendsInput pins resume through the CLI for stories run and
-// serve, single and sharded: a -wal run over the first 300 documents, then a
-// rerun over the same file extended to all 600, must end on the story table
-// of a one-shot stories run over the 600. The rerun must resume from the
-// first run's final checkpoint, and serve must restore its serving builder
-// from it.
+// serve: a -wal run over the first 300 documents, then a rerun over the same
+// file extended to all 600, must end on the story table of a one-shot stories
+// run over the 600. The rerun must resume from the first run's final
+// checkpoint, and serve must restore its serving builder from it. Each
+// subtest is named after the engine layout its WAL fingerprint records
+// (engineLayout).
 func TestResumeExtendsInput(t *testing.T) {
 	prefix, full := docPrefix(t, 300)
 	ref := storyTable(captureStdout(t, func() error {
@@ -85,28 +88,26 @@ func TestResumeExtendsInput(t *testing.T) {
 		{"stories run", cmdStoriesRun, nil},
 		{"serve", cmdServe, []string{"-exit-after-ingest", "-addr", "127.0.0.1:0"}},
 	} {
-		for _, shards := range []string{"0", "2"} {
-			t.Run(c.name+"/shards="+shards, func(t *testing.T) {
-				dir := t.TempDir()
-				input := filepath.Join(dir, "docs.docs")
-				args := append([]string{"-input", input, "-wal", filepath.Join(dir, "wal"), "-shards", shards, "-quiet"}, c.extra...)
-				writeFile(t, input, prefix)
-				if _, _, err := runCapturing(t, c.cmd, args); err != nil {
-					t.Fatalf("first run: %v", err)
-				}
-				writeFile(t, input, full)
-				out, stderr, err := runCapturing(t, c.cmd, args)
-				if err != nil {
-					t.Fatalf("rerun: %v", err)
-				}
-				if !strings.Contains(stderr, "wal: recovered 300 durable units") {
-					t.Errorf("rerun did not resume from the first run's 300 documents:\n%s", stderr)
-				}
-				if got := storyTable(out); got != ref {
-					t.Errorf("resumed story table differs from the one-shot run:\n--- one-shot ---\n%s\n--- resumed ---\n%s", ref, got)
-				}
-			})
-		}
+		t.Run(c.name+"/shards=0", func(t *testing.T) {
+			dir := t.TempDir()
+			input := filepath.Join(dir, "docs.docs")
+			args := append([]string{"-input", input, "-wal", filepath.Join(dir, "wal"), "-quiet"}, c.extra...)
+			writeFile(t, input, prefix)
+			if _, _, err := runCapturing(t, c.cmd, args); err != nil {
+				t.Fatalf("first run: %v", err)
+			}
+			writeFile(t, input, full)
+			out, stderr, err := runCapturing(t, c.cmd, args)
+			if err != nil {
+				t.Fatalf("rerun: %v", err)
+			}
+			if !strings.Contains(stderr, "wal: recovered 300 durable units") {
+				t.Errorf("rerun did not resume from the first run's 300 documents:\n%s", stderr)
+			}
+			if got := storyTable(out); got != ref {
+				t.Errorf("resumed story table differs from the one-shot run:\n--- one-shot ---\n%s\n--- resumed ---\n%s", ref, got)
+			}
+		})
 	}
 }
 
@@ -156,6 +157,78 @@ func TestResumeFormatV1WAL(t *testing.T) {
 				t.Errorf("resumed story table differs from the one-shot run:\n--- one-shot ---\n%s\n--- resumed ---\n%s", ref, got)
 			}
 		})
+	}
+}
+
+// TestShardedWALRefused pins that a WAL directory written by a sharded build
+// is never resumed. testdata/wal_sharded was written by a build whose CLI
+// could shard the engine, the way testdata/wal_v1 was made: `stories run -wal
+// DIR -shards 2 -quiet` over the first 300 documents of docs_small.docs,
+// under its path. Its fingerprint records shards=2, so stories run over a copy
+// of it must fail with an error naming that layout, recover nothing, and leave
+// every file as it was.
+func TestShardedWALRefused(t *testing.T) {
+	src := filepath.Join("testdata", "wal_sharded")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := map[string]string{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[f.Name()] = string(data)
+		writeFile(t, filepath.Join(dir, f.Name()), string(data))
+	}
+	out, stderr, err := runCapturing(t, cmdStoriesRun, []string{"-input", filepath.Join("testdata", "docs_small.docs"), "-wal", dir, "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "shards=2") {
+		t.Fatalf("stories run over a sharded WAL directory: got error %v, want one naming shards=2", err)
+	}
+	if strings.Contains(stderr, "recovered") || storyTable(out) != "" {
+		t.Errorf("stories run resumed a sharded WAL directory:\n%s%s", stderr, out)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(want) {
+		t.Errorf("the directory holds %d files after the refusal, %d before", len(after), len(want))
+	}
+	for _, f := range after {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[f.Name()]; !ok || string(data) != w {
+			t.Errorf("%s was changed by the refused run", f.Name())
+		}
+	}
+}
+
+// TestRunWALFingerprint pins the fingerprint run -wal writes, the engine
+// layout shards=0,overlap=scoped included: a directory written by an earlier
+// build under the same flags must still resume.
+func TestRunWALFingerprint(t *testing.T) {
+	const want = "run:v1:input=testdata/gen_small.stream,read-batch=256,batch=false,shards=0,overlap=scoped," +
+		"measure=AvgWeight,T=2,nmax=4,deltait=0.015,maxexplore=true"
+	dir := t.TempDir()
+	args := []string{"-input", filepath.Join("testdata", "gen_small.stream"), "-T", "2", "-nmax", "4", "-quiet", "-wal", dir}
+	if _, _, err := runCapturing(t, cmdRun, args); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.Open(persist.Config{Dir: dir, Fingerprint: want + "x"}); err == nil {
+		t.Fatal("the directory opened under a fingerprint run did not write")
+	}
+	st, err := persist.Open(persist.Config{Dir: dir, Fingerprint: want})
+	if err != nil {
+		t.Fatalf("run -wal wrote another fingerprint than %q: %v", want, err)
+	}
+	defer st.Close()
+	if st.DurableSeq() == 0 {
+		t.Errorf("the directory holds no durable unit under %q", want)
 	}
 }
 

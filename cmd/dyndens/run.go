@@ -8,12 +8,12 @@ import (
 	"strings"
 
 	"dyndens/internal/core"
+	"dyndens/internal/persist"
 	"dyndens/internal/stream"
 	"dyndens/internal/vset"
 )
 
-// cmdRun replays a recorded update stream (file or stdin) through the engine
-// — single-threaded by default, sharded across K workers with -shards K —
+// cmdRun replays a recorded update stream (file or stdin) through the engine,
 // streaming the output-dense changes that pass the configured filter to
 // stdout, and prints the throughput and engine summary at the end. The
 // stream is read in batches: "%%" marker lines in the input delimit them, and
@@ -25,7 +25,7 @@ func cmdRun(args []string) error {
 	input := fs.String("input", "-", "update stream path (- for stdin), edge-list `a b delta` lines")
 	batch := fs.Int("read-batch", 256, "maximum replay batch size: runs between `%%` lines are split at this many updates")
 	batchMode := fs.Bool("batch", false, "coalesce batches through Engine.ProcessBatch (batches delimited by `%%` lines, split at -read-batch; net events per batch)")
-	newLayout := layoutFlags(fs)
+	newWAL := walFlags(fs)
 	quiet := fs.Bool("quiet", false, "suppress per-event output, print only the summary")
 	minCard := fs.Int("min-card", 0, "only report subgraphs with at least this many vertices")
 	watch := fs.String("watch", "", "comma-separated vertex watchlist; only report subgraphs containing one")
@@ -41,16 +41,16 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := newLayout("run")
+	wal, err := newWAL()
 	if err != nil {
-		return err
+		return fmt.Errorf("run: %w", err)
 	}
 	watchSet, err := parseWatchlist(*watch)
 	if err != nil {
 		return err
 	}
 
-	p := &pipeline{layout: l}
+	p := &pipeline{wal: wal}
 	defer p.close()
 	var fileSrc *stream.FileSource
 	if *input == "-" {
@@ -67,36 +67,27 @@ func cmdRun(args []string) error {
 	// batches at the read size — runs longer than -read-batch split into
 	// batches (and, with -batch, ticks) of their own. SetMaxBatch treats n ≤ 0
 	// as "no cap", which would silently disable the guard, so reject it. The
-	// pipelined front-end's handoff unit and the WAL's frame unit are the
-	// source batch too: the cap bounds one queue entry, and it makes the
-	// framing a deterministic function of -read-batch.
+	// WAL's frame unit is the source batch too, so the cap makes the framing
+	// a deterministic function of -read-batch.
 	if *batch <= 0 {
 		return fmt.Errorf("run: -read-batch must be positive, got %d", *batch)
 	}
 	fileSrc.SetMaxBatch(*batch)
 	p.src = fileSrc
-	if l.aggWorkers > 0 {
-		// Edge streams have no expansion stage, so N > 0 just moves reading
-		// and parsing onto a producer goroutine that runs ahead of the engine
-		// behind a bounded handoff queue; the batch sequence is unchanged.
-		pipe := stream.NewPipelinedBatchSource(fileSrc, *batch, stream.PipelineConfig{})
-		p.closers = append(p.closers, func() { pipe.Close() })
-		p.src = pipe
-	}
 
 	// Durability: log every source batch to the WAL and recover past state at
 	// open. The fingerprint binds the directory to everything that shapes the
-	// persisted state or the batch framing — input identity, framing knobs,
-	// shard layout, delivery policy, and the engine configuration.
-	if l.wal.enabled() {
-		fp := fmt.Sprintf("run:v1:input=%s,read-batch=%d,batch=%v,shards=%d,overlap=%s,%s",
-			*input, *batch, *batchMode, l.shards, l.overlap, engineFingerprint(engCfg))
+	// persisted state or the batch framing — input identity, framing knobs
+	// and the engine configuration.
+	if wal.enabled() {
+		fp := fmt.Sprintf("run:v1:input=%s,read-batch=%d,batch=%v,%s,%s",
+			*input, *batch, *batchMode, engineLayout, engineFingerprint(engCfg))
 		if err := p.openWAL(fp, *input == "-"); err != nil {
 			return err
 		}
 		p.src = p.pst.Batches(fileSrc).(stream.UpdateSource)
 	}
-	if err := p.openEngine(engCfg); err != nil {
+	if p.eng, err = persist.RestoreEngine(engCfg, p.restored); err != nil {
 		return err
 	}
 
@@ -113,11 +104,11 @@ func cmdRun(args []string) error {
 
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
-	return p.drive(ctx, filter, *batch, *batchMode, func(st replayStats, _ bool) {
+	return p.drive(ctx, filter, *batch, *batchMode, func(st stream.ReplayStats, _ bool) {
 		fmt.Println(st)
-		fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d%s\n",
-			filter.Passed, counter.Became, counter.Ceased, filter.Dropped, p.engine.netOutputDense())
-		fmt.Println(p.engine.summary())
+		fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d\n",
+			filter.Passed, counter.Became, counter.Ceased, filter.Dropped)
+		fmt.Println(statsSummary(p.eng.Stats()))
 	})
 }
 

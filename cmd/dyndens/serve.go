@@ -13,6 +13,7 @@ import (
 
 	"dyndens/internal/serve"
 	"dyndens/internal/story"
+	"dyndens/internal/stream"
 )
 
 // serveTestHooks lets the CLI tests observe the bound address and trigger a
@@ -76,7 +77,7 @@ func cmdServe(args []string) error {
 	// before the first snapshot publishes.
 	var bld *serve.Builder
 	if p.restored != nil && p.restored.Tracker != nil {
-		bld = serve.NewBuilderFromState(p.tracker, p.engine.outputDense())
+		bld = serve.NewBuilderFromState(p.tracker, p.eng.OutputDense())
 	} else {
 		bld = serve.NewBuilder(p.tracker)
 	}
@@ -130,11 +131,11 @@ func cmdServe(args []string) error {
 	// ingest that ran to the end.
 	ingestDone := make(chan error, 1)
 	go func() {
-		err := p.drive(ctx, bld, 0, p.batch, func(st replayStats, interrupted bool) {
+		err := p.drive(ctx, bld, 0, p.batch, func(st stream.ReplayStats, interrupted bool) {
 			if interrupted {
 				return
 			}
-			ingestState.Store(&ingestSummary{Complete: true, Updates: st.updates, Ticks: st.ticks, UpdatesPerSecond: st.perSecond})
+			ingestState.Store(&ingestSummary{Complete: true, Updates: st.Updates, Ticks: st.Ticks, UpdatesPerSecond: st.UpdatesPerSecond()})
 			p.report(st)
 		})
 		p.close()

@@ -210,12 +210,11 @@ func cmdStoriesGenDocs(args []string) error {
 }
 
 // cmdStoriesRun replays a document stream through the full pipeline:
-// DocumentSource → co-occurrence Aggregator → engine (single-threaded, or
-// sharded across K workers with -shards K) → story Tracker. The story
-// lifecycle log streams to stdout as records are produced, and the run ends
-// with the throughput summary, the aggregation and story statistics, and the
-// final story table. The lifecycle log and table are deterministic for a
-// given input and identical for every shard count.
+// DocumentSource → co-occurrence Aggregator → engine → story Tracker. The
+// story lifecycle log streams to stdout as records are produced, and the run
+// ends with the throughput summary, the aggregation and story statistics, and
+// the final story table. The lifecycle log and table are deterministic for a
+// given input.
 func cmdStoriesRun(args []string) error {
 	fs := flag.NewFlagSet("dyndens stories run", flag.ExitOnError)
 	open := docFlags(fs, fs.String("input", "-", "document stream path (- for stdin), `time e1 e2 ...` lines"))
@@ -241,7 +240,7 @@ func cmdStoriesRun(args []string) error {
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 	// The front-end is a BatchSource, so no read size applies.
-	return p.drive(ctx, p.tracker, 0, p.batch, func(st replayStats, _ bool) { p.report(st) })
+	return p.drive(ctx, p.tracker, 0, p.batch, func(st stream.ReplayStats, _ bool) { p.report(st) })
 }
 
 // printStoryTable prints the tracker summary line and the final story table.

@@ -68,6 +68,12 @@ func (p *pipeline) openWAL(fingerprint string, liveTail bool) error {
 	return nil
 }
 
+// engineLayout is the engine-layout component of every WAL fingerprint, a
+// literal: earlier builds could shard the engine and wrote their layout here,
+// so directories written by a single engine must still match, and one written
+// by a sharded build (shards=K for K > 0) is refused.
+const engineLayout = "shards=0,overlap=scoped"
+
 // engineFingerprint renders the engine knobs that shape persisted state. The
 // trailing maxexplore=true is a literal: earlier builds had a -maxexplore
 // flag, on by default, and wrote its value here, so directories they wrote

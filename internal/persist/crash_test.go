@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 )
@@ -18,13 +17,16 @@ import (
 // restart it over the same WAL directory, let it finish — the tracker's
 // Stats, the story table, and the output-dense result set must be deep-equal
 // to an uninterrupted run, and the records the restarted run streams must be
-// the uninterrupted stream past the records its restored state counts. Exercised across {single, K=4 scoped} × {buffered,
-// fsync} with the kill point randomised.
+// the uninterrupted stream past the records its restored state counts.
+// Exercised buffered and with fsync, with the kill point randomised.
 
 var testEngCfg = core.Config{T: 6.5, Nmax: 4}
 var testTrkCfg = story.Config{MinJaccard: 0.5, Grace: 350, MinCardinality: 3}
 
 var testAggCfg = stream.AggregatorConfig{EpochLength: 25, Decay: 0.7}
+
+// crashFP is the fingerprint runPipeline opens its directory under.
+const crashFP = "crash-test"
 
 func testDocs(t testing.TB, n int) []stream.Document {
 	t.Helper()
@@ -64,12 +66,12 @@ func (res runResult) finish(tr *story.Tracker, keys []string) runResult {
 // simulates a crash: the run aborts once that many documents are durable and
 // the store is abandoned without checkpoint, flush, or close — exactly the
 // state a SIGKILL leaves behind. Returns finished=false in that case.
-func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
+func runPipeline(t *testing.T, dir string, docs []stream.Document,
 	fsync bool, stopAfter, snapEvery uint64) (runResult, bool) {
 	t.Helper()
 	st, err := Open(Config{
 		Dir:           dir,
-		Fingerprint:   fmt.Sprintf("crash-test:shards=%d", shards),
+		Fingerprint:   crashFP,
 		SnapshotEvery: snapEvery,
 		Fsync:         fsync,
 		SegmentBytes:  4096, // force rotation so recovery crosses segments
@@ -89,57 +91,6 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 	res := runResult{base: recordTotal(tr.Stats())}
 	tr.SetRecordSink(func(r story.Record) { res.records = append(res.records, r) })
 	baseTicks := st.BaseTicks()
-
-	crashed := func(err error) bool {
-		if errors.Is(err, stream.ErrStopped) {
-			// Abandon the store: no checkpoint, no flush, no close. A real
-			// kill also stops the background snapshot writer; here it would
-			// live on in the test process and write and prune snapshots under
-			// the restarted run, so the kill is placed after it finishes.
-			st.snapWG.Wait()
-			return true
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return false
-	}
-
-	if shards > 0 {
-		se, err := RestoreSharded(shard.Config{Shards: shards, Engine: testEngCfg}, st.Restored())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer se.Close()
-		se.SetSeqSink(tr)
-		rep := stream.NewShardReplay(agg, se, nil)
-		rep.SetBoundaryHook(func() error {
-			if stopAfter > 0 && st.Seq() >= stopAfter {
-				return stream.ErrStopped
-			}
-			if !agg.Drained() {
-				return nil
-			}
-			return st.MaybeSnapshot(func() (*PipelineState, error) {
-				ps, err := CaptureSharded(se, agg, tr)
-				if err != nil {
-					return nil, err
-				}
-				ps.Ticks = baseTicks + uint64(rep.Stats().Ticks)
-				return ps, nil
-			})
-		})
-		stats, err := rep.RunBatches(256, false)
-		if crashed(err) {
-			return runResult{}, false
-		}
-		tr.Close(baseTicks + uint64(stats.Ticks))
-		res = res.finish(tr, se.OutputDenseKeys())
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return res, true
-	}
 
 	eng, err := RestoreEngine(testEngCfg, st.Restored())
 	if err != nil {
@@ -163,8 +114,16 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 		})
 	})
 	stats, err := rep.RunBatches(256, false)
-	if crashed(err) {
+	if errors.Is(err, stream.ErrStopped) {
+		// Abandon the store: no checkpoint, no flush, no close. A real kill
+		// also stops the background snapshot writer; here it would live on in
+		// the test process and write and prune snapshots under the restarted
+		// run, so the kill is placed after it finishes.
+		st.snapWG.Wait()
 		return runResult{}, false
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	tr.Close(baseTicks + uint64(stats.Ticks))
 	res = res.finish(tr, eng.OutputDenseKeys())
@@ -175,7 +134,7 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document, shards int,
 }
 
 // runBare is the persistence-free reference: the same pipeline with no store.
-func runBare(t *testing.T, docs []stream.Document, shards int) runResult {
+func runBare(t *testing.T, docs []stream.Document) runResult {
 	t.Helper()
 	agg, err := stream.NewAggregator(stream.NewSliceDocSource(docs), testAggCfg)
 	if err != nil {
@@ -187,20 +146,6 @@ func runBare(t *testing.T, docs []stream.Document, shards int) runResult {
 	}
 	var res runResult
 	tr.SetRecordSink(func(r story.Record) { res.records = append(res.records, r) })
-	if shards > 0 {
-		se, err := shard.New(shard.Config{Shards: shards, Engine: testEngCfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer se.Close()
-		se.SetSeqSink(tr)
-		stats, err := stream.NewShardReplay(agg, se, nil).RunBatches(256, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Close(uint64(stats.Ticks))
-		return res.finish(tr, se.OutputDenseKeys())
-	}
 	eng := core.MustNew(testEngCfg)
 	stats, err := stream.NewReplay(agg, eng, tr).RunBatches(256, false)
 	if err != nil {
@@ -234,15 +179,12 @@ func checkEqual(t *testing.T, got, want runResult, label string) {
 // a logged, uninterrupted run equals a persistence-free run bit for bit.
 func TestLoggedRunMatchesBare(t *testing.T) {
 	docs := testDocs(t, 400)
-	for _, shards := range []int{0, 4} {
-		label := fmt.Sprintf("shards=%d", shards)
-		want := runBare(t, docs, shards)
-		got, done := runPipeline(t, t.TempDir(), docs, shards, false, 0, 60)
-		if !done {
-			t.Fatalf("%s: uninterrupted run did not finish", label)
-		}
-		checkEqual(t, got, want, label)
+	want := runBare(t, docs)
+	got, done := runPipeline(t, t.TempDir(), docs, false, 0, 60)
+	if !done {
+		t.Fatal("uninterrupted run did not finish")
 	}
+	checkEqual(t, got, want, "logged")
 }
 
 // TestCrashRestartRecovers is the random-kill property test: kill at a random
@@ -254,26 +196,24 @@ func TestLoggedRunMatchesBare(t *testing.T) {
 func TestCrashRestartRecovers(t *testing.T) {
 	docs := testDocs(t, 400)
 	rng := rand.New(rand.NewSource(41))
-	for _, shards := range []int{0, 4} {
-		want := runBare(t, docs, shards)
-		for _, fsync := range []bool{false, true} {
-			kills := 3
-			if fsync {
-				kills = 2 // fsync per frame is slow; fewer kill points suffice
+	want := runBare(t, docs)
+	for _, fsync := range []bool{false, true} {
+		kills := 3
+		if fsync {
+			kills = 2 // fsync per frame is slow; fewer kill points suffice
+		}
+		for k := 0; k < kills; k++ {
+			stopAfter := uint64(rng.Intn(len(docs)-20) + 10)
+			label := fmt.Sprintf("fsync=%v/kill@%d", fsync, stopAfter)
+			dir := filepath.Join(t.TempDir(), "wal")
+			if _, done := runPipeline(t, dir, docs, fsync, stopAfter, 60); done {
+				t.Fatalf("%s: run finished before the kill point", label)
 			}
-			for k := 0; k < kills; k++ {
-				stopAfter := uint64(rng.Intn(len(docs)-20) + 10)
-				label := fmt.Sprintf("shards=%d/fsync=%v/kill@%d", shards, fsync, stopAfter)
-				dir := filepath.Join(t.TempDir(), "wal")
-				if _, done := runPipeline(t, dir, docs, shards, fsync, stopAfter, 60); done {
-					t.Fatalf("%s: run finished before the kill point", label)
-				}
-				got, done := runPipeline(t, dir, docs, shards, fsync, 0, 60)
-				if !done {
-					t.Fatalf("%s: restarted run did not finish", label)
-				}
-				checkEqual(t, got, want, label)
+			got, done := runPipeline(t, dir, docs, fsync, 0, 60)
+			if !done {
+				t.Fatalf("%s: restarted run did not finish", label)
 			}
+			checkEqual(t, got, want, label)
 		}
 	}
 }
@@ -282,15 +222,15 @@ func TestCrashRestartRecovers(t *testing.T) {
 // recovering from the first — before letting it finish.
 func TestDoubleCrashRecovers(t *testing.T) {
 	docs := testDocs(t, 400)
-	want := runBare(t, docs, 0)
+	want := runBare(t, docs)
 	dir := filepath.Join(t.TempDir(), "wal")
-	if _, done := runPipeline(t, dir, docs, 0, false, 250, 60); done {
+	if _, done := runPipeline(t, dir, docs, false, 250, 60); done {
 		t.Fatal("first run finished before the kill point")
 	}
-	if _, done := runPipeline(t, dir, docs, 0, false, 320, 60); done {
+	if _, done := runPipeline(t, dir, docs, false, 320, 60); done {
 		t.Fatal("second run finished before the kill point")
 	}
-	got, done := runPipeline(t, dir, docs, 0, false, 0, 60)
+	got, done := runPipeline(t, dir, docs, false, 0, 60)
 	if !done {
 		t.Fatal("final run did not finish")
 	}

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,7 +14,6 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/graph"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 	"dyndens/internal/vset"
@@ -40,6 +40,20 @@ func captureAfter(t testing.TB, docs []stream.Document) (*PipelineState, story.S
 		t.Fatal(err)
 	}
 	return ps, tr.Stats()
+}
+
+// smallRunDocs is 21 documents that leave a family on {1,2}, a dense triple
+// under it and a story.
+func smallRunDocs() []stream.Document {
+	var docs []stream.Document
+	for i := range 20 {
+		ents := vset.New(1, 2)
+		if i >= 12 {
+			ents = vset.New(1, 2, 3)
+		}
+		docs = append(docs, stream.Document{Time: int64(i), Entities: ents})
+	}
+	return append(docs, stream.Document{Time: 20, Entities: vset.New(3, 4)})
 }
 
 // TestTrackerStateBoundedByTable pins that the persisted story state is a
@@ -121,19 +135,32 @@ func TestGraphStateBoundedByLiveEdges(t *testing.T) {
 	}
 }
 
-// encodeSnapshotBefore3 writes st in snapshot format version 1 or 2, which
-// stored with each graph the set known of every vertex that had ever carried
-// an edge, ahead of its edges. Version 1 also stored the tracker's whole
-// lifecycle log (here log) where version 2 stores the counts. The graph and
-// tracker layouts are written out independently of the current encoder; the
-// engine and aggregator layouts have not changed since version 1.
-func encodeSnapshotBefore3(version uint32, fingerprint string, st *PipelineState, known []graph.Vertex, log []story.Record) []byte {
+// shardedState is what builds that could shard the engine wrote under a
+// snapshot's sharded-state flag: the merger's sequence counter and
+// output-dense keys, the shared graph and each worker's index.
+type shardedState struct {
+	NextSeq uint64
+	Tracked []string
+	Graph   graph.State
+	Workers []core.EngineState
+}
+
+// encodeSnapshotAs writes st in snapshot format version 1, 2 or 3,
+// independently of the product encoder. Versions 1 and 2 stored with each
+// graph the set known of every vertex that had ever carried an edge, ahead of
+// its edges. Version 1 also stored the tracker's whole lifecycle log (here
+// log) where later versions store the counts. A non-nil sharded is written
+// under the sharded-state flag, as a sharded build wrote it. The engine and
+// aggregator layouts have not changed since version 1.
+func encodeSnapshotAs(version uint32, fingerprint string, st *PipelineState, known []graph.Vertex, log []story.Record, sharded *shardedState) []byte {
 	var e encoder
 	e.b = append(e.b, snapMagic...)
 	e.u32(version)
 	e.str(fingerprint)
-	graphV2 := func(gs *graph.State) {
-		e.set(vset.Set(known))
+	writeGraph := func(gs *graph.State) {
+		if version < 3 {
+			e.set(vset.Set(known))
+		}
 		e.u32(uint32(len(gs.EdgeU)))
 		for i := range gs.EdgeU {
 			e.u32(uint32(gs.EdgeU[i]))
@@ -145,20 +172,20 @@ func encodeSnapshotBefore3(version uint32, fingerprint string, st *PipelineState
 	e.u64(st.Ticks)
 	e.boolean(st.Graph != nil)
 	if st.Graph != nil {
-		graphV2(st.Graph)
+		writeGraph(st.Graph)
 	}
 	e.boolean(st.Engine != nil)
 	if st.Engine != nil {
 		encodeEngineState(&e, st.Engine)
 	}
-	e.boolean(st.Shard != nil)
-	if ss := st.Shard; ss != nil {
+	e.boolean(sharded != nil)
+	if ss := sharded; ss != nil {
 		e.u64(ss.NextSeq)
 		e.u32(uint32(len(ss.Tracked)))
 		for _, k := range ss.Tracked {
 			e.str(k)
 		}
-		graphV2(&ss.Graph)
+		writeGraph(&ss.Graph)
 		e.u32(uint32(len(ss.Workers)))
 		for i := range ss.Workers {
 			encodeEngineState(&e, &ss.Workers[i])
@@ -206,31 +233,85 @@ func encodeSnapshotBefore3(version uint32, fingerprint string, st *PipelineState
 }
 
 // encodeSnapshotV1 writes st in snapshot format version 1 (see
-// encodeSnapshotBefore3).
+// encodeSnapshotAs).
 func encodeSnapshotV1(fingerprint string, st *PipelineState, known []graph.Vertex, log []story.Record) []byte {
-	return encodeSnapshotBefore3(1, fingerprint, st, known, log)
+	return encodeSnapshotAs(1, fingerprint, st, known, log, nil)
 }
 
 // encodeSnapshotV2 writes st in snapshot format version 2 (see
-// encodeSnapshotBefore3).
+// encodeSnapshotAs).
 func encodeSnapshotV2(fingerprint string, st *PipelineState, known []graph.Vertex) []byte {
-	return encodeSnapshotBefore3(2, fingerprint, st, known, nil)
+	return encodeSnapshotAs(2, fingerprint, st, known, nil, nil)
 }
 
 // knownOf is a vertex set such as versions 1 and 2 stored with st's graph:
 // every vertex with an edge, and one beyond them that has none any more.
 func knownOf(st *PipelineState) []graph.Vertex {
-	gs := st.Graph
-	if gs == nil {
-		gs = &st.Shard.Graph
-	}
-	known := append(slices.Clone(gs.EdgeU), gs.EdgeV...)
+	known := append(slices.Clone(st.Graph.EdgeU), st.Graph.EdgeV...)
 	slices.Sort(known)
 	known = slices.Compact(known)
 	if len(known) == 0 {
 		return []graph.Vertex{0}
 	}
 	return append(known, known[len(known)-1]+1)
+}
+
+// shardedSnapshot is the small run of smallRunDocs as a build with two
+// engine shards wrote it in format version 2 or 3: no single-engine graph or
+// index, and the sharded state in their place.
+func shardedSnapshot(t testing.TB, version uint32) (*PipelineState, []byte) {
+	st, _ := captureAfter(t, smallRunDocs())
+	st.Seq = uint64(len(smallRunDocs()))
+	sharded := &shardedState{
+		NextSeq: st.Ticks + 1,
+		Graph:   *st.Graph,
+		Workers: []core.EngineState{*st.Engine, *st.Engine},
+	}
+	bare := *st
+	bare.Graph, bare.Engine = nil, nil
+	return st, encodeSnapshotAs(version, testFP, &bare, knownOf(st), nil, sharded)
+}
+
+// TestShardedSnapshotRefused pins that a snapshot holding a sharded engine's
+// state, in format version 2 or 3, is never resumed: recovery over a
+// directory holding it fails with an error that names sharding, and the
+// decoder refuses it alone. The same run's single-engine snapshot, written by
+// the same test-side encoder in version 3, is byte-identical to the product
+// encoder's and recovers.
+func TestShardedSnapshotRefused(t *testing.T) {
+	for _, version := range []uint32{2, 3} {
+		st, raw := shardedSnapshot(t, version)
+		if _, err := decodeSnapshot(raw, testFP); err == nil || !strings.Contains(err.Error(), "sharded") {
+			t.Fatalf("version %d: the decoder took a sharded snapshot (err %v)", version, err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName(st.Seq)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if pst, err := Open(Config{Dir: dir, Fingerprint: testFP}); err == nil {
+			pst.Close()
+			t.Fatalf("version %d: recovery resumed a sharded snapshot", version)
+		} else if !strings.Contains(err.Error(), "sharded") {
+			t.Fatalf("version %d: recovery refused a sharded snapshot with %v, which does not name sharding", version, err)
+		}
+	}
+	st, _ := shardedSnapshot(t, 3)
+	raw := encodeSnapshot(testFP, st)
+	if !bytes.Equal(encodeSnapshotAs(snapVersion, testFP, st, nil, nil, nil), raw) {
+		t.Fatal("the product encoder's snapshot differs from the test-side version-3 encoding")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(st.Seq)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pst, err := Open(Config{Dir: dir, Fingerprint: testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pst.Close()
+	if got := pst.Restored(); got == nil || got.Seq != st.Seq || got.Engine == nil {
+		t.Fatalf("the single-engine snapshot at unit %d recovers as %+v", st.Seq, got)
+	}
 }
 
 // TestSnapshotV1Resumes pins the cross-version resume: a WAL directory whose
@@ -248,100 +329,85 @@ func TestSnapshotV2Resumes(t *testing.T) { checkOldSnapshotsResume(t, 2) }
 
 // checkOldSnapshotsResume rewrites the snapshots of a WAL directory in format
 // version 1 or 2 and checks what TestSnapshotV1Resumes and
-// TestSnapshotV2Resumes describe, single-engine and sharded.
+// TestSnapshotV2Resumes describe.
 func checkOldSnapshotsResume(t *testing.T, version uint32) {
 	docs := testDocs(t, 400)
-	for _, shards := range []int{0, 4} {
-		label := fmt.Sprintf("shards=%d", shards)
-		want := runBare(t, docs, shards)
-		dir := t.TempDir()
-		first, done := runPipeline(t, dir, docs[:200], shards, false, 0, 60)
-		if !done {
-			t.Fatalf("%s: first run did not finish", label)
+	want := runBare(t, docs)
+	dir := t.TempDir()
+	first, done := runPipeline(t, dir, docs[:200], false, 0, 60)
+	if !done {
+		t.Fatal("first run did not finish")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	converted := 0
+	for _, ent := range ents {
+		if _, ok := parseSnapshotName(ent.Name()); !ok {
+			continue
 		}
-		fp := fmt.Sprintf("crash-test:shards=%d", shards)
-		ents, err := os.ReadDir(dir)
+		path := filepath.Join(dir, ent.Name())
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		converted := 0
-		for _, ent := range ents {
-			if _, ok := parseSnapshotName(ent.Name()); !ok {
-				continue
-			}
-			path := filepath.Join(dir, ent.Name())
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := decodeSnapshot(raw, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counted := 0
-			for _, c := range st.Tracker.Counts {
-				counted += c
-			}
-			known := knownOf(st)
-			old := encodeSnapshotBefore3(version, fp, st, known, first.records[:counted])
-			back, err := decodeSnapshot(old, fp)
-			if err != nil {
-				t.Fatalf("%s: %s in version %d: %v", label, ent.Name(), version, err)
-			}
-			if !reflect.DeepEqual(back, st) {
-				t.Fatalf("%s: %s decodes differently in version %d:\n got %+v\nwant %+v", label, ent.Name(), version, back, st)
-			}
-			if version == 2 {
-				checkSameRestore(t, label+" "+ent.Name(), shards, back, st)
-				if shards == 0 {
-					checkTruncatedKnownRefused(t, label+" "+ent.Name(), old, fp, len(known))
-				}
-			}
-			if err := os.WriteFile(path, old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			converted++
+		st, err := decodeSnapshot(raw, crashFP)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if converted == 0 {
-			t.Fatalf("%s: the first run cut no snapshot", label)
+		counted := 0
+		for _, c := range st.Tracker.Counts {
+			counted += c
 		}
-		got, done := runPipeline(t, dir, docs, shards, false, 0, 60)
-		if !done {
-			t.Fatalf("%s: resumed run did not finish", label)
+		known := knownOf(st)
+		old := encodeSnapshotAs(version, crashFP, st, known, first.records[:counted], nil)
+		back, err := decodeSnapshot(old, crashFP)
+		if err != nil {
+			t.Fatalf("%s in version %d: %v", ent.Name(), version, err)
 		}
-		if got.base == 0 {
-			t.Fatalf("%s: the resumed run restored no records from the version-%d snapshot", label, version)
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("%s decodes differently in version %d:\n got %+v\nwant %+v", ent.Name(), version, back, st)
 		}
-		checkEqual(t, got, want, label)
+		if version == 2 {
+			checkSameRestore(t, ent.Name(), back, st)
+			checkTruncatedKnownRefused(t, ent.Name(), old, crashFP, len(known))
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		converted++
 	}
+	if converted == 0 {
+		t.Fatal("the first run cut no snapshot")
+	}
+	got, done := runPipeline(t, dir, docs, false, 0, 60)
+	if !done {
+		t.Fatal("resumed run did not finish")
+	}
+	if got.base == 0 {
+		t.Fatalf("the resumed run restored no records from the version-%d snapshot", version)
+	}
+	checkEqual(t, got, want, fmt.Sprintf("version %d", version))
 }
 
-// checkSameRestore restores got and want into an engine (sharded when shards
-// > 0), an aggregator and a tracker each, and requires equal exported states.
-func checkSameRestore(t *testing.T, label string, shards int, got, want *PipelineState) {
+// checkSameRestore restores got and want into an engine, an aggregator and a
+// tracker each, and requires equal exported states.
+func checkSameRestore(t *testing.T, label string, got, want *PipelineState) {
 	t.Helper()
 	type restored struct {
 		graph  graph.State
-		engine any
+		engine core.EngineState
 		agg    stream.AggregatorState
 		trk    story.TrackerState
 	}
 	restore := func(st *PipelineState) restored {
 		var r restored
-		if shards > 0 {
-			se, err := RestoreSharded(shard.Config{Shards: shards, Engine: testEngCfg}, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer se.Close()
-			r.engine = se.ExportState()
-		} else {
-			eng, err := RestoreEngine(testEngCfg, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.graph, r.engine = eng.Graph().ExportState(), eng.ExportState()
+		eng, err := RestoreEngine(testEngCfg, st)
+		if err != nil {
+			t.Fatal(err)
 		}
+		r.graph, r.engine = eng.Graph().ExportState(), eng.ExportState()
 		agg, err := RestoreAggregator(stream.NewSliceDocSource(nil), testAggCfg, st)
 		if err != nil {
 			t.Fatal(err)
@@ -363,7 +429,7 @@ func checkSameRestore(t *testing.T, label string, shards int, got, want *Pipelin
 	}
 }
 
-// checkTruncatedKnownRefused cuts the single-engine version-2 snapshot raw
+// checkTruncatedKnownRefused cuts the version-2 snapshot raw
 // off halfway through the vertex set of its graph, which holds n vertices,
 // seals the rest with a valid CRC, and requires the decoder to refuse it.
 func checkTruncatedKnownRefused(t *testing.T, label string, raw []byte, fingerprint string, n int) {
@@ -405,20 +471,11 @@ func TestSnapshotVersionChecks(t *testing.T) {
 // whatever decodes to the restore constructors. Every input must either be
 // refused with an error or restore, or be refused by a constructor with an
 // error; none may panic. The seeds are one small run's capture in format
-// versions 1, 2 and 3, without their CRC: 21 documents that leave a family on
-// {1,2}, a dense triple under it and a story, a few hundred bytes, so that the
-// fuzzer's minimiser is quick.
+// versions 1, 2 and 3, and the same run as a sharded build wrote it in
+// version 3, which the decoder refuses, all without their CRC. The run is
+// smallRunDocs, a few hundred bytes, so that the fuzzer's minimiser is quick.
 func FuzzDecodeSnapshot(f *testing.F) {
-	var docs []stream.Document
-	for i := range 20 {
-		ents := vset.New(1, 2)
-		if i >= 12 {
-			ents = vset.New(1, 2, 3)
-		}
-		docs = append(docs, stream.Document{Time: int64(i), Entities: ents})
-	}
-	docs = append(docs, stream.Document{Time: 20, Entities: vset.New(3, 4)})
-	st, _ := captureAfter(f, docs)
+	st, _ := captureAfter(f, smallRunDocs())
 	for _, raw := range [][]byte{
 		encodeSnapshotV1(testFP, st, knownOf(st), nil),
 		encodeSnapshotV2(testFP, st, knownOf(st)),
@@ -429,6 +486,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(raw[:len(raw)-4])
 	}
+	_, sharded := shardedSnapshot(f, 3)
+	f.Add(sharded[:len(sharded)-4])
 	f.Fuzz(func(t *testing.T, in []byte) {
 		sealed := binary.LittleEndian.AppendUint32(slices.Clone(in), crc32.Checksum(in, castagnoli))
 		for _, raw := range [][]byte{in, sealed} {

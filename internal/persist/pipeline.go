@@ -1,10 +1,7 @@
 package persist
 
 import (
-	"fmt"
-
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 )
@@ -16,36 +13,19 @@ import (
 // functions rebuild each layer from a recovered state, behaving exactly like
 // the plain constructors when there is nothing to restore.
 
-// CaptureSingle captures a single-engine pipeline. agg and tr may be nil
-// (edge-stream pipelines have no co-occurrence front-end; replay-only runs
-// have no story layer). A tracker wrapped by a serve.Builder must be synced
+// CaptureSingle captures a pipeline. agg and tr may be nil (edge-stream
+// pipelines have no co-occurrence front-end; replay-only runs have no story
+// layer). A tracker wrapped by a serve.Builder must be synced
 // through Builder.Sync before capture so the serving view folds the same
 // boundary; the tracker-level Sync here is then a no-op.
 func CaptureSingle(eng *core.Engine, agg *stream.Aggregator, tr *story.Tracker) (*PipelineState, error) {
 	gs := eng.Graph().ExportState()
 	es := eng.ExportState()
 	st := &PipelineState{Graph: &gs, Engine: &es}
-	if err := captureFront(st, agg, tr); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// CaptureSharded captures a sharded pipeline (the engine export quiesces the
-// deployment). The same Builder.Sync caveat as CaptureSingle applies.
-func CaptureSharded(se *shard.ShardedEngine, agg *stream.Aggregator, tr *story.Tracker) (*PipelineState, error) {
-	st := &PipelineState{Shard: se.ExportState()}
-	if err := captureFront(st, agg, tr); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func captureFront(st *PipelineState, agg *stream.Aggregator, tr *story.Tracker) error {
 	if agg != nil {
 		as, err := agg.ExportState()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		st.Agg = &as
 	}
@@ -53,42 +33,27 @@ func captureFront(st *PipelineState, agg *stream.Aggregator, tr *story.Tracker) 
 		tr.Sync()
 		ts, err := tr.ExportState()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		st.Tracker = &ts
 	}
-	return nil
+	return st, nil
 }
 
-// RestoreEngine builds a single engine, importing the recovered state when
-// st carries one. A sharded snapshot fed here is a configuration mismatch.
+// RestoreEngine builds the engine, importing the recovered state when st
+// carries one.
 func RestoreEngine(cfg core.Config, st *PipelineState) (*core.Engine, error) {
 	eng, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if st == nil || st.Engine == nil {
-		if st != nil && st.Shard != nil {
-			return nil, fmt.Errorf("persist: snapshot holds sharded state, pipeline is single-engine")
-		}
 		return eng, nil
 	}
 	if err := eng.ImportState(*st.Graph, *st.Engine); err != nil {
 		return nil, err
 	}
 	return eng, nil
-}
-
-// RestoreSharded builds a sharded deployment, importing the recovered state
-// when st carries one.
-func RestoreSharded(cfg shard.Config, st *PipelineState) (*shard.ShardedEngine, error) {
-	if st == nil || st.Shard == nil {
-		if st != nil && st.Engine != nil {
-			return nil, fmt.Errorf("persist: snapshot holds single-engine state, pipeline is sharded")
-		}
-		return shard.New(cfg)
-	}
-	return shard.NewFromState(cfg, st.Shard)
 }
 
 // RestoreAggregator builds the co-occurrence front-end over docs — normally

@@ -17,7 +17,7 @@ const (
 	// tracker's per-kind record counts where version 1 stored its whole
 	// lifecycle log; version 3 drops the set of every vertex that ever carried
 	// an edge, which versions 1 and 2 stored with each graph. decodeSnapshot
-	// reads all three.
+	// reads all three, and refuses any that holds a sharded engine's state.
 	snapVersion = 3
 )
 

@@ -5,16 +5,15 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/graph"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 )
 
-// PipelineState is the full durable state of one pipeline deployment at a
-// drained stream boundary: everything a restarted process needs to resume as
-// if it had processed the whole prefix itself. Exactly one of Engine (with
-// Graph) or Shard is set, matching the deployment mode; Agg and Tracker are
-// present when the pipeline has a co-occurrence front-end and a story layer.
+// PipelineState is the full durable state of one pipeline at a drained stream
+// boundary: everything a restarted process needs to resume as if it had
+// processed the whole prefix itself. Engine is set with Graph; Agg and Tracker
+// are present when the pipeline has a co-occurrence front-end and a story
+// layer.
 type PipelineState struct {
 	// Seq is the number of durable input units covered by this state:
 	// documents for co-occurrence pipelines, source batches for edge streams.
@@ -26,7 +25,6 @@ type PipelineState struct {
 
 	Graph   *graph.State
 	Engine  *core.EngineState
-	Shard   *shard.State
 	Agg     *stream.AggregatorState
 	Tracker *story.TrackerState
 }
@@ -90,33 +88,6 @@ func decodeEngineState(d *decoder) core.EngineState {
 		es.Dense[i].StarScore = d.f64()
 	}
 	return es
-}
-
-func encodeShardState(e *encoder, ss *shard.State) {
-	e.u64(ss.NextSeq)
-	e.u32(uint32(len(ss.Tracked)))
-	for _, k := range ss.Tracked {
-		e.str(k)
-	}
-	encodeGraphState(e, &ss.Graph)
-	e.u32(uint32(len(ss.Workers)))
-	for i := range ss.Workers {
-		encodeEngineState(e, &ss.Workers[i])
-	}
-}
-
-func decodeShardState(d *decoder, version uint32) *shard.State {
-	ss := &shard.State{NextSeq: d.u64()}
-	n := d.count(4)
-	for i := 0; i < n && d.err == nil; i++ {
-		ss.Tracked = append(ss.Tracked, d.str())
-	}
-	ss.Graph = decodeGraphState(d, version)
-	n = d.count(12)
-	for i := 0; i < n && d.err == nil; i++ {
-		ss.Workers = append(ss.Workers, decodeEngineState(d))
-	}
-	return ss
 }
 
 func encodeAggState(e *encoder, as *stream.AggregatorState) {
@@ -241,10 +212,7 @@ func encodePipelineState(e *encoder, st *PipelineState) {
 	if st.Engine != nil {
 		encodeEngineState(e, st.Engine)
 	}
-	e.boolean(st.Shard != nil)
-	if st.Shard != nil {
-		encodeShardState(e, st.Shard)
-	}
+	e.boolean(false) // sharded state: see decodePipelineState
 	e.boolean(st.Agg != nil)
 	if st.Agg != nil {
 		encodeAggState(e, st.Agg)
@@ -265,8 +233,11 @@ func decodePipelineState(d *decoder, version uint32) *PipelineState {
 		es := decodeEngineState(d)
 		st.Engine = &es
 	}
+	// Earlier builds could shard the engine and stored a sharded deployment's
+	// state under this flag. This build runs one engine and cannot resume it.
 	if d.boolean() {
-		st.Shard = decodeShardState(d, version)
+		d.fail("persist: snapshot holds the state of a sharded engine; this build runs a single engine and cannot resume it")
+		return st
 	}
 	if d.boolean() {
 		st.Agg = decodeAggState(d)
@@ -280,11 +251,8 @@ func decodePipelineState(d *decoder, version uint32) *PipelineState {
 // sanity checks the mode invariants a well-formed snapshot satisfies before
 // any restore constructor sees it.
 func (st *PipelineState) sanity() error {
-	if st.Engine != nil && st.Shard != nil {
-		return fmt.Errorf("persist: snapshot carries both single-engine and sharded state")
-	}
 	if st.Engine != nil && st.Graph == nil {
-		return fmt.Errorf("persist: single-engine snapshot is missing its graph")
+		return fmt.Errorf("persist: snapshot is missing the engine's graph")
 	}
 	return nil
 }

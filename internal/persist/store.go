@@ -12,8 +12,8 @@ import (
 type Config struct {
 	// Dir is the WAL/snapshot directory; created if missing.
 	Dir string
-	// Fingerprint identifies the pipeline configuration (mode, decay, shard
-	// count, batch framing, input identity). Snapshots and segments record it
+	// Fingerprint identifies the pipeline configuration (decay, engine and
+	// tracker knobs, batch framing, input identity). Snapshots and segments record it
 	// and recovery refuses state written by a differently configured
 	// pipeline: restoring across configurations would be silently wrong.
 	Fingerprint string

@@ -28,7 +28,7 @@ const (
 	OverlapMirror
 )
 
-// String implements fmt.Stringer, matching ParseOverlap's accepted spellings.
+// String implements fmt.Stringer.
 func (o Overlap) String() string {
 	switch o {
 	case OverlapScoped:
@@ -37,18 +37,6 @@ func (o Overlap) String() string {
 		return "mirror"
 	default:
 		return fmt.Sprintf("Overlap(%d)", int(o))
-	}
-}
-
-// ParseOverlap parses the CLI spelling of an overlap policy.
-func ParseOverlap(s string) (Overlap, error) {
-	switch s {
-	case "scoped":
-		return OverlapScoped, nil
-	case "mirror":
-		return OverlapMirror, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown overlap policy %q (want mirror or scoped)", s)
 	}
 }
 

@@ -11,19 +11,13 @@ import (
 	"dyndens/internal/index"
 )
 
-// TestParseOverlapRoundTrip pins the CLI spellings to the policy values.
-func TestParseOverlapRoundTrip(t *testing.T) {
-	for _, ov := range []Overlap{OverlapScoped, OverlapMirror} {
-		got, err := ParseOverlap(ov.String())
-		if err != nil || got != ov {
-			t.Fatalf("ParseOverlap(%q) = %v, %v; want %v", ov.String(), got, err, ov)
+// TestOverlapString pins the policies' names, which ShardedEngine.String
+// prints, and the spelling of a value out of range.
+func TestOverlapString(t *testing.T) {
+	for ov, want := range map[Overlap]string{OverlapScoped: "scoped", OverlapMirror: "mirror", Overlap(99): "Overlap(99)"} {
+		if got := ov.String(); got != want {
+			t.Errorf("Overlap(%d).String() = %q, want %q", int(ov), got, want)
 		}
-	}
-	if _, err := ParseOverlap("broadcast"); err == nil {
-		t.Error("want error for unknown overlap spelling")
-	}
-	if s := Overlap(99).String(); s != "Overlap(99)" {
-		t.Errorf("out-of-range String() = %q", s)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 	"dyndens/internal/core"
 	"dyndens/internal/graph"
-	"dyndens/internal/vset"
 )
 
-// Config configures a ShardedEngine.
+// Config configures a ShardedEngine. Kept only for bench/par.go, ROADMAP
+// item 7.
 type Config struct {
 	// Shards is the number of single-threaded workers K; must be ≥ 1.
 	Shards int
@@ -45,7 +45,8 @@ func (c Config) withDefaults() Config {
 }
 
 // SeqEvent is one merged output event tagged with the 1-based global sequence
-// number of the update that produced it.
+// number of the update that produced it. Kept only for bench/par.go, ROADMAP
+// item 7.
 type SeqEvent struct {
 	Seq   uint64
 	Event core.Event
@@ -53,7 +54,8 @@ type SeqEvent struct {
 
 // SeqSink receives the merged, sequence-numbered event stream. Like
 // core.EventSink, implementations must not call back into the engine; they
-// are invoked from the merge goroutine.
+// are invoked from the merge goroutine. Kept only for bench/par.go, ROADMAP
+// item 7.
 type SeqSink interface {
 	EmitSeq(ev SeqEvent)
 }
@@ -199,6 +201,9 @@ type worker struct {
 // producer goroutine; Flush, Close, Stats, and the query methods may be
 // called from any goroutine and block until all accepted updates are merged.
 //
+// Kept only for bench/par.go, ROADMAP item 7: no command of the CLI shards
+// its engine.
+//
 // Locking: produceMu serialises producers and flushers — it owns the staging
 // batch and the exclusive right to send on the worker channels — while mu
 // owns the merge-side state (issued/merged barrier, tracked set, loads). No
@@ -240,19 +245,9 @@ type ShardedEngine struct {
 }
 
 // New creates a sharded engine and starts its worker and merger goroutines.
-// The engine must be Closed to release them.
-func New(cfg Config) (*ShardedEngine, error) { return NewFromState(cfg, nil) }
-
-// NewFromState is New resuming from an exported deployment state (see
-// ExportState): every worker engine is rebuilt to its exact partition of the
-// index, the merger's output-dense tracking set and sequence counters resume
-// where the exported deployment stopped, and the interest maps re-seed
-// themselves through the membership listener as the indexes are imported. A
-// nil state is equivalent to New. State is applied before any goroutine
-// starts, so the restored deployment is indistinguishable from one that
-// processed the whole stream. Validation failures (damaged snapshots) are
-// returned as errors.
-func NewFromState(cfg Config, st *State) (*ShardedEngine, error) {
+// The engine must be Closed to release them. Kept only for bench/par.go,
+// ROADMAP item 7.
+func New(cfg Config) (*ShardedEngine, error) {
 	cfg = cfg.withDefaults()
 	router, err := NewRouter(cfg.Shards)
 	if err != nil {
@@ -297,11 +292,6 @@ func NewFromState(cfg Config, st *State) (*ShardedEngine, error) {
 			interest: im,
 			scoped:   cfg.Overlap == OverlapScoped,
 		})
-	}
-	if st != nil {
-		if err := se.applyState(st); err != nil {
-			return nil, err
-		}
 	}
 	for _, w := range se.workers {
 		se.workerWG.Add(1)
@@ -558,29 +548,6 @@ func (se *ShardedEngine) OutputDenseKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// OutputDense flushes and returns the union of the workers' output-dense
-// subgraphs, deduplicated by set key and sorted by key — the same result set
-// OutputDenseKeys describes, with scores and densities attached (a subgraph
-// indexed on several shards has identical values on each, so any copy
-// serves).
-func (se *ShardedEngine) OutputDense() []core.Subgraph {
-	se.produceMu.Lock()
-	defer se.produceMu.Unlock()
-	se.quiesceLocked()
-	seen := make(map[string]bool)
-	var out []core.Subgraph
-	for _, w := range se.workers {
-		for _, sg := range w.eng.OutputDense() {
-			if k := sg.Set.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, sg)
-			}
-		}
-	}
-	slices.SortFunc(out, func(a, b core.Subgraph) int { return vset.CompareKeys(a.Set, b.Set) })
-	return out
 }
 
 // OutputDenseCount flushes and returns the size of the merged output-dense

@@ -2,9 +2,7 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"dyndens/internal/core"
@@ -16,6 +14,7 @@ import (
 // goroutine batch by batch and fed to the sharded engine's asynchronous
 // Process, and the final statistics combine the aggregate wall-clock
 // throughput with the per-shard busy-time accounting the merge layer keeps.
+// Kept only for bench/par.go, ROADMAP item 7.
 type ShardReplay struct {
 	src UpdateSource
 	se  *shard.ShardedEngine
@@ -114,25 +113,9 @@ func (s ShardReplayStats) MeanDeliveryFraction() float64 {
 	return sum / float64(len(s.PerShard))
 }
 
-// String formats the aggregate line followed by one line per shard.
-func (s ShardReplayStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "shard-replay{shards=%d updates=%d ticks=%d events=%d batches=%d wall=%v throughput=%.0f upd/s busy=%v eff=%.0f%% delivery=%.2f}",
-		s.Shards, s.Updates, s.Ticks, s.Events, s.Batches, s.Wall.Round(time.Microsecond),
-		s.UpdatesPerSecond(), s.BusyTotal().Round(time.Microsecond),
-		100*s.ParallelEfficiency(), s.MeanDeliveryFraction())
-	for _, l := range s.PerShard {
-		fmt.Fprintf(&b, "\nshard %d: delivered=%d applied=%d (fraction=%.2f) busy=%v raw-events=%d",
-			l.Shard, l.Delivered, l.Applied, l.DeliveryFraction(), l.Busy.Round(time.Microsecond), l.RawEvents)
-	}
-	if s.Ingest != nil {
-		b.WriteString("\n" + s.Ingest.String())
-	}
-	return b.String()
-}
-
 // NewShardReplay wires src → sharded engine → sink, installing sink on the
-// engine when non-nil. The engine must not have been fed updates yet.
+// engine when non-nil. The engine must not have been fed updates yet. Kept
+// only for bench/par.go, ROADMAP item 7.
 func NewShardReplay(src UpdateSource, se *shard.ShardedEngine, sink core.EventSink) *ShardReplay {
 	if sink != nil {
 		se.SetSink(sink)

@@ -26,8 +26,7 @@ import (
 // renormalization order), because the sequencer drives the same Aggregator
 // code (ingestExpanded + NextBatch) over expansions that are pure functions
 // of each document. Parallelism changes when work happens, never what is
-// emitted — the same discipline the sharded engine (PR 2/6) and coalesced
-// batching (PR 5) established.
+// emitted.
 //
 // Goroutines start lazily on the first NextBatch, so building a Pipeline is
 // free and timing loops that wrap the first pull measure the whole pipeline.
@@ -35,12 +34,11 @@ import (
 // a slow engine stalls the producer (recorded as ProducerStall) rather than
 // buffering the stream.
 
-// PipelineConfig configures the pipelined ingestion front-end.
+// PipelineConfig configures the pipelined ingestion front-end. Kept only for
+// bench/par.go, ROADMAP item 7.
 type PipelineConfig struct {
-	// Workers is the number of parallel expansion workers for a document
-	// front-end (NewParallelAggregator); ≤ 0 defaults to GOMAXPROCS. A
-	// generic pipelined source (NewPipelinedBatchSource) has a single
-	// producer and ignores it.
+	// Workers is the number of parallel expansion workers; ≤ 0 defaults to
+	// GOMAXPROCS.
 	Workers int
 	// Depth bounds the engine handoff queue in batches: the front-end gets at
 	// most Depth batches ahead of the engine before stalling. ≤ 0 defaults
@@ -64,15 +62,15 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 // so on a multi-core box stage busy totals can exceed wall clock; the two
 // stall counters say which side of the handoff is the bottleneck.
 type IngestStats struct {
-	Workers int // expansion workers (0 for a generic pipelined source)
+	Workers int // expansion workers
 	Depth   int // handoff queue bound, in batches
 	Batches int // batches delivered to the consumer
 
-	// SourceBusy is reader time spent pulling from the underlying source
-	// (document/line reads, or the wrapped BatchSource's NextBatch).
+	// SourceBusy is reader time spent pulling documents or lines from the
+	// underlying source.
 	SourceBusy time.Duration
 	// ExpandBusy is summed worker time parsing documents and enumerating
-	// pair keys (zero for a generic pipelined source).
+	// pair keys.
 	ExpandBusy time.Duration
 	// ApplyBusy is sequencer time in the sequential aggregation core: weight
 	// table mutations, retirement-heap re-keys, λ ticks, batch assembly.
@@ -128,9 +126,9 @@ type expandJob struct {
 // Pipeline is a bounded, backpressure-safe ingestion front-end. It is an
 // UpdateSource and a BatchSource, so it slots into Replay/ShardReplay (and
 // AsBatchSource) wherever the serial source did; it is single-consumer, like
-// every source in this package. Construct one with NewPipelinedBatchSource
-// (stage decoupling only: any source, one producer goroutine) or
-// NewParallelAggregator (document expansion fanned out to W workers).
+// every source in this package. Construct one with NewParallelAggregator
+// (document expansion fanned out to W workers). Kept only for bench/par.go,
+// ROADMAP item 7.
 //
 // Batches returned by NextBatch are valid until the next NextBatch call,
 // matching the BatchSource contract. Close releases the goroutines; it is
@@ -138,7 +136,7 @@ type expandJob struct {
 // the pipeline shuts down by itself.
 type Pipeline struct {
 	cfg  PipelineConfig
-	ring int    // parallel mode: reorder ring size = max in-flight documents
+	ring int    // reorder ring size = max in-flight documents
 	boot func() // producer bootstrap, run once on first pull
 	once sync.Once
 
@@ -147,7 +145,7 @@ type Pipeline struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 
-	// parallel-aggregator plumbing (nil in generic mode)
+	// reader → workers → sequencer plumbing
 	jobs    chan *expandJob
 	results chan *expandJob
 	jobPool chan *expandJob
@@ -170,35 +168,6 @@ type Pipeline struct {
 	aggStats   atomic.Pointer[AggregatorStats]
 }
 
-func newPipeline(cfg PipelineConfig) *Pipeline {
-	return &Pipeline{
-		cfg:  cfg,
-		out:  make(chan outItem, cfg.Depth),
-		free: make(chan []Update, cfg.Depth+2),
-		quit: make(chan struct{}),
-	}
-}
-
-// NewPipelinedBatchSource wraps src so its batches are produced on a
-// dedicated goroutine and handed to the consumer through a bounded queue:
-// pure stage decoupling, preserving the source's exact batch sequence
-// (updates, Decay flags, threshold units). src is chunked into readBatch-
-// sized batches unless it is already a BatchSource, exactly as the replay
-// drivers would (AsBatchSource). The source is read only from the producer
-// goroutine, so a source that is not safe for concurrent use is fine.
-func NewPipelinedBatchSource(src UpdateSource, readBatch int, cfg PipelineConfig) *Pipeline {
-	cfg = cfg.withDefaults()
-	cfg.Workers = 0 // single producer; workers are a parallel-aggregator concept
-	p := newPipeline(cfg)
-	bs := AsBatchSource(src, readBatch)
-	p.boot = func() {
-		go pprof.Do(context.Background(), pprof.Labels("stage", "source"), func(context.Context) {
-			p.runSource(bs)
-		})
-	}
-	return p
-}
-
 // NewParallelAggregator builds the parallel document front-end: a reader
 // goroutine pulls documents (raw lines, for line-oriented sources like
 // DocFileSource, moving even the parse off the reader), cfg.Workers expansion
@@ -207,7 +176,7 @@ func NewPipelinedBatchSource(src UpdateSource, readBatch int, cfg PipelineConfig
 // stream. The emitted stream is identical to MustAggregator(docs,
 // aggCfg).NextBatch()'s — the sequencer runs the same code over the same
 // inputs in the same order; only the expansion (a pure per-document
-// computation) runs concurrently.
+// computation) runs concurrently. Kept only for bench/par.go, ROADMAP item 7.
 func NewParallelAggregator(docs DocumentSource, aggCfg AggregatorConfig, cfg PipelineConfig) (*Pipeline, error) {
 	// The aggregator is fed pre-expanded documents by the sequencer and never
 	// pulls from a DocumentSource itself — the reader owns the source.
@@ -216,12 +185,18 @@ func NewParallelAggregator(docs DocumentSource, aggCfg AggregatorConfig, cfg Pip
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	p := newPipeline(cfg)
-	p.ring = max(4, 2*cfg.Workers)
-	p.jobs = make(chan *expandJob, p.ring)
-	p.results = make(chan *expandJob, p.ring)
-	p.jobPool = make(chan *expandJob, p.ring)
-	p.tokens = make(chan struct{}, p.ring)
+	ring := max(4, 2*cfg.Workers)
+	p := &Pipeline{
+		cfg:     cfg,
+		ring:    ring,
+		out:     make(chan outItem, cfg.Depth),
+		free:    make(chan []Update, cfg.Depth+2),
+		quit:    make(chan struct{}),
+		jobs:    make(chan *expandJob, ring),
+		results: make(chan *expandJob, ring),
+		jobPool: make(chan *expandJob, ring),
+		tokens:  make(chan struct{}, ring),
+	}
 	for i := 0; i < p.ring; i++ {
 		p.tokens <- struct{}{}
 	}
@@ -320,7 +295,7 @@ func (p *Pipeline) IngestStats() IngestStats {
 
 // AggregatorStats returns the final aggregation counters of a parallel
 // aggregator pipeline, available once the stream has terminated (EOF or
-// error). ok is false mid-stream and for generic pipelined sources.
+// error). ok is false mid-stream.
 func (p *Pipeline) AggregatorStats() (AggregatorStats, bool) {
 	if s := p.aggStats.Load(); s != nil {
 		return *s, true
@@ -366,23 +341,6 @@ func (p *Pipeline) emit(b Batch) bool {
 		it.hasThr, it.thr = true, *b.Threshold
 	}
 	return p.send(it)
-}
-
-// runSource is the generic single-producer loop: pull a batch, copy, queue.
-func (p *Pipeline) runSource(bs BatchSource) {
-	defer close(p.out)
-	for {
-		start := time.Now()
-		b, err := bs.NextBatch()
-		p.sourceBusy.Add(int64(time.Since(start)))
-		if err != nil {
-			p.send(outItem{err: err})
-			return
-		}
-		if !p.emit(b) {
-			return
-		}
-	}
 }
 
 // startParallel launches the parallel document front-end: reader → workers →

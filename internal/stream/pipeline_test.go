@@ -202,38 +202,6 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 	requireSameBatches(t, "renorm", got, ref)
 }
 
-// TestPipelinedBatchSourceMatchesSerial pins pure stage decoupling: wrapping
-// any source — here the serial aggregator, and a fixed-chunked update
-// stream — must reproduce its batch sequence exactly.
-func TestPipelinedBatchSourceMatchesSerial(t *testing.T) {
-	docs := pipelineConfDocs(13, 300)
-	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
-	ref := serialBatches(t, docs, cfg)
-	p := NewPipelinedBatchSource(MustAggregator(NewSliceDocSource(docs), cfg), 0, PipelineConfig{Depth: 3})
-	got, gerr := recordBatches(p)
-	if !errors.Is(gerr, io.EOF) {
-		t.Fatalf("aggregator: pipeline failed: %v", gerr)
-	}
-	requireSameBatches(t, "aggregator", got, ref)
-
-	// Fixed-size chunking of a plain update source must match AsBatchSource.
-	var updates []Update
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		updates = append(updates, Update{A: vset.Vertex(rng.Intn(20)), B: vset.Vertex(20 + rng.Intn(20)), Delta: rng.NormFloat64()})
-	}
-	ref, err := recordBatches(AsBatchSource(NewSliceSource(updates), 64))
-	if !errors.Is(err, io.EOF) {
-		t.Fatal(err)
-	}
-	p = NewPipelinedBatchSource(NewSliceSource(updates), 64, PipelineConfig{})
-	got, gerr = recordBatches(p)
-	if !errors.Is(gerr, io.EOF) {
-		t.Fatalf("chunked pipeline failed: %v", gerr)
-	}
-	requireSameBatches(t, "chunked", got, ref)
-}
-
 // TestPipelineNextMatchesSerial pins the per-update view (UpdateSource): with
 // fading off, the cursor over the pipelined batch stream must yield the
 // serial aggregator's batches flattened; with fading on, it must stop at the
