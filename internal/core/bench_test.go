@@ -289,7 +289,7 @@ func benchInStory(b *testing.B, background int) {
 // hundred subgraphs — every subset of twelve planted five-vertex groups whose
 // pairs weigh 1.2·T to 1.75·T — over a background of light pairs. Every op
 // fades the graph by 3 %, so the threshold walk classifies each indexed
-// subgraph, and retires four background pairs, as the expiry heap does. Over
+// subgraph, and retires four background pairs, as the expiry queue does. Over
 // the eight epochs it takes the scale to reach the floor the two lightest
 // groups fall out of the output and then out of the index, a handful of
 // subgraphs per tick. Fading alone would drain the index, so at the floor

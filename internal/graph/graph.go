@@ -30,11 +30,16 @@
 // The graph therefore keeps the vectors it frees in a pool of its own,
 // bucketed by capacity class (class k holds capacity 2^k up to 2^(k+1)). A
 // vector that empties goes back to its class, and so do the old arrays of a
-// vector that grows; a vertex gaining its first edge takes a class-0 vector,
-// and a full vector grows into one of the next class. Every vector thus
+// vector that grows or shrinks; a vertex gaining its first edge takes a
+// class-0 vector, a full vector grows into one of the next class, and a
+// vector that an edge's removal leaves at a quarter of its class moves into
+// the class of half its size, the pool's vector first. Every vector thus
 // reaches its capacity through the classes its own degree passes, so a leaf
-// never inherits a hub's vector, and a vertex that leaves and comes back
-// with no higher degree costs no allocation. Each class holds at most 64
+// never inherits a hub's vector and a hub that cools gives its capacity
+// back, while the 4× gap between growing (full) and shrinking (a quarter
+// full) keeps a degree swinging across one boundary from moving at all. A
+// vertex that leaves and comes back with no higher degree costs no
+// allocation. Each class holds at most 64
 // vectors, and from class 7 up only as many as make 4096 entries of nominal
 // capacity (one at least), so the pool's memory is bounded whatever the
 // churn; a vector freed into a full class is left to the collector.
@@ -284,14 +289,8 @@ func (g *Graph) store(a, b Vertex, la *adjacency, i int, ok bool, w float64) {
 		la.remove(i)
 		j, _ := lb.find(a)
 		lb.remove(j)
-		if len(la.vs) == 0 {
-			g.adj.Set(a, nil)
-			g.release(la)
-		}
-		if len(lb.vs) == 0 {
-			g.adj.Set(b, nil)
-			g.release(lb)
-		}
+		g.fit(a, la)
+		g.fit(b, lb)
 		g.edgeCount--
 		g.totalWeight -= old
 	case ok:
@@ -357,26 +356,43 @@ func (g *Graph) release(l *adjacency) {
 }
 
 // insert places (v, w) at position i of l. A full vector first moves into one
-// of the next capacity class, the pool's if it has one, and its old arrays go
-// to the pool in turn.
+// of the next capacity class.
 func (g *Graph) insert(l *adjacency, i int, v Vertex, w float64) {
 	if len(l.vs) == cap(l.vs) || len(l.ws) == cap(l.ws) {
-		k := l.class()
-		pooled := k+1 < len(g.pool) && len(g.pool[k+1]) > 0
-		if !pooled && !g.poolHasRoom(k) {
-			// Nothing to take and no room for what would be given back: a
-			// plain reallocation, without a spare vector to carry the old one.
-			l.vs = append(make([]Vertex, 0, 2<<k), l.vs...)
-			l.ws = append(make([]float64, 0, 2<<k), l.ws...)
-		} else {
-			nl := g.vector(k + 1)
-			nl.vs = append(nl.vs, l.vs...)
-			nl.ws = append(nl.ws, l.ws...)
-			l.vs, l.ws, nl.vs, nl.ws = nl.vs, nl.ws, l.vs, l.ws
-			g.release(nl)
-		}
+		g.move(l, l.class()+1)
 	}
 	l.insert(i, v, w)
+}
+
+// fit keeps u's vector l sized to its degree after a removal: an empty
+// vector leaves the graph for the pool, and one that has fallen to a quarter
+// of its capacity class moves into the class of half its size.
+func (g *Graph) fit(u Vertex, l *adjacency) {
+	switch k := l.class(); {
+	case len(l.vs) == 0:
+		g.adj.Set(u, nil)
+		g.release(l)
+	case k > 0 && 4*len(l.vs) <= 1<<k:
+		g.move(l, k-1)
+	}
+}
+
+// move carries l's entries into a vector of capacity class k, the pool's if
+// it has one, and gives l's old arrays to the pool in turn.
+func (g *Graph) move(l *adjacency, k int) {
+	pooled := k < len(g.pool) && len(g.pool[k]) > 0
+	if !pooled && !g.poolHasRoom(l.class()) {
+		// Nothing to take and no room for what would be given back: a plain
+		// reallocation, without a spare vector to carry the old one.
+		l.vs = append(make([]Vertex, 0, 1<<k), l.vs...)
+		l.ws = append(make([]float64, 0, 1<<k), l.ws...)
+		return
+	}
+	nl := g.vector(k)
+	nl.vs = append(nl.vs, l.vs...)
+	nl.ws = append(nl.ws, l.ws...)
+	l.vs, l.ws, nl.vs, nl.ws = nl.vs, nl.ws, l.vs, l.ws
+	g.release(nl)
 }
 
 // Neighborhood returns the sorted neighbourhood vector Γ_u: u's neighbours in

@@ -112,3 +112,59 @@ func TestPoolBoundedAfterMassDeparture(t *testing.T) {
 	}
 	t.Logf("%d vectors, %d entries pooled after %d vertices left", pooled, entries, 5000+8+400+2000)
 }
+
+// TestCooledHubReturnsCapacity: a vertex that grows to degree 1000 and then
+// cools to degree 3 gives its capacity back on the way down, one class per
+// halving of its degree, and the vectors that frees stay within the pool's
+// bound in every class.
+func TestCooledHubReturnsCapacity(t *testing.T) {
+	g := New()
+	const hub = Vertex(-1)
+	for v := Vertex(0); v < 1000; v++ {
+		g.Apply(Update{A: hub, B: v, Delta: 1})
+	}
+	if l := g.adj.Get(hub); cap(l.vs) < 1000 {
+		t.Fatalf("degree 1000 in a vector of capacity %d", cap(l.vs))
+	}
+	for v := Vertex(3); v < 1000; v++ {
+		g.SetWeight(hub, v, 0)
+	}
+	if g.Degree(hub) != 3 {
+		t.Fatalf("degree %d, want 3", g.Degree(hub))
+	}
+	if l := g.adj.Get(hub); cap(l.vs) > 16 || cap(l.ws) > 16 {
+		t.Errorf("a vertex cooled to degree 3 keeps capacity %d/%d, want ≤ 16", cap(l.vs), cap(l.ws))
+	}
+	for k, class := range g.pool {
+		if len(class) > poolLimit(k) {
+			t.Errorf("class %d holds %d vectors, bound %d", k, len(class), poolLimit(k))
+		}
+	}
+}
+
+// TestDegreeOscillationAllocatesNothing: a vertex whose degree swings across
+// a class boundary, and back far enough to move down a class again, takes
+// every vector it moves into from the pool once the first swing has filled
+// it, so a steady stream of such swings allocates nothing.
+func TestDegreeOscillationAllocatesNothing(t *testing.T) {
+	g := ring(40)
+	const v = Vertex(100)
+	for i := 0; i < 4; i++ {
+		g.Apply(Update{A: v, B: Vertex(i), Delta: 1})
+	}
+	swing := func() {
+		for i := 4; i < 9; i++ { // degree 4 → 9: class 2 → 3 → 4
+			g.Apply(Update{A: v, B: Vertex(i), Delta: 1})
+		}
+		for i := 4; i < 9; i++ { // and back to 4: class 4 → 3
+			g.Apply(Update{A: v, B: Vertex(i), Delta: -1})
+		}
+	}
+	swing()
+	if allocs := testing.AllocsPerRun(100, swing); allocs != 0 {
+		t.Errorf("a degree swinging 4 ↔ 9 costs %v allocs/run, want 0", allocs)
+	}
+	if l := g.adj.Get(v); g.Degree(v) != 4 || cap(l.vs) != 8 {
+		t.Fatalf("the swings left degree %d in capacity %d, want 4 in 8", g.Degree(v), cap(l.vs))
+	}
+}

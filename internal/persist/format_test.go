@@ -135,6 +135,69 @@ func TestGraphStateBoundedByLiveEdges(t *testing.T) {
 	}
 }
 
+// TestAggregatorStateBoundedByLivePairs pins that the persisted aggregator
+// state is a function of the live pairs, not of the stream: it holds each
+// tracked pair once, with one retirement entry, whatever the pairs that came
+// and went. n documents are followed by the same n with every entity shifted
+// past the first ones, n time units on; and, in a third run, by a burst of
+// 4n one-off pairs before the shifted copy, which has fully retired by its
+// end. The encoded aggregator states must be within 10 % of the first.
+func TestAggregatorStateBoundedByLivePairs(t *testing.T) {
+	const n = 2000
+	gen, err := stream.NewDocSynthetic(stream.DocSynthConfig{
+		BackgroundEntities: 2000, BackgroundSkew: 1, Stories: 3, StorySize: 4, Docs: n, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, err := stream.DrainDocs(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shift vset.Vertex
+	for _, d := range once {
+		shift = max(shift, d.Entities.Max()+1)
+	}
+	// shifted is once moved on by dt time units, every entity by shift.
+	shifted := func(dt int64) []stream.Document {
+		var out []stream.Document
+		for _, d := range once {
+			ents := make([]vset.Vertex, len(d.Entities))
+			for i, v := range d.Entities {
+				ents[i] = v + shift
+			}
+			out = append(out, stream.Document{Time: d.Time + dt, Entities: vset.New(ents...)})
+		}
+		return out
+	}
+	twice := append(slices.Clone(once), shifted(n)...)
+	burst := slices.Clone(once)
+	for i := range 4 * n { // one fresh pair per document, four documents per time unit
+		v := 2*shift + 2*vset.Vertex(i)
+		burst = append(burst, stream.Document{Time: n + int64(i/4), Entities: vset.New(v, v+1)})
+	}
+	burst = append(burst, shifted(2*n)...)
+	encoded := func(ps *PipelineState) int {
+		var e encoder
+		encodeAggState(&e, ps.Agg)
+		return len(e.b)
+	}
+	short, _ := captureAfter(t, once)
+	a := encoded(short)
+	for _, c := range []struct {
+		name string
+		docs []stream.Document
+	}{{"the shifted copy", twice}, {"a retired burst and the shifted copy", burst}} {
+		long, _ := captureAfter(t, c.docs)
+		if p, q := len(short.Agg.Pairs), len(long.Agg.Pairs); 10*q > 11*p || 10*p > 11*q {
+			t.Fatalf("fixture: %d live pairs after %d documents, %d after %s; want about as many", p, n, q, c.name)
+		}
+		if b := encoded(long); 10*b > 11*a || 10*a > 11*b {
+			t.Fatalf("encoded aggregator state is %d bytes after %d documents and %d after %s: it grows with the stream", a, n, b, c.name)
+		}
+	}
+}
+
 // shardedState is what builds that could shard the engine wrote under a
 // snapshot's sharded-state flag: the merger's sequence counter and
 // output-dense keys, the shared graph and each worker's index.

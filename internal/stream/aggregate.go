@@ -19,7 +19,7 @@ type DecayMode int
 
 // DecayRescale keeps weights in normalized units w' = w/λ: an epoch tick is
 // one float multiply plus a single threshold unit (λ), and PruneBelow
-// retirement is served lazily from an expiry-scale heap.
+// retirement is served lazily from an expiry-scale queue.
 const DecayRescale DecayMode = 0
 
 // maxTickFade bounds how far one epoch tick fades, whatever the gap between
@@ -101,10 +101,10 @@ type AggregatorStats struct {
 	ThresholdUpdates int // threshold batch units emitted (epoch ticks with fading)
 	Renorms          int // folds of λ into the stored weights (density.Fold)
 	// EpochPairTouches counts, cumulatively, the tracked pairs an epoch tick
-	// examined: the heap entries popped (retirements and stale re-keys) plus
-	// the pairs a fold relabelled. The O(1)-epoch claim is pinned as "a
-	// no-retirement epoch leaves this unchanged"; the per-pair sweep of the
-	// paper would add the full tracked count every tick.
+	// examined: the retirement entries popped (retirements and stale
+	// re-keys) plus the pairs a fold relabelled. The O(1)-epoch claim is
+	// pinned as "a no-retirement epoch leaves this unchanged"; the per-pair
+	// sweep of the paper would add the full tracked count every tick.
 	EpochPairTouches int
 }
 
@@ -127,17 +127,6 @@ func makePairKey(a, b graph.Vertex) pairKey {
 
 func (k pairKey) vertices() (a, b graph.Vertex) {
 	return graph.Vertex(k >> 32), graph.Vertex(uint32(k))
-}
-
-// retireEntry is one lazy-retirement heap entry: the pair expires once the
-// cumulative scale λ drops below expLambda. Entries are only ever stale-HIGH
-// (later additions grow w' and shrink the true expiry scale), so they fire
-// early and are verified against the authoritative weight on pop — never
-// late, which is what keeps lazy retirement equivalent to sweeping every pair
-// each epoch.
-type retireEntry struct {
-	key       pairKey
-	expLambda float64
 }
 
 // retiredPair is a popped-and-confirmed retirement awaiting sorted emission.
@@ -175,7 +164,7 @@ type Aggregator struct {
 	docUpdates       []Update
 
 	lambda     float64       // cumulative decay scale λ
-	retire     []retireEntry // max-heap on expLambda: largest expiry scale fires first
+	retire     retireQueue   // one entry per tracked pair: largest expiry scale fires first
 	retiredBuf []retiredPair // reusable scratch for confirmed retirements
 	pairBuf    []pairKey     // reusable per-document pair-expansion scratch
 
@@ -294,7 +283,7 @@ func appendDocPairs(buf []pairKey, ents vset.Set) []pairKey {
 // ingestExpanded is the sequential core of ingest: it queues the epoch tick
 // (if docTime crossed a boundary) and the document's co-occurrence updates,
 // given the document's pre-expanded pair keys. Every weight-table mutation,
-// retirement-heap re-key, and λ tick happens here, in document order — the
+// retirement-queue push, and λ tick happens here, in document order — the
 // pipelined front-end's sequencer calls this directly, so parallel expansion
 // produces a batch stream identical to the serial one by construction rather
 // than by re-implementation. pairs is borrowed for the duration of the call.
@@ -324,7 +313,7 @@ func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 			// A pair that gains more weight later keeps this (then stale-high)
 			// entry: it fires early, is verified on pop, and gets re-keyed —
 			// see retireExpired.
-			g.heapPush(retireEntry{key: k, expLambda: g.expiryLambda(w)})
+			g.retire.pushFirst(k, g.expiryLambda(w))
 		}
 		a, b := k.vertices()
 		g.docUpdates = append(g.docUpdates, Update{A: a, B: b, Delta: docWeight})
@@ -367,24 +356,31 @@ func (g *Aggregator) tickEpoch(elapsed int64) {
 	}
 }
 
-// retireExpired pops every heap entry whose recorded expiry scale the current
-// λ has crossed. Each pop is verified against the authoritative weight:
-// confirmed expiries are deleted and their exact normalized cancellation
-// queued (in sorted pair order, so the stream stays deterministic);
-// stale-high entries — the pair gained weight since the entry was pushed —
-// are re-keyed with the accurate expiry scale, clamped to the current λ so a
-// float boundary can't re-fire them within the same tick.
+// retireExpired pops every queued entry whose recorded expiry scale the
+// current λ has crossed. Each pop is verified against the authoritative
+// weight, found with one probe that also serves the deletion: confirmed
+// expiries are deleted and their exact normalized cancellation queued (in
+// sorted pair order, so the stream stays deterministic); stale-high entries —
+// the pair gained weight since the entry was pushed — are re-keyed into the
+// heap with the accurate expiry scale, clamped to the current λ so a float
+// boundary can't re-fire them within the same tick. Which entries a tick pops
+// depends only on the expiry scales, so neither the pop order nor the part
+// an entry waits in changes what the tick emits.
 func (g *Aggregator) retireExpired() {
 	retired := g.retiredBuf[:0]
-	for len(g.retire) > 0 && g.retire[0].expLambda > g.lambda {
-		e := g.heapPop()
+	for {
+		e, due := g.retire.popDue(g.lambda)
+		if !due {
+			break
+		}
 		g.stats.EpochPairTouches++
-		w, tracked := g.weights.get(e.key)
+		i, tracked := g.weights.find(e.key)
 		if !tracked {
 			continue // defensive: the single-live-entry invariant makes this unreachable
 		}
+		w := g.weights.vals[i]
 		if w*g.lambda < g.cfg.PruneBelow {
-			g.weights.del(e.key)
+			g.weights.deleteAt(i)
 			retired = append(retired, retiredPair{key: e.key, w: w})
 			g.stats.Retired++
 			continue
@@ -393,7 +389,7 @@ func (g *Aggregator) retireExpired() {
 		if exp > g.lambda {
 			exp = g.lambda
 		}
-		g.heapPush(retireEntry{key: e.key, expLambda: exp})
+		g.retire.push(retireEntry{key: e.key, expLambda: exp})
 	}
 	slices.SortFunc(retired, func(x, y retiredPair) int {
 		switch {
@@ -415,55 +411,13 @@ func (g *Aggregator) retireExpired() {
 // renormalize folds λ = m·2^k into the stored weights: every weight is
 // multiplied by 2^k and every expiry scale by 2^-k, both exact, and λ
 // restarts at m. Real weights w'·λ are unchanged, nothing is emitted, and a
-// uniform exact scaling keeps the heap in order. A weight that the relabel
-// takes below the normal range rounds exactly as the engine's copy of it
-// does; one that reaches 0 — possible only without pruning — is dropped, as
-// the engine's graph drops the edge.
+// uniform exact scaling keeps the retirement queue in order. A weight that
+// the relabel takes below the normal range rounds exactly as the engine's
+// copy of it does; one that reaches 0 — possible only without pruning — is
+// dropped, as the engine's graph drops the edge.
 func (g *Aggregator) renormalize(m float64, k int) {
 	g.stats.EpochPairTouches += g.weights.ldexp(k)
-	for i := range g.retire {
-		g.retire[i].expLambda = math.Ldexp(g.retire[i].expLambda, -k)
-	}
+	g.retire.ldexp(-k)
 	g.lambda = m
 	g.stats.Renorms++
-}
-
-// heapPush inserts an entry into the max-heap on expLambda. The heap is
-// hand-rolled on the slice (rather than container/heap) to keep epoch ticks
-// free of interface boxing allocations.
-func (g *Aggregator) heapPush(e retireEntry) {
-	g.retire = append(g.retire, e)
-	i := len(g.retire) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if g.retire[parent].expLambda >= g.retire[i].expLambda {
-			break
-		}
-		g.retire[parent], g.retire[i] = g.retire[i], g.retire[parent]
-		i = parent
-	}
-}
-
-// heapPop removes and returns the entry with the largest expiry scale.
-func (g *Aggregator) heapPop() retireEntry {
-	top := g.retire[0]
-	last := len(g.retire) - 1
-	g.retire[0] = g.retire[last]
-	g.retire = g.retire[:last]
-	i, n := 0, last
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return top
-		}
-		big := l
-		if r := l + 1; r < n && g.retire[r].expLambda > g.retire[l].expLambda {
-			big = r
-		}
-		if g.retire[i].expLambda >= g.retire[big].expLambda {
-			return top
-		}
-		g.retire[i], g.retire[big] = g.retire[big], g.retire[i]
-		i = big
-	}
 }

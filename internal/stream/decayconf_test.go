@@ -18,7 +18,7 @@
 //     engine's own (normalized) graph;
 //   - units: rescaled emitted densities are real-unit (the engine multiplies
 //     by λ at the emit boundary) and equal the sweep's to float tolerance;
-//   - retirement: the lazy expiry heap must retire exactly the pairs the
+//   - retirement: the lazy expiry queue must retire exactly the pairs the
 //     sweep retires, at the same epoch, over randomized add/decay schedules
 //     with multi-epoch time jumps;
 //   - scale: multiplying DocWeight, PruneBelow and T by one power of two
@@ -37,6 +37,7 @@ import (
 	"dyndens/internal/baseline/brute"
 	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
+	"dyndens/internal/density"
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/vset"
@@ -280,36 +281,89 @@ func TestDecayModeShardedConformance(t *testing.T) {
 	}
 }
 
-// TestRescaleRetirementMatchesExactSweep is the lazy-heap property test: over
-// randomized document schedules — bursty pair adds, single- and multi-epoch
-// time jumps, re-added pairs that invalidate heap entries — the aggregator
-// must retire exactly the pairs the reference sweep retires, in the same
-// epoch batch, and the surviving weights must agree in real units. Both
-// sides are mirrored purely from the emitted update streams, so the test
+// retireSchedule is one randomized document schedule for
+// TestRescaleRetirementMatchesExactSweep: two-entity documents over a small
+// vertex set, mostly in the same epoch, 30% one epoch later and 10% 2–5
+// epochs later.
+type retireSchedule struct {
+	name     string
+	seed     int64
+	vertices int                         // entities are drawn from [0, vertices)
+	decay    float64                     // per-epoch fading factor
+	gapAt    int                         // document index preceded by a 1000-epoch gap; 0 for none
+	check    func(AggregatorStats) error // what the schedule must have exercised
+}
+
+func (sc retireSchedule) docs() []Document {
+	rng := rand.New(rand.NewSource(sc.seed))
+	var docs []Document
+	now := int64(0)
+	for i := 0; i < 400; i++ {
+		switch r := rng.Float64(); {
+		case r < 0.30:
+			now += 10
+		case r < 0.40:
+			now += 10 * int64(2+rng.Intn(4))
+		}
+		if i > 0 && i == sc.gapAt {
+			now += 10 * 1000
+		}
+		a := vset.Vertex(rng.Intn(sc.vertices))
+		b := vset.Vertex(rng.Intn(sc.vertices))
+		for b == a {
+			b = vset.Vertex(rng.Intn(sc.vertices))
+		}
+		docs = append(docs, Document{Time: now, Entities: vset.New(a, b)})
+	}
+	return docs
+}
+
+// TestRescaleRetirementMatchesExactSweep is the lazy-retirement property
+// test: over randomized document schedules — bursty pair adds, single- and
+// multi-epoch time jumps, re-added pairs that invalidate queued entries — the
+// aggregator must retire exactly the pairs the reference sweep retires, in
+// the same epoch batch, and the surviving weights must agree in real units.
+// Both sides are mirrored purely from the emitted update streams, so the test
 // also pins that cancellations telescope to exact zero in each side's own
-// units.
+// units. Beyond the base schedules (seed=N), three families stress the two
+// parts of the retirement queue: pairs re-mentioned over many epochs, so
+// most pops are heap re-keys rather than first-time entries; a 1000-epoch
+// document gap, which the tick clamps at maxTickFade and which folds; and a
+// steep decay that folds λ mid-stream under live first-time runs.
 func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
+	var schedules []retireSchedule
 	for seed := int64(1); seed <= 5; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			var docs []Document
-			now := int64(0)
-			for i := 0; i < 400; i++ {
-				// 60%: same epoch; 30%: next epoch; 10%: jump 2–5 epochs.
-				switch r := rng.Float64(); {
-				case r < 0.30:
-					now += 10
-				case r < 0.40:
-					now += 10 * int64(2+rng.Intn(4))
-				}
-				a := vset.Vertex(rng.Intn(12))
-				b := vset.Vertex(rng.Intn(12))
-				for b == a {
-					b = vset.Vertex(rng.Intn(12))
-				}
-				docs = append(docs, Document{Time: now, Entities: vset.New(a, b)})
-			}
-			cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
+		schedules = append(schedules, retireSchedule{name: fmt.Sprintf("seed=%d", seed), seed: seed, vertices: 12, decay: 0.5})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		schedules = append(schedules,
+			retireSchedule{name: fmt.Sprintf("rekeys/seed=%d", seed), seed: seed, vertices: 6, decay: 0.9,
+				check: func(st AggregatorStats) error {
+					if rekeys := st.EpochPairTouches - st.Retired; rekeys <= st.Retired {
+						return fmt.Errorf("%d re-keys for %d retirements: most pops must be re-keys", rekeys, st.Retired)
+					}
+					return nil
+				}},
+			retireSchedule{name: fmt.Sprintf("gap/seed=%d", seed), seed: seed, vertices: 12, decay: 0.5, gapAt: 200,
+				check: func(st AggregatorStats) error {
+					if st.Renorms == 0 {
+						return fmt.Errorf("the gap did not fold: %+v", st)
+					}
+					return nil
+				}},
+			retireSchedule{name: fmt.Sprintf("fold/seed=%d", seed), seed: seed, vertices: 12, decay: 0x1p-4,
+				check: func(st AggregatorStats) error {
+					if st.Renorms == 0 {
+						return fmt.Errorf("no fold: %+v", st)
+					}
+					return nil
+				}},
+		)
+	}
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			docs := sc.docs()
+			cfg := AggregatorConfig{EpochLength: 10, Decay: sc.decay, PruneBelow: 0.05}
 
 			// mirror applies a stream's batches, recording the pairs each epoch
 			// batch cancels to exactly zero, in emission order.
@@ -345,6 +399,15 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			rescale := &mirror{weights: map[[2]core.Vertex]float64{}}
 			for _, b := range batches {
 				apply(rescale, b.updates, b.decay)
+				// A fold relabels the stored weights after the tick's
+				// cancellations, as the engine's graph does.
+				if b.threshold != nil {
+					if _, k := density.Fold(b.threshold.Scale); k != 0 {
+						for key, w := range rescale.weights {
+							rescale.weights[key] = math.Ldexp(w, k)
+						}
+					}
+				}
 			}
 			// Real units for comparison: the rescaled mirror holds normalized
 			// weights.
@@ -389,6 +452,11 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			}
 			if extra := rescaleStats.EpochPairTouches - rescaleStats.Retired; extra > rescaleStats.PairUpdates {
 				t.Fatalf("%d stale re-keys exceed %d pair additions", extra, rescaleStats.PairUpdates)
+			}
+			if sc.check != nil {
+				if err := sc.check(rescaleStats); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

@@ -1,10 +1,13 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dyndens/internal/core"
@@ -275,5 +278,82 @@ func TestAggregatorStateRejectsTamperedHeap(t *testing.T) {
 				t.Fatalf("restore returned %v", err)
 			}
 		})
+	}
+}
+
+// TestAggregatorResumesFromHeapLayout restores, mid-stream, an aggregator
+// state whose retirement entries are laid out as a heap built by pushes in
+// pair-key order — the layout a snapshot of an older build holds — rather
+// than in the descending order an export now writes. The resumed run must
+// emit the uninterrupted run's batches, and its counters must add up to the
+// uninterrupted run's: which entries a tick pops depends on the expiry
+// scales alone, not on where each entry waits.
+func TestAggregatorResumesFromHeapLayout(t *testing.T) {
+	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.8, PruneBelow: 0.05}
+	docs := pipelineConfDocs(3, 600)
+	whole := MustAggregator(NewSliceDocSource(docs), cfg)
+	want := drainAggregator(t, whole)
+	wantStats := whole.Stats()
+	for _, cut := range []int{150, 300, 450} {
+		agg := MustAggregator(NewSliceDocSource(docs), cfg)
+		var got []recordedBatch
+		for agg.Stats().Docs < cut || !agg.Drained() {
+			b, err := agg.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb := recordedBatch{updates: append([]Update(nil), b.Updates...), decay: b.Decay}
+			if b.Threshold != nil {
+				thr := *b.Threshold
+				rb.threshold = &thr
+			}
+			got = append(got, rb)
+		}
+		before := agg.Stats()
+		st, err := agg.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyed := slices.Clone(st.Retire)
+		slices.SortFunc(keyed, func(x, y RetireEntryState) int {
+			return cmp.Compare(makePairKey(x.A, x.B), makePairKey(y.A, y.B))
+		})
+		var q retireQueue
+		for _, e := range keyed {
+			q.push(retireEntry{key: makePairKey(e.A, e.B), expLambda: e.ExpLambda})
+		}
+		sorted := true
+		for i, e := range q.heap {
+			a, b := e.key.vertices()
+			st.Retire[i] = RetireEntryState{A: a, B: b, ExpLambda: e.expLambda}
+			sorted = sorted && (i == 0 || q.heap[i-1].expLambda >= e.expLambda)
+		}
+		if sorted {
+			t.Fatalf("cut %d: the pushed heap of %d entries came out sorted; fixture too weak", cut, len(q.heap))
+		}
+		resumed, err := NewAggregatorFromState(NewSliceDocSource(docs[before.Docs:]), cfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, drainAggregator(t, resumed)...)
+		requireSameBatches(t, fmt.Sprintf("resumed at document %d", before.Docs), got, want)
+		after := resumed.Stats()
+		sum := AggregatorStats{
+			Docs:             before.Docs + after.Docs,
+			PairUpdates:      before.PairUpdates + after.PairUpdates,
+			DecayUpdates:     before.DecayUpdates + after.DecayUpdates,
+			Retired:          before.Retired + after.Retired,
+			Epochs:           before.Epochs + after.Epochs,
+			TrackedPairs:     after.TrackedPairs,
+			ThresholdUpdates: before.ThresholdUpdates + after.ThresholdUpdates,
+			Renorms:          before.Renorms + after.Renorms,
+			EpochPairTouches: before.EpochPairTouches + after.EpochPairTouches,
+		}
+		if sum != wantStats {
+			t.Fatalf("resumed at document %d: stats add up to %+v, want %+v", before.Docs, sum, wantStats)
+		}
+		if before.Retired == 0 || after.Retired == 0 || after.EpochPairTouches == after.Retired {
+			t.Fatalf("cut %d: %+v then %+v; fixture too weak", cut, before, after)
+		}
 	}
 }

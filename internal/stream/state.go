@@ -58,8 +58,11 @@ type RetireEntryState struct {
 }
 
 // AggregatorState is the persisted fading state of an Aggregator. Pairs are
-// sorted by canonical pair key; Retire preserves the heap slice verbatim so
-// a restored aggregator pops retirements exactly like the crashed one.
+// sorted by canonical pair key. Retire holds one entry per tracked pair and
+// must be a max-heap on ExpLambda; an export lists them in descending expiry
+// scale, ties by pair key. Which entries an epoch tick pops depends on the
+// expiry scales alone, so a restored aggregator retires exactly like the
+// crashed one whatever valid heap layout it was given.
 type AggregatorState struct {
 	Started  bool
 	Epoch    int64
@@ -89,8 +92,9 @@ func (g *Aggregator) ExportState() (AggregatorState, error) {
 		a, b := k.vertices()
 		st.Pairs[i] = AggregatorPair{A: a, B: b, W: w}
 	}
-	st.Retire = make([]RetireEntryState, len(g.retire))
-	for i, e := range g.retire {
+	entries := g.retire.entries()
+	st.Retire = make([]RetireEntryState, len(entries))
+	for i, e := range entries {
 		a, b := e.key.vertices()
 		st.Retire[i] = RetireEntryState{A: a, B: b, ExpLambda: e.expLambda}
 	}
@@ -128,11 +132,11 @@ func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st Aggreg
 		}
 		g.weights.put(k, p.W)
 	}
-	// The heap slice is persisted verbatim, which preserves pop order bit for
-	// bit. It must be what the aggregator keeps: a max-heap of finite expiry
+	// Every restored entry goes to the heap, whose layout the list already
+	// is. It must be what the aggregator keeps: a max-heap of finite expiry
 	// scales (out of order, it retires late), one entry per tracked pair
 	// while pruning is on, and none for an untracked pair.
-	g.retire = make([]retireEntry, len(st.Retire))
+	g.retire.heap = make([]retireEntry, len(st.Retire))
 	queued := make(map[pairKey]bool, len(st.Retire))
 	for i, e := range st.Retire {
 		k := makePairKey(e.A, e.B)
@@ -145,7 +149,7 @@ func NewAggregatorFromState(docs DocumentSource, cfg AggregatorConfig, st Aggreg
 			return nil, fmt.Errorf("stream: restored retire entry (%d, %d) names no tracked pair, or one already queued", e.A, e.B)
 		}
 		queued[k] = true
-		g.retire[i] = retireEntry{key: k, expLambda: e.ExpLambda}
+		g.retire.heap[i] = retireEntry{key: k, expLambda: e.ExpLambda}
 	}
 	if g.cfg.PruneBelow > 0 && len(queued) != g.weights.len() {
 		return nil, fmt.Errorf("stream: restored retire heap queues %d of %d tracked pairs", len(queued), g.weights.len())
