@@ -39,11 +39,7 @@ func cmdGen(args []string) error {
 		MeanDelta:        *mean,
 	}
 
-	src, err := stream.NewSynthetic(cfg)
-	if err != nil {
-		return err
-	}
-	all, err := stream.Drain(src)
+	all, err := stream.Synthetic(cfg)
 	if err != nil {
 		return err
 	}

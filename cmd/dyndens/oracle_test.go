@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -49,11 +50,18 @@ func TestShippedConfigMatchesBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		updates, err := stream.Drain(src)
-		src.Close()
-		if err != nil {
-			t.Fatal(err)
+		var updates []stream.Update
+		for {
+			b, err := src.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			updates = append(updates, b.Updates...)
 		}
+		src.Close()
 		for i, u := range updates {
 			e.Process(u)
 			p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates[:i+1])}

@@ -20,7 +20,7 @@ import (
 // co-occurrence front-end and the story tracker.
 type pipeline struct {
 	wal walOptions
-	src stream.UpdateSource
+	src stream.BatchSource
 	eng *core.Engine
 	// agg is the document front-end, whose Drained boundaries are the
 	// consistent snapshot points; nil for edge streams, where every boundary

@@ -85,7 +85,7 @@ func cmdRun(args []string) error {
 		if err := p.openWAL(fp, *input == "-"); err != nil {
 			return err
 		}
-		p.src = p.pst.Batches(fileSrc).(stream.UpdateSource)
+		p.src = p.pst.Batches(fileSrc)
 	}
 	if p.eng, err = persist.RestoreEngine(engCfg, p.restored); err != nil {
 		return err

@@ -43,15 +43,22 @@ type Config struct {
 // crossing while Decay < 1, even when that sweep emits no delta.
 type Group struct {
 	Updates []graph.Update
-	Epoch   bool // an epoch tick's sweep rather than a document's pairs
+	After   []float64 // Stream.After for these updates
+	Epoch   bool      // an epoch tick's sweep rather than a document's pairs
 }
 
 // Stream is the output of Sweep.
 type Stream struct {
 	Updates []graph.Update // every delta, in emission order
-	Groups  []Group        // Updates cut into epoch sweeps and documents
-	Retired int            // pairs cancelled for falling below PruneBelow
-	Touches int            // tracked pairs summed over every sweep
+	// After holds, for each of Updates, the pair's weight in the sweep's own
+	// arithmetic once the delta is applied: faded for a fade, 0 for a
+	// retirement. Below a decay of ½ the sum of a pair's deltas need not
+	// equal its faded weight (w + (w·f − w) rounds), so a mirror that adds
+	// the deltas up drifts from the sweep; one that reads After does not.
+	After   []float64
+	Groups  []Group // Updates cut into epoch sweeps and documents
+	Retired int     // pairs cancelled for falling below PruneBelow
+	Touches int     // tracked pairs summed over every sweep
 }
 
 // Sweep runs docs through the fading schedule. A document's pairs are
@@ -86,8 +93,10 @@ func Sweep[D ~Doc](docs []D, cfg Config) Stream {
 		n := len(s.Updates)
 		for j, a := range d.Entities {
 			for _, b := range d.Entities[j+1:] {
-				weights[pairKey(a, b)] += cfg.DocWeight
+				k := pairKey(a, b)
+				weights[k] += cfg.DocWeight
 				s.Updates = append(s.Updates, graph.Update{A: a, B: b, Delta: cfg.DocWeight})
+				s.After = append(s.After, weights[k])
 			}
 		}
 		if len(s.Updates) > n {
@@ -96,7 +105,7 @@ func Sweep[D ~Doc](docs []D, cfg Config) Stream {
 	}
 	start := 0
 	for i, end := range ends {
-		s.Groups = append(s.Groups, Group{Updates: s.Updates[start:end:end], Epoch: epochs[i]})
+		s.Groups = append(s.Groups, Group{Updates: s.Updates[start:end:end], After: s.After[start:end:end], Epoch: epochs[i]})
 		start = end
 	}
 	return s
@@ -111,7 +120,7 @@ func (s *Stream) sweep(weights map[uint64]float64, factor, pruneBelow float64) {
 		faded := w * factor
 		delta := faded - w
 		if faded < pruneBelow {
-			delta = -w
+			delta, faded = -w, 0
 			delete(weights, k)
 			s.Retired++
 		} else {
@@ -119,6 +128,7 @@ func (s *Stream) sweep(weights map[uint64]float64, factor, pruneBelow float64) {
 		}
 		if delta != 0 {
 			s.Updates = append(s.Updates, graph.Update{A: graph.Vertex(k >> 32), B: graph.Vertex(uint32(k)), Delta: delta})
+			s.After = append(s.After, faded)
 		}
 	}
 }

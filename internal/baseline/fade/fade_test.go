@@ -2,6 +2,7 @@ package fade
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dyndens/internal/graph"
@@ -42,6 +43,9 @@ func TestSweepFadesOnEpochTick(t *testing.T) {
 	if s.Retired != 0 || s.Touches != 3 {
 		t.Fatalf("retired=%d touches=%d, want 0 and 3 (one pair, then two)", s.Retired, s.Touches)
 	}
+	if want := []float64{1, 2, 1, 1, 0.25, 0.25}; !slices.Equal(s.After, want) {
+		t.Fatalf("After = %v, want %v", s.After, want)
+	}
 }
 
 // TestSweepPrunesStalePairs checks that a pair falling below PruneBelow is
@@ -61,6 +65,9 @@ func TestSweepPrunesStalePairs(t *testing.T) {
 	}
 	if s.Retired != 1 || s.Touches != 1 {
 		t.Fatalf("retired=%d touches=%d, want 1 and 1", s.Retired, s.Touches)
+	}
+	if !slices.Equal(s.After, []float64{1, 0}) {
+		t.Fatalf("After = %v, want [1 0]: the add, then the retirement", s.After)
 	}
 }
 

@@ -28,15 +28,17 @@ import (
 // the full positive/negative paths).
 func steadyStateEngine(t *testing.T) (*core.Engine, []core.Update) {
 	t.Helper()
-	warm, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+	warm, err := stream.Synthetic(stream.SynthConfig{
 		Vertices: benchVertices, Seed: 1, Skew: benchSkew, Updates: benchWarm,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := core.MustNew(benchConfig())
 	eng.SetSink(&core.CountingSink{})
-	eng.ProcessAll(warm)
+	for _, u := range warm {
+		eng.Process(u)
+	}
 
 	dense := eng.Dense()
 	if len(dense) == 0 {

@@ -235,13 +235,13 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	cfg := core.Config{T: 2, Nmax: 4}
 	t.Run("implicit", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
-			updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+			updates, err := stream.Synthetic(stream.SynthConfig{
 				Vertices:         10,
 				Updates:          400,
 				Seed:             seed,
 				NegativeFraction: 0.35,
 				MeanDelta:        1.5,
-			}))
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func benchConfig() core.Config {
 func benchUpdates(b *testing.B, cfg stream.SynthConfig, n int) []core.Update {
 	b.Helper()
 	cfg.Updates = n
-	updates, err := stream.Drain(stream.MustSynthetic(cfg))
+	updates, err := stream.Synthetic(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,9 @@ func warmEngine(b *testing.B, cfg core.Config, warm []core.Update) *core.Engine 
 	b.Helper()
 	eng := core.MustNew(cfg)
 	eng.SetSink(&core.CountingSink{})
-	eng.ProcessAll(warm)
+	for _, u := range warm {
+		eng.Process(u)
+	}
 	return eng
 }
 
@@ -149,7 +151,9 @@ func benchFamilyBackground(b *testing.B, families int) {
 		setup = append(setup,
 			core.Update{A: x, B: x + 1, Delta: 6.25}, core.Update{A: x, B: x + 2, Delta: 6.25}, core.Update{A: x + 1, B: x + 2, Delta: 6.25})
 	}
-	eng.ProcessAll(setup)
+	for _, u := range setup {
+		eng.Process(u)
+	}
 	if eng.ImplicitFamilyCount() != families {
 		b.Fatalf("fixture: %d families, want %d", eng.ImplicitFamilyCount(), families)
 	}
@@ -208,7 +212,9 @@ func BenchmarkProcessPlantedSteady(b *testing.B) {
 			}
 		}
 	}
-	eng.ProcessAll(setup)
+	for _, u := range setup {
+		eng.Process(u)
+	}
 	if want := cliques * 26; eng.DenseCount() != want || eng.ImplicitFamilyCount() != 0 {
 		b.Fatalf("fixture: %d dense subgraphs and %d families, want the %d subsets of the cliques and none", eng.DenseCount(), eng.ImplicitFamilyCount(), want)
 	}
@@ -447,7 +453,7 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	b.ReportAllocs()
 	for done := 0; done < b.N; done += rebuildEvery {
 		b.StopTimer()
-		src := stream.MustSynthetic(stream.SynthConfig{Vertices: benchVertices, Updates: min(rebuildEvery, b.N-done), Seed: 7, NegativeFraction: 0.1})
+		src := stream.NewSliceSource(stream.MustSynthetic(stream.SynthConfig{Vertices: benchVertices, Updates: min(rebuildEvery, b.N-done), Seed: 7, NegativeFraction: 0.1}), 1024)
 		eng := core.MustNew(core.Config{T: 25, Nmax: 5})
 		r := stream.NewReplay(src, eng, &core.CountingSink{})
 		b.StartTimer()

@@ -536,18 +536,6 @@ func (e *Engine) StarNeedsPositive(a, b Vertex, pendingDelta float64) bool {
 	return needs
 }
 
-// ProcessAll applies a sequence of updates and returns the total number of
-// events that were generated (counted through the engine's event counter, so
-// it works identically in sink and slice mode). It is the convenience entry
-// point used by benchmarks and bulk loads.
-func (e *Engine) ProcessAll(updates []Update) int {
-	before := e.stats.Events
-	for _, u := range updates {
-		e.Process(u)
-	}
-	return int(e.stats.Events - before)
-}
-
 // noteIndexSize raises the index high-water mark to the current node count.
 func (e *Engine) noteIndexSize() {
 	if n := e.ix.NodeCount(); n > e.stats.MaxIndexNodes {

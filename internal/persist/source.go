@@ -133,9 +133,7 @@ func (c *docChain) Next() (stream.Document, error) {
 
 // batchChain is docChain for edge-update streams: one WAL frame per NextBatch
 // unit, so the batch structure — decay provenance and threshold units
-// included — survives the WAL/live seam exactly. It also serves per-update
-// consumers (stream.UpdateSource) by unbatching, though threshold units
-// cannot cross that interface.
+// included — survives the WAL/live seam exactly.
 type batchChain struct {
 	s       *Store
 	frames  []frame
@@ -143,8 +141,6 @@ type batchChain struct {
 	live    stream.BatchSource
 	skipped bool
 	scratch encoder
-	pending []stream.Update // Next()-mode unbatch buffer
-	ppos    int
 }
 
 // NextBatch implements stream.BatchSource.
@@ -176,25 +172,4 @@ func (c *batchChain) NextBatch() (stream.Batch, error) {
 		return stream.Batch{}, err
 	}
 	return b, nil
-}
-
-// Next implements stream.UpdateSource by unbatching. Threshold units carry
-// engine semantics a per-update consumer cannot express, so they are an
-// error here — drive WAL-backed rescaled streams through RunBatches.
-func (c *batchChain) Next() (stream.Update, error) {
-	for c.ppos >= len(c.pending) {
-		b, err := c.NextBatch()
-		if err != nil {
-			return stream.Update{}, err
-		}
-		if b.Threshold != nil {
-			return stream.Update{}, fmt.Errorf("persist: threshold unit in per-update replay; use the batch driver")
-		}
-		c.pending = c.pending[:0]
-		c.pending = append(c.pending, b.Updates...)
-		c.ppos = 0
-	}
-	u := c.pending[c.ppos]
-	c.ppos++
-	return u, nil
 }

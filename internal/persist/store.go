@@ -169,8 +169,7 @@ func (s *Store) Docs(live stream.DocumentSource) stream.DocumentSource {
 
 // Batches wraps the pipeline's live batch source into the recovery chain:
 // one WAL frame per batch unit, so decay provenance and threshold units
-// survive the WAL/live seam. The returned source also implements
-// stream.UpdateSource for per-update drivers.
+// survive the WAL/live seam.
 func (s *Store) Batches(live stream.BatchSource) stream.BatchSource {
 	s.claimWrap()
 	return &batchChain{s: s, frames: s.replay, live: live}

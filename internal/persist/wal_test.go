@@ -306,22 +306,3 @@ func TestBatchChainRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchChainRejectsThresholdPerUpdate(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := st.Batches(&sliceBatchSource{batches: []stream.Batch{
-		{Decay: true, Threshold: &stream.ThresholdUpdate{Scale: 0.7}},
-	}})
-	us, ok := src.(stream.UpdateSource)
-	if !ok {
-		t.Fatal("batch chain does not serve per-update consumers")
-	}
-	if _, err := us.Next(); err == nil {
-		t.Fatal("per-update replay accepted a threshold unit")
-	}
-	st.Close()
-}

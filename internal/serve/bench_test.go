@@ -36,7 +36,9 @@ func plantedSteady(tb testing.TB) (story.Config, *updateLog) {
 	eng := core.MustNew(w.eng)
 	log := new(updateLog)
 	eng.SetSink(log)
-	eng.ProcessAll(updates)
+	for _, u := range updates {
+		eng.Process(u)
+	}
 	return w.trk, log
 }
 

@@ -278,13 +278,13 @@ func TestBuilderShardedConformance(t *testing.T) {
 // exactly the engine's output-dense set after every update, and every
 // intermediate snapshot is internally consistent.
 func TestBuilderLiveKeysMatchEngine(t *testing.T) {
-	updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+	updates, err := stream.Synthetic(stream.SynthConfig{
 		Vertices:         12,
 		Updates:          400,
 		Seed:             19,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,13 +424,13 @@ func TestRestoredViewCountsWholeStream(t *testing.T) {
 // each snapshot's live-key universe against the engine's OutputDenseKeys
 // recorded at the same update boundary. Run under -race in CI.
 func TestSnapshotConsistencyUnderConcurrentReads(t *testing.T) {
-	updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+	updates, err := stream.Synthetic(stream.SynthConfig{
 		Vertices:         14,
 		Updates:          3000,
 		Seed:             41,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,17 +218,13 @@ func firstDiff(a, b []Record) string {
 // attributes to stories are exactly the engine's output-dense set after
 // every update.
 func TestTrackerLiveKeysMatchEngine(t *testing.T) {
-	src := stream.MustSynthetic(stream.SynthConfig{
+	updates := stream.MustSynthetic(stream.SynthConfig{
 		Vertices:         12,
 		Updates:          400,
 		Seed:             19,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
 	})
-	updates, err := stream.Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	tr := MustTracker(Config{Grace: 5})
 	eng.SetSink(tr)

@@ -21,13 +21,13 @@ import (
 // that subgraphs both enter and leave the result set repeatedly.
 func contractStream(t *testing.T, seed int64) []stream.Update {
 	t.Helper()
-	updates, err := stream.Drain(stream.MustSynthetic(stream.SynthConfig{
+	updates, err := stream.Synthetic(stream.SynthConfig{
 		Vertices:         10,
 		Updates:          300,
 		Seed:             seed,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

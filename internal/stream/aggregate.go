@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -206,9 +205,10 @@ func (g *Aggregator) Stats() AggregatorStats {
 
 // Weight returns the aggregator's current stored weight for the pair {a, b}
 // (0 if untracked), in the units the engine's graph holds: the normalized
-// weight w' = w/λ (multiply by Scale for the real faded value). After a full
-// drain through an engine this equals the engine graph's edge weight up to
-// float rounding.
+// weight w' = w/λ (multiply by Scale for the real faded value). After every
+// batch the engine has applied, this equals the engine graph's edge weight
+// bit for bit: both sum the same deltas in the same order, and a fold
+// relabels both by the same power of two (TestAggregatorMirrorsEngineGraph).
 func (g *Aggregator) Weight(a, b graph.Vertex) float64 {
 	w, _ := g.weights.get(makePairKey(a, b))
 	return w
@@ -217,18 +217,6 @@ func (g *Aggregator) Weight(a, b graph.Vertex) float64 {
 // Scale returns the cumulative decay scale λ: stored weights are w' = w/λ.
 // It is 1 before the first epoch tick and in [½, 1) right after a fold.
 func (g *Aggregator) Scale() float64 { return g.lambda }
-
-// ErrNeedBatch is returned by the per-update Next of a document front-end:
-// an epoch tick is a threshold batch unit, which has no per-update
-// representation.
-var ErrNeedBatch = errors.New("stream: fading emits threshold batch units; drive the aggregator through NextBatch")
-
-// Next implements UpdateSource, which the replay drivers take, and always
-// returns ErrNeedBatch: the stream is batch-structured and the drivers
-// consume it through NextBatch.
-func (g *Aggregator) Next() (Update, error) {
-	return Update{}, ErrNeedBatch
-}
 
 // NextBatch implements BatchSource: the queued deltas are handed out in their
 // natural coalescible groups — each epoch tick as one batch (Decay true,

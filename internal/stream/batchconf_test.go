@@ -339,13 +339,13 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 	engCfg := core.Config{T: 2, Nmax: 4}
 	for seed := int64(41); seed <= 42; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			updates, err := Drain(MustSynthetic(SynthConfig{
+			updates, err := Synthetic(SynthConfig{
 				Vertices:         10,
 				Updates:          400,
 				Seed:             seed,
 				NegativeFraction: 0.35,
 				MeanDelta:        1.5,
-			}))
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,20 +462,21 @@ func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
 }
 
 // TestRunBatchesCoalescedMatchesSequential pins that the replay driver applies
-// exactly the same updates whether it coalesces the chunks of a plain source
-// or processes them update by update, reports coherent tick counts, and ends
+// exactly the same updates whether it coalesces a slice source's chunks or
+// processes them update by update, reports coherent tick counts, and ends
 // at the same expanded output-dense set, the oracle's.
 func TestRunBatchesCoalescedMatchesSequential(t *testing.T) {
 	synth := SynthConfig{Vertices: 12, Updates: 500, Seed: 9, NegativeFraction: 0.3, MeanDelta: 1.5}
 	engCfg := core.Config{T: 2, Nmax: 4}
 
+	updates := MustSynthetic(synth)
 	seqEng := core.MustNew(engCfg)
-	seqStats, err := NewReplay(MustSynthetic(synth), seqEng, nil).RunBatches(64, false)
+	seqStats, err := NewReplay(NewSliceSource(updates, 64), seqEng, nil).RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batEng := core.MustNew(engCfg)
-	batStats, err := NewReplay(MustSynthetic(synth), batEng, nil).RunBatches(64, true)
+	batStats, err := NewReplay(NewSliceSource(updates, 64), batEng, nil).RunBatches(64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,10 +492,6 @@ func TestRunBatchesCoalescedMatchesSequential(t *testing.T) {
 	}
 	// Which members of an ImplicitTooDense family are explicit depends on the
 	// order of discovery, so the engines are compared expanded.
-	updates, err := Drain(MustSynthetic(synth))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := batEng.Config()
 	p := brute.Params{Measure: cfg.Measure, T: cfg.T, Nmax: cfg.Nmax, Universe: brute.UniverseOf(updates)}
 	oracle := brute.Keys(brute.EnumerateAll(batEng.Graph(), p))

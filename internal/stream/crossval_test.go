@@ -92,12 +92,9 @@ func runCrossVal(t *testing.T, seed int64, sink core.EventSink, tracker *eventTr
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
 	}
-	updates, err := Drain(MustSynthetic(synth))
-	if err != nil {
-		t.Fatal(err)
-	}
+	updates := MustSynthetic(synth)
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
-	r := NewReplay(MustSynthetic(synth), eng, sink)
+	r := NewReplay(NewSliceSource(updates, crossValInterval), eng, sink)
 	checks := 0
 	r.SetBoundaryHook(func() error {
 		step := r.Stats().Updates
@@ -201,13 +198,13 @@ func TestShardedConformance(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		for seed := int64(11); seed <= 13; seed++ {
 			t.Run(fmt.Sprintf("K=%d/seed=%d", k, seed), func(t *testing.T) {
-				updates, err := Drain(MustSynthetic(SynthConfig{
+				updates, err := Synthetic(SynthConfig{
 					Vertices:         10,
 					Updates:          400,
 					Seed:             seed,
 					NegativeFraction: 0.35,
 					MeanDelta:        1.5,
-				}))
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -309,8 +306,9 @@ func TestShardReplayMatchesReplay(t *testing.T) {
 	synth := SynthConfig{Vertices: 12, Updates: 600, Seed: 21, NegativeFraction: 0.3, MeanDelta: 1.5}
 	engCfg := core.Config{T: 2, Nmax: 4}
 
+	updates := MustSynthetic(synth)
 	eng := core.MustNew(engCfg)
-	refStats, err := NewReplay(MustSynthetic(synth), eng, nil).RunBatches(64, false)
+	refStats, err := NewReplay(NewSliceSource(updates, 64), eng, nil).RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +316,7 @@ func TestShardReplayMatchesReplay(t *testing.T) {
 	se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
 	defer se.Close()
 	var counter core.CountingSink
-	r := NewShardReplay(MustSynthetic(synth), se, &counter)
+	r := NewShardReplay(NewSliceSource(updates, 64), se, &counter)
 	st, err := r.RunBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +351,7 @@ func TestShardReplayMatchesReplay(t *testing.T) {
 // TestCrossValFilterSinkSelective checks that a genuinely selective filter
 // sees exactly the engine events that satisfy its predicates.
 func TestCrossValFilterSinkSelective(t *testing.T) {
-	src := MustSynthetic(SynthConfig{Vertices: 10, Updates: 400, Seed: 10, NegativeFraction: 0.35, MeanDelta: 1.5})
+	src := NewSliceSource(MustSynthetic(SynthConfig{Vertices: 10, Updates: 400, Seed: 10, NegativeFraction: 0.35, MeanDelta: 1.5}), crossValInterval)
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	var all, filtered core.CollectorSink
 	filter := &core.FilterSink{Next: &filtered, MinCardinality: 3}

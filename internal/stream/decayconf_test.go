@@ -62,9 +62,6 @@ func fadeConfig(c AggregatorConfig) fade.Config {
 // each epoch sweep as a Decay batch.
 type fadeSource struct{ groups []fade.Group }
 
-// Next implements UpdateSource for NewReplay; the drivers use NextBatch.
-func (s *fadeSource) Next() (Update, error) { return Update{}, ErrNeedBatch }
-
 func (s *fadeSource) NextBatch() (Batch, error) {
 	if len(s.groups) == 0 {
 		return Batch{}, io.EOF
@@ -99,7 +96,7 @@ type decayConfPipeline struct {
 	stats   ReplayStats
 }
 
-func runDecayConfPipeline(t *testing.T, src UpdateSource, engCfg core.Config, coalesce bool) *decayConfPipeline {
+func runDecayConfPipeline(t *testing.T, src BatchSource, engCfg core.Config, coalesce bool) *decayConfPipeline {
 	t.Helper()
 	p := &decayConfPipeline{
 		eng:     core.MustNew(engCfg),
@@ -323,13 +320,17 @@ func (sc retireSchedule) docs() []Document {
 // multi-epoch time jumps, re-added pairs that invalidate queued entries — the
 // aggregator must retire exactly the pairs the reference sweep retires, in
 // the same epoch batch, and the surviving weights must agree in real units.
-// Both sides are mirrored purely from the emitted update streams, so the test
-// also pins that cancellations telescope to exact zero in each side's own
-// units. Beyond the base schedules (seed=N), three families stress the two
-// parts of the retirement queue: pairs re-mentioned over many epochs, so
+// The aggregator side is mirrored purely from its emitted update stream, so
+// the test also pins that its cancellations telescope to exact zero in
+// normalized units. The sweep side tracks the sweep's own weights
+// (fade.Stream.After): below a decay of ½ the sweep's deltas need not sum to
+// its faded weights, and that is a property of the reference, not of the
+// aggregator. Beyond the base schedules (seed=N), four families stress the
+// two parts of the retirement queue: pairs re-mentioned over many epochs, so
 // most pops are heap re-keys rather than first-time entries; a 1000-epoch
-// document gap, which the tick clamps at maxTickFade and which folds; and a
-// steep decay that folds λ mid-stream under live first-time runs.
+// document gap, which the tick clamps at maxTickFade and which folds; a
+// steep decay that folds λ mid-stream under live first-time runs; and the
+// steep decays 0.1 and 0.3 a user may pass to the CLI.
 func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 	var schedules []retireSchedule
 	for seed := int64(1); seed <= 5; seed++ {
@@ -358,6 +359,8 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 					}
 					return nil
 				}},
+			retireSchedule{name: fmt.Sprintf("decay=0.1/seed=%d", seed), seed: seed, vertices: 12, decay: 0.1},
+			retireSchedule{name: fmt.Sprintf("decay=0.3/seed=%d", seed), seed: seed, vertices: 12, decay: 0.3},
 		)
 	}
 	for _, sc := range schedules {
@@ -366,16 +369,22 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			cfg := AggregatorConfig{EpochLength: 10, Decay: sc.decay, PruneBelow: 0.05}
 
 			// mirror applies a stream's batches, recording the pairs each epoch
-			// batch cancels to exactly zero, in emission order.
+			// batch retires (takes to exactly zero), in emission order. after,
+			// when non-nil, gives each pair's new weight; otherwise the deltas
+			// are summed.
 			type mirror struct {
 				weights map[[2]core.Vertex]float64
 				batches [][]string
 			}
-			apply := func(m *mirror, updates []Update, epoch bool) {
+			apply := func(m *mirror, updates []Update, after []float64, epoch bool) {
 				var retired []string
-				for _, u := range updates {
+				for i, u := range updates {
 					k := [2]core.Vertex{u.A, u.B}
-					m.weights[k] += u.Delta
+					if after != nil {
+						m.weights[k] = after[i]
+					} else {
+						m.weights[k] += u.Delta
+					}
 					if epoch && m.weights[k] == 0 {
 						delete(m.weights, k)
 						retired = append(retired, fmt.Sprintf("%d-%d", u.A, u.B))
@@ -389,7 +398,7 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			ref := fade.Sweep(docs, fadeConfig(cfg))
 			exact := &mirror{weights: map[[2]core.Vertex]float64{}}
 			for _, g := range ref.Groups {
-				apply(exact, g.Updates, g.Epoch)
+				apply(exact, g.Updates, g.After, g.Epoch)
 			}
 			agg := MustAggregator(NewSliceDocSource(docs), cfg)
 			batches, err := recordBatches(agg)
@@ -398,7 +407,7 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			}
 			rescale := &mirror{weights: map[[2]core.Vertex]float64{}}
 			for _, b := range batches {
-				apply(rescale, b.updates, b.decay)
+				apply(rescale, b.updates, nil, b.decay)
 				// A fold relabels the stored weights after the tick's
 				// cancellations, as the engine's graph does.
 				if b.threshold != nil {

@@ -28,7 +28,7 @@ type Document struct {
 	Entities vset.Set
 }
 
-// DocumentSource produces a stream of documents. Like UpdateSource it is
+// DocumentSource produces a stream of documents. Like BatchSource it is
 // pull-based and single-consumer; Next returns io.EOF when the stream is
 // exhausted. A source may reuse the returned Document's Entities backing
 // array: the set is only guaranteed valid until the next Next call, so a

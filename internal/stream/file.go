@@ -110,9 +110,9 @@ func (ls *lineScanner) close() error {
 
 // BatchMarker is the batch-boundary line of the recorded-stream format: a
 // line consisting of exactly "%%" ends the current batch. Markers let a
-// recorded stream carry its coalescible structure (an epoch burst per batch);
-// the sequential reader (Next) skips them, so marked and unmarked files
-// replay identically update for update.
+// recorded stream carry its coalescible structure (an epoch burst per batch).
+// Markers only group updates: they never add, drop or reorder one, so marked
+// and unmarked files carry the same updates in the same order.
 const BatchMarker = "%%"
 
 // FileSource reads edge-weight updates from a text stream in the edge-list
@@ -123,8 +123,8 @@ const BatchMarker = "%%"
 // magic number, not filename). This is the recorded-stream format written by
 // `dyndens gen`.
 //
-// FileSource is also a BatchSource: NextBatch groups updates at BatchMarker
-// lines ("%%"), with consecutive markers yielding legal empty batches. A file
+// FileSource is a BatchSource: NextBatch groups updates at BatchMarker lines
+// ("%%"), with consecutive markers yielding legal empty batches. A file
 // without markers is one single batch unless SetMaxBatch caps it.
 type FileSource struct {
 	ls       *lineScanner
@@ -160,25 +160,6 @@ func OpenFile(path string) (*FileSource, error) {
 	s := NewReaderSource(path, f)
 	s.ls.closer = f
 	return s, nil
-}
-
-// Next implements UpdateSource. Batch-boundary markers are skipped, so the
-// sequential view of a marked stream is simply its updates in order.
-func (s *FileSource) Next() (Update, error) {
-	for {
-		text, line, err := s.ls.nextLine()
-		if err != nil {
-			return Update{}, err
-		}
-		if text == BatchMarker {
-			continue
-		}
-		u, err := ParseUpdate(text)
-		if err != nil {
-			return Update{}, fmt.Errorf("%s:%d: %w", s.ls.name, line, err)
-		}
-		return u, nil
-	}
 }
 
 // NextBatch implements BatchSource: updates up to the next BatchMarker line,

@@ -2,16 +2,40 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strings"
 	"testing"
 )
 
+// nextRefUpdate is FuzzFileSource's reference reader: the next update of ls
+// with batch markers skipped, so the stream it reads is the file's updates in
+// order with every grouping removed. Blank lines, '#' comments and gzip
+// framing are the shared lineScanner's.
+func nextRefUpdate(ls *lineScanner) (Update, error) {
+	for {
+		text, line, err := ls.nextLine()
+		if err != nil {
+			return Update{}, err
+		}
+		if text == BatchMarker {
+			continue
+		}
+		u, err := ParseUpdate(text)
+		if err != nil {
+			return Update{}, fmt.Errorf("%s:%d: %w", ls.name, line, err)
+		}
+		return u, nil
+	}
+}
+
 // FuzzFileSource feeds arbitrary bytes through the edge-list parser and
 // checks its safety contract: no panics, every accepted update is
-// well-formed (finite delta, vertices inside the index's valid range), and
-// accepted updates survive a write→parse round trip unchanged. The seeds
+// well-formed (finite delta, vertices inside the index's valid range), batch
+// markers only group updates (NextBatch yields the reference reader's
+// updates in its order), and accepted updates survive a write→parse round
+// trip unchanged. The seeds
 // cover the interesting classes: valid lines, comments, malformed fields,
 // NaN/Inf and out-of-range values, duplicate edges, pathological whitespace,
 // and — because the source transparently decompresses input that starts with
@@ -66,11 +90,11 @@ func FuzzFileSource(f *testing.F) {
 	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00, 0xde, 0xad, 0xbe, 0xef})
 	f.Add(gzipBytes(f, "1 2 0.5\n")[:8])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src := NewReaderSource("fuzz", strings.NewReader(string(data)))
+		ref := newLineScanner("fuzz", strings.NewReader(string(data)))
 		var accepted []Update
 		cleanEOF := false
 		for len(accepted) < 10000 {
-			u, err := src.Next()
+			u, err := nextRefUpdate(ref)
 			if err != nil {
 				// io.EOF ends the stream; any other error must identify the
 				// source. Either way the source must not panic.
@@ -92,8 +116,8 @@ func FuzzFileSource(f *testing.F) {
 		// Batch mode must accept exactly the same updates in the same order:
 		// "%%" lines only group, never add, drop, or reorder. On malformed
 		// input the batch reader stops at the same bad line, so its accepted
-		// updates are a prefix of the sequential reader's (it withholds the
-		// partial batch the error interrupts). When the sequential loop above
+		// updates are a prefix of the reference reader's (it withholds the
+		// partial batch the error interrupts). When the reference loop above
 		// stopped at its 10000-update cap rather than at end of input, the
 		// batch reader may legitimately read further (a marker-less file is
 		// one batch), so only the common prefix is compared.
@@ -113,7 +137,7 @@ func FuzzFileSource(f *testing.F) {
 			batched = append(batched, b.Updates...)
 		}
 		if !capped && len(batched) > len(accepted) {
-			t.Fatalf("batch mode accepted %d updates, sequential %d", len(batched), len(accepted))
+			t.Fatalf("batch mode accepted %d updates, reference %d", len(batched), len(accepted))
 		}
 		for i := 0; i < min(len(batched), len(accepted)); i++ {
 			if batched[i] != accepted[i] {
@@ -134,7 +158,7 @@ func FuzzFileSource(f *testing.F) {
 		if n, err := WriteUpdates(&b, accepted); err != nil || n != len(accepted) {
 			t.Fatalf("WriteUpdates = %d, %v", n, err)
 		}
-		again, err := Drain(NewReaderSource("roundtrip", strings.NewReader(b.String())))
+		again, err := drainUpdates(NewReaderSource("roundtrip", strings.NewReader(b.String())))
 		if err != nil {
 			t.Fatalf("re-parse of written updates failed: %v", err)
 		}

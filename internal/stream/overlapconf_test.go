@@ -29,13 +29,13 @@ var (
 func TestOverlapConformanceMatrixSequential(t *testing.T) {
 	const checkEvery = 50
 	engCfg := core.Config{T: 2, Nmax: 4}
-	updates, err := Drain(MustSynthetic(SynthConfig{
+	updates, err := Synthetic(SynthConfig{
 		Vertices:         10,
 		Updates:          400,
 		Seed:             51,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestOverlapConformanceMatrixSequential(t *testing.T) {
 
 func TestOverlapConformanceMatrixBatched(t *testing.T) {
 	engCfg := core.Config{T: 2, Nmax: 4}
-	updates, err := Drain(MustSynthetic(SynthConfig{
+	updates, err := Synthetic(SynthConfig{
 		Vertices:         10,
 		Updates:          400,
 		Seed:             53,
 		NegativeFraction: 0.35,
 		MeanDelta:        1.5,
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

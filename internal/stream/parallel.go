@@ -9,14 +9,14 @@ import (
 	"dyndens/internal/shard"
 )
 
-// ShardReplay drives an UpdateSource through a ShardedEngine. It is the
+// ShardReplay drives a BatchSource through a ShardedEngine. It is the
 // parallel counterpart of Replay: the source is read on the caller's
 // goroutine batch by batch and fed to the sharded engine's asynchronous
 // Process, and the final statistics combine the aggregate wall-clock
 // throughput with the per-shard busy-time accounting the merge layer keeps.
 // Kept only for bench/par.go, ROADMAP item 7.
 type ShardReplay struct {
-	src UpdateSource
+	src BatchSource
 	se  *shard.ShardedEngine
 
 	stats ShardReplayStats
@@ -116,7 +116,7 @@ func (s ShardReplayStats) MeanDeliveryFraction() float64 {
 // NewShardReplay wires src → sharded engine → sink, installing sink on the
 // engine when non-nil. The engine must not have been fed updates yet. Kept
 // only for bench/par.go, ROADMAP item 7.
-func NewShardReplay(src UpdateSource, se *shard.ShardedEngine, sink core.EventSink) *ShardReplay {
+func NewShardReplay(src BatchSource, se *shard.ShardedEngine, sink core.EventSink) *ShardReplay {
 	if sink != nil {
 		se.SetSink(sink)
 	}
@@ -163,12 +163,12 @@ func (r *ShardReplay) Stats() ShardReplayStats {
 	return s
 }
 
-// RunBatches drains the source batch by batch (the source's own batches when
-// it implements BatchSource, fixed chunks of readBatch updates otherwise).
-// With coalesce true each whole batch ships to the sharded engine as one
-// coalesced unit — one worker-channel broadcast and one merger sequence slot
-// per batch instead of per update; with coalesce false the batch's updates
-// are fed per-update (ProcessAll), the sequential-semantics baseline.
+// RunBatches drains the source batch by batch; like Replay.RunBatches it
+// ignores readBatch, since the source owns its batching. With coalesce true
+// each whole batch ships to the sharded engine as one coalesced unit — one
+// worker-channel broadcast and one merger sequence slot per batch instead of
+// per update; with coalesce false the batch's updates are fed per-update
+// (ProcessAll), the sequential-semantics baseline.
 // Threshold batch units — rescaled-decay epochs — are inherently atomic and
 // ship as one broadcast unit in both modes. Flushes and returns the final
 // statistics; a source error other than io.EOF aborts the run and is
@@ -177,9 +177,8 @@ func (r *ShardReplay) RunBatches(readBatch int, coalesce bool) (ShardReplayStats
 	if r.done {
 		return r.Stats(), nil
 	}
-	bs := AsBatchSource(r.src, readBatch)
 	for {
-		b, err := bs.NextBatch()
+		b, err := r.src.NextBatch()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				r.done = true

@@ -123,10 +123,9 @@ type expandJob struct {
 	err    error // terminal source error (io.EOF) or a parse error
 }
 
-// Pipeline is a bounded, backpressure-safe ingestion front-end. It is an
-// UpdateSource and a BatchSource, so it slots into Replay/ShardReplay (and
-// AsBatchSource) wherever the serial source did; it is single-consumer, like
-// every source in this package. Construct one with NewParallelAggregator
+// Pipeline is a bounded, backpressure-safe ingestion front-end. It is a
+// BatchSource, so it slots into Replay/ShardReplay wherever the serial
+// aggregator did; it is single-consumer, like every source in this package. Construct one with NewParallelAggregator
 // (document expansion fanned out to W workers). Kept only for bench/par.go,
 // ROADMAP item 7.
 //
@@ -154,8 +153,6 @@ type Pipeline struct {
 	// consumer-side state (single consumer; no locking needed)
 	cur      outItem
 	thrStore ThresholdUpdate // re-materialized per batch so &thrStore is stable until the next pull
-	nextBuf  []Update        // Next() cursor over the current batch
-	nextPos  int
 	err      error
 	done     bool
 
@@ -248,26 +245,6 @@ func (p *Pipeline) NextBatch() (Batch, error) {
 		b.Threshold = &p.thrStore
 	}
 	return b, nil
-}
-
-// Next implements UpdateSource by cursoring over the batch stream. A
-// document stream cannot be consumed per-update once fading ticks: hitting a
-// threshold batch unit returns ErrNeedBatch, as the serial aggregator's Next
-// always does.
-func (p *Pipeline) Next() (Update, error) {
-	for p.nextPos >= len(p.nextBuf) {
-		b, err := p.NextBatch()
-		if err != nil {
-			return Update{}, err
-		}
-		if b.Threshold != nil {
-			return Update{}, ErrNeedBatch
-		}
-		p.nextBuf, p.nextPos = b.Updates, 0
-	}
-	u := p.nextBuf[p.nextPos]
-	p.nextPos++
-	return u, nil
 }
 
 // Close stops the producer goroutines. Safe to call at any time, more than

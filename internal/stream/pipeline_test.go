@@ -202,51 +202,6 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 	requireSameBatches(t, "renorm", got, ref)
 }
 
-// TestPipelineNextMatchesSerial pins the per-update view (UpdateSource): with
-// fading off, the cursor over the pipelined batch stream must yield the
-// serial aggregator's batches flattened; with fading on, it must stop at the
-// first threshold unit with ErrNeedBatch.
-func TestPipelineNextMatchesSerial(t *testing.T) {
-	docs := pipelineConfDocs(17, 300)
-	cfg := AggregatorConfig{EpochLength: 10, Decay: 1}
-	var ref []Update
-	for _, b := range serialBatches(t, docs, cfg) {
-		ref = append(ref, b.updates...)
-	}
-	p, perr := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 2})
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	got, err := Drain(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("pipeline yielded %d updates, serial %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("update %d = %+v, want %+v", i, got[i], ref[i])
-		}
-	}
-
-	// Fading streams are batch-structured through the pipeline too.
-	rp, perr := NewParallelAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 10, Decay: 0.5}, PipelineConfig{Workers: 2})
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	defer rp.Close()
-	for i := 0; i < 100000; i++ {
-		if _, err := rp.Next(); err != nil {
-			if !errors.Is(err, ErrNeedBatch) {
-				t.Fatalf("fading per-update error = %v, want ErrNeedBatch", err)
-			}
-			return
-		}
-	}
-	t.Fatal("fading per-update drive never hit a threshold unit")
-}
-
 // TestPipelineReplayConformance drives the full documents→stories pipeline —
 // engine, tracker, lifecycle records — with the parallel front-end against
 // the serial front-end, single-engine (K=0) and sharded (K=4). Records carry

@@ -9,7 +9,7 @@ import (
 	"dyndens/internal/core"
 )
 
-// Replay drives an UpdateSource through an Engine into an EventSink. It is
+// Replay drives a BatchSource through an Engine into an EventSink. It is
 // the glue of the pipeline: sources know nothing about the engine, the engine
 // knows nothing about where updates come from, and sinks only see results.
 //
@@ -19,7 +19,7 @@ import (
 // streaming system (per-batch, amortising the timer cost over many
 // sub-microsecond updates).
 type Replay struct {
-	src  UpdateSource
+	src  BatchSource
 	eng  *core.Engine
 	sink core.EventSink
 
@@ -62,8 +62,8 @@ type ReplayStats struct {
 	MaxBatchLatency time.Duration // slowest non-empty batch
 
 	// DecaySeg and OtherSeg split the replay by batch provenance: epoch
-	// fading bursts vs document/positive batches. A source without natural
-	// batches (fixed chunks) puts everything in OtherSeg.
+	// fading bursts vs document/positive batches. A source without decay
+	// provenance (a file, a slice) puts everything in OtherSeg.
 	DecaySeg SegmentStats
 	OtherSeg SegmentStats
 
@@ -115,7 +115,7 @@ func (s ReplayStats) String() string {
 // during replay — and, because CountingSink declares it does not retain
 // Event.Set (core.SetRetainer), the engine also skips the per-event set
 // clone, keeping steady-state replay allocation-free.
-func NewReplay(src UpdateSource, eng *core.Engine, sink core.EventSink) *Replay {
+func NewReplay(src BatchSource, eng *core.Engine, sink core.EventSink) *Replay {
 	if sink == nil {
 		if sink = eng.Sink(); sink == nil {
 			sink = &core.CountingSink{}
@@ -152,13 +152,14 @@ func (r *Replay) Stats() ReplayStats {
 	return s
 }
 
-// RunBatches drains the source batch by batch — the source's own batches when
-// it implements BatchSource (the aggregator's epoch bursts and per-document
-// deltas, a marker-delimited file), fixed chunks of readBatch updates
-// otherwise — and returns the final statistics, with the decay/other segment
-// split populated from batch provenance. A source error other than io.EOF
-// aborts the run and is returned with the statistics accumulated so far; a
-// call after the source is exhausted returns them without reading.
+// RunBatches drains the source batch by batch — the aggregator's epoch bursts
+// and per-document deltas, a marker-delimited file — and returns the final
+// statistics, with the decay/other segment split populated from batch
+// provenance. A source error other than io.EOF aborts the run and is returned
+// with the statistics accumulated so far; a call after the source is
+// exhausted returns them without reading. readBatch is unused: the source
+// owns its batching (FileSource.SetMaxBatch, NewSliceSource's n). It stays in
+// the signature only for existing callers (ROADMAP item 6).
 //
 // With coalesce true each batch goes through Engine.ProcessBatch: one logical
 // tick, net events at the batch boundary. With coalesce false the batch's
@@ -176,9 +177,8 @@ func (r *Replay) RunBatches(readBatch int, coalesce bool) (ReplayStats, error) {
 	if r.done {
 		return r.Stats(), nil
 	}
-	bs := AsBatchSource(r.src, readBatch)
 	for {
-		b, err := bs.NextBatch()
+		b, err := r.src.NextBatch()
 		if err != nil {
 			r.done = errors.Is(err, io.EOF)
 			if r.done {

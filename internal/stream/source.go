@@ -3,11 +3,12 @@
 // an Engine into an EventSink.
 //
 // The paper's setting is a continuous stream of (a, b, δ) updates derived
-// from entity co-occurrences in a document stream (Section 2). This package
-// abstracts where that stream comes from — a file of recorded updates, a
-// seeded synthetic workload generator, or any custom UpdateSource — and
-// provides the Replay driver that feeds a source batch by batch through the
-// engine while aggregating throughput and latency statistics.
+// from entity co-occurrences in a document stream (Section 2). That stream
+// arrives in natural units — a document's co-occurrence deltas, an epoch's
+// fading step — so every source here is a BatchSource: a file of recorded
+// updates, the document aggregator, or a slice held in memory. The Replay
+// driver feeds a source batch by batch through the engine while aggregating
+// throughput and latency statistics.
 //
 // # Errors versus panics
 //
@@ -23,7 +24,6 @@
 package stream
 
 import (
-	"errors"
 	"io"
 
 	"dyndens/internal/graph"
@@ -32,74 +32,30 @@ import (
 // Update aliases the engine's edge-weight update type.
 type Update = graph.Update
 
-// UpdateSource produces a stream of edge-weight updates.
-//
-// Next returns io.EOF when the stream is exhausted; any other error is a
-// malformed or failed read. Sources are pull-based and single-consumer: Next
-// must not be called concurrently.
-type UpdateSource interface {
-	Next() (Update, error)
-}
-
-// SliceSource replays a fixed slice of updates. It is the trivial source used
-// by tests and by callers that already hold the stream in memory.
+// SliceSource replays a fixed slice of updates in batches of n, the last one
+// possibly shorter. It is the trivial source used by tests and by callers
+// that already hold the stream in memory.
 type SliceSource struct {
 	updates []Update
-	pos     int
+	n       int
 }
 
-// NewSliceSource returns a source that yields the given updates in order.
-func NewSliceSource(updates []Update) *SliceSource {
-	return &SliceSource{updates: updates}
+// NewSliceSource returns a source that yields the given updates in order, n
+// per batch; n ≤ 0 yields the whole slice as one batch.
+func NewSliceSource(updates []Update, n int) *SliceSource {
+	return &SliceSource{updates: updates, n: n}
 }
 
-// Next implements UpdateSource.
-func (s *SliceSource) Next() (Update, error) {
-	if s.pos >= len(s.updates) {
-		return Update{}, io.EOF
+// NextBatch implements BatchSource. The batch aliases the caller's slice.
+func (s *SliceSource) NextBatch() (Batch, error) {
+	if len(s.updates) == 0 {
+		return Batch{}, io.EOF
 	}
-	u := s.updates[s.pos]
-	s.pos++
-	return u, nil
-}
-
-// LimitSource caps an underlying source at n updates.
-type LimitSource struct {
-	src  UpdateSource
-	left int
-}
-
-// NewLimitSource returns a source yielding at most n updates from src.
-func NewLimitSource(src UpdateSource, n int) *LimitSource {
-	return &LimitSource{src: src, left: n}
-}
-
-// Next implements UpdateSource.
-func (s *LimitSource) Next() (Update, error) {
-	if s.left <= 0 {
-		return Update{}, io.EOF
+	k := len(s.updates)
+	if s.n > 0 && s.n < k {
+		k = s.n
 	}
-	u, err := s.src.Next()
-	if err != nil {
-		return Update{}, err
-	}
-	s.left--
-	return u, nil
-}
-
-// Drain reads every remaining update from src into a slice. It is a helper
-// for materialising finite sources (generation, tests); errors other than
-// io.EOF are returned with the updates read so far.
-func Drain(src UpdateSource) ([]Update, error) {
-	var out []Update
-	for {
-		u, err := src.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, u)
-	}
+	b := Batch{Updates: s.updates[:k:k]}
+	s.updates = s.updates[k:]
+	return b, nil
 }

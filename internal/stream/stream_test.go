@@ -23,7 +23,7 @@ func TestFileSourceParsesEdgeList(t *testing.T) {
 10 11 3
 `
 	src := NewReaderSource("test", strings.NewReader(input))
-	got, err := Drain(src)
+	got, err := drainUpdates(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +40,31 @@ func TestFileSourceParsesEdgeList(t *testing.T) {
 			t.Errorf("update %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("Next after drain = %v, want io.EOF", err)
+	if _, err := src.NextBatch(); !errors.Is(err, io.EOF) {
+		t.Fatalf("NextBatch after drain = %v, want io.EOF", err)
+	}
+}
+
+// drainUpdates reads every remaining batch of src and concatenates the
+// updates; an error other than io.EOF is returned with the updates read so
+// far.
+func drainUpdates(src BatchSource) ([]Update, error) {
+	var out []Update
+	for {
+		b, err := src.NextBatch()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, b.Updates...)
 	}
 }
 
 func TestFileSourceReportsLineOnError(t *testing.T) {
 	src := NewReaderSource("bad", strings.NewReader("1 2 0.5\n1 junk 2\n"))
-	if _, err := src.Next(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := src.Next()
+	_, err := src.NextBatch()
 	if err == nil || !strings.Contains(err.Error(), "bad:2") {
 		t.Fatalf("error = %v, want one mentioning bad:2", err)
 	}
@@ -77,7 +91,7 @@ func TestFileSourceGzipTransparent(t *testing.T) {
 	want := []Update{{A: 1, B: 2, Delta: 0.5}, {A: 2, B: 3, Delta: -1.25}}
 
 	src := NewReaderSource("gz", bytes.NewReader(gzipBytes(t, plain)))
-	got, err := Drain(src)
+	got, err := drainUpdates(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +111,7 @@ func TestFileSourceGzipTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fsrc.Close()
-	got, err = Drain(fsrc)
+	got, err = drainUpdates(fsrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +130,9 @@ func TestFileSourceGzipErrorsIdentifySource(t *testing.T) {
 		"corrupt-crc": append(gzipBytes(t, "1 2 0.5\n")[:20], 0, 0, 0, 0),
 	} {
 		src := NewReaderSource("gzbad", bytes.NewReader(data))
-		_, err := Drain(src)
+		_, err := drainUpdates(src)
 		if err == nil || errors.Is(err, io.EOF) {
-			t.Errorf("%s: Drain accepted corrupt gzip input", name)
+			t.Errorf("%s: corrupt gzip input was accepted", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), "gzbad") {
@@ -133,7 +147,7 @@ func TestWriteUpdatesRoundTrips(t *testing.T) {
 	if n, err := WriteUpdates(&b, updates); err != nil || n != 2 {
 		t.Fatalf("WriteUpdates = %d, %v", n, err)
 	}
-	got, err := Drain(NewReaderSource("roundtrip", strings.NewReader(b.String())))
+	got, err := drainUpdates(NewReaderSource("roundtrip", strings.NewReader(b.String())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +160,7 @@ func TestWriteUpdatesRoundTrips(t *testing.T) {
 
 func TestSyntheticDeterministicAndBounded(t *testing.T) {
 	cfg := SynthConfig{Vertices: 50, Updates: 200, Seed: 7, Skew: 1.5, NegativeFraction: 0.2}
-	a, err := Drain(MustSynthetic(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Drain(MustSynthetic(cfg))
+	a, b := MustSynthetic(cfg), MustSynthetic(cfg)
 	if len(a) != 200 {
 		t.Fatalf("generated %d updates, want 200", len(a))
 	}
@@ -179,8 +189,8 @@ func TestSyntheticDeterministicAndBounded(t *testing.T) {
 }
 
 func TestSyntheticSeedChangesStream(t *testing.T) {
-	a, _ := Drain(MustSynthetic(SynthConfig{Vertices: 50, Updates: 100, Seed: 1}))
-	b, _ := Drain(MustSynthetic(SynthConfig{Vertices: 50, Updates: 100, Seed: 2}))
+	a := MustSynthetic(SynthConfig{Vertices: 50, Updates: 100, Seed: 1})
+	b := MustSynthetic(SynthConfig{Vertices: 50, Updates: 100, Seed: 2})
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -194,24 +204,19 @@ func TestSyntheticSeedChangesStream(t *testing.T) {
 }
 
 func TestSyntheticValidation(t *testing.T) {
-	if _, err := NewSynthetic(SynthConfig{Vertices: 1}); err == nil {
+	if _, err := Synthetic(SynthConfig{Vertices: 1, Updates: 10}); err == nil {
 		t.Error("want error for 1 vertex")
 	}
-	if _, err := NewSynthetic(SynthConfig{Vertices: 10, NegativeFraction: 1}); err == nil {
+	if _, err := Synthetic(SynthConfig{Vertices: 10, Updates: 10, NegativeFraction: 1}); err == nil {
 		t.Error("want error for negative fraction 1")
 	}
-}
-
-func TestLimitSource(t *testing.T) {
-	src := NewLimitSource(MustSynthetic(SynthConfig{Vertices: 10, Seed: 3}), 5)
-	got, err := Drain(src)
-	if err != nil || len(got) != 5 {
-		t.Fatalf("Drain = %d updates, %v; want 5, nil", len(got), err)
+	if _, err := Synthetic(SynthConfig{Vertices: 10}); err == nil {
+		t.Error("want error for 0 updates")
 	}
 }
 
 func TestReplayBatchingAndStats(t *testing.T) {
-	src := MustSynthetic(SynthConfig{Vertices: 20, Updates: 105, Seed: 11, NegativeFraction: 0.3})
+	src := NewSliceSource(MustSynthetic(SynthConfig{Vertices: 20, Updates: 105, Seed: 11, NegativeFraction: 0.3}), 25)
 	eng := core.MustNew(core.Config{T: 1.5, Nmax: 4})
 	var sink core.CountingSink
 	r := NewReplay(src, eng, &sink)
@@ -253,7 +258,7 @@ func TestNewReplayNilSinkKeepsInstalledSink(t *testing.T) {
 	eng := core.MustNew(core.Config{T: 3, Nmax: 4})
 	var mine core.CountingSink
 	eng.SetSink(&mine)
-	r := NewReplay(NewSliceSource([]Update{{A: 1, B: 2, Delta: 5}}), eng, nil)
+	r := NewReplay(NewSliceSource([]Update{{A: 1, B: 2, Delta: 5}}, 0), eng, nil)
 	if r.Sink() != &mine {
 		t.Fatal("NewReplay(nil sink) replaced the engine's installed sink")
 	}
@@ -270,12 +275,15 @@ func TestReplayRunMatchesSliceModeEngine(t *testing.T) {
 	engineCfg := core.Config{T: 2, Nmax: 4}
 
 	// Reference: slice-returning engine over the same stream.
-	refUpdates, _ := Drain(MustSynthetic(cfg))
+	refUpdates := MustSynthetic(cfg)
 	ref := core.MustNew(engineCfg)
-	refEvents := ref.ProcessAll(refUpdates)
+	for _, u := range refUpdates {
+		ref.Process(u)
+	}
+	refEvents := int(ref.Stats().Events)
 
 	eng := core.MustNew(engineCfg)
-	r := NewReplay(MustSynthetic(cfg), eng, nil)
+	r := NewReplay(NewSliceSource(refUpdates, 32), eng, nil)
 	st, err := r.RunBatches(32, false)
 	if err != nil {
 		t.Fatal(err)

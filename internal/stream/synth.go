@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"dyndens/internal/graph"
@@ -12,8 +11,7 @@ import (
 type SynthConfig struct {
 	// Vertices is the size of the vertex universe [0, Vertices); must be ≥ 2.
 	Vertices int
-	// Updates caps the stream length; 0 means unbounded (the source never
-	// returns io.EOF — wrap it with NewLimitSource).
+	// Updates is the stream length; must be ≥ 1.
 	Updates int
 	// Seed seeds the generator; equal configs with equal seeds produce
 	// identical streams.
@@ -43,69 +41,53 @@ func (c SynthConfig) Validate() error {
 	if c.Vertices < 2 {
 		return fmt.Errorf("stream: synthetic generator needs ≥ 2 vertices, got %d", c.Vertices)
 	}
+	if c.Updates < 1 {
+		return fmt.Errorf("stream: synthetic generator needs ≥ 1 update, got %d", c.Updates)
+	}
 	if c.NegativeFraction < 0 || c.NegativeFraction >= 1 {
 		return fmt.Errorf("stream: negative fraction %v outside [0, 1)", c.NegativeFraction)
 	}
 	return nil
 }
 
-// SyntheticSource generates a reproducible random update stream.
-type SyntheticSource struct {
-	cfg     SynthConfig
-	rng     *rand.Rand
-	zipf    *rand.Zipf
-	emitted int
-}
-
-// NewSynthetic builds a generator from cfg. It returns an error for invalid
-// configurations.
-func NewSynthetic(cfg SynthConfig) (*SyntheticSource, error) {
+// Synthetic generates the reproducible random update stream cfg describes.
+// It returns an error for invalid configurations.
+func Synthetic(cfg SynthConfig) ([]Update, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := &SyntheticSource{cfg: cfg, rng: rng}
+	pick := func() graph.Vertex { return graph.Vertex(rng.Intn(cfg.Vertices)) }
 	if cfg.Skew > 1 {
-		s.zipf = rand.NewZipf(rng, cfg.Skew, 1, uint64(cfg.Vertices-1))
+		zipf := rand.NewZipf(rng, cfg.Skew, 1, uint64(cfg.Vertices-1))
+		pick = func() graph.Vertex { return graph.Vertex(zipf.Uint64()) }
 	}
-	return s, nil
+	out := make([]Update, cfg.Updates)
+	for i := range out {
+		a := pick()
+		b := pick()
+		for b == a {
+			b = pick()
+		}
+		delta := rng.ExpFloat64() * cfg.MeanDelta
+		if delta < 1e-6 {
+			delta = 1e-6
+		}
+		if cfg.NegativeFraction > 0 && rng.Float64() < cfg.NegativeFraction {
+			delta = -delta
+		}
+		out[i] = Update{A: a, B: b, Delta: delta}
+	}
+	return out, nil
 }
 
-// MustSynthetic is NewSynthetic that panics on error; for tests and
-// benchmarks with known-good configurations.
-func MustSynthetic(cfg SynthConfig) *SyntheticSource {
-	s, err := NewSynthetic(cfg)
+// MustSynthetic is Synthetic that panics on error; for tests and benchmarks
+// with known-good configurations.
+func MustSynthetic(cfg SynthConfig) []Update {
+	updates, err := Synthetic(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return s
-}
-
-// Next implements UpdateSource.
-func (s *SyntheticSource) Next() (Update, error) {
-	if s.cfg.Updates > 0 && s.emitted >= s.cfg.Updates {
-		return Update{}, io.EOF
-	}
-	s.emitted++
-	a := s.pickVertex()
-	b := s.pickVertex()
-	for b == a {
-		b = s.pickVertex()
-	}
-	delta := s.rng.ExpFloat64() * s.cfg.MeanDelta
-	if delta < 1e-6 {
-		delta = 1e-6
-	}
-	if s.cfg.NegativeFraction > 0 && s.rng.Float64() < s.cfg.NegativeFraction {
-		delta = -delta
-	}
-	return Update{A: a, B: b, Delta: delta}, nil
-}
-
-func (s *SyntheticSource) pickVertex() graph.Vertex {
-	if s.zipf != nil {
-		return graph.Vertex(s.zipf.Uint64())
-	}
-	return graph.Vertex(s.rng.Intn(s.cfg.Vertices))
+	return updates
 }
