@@ -10,10 +10,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dyndens/internal/vset"
 )
 
 // The golden-file tests pin the CLI surface: a seeded `gen` must produce a
@@ -387,6 +390,60 @@ func TestRunReadBatchCapsMarkerlessStream(t *testing.T) {
 	}
 	if m[1] != "120" || m[2] != "120" || m[3] != "8" {
 		t.Errorf("replayed updates=%s ticks=%s in %s batches, want 120, 120 and 8:\n%s", m[1], m[2], m[3], out)
+	}
+}
+
+// TestRunMinCardWatchFilters pins `run -min-card` and `-watch` over the golden
+// stream: every printed event is a subgraph of at least -min-card vertices
+// holding a watched vertex, and the filter's two counts add up to the
+// unfiltered run's events.
+func TestRunMinCardWatchFilters(t *testing.T) {
+	args := []string{"-input", filepath.Join("testdata", "gen_small.stream"), "-T", "2", "-nmax", "4"}
+	sinkLine := regexp.MustCompile(`(?m)^sink:   reported=(\d+) \(became=\d+ ceased=\d+\) filtered-out=(\d+)$`)
+	counts := func(out string) (reported, dropped int) {
+		t.Helper()
+		m := sinkLine.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no sink line in output:\n%s", out)
+		}
+		reported, _ = strconv.Atoi(m[1])
+		dropped, _ = strconv.Atoi(m[2])
+		return reported, dropped
+	}
+	all, none := counts(captureStdout(t, func() error { return cmdRun(args) }))
+	if none != 0 {
+		t.Fatalf("the unfiltered run filtered out %d events", none)
+	}
+	const minCard = 3
+	watched := []vset.Vertex{6, 10}
+	out := captureStdout(t, func() error {
+		return cmdRun(append(args, "-min-card", strconv.Itoa(minCard), "-watch", "6,10"))
+	})
+	reported, dropped := counts(out)
+	if reported == 0 || dropped == 0 || reported+dropped != all {
+		t.Fatalf("reported %d + filtered-out %d, want both positive and summing to the unfiltered run's %d events", reported, dropped, all)
+	}
+	printed := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "became-output-dense") && !strings.HasPrefix(line, "ceased-output-dense") {
+			continue
+		}
+		printed++
+		set := strings.Fields(line)[1]
+		var vs []vset.Vertex
+		for _, tok := range strings.Split(strings.Trim(set, "{}"), ",") {
+			v, err := strconv.Atoi(tok)
+			if err != nil {
+				t.Fatalf("event line %q: %v", line, err)
+			}
+			vs = append(vs, vset.Vertex(v))
+		}
+		if len(vs) < minCard || !slices.ContainsFunc(watched, func(w vset.Vertex) bool { return slices.Contains(vs, w) }) {
+			t.Errorf("printed %q: want at least %d vertices and one of %v", line, minCard, watched)
+		}
+	}
+	if printed != reported {
+		t.Fatalf("printed %d events, the sink line reports %d", printed, reported)
 	}
 }
 

@@ -42,7 +42,7 @@ type pipeline struct {
 // grace windows for the final report, which must not leak into resumable
 // state), then report prints the run's summary. The WAL is closed on every
 // path out, so an error exit still flushes the units it logged.
-func (p *pipeline) drive(ctx context.Context, sink core.EventSink, readBatch int, coalesce bool, report func(st stream.ReplayStats, interrupted bool)) error {
+func (p *pipeline) drive(ctx context.Context, sink core.EventSink, coalesce bool, report func(st stream.ReplayStats, interrupted bool)) error {
 	var base uint64 // ticks the restored state already covers
 	if p.restored != nil {
 		base = p.restored.Ticks
@@ -77,7 +77,7 @@ func (p *pipeline) drive(ctx context.Context, sink core.EventSink, readBatch int
 		}
 		return p.pst.MaybeSnapshot(capture)
 	})
-	st, err := r.RunBatches(readBatch, coalesce)
+	st, err := r.RunBatches(0, coalesce) // the source owns its batching
 	interrupted := errors.Is(err, stream.ErrStopped)
 	if err == nil && p.pst != nil {
 		err = p.pst.Checkpoint(capture)

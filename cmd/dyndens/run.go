@@ -104,7 +104,7 @@ func cmdRun(args []string) error {
 
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
-	return p.drive(ctx, filter, *batch, *batchMode, func(st stream.ReplayStats, _ bool) {
+	return p.drive(ctx, filter, *batchMode, func(st stream.ReplayStats, _ bool) {
 		fmt.Println(st)
 		fmt.Printf("sink:   reported=%d (became=%d ceased=%d) filtered-out=%d\n",
 			filter.Passed, counter.Became, counter.Ceased, filter.Dropped)

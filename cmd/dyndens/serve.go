@@ -131,7 +131,7 @@ func cmdServe(args []string) error {
 	// ingest that ran to the end.
 	ingestDone := make(chan error, 1)
 	go func() {
-		err := p.drive(ctx, bld, 0, p.batch, func(st stream.ReplayStats, interrupted bool) {
+		err := p.drive(ctx, bld, p.batch, func(st stream.ReplayStats, interrupted bool) {
 			if interrupted {
 				return
 			}

@@ -240,7 +240,7 @@ func cmdStoriesRun(args []string) error {
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 	// The front-end is a BatchSource, so no read size applies.
-	return p.drive(ctx, p.tracker, 0, p.batch, func(st stream.ReplayStats, _ bool) { p.report(st) })
+	return p.drive(ctx, p.tracker, p.batch, func(st stream.ReplayStats, _ bool) { p.report(st) })
 }
 
 // printStoryTable prints the tracker summary line and the final story table.

@@ -575,3 +575,47 @@ func TestDenseChurnSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestOutputChurnZeroAllocWithoutSink pins reporting without a sink: a dense
+// pair held just below the output floor is nudged over it and back, one
+// update at a time and as batches, so each cycle reports it as Became and as
+// Ceased twice. With a non-retaining sink the cycle allocates nothing. After
+// SetSink(nil) the old sink hears nothing more, Stats.Events still counts
+// every event, and the cycle still allocates nothing: an engine without a
+// sink builds no event for anyone.
+func TestOutputChurnZeroAllocWithoutSink(t *testing.T) {
+	eng := core.MustNew(core.Config{T: 3, Nmax: 5, DeltaIt: 1}) // a pair is dense from T/2
+	var counter core.CountingSink
+	eng.SetSink(&counter)
+	below := func(x float64) float64 { return math.Floor((x-1.0/32)*64) / 64 }
+	eng.Process(core.Update{A: 90, B: 91, Delta: below(eng.Thresholds().MinOutputScore(2))})
+	if !eng.Contains(vset.New(90, 91)) || eng.OutputDenseCount() != 0 {
+		t.Fatalf("setup: want {90,91} dense and not output-dense; %d dense, %d output-dense", eng.DenseCount(), eng.OutputDenseCount())
+	}
+	up, down := []core.Update{{A: 90, B: 91, Delta: 0.25}}, []core.Update{{A: 90, B: 91, Delta: -0.25}}
+	cycle := func() {
+		eng.Process(up[0])
+		eng.Process(down[0])
+		eng.ProcessBatch(up)
+		eng.ProcessBatch(down)
+	}
+	cycle()
+	if counter.Became != 2 || counter.Ceased != 2 {
+		t.Fatalf("a cycle reported %d became and %d ceased, want 2 and 2", counter.Became, counter.Ceased)
+	}
+	assertZeroAllocs(t, "output churn with a counting sink", cycle)
+
+	eng.SetSink(nil)
+	if eng.Sink() != nil {
+		t.Fatalf("Sink() = %v after SetSink(nil), want nil", eng.Sink())
+	}
+	heard, before := counter.Total(), eng.Stats().Events
+	cycle()
+	if got := eng.Stats().Events - before; got != 4 {
+		t.Fatalf("a cycle without a sink counted %d events, want 4", got)
+	}
+	assertZeroAllocs(t, "output churn without a sink", cycle)
+	if counter.Total() != heard {
+		t.Fatalf("the uninstalled sink heard %d more events", counter.Total()-heard)
+	}
+}

@@ -9,13 +9,16 @@
 // transitions across it, in canonical (kind, set-key) order, followed by one
 // EndUpdate. The final index, scores and output-dense set are those of one
 // Process call per update (pinned by internal/stream's batch conformance
-// suite against the sequential engine and brute.EnumerateAll).
+// suite against the sequential engine and brute.EnumerateAll). A threshold
+// unit (thresholdbatch.go) and SetThreshold (threshold.go) are batch units
+// too: they run the same driver, runUnit, with a threshold move.
 package core
 
 import (
 	"cmp"
 	"slices"
 
+	"dyndens/internal/density"
 	"dyndens/internal/index"
 	"dyndens/internal/vset"
 )
@@ -50,54 +53,93 @@ type stagedEvent struct {
 }
 
 // ProcessBatch applies a batch of edge-weight updates as one logical tick and
-// returns the net changes to the output-dense subgraph set (nil with a sink
-// installed, exactly like Process). An empty batch is a no-op tick: it emits
-// nothing but still advances a boundary-aware sink's update sequence.
-// Duplicate pairs within the batch coalesce to their net applied delta.
-func (e *Engine) ProcessBatch(updates []Update) []Event {
-	return e.ProcessBatchRouted(updates, nil)
-}
+// pushes the net changes to the output-dense subgraph set to the sink. An
+// empty batch is a no-op tick: it emits nothing but still advances a
+// boundary-aware sink's update sequence. Duplicate pairs within the batch
+// coalesce to their net applied delta. The threshold schedule does not move.
+func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, stay, 0, nil, false) }
 
-// ProcessBatchScoped is ProcessBatchRouted under scoped delivery: the weight
+// ProcessUnitRouted is ProcessBatch (scale 0) or ProcessThresholdBatch (any
+// other scale) for engines embedded as workers of a partitioned deployment:
+// seed reports whether this engine is the designated discovery seeder for a
+// pair (see ProcessRouted; nil seeds every pair). With scoped set the weight
 // phase still applies every delta (keeping the graph replica exact), but the
 // discovery phase skips any positive pair this engine neither seeds nor can
 // act on — neither endpoint indexed and no ImplicitTooDense family the pair
 // could extend (StarNeedsPositive) — because such a pair's pass is provably
-// empty (see ApplyOnly for the argument; the
-// interest check runs against the live index per pair, so admissions made for
-// earlier pairs in the same batch are honoured). Negative pairs are already
-// index-scoped by batchRepair. seed must be non-nil.
-func (e *Engine) ProcessBatchScoped(updates []Update, seed func(a, b Vertex) bool) []Event {
-	e.batchScoped = true
-	defer func() { e.batchScoped = false }()
-	return e.ProcessBatchRouted(updates, seed)
+// empty (see ApplyOnly for the argument; the interest check runs against the
+// live index per pair, so admissions made for earlier pairs in the same batch
+// are honoured). Negative pairs are already index-scoped by batchRepair, and
+// scoping keeps a rebuild's admissions within the worker's interest.
+func (e *Engine) ProcessUnitRouted(scale float64, updates []Update, seed func(a, b Vertex) bool, scoped bool) {
+	mv := toScale
+	if scale == 0 {
+		mv = stay
+	}
+	e.runUnit(updates, mv, scale, seed, scoped)
 }
 
-// ProcessBatchRouted is ProcessBatch for engines embedded as workers of a
-// partitioned deployment: seed reports whether this engine is the designated
-// discovery seeder for a pair (see ProcessRouted). A nil seed seeds every
-// pair, making ProcessBatchRouted(u, nil) exactly ProcessBatch(u).
-func (e *Engine) ProcessBatchRouted(updates []Update, seed func(a, b Vertex) bool) []Event {
+// move is how a unit moves the threshold schedule.
+type move uint8
+
+const (
+	stay    move = iota // a plain batch: the schedule stays where it is
+	toScale             // a threshold unit: fold, then move to the base schedule at the unit's scale
+	toSpare             // SetThreshold: switch to the schedule written into spareTh
+)
+
+// runUnit is the bracket every batch unit runs, whatever its move (scale is a
+// threshold unit's cumulative decay scale λ). seed and scoped are a
+// partitioned deployment's routing (ProcessUnitRouted); nil and false process
+// every pair. A fold comes first; then the deltas land under the OLD threshold
+// (a retiring pair's weight change is netted before the schedule moves), the
+// threshold walk repairs the index, and the emit scale switches to the new λ
+// only after all staged events are known. A rebuild (a lowered threshold)
+// replaces repair, walk and discovery. The net events reach the sink at the
+// end, followed by one EndUpdate.
+func (e *Engine) runUnit(updates []Update, mv move, scale float64, seed func(a, b Vertex) bool, scoped bool) {
 	e.stats.Updates += uint64(len(updates))
-	e.stats.Batches++
-
-	e.stageBatchDeltas(updates)
-	e.beginEmit()
-	if len(e.batchNet) == 0 {
-		return e.finishEmit() // no-op tick: boundary only
+	if mv != toSpare {
+		e.stats.Batches++
 	}
-	e.prepareBatchDirty()
-
-	e.batching = true
-	e.batchSeed = seed
+	if mv == toScale {
+		e.stats.ThresholdTicks++
+	}
+	e.stageBatchDeltas(updates)
+	if len(e.batchNet) == 0 && mv == stay {
+		e.endUpdate() // no-op tick: boundary only
+		return
+	}
+	e.cloneSets = SinkRetainsSets(e.sink)
+	e.batching, e.batchSeed, e.batchScoped = true, seed, scoped
 	e.ix.BeginUpdate()
-	e.batchRepair()
-	e.batchDiscover()
-	e.batchSeed = nil
-	e.batching = false
+	m := e.emitScale
+	if mv == toScale {
+		var k int
+		if m, k = density.Fold(scale); k != 0 {
+			e.fold(k)
+		}
+	}
+	repair := len(e.batchNet) > 0 && (mv == stay || e.base.T/m >= e.th.T) // a decrease rebuilds instead
+	if repair {
+		e.prepareBatchDirty()
+		e.batchRepair()
+	}
+	switch {
+	case mv == toSpare:
+		e.switchThreshold()
+	case mv == toScale && e.base.T/m != e.th.T:
+		e.scheduleAt(e.spareTh, m)
+		e.switchThreshold()
+	}
+	if repair {
+		e.batchDiscover()
+	}
+	e.batching, e.batchSeed, e.batchScoped = false, nil, false
+	e.emitScale = m
 	e.noteIndexSize()
 	e.flushBatchEvents()
-	return e.finishEmit()
+	e.endUpdate()
 }
 
 // stageBatchDeltas applies every delta of a batch to the graph up front and
@@ -107,8 +149,7 @@ func (e *Engine) ProcessBatchRouted(updates []Update, seed func(a, b Vertex) boo
 // applied deltas are staged in stream order, stable-sorted by pair and summed
 // run by run (so each pair's deltas add up in stream order), pairs netting to
 // zero dropped in the same pass: a tick costs O(batch log batch) whatever the
-// largest batch before it was. Shared by the plain-batch and threshold-batch
-// ticks.
+// largest batch before it was.
 func (e *Engine) stageBatchDeltas(updates []Update) {
 	net := e.batchNet[:0]
 	for _, u := range updates {
@@ -358,7 +399,7 @@ func (e *Engine) stageBatchEvent(kind EventKind, c vset.Set, score float64) {
 }
 
 // flushBatchEvents nets the staged transitions against the pre-batch state
-// and emits the survivors to the current destination in canonical (kind, key)
+// and emits the survivors to the sink in canonical (kind, key)
 // order. Netting is the stageBatchDeltas shape: a stable sort by set brings
 // each set's transitions together in discovery order; the first one fixes the
 // set's pre-batch status, the last one its kind, score and final status, and a
@@ -398,7 +439,7 @@ func (e *Engine) flushBatchEvents() {
 				continue
 			}
 			e.stats.Events++
-			e.cur.Emit(Event{
+			e.sink.Emit(Event{
 				Kind:    se.kind,
 				Set:     se.set,
 				Score:   se.score * e.emitScale,

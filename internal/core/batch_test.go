@@ -65,7 +65,10 @@ func TestProcessBatchDuplicatePairCoalesces(t *testing.T) {
 	for _, u := range batch {
 		seq.Process(u)
 	}
-	evs := bat.ProcessBatch(batch)
+	var sink core.CollectorSink
+	bat.SetSink(&sink)
+	bat.ProcessBatch(batch)
+	evs := sink.Take()
 	if !slices.Equal(bat.OutputDenseKeys(), seq.OutputDenseKeys()) {
 		t.Fatalf("batched keys %v != sequential %v", bat.OutputDenseKeys(), seq.OutputDenseKeys())
 	}
@@ -191,14 +194,18 @@ func TestProcessBatchNetsFlappingTransitions(t *testing.T) {
 		{A: 1, B: 2, Delta: 0.5},  // 2.4: becomes output-dense
 		{A: 1, B: 2, Delta: -0.6}, // 1.8: ceases again
 	}
-	var seqEvents int
+	var seqEvents core.CollectorSink
+	seq.SetSink(&seqEvents)
 	for _, u := range batch {
-		seqEvents += len(seq.Process(u))
+		seq.Process(u)
 	}
-	if seqEvents != 2 {
-		t.Fatalf("sequential flap produced %d events, want 2 (became+ceased)", seqEvents)
+	if seqEvents.Len() != 2 {
+		t.Fatalf("sequential flap produced %d events, want 2 (became+ceased)", seqEvents.Len())
 	}
-	if evs := bat.ProcessBatch(batch); len(evs) != 0 {
+	var batEvents core.CollectorSink
+	bat.SetSink(&batEvents)
+	bat.ProcessBatch(batch)
+	if evs := batEvents.Take(); len(evs) != 0 {
 		t.Fatalf("batch reported %d events for a net-zero flap: %v", len(evs), evs)
 	}
 	if !slices.Equal(bat.OutputDenseKeys(), seq.OutputDenseKeys()) {
@@ -247,8 +254,9 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 			}
 			seq := core.MustNew(cfg)
 			bat := core.MustNew(cfg)
+			var events core.CollectorSink
+			bat.SetSink(&events)
 			rng := rand.New(rand.NewSource(seed * 101))
-			events := 0
 			for pos := 0; pos < len(updates); {
 				n := rng.Intn(9) // empty batches included
 				if pos+n > len(updates) {
@@ -259,14 +267,14 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 				for _, u := range chunk {
 					seq.Process(u)
 				}
-				events += len(bat.ProcessBatch(chunk))
+				bat.ProcessBatch(chunk)
 
 				if msg := bat.ValidateIndex(); msg != "" {
 					t.Fatalf("seed %d after %d updates: batch index invalid: %s", seed, pos, msg)
 				}
 				checkExpandedAgainstOracle(t, fmt.Sprintf("seed %d after %d updates", seed, pos), brute.UniverseOf(updates[:pos]), bat, seq)
 			}
-			if events == 0 {
+			if events.Len() == 0 {
 				t.Fatalf("seed %d: batched replay emitted no events; fixture too weak", seed)
 			}
 		}

@@ -290,6 +290,55 @@ func benchInStory(b *testing.B, background int) {
 	b.ReportMetric(float64(after.CheapIndexed-before.CheapIndexed)/float64(b.N), "indexed/op")
 }
 
+// BenchmarkProcessBatchDoc measures a plain batch the size of one document's
+// co-occurrence deltas, the unit `stories run -batch` hands the engine: each
+// op applies one document — four members of the live story of
+// core.InStoryEngine (2000 background vertices) and two background entities,
+// every one of its 15 pairs raised by 1/16 — as one ProcessBatch, and takes
+// it back with a second. The documents rotate over sixteen member and
+// background choices; nothing is admitted or evicted, and an op that
+// allocates fails the benchmark.
+func BenchmarkProcessBatchDoc(b *testing.B) {
+	const background, storySize = 2000, 6
+	eng, _ := core.InStoryEngine(b, background)
+	member := func(i int) core.Vertex { return core.Vertex(background + i%storySize) }
+	var docs [16][2][]core.Update // per document: the raising batch and the one taking it back
+	for d := range docs {
+		ents := []core.Vertex{member(d), member(d + 1), member(d + 2), member(d + 3),
+			core.Vertex(37 * d % background), core.Vertex((37*d + 11) % background)}
+		for i, a := range ents {
+			for _, c := range ents[i+1:] {
+				docs[d][0] = append(docs[d][0], core.Update{A: a, B: c, Delta: 1.0 / 16})
+				docs[d][1] = append(docs[d][1], core.Update{A: a, B: c, Delta: -1.0 / 16})
+			}
+		}
+	}
+	op := func(n int) {
+		doc := &docs[n%len(docs)]
+		eng.ProcessBatch(doc[0])
+		eng.ProcessBatch(doc[1])
+	}
+	for n := 0; n < 4*len(docs); n++ {
+		op(n) // first-touch buffer growth and the scans that derive the certificates
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(len(docs), func() { op(n); n++ }); allocs != 0 {
+		b.Fatalf("a steady-state document batch performed %v allocs/op, want 0", allocs)
+	}
+	before := eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op(n)
+	}
+	b.StopTimer()
+	after := eng.Stats()
+	if after.Insertions != before.Insertions || after.Evictions != before.Evictions {
+		b.Fatalf("the ops are not steady: %+v → %+v", before, after)
+	}
+	b.ReportMetric(float64(after.BatchPairs-before.BatchPairs)/float64(b.N), "pairs/op")
+}
+
 // BenchmarkThresholdTick measures the decay epoch of the rescaled pipeline
 // (ProcessThresholdBatch) the way docs-decay meets it: an index of a few
 // hundred subgraphs — every subset of twelve planted five-vertex groups whose

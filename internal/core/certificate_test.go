@@ -84,12 +84,12 @@ func (r *plantedRun) step(t *testing.T) string {
 		r.e.ProcessThresholdBatch(r.scale, retire)
 		return fmt.Sprintf("ProcessThresholdBatch %v %v", r.scale, retire)
 	case k < 38:
-		if _, err := r.e.SetThreshold(r.e.Config().T * 1.1); err != nil {
+		if err := r.e.SetThreshold(r.e.Config().T * 1.1); err != nil {
 			t.Fatal(err)
 		}
 		return "SetThreshold ×1.1"
 	case k < 39:
-		if _, err := r.e.SetThreshold(r.e.Config().T * 0.9); err != nil {
+		if err := r.e.SetThreshold(r.e.Config().T * 0.9); err != nil {
 			t.Fatal(err)
 		}
 		return "SetThreshold ×0.9"

@@ -4,10 +4,12 @@
 // of the heuristics of Section 7: the engine is exact.
 //
 // The engine owns the evolving weighted graph, the dense-subgraph prefix-tree
-// index, and the threshold schedule. Each call to Process applies one edge
-// weight update and returns the changes to the set of output-dense subgraphs
-// (subgraphs whose density is at least the user threshold T and whose
-// cardinality is at most Nmax).
+// index, and the threshold schedule. Each unit it is handed — one edge-weight
+// update (Process), a batch of them (ProcessBatch), a decay epoch
+// (ProcessThresholdBatch) or a threshold change (SetThreshold) — reports the
+// changes to the set of output-dense subgraphs (subgraphs whose density is at
+// least the user threshold T and whose cardinality is at most Nmax) to the
+// engine's event sink.
 package core
 
 import (
@@ -52,9 +54,8 @@ type Config struct {
 }
 
 // WithDefaults returns the configuration with default values applied (the
-// configuration an engine built from c would report via Engine.Config). It is
-// what sharded deployments, which hold a Config rather than an Engine, print
-// in their run headers.
+// configuration an engine built from c would report via Engine.Config), for
+// callers that hold a Config rather than an Engine.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -124,8 +125,8 @@ type Subgraph struct {
 type Stats struct {
 	Updates          uint64 // updates processed (batched updates count individually)
 	AppliedOnly      uint64 // updates applied to the graph without processing (ApplyOnly)
-	Batches          uint64 // ProcessBatch calls (one logical tick each)
-	ThresholdTicks   uint64 // ProcessThresholdBatch calls (rescaled decay epochs)
+	Batches          uint64 // batch units, plain and threshold (one logical tick each)
+	ThresholdTicks   uint64 // threshold units (rescaled decay epochs), a subset of Batches
 	BatchPairs       uint64 // coalesced positive pairs that ran the discovery pass
 	BatchPairSkips   uint64 // coalesced positive pairs skipped by scoped delivery
 	PositiveUpdates  uint64
@@ -199,16 +200,12 @@ type Engine struct {
 
 	stats Stats
 
-	// sink receives events as they are discovered. When no sink is installed
-	// (SetSink(nil), the default) events are gathered in collector so the
-	// slice-returning Process API keeps working.
-	sink      EventSink
-	collector CollectorSink
-	// cur is the destination for the in-flight Process/SetThreshold call:
-	// sink if one is installed, otherwise &collector.
-	cur EventSink
-	// cloneSets records whether cur retains Event.Set beyond Emit (see
-	// SetRetainer); only then does emit clone the set out of engine scratch.
+	// sink receives events as they are discovered: the one installed by
+	// SetSink, or discardSink when there is none.
+	sink EventSink
+	// cloneSets records whether sink retains Event.Set beyond Emit (see
+	// SetRetainer), read at the start of each unit; only then does emit clone
+	// the set out of engine scratch.
 	cloneSets bool
 	// boundary is sink's UpdateBoundarySink capability, cached at SetSink so
 	// the per-update dispatch is a nil check rather than a type assertion.
@@ -243,7 +240,7 @@ type Engine struct {
 	pairBuf     [2]Vertex     // seed-pair scratch
 	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
 
-	// Per-batch scratch state (valid during ProcessBatch only; see batch.go).
+	// Per-unit scratch state (valid during a batch unit only; see batch.go).
 	// All containers are engine-owned and reused across batches, so a
 	// steady-state batch — like a steady-state Process — allocates nothing.
 	batching    bool
@@ -322,6 +319,7 @@ func New(cfg Config) (*Engine, error) {
 		ix:        index.New(cfg.Nmax),
 		emitScale: 1,
 		base:      base,
+		sink:      discardSink{},
 	}, nil
 }
 
@@ -366,60 +364,46 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// SetSink installs the destination for output events. With a sink installed
-// the engine pushes each Became/CeasedOutputDense change to it the moment it
-// is discovered, and Process/SetThreshold return nil event slices. Passing nil
-// uninstalls the sink and restores the slice-returning behaviour.
+// SetSink installs the destination for output events: the engine pushes each
+// Became/CeasedOutputDense change to it the moment it is discovered (or, for
+// a batch unit, at the unit's end). Passing nil installs a sink that drops
+// every event; Stats.Events still counts them. A new engine starts that way.
 //
 // The sink is invoked synchronously on the processing goroutine and must not
 // call back into the engine; see EventSink for the full contract. If the sink
-// implements UpdateBoundarySink it is additionally told where each update
-// ends (once per Process call, no-ops included, and once per SetThreshold).
+// implements UpdateBoundarySink it is additionally told where each unit ends
+// (once per Process call, no-ops included, once per batch unit and once per
+// SetThreshold).
 func (e *Engine) SetSink(s EventSink) {
+	if s == nil {
+		s = discardSink{}
+	}
 	e.sink = s
 	e.boundary, _ = s.(UpdateBoundarySink)
 }
 
-// Sink returns the currently installed sink (nil in slice-returning mode).
-func (e *Engine) Sink() EventSink { return e.sink }
-
-// beginEmit readies the event destination for one Process/SetThreshold call.
-func (e *Engine) beginEmit() {
-	if e.sink != nil {
-		e.cur = e.sink
-	} else {
-		e.collector.Reset()
-		e.cur = &e.collector
-	}
-	e.cloneSets = SinkRetainsSets(e.cur)
-}
-
-// finishEmit ends the call, returning the collected events in slice mode and
-// nil when a sink is installed.
-func (e *Engine) finishEmit() []Event {
-	e.cur = nil
-	if e.sink != nil {
-		e.endUpdate()
+// Sink returns the sink SetSink installed, nil if there is none.
+func (e *Engine) Sink() EventSink {
+	if _, none := e.sink.(discardSink); none {
 		return nil
 	}
-	return e.collector.Take()
+	return e.sink
 }
 
-// endUpdate tells a boundary-aware sink that the current update is complete.
-// The no-op return paths of ProcessRouted call it directly so that every
-// Process call — event-producing or not — advances the sink's update
-// sequence, keeping it aligned with a sharded merger's sequence numbers.
+// endUpdate tells a boundary-aware sink that the current unit is complete.
+// The no-op return paths call it too, so that every Process call —
+// event-producing or not — advances the sink's update sequence, keeping it
+// aligned with a sharded merger's sequence numbers.
 func (e *Engine) endUpdate() {
 	if e.boundary != nil {
 		e.boundary.EndUpdate()
 	}
 }
 
-// Process applies one edge-weight update. In the default slice-returning mode
-// it returns the resulting changes to the output-dense subgraph set; with a
-// sink installed (SetSink) the changes are pushed to the sink instead and nil
-// is returned. Updates with A == B or Delta == 0 are no-ops.
-func (e *Engine) Process(u Update) []Event { return e.ProcessRouted(u, true) }
+// Process applies one edge-weight update and pushes the resulting changes to
+// the output-dense subgraph set to the sink. Updates with A == B or Delta == 0
+// are no-ops.
+func (e *Engine) Process(u Update) { e.ProcessRouted(u, true) }
 
 // ProcessRouted is Process for engines embedded as workers of a partitioned
 // deployment (internal/shard). seedPairs tells the engine whether it is the
@@ -430,21 +414,21 @@ func (e *Engine) Process(u Update) []Event { return e.ProcessRouted(u, true) }
 // owns therefore applies every weight change — keeping its graph exact — while
 // the index/exploration work of discovery partitions across workers by pair
 // ownership. ProcessRouted(u, true) is exactly Process(u).
-func (e *Engine) ProcessRouted(u Update, seedPairs bool) []Event {
+func (e *Engine) ProcessRouted(u Update, seedPairs bool) {
 	e.stats.Updates++
 	if u.A == u.B || u.Delta == 0 {
 		e.endUpdate()
-		return nil
+		return
 	}
 	e.seedPairs = seedPairs
 	before, after := e.g.Apply(u)
 	applied := after - before // Delta clamped if the weight would go negative
 	if applied == 0 {
 		e.endUpdate()
-		return nil
+		return
 	}
 	e.a, e.b, e.delta = u.A, u.B, applied
-	e.beginEmit()
+	e.cloneSets = SinkRetainsSets(e.sink)
 	e.ix.BeginUpdate()
 	if applied < 0 {
 		e.stats.NegativeUpdates++
@@ -454,7 +438,7 @@ func (e *Engine) ProcessRouted(u Update, seedPairs bool) []Event {
 		e.processPositive(after)
 	}
 	e.noteIndexSize()
-	return e.finishEmit()
+	e.endUpdate()
 }
 
 // ApplyOnly applies an update's weight change to the graph replica without
@@ -543,7 +527,7 @@ func (e *Engine) noteIndexSize() {
 	}
 }
 
-// emit pushes an output event to the current destination. The subgraph set
+// emit pushes an output event to the sink. The subgraph set
 // usually lives in engine scratch, so it is cloned only when the installed
 // sink declares it retains sets (SetRetainer); counting/filter-style sinks
 // observe the scratch directly, which is what keeps the steady-state hot path
@@ -561,7 +545,7 @@ func (e *Engine) emit(kind EventKind, c vset.Set, score float64) {
 	if e.cloneSets {
 		set = c.Clone()
 	}
-	e.cur.Emit(Event{
+	e.sink.Emit(Event{
 		Kind:    kind,
 		Set:     set,
 		Score:   score * e.emitScale,

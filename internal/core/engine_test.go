@@ -41,6 +41,17 @@ func (u universe) add(ups ...Update) {
 
 func (u universe) vertices() []Vertex { return slices.Sorted(maps.Keys(u)) }
 
+// collect runs f with a CollectorSink installed on e and returns the events it
+// emitted; e's own sink is back in place afterwards.
+func collect(e *Engine, f func()) []Event {
+	prev := e.Sink()
+	var c CollectorSink
+	e.SetSink(&c)
+	f()
+	e.SetSink(prev)
+	return c.Take()
+}
+
 // TestNewStarDiscoversEdgeMembers is the regression test for the family-
 // creation discovery hole: when one large update makes a subgraph too-dense,
 // the newly implicit members include sets formed by absorbing a whole edge
@@ -112,7 +123,7 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 	if e.Contains(vset.New(2, 4, 7, 9)) {
 		t.Fatal("fixture too weak: {2,4,7,9} already dense under T=6")
 	}
-	if _, err := e.SetThreshold(2); err != nil {
+	if err := e.SetThreshold(2); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Contains(vset.New(2, 4, 7, 9)) {
@@ -143,7 +154,7 @@ func TestThresholdDecreaseExistingStarsMissEdgeMembers(t *testing.T) {
 	if e.ImplicitFamilyCount() != 2 || slices.Contains(oracleKeys(e, nil), "1,3,5,6") {
 		t.Fatalf("fixture: %d families, oracle %v", e.ImplicitFamilyCount(), oracleKeys(e, nil))
 	}
-	if _, err := e.SetThreshold(1.08); err != nil {
+	if err := e.SetThreshold(1.08); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := expandedKeys(e, nil), oracleKeys(e, nil); !slices.Equal(got, want) {
@@ -159,8 +170,8 @@ func TestProcessRoutedSeedingPartition(t *testing.T) {
 	seeder := MustNew(Config{T: 2, Nmax: 4})
 	follower := MustNew(Config{T: 2, Nmax: 4})
 	u := Update{A: 1, B: 2, Delta: 5}
-	sevs := seeder.ProcessRouted(u, true)
-	fevs := follower.ProcessRouted(u, false)
+	sevs := collect(seeder, func() { seeder.ProcessRouted(u, true) })
+	fevs := collect(follower, func() { follower.ProcessRouted(u, false) })
 	if len(sevs) != 1 || sevs[0].Kind != BecameOutputDense {
 		t.Fatalf("seeder events = %v, want one BecameOutputDense", sevs)
 	}

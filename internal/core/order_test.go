@@ -17,9 +17,12 @@ import (
 // every vertex shifted by -shift.
 func eventLog(cfg Config, updates []Update, shift Vertex) (*Engine, [][]string) {
 	e := MustNew(cfg)
+	var sink CollectorSink
+	e.SetSink(&sink)
 	out := make([][]string, len(updates))
 	for i, u := range updates {
-		for _, ev := range e.Process(Update{A: u.A + shift, B: u.B + shift, Delta: u.Delta}) {
+		e.Process(Update{A: u.A + shift, B: u.B + shift, Delta: u.Delta})
+		for _, ev := range sink.Take() {
 			out[i] = append(out[i], fmt.Sprintf("%v %v %x", ev.Kind, unshift(ev.Set.Key(), shift), ev.Score))
 		}
 	}

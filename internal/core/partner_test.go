@@ -48,7 +48,7 @@ func TestCheapExploreSeesUnionAdmittedEarlierInPass(t *testing.T) {
 		t.Fatalf("setup: want {1,2} and {1,2,3} indexed and no node holding both 0 and 1; index holds %v", e.Dense())
 	}
 	before := e.Stats()
-	evs := e.Process(Update{A: 0, B: 1, Delta: 0.9})
+	evs := collect(e, func() { e.Process(Update{A: 0, B: 1, Delta: 0.9}) })
 	after := e.Stats()
 	if e.ix.LookupDense(vset.New(0, 1)) != nil {
 		t.Fatal("the pair {0,1} became dense: the union would be found by exploring it, not by cheap-exploration")
@@ -89,7 +89,7 @@ func TestCheapExplorePartnerReadLive(t *testing.T) {
 		t.Fatalf("setup: want {0,1,2} a pure prefix node under the indexed {0,1,2,3}; index holds %v", e.Dense())
 	}
 	before := e.Stats()
-	evs := e.Process(Update{A: 0, B: 1, Delta: 0.8})
+	evs := collect(e, func() { e.Process(Update{A: 0, B: 1, Delta: 0.8}) })
 	after := e.Stats()
 	if e.ix.LookupDense(vset.New(0, 1)) != nil {
 		t.Fatal("the pair {0,1} became dense: {0,1,2} would be found by exploring it, not by cheap-exploration")

@@ -77,17 +77,17 @@ func (r *repairRun) cancellations() []Update {
 
 // unit draws one stream unit and returns its description and the call that
 // applies it to an engine.
-func (r *repairRun) unit() (string, func(e *Engine) []Event) {
+func (r *repairRun) unit() (string, func(e *Engine)) {
 	switch k := r.rng.Intn(20); {
 	case k < 7:
 		batch := make([]Update, 1+r.rng.Intn(5))
 		for i := range batch {
 			batch[i] = r.raise()
 		}
-		return fmt.Sprintf("ProcessBatch %v", batch), func(e *Engine) []Event { return e.ProcessBatch(batch) }
+		return fmt.Sprintf("ProcessBatch %v", batch), func(e *Engine) { e.ProcessBatch(batch) }
 	case k < 9:
 		batch := r.cancellations()
-		return fmt.Sprintf("ProcessBatch %v", batch), func(e *Engine) []Event { return e.ProcessBatch(batch) }
+		return fmt.Sprintf("ProcessBatch %v", batch), func(e *Engine) { e.ProcessBatch(batch) }
 	case k < 19:
 		switch m := r.rng.Intn(5); {
 		case m < 3:
@@ -96,8 +96,8 @@ func (r *repairRun) unit() (string, func(e *Engine) []Event) {
 			r.scale = min(1, r.scale/(0.9+0.1*r.rng.Float64()))
 		}
 		scale, batch := r.scale, r.cancellations()
-		return fmt.Sprintf("ProcessThresholdBatch %v %v", scale, batch), func(e *Engine) []Event {
-			return e.ProcessThresholdBatch(scale, batch)
+		return fmt.Sprintf("ProcessThresholdBatch %v %v", scale, batch), func(e *Engine) {
+			e.ProcessThresholdBatch(scale, batch)
 		}
 	default:
 		// A fold: every weight cut a little under a scale below the fold
@@ -109,8 +109,8 @@ func (r *repairRun) unit() (string, func(e *Engine) []Event) {
 		})
 		scale := r.scale * 0x1p-520
 		r.scale, _ = density.Fold(scale)
-		return fmt.Sprintf("fold of %v with cuts of %d pairs", scale, len(batch)), func(e *Engine) []Event {
-			return e.ProcessThresholdBatch(scale, batch)
+		return fmt.Sprintf("fold of %v with cuts of %d pairs", scale, len(batch)), func(e *Engine) {
+			e.ProcessThresholdBatch(scale, batch)
 		}
 	}
 }
@@ -142,7 +142,8 @@ func TestPairLocalRepairMatchesWholeIndex(t *testing.T) {
 			dense, stars, before := r.e.ix.Len(), r.e.ix.StarCount(), r.e.Stats()
 			base := r.e.ix.LookupDense(repairSets[2])
 			starred := base != nil && r.e.ix.HasStar(base)
-			got, want := apply(r.e), apply(r.ref)
+			got := collect(r.e, func() { apply(r.e) })
+			want := collect(r.ref, func() { apply(r.ref) })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: events\n got %v\nwant %v", label, got, want)
 			}

@@ -4,15 +4,15 @@ import "dyndens/internal/vset"
 
 // EventSink receives output-dense change events as the engine discovers them.
 //
-// This is the streaming counterpart of the slice-returning Process API: a sink
-// installed with Engine.SetSink observes every Became/CeasedOutputDense change
-// the moment it is found, without the engine materialising a per-update slice.
-// Sinks are invoked synchronously from Process/SetThreshold on the engine's
-// goroutine, while the update is still being applied. Emit must therefore not
+// It is the engine's only way out: a sink installed with Engine.SetSink
+// observes every Became/CeasedOutputDense change the moment it is found,
+// without the engine materialising a per-update slice. Sinks are invoked
+// synchronously from the engine's mutation entry points on the engine's
+// goroutine, while the unit is still being applied. Emit must therefore not
 // call back into the engine — neither mutators (Process, SetThreshold) nor
 // queries (OutputDense etc.), which would observe a half-applied update. An
 // implementation that needs either should hand the event off to its own
-// machinery and act after Process returns.
+// machinery and act after the call returns.
 //
 // Set ownership (the clone-elision contract): by default the engine clones
 // Event.Set out of its internal scratch buffers before Emit, so the set may
@@ -29,19 +29,20 @@ type EventSink interface {
 // UpdateBoundarySink is the optional capability by which a sink asks to be
 // told where one update ends and the next begins. The engine calls EndUpdate
 // exactly once per Process call — including no-op updates (A == B, zero or
-// fully clamped delta) that emit no events — and once per SetThreshold call,
-// after every event of that update has been emitted. Consumers that group
-// events by the update that produced them (the story-identity tracker in
-// internal/story is the canonical example) rely on this signal to know when a
-// per-update buffer is complete; counting every Process call keeps their
-// update sequence aligned with the sequence numbers a sharded deployment's
-// merge layer assigns.
+// fully clamped delta) that emit no events — and once per batch unit and
+// SetThreshold call, after every event of that unit has been emitted.
+// Consumers that group events by the update that produced them (the
+// story-identity tracker in internal/story is the canonical example) rely on
+// this signal to know when a per-update buffer is complete; counting every
+// Process call keeps their update sequence aligned with the sequence numbers
+// a sharded deployment's merge layer assigns.
 //
-// EndUpdate is invoked on the processing goroutine before Process returns and
-// is subject to the same restriction as Emit: it must not call back into the
-// engine.
+// EndUpdate is invoked on the processing goroutine before the call returns
+// and is subject to the same restriction as Emit: it must not call back into
+// the engine.
 type UpdateBoundarySink interface {
-	// EndUpdate marks the end of one Process (or SetThreshold) call.
+	// EndUpdate marks the end of one unit: a Process, batch or SetThreshold
+	// call.
 	EndUpdate()
 }
 
@@ -71,9 +72,9 @@ type EventSinkFunc func(ev Event)
 // Emit implements EventSink.
 func (f EventSinkFunc) Emit(ev Event) { f(ev) }
 
-// CollectorSink accumulates events into a slice. It backs the engine's
-// slice-returning Process API and is the natural sink for tests that want to
-// inspect the exact event sequence. The zero value is ready to use.
+// CollectorSink accumulates events into a slice. It is the sink for callers
+// that want the exact event sequence of a unit (tests, the shard workers,
+// which Take it after every engine call). The zero value is ready to use.
 type CollectorSink struct {
 	events []Event
 }
@@ -103,6 +104,17 @@ func (c *CollectorSink) Take() []Event {
 
 // Reset discards the accumulated events.
 func (c *CollectorSink) Reset() { c.events = nil }
+
+// discardSink is the sink of an engine without one installed: it drops every
+// event and retains no set, so such an engine reports nothing and allocates
+// nothing to do so.
+type discardSink struct{}
+
+// Emit implements EventSink.
+func (discardSink) Emit(Event) {}
+
+// RetainsSets implements SetRetainer.
+func (discardSink) RetainsSets() bool { return false }
 
 // CountingSink counts events by kind without retaining them. It is the
 // cheapest possible sink and the default for throughput benchmarks, where

@@ -92,77 +92,6 @@ func TestMultiSinkFanout(t *testing.T) {
 	}
 }
 
-// streamUpdates is a tiny deterministic update sequence that produces both
-// kinds of events: a triangle forms, strengthens, and then collapses.
-func streamUpdates() []Update {
-	return []Update{
-		{A: 1, B: 2, Delta: 4},
-		{A: 2, B: 3, Delta: 4},
-		{A: 1, B: 3, Delta: 4},
-		{A: 1, B: 2, Delta: 2},
-		{A: 1, B: 2, Delta: -6},
-		{A: 2, B: 3, Delta: -4},
-		{A: 1, B: 3, Delta: -4},
-	}
-}
-
-// TestSinkModeMatchesSliceMode runs the same stream through a slice-mode
-// engine and a sink-mode engine and requires the identical event sequence.
-func TestSinkModeMatchesSliceMode(t *testing.T) {
-	cfg := Config{T: 3, Nmax: 4}
-
-	sliceEng := MustNew(cfg)
-	var want []Event
-	for _, u := range streamUpdates() {
-		want = append(want, sliceEng.Process(u)...)
-	}
-	if len(want) == 0 {
-		t.Fatal("test stream produced no events; fixture is broken")
-	}
-
-	sinkEng := MustNew(cfg)
-	var got CollectorSink
-	sinkEng.SetSink(&got)
-	for _, u := range streamUpdates() {
-		if evs := sinkEng.Process(u); evs != nil {
-			t.Fatalf("Process returned %v in sink mode, want nil", evs)
-		}
-	}
-
-	if got.Len() != len(want) {
-		t.Fatalf("sink saw %d events, slice mode produced %d", got.Len(), len(want))
-	}
-	for i, w := range want {
-		g := got.Events()[i]
-		if g.Kind != w.Kind || !g.Set.Equal(w.Set) || g.Score != w.Score || g.Density != w.Density {
-			t.Errorf("event %d: got %+v, want %+v", i, g, w)
-		}
-	}
-	if sinkEng.Stats().Events != sliceEng.Stats().Events {
-		t.Errorf("event counters diverge: sink %d, slice %d", sinkEng.Stats().Events, sliceEng.Stats().Events)
-	}
-}
-
-// TestSetSinkNilRestoresSliceMode verifies the mode can be switched back and
-// forth on a live engine.
-func TestSetSinkNilRestoresSliceMode(t *testing.T) {
-	e := MustNew(Config{T: 3, Nmax: 4})
-	var sink CountingSink
-	e.SetSink(&sink)
-	e.Process(Update{A: 1, B: 2, Delta: 5})
-	if sink.Became != 1 {
-		t.Fatalf("sink.Became = %d, want 1", sink.Became)
-	}
-	e.SetSink(nil)
-	evs := e.Process(Update{A: 3, B: 4, Delta: 5})
-	if len(evs) != 1 || evs[0].Kind != BecameOutputDense {
-		t.Fatalf("slice mode returned %v, want one BecameOutputDense", evs)
-	}
-	if sink.Total() != 1 {
-		t.Fatalf("uninstalled sink still received events: %d", sink.Total())
-	}
-}
-
 // boundarySink records events and the update boundaries separating them.
 type boundarySink struct {
 	CollectorSink
@@ -226,7 +155,7 @@ func TestUpdateBoundaryThroughWrappers(t *testing.T) {
 	var counter CountingSink
 	e.SetSink(MultiSink{&counter, &FilterSink{Next: inner}})
 	e.Process(Update{A: 1, B: 2, Delta: 4})
-	if _, err := e.SetThreshold(5); err != nil {
+	if err := e.SetThreshold(5); err != nil {
 		t.Fatal(err)
 	}
 	if inner.boundaries != 2 {
@@ -245,8 +174,8 @@ func TestSetThresholdThroughSink(t *testing.T) {
 	e.SetSink(&sink)
 	e.Process(Update{A: 1, B: 2, Delta: 4}) // output-dense at T=3
 	sink.Reset()
-	if evs, err := e.SetThreshold(5); err != nil || evs != nil {
-		t.Fatalf("SetThreshold = %v, %v; want nil, nil in sink mode", evs, err)
+	if err := e.SetThreshold(5); err != nil {
+		t.Fatal(err)
 	}
 	if sink.Len() != 1 || sink.Events()[0].Kind != CeasedOutputDense {
 		t.Fatalf("sink events after threshold increase: %v", sink.Events())

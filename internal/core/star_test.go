@@ -134,7 +134,8 @@ func TestStarSelectionMatchesFullScan(t *testing.T) {
 
 		sel, full := twins()
 		for i, u := range updates {
-			check(fmt.Sprintf("Process %d %v", i, u), sel, full, sel.Process(u), full.Process(u))
+			check(fmt.Sprintf("Process %d %v", i, u), sel, full,
+				collect(sel, func() { sel.Process(u) }), collect(full, func() { full.Process(u) }))
 		}
 		tally(sel, full)
 
@@ -142,7 +143,8 @@ func TestStarSelectionMatchesFullScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for i, rest := 0, updates; len(rest) > 0; i++ {
 			k := min(1+rng.Intn(6), len(rest))
-			check(fmt.Sprintf("ProcessBatch %d", i), sel, full, sel.ProcessBatch(rest[:k]), full.ProcessBatch(rest[:k]))
+			check(fmt.Sprintf("ProcessBatch %d", i), sel, full,
+				collect(sel, func() { sel.ProcessBatch(rest[:k]) }), collect(full, func() { full.ProcessBatch(rest[:k]) }))
 			rest = rest[k:]
 		}
 		tally(sel, full)

@@ -12,27 +12,21 @@ import (
 var ErrSameThreshold = errors.New("core: new threshold equals the current threshold")
 
 // SetThreshold changes the output-density threshold T at runtime (Section 6),
-// rescaling δ_it proportionally, and reports the changes to the output-dense
-// set as one logical tick — to the installed sink if there is one.
-func (e *Engine) SetThreshold(newT float64) ([]Event, error) {
+// rescaling δ_it proportionally, and pushes the changes to the output-dense
+// set to the sink as one logical tick.
+func (e *Engine) SetThreshold(newT float64) error {
 	if newT == e.th.T {
-		return nil, ErrSameThreshold
+		return ErrSameThreshold
 	}
 	if err := e.th.Rescale(e.spareTh, newT); err != nil {
-		return nil, err
+		return err
 	}
 	// newT is in normalized units; the real-unit base moves with it.
 	if err := e.spareTh.Normalize(e.base, 1/e.emitScale); err != nil {
-		return nil, err
+		return err
 	}
-	e.beginEmit()
-	e.ix.BeginUpdate()
-	e.batching = true
-	e.switchThreshold()
-	e.batching = false
-	e.noteIndexSize()
-	e.flushBatchEvents()
-	return e.finishEmit(), nil
+	e.runUnit(nil, toSpare, 0, nil, false)
+	return nil
 }
 
 // switchThreshold moves the engine onto the schedule in spareTh, staging the

@@ -47,14 +47,14 @@ func (r *walkRun) step(t *testing.T) (string, bool) {
 	case k < 9:
 		u := r.update()
 		r.seen.add(u)
-		evs, desc = r.e.Process(u), fmt.Sprintf("Process %v", u)
+		evs, desc = collect(r.e, func() { r.e.Process(u) }), fmt.Sprintf("Process %v", u)
 	case k < 14:
 		batch := make([]Update, 1+r.rng.Intn(6))
 		for i := range batch {
 			batch[i] = r.update()
 		}
 		r.seen.add(batch...)
-		evs, desc = r.e.ProcessBatch(batch), fmt.Sprintf("ProcessBatch %v", batch)
+		evs, desc = collect(r.e, func() { r.e.ProcessBatch(batch) }), fmt.Sprintf("ProcessBatch %v", batch)
 	case k < 17:
 		var retire []Update
 		if r.rng.Intn(4) == 0 {
@@ -68,14 +68,15 @@ func (r *walkRun) step(t *testing.T) (string, bool) {
 				retire = append(retire, u)
 			}
 		}
-		evs, desc = r.e.ProcessThresholdBatch(r.scale, retire), fmt.Sprintf("ProcessThresholdBatch %v %v", r.scale, retire)
+		evs = collect(r.e, func() { r.e.ProcessThresholdBatch(r.scale, retire) })
+		desc = fmt.Sprintf("ProcessThresholdBatch %v %v", r.scale, retire)
 	default:
 		f := 1.1
 		if decrease = k < 19; decrease {
 			f = 0.9
 		}
 		var err error
-		if evs, err = r.e.SetThreshold(r.e.Config().T * f); err != nil {
+		if evs = collect(r.e, func() { err = r.e.SetThreshold(r.e.Config().T * f) }); err != nil {
 			t.Fatal(err)
 		}
 		desc = fmt.Sprintf("SetThreshold ×%v", f)
@@ -219,7 +220,7 @@ func FuzzEngineWalk(f *testing.F) {
 				scale, _ = density.Fold(scale)
 			case 4:
 				f := 0.8 + float64(next())/255*0.45
-				if _, err := e.SetThreshold(e.Config().T * f); err != nil && err != ErrSameThreshold {
+				if err := e.SetThreshold(e.Config().T * f); err != nil && err != ErrSameThreshold {
 					t.Fatal(err)
 				}
 				desc = fmt.Sprintf("SetThreshold ×%v", f)

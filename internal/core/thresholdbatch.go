@@ -21,63 +21,13 @@ import (
 
 // ProcessThresholdBatch absorbs one decay epoch: it applies the retirement
 // cancellations in updates as a coalesced batch, moves the normalized output
-// threshold to baseT/scale, and emits the net output-dense changes as one
-// logical tick. scale is the cumulative decay factor λ after the epoch; it
-// becomes the emit scale, folded if it is below the fold floor. A shrinking
-// scale raises the threshold through the incremental walk; a growing one
-// lowers it, which rebuilds the index. Like ProcessBatch it pushes events to
-// the installed sink (returning nil) when one is present.
-func (e *Engine) ProcessThresholdBatch(scale float64, updates []Update) []Event {
-	return e.ProcessThresholdBatchRouted(scale, updates, nil)
-}
-
-// ProcessThresholdBatchScoped is ProcessThresholdBatchRouted under scoped
-// delivery, which keeps a rebuild's admissions within the worker's interest.
-func (e *Engine) ProcessThresholdBatchScoped(scale float64, updates []Update, seed func(a, b Vertex) bool) []Event {
-	e.batchScoped = true
-	defer func() { e.batchScoped = false }()
-	return e.ProcessThresholdBatchRouted(scale, updates, seed)
-}
-
-// ProcessThresholdBatchRouted is ProcessThresholdBatch for engines embedded
-// as workers of a partitioned deployment (see ProcessBatchRouted). A fold
-// comes first; then the cancellations land under the OLD threshold (a
-// retiring pair's weight change is netted before the schedule moves), the
-// threshold walk repairs the index, and the emit scale switches to the new λ
-// only after all staged events are known. A rebuild replaces repair, walk and
-// discovery.
-func (e *Engine) ProcessThresholdBatchRouted(scale float64, updates []Update, seed func(a, b Vertex) bool) []Event {
-	e.stats.Updates += uint64(len(updates))
-	e.stats.Batches++
-	e.stats.ThresholdTicks++
-
-	e.stageBatchDeltas(updates)
-	e.beginEmit()
-	e.batching = true
-	e.batchSeed = seed
-	e.ix.BeginUpdate()
-	m, k := density.Fold(scale)
-	if k != 0 {
-		e.fold(k)
-	}
-	repair := len(e.batchNet) > 0 && e.base.T/m >= e.th.T // a decrease rebuilds instead
-	if repair {
-		e.prepareBatchDirty()
-		e.batchRepair()
-	}
-	if e.base.T/m != e.th.T {
-		e.scheduleAt(e.spareTh, m)
-		e.switchThreshold()
-	}
-	if repair {
-		e.batchDiscover()
-	}
-	e.batchSeed = nil
-	e.batching = false
-	e.emitScale = m
-	e.noteIndexSize()
-	e.flushBatchEvents()
-	return e.finishEmit()
+// threshold to baseT/scale, and pushes the net output-dense changes to the
+// sink as one logical tick. scale is the cumulative decay factor λ after the
+// epoch; it becomes the emit scale, folded if it is below the fold floor. A
+// shrinking scale raises the threshold through the incremental walk; a growing
+// one lowers it, which rebuilds the index.
+func (e *Engine) ProcessThresholdBatch(scale float64, updates []Update) {
+	e.runUnit(updates, toScale, scale, nil, false)
 }
 
 // scheduleAt writes the schedule of decay scale s into dst. Every scale a

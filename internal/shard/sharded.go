@@ -139,13 +139,13 @@ func (s Stats) MeanDeliveryFraction() float64 {
 
 // batch is one broadcast unit: a contiguous run of the update stream, or —
 // when coalesced — one whole epoch-style batch that every worker applies via
-// ProcessBatchRouted and the merger sequences as a single logical tick.
+// core.Engine.ProcessUnitRouted and the merger sequences as a single logical
+// tick.
 type batch struct {
 	firstSeq  uint64
 	updates   []core.Update
 	coalesced bool
-	threshold bool    // rescaled-decay epoch unit (implies coalesced handling)
-	scale     float64 // cumulative decay scale λ when threshold is set
+	scale     float64 // a rescaled-decay epoch unit's cumulative decay scale λ; 0 for any other batch
 }
 
 // tickEvents is one non-empty logical tick of a worker's batch result: off is
@@ -174,6 +174,7 @@ type workerResult struct {
 type worker struct {
 	id       int
 	eng      *core.Engine
+	sink     *core.CollectorSink // eng's sink, taken after every engine call
 	in       chan batch
 	seed     func(a, b core.Vertex) bool // per-pair seeding for coalesced batches
 	interest *InterestMap                // delivery filter, fed by the engine's index
@@ -277,10 +278,13 @@ func New(cfg Config) (*ShardedEngine, error) {
 		// policy, but only scoped delivery consults it.
 		im := NewInterestMap(router, id)
 		eng.SetMembershipListener(im.Observe)
+		sink := &core.CollectorSink{}
+		eng.SetSink(sink)
 		se.workers = append(se.workers, &worker{
-			id:  i,
-			eng: eng,
-			in:  make(chan batch, cfg.QueueDepth),
+			id:   i,
+			eng:  eng,
+			sink: sink,
+			in:   make(chan batch, cfg.QueueDepth),
 			// Per-pair seeding mirrors Router.Primary: the owner of the
 			// canonical (smaller) endpoint seeds the pair's discovery chain.
 			seed: func(a, b core.Vertex) bool {
@@ -358,7 +362,7 @@ func (se *ShardedEngine) Process(u core.Update) {
 }
 
 // ProcessBatch accepts a whole batch of updates as ONE logical tick: every
-// worker applies it through core.Engine.ProcessBatchRouted (seeding only the
+// worker applies it through core.Engine.ProcessUnitRouted (seeding only the
 // pairs it owns) and the merger sequences the combined net events under a
 // single sequence number — so an epoch's decay burst crosses the worker
 // channels and the merge barrier once, not once per pair. Any micro-batched
@@ -390,7 +394,7 @@ func (se *ShardedEngine) ProcessBatch(updates []core.Update) {
 
 // ProcessThresholdBatch accepts one rescaled-decay epoch unit as ONE logical
 // tick: every worker absorbs the retirement cancellations and moves its
-// threshold to baseT/scale through core.Engine.ProcessThresholdBatchRouted,
+// threshold to baseT/scale through core.Engine.ProcessUnitRouted,
 // and the merger sequences the combined net events under a single sequence
 // number — a decay epoch crosses the worker channels and the merge barrier
 // exactly once regardless of tracked-pair count. Threshold units broadcast to
@@ -419,7 +423,6 @@ func (se *ShardedEngine) ProcessThresholdBatch(scale float64, updates []core.Upd
 		firstSeq:  se.nextSeq,
 		updates:   append([]core.Update(nil), updates...),
 		coalesced: true,
-		threshold: true,
 		scale:     scale,
 	}
 	se.nextSeq++ // one sequence number for the whole epoch unit
@@ -575,11 +578,11 @@ func (se *ShardedEngine) runWorker(w *worker) {
 	defer se.workerWG.Done()
 	for b := range w.in {
 		start := time.Now()
-		// Workers run their engines in slice mode: the per-tick event
-		// slices cross the results channel to the merge goroutine, so the
-		// sets must be private copies — the engine's CollectorSink declares
-		// RetainsSets and the engine clones each emitted set out of its
-		// scratch. Everything else (neighbourhood merges, candidate sets,
+		// Each worker engine emits to its CollectorSink, taken after every
+		// engine call: the per-tick event slices cross the results channel
+		// to the merge goroutine, so the sets must be private copies — the
+		// CollectorSink declares RetainsSets and the engine clones each
+		// emitted set out of its scratch. Everything else (neighbourhood merges, candidate sets,
 		// index snapshots) stays in the worker engine's own reusable
 		// buffers, so each shard inherits the allocation-free exploration
 		// path. Results are sparse: only event-bearing ticks are recorded,
@@ -596,21 +599,11 @@ func (se *ShardedEngine) runWorker(w *worker) {
 			// per positive pair inside batchDiscover.
 			res.ticks = 1
 			before := w.eng.Stats()
-			var evs []core.Event
-			switch {
-			case b.threshold && w.scoped:
-				evs = w.eng.ProcessThresholdBatchScoped(b.scale, b.updates, w.seed)
-			case b.threshold:
-				evs = w.eng.ProcessThresholdBatchRouted(b.scale, b.updates, w.seed)
-			case w.scoped:
-				evs = w.eng.ProcessBatchScoped(b.updates, w.seed)
-			default:
-				evs = w.eng.ProcessBatchRouted(b.updates, w.seed)
-			}
+			w.eng.ProcessUnitRouted(b.scale, b.updates, w.seed, w.scoped)
 			after := w.eng.Stats()
 			res.delivered = after.BatchPairs - before.BatchPairs
 			res.applied = after.BatchPairSkips - before.BatchPairSkips
-			if len(evs) > 0 {
+			if evs := w.sink.Take(); len(evs) > 0 {
 				res.events = []tickEvents{{off: 0, evs: evs}}
 			}
 		} else {
@@ -635,8 +628,8 @@ func (se *ShardedEngine) runWorker(w *worker) {
 					}
 				}
 				res.delivered++
-				evs := w.eng.ProcessRouted(u, se.router.Primary(u) == w.id)
-				if len(evs) > 0 {
+				w.eng.ProcessRouted(u, se.router.Primary(u) == w.id)
+				if evs := w.sink.Take(); len(evs) > 0 {
 					res.events = append(res.events, tickEvents{off: i, evs: evs})
 				}
 			}

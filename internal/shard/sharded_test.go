@@ -84,9 +84,12 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 	updates := testStream(1, 10, 500, 0.3)
 
 	ref := core.MustNew(testEngineCfg)
+	var sink core.CollectorSink
+	ref.SetSink(&sink)
 	wantPerSeq := make(map[uint64][]string)
 	for i, u := range updates {
-		for _, ev := range ref.Process(u) {
+		ref.Process(u)
+		for _, ev := range sink.Take() {
 			seq := uint64(i + 1)
 			wantPerSeq[seq] = append(wantPerSeq[seq], eventKey(ev))
 		}
@@ -158,10 +161,12 @@ func TestMergedStreamDeterministic(t *testing.T) {
 func TestShardedMatchesSingleEngineResultSet(t *testing.T) {
 	updates := testStream(3, 10, 500, 0.35)
 	ref := core.MustNew(testEngineCfg)
-	refEvents := 0
+	var refSink core.CollectorSink
+	ref.SetSink(&refSink)
 	for _, u := range updates {
-		refEvents += len(ref.Process(u))
+		ref.Process(u)
 	}
+	refEvents := refSink.Len()
 	want := ref.OutputDenseKeys()
 	for _, k := range []int{1, 2, 3, 4, 8} {
 		se := MustNew(Config{Shards: k, Engine: testEngineCfg})
@@ -358,10 +363,13 @@ func TestProcessBatchMatchesSingleBatchedEngine(t *testing.T) {
 	batches := batchPartition(61, updates)
 
 	ref := core.MustNew(testEngineCfg)
+	var sink core.CollectorSink
+	ref.SetSink(&sink)
 	wantPerSeq := make(map[uint64][]string)
 	refEvents := 0
 	for i, b := range batches {
-		evs := ref.ProcessBatch(b)
+		ref.ProcessBatch(b)
+		evs := sink.Take()
 		refEvents += len(evs)
 		for _, ev := range evs {
 			seq := uint64(i + 1)

@@ -1,9 +1,11 @@
 package stream
 
-// Batch is one coalescible group of updates: the unit Engine.ProcessBatch
-// applies as a single logical tick — the Aggregator's per-epoch decay bursts
-// and per-document deltas, a FileSource's marker-delimited runs, a
-// SliceSource's fixed-size chunks.
+// Batch is one coalescible group of updates, the unit a BatchSource hands
+// Replay — the Aggregator's per-epoch decay bursts and per-document deltas, a
+// FileSource's marker-delimited runs, a SliceSource's fixed-size chunks. The
+// default replay applies it one update at a time (Engine.Process); batch mode
+// applies it as a single logical tick (Engine.ProcessBatch). A threshold unit
+// is always one tick (Engine.ProcessThresholdBatch).
 type Batch struct {
 	Updates []Update
 	// Decay marks an epoch fading burst — the aggregator's per-epoch
@@ -14,7 +16,7 @@ type Batch struct {
 	// unit: the Updates are the epoch's (usually empty) retirement
 	// cancellations in normalized units, and the engine must additionally
 	// move its output threshold to baseT/Scale — the O(1) form of fading
-	// every tracked pair (see Aggregator and core.ProcessThresholdBatch).
+	// every tracked pair (see Aggregator and core.Engine.ProcessThresholdBatch).
 	// Threshold batches always have Decay set.
 	Threshold *ThresholdUpdate
 }

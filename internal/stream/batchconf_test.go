@@ -248,18 +248,18 @@ func TestBatchConformance(t *testing.T) {
 
 			// Sequential reference: per-update processing, netted per batch.
 			ref := core.MustNew(engCfg)
+			var raw core.CollectorSink
+			ref.SetSink(&raw)
 			refTracker := newLoggedTracker(trackerConfig)
 			netter := newNetBatcher()
 			nets := make([][]core.Event, len(batches))
 			refKeys := make([][]string, len(batches))
 			totalNet := 0
-			var raw []core.Event
 			for i, b := range batches {
-				raw = raw[:0]
 				for _, u := range b {
-					raw = append(raw, ref.Process(u)...)
+					ref.Process(u)
 				}
-				nets[i] = netter.net(raw)
+				nets[i] = netter.net(raw.Take())
 				refKeys[i] = ref.OutputDenseKeys()
 				totalNet += len(nets[i])
 				for _, ev := range nets[i] {

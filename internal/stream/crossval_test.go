@@ -210,6 +210,8 @@ func TestShardedConformance(t *testing.T) {
 				}
 
 				single := core.MustNew(core.Config{T: 2, Nmax: 4})
+				var singleEvents core.CollectorSink
+				single.SetSink(&singleEvents)
 				se := shard.MustNew(shard.Config{
 					Shards:    k,
 					Engine:    core.Config{T: 2, Nmax: 4},
@@ -230,7 +232,8 @@ func TestShardedConformance(t *testing.T) {
 					// Reference: per-update events from the single engine.
 					want := make(map[uint64][]core.Event)
 					for i, u := range chunk {
-						evs := single.Process(u)
+						single.Process(u)
+						evs := singleEvents.Take()
 						totalSingle += len(evs)
 						if len(evs) > 0 {
 							want[uint64(step+i+1)] = evs

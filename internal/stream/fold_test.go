@@ -89,6 +89,9 @@ func TestFoldIsARelabel(t *testing.T) {
 	agg := MustAggregator(NewSliceDocSource(foldDocs(t, 11000)), foldAggConfig)
 	cfg := core.Config{T: 2, Nmax: 4}
 	a, b := core.MustNew(cfg), core.MustNew(cfg)
+	var sinkA, sinkB core.CollectorSink
+	a.SetSink(&sinkA)
+	b.SetSink(&sinkB)
 	shift := 250
 	b.ProcessThresholdBatch(math.Ldexp(1, shift), nil)
 	twinStats := func() core.Stats {
@@ -105,11 +108,10 @@ func TestFoldIsARelabel(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		var evA, evB []core.Event
 		kA, kB := 0, 0
 		if batch.Threshold == nil {
-			evA = a.ProcessBatch(batch.Updates)
-			evB = b.ProcessBatch(ldexpUpdates(batch.Updates, -shift))
+			a.ProcessBatch(batch.Updates)
+			b.ProcessBatch(ldexpUpdates(batch.Updates, -shift))
 		} else {
 			s, sB := batch.Threshold.Scale, math.Ldexp(batch.Threshold.Scale, shift)
 			_, kA = density.Fold(s)
@@ -121,9 +123,10 @@ func TestFoldIsARelabel(t *testing.T) {
 					}
 				}
 			}
-			evA = a.ProcessThresholdBatch(s, batch.Updates)
-			evB = b.ProcessThresholdBatch(sB, ldexpUpdates(batch.Updates, -shift))
+			a.ProcessThresholdBatch(s, batch.Updates)
+			b.ProcessThresholdBatch(sB, ldexpUpdates(batch.Updates, -shift))
 		}
+		evA, evB := sinkA.Take(), sinkB.Take()
 		shift += kA - kB
 		if !reflect.DeepEqual(evA, evB) {
 			t.Fatalf("unit %d (folds %d, %d): events\n%v\nand the twin's\n%v", unit, kA, kB, evA, evB)
@@ -163,6 +166,8 @@ func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
 	run := func(restore bool) ([]recordedBatch, [][]core.Event, *loggedTracker) {
 		agg := MustAggregator(NewSliceDocSource(docs), foldAggConfig)
 		eng := core.MustNew(engCfg)
+		var sink core.CollectorSink
+		eng.SetSink(&sink)
 		tr := newLoggedTracker(story.Config{MinCardinality: 3, Grace: 40})
 		var batches []recordedBatch
 		var events [][]core.Event
@@ -174,14 +179,14 @@ func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			rb := recordedBatch{updates: append([]Update(nil), b.Updates...), decay: b.Decay}
-			var evs []core.Event
 			if b.Threshold != nil {
 				thr := *b.Threshold
 				rb.threshold = &thr
-				evs = eng.ProcessThresholdBatch(thr.Scale, b.Updates)
+				eng.ProcessThresholdBatch(thr.Scale, b.Updates)
 			} else {
-				evs = eng.ProcessBatch(b.Updates)
+				eng.ProcessBatch(b.Updates)
 			}
+			evs := sink.Take()
 			batches, events = append(batches, rb), append(events, evs)
 			for _, ev := range evs {
 				tr.Emit(ev)
@@ -206,6 +211,7 @@ func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
 				t.Fatalf("restored schedule %v, the folded one %v", fresh.Thresholds(), eng.Thresholds())
 			}
 			eng = fresh
+			eng.SetSink(&sink)
 		}
 		if restore {
 			t.Fatal("the run never folded")

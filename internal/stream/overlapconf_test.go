@@ -43,12 +43,15 @@ func TestOverlapConformanceMatrixSequential(t *testing.T) {
 	// Single sequential reference: per-update events, checkpointed keys, an
 	// oracle check per checkpoint, and a story tracker driven per update.
 	ref := core.MustNew(engCfg)
+	var sink core.CollectorSink
+	ref.SetSink(&sink)
 	refTracker := newLoggedTracker(trackerConfig)
 	perSeq := make(map[uint64][]string)
 	keysAt := make(map[int][]string)
 	total := 0
 	for i, u := range updates {
-		evs := ref.Process(u)
+		ref.Process(u)
+		evs := sink.Take()
 		total += len(evs)
 		if len(evs) > 0 {
 			perSeq[uint64(i+1)] = canonKeys(evs)

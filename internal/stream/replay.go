@@ -111,10 +111,9 @@ func (s ReplayStats) String() string {
 
 // NewReplay wires src → eng → sink, installing sink on the engine. A nil
 // sink keeps the sink already installed on the engine, if any, and otherwise
-// installs a CountingSink so the engine never materialises event slices
-// during replay — and, because CountingSink declares it does not retain
-// Event.Set (core.SetRetainer), the engine also skips the per-event set
-// clone, keeping steady-state replay allocation-free.
+// installs a CountingSink, which Replay.Sink hands back. CountingSink declares
+// it does not retain Event.Set (core.SetRetainer), so the engine skips the
+// per-event set clone, keeping steady-state replay allocation-free.
 func NewReplay(src BatchSource, eng *core.Engine, sink core.EventSink) *Replay {
 	if sink == nil {
 		if sink = eng.Sink(); sink == nil {

@@ -274,7 +274,8 @@ func TestReplayRunMatchesSliceModeEngine(t *testing.T) {
 	cfg := SynthConfig{Vertices: 15, Updates: 300, Seed: 42, NegativeFraction: 0.25}
 	engineCfg := core.Config{T: 2, Nmax: 4}
 
-	// Reference: slice-returning engine over the same stream.
+	// Reference: an engine without a sink over the same stream; it still
+	// counts its events.
 	refUpdates := MustSynthetic(cfg)
 	ref := core.MustNew(engineCfg)
 	for _, u := range refUpdates {
@@ -292,7 +293,7 @@ func TestReplayRunMatchesSliceModeEngine(t *testing.T) {
 		t.Fatalf("Updates = %d, want 300", st.Updates)
 	}
 	if int(st.Events) != refEvents {
-		t.Fatalf("replay produced %d events, slice-mode reference %d", st.Events, refEvents)
+		t.Fatalf("replay produced %d events, the reference %d", st.Events, refEvents)
 	}
 	refKeys := ref.OutputDenseKeys()
 	gotKeys := eng.OutputDenseKeys()
