@@ -10,8 +10,8 @@
 // EndUpdate. The final index, scores and output-dense set are those of one
 // Process call per update (pinned by internal/stream's batch conformance
 // suite against the sequential engine and brute.EnumerateAll). A threshold
-// unit (thresholdbatch.go) and SetThreshold (threshold.go) are batch units
-// too: they run the same driver, runUnit, with a threshold move.
+// unit (threshold.go) is a batch unit too: it runs the same driver, runUnit,
+// with a threshold move.
 package core
 
 import (
@@ -57,7 +57,7 @@ type stagedEvent struct {
 // empty batch is a no-op tick: it emits nothing but still advances a
 // boundary-aware sink's update sequence. Duplicate pairs within the batch
 // coalesce to their net applied delta. The threshold schedule does not move.
-func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, stay, 0, nil, false) }
+func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, 0, nil, false) }
 
 // ProcessUnitRouted is ProcessBatch (scale 0) or ProcessThresholdBatch (any
 // other scale) for engines embedded as workers of a partitioned deployment:
@@ -72,24 +72,11 @@ func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, stay, 0, ni
 // are honoured). Negative pairs are already index-scoped by batchRepair, and
 // scoping keeps a rebuild's admissions within the worker's interest.
 func (e *Engine) ProcessUnitRouted(scale float64, updates []Update, seed func(a, b Vertex) bool, scoped bool) {
-	mv := toScale
-	if scale == 0 {
-		mv = stay
-	}
-	e.runUnit(updates, mv, scale, seed, scoped)
+	e.runUnit(updates, scale, seed, scoped)
 }
 
-// move is how a unit moves the threshold schedule.
-type move uint8
-
-const (
-	stay    move = iota // a plain batch: the schedule stays where it is
-	toScale             // a threshold unit: fold, then move to the base schedule at the unit's scale
-	toSpare             // SetThreshold: switch to the schedule written into spareTh
-)
-
-// runUnit is the bracket every batch unit runs, whatever its move (scale is a
-// threshold unit's cumulative decay scale λ). seed and scoped are a
+// runUnit is the bracket every batch unit runs: a plain batch (scale 0) or a
+// threshold unit carrying its cumulative decay scale λ. seed and scoped are a
 // partitioned deployment's routing (ProcessUnitRouted); nil and false process
 // every pair. A fold comes first; then the deltas land under the OLD threshold
 // (a retiring pair's weight change is netted before the schedule moves), the
@@ -97,16 +84,14 @@ const (
 // only after all staged events are known. A rebuild (a lowered threshold)
 // replaces repair, walk and discovery. The net events reach the sink at the
 // end, followed by one EndUpdate.
-func (e *Engine) runUnit(updates []Update, mv move, scale float64, seed func(a, b Vertex) bool, scoped bool) {
+func (e *Engine) runUnit(updates []Update, scale float64, seed func(a, b Vertex) bool, scoped bool) {
 	e.stats.Updates += uint64(len(updates))
-	if mv != toSpare {
-		e.stats.Batches++
-	}
-	if mv == toScale {
+	e.stats.Batches++
+	if scale != 0 {
 		e.stats.ThresholdTicks++
 	}
 	e.stageBatchDeltas(updates)
-	if len(e.batchNet) == 0 && mv == stay {
+	if len(e.batchNet) == 0 && scale == 0 {
 		e.endUpdate() // no-op tick: boundary only
 		return
 	}
@@ -114,23 +99,31 @@ func (e *Engine) runUnit(updates []Update, mv move, scale float64, seed func(a, 
 	e.batching, e.batchSeed, e.batchScoped = true, seed, scoped
 	e.ix.BeginUpdate()
 	m := e.emitScale
-	if mv == toScale {
+	if scale != 0 {
 		var k int
 		if m, k = density.Fold(scale); k != 0 {
 			e.fold(k)
 		}
 	}
-	repair := len(e.batchNet) > 0 && (mv == stay || e.base.T/m >= e.th.T) // a decrease rebuilds instead
+	// The schedule in force is always base's at the emit scale, so a plain
+	// batch finds newT equal to it and moves nothing.
+	newT := e.base.T / m
+	repair := len(e.batchNet) > 0 && newT >= e.th.T // a decrease rebuilds instead
 	if repair {
 		e.prepareBatchDirty()
 		e.batchRepair()
 	}
-	switch {
-	case mv == toSpare:
-		e.switchThreshold()
-	case mv == toScale && e.base.T/m != e.th.T:
+	if newT != e.th.T {
+		// Algorithm 3's walk (lines 2–4) for a raise, a rebuild for a
+		// decrease; the old schedule becomes the spare.
+		oldTh := e.th
 		e.scheduleAt(e.spareTh, m)
-		e.switchThreshold()
+		e.th, e.spareTh = e.spareTh, oldTh
+		if newT > oldTh.T {
+			e.increaseThreshold(oldTh)
+		} else {
+			e.rebuild(oldTh)
+		}
 	}
 	if repair {
 		e.batchDiscover()

@@ -16,6 +16,7 @@ import (
 // regime holds however far decay has inflated the normalised units.
 type plantedRun struct {
 	rng   *rand.Rand
+	cfg   Config // the configuration every engine of the run is built from
 	e     *Engine
 	scale float64 // cumulative decay scale handed to ProcessThresholdBatch
 	// work done by engines this run has since replaced through a restore
@@ -84,21 +85,20 @@ func (r *plantedRun) step(t *testing.T) string {
 		r.e.ProcessThresholdBatch(r.scale, retire)
 		return fmt.Sprintf("ProcessThresholdBatch %v %v", r.scale, retire)
 	case k < 38:
-		if err := r.e.SetThreshold(r.e.Config().T * 1.1); err != nil {
-			t.Fatal(err)
-		}
-		return "SetThreshold ×1.1"
+		r.scale /= 1.1
+		r.e.ProcessThresholdBatch(r.scale, nil)
+		return fmt.Sprintf("ProcessThresholdBatch %v (T ×1.1)", r.scale)
 	case k < 39:
-		if err := r.e.SetThreshold(r.e.Config().T * 0.9); err != nil {
-			t.Fatal(err)
-		}
-		return "SetThreshold ×0.9"
+		// A snapshot restores no scale above 1, so T falls at most to the
+		// configured one.
+		r.scale = min(1, r.scale/0.9)
+		r.e.ProcessThresholdBatch(r.scale, nil)
+		return fmt.Sprintf("ProcessThresholdBatch %v (T ×0.9)", r.scale)
 	default:
 		// Snapshot and restore into a fresh engine, built the way recovery
-		// builds it: from the real-unit threshold. It starts without
+		// builds it: from the configuration deployed. It starts without
 		// certificates and must carry on exactly where the old one stopped.
-		cfg := r.e.Config()
-		fresh := MustNew(Config{T: cfg.T * r.e.DecayScale(), Nmax: cfg.Nmax})
+		fresh := MustNew(r.cfg)
 		if err := fresh.ImportState(r.e.Graph().ExportState(), r.e.ExportState()); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,8 @@ func TestPlantedStatefulCertificates(t *testing.T) {
 	const steps = 300
 	var certified, scanned uint64
 	for seed := int64(1); seed <= 12; seed++ {
-		r := &plantedRun{rng: rand.New(rand.NewSource(seed)), e: MustNew(Config{T: 1, Nmax: 4}), scale: 1, seen: universe{}}
+		cfg := Config{T: 1, Nmax: 4}
+		r := &plantedRun{rng: rand.New(rand.NewSource(seed)), cfg: cfg, e: MustNew(cfg), scale: 1, seen: universe{}}
 		for i := 0; i < steps; i++ {
 			label := fmt.Sprintf("seed %d step %d: %s", seed, i, r.step(t))
 			checkAgainstBrute(t, r.e, r.seen.vertices(), label)

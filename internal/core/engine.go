@@ -5,11 +5,11 @@
 //
 // The engine owns the evolving weighted graph, the dense-subgraph prefix-tree
 // index, and the threshold schedule. Each unit it is handed — one edge-weight
-// update (Process), a batch of them (ProcessBatch), a decay epoch
-// (ProcessThresholdBatch) or a threshold change (SetThreshold) — reports the
-// changes to the set of output-dense subgraphs (subgraphs whose density is at
-// least the user threshold T and whose cardinality is at most Nmax) to the
-// engine's event sink.
+// update (Process), a batch of them (ProcessBatch) or a decay epoch that
+// moves the threshold (ProcessThresholdBatch) — reports the changes to the
+// set of output-dense subgraphs (subgraphs whose density is at least the user
+// threshold T and whose cardinality is at most Nmax) to the engine's event
+// sink.
 package core
 
 import (
@@ -49,7 +49,7 @@ type Config struct {
 	// exact algorithm. The paper's MaxExplore caps (Section 7.1) are not
 	// implemented, because they skip dense subgraphs that only an
 	// ImplicitTooDense family represents. The field stays only because the
-	// benchmark harness sets it (ROADMAP item 5).
+	// benchmark harness sets it (ROADMAP item 6).
 	EnableMaxExplore bool
 }
 
@@ -140,7 +140,7 @@ type Stats struct {
 	StarInsertions   uint64 // ImplicitTooDense families created
 	// MaxExploreSkips is always 0: the engine implements no MaxExplore caps
 	// (see Config.EnableMaxExplore). It stays only because the benchmark
-	// harness reads it (ROADMAP item 5).
+	// harness reads it (ROADMAP item 6).
 	MaxExploreSkips uint64
 	Events          uint64 // output events emitted
 
@@ -181,20 +181,20 @@ func (s *Stats) Add(o Stats) {
 // Engine is a DynDens instance. It is not safe for concurrent use; the update
 // stream must be processed sequentially (as in the paper).
 type Engine struct {
-	cfg Config
+	cfg Config // as configured, defaults applied; never written after New
 	th  *density.Thresholds
 	// spareTh is the schedule a threshold move computes the new one into
-	// (density.Thresholds.Rescale); the move then swaps it with th.
+	// (scheduleAt); the move then swaps it with th.
 	spareTh *density.Thresholds
 	g       *graph.Graph
 	ix      *index.Index
 
-	// Rescaled-decay state (see thresholdbatch.go). The engine's graph,
-	// index, and threshold schedule may run in normalized weight units w' =
-	// w/λ; emitScale holds λ, the factor that converts internal scores and
+	// Rescaled-decay state (see threshold.go). The engine's graph, index,
+	// and threshold schedule may run in normalized weight units w' = w/λ;
+	// emitScale holds λ, the factor that converts internal scores and
 	// densities back to real (paper-semantics) units at every emission and
-	// query point. base is the real-unit schedule, moved only by
-	// SetThreshold: a threshold unit puts the engine on base.Normalize(λ).
+	// query point. base is the real-unit schedule, fixed at New: the schedule
+	// in force is always base.Normalize(emitScale).
 	emitScale float64
 	base      *density.Thresholds
 
@@ -221,7 +221,7 @@ type Engine struct {
 	// whose vertices come back at no higher degree than they left with —
 	// allocates nothing: the graph recycles the neighbourhood vectors of the
 	// vertices that come and go (graph's vector pool), a threshold move
-	// rescales the spare schedule in place, index snapshots land in
+	// rewrites the spare schedule in place, index snapshots land in
 	// affectedBuf/denseBuf/partnerBuf/starBuf, sets are reconstructed and
 	// extended in buffers drawn from the setFree list, and neighbourhood
 	// scans run in NeighborhoodBufs from nbufFree. The free lists (rather
@@ -337,14 +337,20 @@ func MustNew(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the effective configuration (with defaults applied).
-func (e *Engine) Config() Config { return e.cfg }
+// Config returns the effective configuration (with defaults applied), T and
+// DeltaIt read off the schedule in force: in normalized units, baseT/λ, once
+// a threshold unit has moved it.
+func (e *Engine) Config() Config {
+	c := e.cfg
+	c.T, c.DeltaIt = e.th.T, e.th.DeltaIt
+	return c
+}
 
 // Thresholds exposes the active threshold schedule. The engine keeps two
-// schedules and rewrites the inactive one in place on every threshold move
-// (SetThreshold, or a threshold tick that changes T), so the returned one is
-// the active schedule until the next move and is overwritten by the move
-// after that: read it between units, not across them.
+// schedules and rewrites the inactive one in place on every threshold unit
+// that changes T, so the returned one is the active schedule until the next
+// move and is overwritten by the move after that: read it between units, not
+// across them.
 func (e *Engine) Thresholds() *density.Thresholds { return e.th }
 
 // DecayScale returns the cumulative decay scale λ the engine currently runs
@@ -372,8 +378,8 @@ func (e *Engine) Stats() Stats {
 // The sink is invoked synchronously on the processing goroutine and must not
 // call back into the engine; see EventSink for the full contract. If the sink
 // implements UpdateBoundarySink it is additionally told where each unit ends
-// (once per Process call, no-ops included, once per batch unit and once per
-// SetThreshold).
+// (once per Process call, no-ops included, and once per batch unit, threshold
+// units included).
 func (e *Engine) SetSink(s EventSink) {
 	if s == nil {
 		s = discardSink{}
@@ -468,11 +474,6 @@ func (e *Engine) ApplyOnly(u Update) {
 func (e *Engine) SetMembershipListener(fn func(v Vertex, present bool)) {
 	e.ix.SetMembershipListener(fn)
 }
-
-// IndexVertices returns the sorted labels currently present in the index
-// (including index.Star while any ImplicitTooDense family exists). Intended
-// for interest-map validation, not hot paths.
-func (e *Engine) IndexVertices() []Vertex { return e.ix.Vertices() }
 
 // StarNeedsPositive reports whether some ImplicitTooDense family on this
 // engine must see the positive update {a, b} although neither endpoint is on

@@ -113,7 +113,7 @@ func TestStarExpansionCoversDeepAndIsolatedMembers(t *testing.T) {
 }
 
 // TestThresholdDecreaseCreatesStarWithEdgeMembers checks the same discovery
-// obligation on the SetThreshold path: lowering T can make an indexed
+// obligation on a threshold unit's path: lowering T can make an indexed
 // subgraph too-dense under the new schedule, and the edge-absorption members
 // owed at family creation must be admitted there as well.
 func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
@@ -123,9 +123,7 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 	if e.Contains(vset.New(2, 4, 7, 9)) {
 		t.Fatal("fixture too weak: {2,4,7,9} already dense under T=6")
 	}
-	if err := e.SetThreshold(2); err != nil {
-		t.Fatal(err)
-	}
+	e.ProcessThresholdBatch(3, nil) // T from 6 to 2
 	if !e.Contains(vset.New(2, 4, 7, 9)) {
 		t.Fatal("{2,4,7,9} not admitted when the threshold decrease made {2,4} too-dense")
 	}
@@ -140,7 +138,7 @@ func TestThresholdDecreaseCreatesStarWithEdgeMembers(t *testing.T) {
 // TestThresholdDecreaseExistingStarsMissEdgeMembers is the reduced reproducer
 // of an incompleteness of the incremental threshold decrease (Algorithm 3,
 // lines 5–9), found by a random walk over Process / ProcessBatch /
-// ProcessThresholdBatch / SetThreshold ×1.1 and ×0.9 on ten vertices at
+// ProcessThresholdBatch / threshold moves ×1.1 and ×0.9 on ten vertices at
 // T=1.2, Nmax=4: 8 of 200 seeds left brute.EnumerateAll,
 // each right after a decrease, each missing a set of Nmax vertices. Two
 // disjoint pairs, both too-dense before the decrease and so both with a family
@@ -154,9 +152,7 @@ func TestThresholdDecreaseExistingStarsMissEdgeMembers(t *testing.T) {
 	if e.ImplicitFamilyCount() != 2 || slices.Contains(oracleKeys(e, nil), "1,3,5,6") {
 		t.Fatalf("fixture: %d families, oracle %v", e.ImplicitFamilyCount(), oracleKeys(e, nil))
 	}
-	if err := e.SetThreshold(1.08); err != nil {
-		t.Fatal(err)
-	}
+	e.ProcessThresholdBatch(1.2/1.08, nil) // T from 1.2 to 1.08
 	if got, want := expandedKeys(e, nil), oracleKeys(e, nil); !slices.Equal(got, want) {
 		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
 	}

@@ -9,7 +9,7 @@ import "dyndens/internal/vset"
 // without the engine materialising a per-update slice. Sinks are invoked
 // synchronously from the engine's mutation entry points on the engine's
 // goroutine, while the unit is still being applied. Emit must therefore not
-// call back into the engine — neither mutators (Process, SetThreshold) nor
+// call back into the engine — neither mutators (Process, ProcessBatch) nor
 // queries (OutputDense etc.), which would observe a half-applied update. An
 // implementation that needs either should hand the event off to its own
 // machinery and act after the call returns.
@@ -29,8 +29,9 @@ type EventSink interface {
 // UpdateBoundarySink is the optional capability by which a sink asks to be
 // told where one update ends and the next begins. The engine calls EndUpdate
 // exactly once per Process call — including no-op updates (A == B, zero or
-// fully clamped delta) that emit no events — and once per batch unit and
-// SetThreshold call, after every event of that unit has been emitted.
+// fully clamped delta) that emit no events — and once per batch unit
+// (threshold units included), after every event of that unit has been
+// emitted.
 // Consumers that group events by the update that produced them (the
 // story-identity tracker in internal/story is the canonical example) rely on
 // this signal to know when a per-update buffer is complete; counting every
@@ -41,8 +42,7 @@ type EventSink interface {
 // and is subject to the same restriction as Emit: it must not call back into
 // the engine.
 type UpdateBoundarySink interface {
-	// EndUpdate marks the end of one unit: a Process, batch or SetThreshold
-	// call.
+	// EndUpdate marks the end of one unit: a Process or batch call.
 	EndUpdate()
 }
 

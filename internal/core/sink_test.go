@@ -147,36 +147,32 @@ func TestUpdateBoundaryPerProcess(t *testing.T) {
 }
 
 // TestUpdateBoundaryThroughWrappers verifies MultiSink and FilterSink forward
-// EndUpdate to boundary-aware members, and that SetThreshold counts as one
-// boundary.
+// EndUpdate to boundary-aware members, and that a threshold unit counts as
+// one boundary.
 func TestUpdateBoundaryThroughWrappers(t *testing.T) {
 	e := MustNew(Config{T: 3, Nmax: 4})
 	inner := &boundarySink{}
 	var counter CountingSink
 	e.SetSink(MultiSink{&counter, &FilterSink{Next: inner}})
 	e.Process(Update{A: 1, B: 2, Delta: 4})
-	if err := e.SetThreshold(5); err != nil {
-		t.Fatal(err)
-	}
+	e.ProcessThresholdBatch(0.6, nil) // T from 3 to 5
 	if inner.boundaries != 2 {
-		t.Fatalf("wrapped sink saw %d boundaries, want 2 (one Process + one SetThreshold)", inner.boundaries)
+		t.Fatalf("wrapped sink saw %d boundaries, want 2 (one Process + one threshold unit)", inner.boundaries)
 	}
 	if len(inner.eventsByTurn[0]) != 1 || len(inner.eventsByTurn[1]) != 1 {
 		t.Fatalf("events per boundary = %d/%d, want 1/1", len(inner.eventsByTurn[0]), len(inner.eventsByTurn[1]))
 	}
 }
 
-// TestSetThresholdThroughSink verifies the dynamic threshold procedure also
+// TestThresholdUnitThroughSink verifies the dynamic threshold procedure also
 // routes through the sink.
-func TestSetThresholdThroughSink(t *testing.T) {
+func TestThresholdUnitThroughSink(t *testing.T) {
 	e := MustNew(Config{T: 3, Nmax: 4})
 	var sink CollectorSink
 	e.SetSink(&sink)
 	e.Process(Update{A: 1, B: 2, Delta: 4}) // output-dense at T=3
 	sink.Reset()
-	if err := e.SetThreshold(5); err != nil {
-		t.Fatal(err)
-	}
+	e.ProcessThresholdBatch(0.6, nil) // T from 3 to 5
 	if sink.Len() != 1 || sink.Events()[0].Kind != CeasedOutputDense {
 		t.Fatalf("sink events after threshold increase: %v", sink.Events())
 	}

@@ -13,8 +13,8 @@ import (
 // This file is the engine half of crash recovery (internal/persist): a
 // deterministic export of the dense-subgraph index and the decay scale, and
 // an import that rebuilds a fresh engine to the exact same state. The graph
-// travels separately (graph.State): sharded deployments replicate one graph
-// across K workers and the snapshot stores it once. Importers of persisted
+// travels separately (graph.State); a snapshot holds one engine's graph and
+// index, and internal/persist refuses a sharded one. Importers of persisted
 // data return errors — a corrupt snapshot must surface to the recoverer, not
 // crash the process; panics are left to caller bugs and the Must* wrappers.
 
@@ -57,12 +57,12 @@ func (e *Engine) ExportState() EngineState {
 	return st
 }
 
-// ImportState rebuilds a freshly constructed engine (same Config as the
-// exported one) to the exported state: graph content, dense index with
-// ImplicitTooDense families, and the rescaled-decay threshold position — the
-// schedule a threshold unit of the same scale would have put it on. It
-// validates everything it consumes and returns an error rather than
-// panicking — the state may come from a damaged snapshot.
+// ImportState rebuilds a freshly constructed engine, built from the Config
+// the exported one was built from, to the exported state: graph content,
+// dense index with ImplicitTooDense families, and the rescaled-decay
+// threshold position — the schedule a threshold unit of the same scale would
+// have put it on. It validates everything it consumes and returns an error
+// rather than panicking — the state may come from a damaged snapshot.
 func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 	if e.stats != (Stats{}) || e.ix.NodeCount() != 0 {
 		return fmt.Errorf("core: ImportState requires a fresh engine")
@@ -78,7 +78,7 @@ func (e *Engine) ImportState(gs graph.State, st EngineState) error {
 	if err := e.base.Normalize(e.th, st.Scale); err != nil {
 		return fmt.Errorf("core: restored scale %v yields invalid threshold %v: %w", st.Scale, e.base.T/st.Scale, err)
 	}
-	e.cfg.T, e.cfg.DeltaIt, e.emitScale = e.th.T, e.th.DeltaIt, st.Scale
+	e.emitScale = st.Scale
 	for i, de := range st.Dense {
 		fault := e.entryFault(de)
 		if fault == "" && i > 0 && vset.CompareKeys(st.Dense[i-1].Set, de.Set) >= 0 {

@@ -13,12 +13,13 @@ import (
 )
 
 // walkRun drives one engine through a random walk over Process, ProcessBatch,
-// ProcessThresholdBatch and SetThreshold ×1.1 and ×0.9 on ten vertices, with
-// the output-dense key set the engine's events describe beside it.
+// ProcessThresholdBatch, and threshold units that move T by ×1.1 and ×0.9 on
+// ten vertices, with the output-dense key set the engine's events describe
+// beside it.
 type walkRun struct {
 	rng    *rand.Rand
 	e      *Engine
-	scale  float64
+	scale  float64         // cumulative decay scale handed to ProcessThresholdBatch
 	keys   map[string]bool // the explicit output-dense set, as the events apply it
 	ceased int             // CeasedOutputDense events emitted by decreases
 	seen   universe        // the vertex universe of the updates applied
@@ -40,7 +41,7 @@ func (r *walkRun) update() Update {
 
 // step applies one random unit, folds its events into keys, and returns its
 // description and whether it lowered the threshold without changing a weight.
-func (r *walkRun) step(t *testing.T) (string, bool) {
+func (r *walkRun) step() (string, bool) {
 	var evs []Event
 	desc, decrease := "", false
 	switch k := r.rng.Intn(20); {
@@ -75,11 +76,9 @@ func (r *walkRun) step(t *testing.T) (string, bool) {
 		if decrease = k < 19; decrease {
 			f = 0.9
 		}
-		var err error
-		if evs = collect(r.e, func() { err = r.e.SetThreshold(r.e.Config().T * f) }); err != nil {
-			t.Fatal(err)
-		}
-		desc = fmt.Sprintf("SetThreshold ×%v", f)
+		r.scale /= f
+		evs = collect(r.e, func() { r.e.ProcessThresholdBatch(r.scale, nil) })
+		desc = fmt.Sprintf("ProcessThresholdBatch %v (T ×%v)", r.scale, f)
 	}
 	for _, ev := range evs {
 		if ev.Kind == BecameOutputDense {
@@ -115,7 +114,7 @@ func TestThresholdWalkMatchesBrute(t *testing.T) {
 				r := &walkRun{rng: rand.New(rand.NewSource(int64(seed))), e: MustNew(Config{T: 1.2, Nmax: 4}), scale: 1, keys: map[string]bool{}, seen: universe{}}
 				var prev []string
 				for i := 0; i < steps; i++ {
-					desc, decrease := r.step(t)
+					desc, decrease := r.step()
 					label := fmt.Sprintf("seed %d step %d: %s", seed, i, desc)
 					u := r.seen.vertices()
 					cur := expandedKeys(r.e, u)
@@ -165,10 +164,12 @@ func checkDecrease(t *testing.T, r *walkRun, before, after []string, label strin
 
 // FuzzEngineWalk drives one engine on at most ten vertices through every
 // stateful entry point, as the input bytes dictate: Process, ProcessBatch,
-// threshold ticks that fade or raise the scale, a tick that folds it,
-// SetThreshold up and down, and export → import into a fresh engine. After
-// every step the expanded output-dense set must equal brute.EnumerateAll and
-// the index and its certificates must be valid.
+// threshold ticks that fade or raise the scale, a tick that folds it, an
+// empty tick that moves T by a factor in [0.8, 1.25] (up to scale 1, the
+// most a snapshot restores), and export → import into a fresh engine built
+// from the run's configuration. After every step the expanded output-dense
+// set must equal brute.EnumerateAll and the index and its certificates must
+// be valid.
 func FuzzEngineWalk(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 200, 0, 3, 4, 220, 1, 5, 2, 9, 150, 6, 7, 240, 4, 30, 3, 4, 200, 5})
 	f.Add([]byte{1, 9, 0, 1, 250, 1, 2, 250, 0, 2, 250, 3, 4, 250, 4, 5, 250, 4, 0, 2, 90, 3, 5, 4, 255})
@@ -182,7 +183,8 @@ func FuzzEngineWalk(f *testing.F) {
 			in = in[1:]
 			return b
 		}
-		e := MustNew(Config{T: 1.2, Nmax: 4})
+		cfg := Config{T: 1.2, Nmax: 4}
+		e := MustNew(cfg)
 		scale := 1.0
 		seen := universe{}
 		update := func() Update {
@@ -220,13 +222,12 @@ func FuzzEngineWalk(f *testing.F) {
 				scale, _ = density.Fold(scale)
 			case 4:
 				f := 0.8 + float64(next())/255*0.45
-				if err := e.SetThreshold(e.Config().T * f); err != nil && err != ErrSameThreshold {
-					t.Fatal(err)
-				}
-				desc = fmt.Sprintf("SetThreshold ×%v", f)
+				scale = min(1, scale/f)
+				e.ProcessThresholdBatch(scale, nil)
+				desc = fmt.Sprintf("ProcessThresholdBatch %v (T ×%v)", scale, f)
+				scale, _ = density.Fold(scale)
 			case 5:
-				cfg := e.Config()
-				fresh := MustNew(Config{T: cfg.T * e.DecayScale(), Nmax: cfg.Nmax})
+				fresh := MustNew(cfg)
 				if err := fresh.ImportState(e.Graph().ExportState(), e.ExportState()); err != nil {
 					t.Fatal(err)
 				}
@@ -235,4 +236,40 @@ func FuzzEngineWalk(f *testing.F) {
 			checkAgainstBrute(t, e, seen.vertices(), fmt.Sprintf("step %d: %s", step, desc))
 		}
 	})
+}
+
+// TestThresholdUnitReachesStarEdgeScanTie replays the FuzzEngineWalk input
+// that found starEdgeScan's tie: three units at T=1.2, then a threshold unit
+// that lowers T by f = 0.8 + 30/255·0.45. The lowered T leaves {3,4,5,9} in
+// a tie with its dense bound, which starEdgeScan only enumerates while its
+// pruning bound keeps exploreNeed's slack. The corpus entry
+// testdata/fuzz/FuzzEngineWalk/tie_star_edge_scan reaches the same state
+// relabelled by 2: a first tick folds the scale to ½, and op 4 then moves it
+// to ½/f.
+func TestThresholdUnitReachesStarEdgeScanTie(t *testing.T) {
+	e := MustNew(Config{T: 1.2, Nmax: 4})
+	// The walk's arithmetic on its input bytes, run in float64 as it does it
+	// (a constant expression would round differently and miss the tie).
+	frac := func(b byte) float64 { return float64(b) / 255 }
+	delta := func(b byte) float64 { return (frac(b)*2.5 - 0.5) * 1.2 }
+	seen := universe{}
+	u0, u1 := Update{A: 5, B: 9, Delta: delta(200)}, Update{A: 3, B: 4, Delta: delta(220)}
+	batch := []Update{{A: 9, B: 5, Delta: delta(255)}, {A: 8, B: 8, Delta: delta(48)}}
+	f := 0.8 + frac(30)*0.45
+	steps := []struct {
+		desc string
+		run  func()
+	}{
+		{fmt.Sprintf("Process %v", u0), func() { seen.add(u0); e.Process(u0) }},
+		{fmt.Sprintf("Process %v", u1), func() { seen.add(u1); e.Process(u1) }},
+		{fmt.Sprintf("ProcessBatch %v", batch), func() { seen.add(batch...); e.ProcessBatch(batch) }},
+		{fmt.Sprintf("ProcessThresholdBatch %v", 1/f), func() { e.ProcessThresholdBatch(1/f, nil) }},
+	}
+	for i, s := range steps {
+		s.run()
+		checkAgainstBrute(t, e, seen.vertices(), fmt.Sprintf("step %d: %s", i, s.desc))
+	}
+	if !slices.Contains(e.OutputDenseKeys(), "3,4,5,9") {
+		t.Fatalf("fixture: {3,4,5,9} is not output-dense after the threshold unit: %v", e.OutputDenseKeys())
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"dyndens/internal/baseline/brute"
 	"dyndens/internal/core"
-	"dyndens/internal/density"
 )
 
 // scaleStream draws a mixed positive stream over a small universe.
@@ -106,103 +105,6 @@ func TestProcessThresholdBatchMatchesRealUnitReference(t *testing.T) {
 		}
 		if !relCloseTo(s.Density, want, 1e-9) {
 			t.Fatalf("density of %s = %v, want real-unit %v", s.Set.Key(), s.Density, want)
-		}
-	}
-}
-
-// TestProcessThresholdBatchEquivalentToSetThreshold: an empty threshold batch
-// under scale λ is exactly SetThreshold(baseT/λ) plus the emit-scale stamp —
-// same net events, same dense keys, same tick accounting shape.
-func TestProcessThresholdBatchEquivalentToSetThreshold(t *testing.T) {
-	updates := scaleStream(13, 10, 250)
-	mk := func() *core.Engine {
-		e := core.MustNew(core.Config{T: 2, Nmax: 4})
-		e.ProcessBatch(updates)
-		return e
-	}
-	const scale = 0.5
-	a, b := mk(), mk()
-	var sinkA, sinkB core.CollectorSink
-	a.SetSink(&sinkA)
-	b.SetSink(&sinkB)
-
-	a.ProcessThresholdBatch(scale, nil)
-	if err := b.SetThreshold(2 / scale); err != nil {
-		t.Fatal(err)
-	}
-	evA, evB := sinkA.Take(), sinkB.Take()
-	if !slices.Equal(a.OutputDenseKeys(), b.OutputDenseKeys()) {
-		t.Fatalf("dense keys diverge: %v vs %v", a.OutputDenseKeys(), b.OutputDenseKeys())
-	}
-	canon := func(evs []core.Event) []string {
-		var out []string
-		for _, ev := range evs {
-			out = append(out, string(rune('0'+ev.Kind))+"|"+ev.Set.Key())
-		}
-		slices.Sort(out)
-		return out
-	}
-	if got, want := canon(evA), canon(evB); !slices.Equal(got, want) {
-		t.Fatalf("events diverge: %v vs %v", got, want)
-	}
-	if a.Stats().ThresholdTicks != 1 {
-		t.Fatalf("ThresholdTicks = %d, want 1", a.Stats().ThresholdTicks)
-	}
-	// The threshold-batch engine reports real units; the SetThreshold engine
-	// kept scale 1, so its densities ARE the normalized ones.
-	for i, s := range a.OutputDense() {
-		if want := b.OutputDense()[i].Density * scale; !relCloseTo(s.Density, want, 1e-12) {
-			t.Fatalf("density of %s = %v, want %v", s.Set.Key(), s.Density, want)
-		}
-	}
-}
-
-// scheduleBits renders a threshold schedule bit for bit: T, δ_it and, per
-// cardinality, T_n and the bounds the predicates compare against.
-func scheduleBits(th *density.Thresholds) []uint64 {
-	out := []uint64{math.Float64bits(th.T), math.Float64bits(th.DeltaIt)}
-	for n := 2; n <= th.Nmax; n++ {
-		out = append(out, math.Float64bits(th.Tn(n)), math.Float64bits(th.DenseFloor(n)), math.Float64bits(th.MinOutputScore(n)))
-	}
-	return out
-}
-
-// TestProcessBatchKeepsScheduleAfterSetThreshold: a plain batch leaves the
-// threshold schedule alone. Under λ ≠ 1, SetThreshold(x) stores its real-unit
-// base as x/(1/λ), which read back at λ need not be x again — for both cases
-// below it is not. A plain batch that recomputed the schedule from the base
-// at DecayScale() would move it by an ulp and walk (the first case) or
-// rebuild (the second) the index for nothing.
-func TestProcessBatchKeepsScheduleAfterSetThreshold(t *testing.T) {
-	updates := scaleStream(13, 10, 250)
-	for _, c := range []struct{ lambda, factor float64 }{{0.7, 1.2}, {0.9, 0.9}} {
-		eng := core.MustNew(core.Config{T: 2, Nmax: 4})
-		var sink core.CollectorSink
-		eng.SetSink(&sink)
-		eng.ProcessBatch(updates[:200])
-		eng.ProcessThresholdBatch(c.lambda, nil)
-		x := eng.Config().T * c.factor
-		if x/(1/c.lambda)/c.lambda == x {
-			t.Fatalf("λ=%v: the base of T=%v reads back exactly; the case checks nothing", c.lambda, x)
-		}
-		if err := eng.SetThreshold(x); err != nil {
-			t.Fatal(err)
-		}
-		want := scheduleBits(eng.Thresholds())
-		sink.Reset()
-		eng.ProcessBatch(nil)
-		if sink.Len() != 0 {
-			t.Fatalf("λ=%v: an empty batch emitted %v", c.lambda, sink.Events())
-		}
-		if got := scheduleBits(eng.Thresholds()); !slices.Equal(got, want) {
-			t.Fatalf("λ=%v: an empty batch moved the schedule to %v, want %v", c.lambda, eng.Thresholds(), x)
-		}
-		eng.ProcessBatch(updates[200:])
-		if got := scheduleBits(eng.Thresholds()); !slices.Equal(got, want) {
-			t.Fatalf("λ=%v: a batch moved the schedule to %v, want %v", c.lambda, eng.Thresholds(), x)
-		}
-		if msg := eng.ValidateIndex(); msg != "" {
-			t.Fatalf("λ=%v: %s", c.lambda, msg)
 		}
 	}
 }

@@ -75,21 +75,6 @@ var SqrtDens Measure = sqrtDens{}
 func (sqrtDens) Name() string    { return "SqrtDens" }
 func (sqrtDens) S(n int) float64 { return math.Sqrt(float64(n) * float64(n-1)) }
 
-// Custom wraps an arbitrary S_n function. ValidateMeasure should be called on
-// the result to check the monotonicity requirements over the cardinality
-// range of interest.
-func Custom(name string, s func(n int) float64) Measure {
-	return customMeasure{name: name, s: s}
-}
-
-type customMeasure struct {
-	name string
-	s    func(n int) float64
-}
-
-func (c customMeasure) Name() string    { return c.name }
-func (c customMeasure) S(n int) float64 { return c.s(n) }
-
 // ValidateMeasure checks the paper's monotonicity requirement
 // n/(n-1) ≤ S(n)/S(n-1) ≤ n/(n-2) for all 3 ≤ n ≤ nmax, plus positivity.
 func ValidateMeasure(m Measure, nmax int) error {
@@ -137,7 +122,7 @@ type Thresholds struct {
 	// n. denseFloor[n] and outputFloor[n] are the bounds the predicates
 	// actually compare against: minScore[n] and S(n)·T lowered by the
 	// comparison tolerance, computed once instead of on every classification.
-	// The five share tab, which Rescale rewrites in place.
+	// The five share tab, which Normalize rewrites in place.
 	tab         []float64
 	tn          []float64
 	sn          []float64
@@ -181,22 +166,16 @@ func NewThresholds(m Measure, t float64, nmax int, deltaIt float64) (*Thresholds
 	return th, nil
 }
 
-// Rescale writes into dst the schedule th would have at output threshold
-// newT, with δ_it rescaled proportionally as in Algorithm 3 (line 1) of the
-// paper: bit for bit NewThresholds(th.Measure, newT, th.Nmax,
-// th.DeltaIt·newT/th.T), reusing dst's tables. It is the dynamic
-// threshold-update procedure's schedule move, and it allocates nothing once
-// dst has held a schedule of the same Nmax. Every check that depends on the
+// Normalize writes into dst the schedule th has in the units of a cumulative
+// decay scale s, where a weight w is held as w/s: T and δ_it divided by s,
+// bit for bit NewThresholds(th.Measure, th.T/s, th.Nmax, th.DeltaIt/s),
+// reusing dst's tables. It is the threshold move of rescaled decay (Section
+// 6 with Algorithm 3's proportional δ_it), and it allocates nothing once dst
+// has held a schedule of the same Nmax. Every check that depends on the
 // threshold runs; the measure's, which does not, ran when th was built. On
-// error dst is left as it was, so dst may be th itself.
-func (th *Thresholds) Rescale(dst *Thresholds, newT float64) error {
-	return dst.set(th.Measure, newT, th.Nmax, th.DeltaIt*newT/th.T)
-}
-
-// Normalize is Rescale to the units of a cumulative decay scale s, where a
-// weight w is held as w/s: T and δ_it divided by s. A function of s alone, it
-// commutes exactly with a power-of-two relabel: Normalize(s·2^-k) is
-// Normalize(s) with every bound multiplied by 2^k, bit for bit.
+// error dst is left as it was, so dst may be th itself. A function of s
+// alone, it commutes exactly with a power-of-two relabel: Normalize(s·2^-k)
+// is Normalize(s) with every bound multiplied by 2^k, bit for bit.
 func (th *Thresholds) Normalize(dst *Thresholds, s float64) error {
 	return dst.set(th.Measure, th.T/s, th.Nmax, th.DeltaIt/s)
 }
@@ -356,15 +335,6 @@ func (th *Thresholds) MinOutputScore(n int) float64 {
 // Density returns score/S(n) under the configured measure.
 func (th *Thresholds) Density(score float64, n int) float64 {
 	return Density(th.Measure, score, n)
-}
-
-// NormDensity returns normDens(C) = dens(C)/T_{|C|}; a subgraph is dense iff
-// its normalised density is at least 1 (footnote 2 of the paper).
-func (th *Thresholds) NormDensity(score float64, n int) float64 {
-	if n < 2 || n > th.Nmax {
-		return 0
-	}
-	return score / th.MinDenseScore(n)
 }
 
 // IsDense reports whether a subgraph of cardinality n with the given score is

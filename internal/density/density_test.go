@@ -34,14 +34,24 @@ func TestValidateMeasureAcceptsBuiltins(t *testing.T) {
 	}
 }
 
+// fnMeasure is a Measure from an arbitrary S_n, for the cases the built-in
+// measures do not cover.
+type fnMeasure struct {
+	name string
+	s    func(n int) float64
+}
+
+func (f fnMeasure) Name() string    { return f.name }
+func (f fnMeasure) S(n int) float64 { return f.s(n) }
+
 func TestValidateMeasureRejectsCounterIntuitive(t *testing.T) {
 	// S_n = constant: removing a vertex from a clique increases density.
-	bad := Custom("const", func(n int) float64 { return 1 })
+	bad := fnMeasure{"const", func(n int) float64 { return 1 }}
 	if err := ValidateMeasure(bad, 5); err == nil {
 		t.Error("constant S_n should be rejected")
 	}
 	// S_n growing too fast (n^3).
-	bad2 := Custom("cubic", func(n int) float64 { return float64(n * n * n) })
+	bad2 := fnMeasure{"cubic", func(n int) float64 { return float64(n * n * n) }}
 	if err := ValidateMeasure(bad2, 5); err == nil {
 		t.Error("cubic S_n should be rejected")
 	}
@@ -115,7 +125,7 @@ func TestClosedFormSchedules(t *testing.T) {
 			t.Errorf("AvgDegree T_%d = %v, want %v", n, got, want)
 		}
 	}
-	pair := Custom("pairs", func(n int) float64 { return float64(n) * float64(n-1) })
+	pair := fnMeasure{"pairs", func(n int) float64 { return float64(n) * float64(n-1) }}
 	thPair := MustThresholds(pair, T, nmax, dit)
 	for n := 2; n <= nmax; n++ {
 		want := T - dit*(1/float64(n-1)-1/float64(nmax-1))
@@ -183,19 +193,6 @@ func TestClassificationPredicates(t *testing.T) {
 	}
 }
 
-func TestNormDensity(t *testing.T) {
-	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
-	if got := th.NormDensity(0.9, 2); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("NormDensity(0.9, 2) = %v, want 1", got)
-	}
-	if got := th.NormDensity(1.95, 3); math.Abs(got-1.95/(3*0.975)) > 1e-9 {
-		t.Errorf("NormDensity(1.95, 3) = %v", got)
-	}
-	if th.NormDensity(1, 1) != 0 || th.NormDensity(1, 5) != 0 {
-		t.Error("NormDensity outside [2, Nmax] should be 0")
-	}
-}
-
 func TestIterations(t *testing.T) {
 	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
 	cases := []struct {
@@ -211,10 +208,12 @@ func TestIterations(t *testing.T) {
 	}
 }
 
+// TestRescaleScalesDeltaIt: the schedule of a decay scale moves δ_it in
+// proportion to T (Algorithm 3, line 1); scale 1.25 takes T from 1 to 0.8.
 func TestRescaleScalesDeltaIt(t *testing.T) {
 	th := MustThresholds(AvgWeight, 1.0, 6, 0.05)
 	th2 := new(Thresholds)
-	if err := th.Rescale(th2, 0.8); err != nil {
+	if err := th.Normalize(th2, 1.25); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(th2.DeltaIt-0.04) > 1e-12 {
@@ -257,19 +256,21 @@ func sameSchedule(got, want *Thresholds) string {
 // TestRescaleMatchesNewThresholds walks random decay-scale sequences — the
 // threshold baseT/λ of a rescaled-decay engine, λ shrinking by random factors
 // with occasional renormalisations back to 1, plus stretches near λ = 1e-150
-// — through two alternating schedules, as the engine keeps them, and through
-// one schedule rescaled onto itself. Every step equals NewThresholds on the
-// same parameters bit for bit, and rewrites the tables without allocating.
+// — through two alternating schedules normalized from the base, as the
+// engine keeps them, and through one schedule normalized onto itself by each
+// step's change of scale. Every step equals NewThresholds on the same
+// parameters bit for bit, and rewrites the tables without allocating.
 func TestRescaleMatchesNewThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
 		for _, nmax := range []int{2, 3, 5, 9} {
 			const baseT = 6.5
 			start := MustThresholds(m, baseT, nmax, 0.01*math.Min(MaxDeltaIt(m, baseT, nmax), baseT))
-			cur, spare := start, new(Thresholds)
+			cur, spare := MustThresholds(m, baseT, nmax, start.DeltaIt), new(Thresholds)
 			self := MustThresholds(m, baseT, nmax, start.DeltaIt)
 			scale := 1.0
 			for step := 0; step < 400; step++ {
+				prev := scale
 				switch r := rng.Float64(); {
 				case r < 0.05:
 					scale = 1
@@ -279,49 +280,56 @@ func TestRescaleMatchesNewThresholds(t *testing.T) {
 					scale *= 0.5 + 0.5*rng.Float64()
 					scale = max(scale, 1e-150)
 				}
-				newT := baseT / scale
-				want, err := NewThresholds(m, newT, nmax, cur.DeltaIt*newT/cur.T)
+				want, err := NewThresholds(m, baseT/scale, nmax, start.DeltaIt/scale)
 				if err != nil {
 					t.Fatalf("%s nmax=%d step %d: NewThresholds: %v", m.Name(), nmax, step, err)
 				}
-				if err := cur.Rescale(spare, newT); err != nil {
-					t.Fatalf("%s nmax=%d step %d: Rescale: %v", m.Name(), nmax, step, err)
+				if err := start.Normalize(spare, scale); err != nil {
+					t.Fatalf("%s nmax=%d step %d: Normalize: %v", m.Name(), nmax, step, err)
 				}
 				if msg := sameSchedule(spare, want); msg != "" {
 					t.Fatalf("%s nmax=%d step %d (λ=%g): %s", m.Name(), nmax, step, scale, msg)
 				}
 				cur, spare = spare, cur
-				if err := self.Rescale(self, newT); err != nil {
-					t.Fatalf("%s nmax=%d step %d: in-place Rescale: %v", m.Name(), nmax, step, err)
+				r := scale / prev
+				wantSelf, err := NewThresholds(m, self.T/r, nmax, self.DeltaIt/r)
+				if err != nil {
+					t.Fatalf("%s nmax=%d step %d: NewThresholds: %v", m.Name(), nmax, step, err)
 				}
-				if msg := sameSchedule(self, cur); msg != "" {
+				if err := self.Normalize(self, r); err != nil {
+					t.Fatalf("%s nmax=%d step %d: in-place Normalize: %v", m.Name(), nmax, step, err)
+				}
+				if msg := sameSchedule(self, wantSelf); msg != "" {
 					t.Fatalf("%s nmax=%d step %d: in place: %s", m.Name(), nmax, step, msg)
 				}
 			}
+			s := 1.0
 			if allocs := testing.AllocsPerRun(20, func() {
-				if err := cur.Rescale(spare, cur.T*1.01); err != nil {
+				s *= 0.99
+				if err := start.Normalize(spare, s); err != nil {
 					panic(err)
 				}
 				cur, spare = spare, cur
 			}); allocs != 0 {
-				t.Errorf("%s nmax=%d: Rescale performed %v allocs/run, want 0", m.Name(), nmax, allocs)
+				t.Errorf("%s nmax=%d: Normalize performed %v allocs/run, want 0", m.Name(), nmax, allocs)
 			}
 		}
 	}
 }
 
-// TestRescaleRejectsBadThresholds: a threshold that is not positive and
-// finite is an error, and the destination — here the schedule itself — keeps
-// what it held.
+// TestRescaleRejectsBadThresholds: a decay scale that makes the threshold
+// other than positive and finite is an error, and the destination — here the
+// schedule itself — keeps what it held. The scales below give T = 2/s of
+// NaN, +Inf, −Inf, 0, −0, −2 and a tiny negative.
 func TestRescaleRejectsBadThresholds(t *testing.T) {
 	th := MustThresholds(SqrtDens, 2, 5, 0.01*MaxDeltaIt(SqrtDens, 2, 5))
 	want := MustThresholds(SqrtDens, 2, 5, th.DeltaIt)
-	for _, newT := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64} {
-		if err := th.Rescale(th, newT); !errors.Is(err, ErrBadThreshold) {
-			t.Errorf("Rescale(%v): err = %v, want ErrBadThreshold", newT, err)
+	for _, s := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), -1, -math.MaxFloat64} {
+		if err := th.Normalize(th, s); !errors.Is(err, ErrBadThreshold) {
+			t.Errorf("Normalize(%v): err = %v, want ErrBadThreshold", s, err)
 		}
 		if msg := sameSchedule(th, want); msg != "" {
-			t.Fatalf("a rejected Rescale(%v) changed the schedule: %s", newT, msg)
+			t.Fatalf("a rejected Normalize(%v) changed the schedule: %s", s, msg)
 		}
 	}
 }
@@ -385,7 +393,7 @@ func geqReference(score, bound float64) bool {
 // scores on and around every bound of the schedule — the bound itself, the
 // tolerant bound, their float neighbours and points a tolerance away — and
 // requires the verdict the per-call comparison gave, for schedules from tiny
-// to huge thresholds and for schedules derived through Rescale (the path
+// to huge thresholds and for schedules derived through Normalize (the path
 // every rescaled-decay epoch takes).
 func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 	var schedules []*Thresholds
@@ -394,7 +402,7 @@ func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 			for _, nmax := range []int{2, 3, 5, 9} {
 				th := MustThresholds(m, T, nmax, 0.01*math.Min(MaxDeltaIt(m, T, nmax), T))
 				moved := new(Thresholds)
-				if err := th.Rescale(moved, T*1.37); err != nil {
+				if err := th.Normalize(moved, 1/1.37); err != nil {
 					t.Fatal(err)
 				}
 				schedules = append(schedules, th, moved)

@@ -210,12 +210,6 @@ func (g *Graph) Weight(a, b Vertex) float64 {
 	return g.adj.Get(a).weight(b)
 }
 
-// HasEdge reports whether edge {a, b} currently has non-zero weight.
-func (g *Graph) HasEdge(a, b Vertex) bool {
-	_, ok := g.adj.Get(a).find(b)
-	return ok
-}
-
 // Degree returns the number of neighbours of u with non-zero edge weight.
 func (g *Graph) Degree(u Vertex) int {
 	if l := g.adj.Get(u); l != nil {
@@ -230,10 +224,6 @@ func (g *Graph) NumEdges() int { return g.edgeCount }
 // NumVertices returns the number of vertices that currently have at least one
 // incident edge: the only vertices the graph keeps (see the package comment).
 func (g *Graph) NumVertices() int { return g.adj.Len() }
-
-// TotalWeight returns the sum of all edge weights (a diagnostic quantity used
-// by workload generators and tests).
-func (g *Graph) TotalWeight() float64 { return g.totalWeight }
 
 // Apply applies the edge-weight update (a, b, δ) and returns the previous and
 // new weight of the edge. Edges whose weight becomes ≤ 0 are removed (weights
@@ -407,20 +397,6 @@ func (g *Graph) Neighborhood(u Vertex) ([]Vertex, []float64) {
 	return nil, nil
 }
 
-// NeighborsSorted returns a copy of the neighbourhood vector of u. Use
-// Neighborhood in hot paths to avoid the allocation.
-func (g *Graph) NeighborsSorted(u Vertex) ([]Vertex, []float64) {
-	l := g.adj.Get(u)
-	if l == nil {
-		return nil, nil
-	}
-	vs := make([]Vertex, len(l.vs))
-	ws := make([]float64, len(l.ws))
-	copy(vs, l.vs)
-	copy(ws, l.ws)
-	return vs, ws
-}
-
 // Score returns score(C) = Σ_{i,j ∈ C, i<j} w_ij, the total internal edge
 // weight of the subgraph induced by C. Each member's vector is probed for the
 // members after it; |C| ≤ Nmax is tiny, so this is O(|C|² log degree) with no
@@ -591,14 +567,4 @@ func (g *Graph) Clone() *Graph {
 // String summarises the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{vertices=%d edges=%d weight=%.3f}", g.NumVertices(), g.NumEdges(), g.totalWeight)
-}
-
-// AverageDegree returns the mean number of neighbours over vertices with at
-// least one incident edge (0 for the empty graph). The complexity analysis of
-// Section 4.2 is parameterised by this quantity.
-func (g *Graph) AverageDegree() float64 {
-	if g.adj.Len() == 0 {
-		return 0
-	}
-	return 2 * float64(g.edgeCount) / float64(g.adj.Len())
 }

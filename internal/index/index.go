@@ -331,21 +331,6 @@ func (ix *Index) HasVertex(v Vertex) bool {
 	return ix.labels.Get(v).head != nil
 }
 
-// Vertices returns the sorted labels that currently have at least one
-// prefix-tree node (including Star, last, when any ImplicitTooDense family
-// exists). It is intended for interest-map seeding and invariant checks, not
-// hot paths.
-func (ix *Index) Vertices() []Vertex {
-	var vs []Vertex
-	for v := range ix.labels.All() {
-		vs = append(vs, v)
-	}
-	if ix.stars != nil {
-		vs = append(vs, Star)
-	}
-	return vs
-}
-
 // Len returns the number of explicitly indexed dense subgraphs.
 func (ix *Index) Len() int { return ix.denseCount }
 

@@ -90,7 +90,10 @@ func runPipeline(t *testing.T, dir string, docs []stream.Document,
 	}
 	res := runResult{base: recordTotal(tr.Stats())}
 	tr.SetRecordSink(func(r story.Record) { res.records = append(res.records, r) })
-	baseTicks := st.BaseTicks()
+	var baseTicks uint64
+	if ps := st.Restored(); ps != nil {
+		baseTicks = ps.Ticks
+	}
 
 	eng, err := RestoreEngine(testEngCfg, st.Restored())
 	if err != nil {

@@ -149,16 +149,6 @@ func (s *Store) skipUnits() uint64 {
 	return s.durableSeq
 }
 
-// BaseTicks returns the cumulative engine tick count covered by the restored
-// snapshot (0 when fresh): the offset a restarted driver adds to its own tick
-// count when closing boundary-aware consumers.
-func (s *Store) BaseTicks() uint64 {
-	if s.restored == nil {
-		return 0
-	}
-	return s.restored.Ticks
-}
-
 // Docs wraps the pipeline's live document source into the recovery chain:
 // WAL-replayed documents first, then live documents past the durable prefix,
 // each logged as it is handed out.

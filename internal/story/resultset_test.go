@@ -1,6 +1,7 @@
 package story
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -15,7 +16,20 @@ import (
 // explicitly indexed output-dense set — for the single engine and for the
 // merged stream of a sharded deployment alike. The crossval suite in
 // internal/stream checks the same property at oracle checkpoints; here it is
-// pinned update-for-update through the exported consumer.
+// pinned update-for-update.
+
+// keySet is that consumer: Became inserts a subgraph's key, Ceased removes it.
+type keySet map[string]bool
+
+func (ks keySet) Emit(ev core.Event) {
+	if ev.Kind == core.BecameOutputDense {
+		ks[ev.Set.Key()] = true
+	} else {
+		delete(ks, ev.Set.Key())
+	}
+}
+
+func (ks keySet) keys() []string { return slices.Sorted(maps.Keys(ks)) }
 
 // contractStream is a small, churny update stream: enough negative updates
 // that subgraphs both enter and leave the result set repeatedly.
@@ -38,16 +52,16 @@ func TestResultSetMatchesEngineAfterEveryUpdate(t *testing.T) {
 	for seed := int64(31); seed <= 33; seed++ {
 		updates := contractStream(t, seed)
 		eng := core.MustNew(core.Config{T: 2, Nmax: 4})
-		rs := NewResultSet()
+		rs := keySet{}
 		eng.SetSink(rs)
 		transitions := 0
 		for i, u := range updates {
-			before := rs.Len()
+			before := len(rs)
 			eng.Process(u)
-			if rs.Len() != before {
+			if len(rs) != before {
 				transitions++
 			}
-			got, want := rs.Keys(), eng.OutputDenseKeys()
+			got, want := rs.keys(), eng.OutputDenseKeys()
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d, update %d: event-maintained set %v != engine %v", seed, i+1, got, want)
 			}
@@ -62,13 +76,13 @@ func TestResultSetMatchesShardedEngineAfterEveryUpdate(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		updates := contractStream(t, 37)
 		se := shard.MustNew(shard.Config{Shards: k, Engine: core.Config{T: 2, Nmax: 4}})
-		rs := NewResultSet()
+		rs := keySet{}
 		se.SetSink(rs)
 		nonEmpty := 0
 		for i, u := range updates {
 			se.Process(u)
 			se.Flush() // barrier: all events for this update are merged
-			got, want := rs.Keys(), se.OutputDenseKeys()
+			got, want := rs.keys(), se.OutputDenseKeys()
 			if !slices.Equal(got, want) {
 				t.Fatalf("K=%d, update %d: event-maintained set %v != merged result set %v", k, i+1, got, want)
 			}
@@ -80,18 +94,5 @@ func TestResultSetMatchesShardedEngineAfterEveryUpdate(t *testing.T) {
 			t.Fatalf("K=%d: result set never became non-empty", k)
 		}
 		se.Close()
-	}
-}
-
-// TestResultSetContains covers the point queries the story CLI uses.
-func TestResultSetContains(t *testing.T) {
-	rs := NewResultSet()
-	rs.Apply(became(1, 2, 3))
-	if !rs.Contains("1,2,3") || rs.Contains("1,2") || rs.Len() != 1 {
-		t.Fatalf("unexpected state: keys=%v", rs.Keys())
-	}
-	rs.Apply(ceased(1, 2, 3))
-	if rs.Contains("1,2,3") || rs.Len() != 0 {
-		t.Fatalf("ceased did not remove: keys=%v", rs.Keys())
 	}
 }

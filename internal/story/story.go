@@ -15,9 +15,7 @@ package story
 
 import (
 	"fmt"
-	"sort"
 
-	"dyndens/internal/core"
 	"dyndens/internal/vset"
 )
 
@@ -108,57 +106,4 @@ type Snapshot struct {
 	// Fading reports that the story currently has no live subgraph and is
 	// waiting out its grace window.
 	Fading bool
-}
-
-// ResultSet maintains the engine's output-dense result set purely from sink
-// events: Became inserts a subgraph, Ceased removes it. It formalises the
-// contract the story layer is built on — after every update, a consumer that
-// applied the event stream holds exactly Engine.OutputDenseKeys() (for a
-// sharded deployment, ShardedEngine.OutputDenseKeys()) — and is small enough
-// to embed anywhere a live view of the result set is needed.
-//
-// ResultSet implements core.EventSink and retains the event sets, so the
-// engine hands it private copies.
-type ResultSet struct {
-	sets map[string]vset.Set
-}
-
-// NewResultSet returns an empty result set.
-func NewResultSet() *ResultSet {
-	return &ResultSet{sets: make(map[string]vset.Set)}
-}
-
-// Emit implements core.EventSink.
-func (r *ResultSet) Emit(ev core.Event) { r.Apply(ev) }
-
-// Apply folds one event into the set.
-func (r *ResultSet) Apply(ev core.Event) {
-	k := ev.Set.Key()
-	switch ev.Kind {
-	case core.BecameOutputDense:
-		r.sets[k] = ev.Set
-	case core.CeasedOutputDense:
-		delete(r.sets, k)
-	}
-}
-
-// Len returns the number of subgraphs currently in the set.
-func (r *ResultSet) Len() int { return len(r.sets) }
-
-// Contains reports whether the subgraph with the given canonical key is in
-// the set.
-func (r *ResultSet) Contains(key string) bool {
-	_, ok := r.sets[key]
-	return ok
-}
-
-// Keys returns the canonical subgraph keys, sorted lexicographically — the
-// comparison form of Engine.OutputDenseKeys.
-func (r *ResultSet) Keys() []string {
-	keys := make([]string, 0, len(r.sets))
-	for k := range r.sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -143,23 +143,13 @@ func (s *DocFileSource) sourceName() string { return s.ls.name }
 // Close releases the underlying file and gzip reader, if any.
 func (s *DocFileSource) Close() error { return s.ls.close() }
 
-// ParseDocument parses one `time e1 e2 ... ek` line. The timestamp must be a
-// non-negative integer (the fading schedule needs a well-founded epoch zero),
-// each entity must be a valid vertex in [0, MaxInt32), and duplicate mentions
-// collapse into the set. The returned set is freshly allocated; the zero-alloc
-// form used by the streaming sources is parseDocumentInto.
-func ParseDocument(text string) (Document, error) {
-	ts, ents, err := parseDocumentInto([]byte(text), nil)
-	if err != nil {
-		return Document{}, err
-	}
-	return Document{Time: ts, Entities: ents}, nil
-}
-
 // parseDocumentInto parses one `time e1 e2 ... ek` line from raw bytes into
-// the ents scratch buffer, returning the timestamp and the sorted, deduplicated
-// entity set (which aliases ents' backing array unless it grew). It performs
-// no allocations in steady state: fields are sliced in place and the numeric
+// the ents scratch buffer. The timestamp must be a non-negative integer (the
+// fading schedule needs a well-founded epoch zero), each entity must be a
+// valid vertex in [0, MaxInt32), and duplicate mentions collapse into the
+// set. It returns the timestamp and the sorted, deduplicated entity set
+// (which aliases ents' backing array unless it grew). It performs no
+// allocations in steady state: fields are sliced in place and the numeric
 // parsers are manual — strconv would escape a string copy per field.
 func parseDocumentInto(text []byte, ents []vset.Vertex) (int64, vset.Set, error) {
 	var ts int64

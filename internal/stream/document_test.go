@@ -17,6 +17,7 @@ func TestDocFileSourceParsesDocuments(t *testing.T) {
 5 7 7 9
 # trailing comment
 10 42
+  12	8   9  
 `
 	src := NewDocReaderSource("docs", strings.NewReader(input))
 	got, err := DrainDocs(src)
@@ -27,6 +28,7 @@ func TestDocFileSourceParsesDocuments(t *testing.T) {
 		{Time: 0, Entities: vset.New(1, 2, 3)},
 		{Time: 5, Entities: vset.New(7, 9)}, // duplicate mention collapses
 		{Time: 10, Entities: vset.New(42)},  // single-entity documents are legal
+		{Time: 12, Entities: vset.New(8, 9)},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d documents, want %d", len(got), len(want))
@@ -54,8 +56,8 @@ func TestParseDocumentRejects(t *testing.T) {
 		"99999999999999999999 1", // timestamp overflows int64
 	}
 	for _, line := range bad {
-		if _, err := ParseDocument(line); err == nil {
-			t.Errorf("ParseDocument(%q) accepted, want error", line)
+		if _, _, err := parseDocumentInto([]byte(line), nil); err == nil {
+			t.Errorf("parseDocumentInto(%q) accepted, want error", line)
 		}
 	}
 }

@@ -34,31 +34,3 @@ func TestDocFileSourceZeroAlloc(t *testing.T) {
 		t.Fatalf("DocFileSource.Next allocated %.2f allocs/doc, want 0", allocs)
 	}
 }
-
-// TestParseDocumentIntoMatchesParseDocument pins that the zero-alloc parser
-// and the public allocating one accept and reject the same lines with the
-// same results.
-func TestParseDocumentIntoMatchesParseDocument(t *testing.T) {
-	lines := []string{
-		"0 1 2",
-		"10 3 1 4 1 5",
-		"5 7",
-		"  12\t8   9  ",
-		"9223372036854775807 1 2",
-		"", "7", "x 1 2", "-3 1 2", "1 2 -4", "1 2147483647 3",
-		"1 2 3.5", "99999999999999999999 1 2", "1 99999999999999999999",
-	}
-	for _, line := range lines {
-		want, wantErr := ParseDocument(line)
-		ts, ents, err := parseDocumentInto([]byte(line), nil)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("parseDocumentInto(%q) err = %v, ParseDocument err = %v", line, err, wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		if ts != want.Time || !ents.Equal(want.Entities) {
-			t.Fatalf("parseDocumentInto(%q) = (%d, %v), want (%d, %v)", line, ts, ents, want.Time, want.Entities)
-		}
-	}
-}

@@ -112,14 +112,6 @@ func (s Set) Max() Vertex {
 	return s[len(s)-1]
 }
 
-// Min returns the smallest element. It panics on the empty set.
-func (s Set) Min() Vertex {
-	if len(s) == 0 {
-		panic("vset: Min of empty set")
-	}
-	return s[0]
-}
-
 // Equal reports whether s and t contain exactly the same vertices.
 func (s Set) Equal(t Set) bool {
 	if len(s) != len(t) {
@@ -220,25 +212,6 @@ func (s Set) Union(t Set) Set {
 	}
 	out = append(out, s[i:]...)
 	out = append(out, t[j:]...)
-	return out
-}
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
 	return out
 }
 
