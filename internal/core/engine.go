@@ -116,7 +116,6 @@ func CompareEvents(a, b Event) int {
 // Subgraph is a snapshot of one maintained subgraph.
 type Subgraph struct {
 	Set     vset.Set
-	Score   float64
 	Density float64
 }
 

@@ -30,7 +30,6 @@ func (e *Engine) OutputDense() []Subgraph {
 		if e.th.IsOutputDense(n.Score(), card) {
 			out = append(out, Subgraph{
 				Set:     n.Set(),
-				Score:   n.Score() * e.emitScale,
 				Density: e.th.Density(n.Score(), card) * e.emitScale,
 			})
 		}
@@ -74,16 +73,12 @@ func (e *Engine) Dense() []Subgraph {
 	for _, n := range nodes {
 		out = append(out, Subgraph{
 			Set:     n.Set(),
-			Score:   n.Score() * e.emitScale,
 			Density: e.th.Density(n.Score(), n.Card()) * e.emitScale,
 		})
 	}
 	sortSubgraphs(out)
 	return out
 }
-
-// DenseCount returns the number of explicitly indexed dense subgraphs.
-func (e *Engine) DenseCount() int { return e.ix.Len() }
 
 // ImplicitFamilyCount returns the number of ImplicitTooDense families.
 func (e *Engine) ImplicitFamilyCount() int { return e.ix.StarCount() }
@@ -104,10 +99,6 @@ func (e *Engine) ImplicitFamilies() iter.Seq2[vset.Set, float64] {
 		}
 	}
 }
-
-// Contains reports whether the given vertex set is currently maintained as an
-// explicitly indexed dense subgraph.
-func (e *Engine) Contains(c vset.Set) bool { return e.ix.HasDense(c) }
 
 // ValidateIndex checks the internal consistency of the dense-subgraph index
 // and, additionally, that every stored score matches the graph to within

@@ -102,9 +102,6 @@ func (c *CollectorSink) Take() []Event {
 	return evs
 }
 
-// Reset discards the accumulated events.
-func (c *CollectorSink) Reset() { c.events = nil }
-
 // discardSink is the sink of an engine without one installed: it drops every
 // event and retains no set, so such an engine reports nothing and allocates
 // nothing to do so.
@@ -141,9 +138,6 @@ func (c *CountingSink) RetainsSets() bool { return false }
 
 // Total returns the total number of events observed.
 func (c *CountingSink) Total() uint64 { return c.Became + c.Ceased }
-
-// Reset zeroes the counters.
-func (c *CountingSink) Reset() { c.Became, c.Ceased = 0, 0 }
 
 // FilterSink forwards to Next only the events that pass its predicates. It is
 // the story-tracking primitive: a consumer interested in, say, stories of at

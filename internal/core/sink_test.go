@@ -40,10 +40,6 @@ func TestCountingSink(t *testing.T) {
 	if c.Became != 2 || c.Ceased != 1 || c.Total() != 3 {
 		t.Fatalf("counts = %d/%d (total %d), want 2/1 (3)", c.Became, c.Ceased, c.Total())
 	}
-	c.Reset()
-	if c.Total() != 0 {
-		t.Fatalf("Total after Reset = %d", c.Total())
-	}
 }
 
 func TestFilterSinkMinCardinality(t *testing.T) {
@@ -171,7 +167,7 @@ func TestThresholdUnitThroughSink(t *testing.T) {
 	var sink CollectorSink
 	e.SetSink(&sink)
 	e.Process(Update{A: 1, B: 2, Delta: 4}) // output-dense at T=3
-	sink.Reset()
+	sink.Take()
 	e.ProcessThresholdBatch(0.6, nil) // T from 3 to 5
 	if sink.Len() != 1 || sink.Events()[0].Kind != CeasedOutputDense {
 		t.Fatalf("sink events after threshold increase: %v", sink.Events())

@@ -28,8 +28,12 @@ import (
 // sink as one logical tick. scale is the cumulative decay factor λ > 0 after
 // the epoch; it becomes the emit scale, folded if it is below the fold floor.
 // A shrinking scale raises the threshold through the incremental walk; a
-// growing one lowers it, which rebuilds the index.
+// growing one lowers it, which rebuilds the index. A scale that is not > 0
+// panics: runUnit reads 0 as a plain batch.
 func (e *Engine) ProcessThresholdBatch(scale float64, updates []Update) {
+	if !(scale > 0) {
+		panic(fmt.Sprintf("core: threshold batch scale %v yields invalid threshold %v", scale, e.base.T/scale))
+	}
 	e.runUnit(updates, scale, nil, false)
 }
 

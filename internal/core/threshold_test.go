@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -271,5 +272,26 @@ func TestThresholdUnitReachesStarEdgeScanTie(t *testing.T) {
 	}
 	if !slices.Contains(e.OutputDenseKeys(), "3,4,5,9") {
 		t.Fatalf("fixture: {3,4,5,9} is not output-dense after the threshold unit: %v", e.OutputDenseKeys())
+	}
+}
+
+// TestProcessThresholdBatchRejectsBadScale: a threshold unit's scale must be
+// > 0. runUnit reads scale 0 as a plain batch, so ProcessThresholdBatch
+// checks it rather than quietly running a batch that ThresholdTicks never
+// counts.
+func TestProcessThresholdBatchRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -0.5, math.NaN()} {
+		e := MustNew(Config{T: 1.2, Nmax: 4})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ProcessThresholdBatch(%v, nil) did not panic", scale)
+				}
+			}()
+			e.ProcessThresholdBatch(scale, nil)
+		}()
+		if st := e.Stats(); st.ThresholdTicks != 0 || st.Batches != 0 {
+			t.Errorf("scale %v: the refused unit ran: %+v", scale, st)
+		}
 	}
 }

@@ -252,16 +252,6 @@ func scheduleTn(m Measure, t float64, nmax int, deltaIt float64, n int) float64 
 	return (G(m, nmax)*t + deltaIt*(float64(n-2)/float64(n-1)-tail)) / G(m, n)
 }
 
-// MustThresholds is NewThresholds that panics on error; intended for tests
-// and examples with known-good parameters.
-func MustThresholds(m Measure, t float64, nmax int, deltaIt float64) *Thresholds {
-	th, err := NewThresholds(m, t, nmax, deltaIt)
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
 // precompute fills the tables from Measure, T, Nmax and DeltaIt, in the
 // storage they already have when it is large enough.
 func (th *Thresholds) precompute() {
@@ -282,16 +272,6 @@ func (th *Thresholds) precompute() {
 		th.denseFloor[n] = tolerantBound(th.minScore[n])
 		th.outputFloor[n] = tolerantBound(th.sn[n] * t)
 	}
-}
-
-// Tn returns T_n, the density threshold for a subgraph of cardinality n to be
-// considered dense. Defined for 2 ≤ n ≤ Nmax+1 (the Nmax+1 value is used only
-// by the too-dense predicate).
-func (th *Thresholds) Tn(n int) float64 {
-	if n < 2 || n >= len(th.tn) {
-		return math.Inf(1)
-	}
-	return th.tn[n]
 }
 
 // S returns S(n) for the configured measure.

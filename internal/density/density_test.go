@@ -9,6 +9,15 @@ import (
 	"testing/quick"
 )
 
+// mustThresholds is NewThresholds for parameters known to be good.
+func mustThresholds(m Measure, t float64, nmax int, deltaIt float64) *Thresholds {
+	th, err := NewThresholds(m, t, nmax, deltaIt)
+	if err != nil {
+		panic(err)
+	}
+	return th
+}
+
 func TestBuiltinMeasuresS(t *testing.T) {
 	cases := []struct {
 		m    Measure
@@ -103,10 +112,10 @@ func TestNewThresholdsValidation(t *testing.T) {
 // the S_n = n(n−1) convention; see README.md, "Notation that departs from the
 // paper").
 func TestPaperExecutionExampleSchedule(t *testing.T) {
-	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
+	th := mustThresholds(AvgWeight, 1.0, 4, 0.075)
 	want := map[int]float64{2: 0.9, 3: 0.975, 4: 1.0}
 	for n, w := range want {
-		if got := th.Tn(n); math.Abs(got-w) > 1e-9 {
+		if got := th.tn[n]; math.Abs(got-w) > 1e-9 {
 			t.Errorf("T_%d = %v, want %v", n, got, w)
 		}
 	}
@@ -118,18 +127,18 @@ func TestPaperExecutionExampleSchedule(t *testing.T) {
 func TestClosedFormSchedules(t *testing.T) {
 	const T, dit = 2.0, 0.05
 	nmax := 8
-	thDeg := MustThresholds(AvgDegree, T, nmax, dit)
+	thDeg := mustThresholds(AvgDegree, T, nmax, dit)
 	for n := 2; n <= nmax; n++ {
 		want := float64(n-1)/float64(nmax-1)*(T+dit) - dit
-		if got := thDeg.Tn(n); math.Abs(got-want) > 1e-9 {
+		if got := thDeg.tn[n]; math.Abs(got-want) > 1e-9 {
 			t.Errorf("AvgDegree T_%d = %v, want %v", n, got, want)
 		}
 	}
 	pair := fnMeasure{"pairs", func(n int) float64 { return float64(n) * float64(n-1) }}
-	thPair := MustThresholds(pair, T, nmax, dit)
+	thPair := mustThresholds(pair, T, nmax, dit)
 	for n := 2; n <= nmax; n++ {
 		want := T - dit*(1/float64(n-1)-1/float64(nmax-1))
-		if got := thPair.Tn(n); math.Abs(got-want) > 1e-9 {
+		if got := thPair.tn[n]; math.Abs(got-want) > 1e-9 {
 			t.Errorf("pairs T_%d = %v, want %v", n, got, want)
 		}
 	}
@@ -145,19 +154,19 @@ func TestTnMonotonicityAndGrowthProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s T=%v nmax=%d frac=%v: %v", m.Name(), T, nmax, frac, err)
 					}
-					if math.Abs(th.Tn(nmax)-T) > 1e-9 {
-						t.Errorf("%s: T_Nmax = %v, want %v", m.Name(), th.Tn(nmax), T)
+					if math.Abs(th.tn[nmax]-T) > 1e-9 {
+						t.Errorf("%s: T_Nmax = %v, want %v", m.Name(), th.tn[nmax], T)
 					}
 					for n := 3; n <= nmax; n++ {
-						if th.Tn(n) < th.Tn(n-1)-1e-9 {
-							t.Errorf("%s: T_n not non-decreasing at n=%d: %v < %v", m.Name(), n, th.Tn(n), th.Tn(n-1))
+						if th.tn[n] < th.tn[n-1]-1e-9 {
+							t.Errorf("%s: T_n not non-decreasing at n=%d: %v < %v", m.Name(), n, th.tn[n], th.tn[n-1])
 						}
 						gn, gn1 := G(m, n), G(m, n-1)
-						if th.Tn(n)*gn <= th.Tn(n-1)*gn1 {
+						if th.tn[n]*gn <= th.tn[n-1]*gn1 {
 							t.Errorf("%s: growth property fails at n=%d", m.Name(), n)
 						}
-						if th.Tn(n) <= 0 {
-							t.Errorf("%s: T_%d = %v ≤ 0", m.Name(), n, th.Tn(n))
+						if th.tn[n] <= 0 {
+							t.Errorf("%s: T_%d = %v ≤ 0", m.Name(), n, th.tn[n])
 						}
 					}
 				}
@@ -167,7 +176,7 @@ func TestTnMonotonicityAndGrowthProperty(t *testing.T) {
 }
 
 func TestClassificationPredicates(t *testing.T) {
-	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
+	th := mustThresholds(AvgWeight, 1.0, 4, 0.075)
 	// Cardinality 2: dense iff score ≥ 0.9, output-dense iff ≥ 1.0,
 	// too-dense iff score ≥ S(3)·T_3 = 3·0.975 = 2.925.
 	if !th.IsDense(0.9, 2) || th.IsDense(0.89, 2) {
@@ -194,7 +203,7 @@ func TestClassificationPredicates(t *testing.T) {
 }
 
 func TestIterations(t *testing.T) {
-	th := MustThresholds(AvgWeight, 1.0, 4, 0.075)
+	th := mustThresholds(AvgWeight, 1.0, 4, 0.075)
 	cases := []struct {
 		delta float64
 		want  int
@@ -211,7 +220,7 @@ func TestIterations(t *testing.T) {
 // TestRescaleScalesDeltaIt: the schedule of a decay scale moves δ_it in
 // proportion to T (Algorithm 3, line 1); scale 1.25 takes T from 1 to 0.8.
 func TestRescaleScalesDeltaIt(t *testing.T) {
-	th := MustThresholds(AvgWeight, 1.0, 6, 0.05)
+	th := mustThresholds(AvgWeight, 1.0, 6, 0.05)
 	th2 := new(Thresholds)
 	if err := th.Normalize(th2, 1.25); err != nil {
 		t.Fatal(err)
@@ -219,8 +228,8 @@ func TestRescaleScalesDeltaIt(t *testing.T) {
 	if math.Abs(th2.DeltaIt-0.04) > 1e-12 {
 		t.Errorf("δit after rescale = %v, want 0.04", th2.DeltaIt)
 	}
-	if math.Abs(th2.Tn(th2.Nmax)-0.8) > 1e-12 {
-		t.Errorf("new T_Nmax = %v, want 0.8", th2.Tn(th2.Nmax))
+	if math.Abs(th2.tn[th2.Nmax]-0.8) > 1e-12 {
+		t.Errorf("new T_Nmax = %v, want 0.8", th2.tn[th2.Nmax])
 	}
 }
 
@@ -265,9 +274,9 @@ func TestRescaleMatchesNewThresholds(t *testing.T) {
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
 		for _, nmax := range []int{2, 3, 5, 9} {
 			const baseT = 6.5
-			start := MustThresholds(m, baseT, nmax, 0.01*math.Min(MaxDeltaIt(m, baseT, nmax), baseT))
-			cur, spare := MustThresholds(m, baseT, nmax, start.DeltaIt), new(Thresholds)
-			self := MustThresholds(m, baseT, nmax, start.DeltaIt)
+			start := mustThresholds(m, baseT, nmax, 0.01*math.Min(MaxDeltaIt(m, baseT, nmax), baseT))
+			cur, spare := mustThresholds(m, baseT, nmax, start.DeltaIt), new(Thresholds)
+			self := mustThresholds(m, baseT, nmax, start.DeltaIt)
 			scale := 1.0
 			for step := 0; step < 400; step++ {
 				prev := scale
@@ -322,8 +331,8 @@ func TestRescaleMatchesNewThresholds(t *testing.T) {
 // schedule itself — keeps what it held. The scales below give T = 2/s of
 // NaN, +Inf, −Inf, 0, −0, −2 and a tiny negative.
 func TestRescaleRejectsBadThresholds(t *testing.T) {
-	th := MustThresholds(SqrtDens, 2, 5, 0.01*MaxDeltaIt(SqrtDens, 2, 5))
-	want := MustThresholds(SqrtDens, 2, 5, th.DeltaIt)
+	th := mustThresholds(SqrtDens, 2, 5, 0.01*MaxDeltaIt(SqrtDens, 2, 5))
+	want := mustThresholds(SqrtDens, 2, 5, th.DeltaIt)
 	for _, s := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), -1, -math.MaxFloat64} {
 		if err := th.Normalize(th, s); !errors.Is(err, ErrBadThreshold) {
 			t.Errorf("Normalize(%v): err = %v, want ErrBadThreshold", s, err)
@@ -356,7 +365,7 @@ func TestSingleIterationBoundEqualsDeltaIt(t *testing.T) {
 			return true // out-of-range parameter combination; skip
 		}
 		for n := 3; n <= nmax; n++ {
-			bound := float64(n-2) * float64(n-1) * (G(m, n)*th.Tn(n) - G(m, n-1)*th.Tn(n-1))
+			bound := float64(n-2) * float64(n-1) * (G(m, n)*th.tn[n] - G(m, n-1)*th.tn[n-1])
 			if math.Abs(bound-dit) > 1e-6*math.Max(1, dit) {
 				return false
 			}
@@ -370,7 +379,7 @@ func TestSingleIterationBoundEqualsDeltaIt(t *testing.T) {
 
 // Property: MinDenseScore is consistent with IsDense at the boundary.
 func TestMinDenseScoreBoundary(t *testing.T) {
-	th := MustThresholds(SqrtDens, 0.7, 7, 0.02)
+	th := mustThresholds(SqrtDens, 0.7, 7, 0.02)
 	for n := 2; n <= 7; n++ {
 		s := th.MinDenseScore(n)
 		if !th.IsDense(s, n) {
@@ -400,7 +409,7 @@ func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
 		for _, T := range []float64{1e-12, 0.3, 1, 6.5, 1e9, 3.8e124} {
 			for _, nmax := range []int{2, 3, 5, 9} {
-				th := MustThresholds(m, T, nmax, 0.01*math.Min(MaxDeltaIt(m, T, nmax), T))
+				th := mustThresholds(m, T, nmax, 0.01*math.Min(MaxDeltaIt(m, T, nmax), T))
 				moved := new(Thresholds)
 				if err := th.Normalize(moved, 1/1.37); err != nil {
 					t.Fatal(err)
@@ -449,14 +458,14 @@ func TestPrecomputedBoundsMatchTolerantComparison(t *testing.T) {
 // A tolerance floored at an absolute 1e-9 broke this below 1 — at T = 1e-12
 // it classified a negative score as dense.
 func TestClassificationIsScaleInvariant(t *testing.T) {
-	tiny := MustThresholds(AvgWeight, 1e-12, 4, 0.01*MaxDeltaIt(AvgWeight, 1e-12, 4))
+	tiny := mustThresholds(AvgWeight, 1e-12, 4, 0.01*MaxDeltaIt(AvgWeight, 1e-12, 4))
 	if tiny.IsDense(-9.99e-10, 2) || tiny.IsOutputDense(0, 2) || tiny.IsTooDense(0, 2) {
 		t.Fatal("a non-positive score classified dense at T = 1e-12")
 	}
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
-		base := MustThresholds(m, 6.5, 5, 0.01*MaxDeltaIt(m, 6.5, 5))
+		base := mustThresholds(m, 6.5, 5, 0.01*MaxDeltaIt(m, 6.5, 5))
 		for _, c := range []float64{0x1p-400, 0x1p-40, 0x1p400} {
-			th := MustThresholds(m, base.T*c, base.Nmax, base.DeltaIt*c)
+			th := mustThresholds(m, base.T*c, base.Nmax, base.DeltaIt*c)
 			for n := 1; n <= base.Nmax+1; n++ {
 				for _, bound := range []float64{base.MinDenseScore(n), base.MinDenseScore(n + 1), base.MinOutputScore(n)} {
 					if math.IsInf(bound, 0) {
@@ -491,7 +500,7 @@ func TestNormalizeCommutesWithFold(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, m := range []Measure{AvgWeight, AvgDegree, SqrtDens} {
-		base := MustThresholds(m, 3, 5, 0.4*MaxDeltaIt(m, 3, 5))
+		base := mustThresholds(m, 3, 5, 0.4*MaxDeltaIt(m, 3, 5))
 		for i := 0; i < 200; i++ {
 			s := math.Ldexp(0.5+0.5*rng.Float64(), -499-rng.Intn(400))
 			frac, k := Fold(s)

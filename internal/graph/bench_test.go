@@ -47,8 +47,8 @@ func BenchmarkApplyHub(b *testing.B) {
 	for i := b.N; i%8 != 0; i++ {
 		g.Apply(ops[i%len(ops)])
 	}
-	if g.Degree(hub) != degree {
-		b.Fatalf("hub degree %d, want %d", g.Degree(hub), degree)
+	if degreeOf(g, hub) != degree {
+		b.Fatalf("hub degree %d, want %d", degreeOf(g, hub), degree)
 	}
 }
 

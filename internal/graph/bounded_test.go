@@ -96,7 +96,7 @@ func checkHeavyIndex(t *testing.T, g *Graph) {
 // changes and deletes and requires both bounded scans to equal the unbounded
 // reference plus a filter, for bounds ≤ 0, bounds exactly on a weight or on a
 // neighbourhood sum and just beside one, bounds far outside the weights, on
-// the graph itself, on its Clone and on its NewFromState copy. Stretches of
+// the graph itself and on its NewFromState copy. Stretches of
 // arbitrary bounds alternate with stretches without scans and stretches of
 // high bounds only, so that sweeps switch the index off and raise its floor
 // part of the way and scans lower it again; the stream continues on a copy
@@ -163,18 +163,15 @@ func TestBoundedScansMatchReference(t *testing.T) {
 			checkHeavyIndex(t, g)
 
 			if step%60 == 30 {
-				clone := g.Clone()
 				restored, err := NewFromState(g.ExportState())
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, cp := range []*Graph{clone, restored} {
-					checkBounded(t, cp, c, bound, &buf)
-					checkHeavyIndex(t, cp)
-				}
-				checkBounded(t, g, c, bound, &buf) // the copies left the original alone
+				checkBounded(t, restored, c, bound, &buf)
+				checkHeavyIndex(t, restored)
+				checkBounded(t, g, c, bound, &buf) // the copy left the original alone
 				if rng.Intn(2) == 0 {
-					g = clone
+					g = restored
 				}
 			}
 		}
@@ -283,8 +280,8 @@ func TestLdexpRelabelsExactly(t *testing.T) {
 	checkHeavyIndex(t, g)
 	for v := Vertex(0); v < 30; v++ {
 		vs, _ := g.Neighborhood(v)
-		if g.Degree(v) != len(vs) || (len(vs) == 0) != (g.adj.Get(v) == nil) {
-			t.Fatalf("vertex %d: degree %d, vector %v", v, g.Degree(v), vs)
+		if degreeOf(g, v) != len(vs) || (len(vs) == 0) != (g.adj.Get(v) == nil) {
+			t.Fatalf("vertex %d: degree %d, vector %v", v, degreeOf(g, v), vs)
 		}
 	}
 }

@@ -210,14 +210,6 @@ func (g *Graph) Weight(a, b Vertex) float64 {
 	return g.adj.Get(a).weight(b)
 }
 
-// Degree returns the number of neighbours of u with non-zero edge weight.
-func (g *Graph) Degree(u Vertex) int {
-	if l := g.adj.Get(u); l != nil {
-		return len(l.vs)
-	}
-	return 0
-}
-
 // NumEdges returns the number of edges with non-zero weight.
 func (g *Graph) NumEdges() int { return g.edgeCount }
 
@@ -551,17 +543,6 @@ func (g *Graph) Ldexp(k int) {
 	g.edgeCount -= removed / 2
 	g.totalWeight = math.Ldexp(g.totalWeight, k)
 	g.heavyLdexp(k)
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := New()
-	for u, l := range g.adj.All() {
-		out.adj.Set(u, &adjacency{vs: slices.Clone(l.vs), ws: slices.Clone(l.ws)})
-	}
-	out.edgeCount = g.edgeCount
-	out.totalWeight = g.totalWeight
-	return out
 }
 
 // String summarises the graph.

@@ -31,7 +31,7 @@ func TestApplyNegativeRemovesEdge(t *testing.T) {
 	if after != 0 {
 		t.Fatalf("weight should clamp to 0, got %v", after)
 	}
-	if g.Degree(1) != 0 || g.Degree(2) != 0 {
+	if degreeOf(g, 1) != 0 || degreeOf(g, 2) != 0 {
 		t.Fatal("edge should be removed when weight reaches 0")
 	}
 	if g.NumEdges() != 0 || g.NumVertices() != 0 {
@@ -50,13 +50,21 @@ func TestSelfLoopIgnored(t *testing.T) {
 	}
 }
 
+// degreeOf returns the number of neighbours of u with non-zero edge weight.
+func degreeOf(g *Graph, u Vertex) int {
+	if l := g.adj.Get(u); l != nil {
+		return len(l.vs)
+	}
+	return 0
+}
+
 func TestDegreeAndCounts(t *testing.T) {
 	g := New()
 	g.SetWeight(1, 2, 1)
 	g.SetWeight(1, 3, 1)
 	g.SetWeight(2, 3, 1)
-	if g.Degree(1) != 2 || g.Degree(2) != 2 || g.Degree(3) != 2 {
-		t.Fatalf("degrees wrong: %d %d %d", g.Degree(1), g.Degree(2), g.Degree(3))
+	if degreeOf(g, 1) != 2 || degreeOf(g, 2) != 2 || degreeOf(g, 3) != 2 {
+		t.Fatalf("degrees wrong: %d %d %d", degreeOf(g, 1), degreeOf(g, 2), degreeOf(g, 3))
 	}
 	if g.NumEdges() != 3 || g.NumVertices() != 3 {
 		t.Fatalf("edges=%d vertices=%d", g.NumEdges(), g.NumVertices())
@@ -172,16 +180,21 @@ func TestEdgesEnumeratesEachOnce(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: the graph's copy, NewFromState(ExportState()),
+// shares no storage with the original.
 func TestCloneIndependence(t *testing.T) {
 	g := New()
 	g.SetWeight(1, 2, 1)
-	h := g.Clone()
+	h, err := NewFromState(g.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
 	h.SetWeight(1, 2, 5)
 	if g.Weight(1, 2) != 1 {
-		t.Fatal("Clone is not independent")
+		t.Fatal("the copy is not independent")
 	}
 	if h.Weight(1, 2) != 5 || h.NumEdges() != 1 {
-		t.Fatal("Clone lost data")
+		t.Fatal("the copy lost data")
 	}
 }
 

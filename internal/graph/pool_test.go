@@ -36,7 +36,7 @@ func TestReturningVertexAllocatesNothing(t *testing.T) {
 			t.Errorf("a vertex coming back at degree %d costs %v allocs/run, want 0", degree, allocs)
 		}
 	}
-	if g.Degree(v) != 0 || g.NumVertices() != 10 || g.NumEdges() != 10 {
+	if degreeOf(g, v) != 0 || g.NumVertices() != 10 || g.NumEdges() != 10 {
 		t.Fatalf("the visits left %v, want the ring alone", g)
 	}
 }
@@ -54,7 +54,7 @@ func TestLeafDoesNotInheritHubVector(t *testing.T) {
 	for v := Vertex(0); v < 300; v++ {
 		g.SetWeight(hub, v, 0)
 	}
-	if g.Degree(hub) != 0 {
+	if degreeOf(g, hub) != 0 {
 		t.Fatal("the hub did not leave")
 	}
 	g.Apply(Update{A: 5000, B: 5001, Delta: 1})
@@ -129,8 +129,8 @@ func TestCooledHubReturnsCapacity(t *testing.T) {
 	for v := Vertex(3); v < 1000; v++ {
 		g.SetWeight(hub, v, 0)
 	}
-	if g.Degree(hub) != 3 {
-		t.Fatalf("degree %d, want 3", g.Degree(hub))
+	if degreeOf(g, hub) != 3 {
+		t.Fatalf("degree %d, want 3", degreeOf(g, hub))
 	}
 	if l := g.adj.Get(hub); cap(l.vs) > 16 || cap(l.ws) > 16 {
 		t.Errorf("a vertex cooled to degree 3 keeps capacity %d/%d, want ≤ 16", cap(l.vs), cap(l.ws))
@@ -164,7 +164,7 @@ func TestDegreeOscillationAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, swing); allocs != 0 {
 		t.Errorf("a degree swinging 4 ↔ 9 costs %v allocs/run, want 0", allocs)
 	}
-	if l := g.adj.Get(v); g.Degree(v) != 4 || cap(l.vs) != 8 {
-		t.Fatalf("the swings left degree %d in capacity %d, want 4 in 8", g.Degree(v), cap(l.vs))
+	if l := g.adj.Get(v); degreeOf(g, v) != 4 || cap(l.vs) != 8 {
+		t.Fatalf("the swings left degree %d in capacity %d, want 4 in 8", degreeOf(g, v), cap(l.vs))
 	}
 }

@@ -126,9 +126,6 @@ type Node struct {
 // Dense reports whether the node currently represents a dense subgraph.
 func (n *Node) Dense() bool { return n.dense }
 
-// IsStar reports whether this is an ImplicitTooDense '*' node.
-func (n *Node) IsStar() bool { return n.star }
-
 // Score returns the stored internal edge-weight sum of the represented
 // subgraph. For star nodes this is the score of the base subgraph (adding a
 // disconnected vertex does not change the score).
@@ -137,9 +134,6 @@ func (n *Node) Score() float64 { return n.score }
 // Card returns the cardinality of the represented vertex set. For star nodes
 // it is |base|+1.
 func (n *Node) Card() int { return int(n.depth) }
-
-// Parent returns the parent node (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
 
 // Reach returns the node's exploration certificate (see the package comment):
 // the most weight a vertex with no indexed child puts into the node's set.

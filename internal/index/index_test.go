@@ -181,7 +181,7 @@ func TestStarNodes(t *testing.T) {
 	ix := New(8)
 	base := ix.InsertDense(vset.New(1, 3), 5)
 	star := ix.InsertStar(base)
-	if star == nil || !star.IsStar() {
+	if star == nil || !star.star {
 		t.Fatal("InsertStar failed")
 	}
 	if !ix.HasStar(base) || ix.StarOf(base) != star {
@@ -205,7 +205,7 @@ func TestStarNodes(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", ix.Len())
 	}
 	for _, n := range ix.AppendDenseContaining(nil, 1) {
-		if n.IsStar() {
+		if n.star {
 			t.Fatal("star node leaked into DenseContaining")
 		}
 	}
@@ -617,7 +617,7 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 			t.Fatalf("trial %d: Len=%d model=%d, StarCount=%d model=%d", trial, ix.Len(), len(model), ix.StarCount(), len(stars))
 		}
 		for _, star := range ix.AppendStarNodes(nil) {
-			if base := star.Parent(); !stars[base.Set().Key()] || ix.StarOf(base) != star {
+			if base := star.parent; !stars[base.Set().Key()] || ix.StarOf(base) != star {
 				t.Fatalf("trial %d: unexpected or unreachable star under %v", trial, base.Set())
 			}
 		}
@@ -670,7 +670,7 @@ func checkFamilies(t *testing.T, ix *Index, label string) {
 	for u := Vertex(0); u < 12; u++ {
 		var want []*Node
 		for _, star := range slices.Backward(list) {
-			if star.Card()-1 <= ix.nmax-2 && star.Parent().Set().Contains(u) {
+			if star.Card()-1 <= ix.nmax-2 && star.parent.Set().Contains(u) {
 				want = append(want, star)
 			}
 		}
@@ -683,7 +683,7 @@ func checkFamilies(t *testing.T, ix *Index, label string) {
 	}
 	var want []*Node
 	for _, star := range list {
-		base := star.Parent().Set()
+		base := star.parent.Set()
 		if star.Card()-1 <= ix.nmax-2 && slices.ContainsFunc(base, func(v Vertex) bool { return v%2 == 0 }) {
 			want = append(want, star)
 		}

@@ -39,10 +39,11 @@ type Config struct {
 	// without it a crash loses the buffered WAL tail, and a continuation
 	// stream cannot re-supply those units.
 	LiveTail bool
-	// SnapshotsKept is how many snapshots survive pruning (default 2: the
-	// newest plus one fallback).
-	SnapshotsKept int
 }
+
+// snapshotsKept is how many snapshots survive pruning: the newest plus one
+// fallback.
+const snapshotsKept = 2
 
 // StoreStats counts the durability work performed by this process — the
 // numbers behind the bench harness's WAL-overhead accounting.
@@ -89,9 +90,6 @@ type Store struct {
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("persist: empty WAL directory")
-	}
-	if cfg.SnapshotsKept <= 0 {
-		cfg.SnapshotsKept = 2
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -239,7 +237,7 @@ func (s *Store) MaybeSnapshot(capture func() (*PipelineState, error)) error {
 		}
 		s.mu.Unlock()
 		if werr == nil {
-			pruneSnapshots(s.cfg.Dir, s.cfg.SnapshotsKept)
+			pruneSnapshots(s.cfg.Dir, snapshotsKept)
 		}
 	}()
 	return nil
@@ -272,7 +270,7 @@ func (s *Store) Checkpoint(capture func() (*PipelineState, error)) error {
 	s.lastSnap = st.Seq
 	s.snapshots++
 	s.mu.Unlock()
-	pruneSnapshots(s.cfg.Dir, s.cfg.SnapshotsKept)
+	pruneSnapshots(s.cfg.Dir, snapshotsKept)
 	return nil
 }
 

@@ -61,7 +61,7 @@ func BenchmarkSinkPlantedSteady(b *testing.B) {
 		}
 		bld.EndUpdate()
 	}
-	st, vs := bld.Tracker().Stats(), bld.View().Stats()
+	st, vs := bld.tracker.Stats(), bld.View().Stats()
 	if st.Born < 3 || st.Updated == 0 || st.Merged == 0 || st.Died == 0 || log.events < 10000 {
 		b.Fatalf("workload too tame: %d events, %+v", log.events, st)
 	}

@@ -61,10 +61,6 @@ func NewBuilder(tr *story.Tracker) *Builder {
 // View returns the read surface the builder publishes to.
 func (b *Builder) View() *View { return b.view }
 
-// Tracker returns the wrapped tracker. Query it only from the writer
-// goroutine, and only between updates.
-func (b *Builder) Tracker() *story.Tracker { return b.tracker }
-
 // SetRecordSink installs a callback invoked for every lifecycle record as
 // the tracker produces it, in order — the hook the SSE hub and the serve CLI
 // log hang off. The callback runs on the writer goroutine and must treat

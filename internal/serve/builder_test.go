@@ -147,7 +147,7 @@ func storiesWith(s *Snapshot, v vset.Vertex) []story.ID {
 func checkMatchesTracker(t *testing.T, b *Builder) {
 	t.Helper()
 	snap := b.View().Snapshot()
-	rows := b.Tracker().Stories()
+	rows := b.tracker.Stories()
 	if len(snap.Stories) != len(rows) {
 		t.Fatalf("view has %d stories, tracker %d", len(snap.Stories), len(rows))
 	}
@@ -172,7 +172,7 @@ func checkMatchesTracker(t *testing.T, b *Builder) {
 			t.Errorf("story %d fading: view %v, tracker %v", row.ID, e.Fading, row.Fading)
 		}
 		for _, sg := range e.Subgraphs {
-			if owner, ok := b.Tracker().OwnerOf(sg.Set); !ok || owner != row.ID {
+			if owner, ok := b.tracker.OwnerOf(sg.Set); !ok || owner != row.ID {
 				t.Errorf("story %d serves subgraph %v, which the tracker gives to %d (%v)", row.ID, sg.Set, owner, ok)
 			}
 		}
@@ -182,7 +182,7 @@ func checkMatchesTracker(t *testing.T, b *Builder) {
 			}
 		}
 	}
-	if got, want := snap.LiveKeys(), b.Tracker().LiveKeys(); !slices.Equal(got, want) {
+	if got, want := snap.LiveKeys(), b.tracker.LiveKeys(); !slices.Equal(got, want) {
 		t.Errorf("view live keys %v != tracker %v", got, want)
 	}
 	if err := validateSnapshot(snap); err != nil {
@@ -208,7 +208,7 @@ func TestBuilderMatchesTracker(t *testing.T) {
 	}
 	b.Close(uint64(len(updates)))
 
-	st := b.Tracker().Stats()
+	st := b.tracker.Stats()
 	if st.Born == 0 || st.Merged == 0 || st.Split == 0 || st.Died == 0 {
 		t.Fatalf("workload lifecycle coverage too weak: %+v", st)
 	}
@@ -351,8 +351,8 @@ func TestBuilderRecordForwarding(t *testing.T) {
 	if len(want) == 0 || !reflect.DeepEqual(*got, want) {
 		t.Fatalf("forwarded %d records, a bare tracker streams %d: %v", len(*got), len(want), *got)
 	}
-	if b.Tracker().Stats() != bare.Stats() {
-		t.Fatalf("wrapped tracker Stats %+v != bare %+v", b.Tracker().Stats(), bare.Stats())
+	if b.tracker.Stats() != bare.Stats() {
+		t.Fatalf("wrapped tracker Stats %+v != bare %+v", b.tracker.Stats(), bare.Stats())
 	}
 	if n := b.View().Stats().Records; n != uint64(len(want)) {
 		t.Fatalf("view counts %d records, %d were forwarded", n, len(want))
@@ -384,7 +384,7 @@ func TestRestoredViewCountsWholeStream(t *testing.T) {
 		eng.Process(u)
 	}
 	before.Sync()
-	st, err := before.Tracker().ExportState()
+	st, err := before.tracker.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +409,8 @@ func TestRestoredViewCountsWholeStream(t *testing.T) {
 	if n := int(before.View().Stats().Records); !reflect.DeepEqual(*recs, (*refRecs)[n:]) {
 		t.Fatalf("the %d records after the restore are not the uninterrupted stream's %d past the first %d", len(*recs), len(*refRecs)-n, n)
 	}
-	if b.Tracker().Stats() != ref.Tracker().Stats() {
-		t.Fatalf("restored tracker Stats %+v != uninterrupted %+v", b.Tracker().Stats(), ref.Tracker().Stats())
+	if b.tracker.Stats() != ref.tracker.Stats() {
+		t.Fatalf("restored tracker Stats %+v != uninterrupted %+v", b.tracker.Stats(), ref.tracker.Stats())
 	}
 	if got, want := entryFingerprint(b.View().Snapshot()), entryFingerprint(ref.View().Snapshot()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored final snapshot diverges:\n got %v\nwant %v", got, want)

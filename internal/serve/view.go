@@ -144,12 +144,6 @@ func NewView() *View {
 // and safe to use indefinitely.
 func (v *View) Snapshot() *Snapshot { return v.cur.Load() }
 
-// Top is shorthand for Snapshot().Top(k).
-func (v *View) Top(k int) []Rank { return v.cur.Load().Top(k) }
-
-// Story returns the entry for a story ID in the latest snapshot.
-func (v *View) Story(id story.ID) (*Entry, bool) { return v.cur.Load().Story(id) }
-
 // LastSeq returns the most recent update boundary the writer has completed —
 // ahead of Snapshot().Epoch whenever trailing boundaries changed nothing.
 func (v *View) LastSeq() uint64 { return v.lastSeq.Load() }

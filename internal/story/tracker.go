@@ -188,9 +188,6 @@ func MustTracker(cfg Config) *Tracker {
 	return t
 }
 
-// Config returns the effective configuration (with defaults applied).
-func (t *Tracker) Config() Config { return t.cfg }
-
 // SetRecordSink installs a callback invoked for every lifecycle record as it
 // is produced (the stories CLI streams its log through this). It is the only
 // way records leave the tracker: it keeps no log, only the per-kind counts

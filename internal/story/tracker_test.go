@@ -363,7 +363,7 @@ func TestLifecycleKindStrings(t *testing.T) {
 // ceases, while a zero Grace still selects the documented default of 200.
 func TestTrackerGraceNone(t *testing.T) {
 	tr, log := loggedTracker(Config{Grace: GraceNone})
-	if g := tr.Config().Grace; g != 0 {
+	if g := tr.cfg.Grace; g != 0 {
 		t.Fatalf("effective Grace = %d, want 0", g)
 	}
 	turn(tr, became(1, 2, 3)) // seq 1
@@ -394,7 +394,7 @@ func TestTrackerGraceNone(t *testing.T) {
 
 	// The zero value still means "default": the story survives a short gap.
 	tr3, log3 := loggedTracker(Config{})
-	if g := tr3.Config().Grace; g != 200 {
+	if g := tr3.cfg.Grace; g != 200 {
 		t.Fatalf("default Grace = %d, want 200", g)
 	}
 	turn(tr3, became(1, 2, 3))

@@ -180,43 +180,12 @@ func NewAggregator(docs DocumentSource, cfg AggregatorConfig) (*Aggregator, erro
 	return &Aggregator{cfg: cfg, docs: docs, weights: newPairTable(), lambda: 1}, nil
 }
 
-// MustAggregator is NewAggregator that panics on error; for tests and
-// benchmarks with known-good configurations. Production callers use
-// NewAggregator and handle the error — the panic here marks a bug in the
-// test, not a recoverable stream condition (see the package comment's
-// errors-versus-panics contract).
-func MustAggregator(docs DocumentSource, cfg AggregatorConfig) *Aggregator {
-	a, err := NewAggregator(docs, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Config returns the effective configuration (with defaults applied).
-func (g *Aggregator) Config() AggregatorConfig { return g.cfg }
-
 // Stats returns a snapshot of the work counters.
 func (g *Aggregator) Stats() AggregatorStats {
 	s := g.stats
 	s.TrackedPairs = g.weights.len()
 	return s
 }
-
-// Weight returns the aggregator's current stored weight for the pair {a, b}
-// (0 if untracked), in the units the engine's graph holds: the normalized
-// weight w' = w/λ (multiply by Scale for the real faded value). After every
-// batch the engine has applied, this equals the engine graph's edge weight
-// bit for bit: both sum the same deltas in the same order, and a fold
-// relabels both by the same power of two (TestAggregatorMirrorsEngineGraph).
-func (g *Aggregator) Weight(a, b graph.Vertex) float64 {
-	w, _ := g.weights.get(makePairKey(a, b))
-	return w
-}
-
-// Scale returns the cumulative decay scale λ: stored weights are w' = w/λ.
-// It is 1 before the first epoch tick and in [½, 1) right after a fold.
-func (g *Aggregator) Scale() float64 { return g.lambda }
 
 // NextBatch implements BatchSource: the queued deltas are handed out in their
 // natural coalescible groups — each epoch tick as one batch (Decay true,

@@ -15,6 +15,26 @@ import (
 	"dyndens/internal/vset"
 )
 
+// mustAggregator is NewAggregator for a configuration known to be good.
+func mustAggregator(docs DocumentSource, cfg AggregatorConfig) *Aggregator {
+	a, err := NewAggregator(docs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// pairWeight returns the aggregator's stored weight for the pair {a, b} (0 if
+// untracked), in the units the engine's graph holds: the normalized weight
+// w' = w/λ. After every batch the engine has applied, this equals the engine
+// graph's edge weight bit for bit: both sum the same deltas in the same
+// order, and a fold relabels both by the same power of two
+// (TestAggregatorMirrorsEngineGraph).
+func pairWeight(g *Aggregator, a, b graph.Vertex) float64 {
+	w, _ := g.weights.get(makePairKey(a, b))
+	return w
+}
+
 // docs builds a document from a timestamp and mentions.
 func doc(time int64, entities ...vset.Vertex) Document {
 	return Document{Time: time, Entities: vset.New(entities...)}
@@ -42,7 +62,7 @@ func drainAggregator(t *testing.T, agg *Aggregator) []recordedBatch {
 // TestAggregatorEmitsPairDeltas checks the basic co-occurrence expansion: a
 // document with k entities yields k(k-1)/2 positive updates in sorted order.
 func TestAggregatorEmitsPairDeltas(t *testing.T) {
-	agg := MustAggregator(NewSliceDocSource([]Document{doc(0, 3, 1, 2)}),
+	agg := mustAggregator(NewSliceDocSource([]Document{doc(0, 3, 1, 2)}),
 		AggregatorConfig{EpochLength: 10, DocWeight: 2})
 	got := flatten(drainAggregator(t, agg))
 	want := []Update{
@@ -72,7 +92,7 @@ func TestAggregatorFadesOnEpochTick(t *testing.T) {
 		doc(10, 3, 4), // epoch 1: λ = 0.5, {1,2} fades to 1
 		doc(35, 5),    // epoch 3: two elapsed epochs compound on {1,2} and {3,4}
 	})
-	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: -1})
+	agg := mustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: -1})
 	requireSameBatches(t, "fading", drainAggregator(t, agg), []recordedBatch{
 		{updates: []Update{{A: 1, B: 2, Delta: 1}}},
 		{updates: []Update{{A: 1, B: 2, Delta: 1}}},
@@ -85,7 +105,7 @@ func TestAggregatorFadesOnEpochTick(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	for _, p := range [][2]graph.Vertex{{2, 1}, {3, 4}} {
-		if w := agg.Weight(p[0], p[1]) * agg.Scale(); w != 0.25 {
+		if w := pairWeight(agg, p[0], p[1]) * agg.lambda; w != 0.25 {
 			t.Fatalf("real weight of %v = %v, want 0.25", p, w)
 		}
 	}
@@ -98,7 +118,7 @@ func TestAggregatorPrunesStalePairs(t *testing.T) {
 		doc(0, 1, 2),
 		doc(50, 3), // 5 epochs: 1·0.5⁵ = 0.03125 < 0.1 → retire
 	})
-	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.1})
+	agg := mustAggregator(src, AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.1})
 	sum := 0.0
 	for _, u := range flatten(drainAggregator(t, agg)) {
 		if u.A != 1 || u.B != 2 {
@@ -118,7 +138,7 @@ func TestAggregatorPrunesStalePairs(t *testing.T) {
 // TestAggregatorRejectsTimeRegression pins the monotone-time requirement.
 func TestAggregatorRejectsTimeRegression(t *testing.T) {
 	src := NewSliceDocSource([]Document{doc(10, 1, 2), doc(5, 3, 4)})
-	agg := MustAggregator(src, AggregatorConfig{EpochLength: 10})
+	agg := mustAggregator(src, AggregatorConfig{EpochLength: 10})
 	if _, err := recordBatches(agg); err == nil || !strings.Contains(err.Error(), "backwards") {
 		t.Fatalf("recordBatches = %v, want time-regression error", err)
 	}
@@ -158,7 +178,7 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 				Seed:               1,
 				BackgroundSkew:     1.1,
 			})
-			agg := MustAggregator(docs, tc.cfg)
+			agg := mustAggregator(docs, tc.cfg)
 			eng := core.MustNew(core.Config{T: 25, Nmax: 4})
 			r := NewReplay(agg, eng, nil)
 			batches, checked := 0, 0
@@ -174,7 +194,7 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 				}
 				var err error
 				g.Edges(func(u, v graph.Vertex, w float64) {
-					if got := agg.Weight(u, v); err == nil && math.Float64bits(got) != math.Float64bits(w) {
+					if got := pairWeight(agg, u, v); err == nil && math.Float64bits(got) != math.Float64bits(w) {
 						err = fmt.Errorf("batch %d: edge {%d,%d}: engine weight %v, aggregator %v", batches, u, v, w, got)
 					}
 				})
@@ -196,8 +216,8 @@ func TestAggregatorMirrorsEngineGraph(t *testing.T) {
 func TestAggregatorDeterministic(t *testing.T) {
 	cfg := DocSynthConfig{BackgroundEntities: 20, Stories: 1, StorySize: 3, Docs: 150, Seed: 3}
 	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.5}
-	a := drainAggregator(t, MustAggregator(MustDocSynthetic(cfg), aggCfg))
-	b := drainAggregator(t, MustAggregator(MustDocSynthetic(cfg), aggCfg))
+	a := drainAggregator(t, mustAggregator(MustDocSynthetic(cfg), aggCfg))
+	b := drainAggregator(t, mustAggregator(MustDocSynthetic(cfg), aggCfg))
 	if len(a) == 0 {
 		t.Fatal("empty stream")
 	}
@@ -236,7 +256,7 @@ func TestAggregatorNextBatchGroups(t *testing.T) {
 		{Time: 130, Entities: []vset.Vertex{1, 4}},   // another boundary
 	}
 	cfg := AggregatorConfig{EpochLength: 50, Decay: 0.5, PruneBelow: -1}
-	batches := drainAggregator(t, MustAggregator(NewSliceDocSource(docs), cfg))
+	batches := drainAggregator(t, mustAggregator(NewSliceDocSource(docs), cfg))
 
 	wantShape := []struct {
 		n     int

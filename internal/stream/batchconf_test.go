@@ -414,7 +414,7 @@ func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40} // grace in batch ticks ≈ docs
 
 	run := func(t *testing.T, k int) (*loggedTracker, ReplayStats, ShardReplayStats) {
-		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7})
+		agg := mustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7})
 		tracker := newLoggedTracker(trkCfg)
 		if k == 0 {
 			eng := core.MustNew(engCfg)

@@ -25,7 +25,7 @@ func tickBenchPair(i int32) pairKey { return makePairKey(i, i+1<<30) }
 
 func newTickBench() *tickBench {
 	// 0.97^120 ≈ 0.026: a pair mentioned once retires 120 epochs later.
-	agg := MustAggregator(NewSliceDocSource(nil), AggregatorConfig{EpochLength: 1, Decay: 0.97, PruneBelow: 0.026})
+	agg := mustAggregator(NewSliceDocSource(nil), AggregatorConfig{EpochLength: 1, Decay: 0.97, PruneBelow: 0.026})
 	return &tickBench{agg: agg}
 }
 

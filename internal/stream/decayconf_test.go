@@ -141,8 +141,8 @@ func TestDecayModeConformance(t *testing.T) {
 			ref := fade.Sweep(docs, fadeConfig(aggCfg))
 			sweepSeq := runDecayConfPipeline(t, &fadeSource{ref.Groups}, engCfg, false)
 			sweepBat := runDecayConfPipeline(t, &fadeSource{ref.Groups}, engCfg, true)
-			rescaleSeq := runDecayConfPipeline(t, MustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, false)
-			agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
+			rescaleSeq := runDecayConfPipeline(t, mustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, false)
+			agg := mustAggregator(NewSliceDocSource(docs), aggCfg)
 			rescaleBat := runDecayConfPipeline(t, agg, engCfg, true)
 
 			if agg.Stats().ThresholdUpdates == 0 {
@@ -186,7 +186,7 @@ func TestDecayModeConformance(t *testing.T) {
 
 			// Units: the rescaled engine's λ equals the aggregator's, and
 			// reported densities are real-unit.
-			lambda := agg.Scale()
+			lambda := agg.lambda
 			if got := rescaleBat.eng.DecayScale(); got != lambda {
 				t.Fatalf("engine λ %v != aggregator λ %v", got, lambda)
 			}
@@ -223,7 +223,7 @@ func TestScaleInvariance(t *testing.T) {
 	docs := conformanceDocs(t, 7)
 	u := sweepUniverse(fade.Sweep(docs, fadeConfig(AggregatorConfig{EpochLength: 25, Decay: 0.7})))
 	run := func(c float64, coalesce bool) *decayConfPipeline {
-		agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7, DocWeight: c, PruneBelow: 1e-3 * c})
+		agg := mustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7, DocWeight: c, PruneBelow: 1e-3 * c})
 		return runDecayConfPipeline(t, agg, core.Config{T: 6.5 * c, Nmax: 4}, coalesce)
 	}
 	for _, coalesce := range []bool{false, true} {
@@ -252,13 +252,13 @@ func TestDecayModeShardedConformance(t *testing.T) {
 	engCfg := core.Config{T: 6.5, Nmax: 4}
 	trkCfg := story.Config{MinCardinality: 3, Grace: 40}
 
-	ref := runDecayConfPipeline(t, MustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, true)
+	ref := runDecayConfPipeline(t, mustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, true)
 	if ref.tracker.Stats().Born == 0 {
 		t.Fatal("reference bore no stories; fixture too weak")
 	}
 	for _, k := range []int{1, 4} {
 		for _, ov := range []shard.Overlap{shard.OverlapScoped, shard.OverlapMirror} {
-			agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
+			agg := mustAggregator(NewSliceDocSource(docs), aggCfg)
 			se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov})
 			tracker := newLoggedTracker(trkCfg)
 			se.SetSeqSink(tracker)
@@ -400,7 +400,7 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			for _, g := range ref.Groups {
 				apply(exact, g.Updates, g.After, g.Epoch)
 			}
-			agg := MustAggregator(NewSliceDocSource(docs), cfg)
+			agg := mustAggregator(NewSliceDocSource(docs), cfg)
 			batches, err := recordBatches(agg)
 			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
@@ -421,7 +421,7 @@ func TestRescaleRetirementMatchesExactSweep(t *testing.T) {
 			// Real units for comparison: the rescaled mirror holds normalized
 			// weights.
 			for k, w := range rescale.weights {
-				rescale.weights[k] = w * agg.Scale()
+				rescale.weights[k] = w * agg.lambda
 			}
 			rescaleStats := agg.Stats()
 
@@ -489,7 +489,7 @@ func TestRescaleEpochIsO1AndAllocFree(t *testing.T) {
 	for i := 1; i <= epochs; i++ {
 		docs = append(docs, Document{Time: int64(10 * i), Entities: vset.New(0, 1)})
 	}
-	agg := MustAggregator(NewSliceDocSource(docs), AggregatorConfig{
+	agg := mustAggregator(NewSliceDocSource(docs), AggregatorConfig{
 		EpochLength: 10, Decay: 0.99, DocWeight: 1000, PruneBelow: 1e-3,
 	})
 	// Warmup: the clique doc (buffer growth) plus a few full epoch cycles
@@ -541,23 +541,23 @@ func TestRescaleRenormalization(t *testing.T) {
 		docs = append(docs, Document{Time: int64(10 * i), Entities: vset.New(0, 1, 2)})
 	}
 	aggCfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1}
-	agg := MustAggregator(NewSliceDocSource(docs), aggCfg)
+	agg := mustAggregator(NewSliceDocSource(docs), aggCfg)
 	eng := core.MustNew(core.Config{T: 2, Nmax: 4})
 	if _, err := NewReplay(agg, eng, nil).RunBatches(0, true); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()
 	if st.Renorms != 2 || st.DecayUpdates != 0 {
-		t.Fatalf("want 2 folds and no decay update: %+v (λ=%v)", st, agg.Scale())
+		t.Fatalf("want 2 folds and no decay update: %+v (λ=%v)", st, agg.lambda)
 	}
-	if agg.Scale() < 1e-150 || agg.Scale() >= 1 {
-		t.Fatalf("λ = %v left below the fold floor", agg.Scale())
+	if agg.lambda < 1e-150 || agg.lambda >= 1 {
+		t.Fatalf("λ = %v left below the fold floor", agg.lambda)
 	}
-	if got, want := eng.DecayScale(), agg.Scale(); got != want {
+	if got, want := eng.DecayScale(), agg.lambda; got != want {
 		t.Fatalf("engine λ %v != aggregator λ %v", got, want)
 	}
 	for _, pair := range [][2]core.Vertex{{0, 1}, {0, 2}, {1, 2}} {
-		want := agg.Weight(pair[0], pair[1])
+		want := pairWeight(agg, pair[0], pair[1])
 		if got := eng.Graph().Weight(pair[0], pair[1]); got != want || want == 0 {
 			t.Fatalf("edge %v: engine weight %v, aggregator %v", pair, got, want)
 		}

@@ -86,7 +86,7 @@ func requireRelabel(t *testing.T, label string, a, b *core.Engine, shift int) {
 // bit for bit: the folded state is the unfolded one relabelled. The folding
 // units carry nothing but retirements.
 func TestFoldIsARelabel(t *testing.T) {
-	agg := MustAggregator(NewSliceDocSource(foldDocs(t, 11000)), foldAggConfig)
+	agg := mustAggregator(NewSliceDocSource(foldDocs(t, 11000)), foldAggConfig)
 	cfg := core.Config{T: 2, Nmax: 4}
 	a, b := core.MustNew(cfg), core.MustNew(cfg)
 	var sinkA, sinkB core.CollectorSink
@@ -118,7 +118,7 @@ func TestFoldIsARelabel(t *testing.T) {
 			_, kB = density.Fold(sB)
 			if kA != 0 {
 				for _, u := range batch.Updates {
-					if u.Delta != -a.Graph().Weight(u.A, u.B) || agg.Weight(u.A, u.B) != 0 {
+					if u.Delta != -a.Graph().Weight(u.A, u.B) || pairWeight(agg, u.A, u.B) != 0 {
 						t.Fatalf("unit %d: the folding unit carries %+v, not a retirement", unit, u)
 					}
 				}
@@ -149,8 +149,8 @@ func TestFoldIsARelabel(t *testing.T) {
 	if st.DecayUpdates != st.Retired || st.Retired == 0 {
 		t.Fatalf("the aggregator emitted %d decay updates for %d retirements", st.DecayUpdates, st.Retired)
 	}
-	if a.DecayScale() != agg.Scale() {
-		t.Fatalf("engine at scale %v, aggregator at %v", a.DecayScale(), agg.Scale())
+	if a.DecayScale() != agg.lambda {
+		t.Fatalf("engine at scale %v, aggregator at %v", a.DecayScale(), agg.lambda)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
 	docs := foldDocs(t, 4000)
 	engCfg := core.Config{T: 2, Nmax: 4}
 	run := func(restore bool) ([]recordedBatch, [][]core.Event, *loggedTracker) {
-		agg := MustAggregator(NewSliceDocSource(docs), foldAggConfig)
+		agg := mustAggregator(NewSliceDocSource(docs), foldAggConfig)
 		eng := core.MustNew(engCfg)
 		var sink core.CollectorSink
 		eng.SetSink(&sink)
@@ -238,7 +238,7 @@ func TestRestoreAtFoldBoundaryIsInvisible(t *testing.T) {
 // pair, a pair queued twice, and a tracked pair not queued at all.
 func TestAggregatorStateRejectsTamperedHeap(t *testing.T) {
 	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
-	agg := MustAggregator(NewSliceDocSource(pipelineConfDocs(3, 300)), cfg)
+	agg := mustAggregator(NewSliceDocSource(pipelineConfDocs(3, 300)), cfg)
 	drainAggregator(t, agg)
 	good, err := agg.ExportState()
 	if err != nil {
@@ -297,11 +297,11 @@ func TestAggregatorStateRejectsTamperedHeap(t *testing.T) {
 func TestAggregatorResumesFromHeapLayout(t *testing.T) {
 	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.8, PruneBelow: 0.05}
 	docs := pipelineConfDocs(3, 600)
-	whole := MustAggregator(NewSliceDocSource(docs), cfg)
+	whole := mustAggregator(NewSliceDocSource(docs), cfg)
 	want := drainAggregator(t, whole)
 	wantStats := whole.Stats()
 	for _, cut := range []int{150, 300, 450} {
-		agg := MustAggregator(NewSliceDocSource(docs), cfg)
+		agg := mustAggregator(NewSliceDocSource(docs), cfg)
 		var got []recordedBatch
 		for agg.Stats().Docs < cut || !agg.Drained() {
 			b, err := agg.NextBatch()

@@ -170,10 +170,10 @@ type Pipeline struct {
 // DocFileSource, moving even the parse off the reader), cfg.Workers expansion
 // workers parse and enumerate pair keys concurrently, and a sequencer applies
 // the sequential aggregation core in document order and emits the batch
-// stream. The emitted stream is identical to MustAggregator(docs,
-// aggCfg).NextBatch()'s — the sequencer runs the same code over the same
-// inputs in the same order; only the expansion (a pure per-document
-// computation) runs concurrently. Kept only for bench/par.go, ROADMAP item 7.
+// stream. The emitted stream is identical to that of NewAggregator(docs,
+// aggCfg) — the sequencer runs the same code over the same inputs in the
+// same order; only the expansion (a pure per-document computation) runs
+// concurrently. Kept only for bench/par.go, ROADMAP item 7.
 func NewParallelAggregator(docs DocumentSource, aggCfg AggregatorConfig, cfg PipelineConfig) (*Pipeline, error) {
 	// The aggregator is fed pre-expanded documents by the sequencer and never
 	// pulls from a DocumentSource itself — the reader owns the source.

@@ -105,7 +105,7 @@ func pipelineConfDocs(seed int64, n int) []Document {
 // serialBatches records the reference stream of the serial aggregator.
 func serialBatches(t *testing.T, docs []Document, cfg AggregatorConfig) []recordedBatch {
 	t.Helper()
-	ref, err := recordBatches(MustAggregator(NewSliceDocSource(docs), cfg))
+	ref, err := recordBatches(mustAggregator(NewSliceDocSource(docs), cfg))
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("serial reference failed: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestParallelAggregatorMatchesSerial(t *testing.T) {
 	docs := pipelineConfDocs(11, 500)
 	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5, PruneBelow: 0.05}
 	ref := serialBatches(t, docs, cfg)
-	refAgg := MustAggregator(NewSliceDocSource(docs), cfg)
+	refAgg := mustAggregator(NewSliceDocSource(docs), cfg)
 	for {
 		if _, err := refAgg.NextBatch(); err != nil {
 			break
@@ -182,7 +182,7 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 	}
 	cfg := AggregatorConfig{EpochLength: 10, Decay: 1e-40, PruneBelow: -1}
 	ref := serialBatches(t, docs, cfg)
-	refAgg := MustAggregator(NewSliceDocSource(docs), cfg)
+	refAgg := mustAggregator(NewSliceDocSource(docs), cfg)
 	for {
 		if _, err := refAgg.NextBatch(); err != nil {
 			break
@@ -214,7 +214,7 @@ func TestPipelineReplayConformance(t *testing.T) {
 
 	refEng := core.MustNew(engCfg)
 	refTrk := newLoggedTracker(trkCfg)
-	refStats, err := NewReplay(MustAggregator(NewSliceDocSource(docs), aggCfg), refEng, refTrk).RunBatches(0, true)
+	refStats, err := NewReplay(mustAggregator(NewSliceDocSource(docs), aggCfg), refEng, refTrk).RunBatches(0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPipelineErrorConformance(t *testing.T) {
 	input := b.String()
 	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5}
 
-	ref, refErr := recordBatches(MustAggregator(NewDocReaderSource("bad-docs", strings.NewReader(input)), cfg))
+	ref, refErr := recordBatches(mustAggregator(NewDocReaderSource("bad-docs", strings.NewReader(input)), cfg))
 	if refErr == nil || errors.Is(refErr, io.EOF) {
 		t.Fatalf("serial reference error = %v, want parse failure", refErr)
 	}
@@ -297,7 +297,7 @@ func TestPipelineErrorConformance(t *testing.T) {
 
 	// Time regression: caught by the sequencer's ordered core, same position.
 	back := append(append([]Document(nil), good[:20]...), Document{Time: good[19].Time - 1, Entities: vset.New(1, 2)})
-	ref, refErr = recordBatches(MustAggregator(NewSliceDocSource(back), cfg))
+	ref, refErr = recordBatches(mustAggregator(NewSliceDocSource(back), cfg))
 	if refErr == nil || errors.Is(refErr, io.EOF) {
 		t.Fatalf("serial regression error = %v, want failure", refErr)
 	}
@@ -390,7 +390,7 @@ func FuzzParallelAggregatorMatchesSerial(f *testing.F) {
 			return
 		}
 		cfg := AggregatorConfig{EpochLength: 8, Decay: 0.5, PruneBelow: 0.05}
-		ref, refErr := recordBatches(MustAggregator(NewSliceDocSource(docs), cfg))
+		ref, refErr := recordBatches(mustAggregator(NewSliceDocSource(docs), cfg))
 		if !errors.Is(refErr, io.EOF) {
 			t.Fatalf("serial reference failed: %v", refErr)
 		}

@@ -19,9 +19,8 @@ import (
 // streaming system (per-batch, amortising the timer cost over many
 // sub-microsecond updates).
 type Replay struct {
-	src  BatchSource
-	eng  *core.Engine
-	sink core.EventSink
+	src BatchSource
+	eng *core.Engine
 
 	startEvents uint64
 	stats       ReplayStats
@@ -111,7 +110,7 @@ func (s ReplayStats) String() string {
 
 // NewReplay wires src → eng → sink, installing sink on the engine. A nil
 // sink keeps the sink already installed on the engine, if any, and otherwise
-// installs a CountingSink, which Replay.Sink hands back. CountingSink declares
+// installs a CountingSink. CountingSink declares
 // it does not retain Event.Set (core.SetRetainer), so the engine skips the
 // per-event set clone, keeping steady-state replay allocation-free.
 func NewReplay(src BatchSource, eng *core.Engine, sink core.EventSink) *Replay {
@@ -124,7 +123,6 @@ func NewReplay(src BatchSource, eng *core.Engine, sink core.EventSink) *Replay {
 	return &Replay{
 		src:         src,
 		eng:         eng,
-		sink:        sink,
 		startEvents: eng.Stats().Events,
 	}
 }
@@ -136,9 +134,6 @@ func NewReplay(src BatchSource, eng *core.Engine, sink core.EventSink) *Replay {
 // (return ErrStopped for a clean stop; the driver's statistics remain valid
 // either way).
 func (r *Replay) SetBoundaryHook(fn func() error) { r.hook = fn }
-
-// Sink returns the installed sink.
-func (r *Replay) Sink() core.EventSink { return r.sink }
 
 // Stats returns the statistics accumulated so far.
 func (r *Replay) Stats() ReplayStats {

@@ -259,7 +259,7 @@ func TestNewReplayNilSinkKeepsInstalledSink(t *testing.T) {
 	var mine core.CountingSink
 	eng.SetSink(&mine)
 	r := NewReplay(NewSliceSource([]Update{{A: 1, B: 2, Delta: 5}}, 0), eng, nil)
-	if r.Sink() != &mine {
+	if eng.Sink() != &mine {
 		t.Fatal("NewReplay(nil sink) replaced the engine's installed sink")
 	}
 	if _, err := r.RunBatches(8, false); err != nil {

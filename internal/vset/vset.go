@@ -180,19 +180,6 @@ func insertInto(s []Vertex, v Vertex) Set {
 	return s
 }
 
-// Remove returns s \ {v}. If v is not present the receiver is returned.
-func (s Set) Remove(v Vertex) Set {
-	i := Search(s, v)
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	out := make(Set, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	out = append(out, s[i+1:]...)
-	return out
-}
-
-// Union returns s ∪ t.
 func (s Set) Union(t Set) Set {
 	out := make(Set, 0, len(s)+len(t))
 	i, j := 0, 0

@@ -56,15 +56,15 @@ func TestAddRemove(t *testing.T) {
 	if !s.Equal(New(1, 3)) {
 		t.Fatalf("Add mutated receiver: %v", s)
 	}
-	s3 := s2.Remove(1)
+	s3 := s2.Diff(New(1))
 	if !s3.Equal(New(2, 3)) {
-		t.Fatalf("Remove(1) = %v", s3)
+		t.Fatalf("Diff({1}) = %v", s3)
 	}
 	if got := s2.Add(2); !got.Equal(s2) {
 		t.Fatalf("Add of existing element changed set: %v", got)
 	}
-	if got := s2.Remove(99); !got.Equal(s2) {
-		t.Fatalf("Remove of absent element changed set: %v", got)
+	if got := s2.Diff(New(99)); !got.Equal(s2) {
+		t.Fatalf("Diff of an absent element changed set: %v", got)
 	}
 }
 
@@ -187,7 +187,8 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 }
 
-// Property: Add then Remove round-trips for vertices not already present.
+// Property: Add then Diff of the added vertex round-trips for vertices not
+// already present.
 func TestAddRemoveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -201,8 +202,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 		if s.Contains(v) {
 			continue
 		}
-		if got := s.Add(v).Remove(v); !got.Equal(s) {
-			t.Fatalf("Add(%d).Remove(%d) = %v, want %v", v, v, got, s)
+		if got := s.Add(v).Diff(New(v)); !got.Equal(s) {
+			t.Fatalf("Add(%d).Diff({%d}) = %v, want %v", v, v, got, s)
 		}
 	}
 }

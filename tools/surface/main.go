@@ -1,37 +1,29 @@
 // Command surface is the CI check on the module's exported surface: it lists
-// every exported identifier of the module that no non-test file outside its
-// own package refers to, and fails unless each one has a reason in its table
-// (table.go) and each table entry still covers a listed name.
+// every exported name of the module that no non-test file outside its own
+// package uses, and fails unless each one has a reason in its table
+// (table.go) and each table entry still covers a listed name. Run it from the
+// module root:
 //
-// An identifier is a package-level const, var, type or func, an exported
-// method of a named non-interface type, or an exported, untagged, non-embedded
-// field of a named struct type, declared in a non-main package; a listed type
-// stands for its methods and fields. References are the go/types uses of the
-// module's non-test files, main packages included. Three kinds of use name
-// nothing, so the check counts them by rule:
-//   - a type whose values another package holds is used;
-//   - a method that implements a method of an interface the module can see
-//     (declared in a package it loads or spelled in its code) is reached
-//     through that interface;
-//   - a tagged field is read by reflection (encoding/json).
+//	go run ./tools/surface
+//
+// A name is a package-level const, var, type or func, an exported method of a
+// named non-interface type, or an exported, non-embedded field of a named
+// struct type, declared in a non-main package; a listed type stands for its
+// methods and fields. Uses are the go/types uses of the module's non-test
+// files, main packages included. Two kinds of use name nothing, so the check
+// counts them by rule:
+//   - a type whose values (or pointers to them) another package holds is used;
+//   - a method that implements a method of error, fmt.Stringer or an
+//     interface type the module's code spells is reached through it.
 //
 // Packages of the module are type-checked from source with go/parser and
 // go/types; everything else comes from the "source" importer. Nested modules
 // (a directory with its own go.mod, such as bench/) are not part of the
 // module: a name only they use is listed, and its table entry says so.
-//
-// Usage, from the module root:
-//
-//	go run ./tools/surface [-root DIR] [-v]
-//
-// -v prints every listed name with its reason. Exit codes: 0 pass, 1 a
-// listed name has no table entry or an entry covers no listed name, 2 usage,
-// load or type-check error.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -39,20 +31,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
 	"slices"
 	"strings"
 )
-
-// checkError marks a failed check (exit 1) as opposed to a module that could
-// not be loaded (exit 2).
-type checkError struct{ msg string }
-
-func (e checkError) Error() string { return e.msg }
 
 // pkg is one type-checked package of the module.
 type pkg struct {
@@ -68,25 +52,7 @@ type loader struct {
 	root   string // module root directory
 	module string // module path
 	std    types.Importer
-	pkgs   map[string]*pkg // by import path
-}
-
-func newLoader(root string) (*loader, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	var module string
-	for _, line := range strings.Split(string(mod), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = strings.Trim(f[1], `"`)
-		}
-	}
-	if module == "" {
-		return nil, fmt.Errorf("%s/go.mod names no module", root)
-	}
-	fset := token.NewFileSet()
-	return &loader{fset: fset, root: root, module: module, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}, nil
+	pkgs   map[string]*pkg // by module-relative directory
 }
 
 // Import implements types.Importer.
@@ -94,19 +60,18 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if path != l.module && !strings.HasPrefix(path, l.module+"/") {
 		return l.std.Import(path)
 	}
-	p, err := l.load(path)
+	p, err := l.load(strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/"))
 	if err != nil {
 		return nil, err
 	}
 	return p.types, nil
 }
 
-// load type-checks the non-test files of the module package at path.
-func (l *loader) load(path string) (*pkg, error) {
-	if p, ok := l.pkgs[path]; ok {
+// load type-checks the non-test files of the module package in directory rel.
+func (l *loader) load(rel string) (*pkg, error) {
+	if p, ok := l.pkgs[rel]; ok {
 		return p, nil
 	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
 	dir := filepath.Join(l.root, filepath.FromSlash(rel))
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
@@ -121,78 +86,77 @@ func (l *loader) load(path string) (*pkg, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-	tp, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
+	tp, err := (&types.Config{Importer: l}).Check(strings.TrimSuffix(l.module+"/"+rel, "/"), l.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	p := &pkg{rel: rel, types: tp, info: info}
-	l.pkgs[path] = p
+	l.pkgs[rel] = p
 	return p, nil
 }
 
-// packageDirs returns the module-relative directories that hold non-test Go
-// files, skipping testdata, hidden and underscore directories and nested
-// modules.
-func packageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+// loadModule type-checks every package of the module rooted at root, skipping
+// testdata, hidden and underscore directories and nested modules.
+func loadModule(root string) ([]*pkg, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{fset: token.NewFileSet(), root: root, pkgs: map[string]*pkg{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	for _, line := range strings.Split(string(mod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			l.module = strings.Trim(f[1], `"`)
+		}
+	}
+	if l.module == "" {
+		return nil, fmt.Errorf("%s/go.mod names no module", root)
+	}
+	var pkgs []*pkg
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		name := d.Name()
 		if p != root {
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 		}
-		entries, err := os.ReadDir(p)
+		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-				rel, err := filepath.Rel(root, p)
-				if err != nil {
-					return err
-				}
-				dirs = append(dirs, filepath.ToSlash(rel))
-				break
-			}
+		pk, err := l.load(strings.TrimPrefix(filepath.ToSlash(rel), "."))
+		var nogo *build.NoGoError
+		if errors.As(err, &nogo) {
+			return nil // no non-test Go files, or all excluded by build constraints
 		}
-		return nil
+		if err == nil {
+			pkgs = append(pkgs, pk)
+		}
+		return err
 	})
-	return dirs, err
+	return pkgs, err
 }
 
 // unreferenced loads the module at root and returns, sorted, the names of
 // its exported identifiers that no non-test file outside their own package
-// refers to, as "rel.Name", "rel.Type.Method" or "rel.Type.Field".
+// uses, as "rel.Name", "rel.Type.Method" or "rel.Type.Field".
 func unreferenced(root string) ([]string, error) {
-	l, err := newLoader(root)
+	pkgs, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := packageDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*pkg
-	for _, rel := range dirs {
-		p, err := l.load(path.Join(l.module, rel))
-		if err != nil {
-			var nogo *build.NoGoError
-			if errors.As(err, &nogo) {
-				continue // every file excluded by a build constraint
-			}
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-
 	used := map[types.Object]bool{}
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
 	for _, p := range pkgs {
 		for _, obj := range p.info.Uses {
 			switch o := obj.(type) {
@@ -206,12 +170,24 @@ func unreferenced(root string) ([]string, error) {
 			}
 		}
 		for _, tv := range p.info.Types {
-			if tn := namedIn(tv.Type); tn != nil && tn.Pkg() != p.types {
-				used[tn] = true
+			if tv.Type == nil {
+				continue
+			}
+			addIface(tv.Type)
+			t := tv.Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != p.types {
+				used[named.Origin().Obj()] = true
+			}
+		}
+		for _, imp := range p.types.Imports() {
+			if imp.Path() == "fmt" {
+				addIface(imp.Scope().Lookup("Stringer").Type())
 			}
 		}
 	}
-	ifaces := interfaces(pkgs)
 
 	var names []string
 	note := func(obj types.Object, name string) (listed bool) {
@@ -249,7 +225,7 @@ func unreferenced(root string) ([]string, error) {
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
 				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
 						note(f, name+"."+f.Name())
 					}
 				}
@@ -258,69 +234,6 @@ func unreferenced(root string) ([]string, error) {
 	}
 	slices.Sort(names)
 	return names, nil
-}
-
-// namedIn returns the declared type a value of type t holds, through
-// pointers and container element types, or nil.
-func namedIn(t types.Type) *types.TypeName {
-	for t != nil {
-		switch u := t.(type) {
-		case *types.Named:
-			return u.Origin().Obj()
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Slice:
-			t = u.Elem()
-		case *types.Array:
-			t = u.Elem()
-		case *types.Map:
-			t = u.Elem()
-		case *types.Chan:
-			t = u.Elem()
-		default:
-			return nil
-		}
-	}
-	return nil
-}
-
-// interfaces returns the non-empty interface types the module can see: the
-// named ones of every package it loads, imports included, the ones spelled
-// in its code, and error.
-func interfaces(pkgs []*pkg) []*types.Interface {
-	var out []*types.Interface
-	add := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			out = append(out, it)
-		}
-	}
-	add(types.Universe.Lookup("error").Type())
-	seen := map[*types.Package]bool{}
-	var visit func(*types.Package)
-	visit = func(tp *types.Package) {
-		if seen[tp] {
-			return
-		}
-		seen[tp] = true
-		scope := tp.Scope()
-		for _, n := range scope.Names() {
-			if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
-				add(tn.Type())
-			}
-		}
-		for _, imp := range tp.Imports() {
-			visit(imp)
-		}
-	}
-	for _, p := range pkgs {
-		visit(p.types)
-		for _, tv := range p.info.Types {
-			if tv.Type != nil {
-				add(tv.Type)
-			}
-		}
-	}
-	return out
 }
 
 // implementsSome reports whether T or *T implements an interface among
@@ -337,41 +250,32 @@ func implementsSome(named *types.Named, name string, ifaces []*types.Interface) 
 	return false
 }
 
-// reasonFor returns the table's reason for a listed name and the entry that
-// gives it: the name's own entry, or the "X.*" entry of the nearest enclosing
-// X (X itself included).
-func reasonFor(name string, table map[string]string) (reason, key string, ok bool) {
-	if reason, ok := table[name]; ok {
-		return reason, name, true
+// covering returns the table entry that covers a listed name: the name's own
+// entry, or the "X.*" entry of the nearest enclosing X (X itself included).
+func covering(name string, table map[string]string) (key string, ok bool) {
+	if _, ok := table[name]; ok {
+		return name, true
 	}
-	for x := name; x != ""; {
-		if reason, ok := table[x+".*"]; ok {
-			return reason, x + ".*", true
+	for x := name; ; x = x[:strings.LastIndexByte(x, '.')] {
+		if _, ok := table[x+".*"]; ok {
+			return x + ".*", true
 		}
-		i := strings.LastIndexByte(x, '.')
-		if i < 0 {
-			break
+		if !strings.Contains(x, ".") {
+			return "", false
 		}
-		x = x[:i]
 	}
-	return "", "", false
 }
 
 // check compares the listed names with the table: every listed name needs a
-// reason, and every table entry must still cover a listed name. With verbose
-// set it prints each listed name and its reason to w.
-func check(listed []string, table map[string]string, w io.Writer, verbose bool) error {
+// reason, and every table entry must still cover a listed name.
+func check(listed []string, table map[string]string) error {
 	var missing, stale []string
 	covers := map[string]bool{}
 	for _, n := range listed {
-		reason, key, ok := reasonFor(n, table)
-		if !ok {
+		if key, ok := covering(n, table); ok {
+			covers[key] = true
+		} else {
 			missing = append(missing, n)
-			continue
-		}
-		covers[key] = true
-		if verbose {
-			fmt.Fprintf(w, "%-52s %s\n", n, reason)
 		}
 	}
 	for key := range table {
@@ -380,34 +284,27 @@ func check(listed []string, table map[string]string, w io.Writer, verbose bool) 
 		}
 	}
 	slices.Sort(stale)
-	fmt.Fprintf(w, "surface: %d exported names without a non-test caller outside their package, %d table entries\n", len(listed), len(table))
 	var msg []string
 	if len(missing) > 0 {
 		msg = append(msg, fmt.Sprintf("%d without a reason in tools/surface/table.go (add a caller, delete the name, or give the reason it stays):\n\t%s", len(missing), strings.Join(missing, "\n\t")))
 	}
 	if len(stale) > 0 {
-		msg = append(msg, fmt.Sprintf("%d table entries cover no listed name (a product caller appeared or the name is gone; drop the entry):\n\t%s", len(stale), strings.Join(stale, "\n\t")))
+		msg = append(msg, fmt.Sprintf("%d table entries cover no listed name (a caller appeared or the name is gone; drop the entry):\n\t%s", len(stale), strings.Join(stale, "\n\t")))
 	}
 	if len(msg) > 0 {
-		return checkError{strings.Join(msg, "\n")}
+		return errors.New(strings.Join(msg, "\n"))
 	}
 	return nil
 }
 
 func main() {
-	root := flag.String("root", ".", "module root directory")
-	verbose := flag.Bool("v", false, "print every listed name with its reason")
-	flag.Parse()
-	listed, err := unreferenced(*root)
+	listed, err := unreferenced(".")
 	if err == nil {
-		err = check(listed, table, os.Stdout, *verbose)
+		err = check(listed, table)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "surface:", err)
-		var ce checkError
-		if errors.As(err, &ce) {
-			os.Exit(1)
-		}
-		os.Exit(2)
+		os.Exit(1)
 	}
+	fmt.Printf("surface: %d exported names without a non-test caller outside their package, %d table entries\n", len(listed), len(table))
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -29,9 +27,9 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 // TestUnreferenced runs the scan on a small module: a name counts as used
 // only through a non-test file of another package of the module, a main
-// package included; a method an interface reaches, a tagged field and a type
-// whose values another package holds count as used; test files, main
-// packages' own names and a nested module count for nothing.
+// package included; a method an interface reaches and a type whose values
+// another package holds count as used; test files, main packages' own names
+// and a nested module count for nothing.
 func TestUnreferenced(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module example.com/m\n\ngo 1.24\n",
@@ -42,7 +40,6 @@ import "fmt"
 type T struct {
 	Used   int
 	Unused int
-	Tagged int ` + "`json:\"tagged\"`" + `
 }
 
 func (T) String() string  { return fmt.Sprint("t") }
@@ -107,24 +104,16 @@ var _ = a.T{}.Unused
 // listed name fails, and an "X.*" entry covers X and everything under it.
 func TestCheck(t *testing.T) {
 	listed := []string{"p.A", "p.T", "p.U.F", "p.U.M", "q.Z"}
-	isCheckFail := func(err error) bool {
-		var ce checkError
-		return errors.As(err, &ce)
-	}
 	pass := map[string]string{"p.A": "a", "p.T.*": "t", "p.U.*": "u", "q.*": "q"}
-	if err := check(listed, pass, io.Discard, false); err != nil {
+	if err := check(listed, pass); err != nil {
 		t.Fatalf("complete table: %v", err)
 	}
 	missing := map[string]string{"p.A": "a", "p.T.*": "t", "p.U.F": "f", "q.*": "q"}
-	if err := check(listed, missing, io.Discard, false); !isCheckFail(err) || !strings.Contains(err.Error(), "p.U.M") {
+	if err := check(listed, missing); err == nil || !strings.Contains(err.Error(), "p.U.M") {
 		t.Fatalf("missing p.U.M: err = %v", err)
 	}
 	stale := map[string]string{"p.A": "a", "p.T.*": "t", "p.U.*": "u", "q.*": "q", "p.Gone": "gone"}
-	if err := check(listed, stale, io.Discard, false); !isCheckFail(err) || !strings.Contains(err.Error(), "p.Gone") {
+	if err := check(listed, stale); err == nil || !strings.Contains(err.Error(), "p.Gone") {
 		t.Fatalf("stale p.Gone: err = %v", err)
-	}
-	var out strings.Builder
-	if err := check(listed, pass, &out, true); err != nil || !strings.Contains(out.String(), "p.U.M") {
-		t.Fatalf("verbose output %q, err %v", out.String(), err)
 	}
 }
