@@ -435,8 +435,8 @@ func TestStarScanSteadyStateZeroAlloc(t *testing.T) {
 	if after.Insertions != before.Insertions || after.Evictions != before.Evictions || after.Events != before.Events {
 		t.Fatalf("the cycle is not steady: %+v → %+v", before, after)
 	}
-	if after.StarInsertions == before.StarInsertions || after.IndexedStars != 1 {
-		t.Fatalf("the cycle created %d families and ends with %d, want some and 1", after.StarInsertions-before.StarInsertions, after.IndexedStars)
+	if after.StarInsertions() == before.StarInsertions() || after.IndexedStars != 1 {
+		t.Fatalf("the cycle created %d families and ends with %d, want some and 1", after.StarInsertions()-before.StarInsertions(), after.IndexedStars)
 	}
 	if msg := eng.ValidateIndex(); msg != "" {
 		t.Fatal(msg)

@@ -57,34 +57,16 @@ type stagedEvent struct {
 // empty batch is a no-op tick: it emits nothing but still advances a
 // boundary-aware sink's update sequence. Duplicate pairs within the batch
 // coalesce to their net applied delta. The threshold schedule does not move.
-func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, 0, nil, false) }
-
-// ProcessUnitRouted is ProcessBatch (scale 0) or ProcessThresholdBatch (any
-// other scale) for engines embedded as workers of a partitioned deployment:
-// seed reports whether this engine is the designated discovery seeder for a
-// pair (see ProcessRouted; nil seeds every pair). With scoped set the weight
-// phase still applies every delta (keeping the graph replica exact), but the
-// discovery phase skips any positive pair this engine neither seeds nor can
-// act on — neither endpoint indexed and no ImplicitTooDense family the pair
-// could extend (StarNeedsPositive) — because such a pair's pass is provably
-// empty (see ApplyOnly for the argument; the interest check runs against the
-// live index per pair, so admissions made for earlier pairs in the same batch
-// are honoured). Negative pairs are already index-scoped by batchRepair, and
-// scoping keeps a rebuild's admissions within the worker's interest.
-func (e *Engine) ProcessUnitRouted(scale float64, updates []Update, seed func(a, b Vertex) bool, scoped bool) {
-	e.runUnit(updates, scale, seed, scoped)
-}
+func (e *Engine) ProcessBatch(updates []Update) { e.runUnit(updates, 0) }
 
 // runUnit is the bracket every batch unit runs: a plain batch (scale 0) or a
-// threshold unit carrying its cumulative decay scale λ. seed and scoped are a
-// partitioned deployment's routing (ProcessUnitRouted); nil and false process
-// every pair. A fold comes first; then the deltas land under the OLD threshold
+// threshold unit carrying its cumulative decay scale λ. A fold comes first; then the deltas land under the OLD threshold
 // (a retiring pair's weight change is netted before the schedule moves), the
 // threshold walk repairs the index, and the emit scale switches to the new λ
 // only after all staged events are known. A rebuild (a lowered threshold)
 // replaces repair, walk and discovery. The net events reach the sink at the
 // end, followed by one EndUpdate.
-func (e *Engine) runUnit(updates []Update, scale float64, seed func(a, b Vertex) bool, scoped bool) {
+func (e *Engine) runUnit(updates []Update, scale float64) {
 	e.stats.Updates += uint64(len(updates))
 	e.stats.Batches++
 	if scale != 0 {
@@ -96,7 +78,7 @@ func (e *Engine) runUnit(updates []Update, scale float64, seed func(a, b Vertex)
 		return
 	}
 	e.cloneSets = SinkRetainsSets(e.sink)
-	e.batching, e.batchSeed, e.batchScoped = true, seed, scoped
+	e.batching = true
 	e.ix.BeginUpdate()
 	m := e.emitScale
 	if scale != 0 {
@@ -128,7 +110,7 @@ func (e *Engine) runUnit(updates []Update, scale float64, seed func(a, b Vertex)
 	if repair {
 		e.batchDiscover()
 	}
-	e.batching, e.batchSeed, e.batchScoped = false, nil, false
+	e.batching = false
 	e.emitScale = m
 	e.noteIndexSize()
 	e.flushBatchEvents()
@@ -229,8 +211,7 @@ func (e *Engine) batchDeltaOf(c vset.Set) float64 {
 // families whose base is no longer too-dense are dropped, and subgraphs that
 // are no longer dense are evicted. Because eviction tests the FINAL score, a
 // subgraph evicted here can never be re-admitted by batchDiscover — which is
-// what keeps the per-batch event stream free of became/ceased flapping and
-// the sharded merger's per-unit kinds consistent across workers.
+// what keeps the per-batch event stream free of became/ceased flapping.
 func (e *Engine) batchRepair() {
 	// Snapshot the affected dense nodes. A subgraph's score changes only if
 	// it holds both endpoints of a changed pair, and its certificate breaks
@@ -329,25 +310,17 @@ func (e *Engine) batchDiscover() {
 			continue // negative pairs are fully handled by batchRepair
 		}
 		a, b := unpackPair(p.key)
-		seed := e.batchSeed == nil || e.batchSeed(a, b)
-		if e.batchScoped && !seed && !e.ix.HasVertex(a) && !e.ix.HasVertex(b) && !e.StarNeedsPositive(a, b, 0) {
-			e.stats.BatchPairSkips++
-			continue
-		}
-		e.stats.BatchPairs++
+		e.stats.batchPairs++
 		e.a, e.b, e.delta = a, b, delta
-		e.seedPairs = seed
 		e.maxIter = e.th.Iterations(delta)
 
 		split := e.snapshotPositive()
 
-		if e.seedPairs {
-			e.pairBuf[0], e.pairBuf[1] = a, b // a < b by canonical pair order
-			pair := vset.Set(e.pairBuf[:])
-			if e.ix.LookupDense(pair) == nil {
-				if w := e.g.Weight(a, b); e.th.IsDense(w, 2) {
-					e.admit(pair, w, 1)
-				}
+		e.pairBuf[0], e.pairBuf[1] = a, b // a < b by canonical pair order
+		pair := vset.Set(e.pairBuf[:])
+		if e.ix.LookupDense(pair) == nil {
+			if w := e.g.Weight(a, b); e.th.IsDense(w, 2) {
+				e.admit(pair, w, 1)
 			}
 		}
 

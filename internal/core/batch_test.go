@@ -1,8 +1,8 @@
 // Unit tests for Engine.ProcessBatch: batch-boundary bookkeeping, per-pair
 // coalescing (duplicates, clamping, exact cancellation), event netting, and
 // randomized final-state equivalence against the sequential engine and the
-// brute-force oracle. The full pipeline-level conformance suite (sharded
-// paths, story records) lives in internal/stream.
+// brute-force oracle. The full pipeline-level conformance suite (story
+// records) lives in internal/stream.
 package core_test
 
 import (
@@ -175,7 +175,7 @@ func TestProcessBatchCoalescingMatchesSequential(t *testing.T) {
 	checkExpandedAgainstOracle(t, "after the batch", brute.UniverseOf(append(warm, batch...)), bat, seq)
 	// Two pairs end with a positive net delta ({8,9} and {3,4}); the zero-net
 	// pair and the three negative ones must not run a discovery pass.
-	if got := bat.Stats().BatchPairs - before.BatchPairs; got != 2 {
+	if got := bat.Stats().BatchPairs() - before.BatchPairs(); got != 2 {
 		t.Fatalf("discovery ran for %d pairs, want 2", got)
 	}
 }

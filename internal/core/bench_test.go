@@ -336,7 +336,7 @@ func BenchmarkProcessBatchDoc(b *testing.B) {
 	if after.Insertions != before.Insertions || after.Evictions != before.Evictions {
 		b.Fatalf("the ops are not steady: %+v → %+v", before, after)
 	}
-	b.ReportMetric(float64(after.BatchPairs-before.BatchPairs)/float64(b.N), "pairs/op")
+	b.ReportMetric(float64(after.BatchPairs()-before.BatchPairs())/float64(b.N), "pairs/op")
 }
 
 // BenchmarkThresholdTick measures the decay epoch of the rescaled pipeline

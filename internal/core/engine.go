@@ -104,8 +104,8 @@ type Event struct {
 
 // CompareEvents is the canonical order of one tick's events: became before
 // ceased, then by subgraph identity (vset.CompareKeys). A batch flush emits in
-// it, and consumers that regroup events — the shard merger, the story tracker —
-// sort by it, so their output is a function of the tick's event set alone.
+// it, and the story tracker, which regroups events, sorts by it, so its
+// output is a function of the tick's event set alone.
 func CompareEvents(a, b Event) int {
 	if a.Kind != b.Kind {
 		return cmp.Compare(a.Kind, b.Kind)
@@ -123,11 +123,8 @@ type Subgraph struct {
 // counters are monotonically increasing except the index gauges.
 type Stats struct {
 	Updates          uint64 // updates processed (batched updates count individually)
-	AppliedOnly      uint64 // updates applied to the graph without processing (ApplyOnly)
 	Batches          uint64 // batch units, plain and threshold (one logical tick each)
 	ThresholdTicks   uint64 // threshold units (rescaled decay epochs), a subset of Batches
-	BatchPairs       uint64 // coalesced positive pairs that ran the discovery pass
-	BatchPairSkips   uint64 // coalesced positive pairs skipped by scoped delivery
 	PositiveUpdates  uint64
 	NegativeUpdates  uint64
 	Explorations     uint64 // explore() invocations that scanned a neighbourhood
@@ -136,45 +133,20 @@ type Stats struct {
 	CheapIndexed     uint64 // those that ended because the union was already indexed
 	Insertions       uint64 // dense subgraphs inserted into the index
 	Evictions        uint64 // dense subgraphs evicted from the index
-	StarInsertions   uint64 // ImplicitTooDense families created
 	// MaxExploreSkips is always 0: the engine implements no MaxExplore caps
 	// (see Config.EnableMaxExplore). It stays only because the benchmark
 	// harness reads it (ROADMAP item 6).
 	MaxExploreSkips uint64
 	Events          uint64 // output events emitted
 
+	// Read by the tests only.
+	batchPairs     uint64 // coalesced positive pairs that ran the discovery pass
+	starInsertions uint64 // ImplicitTooDense families created
+
 	IndexedDense  int // current number of explicitly indexed dense subgraphs
 	IndexedStars  int // current number of ImplicitTooDense families
 	IndexNodes    int // current prefix-tree node count
 	MaxIndexNodes int // high-water mark of IndexNodes
-}
-
-// Add accumulates o into s. It is the aggregation primitive used by sharded
-// deployments, where each worker owns an Engine and the deployment-wide view
-// is the sum of the per-engine counters and gauges. MaxIndexNodes sums too:
-// across engines the meaningful high-water mark is total memory, not the
-// maximum of any one index.
-func (s *Stats) Add(o Stats) {
-	s.Updates += o.Updates
-	s.AppliedOnly += o.AppliedOnly
-	s.Batches += o.Batches
-	s.ThresholdTicks += o.ThresholdTicks
-	s.BatchPairs += o.BatchPairs
-	s.BatchPairSkips += o.BatchPairSkips
-	s.PositiveUpdates += o.PositiveUpdates
-	s.NegativeUpdates += o.NegativeUpdates
-	s.Explorations += o.Explorations
-	s.ExploreCertified += o.ExploreCertified
-	s.CheapExplores += o.CheapExplores
-	s.CheapIndexed += o.CheapIndexed
-	s.Insertions += o.Insertions
-	s.Evictions += o.Evictions
-	s.StarInsertions += o.StarInsertions
-	s.Events += o.Events
-	s.IndexedDense += o.IndexedDense
-	s.IndexedStars += o.IndexedStars
-	s.IndexNodes += o.IndexNodes
-	s.MaxIndexNodes += o.MaxIndexNodes
 }
 
 // Engine is a DynDens instance. It is not safe for concurrent use; the update
@@ -211,10 +183,9 @@ type Engine struct {
 	boundary UpdateBoundarySink
 
 	// Per-update scratch state (valid during Process only).
-	a, b      Vertex
-	delta     float64
-	seedPairs bool
-	maxIter   int
+	a, b    Vertex
+	delta   float64
+	maxIter int
 
 	// Reusable buffers. A steady-state unit — one that admits nothing and
 	// whose vertices come back at no higher degree than they left with —
@@ -236,20 +207,17 @@ type Engine struct {
 	starsOut    int           // positive pass: the families it counts as failed attempts instead
 	setFree     [][]Vertex
 	nbufFree    []*graph.NeighborhoodBuf
-	pairBuf     [2]Vertex     // seed-pair scratch
-	scopeBuf    []*index.Node // StarNeedsPositive's star snapshot (outside updates)
+	pairBuf     [2]Vertex // seed-pair scratch
 
 	// Per-unit scratch state (valid during a batch unit only; see batch.go).
 	// All containers are engine-owned and reused across batches, so a
 	// steady-state batch — like a steady-state Process — allocates nothing.
 	batching    bool
-	batchScoped bool                   // scoped delivery: skip provably inert pairs
-	batchNet    []pairDelta            // net applied delta per changed pair, sorted by key (phase order)
-	batchDirty  []Vertex               // sorted distinct endpoints of changed pairs
-	batchRaised []Vertex               // those of the pairs whose net delta is positive
-	dirtyInC    []Vertex               // batchDeltaOf's dirty∩C scratch
-	batchSeed   func(a, b Vertex) bool // nil = seed every pair
-	staged      []stagedEvent          // output-dense transitions of the batch, in discovery order
+	batchNet    []pairDelta   // net applied delta per changed pair, sorted by key (phase order)
+	batchDirty  []Vertex      // sorted distinct endpoints of changed pairs
+	batchRaised []Vertex      // those of the pairs whose net delta is positive
+	dirtyInC    []Vertex      // batchDeltaOf's dirty∩C scratch
+	staged      []stagedEvent // output-dense transitions of the batch, in discovery order
 	// wholeIndexRepair makes batchRepair walk the whole index for a batch
 	// whose pairs all fell, where it would walk the subgraphs holding both
 	// endpoints of each pair. Only tests set it, to hold the two routes to
@@ -397,8 +365,7 @@ func (e *Engine) Sink() EventSink {
 
 // endUpdate tells a boundary-aware sink that the current unit is complete.
 // The no-op return paths call it too, so that every Process call —
-// event-producing or not — advances the sink's update sequence, keeping it
-// aligned with a sharded merger's sequence numbers.
+// event-producing or not — advances the sink's update sequence.
 func (e *Engine) endUpdate() {
 	if e.boundary != nil {
 		e.boundary.EndUpdate()
@@ -408,24 +375,12 @@ func (e *Engine) endUpdate() {
 // Process applies one edge-weight update and pushes the resulting changes to
 // the output-dense subgraph set to the sink. Updates with A == B or Delta == 0
 // are no-ops.
-func (e *Engine) Process(u Update) { e.ProcessRouted(u, true) }
-
-// ProcessRouted is Process for engines embedded as workers of a partitioned
-// deployment (internal/shard). seedPairs tells the engine whether it is the
-// designated seeder for this update: only the seeder may admit the base pair
-// {a, b} as a new dense subgraph, which is the root of every discovery chain
-// (exploration and cheap-exploration only ever grow already-indexed
-// subgraphs). A worker that receives every update but seeds only the pairs it
-// owns therefore applies every weight change — keeping its graph exact — while
-// the index/exploration work of discovery partitions across workers by pair
-// ownership. ProcessRouted(u, true) is exactly Process(u).
-func (e *Engine) ProcessRouted(u Update, seedPairs bool) {
+func (e *Engine) Process(u Update) {
 	e.stats.Updates++
 	if u.A == u.B || u.Delta == 0 {
 		e.endUpdate()
 		return
 	}
-	e.seedPairs = seedPairs
 	before, after := e.g.Apply(u)
 	applied := after - before // Delta clamped if the weight would go negative
 	if applied == 0 {
@@ -444,80 +399,6 @@ func (e *Engine) ProcessRouted(u Update, seedPairs bool) {
 	}
 	e.noteIndexSize()
 	e.endUpdate()
-}
-
-// ApplyOnly applies an update's weight change to the graph replica without
-// running any discovery or index maintenance: the scoped-delivery counterpart
-// of ProcessRouted for updates the engine provably cannot act on. When the
-// engine does not seed the update, neither endpoint has a prefix-tree node
-// (Index.HasVertex) and — for positive deltas — no ImplicitTooDense family
-// reacts (StarNeedsPositive), ProcessRouted(u, false) is exactly a graph
-// Apply that emits nothing, since every discovery starts from a node reached
-// through the endpoints' inverted lists or the star list. A negative delta
-// needs one absent endpoint only: it affects the subgraphs holding both. The
-// update counts as AppliedOnly instead of Updates, and the index epoch does
-// not advance (its annotations are per-update scratch).
-func (e *Engine) ApplyOnly(u Update) {
-	e.stats.AppliedOnly++
-	if u.A != u.B && u.Delta != 0 {
-		e.g.Apply(u)
-	}
-	e.endUpdate()
-}
-
-// SetMembershipListener forwards fn to the engine's index (see
-// index.SetMembershipListener): fn observes every label-presence transition —
-// vertex v gaining its first or losing its last prefix-tree node, with
-// index.Star reported like any other label. Sharded workers install their
-// interest maps here before processing begins.
-func (e *Engine) SetMembershipListener(fn func(v Vertex, present bool)) {
-	e.ix.SetMembershipListener(fn)
-}
-
-// StarNeedsPositive reports whether some ImplicitTooDense family on this
-// engine must see the positive update {a, b} although neither endpoint is on
-// an indexed path. processStar acts on such an update only by admitting the
-// union: a base C with a, b ∉ C acts iff a or b has no edge into C and the
-// union C∪{a, b} fits Nmax, is not indexed, and is dense after the update.
-// The check replays that condition on this engine's replica; pendingDelta is
-// the update's weight change not yet applied (the raw delta before the graph
-// apply, 0 after it, as in batch discovery) — exact either way, as positive
-// deltas never clamp and the edge {a, b} never connects an endpoint to a base
-// excluding both. Bases holding an endpoint need no decision: endpoint
-// interest delivers those updates. A union indexed at decision time stays
-// indexed, and one admitted mid-update only makes the decision over-deliver.
-// It shares the engine's scratch, so it must be called between updates.
-func (e *Engine) StarNeedsPositive(a, b Vertex, pendingDelta float64) bool {
-	e.scopeBuf = e.ix.AppendStarNodes(e.scopeBuf[:0])
-	if len(e.scopeBuf) == 0 {
-		return false
-	}
-	needs := false
-	ends := e.starEndsOf(a, b, pendingDelta)
-	baseBuf := e.getSetBuf()
-	unionBuf := e.getSetBuf()
-	for _, star := range e.scopeBuf {
-		if star.Card()+1 > e.th.Nmax {
-			continue
-		}
-		base := star.SetInto(baseBuf)
-		baseBuf = base
-		if base.Contains(a) || base.Contains(b) {
-			continue
-		}
-		if most, due := ends.unionAtMost(star.Score(), base); !due || !e.th.IsDense(most, base.Len()+2) {
-			continue
-		}
-		union := vset.Add2Into(unionBuf, base, a, b)
-		unionBuf = union
-		if !e.ix.HasDense(union) && e.th.IsDense(e.g.Score(union)+pendingDelta, union.Len()) {
-			needs = true
-			break
-		}
-	}
-	e.putSetBuf(unionBuf)
-	e.putSetBuf(baseBuf)
-	return needs
 }
 
 // noteIndexSize raises the index high-water mark to the current node count.
@@ -629,18 +510,14 @@ func (e *Engine) processPositive(w float64) {
 
 	split := e.snapshotPositive()
 
-	// Base case: the edge {a, b} itself may have become dense. In a routed
-	// deployment only the designated seeder runs this step, so each pair —
-	// and every discovery chain rooted at it — has exactly one owner.
-	if e.seedPairs {
-		e.pairBuf[0], e.pairBuf[1] = a, b
-		if a > b {
-			e.pairBuf[0], e.pairBuf[1] = b, a
-		}
-		pair := vset.Set(e.pairBuf[:])
-		if e.ix.LookupDense(pair) == nil && e.th.IsDense(w, 2) {
-			e.admit(pair, w, 1)
-		}
+	// Base case: the edge {a, b} itself may have become dense.
+	e.pairBuf[0], e.pairBuf[1] = a, b
+	if a > b {
+		e.pairBuf[0], e.pairBuf[1] = b, a
+	}
+	pair := vset.Set(e.pairBuf[:])
+	if e.ix.LookupDense(pair) == nil && e.th.IsDense(w, 2) {
+		e.admit(pair, w, 1)
 	}
 
 	setBuf := e.getSetBuf()
@@ -715,7 +592,7 @@ func (e *Engine) selectStars() bool {
 	if total == 0 {
 		return true
 	}
-	ends := e.starEndsOf(e.a, e.b, 0)
+	ends := e.starEndsOf(e.a, e.b)
 	posted := 0
 	for k := 2; k <= e.th.Nmax-2; k++ {
 		count, bound := e.ix.Families(k)
@@ -795,7 +672,7 @@ func (e *Engine) cheapExplore(node, partner *index.Node, hasA bool) {
 func (e *Engine) maintainStar(node *index.Node, score float64, n int) bool {
 	if n < e.th.Nmax && e.th.IsTooDense(score, n) && !e.ix.HasStar(node) {
 		e.ix.InsertStar(node)
-		e.stats.StarInsertions++
+		e.stats.starInsertions++
 		return true
 	}
 	return false
@@ -911,7 +788,7 @@ func (e *Engine) processStars() {
 	if len(e.starBuf) == 0 {
 		return
 	}
-	ends := e.starEndsOf(e.a, e.b, 0)
+	ends := e.starEndsOf(e.a, e.b)
 	for _, star := range e.starBuf {
 		e.processStar(star, &ends)
 	}
@@ -919,15 +796,15 @@ func (e *Engine) processStars() {
 
 // starEnds is what the both-outside check of every family reads of the graph
 // for one positive pair {a, b}, fetched once for all of them: the endpoints'
-// neighbourhood vectors and w_ab, including any part of it not yet applied.
+// neighbourhood vectors and w_ab.
 type starEnds struct {
 	aVs, bVs []Vertex
 	aWs, bWs []float64
 	wab      float64
 }
 
-func (e *Engine) starEndsOf(a, b Vertex, pending float64) starEnds {
-	s := starEnds{wab: e.g.Weight(a, b) + pending}
+func (e *Engine) starEndsOf(a, b Vertex) starEnds {
+	s := starEnds{wab: e.g.Weight(a, b)}
 	s.aVs, s.aWs = e.g.Neighborhood(a)
 	s.bVs, s.bWs = e.g.Neighborhood(b)
 	return s

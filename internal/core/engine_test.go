@@ -157,41 +157,3 @@ func TestThresholdDecreaseExistingStarsMissEdgeMembers(t *testing.T) {
 		t.Fatalf("expanded output-dense set %v != oracle %v", got, want)
 	}
 }
-
-// TestProcessRoutedSeedingPartition checks the contract ProcessRouted gives
-// sharded deployments: a non-seeding engine applies the weight update exactly
-// (its graph stays identical to a seeding engine's) but never admits the base
-// pair, so it reports nothing until it holds a subgraph of its own.
-func TestProcessRoutedSeedingPartition(t *testing.T) {
-	seeder := MustNew(Config{T: 2, Nmax: 4})
-	follower := MustNew(Config{T: 2, Nmax: 4})
-	u := Update{A: 1, B: 2, Delta: 5}
-	sevs := collect(seeder, func() { seeder.ProcessRouted(u, true) })
-	fevs := collect(follower, func() { follower.ProcessRouted(u, false) })
-	if len(sevs) != 1 || sevs[0].Kind != BecameOutputDense {
-		t.Fatalf("seeder events = %v, want one BecameOutputDense", sevs)
-	}
-	if len(fevs) != 0 {
-		t.Fatalf("follower emitted %v without seeding rights", fevs)
-	}
-	if seeder.Graph().Weight(1, 2) != follower.Graph().Weight(1, 2) {
-		t.Fatal("graphs diverged between seeder and follower")
-	}
-	if follower.DenseCount() != 0 {
-		t.Fatalf("follower indexed %d subgraphs, want 0", follower.DenseCount())
-	}
-	if seeder.DenseCount() == 0 {
-		t.Fatal("seeder indexed nothing")
-	}
-}
-
-// TestStatsAdd checks the aggregation primitive used by sharded deployments.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Updates: 3, Events: 2, IndexedDense: 4, MaxIndexNodes: 7, Explorations: 1, ExploreCertified: 4}
-	b := Stats{Updates: 5, Events: 1, IndexedDense: 2, MaxIndexNodes: 3, NegativeUpdates: 2, ExploreCertified: 5}
-	a.Add(b)
-	if a.Updates != 8 || a.Events != 3 || a.IndexedDense != 6 || a.MaxIndexNodes != 10 ||
-		a.Explorations != 1 || a.ExploreCertified != 9 || a.NegativeUpdates != 2 {
-		t.Fatalf("Add produced %+v", a)
-	}
-}

@@ -65,24 +65,6 @@ func (e *Engine) OutputDenseCount() int {
 	return count
 }
 
-// Dense returns every explicitly indexed dense subgraph (density ≥ T_{|C|}),
-// sorted by decreasing density.
-func (e *Engine) Dense() []Subgraph {
-	nodes := e.denseSnapshot()
-	out := make([]Subgraph, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, Subgraph{
-			Set:     n.Set(),
-			Density: e.th.Density(n.Score(), n.Card()) * e.emitScale,
-		})
-	}
-	sortSubgraphs(out)
-	return out
-}
-
-// ImplicitFamilyCount returns the number of ImplicitTooDense families.
-func (e *Engine) ImplicitFamilyCount() int { return e.ix.StarCount() }
-
 // ImplicitFamilies returns the ImplicitTooDense families as (base, score)
 // pairs, in lexicographic base order: a family (C, ∗) stands for every C ∪ Y
 // with Y a non-empty set of vertices that have no edge into C or between each

@@ -35,8 +35,8 @@ type EventSink interface {
 // Consumers that group events by the update that produced them (the
 // story-identity tracker in internal/story is the canonical example) rely on
 // this signal to know when a per-update buffer is complete; counting every
-// Process call keeps their update sequence aligned with the sequence numbers
-// a sharded deployment's merge layer assigns.
+// Process call keeps their update sequence equal to the number of units
+// processed.
 //
 // EndUpdate is invoked on the processing goroutine before the call returns
 // and is subject to the same restriction as Emit: it must not call back into
@@ -73,8 +73,8 @@ type EventSinkFunc func(ev Event)
 func (f EventSinkFunc) Emit(ev Event) { f(ev) }
 
 // CollectorSink accumulates events into a slice. It is the sink for callers
-// that want the exact event sequence of a unit (tests, the shard workers,
-// which Take it after every engine call). The zero value is ready to use.
+// that want the exact event sequence of a unit (tests). The zero value is
+// ready to use.
 type CollectorSink struct {
 	events []Event
 }

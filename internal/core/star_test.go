@@ -129,7 +129,7 @@ func TestStarSelectionMatchesFullScan(t *testing.T) {
 			}
 			routes[0] += sel.starRoutes[0]
 			routes[1] += sel.starRoutes[1]
-			t.Logf("%s: %d passes selected, %d snapshot the whole list; %d families created", name, sel.starRoutes[0], sel.starRoutes[1], sel.Stats().StarInsertions)
+			t.Logf("%s: %d passes selected, %d snapshot the whole list; %d families created", name, sel.starRoutes[0], sel.starRoutes[1], sel.Stats().StarInsertions())
 		}
 
 		sel, full := twins()
@@ -209,8 +209,8 @@ func starHeavyRun(t *testing.T, seed int64) {
 		single.Process(u)
 		checkAgainstBrute(t, single, brute.UniverseOf(updates[:i+1]), fmt.Sprintf("seed %d Process %d %v", seed, i, u))
 	}
-	if st := single.Stats(); st.StarInsertions < 20 || st.CheapExplores < 1000 {
-		t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions, st.CheapExplores)
+	if st := single.Stats(); st.StarInsertions() < 20 || st.CheapExplores < 1000 {
+		t.Fatalf("seed %d: stream is not star-heavy: %d families created, %d cheap explorations", seed, st.StarInsertions(), st.CheapExplores)
 	}
 
 	batched := MustNew(cfg)
@@ -260,8 +260,8 @@ func starHeavyRun(t *testing.T, seed int64) {
 		}
 		checkAgainstBrute(t, scaled, brute.UniverseOf(updates[:end]), fmt.Sprintf("seed %d threshold batch %d (λ=%v)", seed, i, lambda))
 	}
-	if folds == 0 || rebuilds == 0 || scaled.Stats().StarInsertions == 0 {
-		t.Fatalf("seed %d: rescaled run made %d folds, %d threshold decreases and %d families", seed, folds, rebuilds, scaled.Stats().StarInsertions)
+	if folds == 0 || rebuilds == 0 || scaled.Stats().StarInsertions() == 0 {
+		t.Fatalf("seed %d: rescaled run made %d folds, %d threshold decreases and %d families", seed, folds, rebuilds, scaled.Stats().StarInsertions())
 	}
 	if got, want := scaled.DecayScale(), lambda; got != want {
 		t.Fatalf("seed %d: engine ends at scale %v, the stream at %v", seed, got, want)

@@ -14,7 +14,7 @@ import (
 // deterministic export of the dense-subgraph index and the decay scale, and
 // an import that rebuilds a fresh engine to the exact same state. The graph
 // travels separately (graph.State); a snapshot holds one engine's graph and
-// index, and internal/persist refuses a sharded one. Importers of persisted
+// index. Importers of persisted
 // data return errors — a corrupt snapshot must surface to the recoverer, not
 // crash the process; panics are left to caller bugs and the Must* wrappers.
 

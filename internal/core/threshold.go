@@ -34,7 +34,7 @@ func (e *Engine) ProcessThresholdBatch(scale float64, updates []Update) {
 	if !(scale > 0) {
 		panic(fmt.Sprintf("core: threshold batch scale %v yields invalid threshold %v", scale, e.base.T/scale))
 	}
-	e.runUnit(updates, scale, nil, false)
+	e.runUnit(updates, scale)
 }
 
 // scheduleAt writes the schedule of decay scale s into dst. Every scale a

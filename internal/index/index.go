@@ -263,14 +263,6 @@ type Index struct {
 
 	removed []*Node // nodes pruned during this pass: free from the next one
 	free    []*Node // nodes pruned in earlier passes, for reuse
-
-	// membership, when installed, observes label-presence transitions: it is
-	// called with (v, true) when v gains its first prefix-tree node and with
-	// (v, false) when it loses its last. Star transitions are reported like
-	// any other label, so membership of Star doubles as "the index holds at
-	// least one ImplicitTooDense family". Sharded deployments use this to
-	// maintain per-worker interest maps incrementally (scoped delivery).
-	membership func(v Vertex, present bool)
 }
 
 // slot is the index's entry for one real label: the head of the label's
@@ -302,27 +294,6 @@ func New(nmax int) *Index {
 		ix.famBound[k] = math.Inf(-1)
 	}
 	return ix
-}
-
-// SetMembershipListener installs fn as the label-presence observer (see the
-// membership field). Passing nil uninstalls it. The listener is invoked
-// synchronously during index mutation and must not call back into the index.
-// Installing a listener on a non-empty index is allowed; the caller is then
-// responsible for seeding its state from Vertices().
-func (ix *Index) SetMembershipListener(fn func(v Vertex, present bool)) {
-	ix.membership = fn
-}
-
-// HasVertex reports whether at least one prefix-tree node is labelled v —
-// equivalently, whether v belongs to at least one indexed (dense or star)
-// subgraph or a prefix path leading to one. It is the interest oracle
-// behind scoped delivery: an update endpoint absent from the index (and from
-// every star family) provably cannot affect any indexed subgraph.
-func (ix *Index) HasVertex(v Vertex) bool {
-	if v == Star {
-		return ix.stars != nil
-	}
-	return ix.labels.Get(v).head != nil
 }
 
 // Len returns the number of explicitly indexed dense subgraphs.
@@ -439,8 +410,6 @@ func (ix *Index) newChild(parent *Node, label Vertex) *Node {
 	}
 	if head != nil {
 		n.invNext, head.invPrev = head, n
-	} else if ix.membership != nil {
-		ix.membership(label, true)
 	}
 	return n
 }
@@ -455,10 +424,8 @@ func (ix *Index) unlink(n *Node) {
 		n.invNext.invPrev = n.invPrev
 	}
 	if n.invPrev == nil || n.parent == ix.root {
-		var head *Node
 		if n.label == Star {
 			ix.stars = n.invNext
-			head = ix.stars
 		} else {
 			s := ix.labels.Get(n.label)
 			if s.head == n {
@@ -468,10 +435,6 @@ func (ix *Index) unlink(n *Node) {
 				s.root = nil
 			}
 			ix.labels.Set(n.label, s) // the zero slot, once no node is left, deletes it
-			head = s.head
-		}
-		if head == nil && ix.membership != nil {
-			ix.membership(n.label, false)
 		}
 	}
 	n.invPrev, n.invNext = nil, nil

@@ -297,6 +297,16 @@ func labelsOf(ix *Index) []Vertex {
 	return vs
 }
 
+// HasVertex reports whether at least one prefix-tree node is labelled v —
+// equivalently, whether v belongs to at least one indexed (dense or star)
+// subgraph or a prefix path leading to one.
+func (ix *Index) HasVertex(v Vertex) bool {
+	if v == Star {
+		return ix.stars != nil
+	}
+	return ix.labels.Get(v).head != nil
+}
+
 // Labels anywhere in the int32 range below Star live in the vertex table,
 // which lists them ascending (Star, kept apart, comes last), and every
 // descent finds its root child through them.

@@ -24,15 +24,12 @@ import (
 // index: GET /entities/{e} scans the table, which holds only the live and
 // fading stories.
 //
-// Like the tracker it wraps, the Builder supports both delivery modes:
+// Install it with Engine.SetSink: it implements core.EventSink and
+// core.UpdateBoundarySink. Like the tracker it wraps, it also implements
+// shard.SeqSink, inferring boundaries from sequence numbers, only because
+// bench/par.go installs it that way (ROADMAP item 7).
 //
-//   - single engine: install with Engine.SetSink (it implements
-//     core.EventSink and core.UpdateBoundarySink);
-//   - sharded: install with ShardedEngine.SetSeqSink (it implements
-//     shard.SeqSink and infers boundaries from merger sequence numbers).
-//
-// The Builder runs on the writer goroutine (the merge goroutine in sharded
-// mode) and is not safe for concurrent use; the View it publishes to is the
+// The Builder runs on the writer goroutine and is not safe for concurrent use; the View it publishes to is the
 // concurrent read surface. NewBuilder installs the builder as the tracker's
 // record sink — use Builder.SetRecordSink to observe records downstream.
 //

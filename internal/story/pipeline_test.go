@@ -7,7 +7,6 @@ import (
 
 	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 	"dyndens/internal/stream"
 )
 
@@ -66,20 +65,6 @@ func (w pipelineWorkload) runSingle(t *testing.T, updates []stream.Update) (*Tra
 	for _, u := range updates {
 		eng.Process(u)
 	}
-	tr.Close(uint64(len(updates)))
-	return tr, log.recs
-}
-
-// runSharded drives the updates through a K-shard deployment with the
-// tracker consuming the merged, sequence-numbered event stream.
-func (w pipelineWorkload) runSharded(t *testing.T, updates []stream.Update, shards int) (*Tracker, []Record) {
-	t.Helper()
-	se := shard.MustNew(shard.Config{Shards: shards, Engine: w.eng, BatchSize: 64})
-	defer se.Close()
-	tr, log := loggedTracker(w.trk)
-	se.SetSeqSink(tr)
-	se.ProcessAll(updates)
-	se.Flush()
 	tr.Close(uint64(len(updates)))
 	return tr, log.recs
 }
@@ -166,36 +151,6 @@ func TestStoryPipelineDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Stories(), b.Stories()) {
 		t.Fatal("two identical runs produced different story tables")
-	}
-}
-
-// TestStoryPipelineShardedConformance is the tentpole invariant: the tracker
-// fed by the K-shard merged stream produces records and a story table
-// identical to the single-engine run, for K ∈ {1, 2, 4}.
-func TestStoryPipelineShardedConformance(t *testing.T) {
-	w := defaultWorkload()
-	updates, _ := w.updates(t)
-	ref, refRecs := w.runSingle(t, updates)
-	if len(refRecs) == 0 {
-		t.Fatal("reference run produced no records; workload too weak")
-	}
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			got, gotRecs := w.runSharded(t, updates, k)
-			if !reflect.DeepEqual(gotRecs, refRecs) {
-				t.Fatalf("K=%d records diverge from single engine (%d vs %d records): %s",
-					k, len(gotRecs), len(refRecs), firstDiff(gotRecs, refRecs))
-			}
-			if got.Stats() != ref.Stats() {
-				t.Fatalf("K=%d Stats %+v != single %+v", k, got.Stats(), ref.Stats())
-			}
-			if !reflect.DeepEqual(got.Stories(), ref.Stories()) {
-				t.Fatalf("K=%d story tables diverge:\nsharded %+v\nsingle  %+v", k, got.Stories(), ref.Stories())
-			}
-			if got.Seq() != ref.Seq() {
-				t.Fatalf("K=%d final seq %d != single %d", k, got.Seq(), ref.Seq())
-			}
-		})
 	}
 }
 

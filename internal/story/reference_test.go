@@ -114,7 +114,7 @@ func (t *refTracker) resolve(s uint64) {
 // expireThrough kills every fading story whose grace window ended at or
 // before sequence s, in deterministic (expiry, ID) order. Died records carry
 // the logical expiry sequence, so the outcome does not depend on when the
-// expiry is noticed (the sharded mode notices lazily).
+// expiry is noticed (the EmitSeq mode notices lazily).
 func (t *refTracker) expireThrough(s uint64) {
 	if s < t.nextExpiry {
 		return

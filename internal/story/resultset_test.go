@@ -6,15 +6,13 @@ import (
 	"testing"
 
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 	"dyndens/internal/stream"
 )
 
 // These tests formalise the incremental result-set maintenance contract the
 // story layer is built on: a consumer that does nothing but apply sink
 // events to a key set holds, after EVERY update, exactly the engine's
-// explicitly indexed output-dense set — for the single engine and for the
-// merged stream of a sharded deployment alike. The crossval suite in
+// explicitly indexed output-dense set. The crossval suite in
 // internal/stream checks the same property at oracle checkpoints; here it is
 // pinned update-for-update.
 
@@ -69,30 +67,5 @@ func TestResultSetMatchesEngineAfterEveryUpdate(t *testing.T) {
 		if transitions == 0 {
 			t.Fatalf("seed %d: result set never changed; contract exercised nothing", seed)
 		}
-	}
-}
-
-func TestResultSetMatchesShardedEngineAfterEveryUpdate(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		updates := contractStream(t, 37)
-		se := shard.MustNew(shard.Config{Shards: k, Engine: core.Config{T: 2, Nmax: 4}})
-		rs := keySet{}
-		se.SetSink(rs)
-		nonEmpty := 0
-		for i, u := range updates {
-			se.Process(u)
-			se.Flush() // barrier: all events for this update are merged
-			got, want := rs.keys(), se.OutputDenseKeys()
-			if !slices.Equal(got, want) {
-				t.Fatalf("K=%d, update %d: event-maintained set %v != merged result set %v", k, i+1, got, want)
-			}
-			if len(got) > 0 {
-				nonEmpty++
-			}
-		}
-		if nonEmpty == 0 {
-			t.Fatalf("K=%d: result set never became non-empty", k)
-		}
-		se.Close()
 	}
 }

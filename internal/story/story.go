@@ -9,8 +9,7 @@
 // weights briefly drop it below the output threshold between epochs, and as
 // two threads of coverage merge or one splits. The Tracker in this package
 // maintains that mapping incrementally from sink events alone: it never
-// queries the engine, so it works identically behind a single core.Engine and
-// behind the merged event stream of a K-shard deployment.
+// queries the engine.
 package story
 
 import (
@@ -62,7 +61,7 @@ func (k LifecycleKind) String() string {
 
 // Record is one story lifecycle transition. The sequence of Records is the
 // deterministic, machine-comparable output of the tracker: two runs over the
-// same update stream — single-engine or sharded — produce identical records.
+// same update stream produce identical records.
 type Record struct {
 	// Seq is the 1-based update sequence number at which the transition took
 	// effect. For Died it is the logical expiry sequence (fade + grace + 1),

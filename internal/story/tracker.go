@@ -106,19 +106,15 @@ type Stats struct {
 }
 
 // Tracker maintains persistent story identities from the engine's
-// output-dense change stream. It consumes events in either of two ways:
+// output-dense change stream. Install it with Engine.SetSink: it implements
+// core.EventSink and core.UpdateBoundarySink, so the engine delivers events
+// and per-update boundaries automatically. It also implements shard.SeqSink,
+// inferring boundaries from sequence numbers, only because bench/par.go
+// installs it that way (ROADMAP item 7).
 //
-//   - behind a single core.Engine: install it with Engine.SetSink (it
-//     implements core.EventSink and core.UpdateBoundarySink, so the engine
-//     delivers events and per-update boundaries automatically);
-//   - behind a sharded deployment: install it with
-//     shard.ShardedEngine.SetSeqSink (it implements shard.SeqSink and infers
-//     boundaries from the merger's sequence numbers).
-//
-// Both modes buffer each update's events and resolve them at the boundary in
+// Each update's events are buffered and resolved at the boundary in
 // canonical order, so the lifecycle output is a pure function of the
-// per-update event sets — which the sharded merger guarantees are identical
-// to the single engine's. Call Close once the stream ends to account for
+// per-update event sets. Call Close once the stream ends to account for
 // trailing event-free updates.
 //
 // Identity rules, applied per became-subgraph in canonical order:
@@ -140,8 +136,8 @@ type Stats struct {
 // canonical order is the order of the sets' Key strings, so records are the
 // same as if it were.
 //
-// The tracker is not safe for concurrent use: in sharded mode it runs on the
-// merge goroutine, so query it only after the deployment is flushed.
+// The tracker is not safe for concurrent use: it runs on the processing
+// goroutine.
 type Tracker struct {
 	cfg Config
 
@@ -206,13 +202,13 @@ func (t *Tracker) Emit(ev core.Event) {
 
 // EndUpdate implements core.UpdateBoundarySink: the buffered events are
 // resolved as update t.Seq()+1. The engine invokes it once per Process call,
-// no-ops included, which keeps the sequence aligned with a sharded merger's.
+// no-ops included, so the sequence counts units.
 func (t *Tracker) EndUpdate() { t.resolve(t.seq + 1) }
 
 // EmitSeq implements shard.SeqSink: a sequence change resolves the previous
 // update's buffer. Updates that produced no events are skipped over here and
 // accounted for lazily — expiry uses logical sequences, so the outcome is
-// identical to the single-engine mode.
+// identical to the EndUpdate mode.
 func (t *Tracker) EmitSeq(ev shard.SeqEvent) {
 	if t.pendingSeq != 0 && ev.Seq != t.pendingSeq {
 		t.resolve(t.pendingSeq)
@@ -222,12 +218,12 @@ func (t *Tracker) EmitSeq(ev shard.SeqEvent) {
 }
 
 // Sync resolves any buffered update so the tracker reaches a quiescent,
-// exportable state, and reports whether there was one. In sharded (EmitSeq)
-// mode the events of the last event-carrying update are buffered until the
-// next sequence arrives; resolving them early is equivalent because the
-// merger delivers all of an update's events before the deployment quiesces,
-// and expiry uses logical sequences. In single-engine mode the buffer is
-// always empty between updates, so Sync is a no-op there.
+// exportable state, and reports whether there was one. In EmitSeq mode the
+// events of the last event-carrying update are buffered until the next
+// sequence arrives; resolving them early is equivalent because every event
+// of an update is delivered before the call that made it returns, and expiry
+// uses logical sequences. In EndUpdate mode the buffer is always empty
+// between updates, so Sync is a no-op there.
 func (t *Tracker) Sync() bool {
 	switch {
 	case t.pendingSeq != 0:
@@ -298,7 +294,7 @@ func (t *Tracker) resolve(s uint64) {
 // expireThrough kills every fading story whose grace window ended at or
 // before sequence s, in deterministic (expiry, ID) order. Died records carry
 // the logical expiry sequence, so the outcome does not depend on when the
-// expiry is noticed (the sharded mode notices lazily).
+// expiry is noticed (the EmitSeq mode notices lazily).
 func (t *Tracker) expireThrough(s uint64) {
 	if s < t.nextExpiry {
 		return

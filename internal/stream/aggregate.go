@@ -143,8 +143,7 @@ type retiredPair struct {
 // It mirrors the exact weight the engine's graph holds for each pair, so
 // weights never drift and the clamp-at-zero path is never hit. Pairs and
 // cancellations are emitted in sorted order, so equal document streams give
-// equal batch streams: the story pipeline is reproducible and shard-count
-// independent.
+// equal batch streams: the story pipeline is reproducible.
 type Aggregator struct {
 	cfg     AggregatorConfig
 	docs    DocumentSource
@@ -225,9 +224,7 @@ func (g *Aggregator) ingest() (err error) {
 // appendDocPairs appends a document's co-occurrence pair keys to buf in
 // emission order. Entity sets are sorted and strictly increasing, so the
 // nested i<j enumeration yields keys already in sorted order with a < b —
-// no swap, no sort. This is the O(m²) half of ingestion that the pipelined
-// front-end runs on expansion workers; it is a pure function of the entity
-// set, which is what makes it safe to run out of document order.
+// no swap, no sort. This is the O(m²) half of ingestion.
 func appendDocPairs(buf []pairKey, ents vset.Set) []pairKey {
 	for i := 0; i < len(ents); i++ {
 		for j := i + 1; j < len(ents); j++ {
@@ -240,10 +237,8 @@ func appendDocPairs(buf []pairKey, ents vset.Set) []pairKey {
 // ingestExpanded is the sequential core of ingest: it queues the epoch tick
 // (if docTime crossed a boundary) and the document's co-occurrence updates,
 // given the document's pre-expanded pair keys. Every weight-table mutation,
-// retirement-queue push, and λ tick happens here, in document order — the
-// pipelined front-end's sequencer calls this directly, so parallel expansion
-// produces a batch stream identical to the serial one by construction rather
-// than by re-implementation. pairs is borrowed for the duration of the call.
+// retirement-queue push, and λ tick happens here, in document order. pairs is
+// borrowed for the duration of the call.
 func (g *Aggregator) ingestExpanded(docTime int64, pairs []pairKey) error {
 	if g.started && docTime < g.lastTime {
 		return fmt.Errorf("stream: document time went backwards: %d after %d", docTime, g.lastTime)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -38,6 +39,86 @@ func pairWeight(g *Aggregator, a, b graph.Vertex) float64 {
 // docs builds a document from a timestamp and mentions.
 func doc(time int64, entities ...vset.Vertex) Document {
 	return Document{Time: time, Entities: vset.New(entities...)}
+}
+
+// recordedBatch is one batch captured for deep comparison, with updates and
+// threshold units copied out of the source's reused backing stores.
+type recordedBatch struct {
+	updates   []Update
+	decay     bool
+	threshold *ThresholdUpdate
+}
+
+// recordBatches drains bs, cloning every batch; the terminal error (io.EOF on
+// clean streams) is returned alongside the batches read before it.
+func recordBatches(bs BatchSource) ([]recordedBatch, error) {
+	var out []recordedBatch
+	for {
+		b, err := bs.NextBatch()
+		if err != nil {
+			return out, err
+		}
+		rb := recordedBatch{updates: append([]Update(nil), b.Updates...), decay: b.Decay}
+		if b.Threshold != nil {
+			thr := *b.Threshold
+			rb.threshold = &thr
+		}
+		out = append(out, rb)
+	}
+}
+
+// requireSameBatches compares two recorded streams value-by-value (updates
+// bit-exact).
+func requireSameBatches(t *testing.T, label string, got, want []recordedBatch) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d batches, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.decay != w.decay {
+			t.Fatalf("%s: batch %d decay=%v, want %v", label, i, g.decay, w.decay)
+		}
+		switch {
+		case (g.threshold == nil) != (w.threshold == nil):
+			t.Fatalf("%s: batch %d threshold presence %v, want %v", label, i, g.threshold != nil, w.threshold != nil)
+		case g.threshold != nil && *g.threshold != *w.threshold:
+			t.Fatalf("%s: batch %d threshold %+v, want %+v", label, i, *g.threshold, *w.threshold)
+		}
+		if len(g.updates) != len(w.updates) {
+			t.Fatalf("%s: batch %d has %d updates, want %d", label, i, len(g.updates), len(w.updates))
+		}
+		for j := range w.updates {
+			if g.updates[j] != w.updates[j] {
+				t.Fatalf("%s: batch %d update %d = %+v, want %+v", label, i, j, g.updates[j], w.updates[j])
+			}
+		}
+	}
+}
+
+// pipelineConfDocs is a randomized document workload: randomized document sizes
+// (including single-entity documents that only advance time), duplicate
+// mentions, single- and multi-epoch jumps — everything that exercises epoch
+// ticks, retirement, and re-keying.
+func pipelineConfDocs(seed int64, n int) []Document {
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([]Document, 0, n)
+	now := int64(0)
+	for i := 0; i < n; i++ {
+		switch r := rng.Float64(); {
+		case r < 0.30:
+			now += 10
+		case r < 0.38:
+			now += 10 * int64(2+rng.Intn(4))
+		}
+		m := 1 + rng.Intn(6)
+		ents := make([]vset.Vertex, 0, m)
+		for j := 0; j < m; j++ {
+			ents = append(ents, vset.Vertex(rng.Intn(25)))
+		}
+		docs = append(docs, Document{Time: now, Entities: vset.New(ents...)})
+	}
+	return docs
 }
 
 // flatten concatenates a recorded batch stream's updates.

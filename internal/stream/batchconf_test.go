@@ -13,8 +13,6 @@
 //     (cliqueWarmup, clampFreeStream), where the explicit index is a
 //     function of the graph alone, OutputDenseKeys must deep-equal the
 //     sequential engine's, and the expanded set brute.EnumerateAll;
-//   - the sharded batched path (whole-epoch shipping) must be bit-identical
-//     to the single batched engine at K ∈ {1, 2, 4};
 //
 // randomized over batch partitions that include empty batches and the
 // duplicate pairs a mixed synthetic workload naturally repeats.
@@ -26,12 +24,10 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"dyndens/internal/baseline/brute"
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 )
 
@@ -119,37 +115,6 @@ func (r *tickRecorder) EndUpdate() {
 	r.cur = nil
 }
 
-// seqFanOut forwards the merged sequence-numbered stream to several sinks.
-type seqFanOut []shard.SeqSink
-
-func (f seqFanOut) EmitSeq(ev shard.SeqEvent) {
-	for _, s := range f {
-		s.EmitSeq(ev)
-	}
-}
-
-// seqRecorder groups the merged stream by sequence number. The merge
-// goroutine is the only writer while the replay is in flight.
-type seqRecorder struct {
-	mu    sync.Mutex
-	bySeq map[uint64][]core.Event
-}
-
-func (r *seqRecorder) EmitSeq(ev shard.SeqEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.bySeq == nil {
-		r.bySeq = make(map[uint64][]core.Event)
-	}
-	r.bySeq[ev.Seq] = append(r.bySeq[ev.Seq], ev.Event)
-}
-
-func (r *seqRecorder) tick(seq uint64) []core.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bySeq[seq]
-}
-
 // loggedTracker is a story tracker with the log of the lifecycle records it
 // streamed through its record sink. It is a sink wherever the tracker is.
 type loggedTracker struct {
@@ -234,9 +199,8 @@ func clampFreeStream(seed int64, vertices, n int) []core.Update {
 // TestBatchConformance is the batch-vs-sequential property test. For every
 // seed it draws a mixed workload and a random batch partition, builds the
 // sequential reference (per-update Process, events netted per batch, story
-// tracker driven at the same boundaries), and checks the batched single
-// engine (K=0) and the whole-epoch sharded path (K ∈ {1, 2, 4}) against it:
-// per-batch net events, OutputDenseKeys at every checkpoint, the brute-force
+// tracker driven at the same boundaries), and checks the batched engine
+// against it: per-batch net events, OutputDenseKeys at every checkpoint, the brute-force
 // oracle, and the story lifecycle records and final table.
 func TestBatchConformance(t *testing.T) {
 	const checkEvery = 10 // batches between flush-and-compare checkpoints
@@ -272,7 +236,7 @@ func TestBatchConformance(t *testing.T) {
 				t.Fatal("reference produced no net events; fixture too weak")
 			}
 
-			// K=0: the batched single engine.
+			// The batched engine.
 			bat := core.MustNew(engCfg)
 			batTracker := newLoggedTracker(trackerConfig)
 			rec := &tickRecorder{}
@@ -297,33 +261,7 @@ func TestBatchConformance(t *testing.T) {
 				}
 			}
 			batTracker.Close(uint64(len(batches)))
-			requireSameRecords(t, "K=0", batTracker, refTracker)
-
-			// K ∈ {1, 2, 4}: whole-epoch shipping through the sharded engine.
-			for _, k := range []int{1, 2, 4} {
-				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg})
-				shTracker := newLoggedTracker(trackerConfig)
-				shRec := &seqRecorder{}
-				se.SetSeqSink(seqFanOut{shRec, shTracker})
-				for i, b := range batches {
-					se.ProcessBatch(b)
-					if i%checkEvery == 0 || i == len(batches)-1 {
-						if got := se.OutputDenseKeys(); !slices.Equal(got, refKeys[i]) {
-							t.Fatalf("K=%d after batch %d: merged keys %v != sequential %v", k, i, got, refKeys[i])
-						}
-					}
-				}
-				se.Flush()
-				for i := range batches {
-					got, want := canonKeys(shRec.tick(uint64(i+1))), canonKeys(nets[i])
-					if !slices.Equal(got, want) {
-						t.Fatalf("K=%d batch %d: merged events %v != sequential net %v", k, i, got, want)
-					}
-				}
-				shTracker.Close(uint64(len(batches)))
-				requireSameRecords(t, fmt.Sprintf("K=%d", k), shTracker, refTracker)
-				se.Close()
-			}
+			requireSameRecords(t, "batched", batTracker, refTracker)
 		})
 	}
 }
@@ -332,9 +270,7 @@ func TestBatchConformance(t *testing.T) {
 // (ImplicitTooDense enabled). Which dense subgraphs are explicit is then
 // order-dependent, so sequential equality is asserted at the semantic level —
 // the expanded output-dense set of both engines equals brute.EnumerateAll on
-// the shared graph state — while the batched paths themselves must stay
-// bit-identical: the sharded whole-epoch stream deep-equals the single
-// batched engine's events, result set, lifecycle records, and story table.
+// the shared graph state.
 func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 	engCfg := core.Config{T: 2, Nmax: 4}
 	for seed := int64(41); seed <= 42; seed++ {
@@ -353,9 +289,6 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 
 			seq := core.MustNew(engCfg)
 			bat := core.MustNew(engCfg)
-			batTracker := newLoggedTracker(trackerConfig)
-			rec := &tickRecorder{}
-			bat.SetSink(core.MultiSink{rec, batTracker})
 			applied := 0
 			for i, b := range batches {
 				for _, u := range b {
@@ -374,91 +307,8 @@ func TestBatchConformanceImplicitRepresentation(t *testing.T) {
 					}
 				}
 			}
-			batTracker.Close(uint64(len(batches)))
-
-			for _, k := range []int{1, 2, 4} {
-				se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg})
-				shTracker := newLoggedTracker(trackerConfig)
-				shRec := &seqRecorder{}
-				se.SetSeqSink(seqFanOut{shRec, shTracker})
-				for _, b := range batches {
-					se.ProcessBatch(b)
-				}
-				se.Flush()
-				for i := range batches {
-					got, want := canonKeys(shRec.tick(uint64(i+1))), canonKeys(rec.ticks[i])
-					if !slices.Equal(got, want) {
-						t.Fatalf("K=%d batch %d: merged events %v != single batched %v", k, i, got, want)
-					}
-				}
-				if got, want := se.OutputDenseKeys(), bat.OutputDenseKeys(); !slices.Equal(got, want) {
-					t.Fatalf("K=%d: merged keys %v != single batched %v", k, got, want)
-				}
-				shTracker.Close(uint64(len(batches)))
-				requireSameRecords(t, fmt.Sprintf("K=%d", k), shTracker, batTracker)
-				se.Close()
-			}
 		})
 	}
-}
-
-// TestBatchedStoryPipelineShardedConformance runs the full documents→stories
-// pipeline in batch mode — threshold units and per-document deltas shipped
-// whole — and checks that every shard count produces the identical lifecycle
-// stream and story table, and that the planted stories are still recovered.
-// TestDecayModeConformance checks the same batched lifecycle against the
-// paper-literal per-pair sweep.
-func TestBatchedStoryPipelineShardedConformance(t *testing.T) {
-	docs := conformanceDocs(t, 7)
-	engCfg := core.Config{T: 6.5, Nmax: 4}
-	trkCfg := story.Config{MinCardinality: 3, Grace: 40} // grace in batch ticks ≈ docs
-
-	run := func(t *testing.T, k int) (*loggedTracker, ReplayStats, ShardReplayStats) {
-		agg := mustAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 25, Decay: 0.7})
-		tracker := newLoggedTracker(trkCfg)
-		if k == 0 {
-			eng := core.MustNew(engCfg)
-			st, err := NewReplay(agg, eng, tracker).RunBatches(0, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tracker.Close(uint64(st.Ticks))
-			return tracker, st, ShardReplayStats{}
-		}
-		se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg})
-		defer se.Close()
-		se.SetSeqSink(tracker)
-		r := NewShardReplay(agg, se, nil)
-		st, err := r.RunBatches(0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Flush()
-		tracker.Close(uint64(st.Ticks))
-		return tracker, ReplayStats{}, st
-	}
-
-	// The one fading path: each epoch is a rescaled threshold unit.
-	t.Run("rescale", func(t *testing.T) {
-		refTracker, refStats, _ := run(t, 0)
-		if refStats.DecaySeg.Batches == 0 {
-			t.Fatalf("batched pipeline saw no epoch ticks: %+v", refStats)
-		}
-		if refStats.Ticks >= refStats.Updates {
-			t.Fatalf("coalescing did not reduce ticks: %d ticks for %d updates", refStats.Ticks, refStats.Updates)
-		}
-		if refTracker.Stats().Born == 0 {
-			t.Fatal("batched pipeline bore no stories; fixture too weak")
-		}
-		for _, k := range []int{1, 2, 4} {
-			shTracker, _, shStats := run(t, k)
-			if shStats.Ticks != refStats.Ticks || shStats.Updates != refStats.Updates {
-				t.Fatalf("K=%d: tick/update accounting diverged: %d/%d vs %d/%d",
-					k, shStats.Ticks, shStats.Updates, refStats.Ticks, refStats.Updates)
-			}
-			requireSameRecords(t, fmt.Sprintf("K=%d", k), shTracker, refTracker)
-		}
-	})
 }
 
 // TestRunBatchesCoalescedMatchesSequential pins that the replay driver applies

@@ -1,17 +1,12 @@
 package stream
 
 import (
-	"fmt"
 	"maps"
-	"math"
 	"slices"
-	"sort"
-	"sync"
 	"testing"
 
 	"dyndens/internal/baseline/brute"
 	"dyndens/internal/core"
-	"dyndens/internal/shard"
 )
 
 // The cross-validation tests replay seeded random update streams through the
@@ -153,201 +148,6 @@ func TestCrossValThroughFilterSink(t *testing.T) {
 		if filter.Passed == 0 || filter.Dropped != 0 {
 			t.Fatalf("seed %d: filter passed=%d dropped=%d, want all passed", seed, filter.Passed, filter.Dropped)
 		}
-	}
-}
-
-// shardedSeqCollector records the sharded engine's merged stream grouped by
-// update sequence number. The merge goroutine is the only writer while the
-// replay is in flight; reads happen after Flush.
-type shardedSeqCollector struct {
-	mu     sync.Mutex
-	events map[uint64][]shard.SeqEvent
-}
-
-func (c *shardedSeqCollector) EmitSeq(ev shard.SeqEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.events == nil {
-		c.events = make(map[uint64][]shard.SeqEvent)
-	}
-	c.events[ev.Seq] = append(c.events[ev.Seq], ev)
-}
-
-// canonEvent is the canonical per-update comparison form of one event:
-// kind and subgraph identify it, the score is checked with a tolerance.
-func canonEvent(ev core.Event) string {
-	return fmt.Sprintf("%d|%s", ev.Kind, ev.Set.Key())
-}
-
-func sortedCanon(events []core.Event) []string {
-	out := make([]string, len(events))
-	for i, ev := range events {
-		out[i] = canonEvent(ev)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestShardedConformance is the oracle-backed conformance suite for the
-// sharded engine: for K ∈ {1, 2, 4} the merged event stream must be
-// identical, update for update (after canonical sorting within each update),
-// to the single-threaded engine's output on the same seeded stream — and
-// every crossValInterval updates both must agree with brute.EnumerateAll and
-// with the result set a downstream consumer tracks from the merged events.
-func TestShardedConformance(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		for seed := int64(11); seed <= 13; seed++ {
-			t.Run(fmt.Sprintf("K=%d/seed=%d", k, seed), func(t *testing.T) {
-				updates, err := Synthetic(SynthConfig{
-					Vertices:         10,
-					Updates:          400,
-					Seed:             seed,
-					NegativeFraction: 0.35,
-					MeanDelta:        1.5,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				single := core.MustNew(core.Config{T: 2, Nmax: 4})
-				var singleEvents core.CollectorSink
-				single.SetSink(&singleEvents)
-				se := shard.MustNew(shard.Config{
-					Shards:    k,
-					Engine:    core.Config{T: 2, Nmax: 4},
-					BatchSize: 32, // deliberately not a divisor of the interval
-				})
-				defer se.Close()
-				var merged shardedSeqCollector
-				se.SetSeqSink(&merged)
-
-				totalSingle := 0
-				for step := 0; step < len(updates); step += crossValInterval {
-					end := step + crossValInterval
-					if end > len(updates) {
-						end = len(updates)
-					}
-					chunk := updates[step:end]
-
-					// Reference: per-update events from the single engine.
-					want := make(map[uint64][]core.Event)
-					for i, u := range chunk {
-						single.Process(u)
-						evs := singleEvents.Take()
-						totalSingle += len(evs)
-						if len(evs) > 0 {
-							want[uint64(step+i+1)] = evs
-						}
-					}
-					se.ProcessAll(chunk)
-					se.Flush()
-
-					// Per-update event identity for the chunk just replayed.
-					for i := range chunk {
-						seq := uint64(step + i + 1)
-						wantEvs := want[seq]
-						gotEvs := merged.events[seq]
-						if len(gotEvs) != len(wantEvs) {
-							t.Fatalf("update %d: sharded emitted %d events, single %d", seq, len(gotEvs), len(wantEvs))
-						}
-						if len(wantEvs) == 0 {
-							continue
-						}
-						got := make([]core.Event, len(gotEvs))
-						for j, sev := range gotEvs {
-							if sev.Seq != seq {
-								t.Fatalf("event grouped under %d carries seq %d", seq, sev.Seq)
-							}
-							got[j] = sev.Event
-						}
-						gotCanon, wantCanon := sortedCanon(got), sortedCanon(wantEvs)
-						if !slices.Equal(gotCanon, wantCanon) {
-							t.Fatalf("update %d: merged events %v != single engine %v", seq, gotCanon, wantCanon)
-						}
-						// Scores must match up to float accumulation noise.
-						byKey := make(map[string]core.Event, len(wantEvs))
-						for _, ev := range wantEvs {
-							byKey[canonEvent(ev)] = ev
-						}
-						for _, ev := range got {
-							ref := byKey[canonEvent(ev)]
-							if math.Abs(ev.Score-ref.Score) > 1e-6 {
-								t.Fatalf("update %d: score for %v diverged: %g vs %g", seq, ev.Set, ev.Score, ref.Score)
-							}
-						}
-					}
-
-					// Oracle checkpoint: single engine vs brute, merged-tracked
-					// set vs both.
-					checkAgainstOracle(t, single, updates, end)
-					gotKeys := se.OutputDenseKeys()
-					wantKeys := single.OutputDenseKeys()
-					if !slices.Equal(gotKeys, wantKeys) {
-						t.Fatalf("after %d updates: merged-tracked set %v != single engine %v", end, gotKeys, wantKeys)
-					}
-				}
-				if totalSingle == 0 {
-					t.Fatal("stream produced no events; conformance exercised nothing")
-				}
-				st := se.Stats()
-				if int(st.MergedEvents) != totalSingle {
-					t.Fatalf("merged %d events, single engine emitted %d", st.MergedEvents, totalSingle)
-				}
-				if k == 1 && st.DedupedEvents != 0 {
-					t.Fatalf("K=1 deduplicated %d events", st.DedupedEvents)
-				}
-			})
-		}
-	}
-}
-
-// TestShardReplayMatchesReplay drives the same seeded stream through the
-// single-engine Replay and the parallel ShardReplay and checks that both
-// report the same updates and events, and that the sharded path's per-shard
-// accounting is coherent.
-func TestShardReplayMatchesReplay(t *testing.T) {
-	synth := SynthConfig{Vertices: 12, Updates: 600, Seed: 21, NegativeFraction: 0.3, MeanDelta: 1.5}
-	engCfg := core.Config{T: 2, Nmax: 4}
-
-	updates := MustSynthetic(synth)
-	eng := core.MustNew(engCfg)
-	refStats, err := NewReplay(NewSliceSource(updates, 64), eng, nil).RunBatches(64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
-	defer se.Close()
-	var counter core.CountingSink
-	r := NewShardReplay(NewSliceSource(updates, 64), se, &counter)
-	st, err := r.RunBatches(64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Updates != refStats.Updates {
-		t.Fatalf("sharded replay processed %d updates, single %d", st.Updates, refStats.Updates)
-	}
-	if st.Events != refStats.Events {
-		t.Fatalf("sharded replay merged %d events, single emitted %d", st.Events, refStats.Events)
-	}
-	if counter.Total() != st.Events {
-		t.Fatalf("sink saw %d events, stats report %d", counter.Total(), st.Events)
-	}
-	if st.Shards != 4 || len(st.PerShard) != 4 {
-		t.Fatalf("per-shard stats sized %d/%d, want 4", st.Shards, len(st.PerShard))
-	}
-	if st.Wall <= 0 || st.UpdatesPerSecond() <= 0 || st.BusyTotal() <= 0 {
-		t.Fatalf("degenerate timing stats: %+v", st)
-	}
-	var raw uint64
-	for _, l := range st.PerShard {
-		raw += l.RawEvents
-	}
-	if raw < st.Events {
-		t.Fatalf("raw per-shard events %d < merged %d", raw, st.Events)
-	}
-	if !slices.Equal(se.OutputDenseKeys(), eng.OutputDenseKeys()) {
-		t.Fatalf("result sets differ: %v vs %v", se.OutputDenseKeys(), eng.OutputDenseKeys())
 	}
 }
 

@@ -10,8 +10,7 @@
 //   - batch structure: both emit identical group sequences (one epoch group
 //     per epoch crossing, one group per document), so batched replays are
 //     tick-aligned and the story pipeline — whose records carry no floats —
-//     must produce DEEP-EQUAL lifecycle records and story tables, single and
-//     sharded (K ∈ {1, 4});
+//     must produce DEEP-EQUAL lifecycle records and story tables;
 //   - end state: the expanded output-dense vertex sets must agree across all
 //     four drive modes (sweep sequential, sweep batched, rescaled
 //     uncoalesced, rescaled batched), and match brute.EnumerateAll on the
@@ -38,7 +37,6 @@ import (
 	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
 	"dyndens/internal/density"
-	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/vset"
 )
@@ -238,42 +236,6 @@ func TestScaleInvariance(t *testing.T) {
 			if g, w := expandedKeys(got.eng, u), expandedKeys(want.eng, u); !slices.Equal(g, w) {
 				t.Fatalf("%s: expanded dense set %v != %v", label, g, w)
 			}
-		}
-	}
-}
-
-// TestDecayModeShardedConformance pins the sharded rescaled pipeline: the
-// threshold epoch unit is broadcast to every worker as one sequenced batch,
-// so K ∈ {1, 4} must reproduce the single rescaled engine's story lifecycle
-// and table exactly, in both overlap policies.
-func TestDecayModeShardedConformance(t *testing.T) {
-	docs := conformanceDocs(t, 7)
-	aggCfg := AggregatorConfig{EpochLength: 25, Decay: 0.7}
-	engCfg := core.Config{T: 6.5, Nmax: 4}
-	trkCfg := story.Config{MinCardinality: 3, Grace: 40}
-
-	ref := runDecayConfPipeline(t, mustAggregator(NewSliceDocSource(docs), aggCfg), engCfg, true)
-	if ref.tracker.Stats().Born == 0 {
-		t.Fatal("reference bore no stories; fixture too weak")
-	}
-	for _, k := range []int{1, 4} {
-		for _, ov := range []shard.Overlap{shard.OverlapScoped, shard.OverlapMirror} {
-			agg := mustAggregator(NewSliceDocSource(docs), aggCfg)
-			se := shard.MustNew(shard.Config{Shards: k, Engine: engCfg, Overlap: ov})
-			tracker := newLoggedTracker(trkCfg)
-			se.SetSeqSink(tracker)
-			r := NewShardReplay(agg, se, nil)
-			st, err := r.RunBatches(0, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Flush()
-			tracker.Close(uint64(st.Ticks))
-			if st.Ticks != ref.stats.Ticks {
-				t.Fatalf("K=%d %s: %d ticks, single %d", k, ov, st.Ticks, ref.stats.Ticks)
-			}
-			requireSameRecords(t, fmt.Sprintf("K=%d %s", k, ov), tracker, ref.tracker)
-			se.Close()
 		}
 	}
 }

@@ -105,16 +105,6 @@ func OpenDocFile(path string) (*DocFileSource, error) {
 	return s, nil
 }
 
-// rawDocLiner is an optional DocumentSource capability: line-oriented sources
-// expose their raw unparsed document lines so the pipelined front-end's
-// expansion workers can parse off the reader goroutine. The returned slice is
-// valid only until the next call; line is the 1-based line number for error
-// messages, prefixed with sourceName.
-type rawDocLiner interface {
-	rawDocLine() (text []byte, line int, err error)
-	sourceName() string
-}
-
 // Next implements DocumentSource. The returned Document's entity set reuses
 // a scratch buffer owned by the source — it is valid until the next Next call
 // (the DocumentSource contract), which makes steady-state document reads
@@ -131,14 +121,6 @@ func (s *DocFileSource) Next() (Document, error) {
 	s.ents = ents
 	return Document{Time: ts, Entities: ents}, nil
 }
-
-// rawDocLine exposes the source's next raw document line (trimmed, valid
-// until the next call) so the pipelined front-end can move parsing onto
-// expansion workers; see rawDocLiner.
-func (s *DocFileSource) rawDocLine() ([]byte, int, error) { return s.ls.nextLineBytes() }
-
-// sourceName implements rawDocLiner.
-func (s *DocFileSource) sourceName() string { return s.ls.name }
 
 // Close releases the underlying file and gzip reader, if any.
 func (s *DocFileSource) Close() error { return s.ls.close() }
@@ -218,10 +200,11 @@ func parseUintBytes(b []byte) (int64, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		if n > (math.MaxInt64-9)/10 {
+		d := int64(c - '0')
+		if n > (math.MaxInt64-d)/10 {
 			return 0, false
 		}
-		n = n*10 + int64(c-'0')
+		n = n*10 + d
 	}
 	return n, true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -18,6 +19,8 @@ func TestDocFileSourceParsesDocuments(t *testing.T) {
 # trailing comment
 10 42
   12	8   9  
+9223372036854775800 4 5
+9223372036854775807 6 7
 `
 	src := NewDocReaderSource("docs", strings.NewReader(input))
 	got, err := DrainDocs(src)
@@ -29,6 +32,8 @@ func TestDocFileSourceParsesDocuments(t *testing.T) {
 		{Time: 5, Entities: vset.New(7, 9)}, // duplicate mention collapses
 		{Time: 10, Entities: vset.New(42)},  // single-entity documents are legal
 		{Time: 12, Entities: vset.New(8, 9)},
+		{Time: math.MaxInt64 - 7, Entities: vset.New(4, 5)},
+		{Time: math.MaxInt64, Entities: vset.New(6, 7)},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d documents, want %d", len(got), len(want))
@@ -40,6 +45,10 @@ func TestDocFileSourceParsesDocuments(t *testing.T) {
 	}
 	if _, err := src.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("Next after drain = %v, want io.EOF", err)
+	}
+	// One past MaxInt64 overflows.
+	if _, err := DrainDocs(NewDocReaderSource("docs", strings.NewReader("9223372036854775808 1 2\n"))); err == nil {
+		t.Fatal("timestamp MaxInt64+1 accepted")
 	}
 }
 

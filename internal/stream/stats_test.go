@@ -26,26 +26,10 @@ func TestStatsZeroElapsedFinite(t *testing.T) {
 		t.Errorf("zero-update mean latency = %v, want 0", got)
 	}
 
-	ss := ShardReplayStats{Shards: 4, Updates: 500, Wall: 0}
-	if got := ss.UpdatesPerSecond(); got != 0 {
-		t.Errorf("ShardReplayStats zero-wall throughput = %v, want 0", got)
-	}
-	if got := ss.ParallelEfficiency(); got != 0 {
-		t.Errorf("zero-wall parallel efficiency = %v, want 0", got)
-	}
-	if got := (ShardReplayStats{}).MeanDeliveryFraction(); got != 0 {
-		t.Errorf("no-shard delivery fraction = %v, want 0", got)
-	}
-	if got := (ShardLoadStats{}).DeliveryFraction(); got != 0 {
-		t.Errorf("idle shard delivery fraction = %v, want 0", got)
-	}
-
 	// The derived values must round-trip through JSON finitely.
 	out, err := json.Marshal(map[string]float64{
-		"updates_per_second":     rs.UpdatesPerSecond(),
-		"sharded_throughput":     ss.UpdatesPerSecond(),
-		"parallel_efficiency":    ss.ParallelEfficiency(),
-		"mean_delivery_fraction": ss.MeanDeliveryFraction(),
+		"updates_per_second": rs.UpdatesPerSecond(),
+		"segment_throughput": seg.UpdatesPerSecond(),
 	})
 	if err != nil {
 		t.Fatalf("marshalling zero-elapsed stats: %v", err)

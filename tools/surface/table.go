@@ -11,24 +11,20 @@ var table = map[string]string{
 	"internal/baseline/brute.*": "test oracle: the brute-force enumerator tests and bench/ check the engine against",
 	"internal/baseline/fade.*":  "test oracle: the per-pair fading sweep the aggregator's rescaled decay is checked against",
 
-	"internal/core.CollectorSink.*":             "test sink: the stream and shard tests read what it collected",
+	"internal/core.CollectorSink.*":             "test sink: the stream tests read what it collected",
 	"internal/core.Config.EnableMaxExplore":     "bench/ sets it (item 6); the engine ignores it",
 	"internal/core.CountingSink.*":              "test sink: the stream tests read its count",
 	"internal/core.Engine.Config":               "oracle hook: the stream tests read the schedule in force (normalized T, δ_it)",
 	"internal/core.Engine.DecayScale":           "oracle hook: the stream tests read λ",
-	"internal/core.Engine.Dense":                "oracle hook: the shard tests list the indexed dense subgraphs",
-	"internal/core.Engine.ImplicitFamilyCount":  "oracle hook: the shard tests count ImplicitTooDense families",
-	"internal/core.Engine.OutputDenseCount":     "bench/ reports it",
 	"internal/core.Engine.ValidateCertificates": "oracle hook: the stream tests check every reach certificate",
 	"internal/core.Engine.ValidateIndex":        "oracle hook: the stream tests and bench/ check the index invariants",
-	"internal/core.MustNew":                     "test constructor for the persist, serve, shard, story and stream tests",
+	"internal/core.MustNew":                     "test constructor for the persist, serve, story and stream tests",
 	"internal/core.SetRetainer":                 "sink capability: sinks implement it without naming it; SinkRetainsSets asks it",
 	"internal/core.SinkRetainsSets":             "the engine and MultiSink/FilterSink ask it of their sinks",
-	"internal/core.Stats.AppliedOnly":           "ApplyOnly counts it (item 7); the shard tests read it",
 	"internal/core.Stats.Batches":               "the engine counts units; the stream tests read it",
 	"internal/core.Stats.MaxExploreSkips":       "bench/ reads it (item 6); always 0",
-	"internal/core.Stats.StarInsertions":        "the engine counts ImplicitTooDense insertions; the shard tests read it",
 	"internal/core.Stats.ThresholdTicks":        "the engine counts threshold units; the stream tests read it",
+	"internal/core.Vertex":                      "alias of vset.Vertex for core's own signatures",
 	"internal/core.UpdateBoundarySink":          "sink capability: sinks implement it without naming it; bench/ names it",
 
 	"internal/density.ErrBadDeltaIt":             "error sentinel NewThresholds returns",
@@ -63,7 +59,7 @@ var table = map[string]string{
 	"internal/serve.View.Stats":    "bench/ reads it; /stats serves it",
 	"internal/serve.ViewStats":     "bench/ reads it; /stats serves it",
 
-	"internal/shard.*": "item 7: the sharded engine survives only for bench/par.go",
+	"internal/shard.*": "single-engine name kept only for bench/par.go (ROADMAP item 7)",
 
 	"internal/story.Config.Validate":  "NewTracker runs it",
 	"internal/story.Merged":           "record kind: the tracker emits it",
@@ -81,21 +77,18 @@ var table = map[string]string{
 	"internal/stream.DecayRescale":               "bench/ names it (item 6)",
 	"internal/stream.DocSynthConfig.TimePerDoc":  "item 22: no caller sets it, but the WAL fingerprint's synth input id prints it",
 	"internal/stream.DocSynthConfig.Validate":    "NewDocSynthetic runs it",
-	"internal/stream.IngestStats":                "item 7: only a Pipeline source fills it; bench/ reads it",
+	"internal/stream.IngestStats":                "single-engine name kept only for bench/par.go (ROADMAP item 7)",
 	"internal/stream.MustDocSynthetic":           "test constructor for the serve and story tests",
 	"internal/stream.MustSynthetic":              "test constructor for the core and story tests",
-	"internal/stream.NewParallelAggregator":      "item 7: the pipelined front-end, only for bench/par.go",
-	"internal/stream.NewShardReplay":             "item 7: the sharded replay driver, only for bench/par.go",
+	"internal/stream.NewParallelAggregator":      "single-engine name kept only for bench/par.go (ROADMAP item 7)",
+	"internal/stream.NewShardReplay":             "single-engine name kept only for bench/par.go (ROADMAP item 7)",
 	"internal/stream.NewSliceDocSource":          "test constructor for the persist tests",
 	"internal/stream.NewSliceSource":             "test constructor for the core tests",
 	"internal/stream.ParseUpdate":                "the file source parses with it",
-	"internal/stream.Pipeline":                   "item 7: the pipelined front-end, only for bench/par.go",
-	"internal/stream.PipelineConfig":             "item 7: the pipelined front-end, only for bench/par.go",
+	"internal/stream.Pipeline":                   "single-engine name kept only for bench/par.go (ROADMAP item 7)",
+	"internal/stream.PipelineConfig":             "single-engine name kept only for bench/par.go (ROADMAP item 7)",
 	"internal/stream.ReplayStats.*":              "String prints them (the CLI's replay line)",
 	"internal/stream.SegmentStats":               "ReplayStats' per-segment figures, printed by its String",
-	"internal/stream.ShardLoadStats":             "item 7: the sharded replay's per-shard figures",
-	"internal/stream.ShardReplay":                "item 7: the sharded replay driver, only for bench/par.go",
-	"internal/stream.ShardReplayStats":           "item 7: the sharded replay driver's figures",
 	"internal/stream.SliceDocSource":             "the type NewSliceDocSource returns",
 	"internal/stream.SliceSource":                "the type NewSliceSource returns",
 	"internal/stream.SynthConfig.Validate":       "NewSynthetic runs it",
