@@ -10,6 +10,7 @@ import (
 
 	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
+	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/stream"
 	"dyndens/internal/vset"
@@ -232,6 +233,48 @@ func entryFingerprint(s *Snapshot) []string {
 	}
 	out = append(out, fmt.Sprintf("ranked=%v", s.Ranked))
 	return out
+}
+
+// TestBuilderShardedConformance requires the builder fed the numbered stream
+// of shard.New to publish the identical final snapshot and lifecycle records
+// as the builder installed on a plain engine, K ∈ {1, 2, 4}.
+func TestBuilderShardedConformance(t *testing.T) {
+	w := defaultWorkload()
+	updates := w.updates(t)
+
+	eng := core.MustNew(w.eng)
+	ref := NewBuilder(story.MustTracker(w.trk))
+	refRecs := logRecords(ref)
+	eng.SetSink(ref)
+	for _, u := range updates {
+		eng.Process(u)
+	}
+	ref.Close(uint64(len(updates)))
+	want := entryFingerprint(ref.View().Snapshot())
+
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			se, err := shard.New(shard.Config{Shards: k, Engine: w.eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			b := NewBuilder(story.MustTracker(w.trk))
+			recs := logRecords(b)
+			se.SetSeqSink(b)
+			se.ProcessAll(updates)
+			se.Flush()
+			b.Close(uint64(len(updates)))
+
+			checkMatchesTracker(t, b)
+			if got := entryFingerprint(b.View().Snapshot()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("K=%d final snapshot diverges from single engine:\nsharded %v\nsingle  %v", k, got, want)
+			}
+			if !reflect.DeepEqual(*recs, *refRecs) {
+				t.Fatalf("K=%d lifecycle records diverge", k)
+			}
+		})
+	}
 }
 
 // TestBuilderLiveKeysMatchEngine pins the serving result-set contract

@@ -52,8 +52,9 @@ func (Stats) MeanDeliveryFraction() float64 { return 1 }
 // ShardedEngine is one core.Engine whose events reach a SeqSink tagged with
 // the number of their unit. Every call runs to completion before it returns.
 type ShardedEngine struct {
-	eng *core.Engine
-	seq seqAdapter
+	eng    *core.Engine
+	seq    seqAdapter
+	closed bool
 }
 
 // seqAdapter is the engine's sink: it numbers units at their EndUpdate, so
@@ -89,16 +90,19 @@ func (se *ShardedEngine) Engine() *core.Engine { return se.eng }
 // called before the first update.
 func (se *ShardedEngine) SetSeqSink(s SeqSink) { se.seq.out = s }
 
-// ProcessAll processes each update as one unit.
+// ProcessAll processes each update as one unit. It panics after Close.
 func (se *ShardedEngine) ProcessAll(updates []core.Update) {
+	se.mustBeOpen()
 	for _, u := range updates {
 		se.eng.Process(u)
 	}
 }
 
 // ProcessThresholdBatch processes one threshold unit. A scale outside
-// (0, 1] is returned as an error before the engine sees it.
+// (0, 1] is returned as an error before the engine sees it. It panics after
+// Close.
 func (se *ShardedEngine) ProcessThresholdBatch(scale float64, updates []core.Update) error {
+	se.mustBeOpen()
 	if math.IsNaN(scale) || scale <= 0 || scale > 1 {
 		return fmt.Errorf("shard: threshold batch scale %v outside (0, 1]", scale)
 	}
@@ -109,8 +113,17 @@ func (se *ShardedEngine) ProcessThresholdBatch(scale float64, updates []core.Upd
 // Flush returns at once: every call has finished when it returns.
 func (se *ShardedEngine) Flush() {}
 
-// Close releases nothing and returns nil.
-func (se *ShardedEngine) Close() error { return nil }
+// Close marks the engine closed and returns nil; a second Close is a no-op.
+func (se *ShardedEngine) Close() error {
+	se.closed = true
+	return nil
+}
+
+func (se *ShardedEngine) mustBeOpen() {
+	if se.closed {
+		panic("shard: update after Close")
+	}
+}
 
 // Stats returns the engine's counters and the number of events delivered.
 func (se *ShardedEngine) Stats() Stats {

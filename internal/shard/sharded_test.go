@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"dyndens/internal/core"
@@ -32,31 +31,30 @@ func testStream(seed int64, vertices, n int, negFrac float64) []core.Update {
 
 var testEngineCfg = core.Config{T: 2, Nmax: 4}
 
-// seqCollector records the merged sequence-numbered stream.
+// mustNew is New for configurations the test knows to be valid.
+func mustNew(t testing.TB, cfg Config) *ShardedEngine {
+	t.Helper()
+	se, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se
+}
+
+// seqCollector records the numbered stream.
 type seqCollector struct {
-	mu     sync.Mutex
 	events []SeqEvent
 }
 
-func (c *seqCollector) EmitSeq(ev SeqEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, ev)
-}
-
-func (c *seqCollector) snapshot() []SeqEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return slices.Clone(c.events)
-}
+func (c *seqCollector) EmitSeq(ev SeqEvent) { c.events = append(c.events, ev) }
 
 // eventKey is the canonical comparison form of an event.
 func eventKey(ev core.Event) string {
 	return fmt.Sprintf("%d|%s", ev.Kind, ev.Set.Key())
 }
 
-// perSeqKeys groups a merged stream by sequence number into sorted canonical
-// keys per update.
+// perSeqKeys groups a numbered stream by sequence number into sorted
+// canonical keys per unit.
 func perSeqKeys(events []SeqEvent) map[uint64][]string {
 	out := make(map[uint64][]string)
 	for _, ev := range events {
@@ -68,18 +66,62 @@ func perSeqKeys(events []SeqEvent) map[uint64][]string {
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Shards: 0, Engine: testEngineCfg}); err == nil {
-		t.Error("want error for 0 shards")
+// unitCollector is a plain engine's sink that groups its events by unit, the
+// units numbered from 1 at each EndUpdate: the reference for the numbers
+// ShardedEngine puts on its events.
+type unitCollector struct {
+	unit   uint64
+	perSeq map[uint64][]string
+	events uint64
+}
+
+func newUnitCollector() *unitCollector {
+	return &unitCollector{unit: 1, perSeq: make(map[uint64][]string)}
+}
+
+func (c *unitCollector) Emit(ev core.Event) {
+	c.perSeq[c.unit] = append(c.perSeq[c.unit], eventKey(ev))
+	c.events++
+}
+
+func (c *unitCollector) EndUpdate() {
+	slices.Sort(c.perSeq[c.unit])
+	c.unit++
+}
+
+// requireSamePerSeq asserts two per-unit streams are equal unit for unit.
+func requireSamePerSeq(t *testing.T, label string, got, want map[uint64][]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: numbered stream covers %d event-bearing units, reference %d", label, len(got), len(want))
 	}
-	if _, err := New(Config{Shards: 2, Engine: core.Config{T: -1, Nmax: 4}}); err == nil {
-		t.Error("want error for invalid engine config")
+	for seq, w := range want {
+		if !slices.Equal(got[seq], w) {
+			t.Fatalf("%s: unit %d: %v != reference %v", label, seq, got[seq], w)
+		}
 	}
 }
 
-// TestSingleShardMatchesEngine: with K=1 the sharded engine is one core
-// engine behind the batching machinery — its merged stream must match the
-// plain engine's update for update, and nothing may be deduplicated.
+// TestNewValidation: an invalid engine configuration is refused. Shards is
+// accepted and ignored, so any value builds the one engine.
+func TestNewValidation(t *testing.T) {
+	if _, err := New(Config{Shards: 2, Engine: core.Config{T: -1, Nmax: 4}}); err == nil {
+		t.Error("want error for invalid engine config")
+	}
+	for _, k := range []int{0, 1, 8} {
+		se, err := New(Config{Shards: k, Engine: testEngineCfg})
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", k, err)
+		}
+		if se.Engine() == nil {
+			t.Fatalf("Shards=%d: no engine", k)
+		}
+	}
+}
+
+// TestSingleShardMatchesEngine: the numbered stream must match a plain
+// engine's output update for update, nothing deduplicated, every event
+// counted as delivered.
 func TestSingleShardMatchesEngine(t *testing.T) {
 	updates := testStream(1, 10, 500, 0.3)
 
@@ -98,22 +140,14 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 		slices.Sort(keys)
 	}
 
-	se := MustNew(Config{Shards: 1, Engine: testEngineCfg, BatchSize: 7})
+	se := mustNew(t, Config{Shards: 1, Engine: testEngineCfg})
 	defer se.Close()
 	var col seqCollector
 	se.SetSeqSink(&col)
 	se.ProcessAll(updates)
 	se.Flush()
 
-	gotPerSeq := perSeqKeys(col.snapshot())
-	if len(gotPerSeq) != len(wantPerSeq) {
-		t.Fatalf("merged stream covers %d updates with events, reference %d", len(gotPerSeq), len(wantPerSeq))
-	}
-	for seq, want := range wantPerSeq {
-		if !slices.Equal(gotPerSeq[seq], want) {
-			t.Fatalf("update %d: merged %v != reference %v", seq, gotPerSeq[seq], want)
-		}
-	}
+	requireSamePerSeq(t, "K=1", perSeqKeys(col.events), wantPerSeq)
 	st := se.Stats()
 	if st.DedupedEvents != 0 {
 		t.Fatalf("K=1 deduplicated %d events, want 0", st.DedupedEvents)
@@ -121,29 +155,34 @@ func TestSingleShardMatchesEngine(t *testing.T) {
 	if st.MergedEvents != ref.Stats().Events {
 		t.Fatalf("merged %d events, reference emitted %d", st.MergedEvents, ref.Stats().Events)
 	}
-	if !slices.Equal(se.OutputDenseKeys(), ref.OutputDenseKeys()) {
-		t.Fatalf("tracked set %v != reference %v", se.OutputDenseKeys(), ref.OutputDenseKeys())
+	if got, want := se.Engine().OutputDenseKeys(), ref.OutputDenseKeys(); !slices.Equal(got, want) {
+		t.Fatalf("tracked set %v != reference %v", got, want)
 	}
 }
 
 // TestMergedStreamDeterministic: two runs over the same stream must produce
-// byte-identical merged streams (same events, same order, same sequence
-// numbers) regardless of goroutine scheduling.
+// identical numbered streams (same events, same order, same sequence
+// numbers), however the stream is split across ProcessAll calls.
 func TestMergedStreamDeterministic(t *testing.T) {
 	updates := testStream(2, 12, 600, 0.3)
-	run := func(batchSize int) []SeqEvent {
-		se := MustNew(Config{Shards: 4, Engine: testEngineCfg, BatchSize: batchSize})
+	run := func(chunk int) []SeqEvent {
+		se := mustNew(t, Config{Shards: 4, Engine: testEngineCfg})
 		defer se.Close()
 		var col seqCollector
 		se.SetSeqSink(&col)
-		se.ProcessAll(updates)
+		for i := 0; i < len(updates); i += chunk {
+			se.ProcessAll(updates[i:min(i+chunk, len(updates))])
+		}
 		se.Flush()
-		return col.snapshot()
+		return col.events
 	}
 	a := run(64)
 	b := run(64)
-	c := run(17) // different batching must not change the merged stream
-	for name, other := range map[string][]SeqEvent{"same-batch": b, "batch=17": c} {
+	c := run(17) // a different split must not change the numbered stream
+	if len(a) == 0 {
+		t.Fatal("stream emitted no events; fixture too weak")
+	}
+	for name, other := range map[string][]SeqEvent{"same-split": b, "split=17": c} {
 		if len(a) != len(other) {
 			t.Fatalf("%s: stream lengths differ: %d vs %d", name, len(a), len(other))
 		}
@@ -156,8 +195,9 @@ func TestMergedStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSingleEngineResultSet: the merged result set across shard
-// counts must equal the single engine's explicit output-dense set.
+// TestShardedMatchesSingleEngineResultSet: for every Shards value bench/par.go
+// may pass, the result set must equal the single engine's explicit
+// output-dense set, and every event must be counted as delivered.
 func TestShardedMatchesSingleEngineResultSet(t *testing.T) {
 	updates := testStream(3, 10, 500, 0.35)
 	ref := core.MustNew(testEngineCfg)
@@ -169,9 +209,9 @@ func TestShardedMatchesSingleEngineResultSet(t *testing.T) {
 	refEvents := refSink.Len()
 	want := ref.OutputDenseKeys()
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		se := MustNew(Config{Shards: k, Engine: testEngineCfg})
+		se := mustNew(t, Config{Shards: k, Engine: testEngineCfg})
 		se.ProcessAll(updates)
-		got := se.OutputDenseKeys()
+		got := se.Engine().OutputDenseKeys()
 		st := se.Stats()
 		if !slices.Equal(got, want) {
 			t.Errorf("K=%d: tracked set %v != single engine %v", k, got, want)
@@ -185,7 +225,7 @@ func TestShardedMatchesSingleEngineResultSet(t *testing.T) {
 }
 
 func TestCloseIdempotentAndFlushEmpty(t *testing.T) {
-	se := MustNew(Config{Shards: 2, Engine: testEngineCfg})
+	se := mustNew(t, Config{Shards: 2, Engine: testEngineCfg})
 	se.Flush() // no updates: must not hang
 	if err := se.Close(); err != nil {
 		t.Fatal(err)
@@ -196,143 +236,80 @@ func TestCloseIdempotentAndFlushEmpty(t *testing.T) {
 }
 
 func TestProcessAfterClosePanics(t *testing.T) {
-	se := MustNew(Config{Shards: 2, Engine: testEngineCfg})
+	se := mustNew(t, Config{Shards: 2, Engine: testEngineCfg})
 	se.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Process after Close did not panic")
+			t.Fatal("ProcessAll after Close did not panic")
 		}
 	}()
-	se.Process(core.Update{A: 1, B: 2, Delta: 1})
+	se.ProcessAll([]core.Update{{A: 1, B: 2, Delta: 1}})
 }
 
-// TestStatsAggregation pins the delivery accounting contract of both overlap
-// policies. Under mirror delivery every shard fully processes the full
-// stream; under scoped delivery each shard's Delivered+Applied covers the
-// full stream (every replica applies every weight change) while Delivered
-// alone is its share of the discovery work, at least the updates it seeds.
+// TestStatsAggregation pins the accounting Stats reports for the one engine:
+// its own counters, every event delivered once, no worker loads. "mirror"
+// feeds plain per-update units; "scoped" mixes in threshold units, which
+// number and deliver their events like any other unit.
 func TestStatsAggregation(t *testing.T) {
 	updates := testStream(4, 10, 250, 0.25)
 	const k = 3
 
-	t.Run("mirror", func(t *testing.T) {
-		se := MustNew(Config{Shards: k, Engine: testEngineCfg, Overlap: OverlapMirror})
-		defer se.Close()
-		se.ProcessAll(updates)
+	check := func(t *testing.T, se *ShardedEngine, col *seqCollector) {
+		t.Helper()
 		st := se.Stats()
-		if len(st.PerShard) != k || len(st.Loads) != k {
-			t.Fatalf("per-shard slices sized %d/%d, want %d", len(st.PerShard), len(st.Loads), k)
+		if st.Aggregate != se.Engine().Stats() {
+			t.Errorf("aggregate %+v != the engine's %+v", st.Aggregate, se.Engine().Stats())
 		}
-		if st.Overlap != OverlapMirror {
-			t.Errorf("stats report overlap %v, want mirror", st.Overlap)
+		if st.Aggregate.Updates != uint64(len(updates)) {
+			t.Errorf("aggregate updates = %d, want %d", st.Aggregate.Updates, len(updates))
 		}
-		if st.Accepted != uint64(len(updates)) {
-			t.Errorf("accepted %d updates, want %d", st.Accepted, len(updates))
+		if len(st.Loads) != 0 || st.DedupedEvents != 0 {
+			t.Errorf("loads %v, deduped %d: want none", st.Loads, st.DedupedEvents)
 		}
-		for i, ps := range st.PerShard {
-			if ps.Updates != uint64(len(updates)) {
-				t.Errorf("shard %d processed %d updates, want %d", i, ps.Updates, len(updates))
-			}
-			if ps.AppliedOnly != 0 {
-				t.Errorf("shard %d took the ApplyOnly path %d times under mirror", i, ps.AppliedOnly)
-			}
-			l := st.Loads[i]
-			if l.Delivered != uint64(len(updates)) || l.Applied != 0 {
-				t.Errorf("shard %d load delivered=%d applied=%d, want %d/0", i, l.Delivered, l.Applied, len(updates))
-			}
-			if f := l.DeliveryFraction(); f != 1 {
-				t.Errorf("shard %d delivery fraction %v, want 1 under mirror", i, f)
-			}
+		if st.MergedEvents != st.Aggregate.Events || st.MergedEvents != uint64(len(col.events)) {
+			t.Errorf("merged %d events, engine emitted %d, sink saw %d", st.MergedEvents, st.Aggregate.Events, len(col.events))
 		}
-		if st.Aggregate.Updates != uint64(k*len(updates)) {
-			t.Errorf("aggregate updates = %d, want %d", st.Aggregate.Updates, k*len(updates))
+		if st.MergedEvents == 0 {
+			t.Error("no events; fixture too weak")
 		}
-		if se.Updates() != uint64(len(updates)) {
-			t.Errorf("Updates() = %d, want %d", se.Updates(), len(updates))
+		if f := st.MeanDeliveryFraction(); f != 1 {
+			t.Errorf("mean delivery fraction %v, want 1", f)
 		}
-		var rawTotal uint64
-		for _, l := range st.Loads {
-			rawTotal += l.RawEvents
-		}
-		if rawTotal != st.MergedEvents+st.DedupedEvents {
-			t.Errorf("raw events %d != merged %d + deduped %d", rawTotal, st.MergedEvents, st.DedupedEvents)
+	}
+
+	t.Run("mirror", func(t *testing.T) {
+		se := mustNew(t, Config{Shards: k, Engine: testEngineCfg})
+		defer se.Close()
+		var col seqCollector
+		se.SetSeqSink(&col)
+		se.ProcessAll(updates)
+		check(t, se, &col)
+		if last := col.events[len(col.events)-1].Seq; last > uint64(len(updates)) {
+			t.Errorf("last event numbered %d past %d units", last, len(updates))
 		}
 	})
 
 	t.Run("scoped", func(t *testing.T) {
-		se := MustNew(Config{Shards: k, Engine: testEngineCfg}) // scoped is the default
+		se := mustNew(t, Config{Shards: k, Engine: testEngineCfg})
 		defer se.Close()
-		se.ProcessAll(updates)
-		st := se.Stats()
-		if st.Overlap != OverlapScoped {
-			t.Errorf("stats report overlap %v, want scoped", st.Overlap)
-		}
-		var deliveredTotal uint64
-		for i, l := range st.Loads {
-			if l.Delivered+l.Applied != uint64(len(updates)) {
-				t.Errorf("shard %d delivered=%d applied=%d, sum want %d", i, l.Delivered, l.Applied, len(updates))
+		var col seqCollector
+		se.SetSeqSink(&col)
+		units := 0
+		for i := 0; i < len(updates); i += 50 {
+			se.ProcessAll(updates[i : i+25])
+			if err := se.ProcessThresholdBatch(0.9, updates[i+25:i+50]); err != nil {
+				t.Fatal(err)
 			}
-			ps := st.PerShard[i]
-			if ps.Updates != l.Delivered || ps.AppliedOnly != l.Applied {
-				t.Errorf("shard %d engine counters updates=%d appliedOnly=%d disagree with load %d/%d",
-					i, ps.Updates, ps.AppliedOnly, l.Delivered, l.Applied)
-			}
-			deliveredTotal += l.Delivered
+			units += 26
 		}
-		// Every update is delivered at least to its seeder, never more than
-		// K-wide; a fixture this dense must also actually skip something.
-		if deliveredTotal < uint64(len(updates)) {
-			t.Errorf("delivered total %d < stream length %d (some update had no seeder)", deliveredTotal, len(updates))
+		check(t, se, &col)
+		if st := se.Stats(); st.Aggregate.ThresholdTicks != uint64(len(updates)/50) {
+			t.Errorf("%d threshold units, want %d", st.Aggregate.ThresholdTicks, len(updates)/50)
 		}
-		if st.Aggregate.AppliedOnly == 0 {
-			t.Error("scoped run skipped nothing; fixture too weak to exercise scoping")
-		}
-		if f := st.MeanDeliveryFraction(); f <= 0 || f > 1 {
-			t.Errorf("mean delivery fraction %v out of (0, 1]", f)
-		}
-		var rawTotal uint64
-		for _, l := range st.Loads {
-			rawTotal += l.RawEvents
-		}
-		if rawTotal != st.MergedEvents+st.DedupedEvents {
-			t.Errorf("raw events %d != merged %d + deduped %d", rawTotal, st.MergedEvents, st.DedupedEvents)
+		if last := col.events[len(col.events)-1].Seq; last > uint64(units) {
+			t.Errorf("last event numbered %d past %d units", last, units)
 		}
 	})
-}
-
-// TestConcurrentObservers exercises Flush/Stats/queries from other goroutines
-// while the producer feeds updates; run under -race this validates the
-// engine's internal synchronisation.
-func TestConcurrentObservers(t *testing.T) {
-	updates := testStream(5, 10, 400, 0.3)
-	se := MustNew(Config{Shards: 4, Engine: testEngineCfg, BatchSize: 16})
-	defer se.Close()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = se.Stats()
-				_ = se.OutputDenseKeys()
-				se.Flush()
-			}
-		}()
-	}
-	se.ProcessAll(updates)
-	close(stop)
-	wg.Wait()
-	se.Flush()
-	if got := se.Updates(); got != uint64(len(updates)) {
-		t.Fatalf("Updates() = %d, want %d", got, len(updates))
-	}
 }
 
 // batchPartition splits a stream into random batches (sizes 0–8, empty
@@ -354,99 +331,79 @@ func batchPartition(seed int64, updates []core.Update) [][]core.Update {
 	return batches
 }
 
-// TestProcessBatchMatchesSingleBatchedEngine: whole-epoch shipping must make
-// the merged per-tick event stream identical to a single engine fed the same
-// coalesced batches — one sequence number per batch, net events canonically
-// deduplicated, result set equal — at K ∈ {1, 2, 4}.
+// TestProcessBatchMatchesSingleBatchedEngine: batch units driven through the
+// engine behind the names (as the replay driver drives them) must be numbered
+// one per batch, empty batches included, with the events of a plain engine
+// fed the same batches, at K ∈ {1, 2, 4}.
 func TestProcessBatchMatchesSingleBatchedEngine(t *testing.T) {
 	updates := testStream(6, 10, 600, 0.35)
 	batches := batchPartition(61, updates)
 
 	ref := core.MustNew(testEngineCfg)
-	var sink core.CollectorSink
-	ref.SetSink(&sink)
-	wantPerSeq := make(map[uint64][]string)
-	refEvents := 0
-	for i, b := range batches {
+	refCol := newUnitCollector()
+	ref.SetSink(refCol)
+	for _, b := range batches {
 		ref.ProcessBatch(b)
-		evs := sink.Take()
-		refEvents += len(evs)
-		for _, ev := range evs {
-			seq := uint64(i + 1)
-			wantPerSeq[seq] = append(wantPerSeq[seq], eventKey(ev))
-		}
 	}
-	for _, keys := range wantPerSeq {
-		slices.Sort(keys)
-	}
-	if refEvents == 0 {
+	if refCol.events == 0 {
 		t.Fatal("batched reference emitted no events; fixture too weak")
 	}
 
 	for _, k := range []int{1, 2, 4} {
-		se := MustNew(Config{Shards: k, Engine: testEngineCfg})
+		se := mustNew(t, Config{Shards: k, Engine: testEngineCfg})
 		var col seqCollector
 		se.SetSeqSink(&col)
 		for _, b := range batches {
-			se.ProcessBatch(b)
+			se.Engine().ProcessBatch(b)
 		}
 		se.Flush()
-		gotPerSeq := perSeqKeys(col.snapshot())
-		if len(gotPerSeq) != len(wantPerSeq) {
-			t.Fatalf("K=%d: merged stream covers %d ticks with events, reference %d", k, len(gotPerSeq), len(wantPerSeq))
-		}
-		for seq, want := range wantPerSeq {
-			if !slices.Equal(gotPerSeq[seq], want) {
-				t.Fatalf("K=%d tick %d: merged %v != reference %v", k, seq, gotPerSeq[seq], want)
-			}
-		}
-		if !slices.Equal(se.OutputDenseKeys(), ref.OutputDenseKeys()) {
-			t.Fatalf("K=%d: tracked set %v != reference %v", k, se.OutputDenseKeys(), ref.OutputDenseKeys())
+		requireSamePerSeq(t, fmt.Sprintf("K=%d", k), perSeqKeys(col.events), refCol.perSeq)
+		if got, want := se.Engine().OutputDenseKeys(), ref.OutputDenseKeys(); !slices.Equal(got, want) {
+			t.Fatalf("K=%d: tracked set %v != reference %v", k, got, want)
 		}
 		st := se.Stats()
-		if int(st.MergedEvents) != refEvents {
-			t.Fatalf("K=%d: merged %d events, reference emitted %d", k, st.MergedEvents, refEvents)
+		if st.MergedEvents != refCol.events {
+			t.Fatalf("K=%d: merged %d events, reference emitted %d", k, st.MergedEvents, refCol.events)
 		}
-		if k == 1 && st.DedupedEvents != 0 {
-			t.Fatalf("K=1 deduplicated %d events", st.DedupedEvents)
-		}
-		if se.Updates() != uint64(len(updates)) {
-			t.Fatalf("K=%d: Updates() = %d, want %d", k, se.Updates(), len(updates))
+		if st.Aggregate.Updates != uint64(len(updates)) {
+			t.Fatalf("K=%d: %d updates, want %d", k, st.Aggregate.Updates, len(updates))
 		}
 		se.Close()
 	}
 }
 
-// TestProcessBatchInterleavesWithProcess: mixing per-update Process calls and
-// coalesced batches must keep sequence numbers and the result set coherent
-// (staged micro-batches are dispatched before the coalesced batch).
+// TestProcessBatchInterleavesWithProcess: mixing per-update units and batch
+// units must keep the sequence numbers and the result set coherent.
 func TestProcessBatchInterleavesWithProcess(t *testing.T) {
 	updates := testStream(7, 10, 300, 0.3)
 	ref := core.MustNew(testEngineCfg)
-	se := MustNew(Config{Shards: 2, Engine: testEngineCfg, BatchSize: 16})
+	refCol := newUnitCollector()
+	ref.SetSink(refCol)
+	se := mustNew(t, Config{Shards: 2, Engine: testEngineCfg})
 	defer se.Close()
+	var col seqCollector
+	se.SetSeqSink(&col)
 
 	for pos := 0; pos < len(updates); {
+		end := min(pos+25, len(updates))
 		if (pos/25)%2 == 0 { // alternate runs of per-update and batched feeding
-			end := min(pos+25, len(updates))
 			for _, u := range updates[pos:end] {
 				ref.Process(u)
-				se.Process(u)
 			}
-			pos = end
+			se.ProcessAll(updates[pos:end])
 		} else {
-			end := min(pos+25, len(updates))
 			ref.ProcessBatch(updates[pos:end])
-			se.ProcessBatch(updates[pos:end])
-			pos = end
+			se.Engine().ProcessBatch(updates[pos:end])
 		}
+		pos = end
 	}
-	se.ProcessBatch(nil) // trailing empty tick must be harmless
+	se.Engine().ProcessBatch(nil) // trailing empty tick must be harmless
 	ref.ProcessBatch(nil)
-	if !slices.Equal(se.OutputDenseKeys(), ref.OutputDenseKeys()) {
-		t.Fatalf("mixed feeding diverged: %v != %v", se.OutputDenseKeys(), ref.OutputDenseKeys())
+	requireSamePerSeq(t, "mixed", perSeqKeys(col.events), refCol.perSeq)
+	if got, want := se.Engine().OutputDenseKeys(), ref.OutputDenseKeys(); !slices.Equal(got, want) {
+		t.Fatalf("mixed feeding diverged: %v != %v", got, want)
 	}
-	if se.Updates() != uint64(len(updates)) {
-		t.Fatalf("Updates() = %d, want %d", se.Updates(), len(updates))
+	if got := se.Stats().Aggregate.Updates; got != uint64(len(updates)) {
+		t.Fatalf("%d updates, want %d", got, len(updates))
 	}
 }

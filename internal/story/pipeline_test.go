@@ -7,6 +7,7 @@ import (
 
 	"dyndens/internal/baseline/fade"
 	"dyndens/internal/core"
+	"dyndens/internal/shard"
 	"dyndens/internal/stream"
 )
 
@@ -65,6 +66,23 @@ func (w pipelineWorkload) runSingle(t *testing.T, updates []stream.Update) (*Tra
 	for _, u := range updates {
 		eng.Process(u)
 	}
+	tr.Close(uint64(len(updates)))
+	return tr, log.recs
+}
+
+// runSharded drives the updates through shard.New with Shards: shards, the
+// tracker consuming the numbered event stream as its SeqSink.
+func (w pipelineWorkload) runSharded(t *testing.T, updates []stream.Update, shards int) (*Tracker, []Record) {
+	t.Helper()
+	se, err := shard.New(shard.Config{Shards: shards, Engine: w.eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	tr, log := loggedTracker(w.trk)
+	se.SetSeqSink(tr)
+	se.ProcessAll(updates)
+	se.Flush()
 	tr.Close(uint64(len(updates)))
 	return tr, log.recs
 }
@@ -151,6 +169,36 @@ func TestStoryPipelineDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Stories(), b.Stories()) {
 		t.Fatal("two identical runs produced different story tables")
+	}
+}
+
+// TestStoryPipelineShardedConformance: the tracker fed the numbered stream of
+// shard.New produces records and a story table identical to the plain-engine
+// run, for every Shards value K ∈ {1, 2, 4} bench/par.go may pass.
+func TestStoryPipelineShardedConformance(t *testing.T) {
+	w := defaultWorkload()
+	updates, _ := w.updates(t)
+	ref, refRecs := w.runSingle(t, updates)
+	if len(refRecs) == 0 {
+		t.Fatal("reference run produced no records; workload too weak")
+	}
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			got, gotRecs := w.runSharded(t, updates, k)
+			if !reflect.DeepEqual(gotRecs, refRecs) {
+				t.Fatalf("K=%d records diverge from single engine (%d vs %d records): %s",
+					k, len(gotRecs), len(refRecs), firstDiff(gotRecs, refRecs))
+			}
+			if got.Stats() != ref.Stats() {
+				t.Fatalf("K=%d Stats %+v != single %+v", k, got.Stats(), ref.Stats())
+			}
+			if !reflect.DeepEqual(got.Stories(), ref.Stories()) {
+				t.Fatalf("K=%d story tables diverge:\nsharded %+v\nsingle  %+v", k, got.Stories(), ref.Stories())
+			}
+			if got.Seq() != ref.Seq() {
+				t.Fatalf("K=%d final seq %d != single %d", k, got.Seq(), ref.Seq())
+			}
+		})
 	}
 }
 

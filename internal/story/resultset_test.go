@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyndens/internal/core"
+	"dyndens/internal/shard"
 	"dyndens/internal/stream"
 )
 
@@ -67,5 +68,38 @@ func TestResultSetMatchesEngineAfterEveryUpdate(t *testing.T) {
 		if transitions == 0 {
 			t.Fatalf("seed %d: result set never changed; contract exercised nothing", seed)
 		}
+	}
+}
+
+// EmitSeq makes keySet a shard.SeqSink: it applies the numbered events.
+func (ks keySet) EmitSeq(ev shard.SeqEvent) { ks.Emit(ev.Event) }
+
+// TestResultSetMatchesShardedEngineAfterEveryUpdate pins the same contract
+// for a consumer of the numbered stream of shard.New, at K ∈ {1, 4}.
+func TestResultSetMatchesShardedEngineAfterEveryUpdate(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		updates := contractStream(t, 37)
+		se, err := shard.New(shard.Config{Shards: k, Engine: core.Config{T: 2, Nmax: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := keySet{}
+		se.SetSeqSink(rs)
+		nonEmpty := 0
+		for i, u := range updates {
+			se.ProcessAll([]core.Update{u})
+			se.Flush()
+			got, want := rs.keys(), se.Engine().OutputDenseKeys()
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=%d, update %d: event-maintained set %v != engine result set %v", k, i+1, got, want)
+			}
+			if len(got) > 0 {
+				nonEmpty++
+			}
+		}
+		if nonEmpty == 0 {
+			t.Fatalf("K=%d: result set never became non-empty", k)
+		}
+		se.Close()
 	}
 }

@@ -1,106 +1,23 @@
-// Conformance suite for the pipelined ingestion front-end: the evidence that
-// stage decoupling and parallel expansion change when work happens, never
-// what is emitted. Every test compares the pipeline's batch stream — updates,
+// Conformance suite for the names NewParallelAggregator and NewShardReplay,
+// which bench/par.go calls and which now run the sequential Aggregator and
+// the ordinary Replay: every test compares their batch stream — updates,
 // Decay flags, ThresholdUpdate units, group order — value-by-value against
-// the serial reference, across worker counts, document sources (in-memory
-// and raw-line file), shard counts, and error positions.
+// the serial aggregator, across Workers values, document sources (in-memory
+// and raw-line file), and error positions.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"dyndens/internal/core"
 	"dyndens/internal/shard"
 	"dyndens/internal/story"
 	"dyndens/internal/vset"
 )
-
-// recordedBatch is one batch captured for deep comparison, with updates and
-// threshold units copied out of the source's reused backing stores.
-type recordedBatch struct {
-	updates   []Update
-	decay     bool
-	threshold *ThresholdUpdate
-}
-
-// recordBatches drains bs, cloning every batch; the terminal error (io.EOF on
-// clean streams) is returned alongside the batches read before it.
-func recordBatches(bs BatchSource) ([]recordedBatch, error) {
-	var out []recordedBatch
-	for {
-		b, err := bs.NextBatch()
-		if err != nil {
-			return out, err
-		}
-		rb := recordedBatch{updates: append([]Update(nil), b.Updates...), decay: b.Decay}
-		if b.Threshold != nil {
-			thr := *b.Threshold
-			rb.threshold = &thr
-		}
-		out = append(out, rb)
-	}
-}
-
-// requireSameBatches compares two recorded streams value-by-value (updates
-// bit-exact: the pipeline runs the same float operations in the same order).
-func requireSameBatches(t *testing.T, label string, got, want []recordedBatch) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d batches, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.decay != w.decay {
-			t.Fatalf("%s: batch %d decay=%v, want %v", label, i, g.decay, w.decay)
-		}
-		switch {
-		case (g.threshold == nil) != (w.threshold == nil):
-			t.Fatalf("%s: batch %d threshold presence %v, want %v", label, i, g.threshold != nil, w.threshold != nil)
-		case g.threshold != nil && *g.threshold != *w.threshold:
-			t.Fatalf("%s: batch %d threshold %+v, want %+v", label, i, *g.threshold, *w.threshold)
-		}
-		if len(g.updates) != len(w.updates) {
-			t.Fatalf("%s: batch %d has %d updates, want %d", label, i, len(g.updates), len(w.updates))
-		}
-		for j := range w.updates {
-			if g.updates[j] != w.updates[j] {
-				t.Fatalf("%s: batch %d update %d = %+v, want %+v", label, i, j, g.updates[j], w.updates[j])
-			}
-		}
-	}
-}
-
-// pipelineConfDocs is the conformance workload: randomized document sizes
-// (including single-entity documents that only advance time), duplicate
-// mentions, single- and multi-epoch jumps — everything that exercises epoch
-// ticks, retirement, and re-keying.
-func pipelineConfDocs(seed int64, n int) []Document {
-	rng := rand.New(rand.NewSource(seed))
-	docs := make([]Document, 0, n)
-	now := int64(0)
-	for i := 0; i < n; i++ {
-		switch r := rng.Float64(); {
-		case r < 0.30:
-			now += 10
-		case r < 0.38:
-			now += 10 * int64(2+rng.Intn(4))
-		}
-		m := 1 + rng.Intn(6)
-		ents := make([]vset.Vertex, 0, m)
-		for j := 0; j < m; j++ {
-			ents = append(ents, vset.Vertex(rng.Intn(25)))
-		}
-		docs = append(docs, Document{Time: now, Entities: vset.New(ents...)})
-	}
-	return docs
-}
 
 // serialBatches records the reference stream of the serial aggregator.
 func serialBatches(t *testing.T, docs []Document, cfg AggregatorConfig) []recordedBatch {
@@ -113,7 +30,7 @@ func serialBatches(t *testing.T, docs []Document, cfg AggregatorConfig) []record
 }
 
 // docsToFileSource writes docs in the recorded-document format and reopens
-// them as a DocFileSource, exercising the raw-line path (workers parse).
+// them as a DocFileSource, exercising the raw-line path.
 func docsToFileSource(t *testing.T, docs []Document) *DocFileSource {
 	t.Helper()
 	var b strings.Builder
@@ -123,7 +40,17 @@ func docsToFileSource(t *testing.T, docs []Document) *DocFileSource {
 	return NewDocReaderSource("conf-docs", strings.NewReader(b.String()))
 }
 
-// TestParallelAggregatorMatchesSerial is the core conformance matrix:
+// mustShard is shard.New for configurations the test knows to be valid.
+func mustShard(t testing.TB, cfg shard.Config) *shard.ShardedEngine {
+	t.Helper()
+	se, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se
+}
+
+// TestParallelAggregatorMatchesSerial is the conformance matrix:
 // W ∈ {1, 2, 4} × {in-memory source, raw-line file source}, batch streams
 // deep-equal to the serial aggregator, and the final aggregation counters
 // identical.
@@ -151,7 +78,7 @@ func TestParallelAggregatorMatchesSerial(t *testing.T) {
 			if src == "file" {
 				ds = docsToFileSource(t, docs)
 			}
-			p, err := NewParallelAggregator(ds, cfg, PipelineConfig{Workers: workers, Depth: 4})
+			p, err := NewParallelAggregator(ds, cfg, PipelineConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,9 +90,8 @@ func TestParallelAggregatorMatchesSerial(t *testing.T) {
 			if st, ok := p.AggregatorStats(); !ok || st != refStats {
 				t.Fatalf("%s: aggregator stats = %+v (ok=%v), want %+v", label, st, ok, refStats)
 			}
-			is := p.IngestStats()
-			if is.Batches != len(ref) {
-				t.Fatalf("%s: ingest stats counted %d batches, want %d", label, is.Batches, len(ref))
+			if is := p.IngestStats(); is != (IngestStats{}) {
+				t.Fatalf("%s: ingest stats %+v, want zeros: nothing runs beside the caller", label, is)
 			}
 			p.Close()
 		}
@@ -203,9 +129,10 @@ func TestParallelAggregatorRenormConformance(t *testing.T) {
 }
 
 // TestPipelineReplayConformance drives the full documents→stories pipeline —
-// engine, tracker, lifecycle records — with the parallel front-end against
-// the serial front-end, single-engine (K=0) and sharded (K=4). Records carry
-// no floats, so requireSameRecords is exact.
+// engine, tracker, lifecycle records — through NewParallelAggregator against
+// the serial front-end, with a plain engine (K=0) and behind shard.New and
+// NewShardReplay with the tracker as SeqSink (K=4). Records carry no floats,
+// so requireSameRecords is exact.
 func TestPipelineReplayConformance(t *testing.T) {
 	docs := conformanceDocs(t, 7)
 	engCfg := core.Config{T: 6.5, Nmax: 4}
@@ -223,8 +150,8 @@ func TestPipelineReplayConformance(t *testing.T) {
 		t.Fatal("reference bore no stories; fixture too weak")
 	}
 
-	// K=0: single engine behind the parallel front-end.
-	p, perr := NewParallelAggregator(docsToFileSource(t, docs), aggCfg, PipelineConfig{Workers: 4, Depth: 4})
+	// K=0: a plain engine behind NewParallelAggregator.
+	p, perr := NewParallelAggregator(docsToFileSource(t, docs), aggCfg, PipelineConfig{Workers: 4})
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -239,17 +166,14 @@ func TestPipelineReplayConformance(t *testing.T) {
 		t.Fatalf("K=0: stats (ticks=%d upd=%d ev=%d), want (%d, %d, %d)",
 			st.Ticks, st.Updates, st.Events, refStats.Ticks, refStats.Updates, refStats.Events)
 	}
-	if st.Ingest == nil || st.Ingest.Batches == 0 {
-		t.Fatalf("K=0: replay stats carry no ingest accounting: %+v", st.Ingest)
-	}
 	requireSameRecords(t, "K=0", trk, refTrk)
 
-	// K=4: sharded engine behind the parallel front-end.
+	// K=4: shard.New behind NewParallelAggregator, driven by NewShardReplay.
 	sp, perr := NewParallelAggregator(NewSliceDocSource(docs), aggCfg, PipelineConfig{Workers: 2})
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	se := shard.MustNew(shard.Config{Shards: 4, Engine: engCfg})
+	se := mustShard(t, shard.Config{Shards: 4, Engine: engCfg})
 	defer se.Close()
 	strk := newLoggedTracker(trkCfg)
 	se.SetSeqSink(strk)
@@ -258,11 +182,8 @@ func TestPipelineReplayConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	strk.Close(uint64(sst.Ticks))
-	if sst.Ticks != refStats.Ticks {
-		t.Fatalf("K=4: %d ticks, want %d", sst.Ticks, refStats.Ticks)
-	}
-	if sst.Ingest == nil || sst.Ingest.Batches == 0 {
-		t.Fatalf("K=4: shard replay stats carry no ingest accounting: %+v", sst.Ingest)
+	if sst.Ticks != refStats.Ticks || sst.Events != refStats.Events {
+		t.Fatalf("K=4: %d ticks and %d events, want %d and %d", sst.Ticks, sst.Events, refStats.Ticks, refStats.Events)
 	}
 	requireSameRecords(t, "K=4", strk, refTrk)
 }
@@ -295,7 +216,7 @@ func TestPipelineErrorConformance(t *testing.T) {
 	}
 	requireSameBatches(t, "parse-error prefix", got, ref)
 
-	// Time regression: caught by the sequencer's ordered core, same position.
+	// Time regression: same position, same message.
 	back := append(append([]Document(nil), good[:20]...), Document{Time: good[19].Time - 1, Entities: vset.New(1, 2)})
 	ref, refErr = recordBatches(mustAggregator(NewSliceDocSource(back), cfg))
 	if refErr == nil || errors.Is(refErr, io.EOF) {
@@ -312,19 +233,23 @@ func TestPipelineErrorConformance(t *testing.T) {
 	requireSameBatches(t, "regression prefix", got, ref)
 }
 
-// TestPipelineClose pins shutdown: closing mid-stream terminates the consumer
-// in bounded time and a full drain self-terminates, double-Close included.
+// TestPipelineClose pins shutdown: Close mid-stream returns nil, twice, and a
+// later drain still terminates.
 func TestPipelineClose(t *testing.T) {
 	docs := pipelineConfDocs(29, 2000)
-	p, err := NewParallelAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 10, Decay: 0.5}, PipelineConfig{Workers: 2, Depth: 2})
+	p, err := NewParallelAggregator(NewSliceDocSource(docs), AggregatorConfig{EpochLength: 10, Decay: 0.5}, PipelineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	p.Close() // idempotent
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
 	for i := 0; ; i++ {
 		if _, err := p.NextBatch(); err != nil {
 			break
@@ -335,44 +260,9 @@ func TestPipelineClose(t *testing.T) {
 	}
 }
 
-// TestPipelineHandoffZeroAlloc pins the consumer side of the handoff: once
-// the producer has run ahead (queue deep enough to hold the whole stream, so
-// the front-end goroutines finish and exit), pulling batches allocates
-// nothing — the engine-side hot path pays no per-batch garbage for having a
-// pipeline in front of it.
-func TestPipelineHandoffZeroAlloc(t *testing.T) {
-	docs := pipelineConfDocs(31, 200)
-	cfg := AggregatorConfig{EpochLength: 10, Decay: 0.5}
-	total := len(serialBatches(t, docs, cfg))
-	p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 2, Depth: total + 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.NextBatch(); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until every remaining batch plus the terminal item is queued: the
-	// producer goroutines have then exited and cannot contribute allocations.
-	want := total - 1 + 1
-	for deadline := time.Now().Add(10 * time.Second); len(p.out) < want; {
-		if time.Now().After(deadline) {
-			t.Fatalf("producer queued %d items, want %d", len(p.out), want)
-		}
-		runtime.Gosched()
-	}
-	pulls := total - 2 // leave the terminal item unread: measure pure handoff
-	if allocs := testing.AllocsPerRun(pulls-1, func() {
-		if _, err := p.NextBatch(); err != nil {
-			t.Fatalf("NextBatch during alloc pin: %v", err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("pipelined NextBatch allocated %.2f allocs/op, want 0", allocs)
-	}
-}
-
 // FuzzParallelAggregatorMatchesSerial derives a document stream from fuzz
 // bytes (entity pairs + time deltas) and checks batch-stream equality between
-// the serial aggregator and a 3-worker pipeline.
+// the serial aggregator and NewParallelAggregator with 3 workers.
 func FuzzParallelAggregatorMatchesSerial(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -394,7 +284,7 @@ func FuzzParallelAggregatorMatchesSerial(f *testing.F) {
 		if !errors.Is(refErr, io.EOF) {
 			t.Fatalf("serial reference failed: %v", refErr)
 		}
-		p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 3, Depth: 2})
+		p, err := NewParallelAggregator(NewSliceDocSource(docs), cfg, PipelineConfig{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
